@@ -102,19 +102,20 @@ DYNA_TYPES = ("state", "trajectory")
 # Optional column allowed right after entity_id in trajectory .dyna tables.
 _LOCATION_COLUMN = "location"
 
-_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
+_TIMESTAMP_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse ``YYYY-MM-DDTHH:MM:SSZ`` into a tz-aware UTC datetime."""
-    if not _TIMESTAMP_RE.match(text):
+    """Parse ``YYYY-MM-DDTHH:MM:SSZ`` into a tz-aware UTC datetime.
+
+    Raises ValueError for any other shape and for calendar-invalid stamps
+    such as ``2023-02-29`` or hour 24.
+    """
+    match = _TIMESTAMP_RE.fullmatch(text)
+    if match is None:
         raise ValueError(f"not an ISO-8601 UTC timestamp: {text!r}")
-    try:
-        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
-    except ValueError as exc:
-        raise ValueError(str(exc)) from None
-    return dt.replace(tzinfo=timezone.utc)
+    return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -321,11 +322,18 @@ def _format_coordinates(record: GeoUnit) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _parse_time_cell(cell: str, table: str, row: int) -> datetime:
-    try:
-        return parse_timestamp(cell)
-    except ValueError as exc:
-        raise BadTimestamp(str(exc), table=table, row=row, column="time") from None
+def _parse_time_cell(cell: str, table: str, row: int, times: dict) -> datetime:
+    """Parse a time cell, reusing ``times`` (cell -> datetime) across rows.
+
+    Only good stamps enter ``times``, so a bad stamp fails at its first row.
+    """
+    dt = times.get(cell)
+    if dt is None:
+        try:
+            dt = times[cell] = parse_timestamp(cell)
+        except ValueError as exc:
+            raise BadTimestamp(str(exc), table=table, row=row, column="time") from None
+    return dt
 
 
 def _parse_enum_cell(cell, domain, table, row, column):
@@ -404,6 +412,7 @@ def parse_table(kind: str, source: Union[bytes, str, IO]) -> list:
 
     records = []
     seen_ids: set = set()
+    times: dict[str, datetime] = {}
     builder = _ROW_BUILDERS[kind]
     for ordinal, row in enumerate(rows[1:], start=1):
         if not row:
@@ -417,7 +426,7 @@ def parse_table(kind: str, source: Union[bytes, str, IO]) -> list:
         props = {
             name: _coerce_scalar(cell) for name, cell in zip(prop_names, row[n_fixed:])
         }
-        record = builder(row, props, ordinal, has_location)
+        record = builder(row, props, ordinal, has_location, times)
         key = _identity_key(kind, record)
         if key in seen_ids:
             raise DuplicateId(
@@ -438,18 +447,18 @@ def _identity_key(kind: str, record):
     return getattr(record, f"{kind}_id" if kind in ("geo", "usr", "rel") else "dyna_id")
 
 
-def _build_geo(row, props, ordinal, _):
+def _build_geo(row, props, ordinal, *_):
     geo_id = _parse_id_cell(row[0], "geo", ordinal, "geo_id")
     geo_type = _parse_enum_cell(row[1], GEO_TYPES, "geo", ordinal, "type")
     coords = _parse_coordinates(row[2], geo_type, "geo", ordinal)
     return GeoUnit(geo_id, geo_type, coords, props)
 
 
-def _build_usr(row, props, ordinal, _):
+def _build_usr(row, props, ordinal, *_):
     return UserUnit(_parse_id_cell(row[0], "usr", ordinal, "usr_id"), props)
 
 
-def _build_rel(row, props, ordinal, _):
+def _build_rel(row, props, ordinal, *_):
     return RelationRecord(
         _parse_id_cell(row[0], "rel", ordinal, "rel_id"),
         _parse_enum_cell(row[1], REL_TYPES, "rel", ordinal, "type"),
@@ -459,47 +468,47 @@ def _build_rel(row, props, ordinal, _):
     )
 
 
-def _build_dyna(row, props, ordinal, has_location):
+def _build_dyna(row, props, ordinal, has_location, times):
     location = None
     if has_location and row[4] != "":
         location = row[4]
     return DynaRecord(
         _parse_id_cell(row[0], "dyna", ordinal, "dyna_id"),
         _parse_enum_cell(row[1], DYNA_TYPES, "dyna", ordinal, "type"),
-        _parse_time_cell(row[2], "dyna", ordinal),
+        _parse_time_cell(row[2], "dyna", ordinal, times),
         _parse_id_cell(row[3], "dyna", ordinal, "entity_id"),
         location,
         props,
     )
 
 
-def _build_grid(row, props, ordinal, _):
+def _build_grid(row, props, ordinal, _, times):
     return GridRecord(
         _parse_id_cell(row[0], "grid", ordinal, "dyna_id"),
         _parse_enum_cell(row[1], ("state",), "grid", ordinal, "type"),
-        _parse_time_cell(row[2], "grid", ordinal),
+        _parse_time_cell(row[2], "grid", ordinal, times),
         _parse_index_cell(row[3], "grid", ordinal, "row_id"),
         _parse_index_cell(row[4], "grid", ordinal, "col_id"),
         props,
     )
 
 
-def _build_od(row, props, ordinal, _):
+def _build_od(row, props, ordinal, _, times):
     return ODRecord(
         _parse_id_cell(row[0], "od", ordinal, "dyna_id"),
         _parse_enum_cell(row[1], ("state",), "od", ordinal, "type"),
-        _parse_time_cell(row[2], "od", ordinal),
+        _parse_time_cell(row[2], "od", ordinal, times),
         _parse_id_cell(row[3], "od", ordinal, "origin_id"),
         _parse_id_cell(row[4], "od", ordinal, "des_id"),
         props,
     )
 
 
-def _build_gridod(row, props, ordinal, _):
+def _build_gridod(row, props, ordinal, _, times):
     return GridODRecord(
         _parse_id_cell(row[0], "gridod", ordinal, "dyna_id"),
         _parse_enum_cell(row[1], ("state",), "gridod", ordinal, "type"),
-        _parse_time_cell(row[2], "gridod", ordinal),
+        _parse_time_cell(row[2], "gridod", ordinal, times),
         _parse_index_cell(row[3], "gridod", ordinal, "origin_row_id"),
         _parse_index_cell(row[4], "gridod", ordinal, "origin_col_id"),
         _parse_index_cell(row[5], "gridod", ordinal, "des_row_id"),
@@ -508,10 +517,10 @@ def _build_gridod(row, props, ordinal, _):
     )
 
 
-def _build_ext(row, props, ordinal, _):
+def _build_ext(row, props, ordinal, _, times):
     return ExtRecord(
         _parse_id_cell(row[0], "ext", ordinal, "ext_id"),
-        _parse_time_cell(row[1], "ext", ordinal),
+        _parse_time_cell(row[1], "ext", ordinal, times),
         props,
     )
 

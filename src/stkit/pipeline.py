@@ -179,7 +179,10 @@ class Sample:
 def _time_fractions(slots: np.ndarray, axis: TimeAxis | None) -> np.ndarray:
     if axis is None:
         return np.zeros(len(slots), dtype=np.float64)
-    return np.array([axis.fraction_of_day(int(s)) for s in slots], dtype=np.float64)
+    start = axis.start
+    first = start.hour * 3600 + start.minute * 60 + start.second
+    slots = np.asarray(slots, dtype=np.int64)
+    return (first + slots * axis.interval) % 86400 / 86400.0
 
 
 def make_windows(

@@ -8,10 +8,8 @@ Wall-clock time is recorded in run.json only, never in metrics.json.
 
 from __future__ import annotations
 
-import csv
 import gzip
 import hashlib
-import io
 import json
 import math
 import os
@@ -264,27 +262,27 @@ def _train_slots(T: int, sspec: SplitSpec) -> tuple[int, int]:
 
 
 def _write_predictions(path: Path, pred: np.ndarray, truth: np.ndarray, mask) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sample", "horizon", "cell", "y_true", "y_pred", "mask"])
+    """Write one CSV line per (sample, horizon, cell) as gzip level 6, mtime 0.
+
+    Floats are written as ``repr(float(x))``. Lines are compressed one
+    (sample, horizon) at a time, so the text is never held whole in memory.
+    """
     B, t_out = pred.shape[0], pred.shape[1]
-    flat_p = pred.reshape(B, t_out, -1)
-    flat_t = truth.reshape(B, t_out, -1)
-    flat_m = np.asarray(mask).reshape(B, t_out, -1)
-    for b in range(B):
-        for h in range(t_out):
-            for c in range(flat_p.shape[2]):
-                writer.writerow(
-                    [
-                        b,
-                        h + 1,
-                        c,
-                        repr(float(flat_t[b, h, c])),
-                        repr(float(flat_p[b, h, c])),
-                        int(flat_m[b, h, c]),
-                    ]
+    flat_p = np.asarray(pred, dtype=np.float64).reshape(B, t_out, -1)
+    flat_t = np.asarray(truth, dtype=np.float64).reshape(B, t_out, -1)
+    flat_m = np.asarray(mask).reshape(B, t_out, -1).astype(np.int64)
+    with open(path, "wb") as raw, gzip.GzipFile(
+        filename="", mode="wb", fileobj=raw, compresslevel=6, mtime=0
+    ) as out:
+        out.write(b"sample,horizon,cell,y_true,y_pred,mask\n")
+        for b in range(B):
+            rows = zip(flat_t[b].tolist(), flat_p[b].tolist(), flat_m[b].tolist())
+            for h, (ts, ps, ms) in enumerate(rows, start=1):
+                lines = "".join(
+                    f"{b},{h},{c},{t!r},{p!r},{m}\n"
+                    for c, (t, p, m) in enumerate(zip(ts, ps, ms))
                 )
-    path.write_bytes(gzip.compress(buf.getvalue().encode("utf-8"), mtime=0))
+                out.write(lines.encode("utf-8"))
 
 
 def _run_map_matching(

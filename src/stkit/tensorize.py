@@ -85,10 +85,11 @@ def build_time_axis(records: Iterable, interval: int) -> TimeAxis:
     """
     if interval <= 0:
         raise ValueError("interval must be positive seconds")
-    times = []
-    for rec in records:
-        # datetime has a .time() method, so the isinstance check must win.
-        times.append(rec if isinstance(rec, datetime) else rec.time)
+    # Distinct times in order of first appearance; datetime has a .time()
+    # method, so the isinstance check must win.
+    times = dict.fromkeys(
+        rec if isinstance(rec, datetime) else rec.time for rec in records
+    )
     if not times:
         raise EmptyTable("cannot build a time axis from zero records")
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -146,13 +147,59 @@ def _feature_value(rec, name: str):
     raise ValueError(f"feature {name!r} has non-numeric value {v!r}")
 
 
-def _fill_cell(values, mask, rec, cell_index, features):
-    for d, name in enumerate(features):
-        v = _feature_value(rec, name)
-        if v is None:
-            continue
-        values[cell_index + (d,)] = v
-        mask[cell_index + (d,)] = True
+def _scatter(records, axis, spatial_shape, features, locate, describe):
+    """Place each record on the [T, *spatial_shape] grid, checking it in file order.
+
+    ``locate(rec)`` returns the record's spatial index or raises. Returns the
+    records' ``(slot, *spatial)`` keys, their linear cell indices, and their
+    [n, D] feature values (0 where None) with observed flags. The first
+    offending record raises what a per-record loop would: its ``locate``
+    error, then an off-grid time, then DuplicateCell naming
+    ``describe(rec, key)`` if an earlier record holds its cell, then a
+    missing or non-numeric feature.
+    """
+    dims = (axis.length, *spatial_shape)
+    slots: dict[datetime, int] = {}
+    keys: list[tuple[int, ...]] = []
+    values: list[float] = []
+    observed: list[bool] = []
+    try:
+        for rec in records:
+            spatial = locate(rec)
+            slot = slots.get(rec.time)
+            if slot is None:
+                slot = slots[rec.time] = axis.slot_of(rec.time)
+            keys.append((slot, *spatial))
+            for name in features:
+                v = _feature_value(rec, name)
+                values.append(0.0 if v is None else v)
+                observed.append(v is not None)
+    finally:
+        # Also on error: a repeat before the failing record is reported first.
+        lin = np.ravel_multi_index(
+            np.array(keys, dtype=np.int64).reshape(-1, len(dims)).T, dims
+        )
+        _, first = np.unique(lin, return_index=True)
+        if len(first) < len(lin):
+            i = int(np.setdiff1d(np.arange(len(lin)), first)[0])
+            raise DuplicateCell(f"second record for {describe(records[i], keys[i])}")
+    D = len(features)
+    values = np.array(values, dtype=np.float64).reshape(-1, D)
+    return keys, lin, values, np.array(observed, dtype=bool).reshape(-1, D)
+
+
+def _dense(layout, records, axis, spatial_shape, features, locate, describe, **meta):
+    """Scatter records into an STTensor of [T, *spatial_shape, D] and its mask."""
+    _, lin, cell_values, cell_observed = _scatter(
+        records, axis, spatial_shape, features, locate, describe
+    )
+    shape = (axis.length, *spatial_shape, len(features))
+    values = np.zeros(shape, dtype=np.float64)
+    mask = np.zeros(shape, dtype=bool)
+    values.reshape(-1, len(features))[lin] = cell_values
+    mask.reshape(-1, len(features))[lin] = cell_observed
+    tensor = STTensor(layout, values, axis, tuple(features), **meta)
+    return tensor, MaskTensor(mask)
 
 
 def dyna_to_graph_tensor(
@@ -165,27 +212,22 @@ def dyna_to_graph_tensor(
     if not records:
         raise EmptyTable("no state records to tensorize")
     index = {gid: i for i, gid in enumerate(geo_order)}
-    T, N, D = axis.length, len(geo_order), len(features)
-    values = np.zeros((T, N, D), dtype=np.float64)
-    mask = np.zeros((T, N, D), dtype=bool)
-    seen: set[tuple[int, int]] = set()
-    for rec in records:
+
+    def locate(rec):
         if rec.dyna_type != "state":
             raise ValueError(f"expected state rows, got {rec.dyna_type!r}")
         if rec.entity_id not in index:
             raise UnknownEntity(f"entity {rec.entity_id!r} not in the geo ordering")
-        cell = (axis.slot_of(rec.time), index[rec.entity_id])
-        if cell in seen:
-            raise DuplicateCell(
-                f"second record for entity {rec.entity_id!r} at "
-                f"{format_timestamp(rec.time)}"
-            )
-        seen.add(cell)
-        _fill_cell(values, mask, rec, cell, features)
-    tensor = STTensor(
-        "graph", values, axis, tuple(features), geo_order=tuple(geo_order)
+        return (index[rec.entity_id],)
+
+    def describe(rec, _):
+        return f"entity {rec.entity_id!r} at {format_timestamp(rec.time)}"
+
+    order = tuple(geo_order)
+    N = len(order)
+    return _dense(
+        "graph", records, axis, (N,), features, locate, describe, geo_order=order
     )
-    return tensor, MaskTensor(mask)
 
 
 def grid_to_tensor(
@@ -198,24 +240,20 @@ def grid_to_tensor(
     if not records:
         raise EmptyTable("no grid records to tensorize")
     I, J = grid_shape
-    values = np.zeros((axis.length, I, J, len(features)), dtype=np.float64)
-    mask = np.zeros(values.shape, dtype=bool)
-    seen: set[tuple[int, int, int]] = set()
-    for rec in records:
+
+    def locate(rec):
         if not (0 <= rec.row_id < I and 0 <= rec.col_id < J):
             raise UnknownEntity(
                 f"cell ({rec.row_id}, {rec.col_id}) outside grid {grid_shape}"
             )
-        cell = (axis.slot_of(rec.time), rec.row_id, rec.col_id)
-        if cell in seen:
-            raise DuplicateCell(
-                f"second record for cell ({rec.row_id}, {rec.col_id}) at "
-                f"{format_timestamp(rec.time)}"
-            )
-        seen.add(cell)
-        _fill_cell(values, mask, rec, cell, features)
-    tensor = STTensor("grid", values, axis, tuple(features), grid_shape=(I, J))
-    return tensor, MaskTensor(mask)
+        return (rec.row_id, rec.col_id)
+
+    def describe(rec, _):
+        return f"cell ({rec.row_id}, {rec.col_id}) at {format_timestamp(rec.time)}"
+
+    return _dense(
+        "grid", records, axis, (I, J), features, locate, describe, grid_shape=(I, J)
+    )
 
 
 def od_to_tensor(
@@ -228,24 +266,22 @@ def od_to_tensor(
     if not records:
         raise EmptyTable("no od records to tensorize")
     index = {gid: i for i, gid in enumerate(geo_order)}
-    N = len(geo_order)
-    values = np.zeros((axis.length, N, N, len(features)), dtype=np.float64)
-    mask = np.zeros(values.shape, dtype=bool)
-    seen: set[tuple[int, int, int]] = set()
-    for rec in records:
+
+    def locate(rec):
         for side in (rec.origin_id, rec.des_id):
             if side not in index:
                 raise UnknownEntity(f"entity {side!r} not in the geo ordering")
-        cell = (axis.slot_of(rec.time), index[rec.origin_id], index[rec.des_id])
-        if cell in seen:
-            raise DuplicateCell(
-                f"second record for pair ({rec.origin_id!r}, {rec.des_id!r}) at "
-                f"{format_timestamp(rec.time)}"
-            )
-        seen.add(cell)
-        _fill_cell(values, mask, rec, cell, features)
-    tensor = STTensor("od", values, axis, tuple(features), geo_order=tuple(geo_order))
-    return tensor, MaskTensor(mask)
+        return (index[rec.origin_id], index[rec.des_id])
+
+    def describe(rec, _):
+        at = format_timestamp(rec.time)
+        return f"pair ({rec.origin_id!r}, {rec.des_id!r}) at {at}"
+
+    order = tuple(geo_order)
+    N = len(order)
+    return _dense(
+        "od", records, axis, (N, N), features, locate, describe, geo_order=order
+    )
 
 
 @dataclass
@@ -299,34 +335,35 @@ def gridod_to_tensor(
     if not records:
         raise EmptyTable("no gridod records to tensorize")
     I, J = grid_shape
-    out = GridODTensor(axis, (I, J), tuple(features))
-    seen: set[tuple[int, int, int, int, int]] = set()
-    for rec in records:
-        for attr, bound in (
-            ("origin_row_id", I),
-            ("origin_col_id", J),
-            ("des_row_id", I),
-            ("des_col_id", J),
-        ):
+    bounds = (
+        ("origin_row_id", I),
+        ("origin_col_id", J),
+        ("des_row_id", I),
+        ("des_col_id", J),
+    )
+
+    def locate(rec):
+        for attr, bound in bounds:
             if not 0 <= getattr(rec, attr) < bound:
                 raise UnknownEntity(
                     f"{attr}={getattr(rec, attr)} outside grid {grid_shape}"
                 )
-        slot = axis.slot_of(rec.time)
-        base = (
-            rec.origin_row_id,
-            rec.origin_col_id,
-            rec.des_row_id,
-            rec.des_col_id,
-        )
-        if (slot,) + base in seen:
-            raise DuplicateCell(f"second record for cells {base} at slot {slot}")
-        seen.add((slot,) + base)
+        return tuple(getattr(rec, attr) for attr, _ in bounds)
+
+    def describe(_, key):
+        return f"cells {key[1:]} at slot {key[0]}"
+
+    keys, _, cell_values, cell_observed = _scatter(
+        records, axis, (I, J, I, J), features, locate, describe
+    )
+    out = GridODTensor(axis, (I, J), tuple(features))
+    for (slot, *base), row, seen in zip(
+        keys, cell_values.tolist(), cell_observed.tolist()
+    ):
         bucket = out.cells.setdefault(slot, {})
-        for d, name in enumerate(features):
-            v = _feature_value(rec, name)
-            if v is not None:
-                bucket[base + (d,)] = v
+        for d, (v, s) in enumerate(zip(row, seen)):
+            if s:
+                bucket[(*base, d)] = v
     return out
 
 

@@ -115,9 +115,14 @@ def test_timestamp_format_round_trip_and_rejections():
         "2023-07-15T06:30:45+00:00",
         "23-07-15T06:30:45Z",
         "2023-13-15T06:30:45Z",
+        "2023-02-29T00:00:00Z",
+        "2023-07-15T24:00:00Z",
+        "2023-07-15T06:30:45Z\n",
     ):
         with pytest.raises(ValueError):
             parse_timestamp(bad)
+    leap = parse_timestamp("2024-02-29T00:00:00Z")
+    assert leap == datetime(2024, 2, 29, tzinfo=timezone.utc)
 
 
 def test_bad_latitude_rejected_with_location():
@@ -162,6 +167,17 @@ def test_bad_timestamp_located():
         parse_table("ext", text)
     assert err.value.table == "ext"
     assert err.value.row == 1
+    good, bad = "2023-07-15T06:30:45Z", "2023-02-29T00:00:00Z"
+    for stamps, row in (
+        ((good, bad, bad), 2),  # a repeated bad stamp fails at its first row
+        ((good, good, bad, good), 3),  # a good stamp seen first does not mask it
+    ):
+        text = "ext_id,time\n" + "".join(
+            f"w{i},{t}\n" for i, t in enumerate(stamps)
+        )
+        with pytest.raises(BadTimestamp) as err:
+            parse_table("ext", text)
+        assert err.value.row == row
 
 
 def test_missing_mandatory_column_rejected():

@@ -27,7 +27,7 @@ from stkit.pipeline import (
     split_per_user,
     split_windows,
 )
-from stkit.tensorize import TrajPoint, Trajectory, build_time_axis
+from stkit.tensorize import TimeAxis, TrajPoint, Trajectory, build_time_axis
 
 
 def hours(h):
@@ -192,6 +192,25 @@ def test_window_time_fractions_follow_axis():
     # Without an axis the fractions are zero placeholders.
     plain = make_windows(values, mask, WindowSpec(2, 1))
     assert plain[0].x_time.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "start, interval",
+    [
+        (hours(0), 300),
+        (hours(5) + timedelta(seconds=7 * 13), 7),  # interval not dividing a day
+        (datetime(1969, 12, 31, 23, 59, 53, tzinfo=timezone.utc), 3601),
+    ],
+)
+def test_window_time_fractions_equal_per_slot_fraction_of_day(start, interval):
+    axis = TimeAxis(start, interval, 5000)
+    values = np.zeros((axis.length, 1))
+    mask = np.ones_like(values, dtype=bool)
+    samples = make_windows(values, mask, WindowSpec(3, 2), axis=axis)
+    for s in samples[::97]:
+        for slots, fractions in ((s.x_slots, s.x_time), (s.y_slots, s.y_time)):
+            expected = [axis.fraction_of_day(int(k)) for k in slots]
+            assert fractions.tolist() == expected  # bit-identical, not approximate
 
 
 def test_window_spec_validation():

@@ -29,7 +29,7 @@ from stkit.runner import (
     cmd_validate,
     resolve_dataset_dir,
 )
-from stkit.runner import _run_id
+from stkit.runner import _run_id, _write_predictions
 from stkit.synthetic import TRUTH_ROUTES_FILE, generate_synthetic, save_synthetic
 
 
@@ -231,6 +231,48 @@ def test_metrics_byte_identical_across_reruns(data_root, tmp_path):
     preds_a = (Path(a.output_dir) / "predictions.csv.gz").read_bytes()
     preds_b = (Path(b.output_dir) / "predictions.csv.gz").read_bytes()
     assert preds_a == preds_b  # gzip written with a pinned mtime
+
+
+def reference_predictions_text(pred, truth, mask) -> str:
+    """The predictions CSV as a per-cell csv.writer loop: the writer's oracle."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["sample", "horizon", "cell", "y_true", "y_pred", "mask"])
+    B, t_out = pred.shape[0], pred.shape[1]
+    flat_p = pred.reshape(B, t_out, -1)
+    flat_t = truth.reshape(B, t_out, -1)
+    flat_m = np.asarray(mask).reshape(B, t_out, -1)
+    for b in range(B):
+        for h in range(t_out):
+            for c in range(flat_p.shape[2]):
+                writer.writerow(
+                    [
+                        b,
+                        h + 1,
+                        c,
+                        repr(float(flat_t[b, h, c])),
+                        repr(float(flat_p[b, h, c])),
+                        int(flat_m[b, h, c]),
+                    ]
+                )
+    return buf.getvalue()
+
+
+def test_predictions_writer_golden(tmp_path):
+    awkward = [1 / 3, 1e-300, -0.0, 1e16, 123456.789012345, 0.1, -2.5, 2.0**53]
+    # [B=2, t_out=2, 2 x 2 cells]: the writer flattens the spatial axes.
+    truth = np.array(awkward * 2).reshape(2, 2, 2, 2)
+    pred = -truth[::-1].copy()
+    mask = np.ones(truth.shape, dtype=bool)
+    mask[1, 0, 1, 0] = False
+    path = tmp_path / "predictions.csv.gz"
+    _write_predictions(path, pred, truth, mask)
+    raw = path.read_bytes()
+    text = gzip.decompress(raw).decode("utf-8")
+    assert text == reference_predictions_text(pred, truth, mask)
+    assert "1e-300,-1e-300,1\n" in text and "-0.0" in text and ",0\n" in text
+    assert raw[3] == 0  # no file name or other optional header fields
+    assert raw[4:8] == b"\0\0\0\0"  # mtime 0
 
 
 def test_run_id_sensitivity():

@@ -2,7 +2,7 @@
 
 import csv
 import io
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -227,6 +227,121 @@ def test_od_tensor_cells():
     assert not mask.values[0, 0, 0, 0]
     with pytest.raises(UnknownEntity):
         od_to_tensor(recs, ("g0",), axis, ("demand",))
+
+
+# -- rules shared by the dense layouts -----------------------------------------
+
+
+def dense_case(layout, cells, feats=("a", "b"), values=None):
+    """Records at (slot, i, j) cells of one layout plus its tensorize call."""
+    recs = []
+    for n, (slot, i, j) in enumerate(cells):
+        props = dict(zip(feats, values[n] if values else (float(n), None)))
+        if layout == "graph":
+            recs.append(DynaRecord(f"d{n}", "state", ts(slot), f"g{i}", None, props))
+        elif layout == "grid":
+            recs.append(GridRecord(f"d{n}", "state", ts(slot), i, j, props))
+        else:
+            recs.append(ODRecord(f"d{n}", "state", ts(slot), f"g{i}", f"g{j}", props))
+    axis = build_time_axis([r.time for r in recs], 300)
+    geos = tuple(f"g{k}" for k in range(3))
+    if layout == "graph":
+        return recs, lambda r: dyna_to_graph_tensor(r, geos, axis, feats)
+    if layout == "grid":
+        return recs, lambda r: grid_to_tensor(r, (3, 3), axis, feats)
+    return recs, lambda r: od_to_tensor(r, geos, axis, feats)
+
+
+def reference_dense(layout, recs, feats):
+    """Per-record loop: the scatter every dense layout must reproduce."""
+    axis = build_time_axis([r.time for r in recs], 300)
+    geos = {f"g{k}": k for k in range(3)}
+    shape = (axis.length, 3) if layout == "graph" else (axis.length, 3, 3)
+    values = np.zeros(shape + (len(feats),))
+    mask = np.zeros(values.shape, dtype=bool)
+    for r in recs:
+        if layout == "graph":
+            cell = (axis.slot_of(r.time), geos[r.entity_id])
+        elif layout == "grid":
+            cell = (axis.slot_of(r.time), r.row_id, r.col_id)
+        else:
+            cell = (axis.slot_of(r.time), geos[r.origin_id], geos[r.des_id])
+        for d, name in enumerate(feats):
+            if r.properties[name] is not None:
+                values[cell + (d,)] = r.properties[name]
+                mask[cell + (d,)] = True
+    return values, mask
+
+
+@pytest.mark.parametrize("layout", ["graph", "grid", "od"])
+def test_duplicate_cell_names_first_repeat_in_file_order(layout):
+    # Record 2 repeats record 0 and record 3 repeats record 1; record 1's
+    # cell has the smaller linear index, so only file order names record 2.
+    recs, tensorize = dense_case(layout, [(1, 2, 2), (0, 0, 1), (1, 2, 2), (0, 0, 1)])
+    with pytest.raises(DuplicateCell) as err:
+        tensorize(recs)
+    stamp = "2021-03-01T00:05:00Z"
+    expected = {
+        "graph": f"second record for entity 'g2' at {stamp}",
+        "grid": f"second record for cell (2, 2) at {stamp}",
+        "od": f"second record for pair ('g2', 'g2') at {stamp}",
+    }[layout]
+    assert str(err.value) == expected
+    # The first offender wins whatever its kind: a repeat before an unknown
+    # cell is a DuplicateCell, an unknown cell before a repeat is not.
+    recs, tensorize = dense_case(layout, [(0, 0, 0), (0, 0, 0), (1, 9, 9)])
+    with pytest.raises(DuplicateCell):
+        tensorize(recs)
+    recs, tensorize = dense_case(layout, [(0, 0, 0), (1, 9, 9), (0, 0, 0)])
+    with pytest.raises(UnknownEntity):
+        tensorize(recs)
+    # A repeated record that also lacks a feature reports the repeat.
+    recs, tensorize = dense_case(layout, [(0, 0, 0), (0, 0, 0)])
+    del recs[1].properties["b"]
+    with pytest.raises(DuplicateCell):
+        tensorize(recs)
+
+
+@pytest.mark.parametrize("layout", ["graph", "grid", "od"])
+def test_unknown_entity_and_off_grid_messages(layout):
+    recs, tensorize = dense_case(layout, [(0, 0, 0), (1, 5, 0)])
+    with pytest.raises(UnknownEntity) as err:
+        tensorize(recs)
+    assert str(err.value) == {
+        "graph": "entity 'g5' not in the geo ordering",
+        "grid": "cell (5, 0) outside grid (3, 3)",
+        "od": "entity 'g5' not in the geo ordering",
+    }[layout]
+    recs, tensorize = dense_case(layout, [(0, 0, 0), (1, 1, 1)])
+    recs[1].time += timedelta(seconds=7)
+    with pytest.raises(NonAlignedTimestamp) as err:
+        tensorize(recs)
+    assert str(err.value) == (
+        "2021-03-01T00:05:07Z is 7s off the 300s grid anchored at 2021-03-01T00:00:00Z"
+    )
+
+
+@pytest.mark.parametrize("layout", ["graph", "grid", "od"])
+def test_scatter_matches_per_record_loop(layout):
+    rng = np.random.default_rng(11)
+    cells = sorted(
+        {(int(s), int(i), int(j)) for s, i, j in rng.integers(0, 3, size=(40, 3))},
+        key=lambda c: rng.random(),
+    )
+    if layout == "graph":
+        cells = list({(s, i): (s, i, 0) for s, i, _ in cells}.values())
+    values = [
+        tuple(None if rng.random() < 0.3 else float(rng.normal()) for _ in "ab")
+        for _ in cells
+    ]
+    values[0] = (-0.0, float("nan"))
+    recs, tensorize = dense_case(layout, cells, values=values)
+    tensor, mask = tensorize(recs)
+    expect_v, expect_m = reference_dense(layout, recs, ("a", "b"))
+    assert np.array_equal(tensor.values, expect_v, equal_nan=True)
+    assert np.signbit(tensor.values).sum() == np.signbit(expect_v).sum()
+    assert np.array_equal(mask.values, expect_m)
+    assert mask.values.sum() == sum(v is not None for row in values for v in row)
 
 
 # -- gridod tensor -----------------------------------------------------------
