@@ -18,6 +18,7 @@ from pathlib import Path
 from .config import load_config
 from .exceptions import (
     BadConfigFile,
+    BadMatchParams,
     ContinuousDomainInGrid,
     DatasetNotFound,
     IncompatibleModelTask,
@@ -41,6 +42,7 @@ _CONFIG_ERRORS = (
     BadConfigFile,
     IncompatibleModelTask,
     ContinuousDomainInGrid,
+    BadMatchParams,
 )
 
 

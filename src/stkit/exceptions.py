@@ -38,6 +38,7 @@ __all__ = [
     "EmptyTrueRoute",
     "NonLineGeometry",
     "NoCandidatesAnywhere",
+    "BadMatchParams",
     "UnknownCliKey",
     "BadConfigFile",
     "IncompatibleModelTask",
@@ -195,6 +196,20 @@ class NonLineGeometry(StkitError):
 
 class NoCandidatesAnywhere(StkitError):
     """No trajectory point has any candidate segment within the radius."""
+
+
+class BadMatchParams(StkitError, ValueError):
+    """A map-matching parameter is not a positive finite number.
+
+    That covers NaN, infinities, zero, negatives, values that are not numbers
+    and a fractional candidate cap.
+
+    ``param`` names the offending :class:`~stkit.mapmatch.MatchParams` field.
+    """
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class UnknownCliKey(StkitError):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import (
+    BadMatchParams,
     NoCandidatesAnywhere,
     NonLineGeometry,
     UnknownEntity,
@@ -209,10 +210,17 @@ class MatchParams:
     max_candidates: int = 10
 
     def __post_init__(self):
-        if min(self.sigma_m, self.beta_m, self.radius_m) <= 0:
-            raise ValueError("sigma_m, beta_m, radius_m must be positive")
+        for name in ("sigma_m", "beta_m", "radius_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise BadMatchParams(
+                    f"{name} must be a positive finite number, got {value!r}", name
+                )
         if self.max_candidates <= 0:
-            raise ValueError("max_candidates must be positive")
+            raise BadMatchParams(
+                f"max_candidates must be positive, got {self.max_candidates!r}",
+                "max_candidates",
+            )
 
 
 @dataclass(frozen=True)
@@ -286,36 +294,96 @@ def transition_logprob(route_m: float, greatcircle_m: float, beta_m: float) -> f
     return -abs(route_m - greatcircle_m) / beta_m - math.log(beta_m)
 
 
-def _route_distances(
-    network: RoadNetwork, origin: Candidate, target_segments: set[str]
-) -> dict[str, tuple[float, dict]]:
-    """Dijkstra from a candidate: cost to reach the START of each segment.
+class _RouteTree:
+    """Dijkstra from the END of one origin segment, extended on demand.
 
-    Returns start distances and the predecessor map for route recovery; a
-    parent of None marks a first hop out of the origin segment. The origin
-    segment itself is a valid target (a route looping back onto it). Stops
-    once every target segment is settled.
+    ``dist[v]`` is the settled cost from the origin segment's end to the start
+    of segment v: a segment's own length is paid on leaving it. ``prev[v]`` is
+    the segment routed through just before v, None for a first hop out of the
+    origin. The origin segment itself is a valid target (a route looping back
+    onto it). The heap stays live, so a later request resumes the search
+    where the last one stopped; the settle order, and with it every distance
+    and predecessor, does not depend on the order of requests.
     """
-    seg = network.segments[origin.segment_id]
-    init = seg.length_m - origin.offset_m
-    dist: dict[str, float] = {}
-    prev: dict[str, str | None] = {}
-    heap: list[tuple[float, str, str | None]] = []
-    for succ in network.out_edges.get(origin.segment_id, ()):
-        heapq.heappush(heap, (init, succ, None))
-    pending = set(target_segments)
-    while heap and pending:
-        d, v, parent = heapq.heappop(heap)
-        if v in dist:
-            continue
-        dist[v] = d
-        prev[v] = parent
-        pending.discard(v)
-        dv = d + network.segments[v].length_m
-        for w in network.out_edges.get(v, ()):
-            if w not in dist:
-                heapq.heappush(heap, (dv, w, v))
-    return {t: (dist.get(t, math.inf), prev) for t in target_segments}
+
+    __slots__ = ("network", "dist", "prev", "heap")
+
+    def __init__(self, network: RoadNetwork, origin_segment: str):
+        self.network = network
+        self.dist: dict[str, float] = {}
+        self.prev: dict[str, str | None] = {}
+        self.heap: list[tuple[float, str, str | None]] = [
+            (0.0, succ, None) for succ in network.out_edges.get(origin_segment, ())
+        ]
+        heapq.heapify(self.heap)
+
+    def distance(self, target: str) -> float:
+        """Settled cost to the start of ``target``; inf when unreachable."""
+        dist = self.dist
+        if target in dist:
+            return dist[target]
+        heap, prev = self.heap, self.prev
+        segments, out_edges = self.network.segments, self.network.out_edges
+        while heap:
+            d, v, parent = heapq.heappop(heap)
+            if v in dist:
+                continue
+            dist[v] = d
+            prev[v] = parent
+            dv = d + segments[v].length_m
+            for w in out_edges.get(v, ()):
+                if w not in dist:
+                    heapq.heappush(heap, (dv, w, v))
+            if v == target:
+                return d
+        return math.inf
+
+    def chain(self, target: str) -> list[str]:
+        """Settled segments from the first hop through ``target``."""
+        out = [target]
+        while self.prev[out[-1]] is not None:
+            out.append(self.prev[out[-1]])
+        out.reverse()
+        return out
+
+
+def _route_distances(
+    network: RoadNetwork,
+    trees: dict[str, _RouteTree],
+    origin: Candidate,
+    targets: list[Candidate],
+) -> list[float]:
+    """On-road distance from candidate ``origin`` to each target candidate.
+
+    The route runs to the end of the origin's segment, through the origin
+    segment's tree in ``trees`` (created on first use), and along the target
+    segment to its offset; moving forward along a shared segment costs the
+    offset difference instead when that is shorter. Unreachable is inf.
+    """
+    tree = trees.get(origin.segment_id)
+    if tree is None:
+        tree = trees[origin.segment_id] = _RouteTree(network, origin.segment_id)
+    leave = network.segments[origin.segment_id].length_m - origin.offset_m
+    out = []
+    for b in targets:
+        d = leave + tree.distance(b.segment_id) + b.offset_m
+        if b.segment_id == origin.segment_id and b.offset_m >= origin.offset_m:
+            d = min(d, b.offset_m - origin.offset_m)
+        out.append(d)
+    return out
+
+
+def _route(
+    network: RoadNetwork, trees: dict[str, _RouteTree], a: Candidate, b: Candidate
+) -> tuple[float, list[str] | None]:
+    """Distance and segment sequence from a to b, read from a's tree."""
+    (d,) = _route_distances(network, trees, a, [b])
+    if math.isinf(d):
+        return d, None
+    same = a.segment_id == b.segment_id and b.offset_m >= a.offset_m
+    if same and d == b.offset_m - a.offset_m:  # ties keep the one-segment route
+        return d, [a.segment_id]
+    return d, [a.segment_id, *trees[a.segment_id].chain(b.segment_id)]
 
 
 def shortest_route(
@@ -328,23 +396,7 @@ def shortest_route(
     segments, and along b's segment to its offset. Returns (inf, None) when
     b is unreachable.
     """
-    best = math.inf
-    route: list[str] | None = None
-    if a.segment_id == b.segment_id and b.offset_m >= a.offset_m:
-        best = b.offset_m - a.offset_m
-        route = [a.segment_id]
-    reach = _route_distances(network, a, {b.segment_id})
-    d_start, prev = reach[b.segment_id]
-    via = d_start + b.offset_m
-    if via < best:
-        best = via
-        chain = [b.segment_id]
-        while prev[chain[-1]] is not None:
-            chain.append(prev[chain[-1]])
-        chain.append(a.segment_id)
-        chain.reverse()
-        route = chain
-    return best, route
+    return _route(network, {}, a, b)
 
 
 def viterbi_decode(
@@ -418,10 +470,12 @@ def _extract_points(trajectory) -> list[tuple[float, float]]:
 def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> MatchResult:
     """Match one trajectory (Trajectory or [(lon, lat), ...]) to the network.
 
-    Decoding is online: per point, candidate scores extend the running chain
-    unless nothing reaches them, in which case the chain is finalized and a
-    new one starts at that point. Raises NoCandidatesAnywhere when not a
-    single point has a candidate.
+    Chains are built online: per point, candidate scores extend the running
+    chain unless nothing reaches them, in which case the chain is decoded
+    with :func:`viterbi_decode` and a new one starts at that point. Routing
+    keeps one resumable Dijkstra tree per origin segment for the length of
+    the call, shared by transition scoring and route recovery. Raises
+    NoCandidatesAnywhere when not a single point has a candidate.
     """
     points = _extract_points(trajectory)
     if not points:
@@ -437,79 +491,64 @@ def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> Matc
     point_logprob: list[float | None] = [None] * len(points)
     chains: list[tuple[int, int]] = []
     routes: list[list[str]] = []
+    trees: dict[str, _RouteTree] = {}
 
-    def emissions_at(i):
-        return np.array(
-            [emission_logprob(c.distance_m, params.sigma_m) for c in cands[i]]
-        )
-
-    def close_chain(start, stop, dp, back):
-        idx = [int(np.argmax(dp))]
-        for bp in reversed(back):
-            idx.append(int(bp[idx[-1]]))
-        idx.reverse()
-        chain_points = list(range(start, stop))
-        chosen = [cands[i][j] for i, j in zip(chain_points, idx)]
-        for i, c in zip(chain_points, chosen):
-            matched[i] = c
+    def close_chain(start, emissions, transitions):
+        _, idx = viterbi_decode(emissions, transitions)
+        chosen = [cands[start + n][j] for n, j in enumerate(idx)]
+        matched[start : start + len(idx)] = chosen
         # Per-point score contributions along the chosen path.
-        point_logprob[chain_points[0]] = emission_logprob(
-            chosen[0].distance_m, params.sigma_m
-        )
+        point_logprob[start] = float(emissions[0][idx[0]])
         route = [chosen[0].segment_id]
-        for n in range(1, len(chain_points)):
-            i_prev, i_cur = chain_points[n - 1], chain_points[n]
-            a, b = chosen[n - 1], chosen[n]
-            d, leg = shortest_route(network, a, b)
-            gc = haversine_m(*points[i_prev], *points[i_cur])
-            point_logprob[i_cur] = emission_logprob(
-                b.distance_m, params.sigma_m
-            ) + transition_logprob(d, gc, params.beta_m)
-            if leg:
-                for gid in leg:
-                    if route[-1] != gid:
-                        route.append(gid)
-        chains.append((start, stop))
+        for n in range(1, len(idx)):
+            point_logprob[start + n] = float(
+                emissions[n][idx[n]] + transitions[n - 1][idx[n - 1], idx[n]]
+            )
+            _, leg = _route(network, trees, chosen[n - 1], chosen[n])
+            for gid in leg or ():
+                if route[-1] != gid:
+                    route.append(gid)
+        chains.append((start, start + len(idx)))
         routes.append(route)
 
+    # The running chain: its first point, per-step emission vectors and
+    # transition matrices, and the forward scores that detect a break.
     start = None
+    emissions: list[np.ndarray] = []
+    transitions: list[np.ndarray] = []
     dp: np.ndarray | None = None
-    back: list[np.ndarray] = []
     for i, point_cands in enumerate(cands):
         if not point_cands:
             if start is not None:
-                close_chain(start, i, dp, back)
-                start, dp, back = None, None, []
+                close_chain(start, emissions, transitions)
+                start = None
             continue
+        e = np.array(
+            [emission_logprob(c.distance_m, params.sigma_m) for c in point_cands]
+        )
         if start is None:
-            start, dp, back = i, emissions_at(i), []
+            start, emissions, transitions, dp = i, [e], [], e
             continue
         # Transition matrix from the previous point's candidates.
-        prev_cands = cands[i - 1]
         gc = haversine_m(*points[i - 1], *points[i])
-        tr = np.full((len(prev_cands), len(point_cands)), -np.inf)
-        for pi, a in enumerate(prev_cands):
+        tr = np.full((len(cands[i - 1]), len(point_cands)), -np.inf)
+        for pi, a in enumerate(cands[i - 1]):
             if not np.isfinite(dp[pi]):
                 continue
-            reach = _route_distances(
-                network, a, {c.segment_id for c in point_cands}
-            )
-            for ci, b in enumerate(point_cands):
-                d = reach[b.segment_id][0] + b.offset_m
-                if a.segment_id == b.segment_id and b.offset_m >= a.offset_m:
-                    d = min(d, b.offset_m - a.offset_m)
-                tr[pi, ci] = transition_logprob(d, gc, params.beta_m)
-        scores = dp[:, None] + tr
-        col_best = scores.max(axis=0)
+            tr[pi] = [
+                transition_logprob(d, gc, params.beta_m)
+                for d in _route_distances(network, trees, a, point_cands)
+            ]
+        col_best = (dp[:, None] + tr).max(axis=0)
         if not np.isfinite(col_best).any():
-            close_chain(start, i, dp, back)
-            start, dp, back = i, emissions_at(i), []
+            close_chain(start, emissions, transitions)
+            start, emissions, transitions, dp = i, [e], [], e
             continue
-        best_prev = np.argmax(scores, axis=0)
-        dp = col_best + emissions_at(i)
-        back.append(best_prev)
+        emissions.append(e)
+        transitions.append(tr)
+        dp = col_best + e
     if start is not None:
-        close_chain(start, len(points), dp, back)
+        close_chain(start, emissions, transitions)
 
     breaks = [c[0] for c in chains[1:]]
     return MatchResult(

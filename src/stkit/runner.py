@@ -39,6 +39,7 @@ from .evaluate import (
 )
 from .exceptions import (
     BadConfigFile,
+    BadMatchParams,
     DatasetNotFound,
     EmptyTable,
     IncompatibleModelTask,
@@ -285,18 +286,41 @@ def _write_predictions(path: Path, pred: np.ndarray, truth: np.ndarray, mask) ->
                 out.write(lines.encode("utf-8"))
 
 
+# MatchParams field -> (config key, conversion).
+_MATCH_KEYS = {
+    "sigma_m": ("match_sigma", float),
+    "beta_m": ("match_beta", float),
+    "radius_m": ("match_radius", float),
+    "max_candidates": ("match_max_candidates", int),
+}
+
+
+def _match_params(cfg: Config) -> MatchParams:
+    """MatchParams from the match_* config keys; a bad value names its key."""
+    values = {}
+    for name, (key, kind) in _MATCH_KEYS.items():
+        try:
+            values[name] = kind(cfg[key])
+        except (TypeError, ValueError, OverflowError):
+            values[name] = None
+        if values[name] is None or (kind is int and values[name] != cfg[key]):
+            want = "a whole number" if kind is int else "a number"
+            raise BadMatchParams(
+                f"config key {key}: expected {want}, got {cfg[key]!r}", name
+            )
+    try:
+        return MatchParams(**values)
+    except BadMatchParams as exc:
+        raise BadMatchParams(
+            f"config key {_MATCH_KEYS[exc.param][0]}: {exc}", exc.param
+        ) from None
+
+
 def _run_map_matching(
     cfg: Config, ds: AtomicDataset, ds_dir: Path
 ) -> tuple[dict, dict]:
-    network = build_road_network(
-        ds.geo, ds.rel, index_cell_m=float(cfg["match_radius"])
-    )
-    params = MatchParams(
-        sigma_m=float(cfg["match_sigma"]),
-        beta_m=float(cfg["match_beta"]),
-        radius_m=float(cfg["match_radius"]),
-        max_candidates=int(cfg["match_max_candidates"]),
-    )
+    params = _match_params(cfg)
+    network = build_road_network(ds.geo, ds.rel, index_cell_m=params.radius_m)
     traj_rows = [d for d in ds.dyna if d.dyna_type == "trajectory"]
     if not traj_rows:
         raise EmptyTable("dataset has no trajectory rows to match")

@@ -133,6 +133,41 @@ def test_run_matching(cli_root, tmp_path, capsys):
     assert '"rmf": 0.0' in out
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("match_beta", float("nan")),
+        ("match_sigma", float("nan")),
+        ("match_radius", float("inf")),
+        ("match_beta", float("-inf")),
+        ("match_sigma", 0),
+        ("match_radius", -5),
+        ("match_max_candidates", 0),
+        ("match_max_candidates", float("inf")),
+        ("match_max_candidates", 2.5),
+        ("match_sigma", "wide"),
+    ],
+)
+def test_run_matching_bad_params(cli_root, tmp_path, capsys, key, value):
+    cfg = tmp_path / "match.json"
+    cfg.write_text(json.dumps({key: value}), "utf-8")  # NaN/Infinity literals
+    code = main(
+        [
+            "run",
+            "--task", "map_matching",
+            "--model", "HMM",
+            "--dataset", str(cli_root / "traces"),
+            "--output_dir", str(tmp_path / "runs"),
+            "--config_file", str(cfg),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 # -- validate ---------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Road network assembly, candidate projection, routing, Viterbi matching."""
 
+import heapq
 import itertools
 import math
 
@@ -8,12 +9,17 @@ import pytest
 
 from stkit.atomic import GeoUnit, RelationRecord
 from stkit.exceptions import (
+    BadMatchParams,
     NoCandidatesAnywhere,
     NonLineGeometry,
+    StkitError,
     UnknownEntity,
 )
 from stkit.mapmatch import (
+    Candidate,
     MatchParams,
+    _route,
+    _route_distances,
     build_road_network,
     candidate_segments,
     emission_logprob,
@@ -370,3 +376,251 @@ def test_match_params_validation():
         MatchParams(sigma_m=0.0)
     with pytest.raises(ValueError):
         MatchParams(max_candidates=0)
+
+
+def test_match_params_reject_non_finite():
+    for kwargs, param in (
+        ({"beta_m": math.nan}, "beta_m"),
+        ({"sigma_m": math.nan}, "sigma_m"),
+        ({"radius_m": math.inf}, "radius_m"),
+        ({"radius_m": -math.inf}, "radius_m"),
+        ({"sigma_m": -5.0}, "sigma_m"),
+        ({"max_candidates": -1}, "max_candidates"),
+    ):
+        with pytest.raises(BadMatchParams) as info:
+            MatchParams(**kwargs)
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, StkitError)
+        assert info.value.param == param
+        assert param in str(info.value)
+
+
+# -- shared routing trees against a per-call Dijkstra reference ----------------
+
+
+def _reference_route_distances(network, origin, target_segments):
+    """Fresh Dijkstra from a candidate to the START of each target segment."""
+    seg = network.segments[origin.segment_id]
+    init = seg.length_m - origin.offset_m
+    dist, prev, heap = {}, {}, []
+    for succ in network.out_edges.get(origin.segment_id, ()):
+        heapq.heappush(heap, (init, succ, None))
+    pending = set(target_segments)
+    while heap and pending:
+        d, v, parent = heapq.heappop(heap)
+        if v in dist:
+            continue
+        dist[v] = d
+        prev[v] = parent
+        pending.discard(v)
+        dv = d + network.segments[v].length_m
+        for w in network.out_edges.get(v, ()):
+            if w not in dist:
+                heapq.heappush(heap, (dv, w, v))
+    return {t: (dist.get(t, math.inf), prev) for t in target_segments}
+
+
+def _reference_shortest_route(network, a, b):
+    best, route = math.inf, None
+    if a.segment_id == b.segment_id and b.offset_m >= a.offset_m:
+        best, route = b.offset_m - a.offset_m, [a.segment_id]
+    d_start, prev = _reference_route_distances(network, a, {b.segment_id})[b.segment_id]
+    via = d_start + b.offset_m
+    if via < best:
+        best = via
+        chain = [b.segment_id]
+        while prev[chain[-1]] is not None:
+            chain.append(prev[chain[-1]])
+        route = [a.segment_id, *reversed(chain)]
+    return best, route
+
+
+def _reference_match(network, points, params):
+    """The matcher with a new Dijkstra per candidate pair and an inline
+    max-sum decoder: (matched, chains, routes, point_logprob, n_loop_legs)."""
+    cands = [candidate_segments(network, lon, lat, params) for lon, lat in points]
+    matched = [None] * len(points)
+    point_logprob = [None] * len(points)
+    chains, routes = [], []
+    loop_legs = 0
+
+    def emissions_at(i):
+        return np.array(
+            [emission_logprob(c.distance_m, params.sigma_m) for c in cands[i]]
+        )
+
+    def close_chain(start, stop, dp, back):
+        nonlocal loop_legs
+        idx = [int(np.argmax(dp))]
+        for bp in reversed(back):
+            idx.append(int(bp[idx[-1]]))
+        idx.reverse()
+        chosen = [cands[i][j] for i, j in zip(range(start, stop), idx)]
+        matched[start:stop] = chosen
+        point_logprob[start] = emission_logprob(chosen[0].distance_m, params.sigma_m)
+        route = [chosen[0].segment_id]
+        for n in range(1, len(chosen)):
+            a, b = chosen[n - 1], chosen[n]
+            d, leg = _reference_shortest_route(network, a, b)
+            gc = haversine_m(*points[start + n - 1], *points[start + n])
+            point_logprob[start + n] = emission_logprob(
+                b.distance_m, params.sigma_m
+            ) + transition_logprob(d, gc, params.beta_m)
+            if leg and len(leg) > 1 and leg[0] == leg[-1]:
+                loop_legs += 1
+            for gid in leg or ():
+                if route[-1] != gid:
+                    route.append(gid)
+        chains.append((start, stop))
+        routes.append(route)
+
+    start, dp, back = None, None, []
+    for i, point_cands in enumerate(cands):
+        if not point_cands:
+            if start is not None:
+                close_chain(start, i, dp, back)
+                start, dp, back = None, None, []
+            continue
+        if start is None:
+            start, dp, back = i, emissions_at(i), []
+            continue
+        gc = haversine_m(*points[i - 1], *points[i])
+        tr = np.full((len(cands[i - 1]), len(point_cands)), -np.inf)
+        for pi, a in enumerate(cands[i - 1]):
+            if not np.isfinite(dp[pi]):
+                continue
+            reach = _reference_route_distances(
+                network, a, {c.segment_id for c in point_cands}
+            )
+            for ci, b in enumerate(point_cands):
+                d = reach[b.segment_id][0] + b.offset_m
+                if a.segment_id == b.segment_id and b.offset_m >= a.offset_m:
+                    d = min(d, b.offset_m - a.offset_m)
+                tr[pi, ci] = transition_logprob(d, gc, params.beta_m)
+        scores = dp[:, None] + tr
+        col_best = scores.max(axis=0)
+        if not np.isfinite(col_best).any():
+            close_chain(start, i, dp, back)
+            start, dp, back = i, emissions_at(i), []
+            continue
+        back.append(np.argmax(scores, axis=0))
+        dp = col_best + emissions_at(i)
+    if start is not None:
+        close_chain(start, len(points), dp, back)
+    return matched, chains, routes, point_logprob, loop_legs
+
+
+def random_network(rng, n_segments, edge_p):
+    """Random directed polylines in a ~1 km box: sparse edges leave pairs
+    unreachable, and antiparallel twins make loops back onto a segment."""
+    geos, rels = [], []
+    for i in range(n_segments):
+        lon, lat = rng.uniform(0.0, 0.01, size=2)
+        coords = [(float(lon), float(lat))]
+        for _ in range(int(rng.integers(1, 3))):
+            lon, lat = np.array(coords[-1]) + rng.normal(0, 0.002, size=2)
+            coords.append((float(lon), float(lat)))
+        geos.append(line(f"s{i}", *coords))
+        if rng.random() < 0.3:  # antiparallel twin, joined both ways
+            geos.append(line(f"t{i}", *reversed(coords)))
+            rels += [rel(f"a{i}", f"s{i}", f"t{i}"), rel(f"b{i}", f"t{i}", f"s{i}")]
+    ids = [g.geo_id for g in geos]
+    for u in ids:
+        for v in ids:
+            if u != v and rng.random() < edge_p:
+                rels.append(rel(f"r{len(rels)}", u, v))
+    return build_road_network(geos, rels)
+
+
+def random_trace(rng, n_points):
+    """A jittery walk through the box with a few far off-network points."""
+    pts = []
+    lon, lat = rng.uniform(0.0, 0.01, size=2)
+    for _ in range(n_points):
+        if rng.random() < 0.08:
+            pts.append((5.0, 5.0))
+            continue
+        lon = float(np.clip(lon + rng.normal(0, 0.0008), -0.002, 0.012))
+        lat = float(np.clip(lat + rng.normal(0, 0.0008), -0.002, 0.012))
+        pts.append((lon, lat))
+    return pts
+
+
+def test_match_equals_per_call_dijkstra_reference():
+    """Shared per-trajectory trees change no decision of the matcher: matched
+    candidates, chains, routes and breaks equal the per-call reference, and
+    point scores agree to 1e-9 relative."""
+    rng = np.random.default_rng(31)
+    seen = {"off_network_breaks": 0, "unreachable_breaks": 0, "loop_legs": 0, "legs": 0}
+    for trial in range(60):
+        network = random_network(
+            rng, int(rng.integers(6, 16)), float(rng.choice([0.05, 0.15, 0.3]))
+        )
+        params = MatchParams(
+            sigma_m=float(rng.choice([5.0, 20.0, 60.0])),
+            beta_m=float(rng.choice([2.0, 10.0, 50.0])),
+            radius_m=float(rng.choice([80.0, 200.0])),
+            max_candidates=int(rng.integers(1, 6)),
+        )
+        points = random_trace(rng, int(rng.integers(2, 40)))
+        try:
+            got = viterbi_match(network, points, params)
+        except NoCandidatesAnywhere:
+            continue
+        matched, chains, routes, logprob, loop_legs = _reference_match(
+            network, points, params
+        )
+        assert got.matched == matched
+        assert got.chains == chains
+        assert got.routes == routes
+        assert got.breaks == [c[0] for c in chains[1:]]
+        for g, w in zip(got.point_logprob, logprob):
+            if w is None or math.isinf(w):
+                assert g == w
+            else:
+                assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
+        for b in got.breaks:
+            off_network = matched[b - 1] is None
+            seen["off_network_breaks" if off_network else "unreachable_breaks"] += 1
+        seen["loop_legs"] += loop_legs
+        seen["legs"] += sum(stop - start - 1 for start, stop in chains)
+    # The random cases exercised every situation the docstring promises.
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_route_tree_resume_order_is_irrelevant():
+    """Asking one origin's tree for targets in any order gives the same
+    distances and routes as asking in another order, and as shortest_route."""
+    rng = np.random.default_rng(37)
+    for trial in range(10):
+        network = random_network(rng, int(rng.integers(6, 16)), 0.15)
+        ids = sorted(network.segments)
+        origin = ids[int(rng.integers(len(ids)))]
+        a = Candidate(origin, 0.0, 0.0, 0.0,
+                      float(rng.uniform(0, network.segments[origin].length_m)))
+        targets = [
+            Candidate(
+                g, 0.0, 0.0, 0.0, float(rng.uniform(0, network.segments[g].length_m))
+            )
+            for g in ids
+        ]
+        answers = []
+        for order in (targets, targets[::-1], list(rng.permutation(targets))):
+            trees = {}
+            got = {}
+            for b in order:
+                got[b.segment_id] = _route(network, trees, a, b)
+                (d,) = _route_distances(network, trees, a, [b])
+                assert d == got[b.segment_id][0]
+            answers.append(got)
+        assert answers[0] == answers[1] == answers[2]
+        for b in targets:
+            assert answers[0][b.segment_id] == shortest_route(network, a, b)
+            # Same decisions as a fresh per-call Dijkstra.
+            want_d, want_route = _reference_shortest_route(network, a, b)
+            got_d, got_route = answers[0][b.segment_id]
+            assert got_route == want_route
+            if math.isinf(want_d):
+                assert math.isinf(got_d)
+            else:
+                assert abs(got_d - want_d) <= 1e-9 * max(1.0, want_d)
