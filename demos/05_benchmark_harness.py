@@ -39,7 +39,7 @@ for model in ("HA", "Persistence"):
     print(f"  test MAE = {record.metrics['test']['aggregate']['mae']:.4f}")
 
 # Every run leaves run.json + metrics.json behind; the leaderboard ranks
-# models per dataset on the task's primary metric and averages the ranks.
+# models per dataset on the task's leaderboard metric and averages the ranks.
 runs = load_runs(runs_dir)
 rows = build_leaderboard(runs, "traffic_state_pred")
 print()

@@ -51,13 +51,13 @@ class HAModel(ForecastModel):
     fallback: np.ndarray  # [D]
 
     def predict_slots(self, slots: np.ndarray) -> np.ndarray:
-        """Forecast for absolute slot indices, shaped [len(slots), *spatial, D]."""
+        """Forecast for absolute slot indices, shaped [*slots.shape, *spatial, D]."""
         rows = self.table[np.asarray(slots) % self.period]
         seen = self.observed[np.asarray(slots) % self.period]
         return np.where(seen, rows, self.fallback)
 
     def predict(self, batch: dict) -> np.ndarray:
-        return np.stack([self.predict_slots(s) for s in batch["y_slots"]])
+        return self.predict_slots(batch["y_slots"])
 
 
 def ha_fit(values: np.ndarray, mask: np.ndarray, period: int, start_slot: int = 0) -> HAModel:

@@ -4,8 +4,9 @@ Subcommands: run, tune, validate, convert, stats, leaderboard. Direct flags
 are limited to the whitelisted keys; everything else goes through the JSON
 config file given by --config_file. Exit codes: 0 success, 2 dataset
 validation failed, 3 configuration problem (unknown flag, bad file,
-incompatible model/task, bad search space), 4 runtime failure (dataset
-not found, leaderboard over an empty results directory).
+incompatible model/task, bad pipeline or matcher value, bad search space),
+4 runtime failure (dataset not found, leaderboard over an empty results
+directory).
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import CLI_KEYS, load_config
 from .exceptions import (
     BadConfigFile,
     BadMatchParams,
+    BadPipelineParams,
     ContinuousDomainInGrid,
     DatasetNotFound,
     IncompatibleModelTask,
@@ -43,7 +45,10 @@ _CONFIG_ERRORS = (
     IncompatibleModelTask,
     ContinuousDomainInGrid,
     BadMatchParams,
+    BadPipelineParams,
 )
+
+_FLAG_TYPES = {"seed": int, "batch_size": int}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,15 +59,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--task")
-    sub.add_argument("--model")
-    sub.add_argument("--dataset")
-    sub.add_argument("--config_file")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--output_dir")
-    sub.add_argument("--batch_size", type=int)
-    sub.add_argument("--space_file")
-    sub.add_argument("--search_alg")
+    for key in CLI_KEYS:
+        sub.add_argument(f"--{key}", type=_FLAG_TYPES.get(key))
 
 
 def _build_parser() -> _Parser:
@@ -86,18 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return EXIT_CONFIG
-        cli_keys = (
-            "task",
-            "model",
-            "dataset",
-            "config_file",
-            "seed",
-            "output_dir",
-            "batch_size",
-            "space_file",
-            "search_alg",
-        )
-        cfg = load_config({k: getattr(args, k) for k in cli_keys})
+        cfg = load_config({k: getattr(args, k) for k in CLI_KEYS})
         return _dispatch(args.command, cfg)
     except ValidationFailed as exc:
         print(exc.report.render(), file=sys.stderr)

@@ -24,6 +24,7 @@ __all__ = [
     "DuplicateCell",
     "UnknownEntity",
     "NegativeWeight",
+    "BadPipelineParams",
     "DegenerateScale",
     "NegativeInputForLog",
     "EmptySegment",
@@ -140,6 +141,11 @@ class UnknownEntity(StkitError):
 
 class NegativeWeight(StkitError):
     """Adjacency weight property is negative."""
+
+
+class BadPipelineParams(StkitError, ValueError):
+    """A scaler kind, split ratio, window or batch size, or trajectory cut is
+    out of its domain."""
 
 
 class DegenerateScale(StkitError):

@@ -2,10 +2,10 @@
 
 Each run directory (as written by the runner) contributes one
 (model, dataset) cell. Models are ranked 1..m per dataset on the task's
-primary metric, and ordered by their mean rank across the datasets they ran
-on. Ties in metric value share the better rank deterministically by model
-name; ties in mean rank order by model name. The result is invariant to the
-order runs are discovered in.
+leaderboard metric in ``runner.TASK_TABLE``, and ordered by their mean rank
+across the datasets they ran on. Ties in metric value share the better rank
+deterministically by model name; ties in mean rank order by model name. The
+result is invariant to the order runs are discovered in.
 """
 
 from __future__ import annotations
@@ -19,23 +19,15 @@ from typing import Mapping, Sequence, Union
 
 from .evaluate import format_metric_table
 from .exceptions import BadConfigFile, NoResults
+from .runner import TASK_TABLE, TASKS, metric_at
 
 __all__ = [
-    "PRIMARY_METRIC",
     "LeaderboardRow",
     "load_runs",
     "build_leaderboard",
     "render_leaderboard",
     "leaderboard_csv",
 ]
-
-# task -> (dotted metrics path, direction); smaller rank = better model.
-PRIMARY_METRIC = {
-    "traffic_state_pred": ("test.aggregate.mae", "min"),
-    "map_matching": ("aggregate.rmf", "min"),
-    "eval_ranking": ("test.recall_at_k", "max"),
-}
-
 
 def load_runs(results_dir: Union[str, Path]) -> list[dict]:
     """Collect {task, model, dataset, metrics} from every run under a directory."""
@@ -51,15 +43,6 @@ def load_runs(results_dir: Union[str, Path]) -> list[dict]:
     return runs
 
 
-def _dig(payload: Mapping, dotted: str):
-    node = payload
-    for part in dotted.split("."):
-        if not isinstance(node, Mapping) or part not in node:
-            return None
-        node = node[part]
-    return node
-
-
 @dataclass
 class LeaderboardRow:
     model: str
@@ -69,39 +52,39 @@ class LeaderboardRow:
 
 
 def build_leaderboard(runs: Sequence[Mapping], task: str) -> list[LeaderboardRow]:
-    """Rank models per dataset on the task's primary metric, then average.
+    """Rank models per dataset on the task's leaderboard metric, then average.
 
     When a (model, dataset) pair has several runs, the best metric value
-    counts. Models missing from a dataset are simply not ranked there; their
-    mean runs over the datasets they do have.
+    counts. Runs without the metric, or with it None, are skipped. Models
+    missing from a dataset are simply not ranked there; their mean runs over
+    the datasets they do have.
     """
-    if task not in PRIMARY_METRIC:
-        raise BadConfigFile(f"unknown task {task!r}; pick from {tuple(PRIMARY_METRIC)}")
-    dotted, direction = PRIMARY_METRIC[task]
+    if task not in TASKS:
+        raise BadConfigFile(f"unknown task {task!r}; pick from {TASKS}")
+    spec = TASK_TABLE[task]
+    better = min if spec.direction == "min" else max
     cells: dict[tuple[str, str], float] = {}
     if not runs:
         raise NoResults("no run records found")
     for run in runs:
         if run.get("task") != task:
             continue
-        value = _dig(run.get("metrics", {}), dotted)
+        try:
+            value = metric_at(run.get("metrics", {}), spec.metric)
+        except KeyError:
+            continue
         if value is None:
             continue
         key = (run["model"], run["dataset"])
         value = float(value)
-        if key not in cells:
-            cells[key] = value
-        else:
-            cells[key] = min(cells[key], value) if direction == "min" else max(
-                cells[key], value
-            )
+        cells[key] = better(cells[key], value) if key in cells else value
 
     datasets = sorted({d for _, d in cells})
     per_model: dict[str, dict[str, tuple[float, int]]] = {}
     for dataset in datasets:
         entries = sorted(
             ((m, v) for (m, d), v in cells.items() if d == dataset),
-            key=lambda mv: (mv[1] if direction == "min" else -mv[1], mv[0]),
+            key=lambda mv: (mv[1] if spec.direction == "min" else -mv[1], mv[0]),
         )
         rank = 0
         prev = None
@@ -128,7 +111,7 @@ def build_leaderboard(runs: Sequence[Mapping], task: str) -> list[LeaderboardRow
 
 def render_leaderboard(rows: Sequence[LeaderboardRow], task: str) -> str:
     """Aligned text table, one line per model."""
-    dotted, direction = PRIMARY_METRIC[task]
+    spec = TASK_TABLE[task]
     table = []
     for place, row in enumerate(rows, start=1):
         table.append(
@@ -139,7 +122,7 @@ def render_leaderboard(rows: Sequence[LeaderboardRow], task: str) -> str:
                 "datasets": row.n_datasets,
             }
         )
-    header = f"task: {task}  metric: {dotted} ({direction})"
+    header = f"task: {task}  metric: {spec.metric} ({spec.direction})"
     body = format_metric_table(table, ["place", "model", "mean_rank", "datasets"])
     return f"{header}\n{body}"
 

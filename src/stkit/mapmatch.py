@@ -299,11 +299,13 @@ class _RouteTree:
 
     ``dist[v]`` is the settled cost from the origin segment's end to the start
     of segment v: a segment's own length is paid on leaving it. ``prev[v]`` is
-    the segment routed through just before v, None for a first hop out of the
-    origin. The origin segment itself is a valid target (a route looping back
-    onto it). The heap stays live, so a later request resumes the search
-    where the last one stopped; the settle order, and with it every distance
-    and predecessor, does not depend on the order of requests.
+    the segment routed through just before v, "" for a first hop out of the
+    origin: never a parsed id, it sorts before every id, so the heap entries
+    that a zero-length segment makes tie on (cost, segment) still compare.
+    The origin segment itself is a valid target (a route looping back onto
+    it). The heap stays live, so a later request resumes the search where the
+    last one stopped; the settle order, and with it every distance and
+    predecessor, does not depend on the order of requests.
     """
 
     __slots__ = ("network", "dist", "prev", "heap")
@@ -311,9 +313,9 @@ class _RouteTree:
     def __init__(self, network: RoadNetwork, origin_segment: str):
         self.network = network
         self.dist: dict[str, float] = {}
-        self.prev: dict[str, str | None] = {}
-        self.heap: list[tuple[float, str, str | None]] = [
-            (0.0, succ, None) for succ in network.out_edges.get(origin_segment, ())
+        self.prev: dict[str, str] = {}
+        self.heap: list[tuple[float, str, str]] = [
+            (0.0, succ, "") for succ in network.out_edges.get(origin_segment, ())
         ]
         heapq.heapify(self.heap)
 
@@ -341,7 +343,7 @@ class _RouteTree:
     def chain(self, target: str) -> list[str]:
         """Settled segments from the first hop through ``target``."""
         out = [target]
-        while self.prev[out[-1]] is not None:
+        while self.prev[out[-1]]:
             out.append(self.prev[out[-1]])
         out.reverse()
         return out

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import (
+    BadPipelineParams,
     DegenerateScale,
     EmptySegment,
     NegativeInputForLog,
@@ -84,7 +85,7 @@ def fit_scaler(kind: str, values: np.ndarray, mask: np.ndarray | None = None) ->
     minmax.
     """
     if kind not in SCALER_KINDS:
-        raise ValueError(f"unknown scaler kind {kind!r}; pick from {SCALER_KINDS}")
+        raise BadPipelineParams(f"unknown scaler kind {kind!r}; pick from {SCALER_KINDS}")
     values = np.asarray(values, dtype=np.float64)
     cells = values[np.asarray(mask, dtype=bool)] if mask is not None else values.ravel()
     if kind == "none":
@@ -119,9 +120,21 @@ class SplitSpec:
     def __post_init__(self):
         total = self.train + self.val + self.test
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"ratios must sum to 1, got {total}")
+            raise BadPipelineParams(f"ratios must sum to 1, got {total}")
         if min(self.train, self.val, self.test) <= 0:
-            raise ValueError("all three ratios must be positive")
+            raise BadPipelineParams("all three ratios must be positive")
+
+
+def _split_ranges(n: int, spec: SplitSpec) -> tuple[range, range, range]:
+    """Floor the validation and test sizes; the rest, first in time, trains."""
+    n_val = int(n * spec.val)
+    n_test = int(n * spec.test)
+    n_train = n - n_val - n_test
+    return (
+        range(0, n_train),
+        range(n_train, n_train + n_val),
+        range(n_train + n_val, n),
+    )
 
 
 def split_chronological(n: int, spec: SplitSpec) -> tuple[range, range, range]:
@@ -131,18 +144,12 @@ def split_chronological(n: int, spec: SplitSpec) -> tuple[range, range, range]:
     100 items at 0.7/0.1/0.2 give 70/10/20 and 10 items give 7/1/2. Any
     empty segment raises EmptySegment.
     """
-    n_val = int(n * spec.val)
-    n_test = int(n * spec.test)
-    n_train = n - n_val - n_test
-    if min(n_train, n_val, n_test) <= 0:
+    segments = _split_ranges(n, spec)
+    if min(map(len, segments)) == 0:
         raise EmptySegment(
             f"{n} items at {spec.train}/{spec.val}/{spec.test} leave an empty segment"
         )
-    return (
-        range(0, n_train),
-        range(n_train, n_train + n_val),
-        range(n_train + n_val, n),
-    )
+    return segments
 
 
 @dataclass(frozen=True)
@@ -154,7 +161,7 @@ class WindowSpec:
 
     def __post_init__(self):
         if self.t_in <= 0 or self.t_out <= 0:
-            raise ValueError("window lengths must be positive")
+            raise BadPipelineParams("window lengths must be positive")
 
 
 @dataclass
@@ -262,7 +269,7 @@ def make_batches(
     Batch keys: x, y, x_mask, y_mask, x_time, y_time, x_slots, y_slots.
     """
     if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
+        raise BadPipelineParams("batch_size must be positive")
     order = np.arange(len(samples))
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(len(samples))
@@ -337,9 +344,9 @@ class TrajWindowSpec:
 
     def __post_init__(self):
         if self.mode not in ("time", "length"):
-            raise ValueError(f"unknown cut mode {self.mode!r}")
+            raise BadPipelineParams(f"unknown cut mode {self.mode!r}")
         if self.size <= 0:
-            raise ValueError("cut size must be positive")
+            raise BadPipelineParams("cut size must be positive")
 
 
 def cut_trajectory(traj: Trajectory, spec: TrajWindowSpec) -> list[Trajectory]:
@@ -366,22 +373,17 @@ def split_per_user(
 ) -> dict[str, list[Trajectory]]:
     """Split each user's trajectories chronologically by the given ratios.
 
-    Trajectories are ordered by first-point time per user; validation and
-    test counts are floored, the remainder stays in train. Users with too few
-    trajectories to fill a segment simply leave it empty instead of erroring,
-    since sparse users are routine after filtering.
+    Trajectories are ordered by first-point time per user and split by the
+    rule of :func:`split_chronological`. Users with too few trajectories to
+    fill a segment simply leave it empty instead of erroring, since sparse
+    users are routine after filtering.
     """
     by_user: dict[str, list[Trajectory]] = {}
     for t in trajectories:
         by_user.setdefault(t.user_id, []).append(t)
     out: dict[str, list[Trajectory]] = {"train": [], "val": [], "test": []}
-    for user, trajs in by_user.items():
+    for trajs in by_user.values():
         trajs = sorted(trajs, key=lambda t: (len(t.points) == 0, t.points[0].time if t.points else 0))
-        n = len(trajs)
-        n_val = int(n * spec.val)
-        n_test = int(n * spec.test)
-        n_train = n - n_val - n_test
-        out["train"].extend(trajs[:n_train])
-        out["val"].extend(trajs[n_train : n_train + n_val])
-        out["test"].extend(trajs[n_train + n_val :])
+        for segment, seg in zip(out.values(), _split_ranges(len(trajs), spec)):
+            segment.extend(trajs[seg.start : seg.stop])
     return out

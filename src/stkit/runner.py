@@ -16,7 +16,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .pipeline import (
     filter_trajectories,
     fit_scaler,
     make_batches,
+    split_chronological,
     split_per_user,
     split_windows,
 )
@@ -68,8 +69,11 @@ from .tensorize import (
 )
 
 __all__ = [
+    "TaskSpec",
+    "TASK_TABLE",
     "TASKS",
     "MODEL_TASKS",
+    "metric_at",
     "RunRecord",
     "resolve_dataset_dir",
     "cmd_run",
@@ -79,16 +83,17 @@ __all__ = [
     "cmd_stats",
 ]
 
-TASKS = ("traffic_state_pred", "map_matching", "eval_ranking")
+@dataclass(frozen=True)
+class TaskSpec:
+    """A task's models, its run function, the metrics path ``stkit tune``
+    optimizes by default, the one the leaderboard ranks on, and which end
+    ("min" or "max") of both is better."""
 
-MODEL_TASKS = {
-    "HA": "traffic_state_pred",
-    "VAR": "traffic_state_pred",
-    "Persistence": "traffic_state_pred",
-    "HMM": "map_matching",
-    "HMMM": "map_matching",  # common alias for the same matcher
-    "Popularity": "eval_ranking",
-}
+    models: tuple[str, ...]
+    run: Callable[[Config, AtomicDataset, Path], tuple[dict, dict]]
+    objective: str
+    metric: str
+    direction: str
 
 
 @dataclass
@@ -173,7 +178,7 @@ def _default_horizons(t_out: int) -> list[int]:
     return chosen or [t_out]
 
 
-def _run_traffic_state(cfg: Config, ds: AtomicDataset) -> tuple[dict, dict]:
+def _run_traffic_state(cfg: Config, ds: AtomicDataset, ds_dir: Path) -> tuple[dict, dict]:
     state_rows = [d for d in ds.dyna if d.dyna_type == "state"]
     if state_rows:
         layout = "graph"
@@ -204,7 +209,7 @@ def _run_traffic_state(cfg: Config, ds: AtomicDataset) -> tuple[dict, dict]:
     sspec = SplitSpec(
         float(cfg["train_ratio"]), float(cfg["val_ratio"]), float(cfg["test_ratio"])
     )
-    _, n_train = _train_slots(tensor.values.shape[0], sspec)
+    n_train = split_chronological(tensor.values.shape[0], sspec)[0].stop
 
     scaler = fit_scaler(
         cfg["scaler"], tensor.values[:n_train], mask.values[:n_train]
@@ -254,12 +259,6 @@ def _run_traffic_state(cfg: Config, ds: AtomicDataset) -> tuple[dict, dict]:
             extras["predictions"] = (pred, truth, m)
     metrics["n_samples"]["train"] = len(splits["train"])
     return metrics, extras
-
-
-def _train_slots(T: int, sspec: SplitSpec) -> tuple[int, int]:
-    n_val = int(T * sspec.val)
-    n_test = int(T * sspec.test)
-    return 0, T - n_val - n_test
 
 
 def _write_predictions(path: Path, pred: np.ndarray, truth: np.ndarray, mask) -> None:
@@ -384,7 +383,7 @@ def _run_map_matching(
     return metrics, {"matched_rows": matched_rows, "dataset": ds}
 
 
-def _run_ranking(cfg: Config, ds: AtomicDataset) -> tuple[dict, dict]:
+def _run_ranking(cfg: Config, ds: AtomicDataset, ds_dir: Path) -> tuple[dict, dict]:
     traj_rows = [d for d in ds.dyna if d.dyna_type == "trajectory"]
     if not traj_rows:
         raise EmptyTable("dataset has no trajectory rows to rank over")
@@ -441,6 +440,24 @@ def _run_ranking(cfg: Config, ds: AtomicDataset) -> tuple[dict, dict]:
     return metrics, {}
 
 
+TASK_TABLE = {
+    "traffic_state_pred": TaskSpec(
+        ("HA", "VAR", "Persistence"), _run_traffic_state,
+        objective="val.aggregate.mae", metric="test.aggregate.mae", direction="min",
+    ),
+    "map_matching": TaskSpec(
+        ("HMM", "HMMM"), _run_map_matching,  # HMMM: common alias for the same matcher
+        objective="aggregate.rmf", metric="aggregate.rmf", direction="min",
+    ),
+    "eval_ranking": TaskSpec(
+        ("Popularity",), _run_ranking,
+        objective="val.recall_at_k", metric="test.recall_at_k", direction="max",
+    ),
+}
+TASKS = tuple(TASK_TABLE)
+MODEL_TASKS = {m: task for task, spec in TASK_TABLE.items() for m in spec.models}
+
+
 def cmd_run(cfg: Config) -> RunRecord:
     """Execute one run and persist run.json, metrics.json, and outputs."""
     for key in ("task", "model", "dataset"):
@@ -453,12 +470,7 @@ def cmd_run(cfg: Config) -> RunRecord:
     ds = load_dataset(ds_dir)
 
     started = time.perf_counter()
-    if task == "traffic_state_pred":
-        metrics, extras = _run_traffic_state(cfg, ds)
-    elif task == "map_matching":
-        metrics, extras = _run_map_matching(cfg, ds, ds_dir)
-    else:
-        metrics, extras = _run_ranking(cfg, ds)
+    metrics, extras = TASK_TABLE[task].run(cfg, ds, ds_dir)
     wall = time.perf_counter() - started
 
     run_id = _run_id(task, model, dataset, seed, cfg.as_dict())
@@ -525,27 +537,32 @@ def _write_matched_table(out_dir: Path, ds: AtomicDataset, rows: list[dict]) -> 
     )
 
 
-def _objective_from(metrics: Mapping, task: str, dotted: str | None) -> float:
-    """Pull the tuning objective (smaller is better) out of a metrics dict."""
-    if dotted is None:
-        if task == "traffic_state_pred":
-            dotted = "val.aggregate.mae"
-        elif task == "map_matching":
-            dotted = "aggregate.rmf"
-        else:
-            return -float(_dig(metrics, "val.recall_at_k"))
-    return float(_dig(metrics, dotted))
-
-
-def _dig(payload: Mapping, dotted: str):
-    node = payload
+def metric_at(metrics: Mapping, dotted: str):
+    """The value at a dotted path such as ``val.aggregate.mae``; KeyError if absent."""
+    node = metrics
     for part in dotted.split("."):
         if not isinstance(node, Mapping) or part not in node:
-            raise BadConfigFile(f"objective path {dotted!r} not found in metrics")
+            raise KeyError(dotted)
         node = node[part]
-    if node is None:
-        return math.nan
     return node
+
+
+def _objective_from(metrics: Mapping, task: str, dotted: str | None) -> float:
+    """Pull the tuning objective (smaller is better) out of a metrics dict.
+
+    The default is the task's objective path, negated when larger is better;
+    a present None counts as NaN.
+    """
+    negate = False
+    if dotted is None:
+        spec = TASK_TABLE[task]
+        dotted, negate = spec.objective, spec.direction == "max"
+    try:
+        value = metric_at(metrics, dotted)
+    except KeyError:
+        raise BadConfigFile(f"objective path {dotted!r} not found in metrics") from None
+    value = math.nan if value is None else float(value)
+    return -value if negate else value
 
 
 def cmd_tune(cfg: Config):

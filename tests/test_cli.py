@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import clean_dataset
 from stkit.cli import main
+from stkit.dataset import save_dataset
 from stkit.synthetic import generate_synthetic, save_synthetic
 
 
@@ -168,6 +170,47 @@ def test_run_matching_bad_params(cli_root, tmp_path, capsys, key, value):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "task, values",
+    [
+        ("traffic_state_pred", {"scaler": "bogus"}),
+        ("traffic_state_pred", {"train_ratio": 0.5}),
+        ("traffic_state_pred", {"val_ratio": 0.0, "train_ratio": 0.8}),
+        ("traffic_state_pred", {"input_window": 0}),
+        ("traffic_state_pred", {"batch_size": 0}),
+        ("eval_ranking", {"traj_window_mode": "weekly"}),
+        ("eval_ranking", {"traj_window_size": 0}),
+        ("eval_ranking", {"ranking_train_ratio": 0.9}),
+    ],
+)
+def test_run_bad_pipeline_values(cli_root, tmp_path, capsys, task, values):
+    if task == "eval_ranking":
+        model, dataset = "Popularity", tmp_path / "clean"
+        save_dataset(clean_dataset(), dataset)
+        # Keep every trajectory, so the split ratios are reached.
+        values = {"min_checkins": 0, "min_trajs_per_user": 0, **values}
+    else:
+        model, dataset = "HA", cli_root / "flow_p4"
+        values = {"input_window": 4, "output_window": 2, **values}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(values), "utf-8")
+    code = main(
+        [
+            "run",
+            "--task", task,
+            "--model", model,
+            "--dataset", str(dataset),
+            "--output_dir", str(tmp_path / "runs"),
+            "--config_file", str(cfg),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 # -- validate ---------------------------------------------------------------------
 
 
@@ -295,6 +338,29 @@ def test_tune_bad_space(cli_root, tmp_path, capsys):
     )
     assert code == 3  # continuous domain cannot be grid-enumerated
     assert main(["tune", *run_flags(cli_root, tmp_path / "r2")]) == 3  # no space
+
+
+def test_tune_missing_objective_path(cli_root, tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"ha_period": {"values": [4]}}), "utf-8")
+    cfg = tmp_path / "tune.json"
+    cfg.write_text(
+        json.dumps({"input_window": 4, "output_window": 2, "objective": "val.nope"}),
+        "utf-8",
+    )
+    code = main(
+        [
+            "tune",
+            "--task", "traffic_state_pred",
+            "--model", "HA",
+            "--dataset", str(cli_root / "flow_p4"),
+            "--output_dir", str(tmp_path / "runs"),
+            "--config_file", str(cfg),
+            "--space_file", str(space),
+        ]
+    )
+    assert code == 3
+    assert "error: objective path 'val.nope' not found" in capsys.readouterr().err
 
 
 # -- leaderboard ---------------------------------------------------------------------

@@ -624,3 +624,29 @@ def test_route_tree_resume_order_is_irrelevant():
                 assert math.isinf(got_d)
             else:
                 assert abs(got_d - want_d) <= 1e-9 * max(1.0, want_d)
+
+
+def test_zero_length_segment_ties_keep_the_first_hop():
+    """A zero-length segment u makes a first hop to v tie with the hop via u
+    on (cost, segment); routing and matching still finish, on the first hop."""
+    geos = [
+        line("a", (0.0, 0.0), (0.001, 0.0)),
+        line("u", (0.001, 0.0), (0.001, 0.0)),
+        line("v", (0.001, 0.0), (0.002, 0.0)),
+    ]
+    net = build_road_network(geos, [rel("r0", "a", "u"), rel("r1", "a", "v"),
+                                    rel("r2", "u", "v")])
+    assert net.segments["u"].length_m == 0.0
+    a = Candidate("a", 0.0005, 0.0, 0.0, 40.0)
+    leave = net.segments["a"].length_m - 40.0
+    assert shortest_route(net, a, Candidate("v", 0.0015, 0.0, 0.0, 25.0)) == (
+        leave + 25.0, ["a", "v"]
+    )
+    assert shortest_route(net, a, Candidate("u", 0.001, 0.0, 0.0, 0.0)) == (
+        leave, ["a", "u"]
+    )
+    result = viterbi_match(net, [(0.0005, 0.0), (0.0015, 0.0)], MatchParams())
+    assert [m.segment_id for m in result.matched] == ["a", "v"]
+    assert result.routes == [["a", "v"]]
+    assert result.breaks == []
+    assert all(math.isfinite(lp) for lp in result.point_logprob)

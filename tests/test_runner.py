@@ -16,6 +16,7 @@ from stkit.dataset import AtomicDataset, Manifest, save_dataset
 from stkit.exceptions import (
     BadConfigFile,
     DatasetNotFound,
+    EmptySegment,
     IncompatibleModelTask,
     ValidationFailed,
 )
@@ -317,6 +318,17 @@ def test_persistence_run(data_root, tmp_path):
     assert record.metrics["n_samples"]["test"] == 7
 
 
+def test_unsplittable_series_fails_before_the_scaler(data_root, tmp_path, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the scaler was fitted before the split was checked")
+
+    monkeypatch.setattr("stkit.runner.fit_scaler", no_fit)
+    # 60 slots at val 0.01 floor to an empty validation segment.
+    cfg = flow_config(data_root, tmp_path, train_ratio=0.79, val_ratio=0.01)
+    with pytest.raises(EmptySegment):
+        cmd_run(cfg)
+
+
 def test_grid_run_layout_and_scaler(data_root, tmp_path):
     cfg = load_config(
         cli_args={
@@ -493,6 +505,79 @@ def test_tune_random_search(data_root, tmp_path):
     result = cmd_tune(cfg)
     assert len(result.trials) == 3
     assert all(1e-10 <= t.params["var_ridge"] <= 1e-6 for t in result.trials)
+
+
+@pytest.fixture(scope="module")
+def noisy_traces(tmp_path_factory):
+    """Traces noisy enough that match_sigma 5 m mismatches (rmf > 0) and 50 m
+    does not."""
+    root = tmp_path_factory.mktemp("noisy")
+    save_synthetic(
+        generate_synthetic(
+            "trajectories",
+            {"n": 3, "n_trajectories": 3, "route_segments": 5,
+             "noise_sigma_m": 60.0, "name": "noisy"},
+            seed=3,
+        ),
+        root / "noisy",
+    )
+    return root / "noisy"
+
+
+def tune_trials(tmp_path, task, model, dataset, space, **file_values):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(space), "utf-8")
+    cfg = load_config(
+        cli_args={
+            "task": task,
+            "model": model,
+            "dataset": str(dataset),
+            "output_dir": str(tmp_path / "runs"),
+            "space_file": str(space_path),
+        },
+        file_values=file_values,
+    )
+    result = cmd_tune(cfg)
+    return result, [(t.objective, t.record.metrics) for t in result.trials]
+
+
+def test_tune_default_objective_map_matching(noisy_traces, tmp_path):
+    result, trials = tune_trials(
+        tmp_path, "map_matching", "HMM", noisy_traces,
+        {"match_sigma": {"values": [5.0, 50.0]}},
+    )
+    assert [obj for obj, m in trials] == [m["aggregate"]["rmf"] for _, m in trials]
+    assert trials[0][0] > trials[1][0]  # smaller rmf is better
+    assert result.best.params == {"match_sigma": 50.0}
+
+
+def test_tune_default_objective_eval_ranking(data_root, tmp_path):
+    result, trials = tune_trials(
+        tmp_path, "eval_ranking", "Popularity", data_root / "checkins",
+        {"ranking_k": {"values": [1, 5]}},
+    )
+    # Larger recall is better, so the minimized objective is its negation.
+    assert [obj for obj, m in trials] == [-m["val"]["recall_at_k"] for _, m in trials]
+    assert trials[0][1]["val"]["recall_at_k"] < trials[1][1]["val"]["recall_at_k"]
+    assert result.best.params == {"ranking_k": 5}
+
+
+def test_tune_user_objective_is_minimized_as_given(data_root, tmp_path):
+    result, trials = tune_trials(
+        tmp_path, "eval_ranking", "Popularity", data_root / "checkins",
+        {"ranking_k": {"values": [1, 5]}}, objective="val.recall_at_k",
+    )
+    assert [obj for obj, m in trials] == [m["val"]["recall_at_k"] for _, m in trials]
+    assert result.best.params == {"ranking_k": 1}
+
+
+def test_tune_missing_objective_path(data_root, tmp_path):
+    with pytest.raises(BadConfigFile, match="objective path 'val.aggregate.nope'"):
+        tune_trials(
+            tmp_path, "traffic_state_pred", "HA", data_root / "flow_p4",
+            {"ha_period": {"values": [4]}},
+            input_window=4, output_window=2, objective="val.aggregate.nope",
+        )
 
 
 # -- validate / convert / stats ----------------------------------------------------
