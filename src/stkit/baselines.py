@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import masked_mae
-from .exceptions import EmptyTrainingData, InsufficientLength, SingularDesign
+from .exceptions import (
+    BadModelParams,
+    EmptyTrainingData,
+    InsufficientLength,
+    SingularDesign,
+)
 
 __all__ = [
     "ForecastModel",
@@ -70,7 +75,7 @@ def ha_fit(values: np.ndarray, mask: np.ndarray, period: int, start_slot: int = 
     values = np.asarray(values, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if period <= 0:
-        raise ValueError("period must be positive")
+        raise BadModelParams("period must be positive", "period")
     if not mask.any():
         raise EmptyTrainingData("no observed cells to average")
     shape = (period,) + values.shape[1:]
@@ -163,10 +168,11 @@ def var_fit(
     k = int(np.prod(values.shape[1:])) if values.ndim > 1 else 1
     flat = values.reshape(T, k)
     if order <= 0:
-        raise ValueError("order must be positive")
+        raise BadModelParams("order must be positive", "order")
     if k > max_dim:
-        raise ValueError(
-            f"flattened dimension {k} exceeds the {max_dim} limit for dense VAR"
+        raise BadModelParams(
+            f"flattened dimension {k} exceeds the {max_dim} limit for dense VAR",
+            "max_dim",
         )
     if T <= order:
         raise InsufficientLength(f"need more than {order} slots, got {T}")

@@ -4,9 +4,9 @@ Subcommands: run, tune, validate, convert, stats, leaderboard. Direct flags
 are limited to the whitelisted keys; everything else goes through the JSON
 config file given by --config_file. Exit codes: 0 success, 2 dataset
 validation failed, 3 configuration problem (unknown flag, bad file,
-incompatible model/task, bad pipeline or matcher value, bad search space),
-4 runtime failure (dataset not found, leaderboard over an empty results
-directory).
+incompatible model/task, bad pipeline, model or matcher value, bad search
+space), 4 runtime failure (dataset not found, leaderboard over an empty
+results directory).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .config import CLI_KEYS, load_config
 from .exceptions import (
     BadConfigFile,
     BadMatchParams,
+    BadModelParams,
     BadPipelineParams,
     ContinuousDomainInGrid,
     DatasetNotFound,
@@ -45,6 +46,7 @@ _CONFIG_ERRORS = (
     IncompatibleModelTask,
     ContinuousDomainInGrid,
     BadMatchParams,
+    BadModelParams,
     BadPipelineParams,
 )
 

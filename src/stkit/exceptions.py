@@ -40,6 +40,7 @@ __all__ = [
     "NonLineGeometry",
     "NoCandidatesAnywhere",
     "BadMatchParams",
+    "BadModelParams",
     "UnknownCliKey",
     "BadConfigFile",
     "IncompatibleModelTask",
@@ -211,6 +212,19 @@ class BadMatchParams(StkitError, ValueError):
     and a fractional candidate cap.
 
     ``param`` names the offending :class:`~stkit.mapmatch.MatchParams` field.
+    """
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
+
+
+class BadModelParams(StkitError, ValueError):
+    """A forecasting model value is out of its domain: a period, lag order or
+    dimension cap that is not positive, or that the data cannot meet.
+
+    ``param`` names the offending fit argument (``period``, ``order`` or
+    ``max_dim``) when there is one.
     """
 
     def __init__(self, message, param=None):

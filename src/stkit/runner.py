@@ -15,6 +15,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -40,6 +41,8 @@ from .evaluate import (
 from .exceptions import (
     BadConfigFile,
     BadMatchParams,
+    BadModelParams,
+    BadPipelineParams,
     DatasetNotFound,
     EmptyTable,
     IncompatibleModelTask,
@@ -61,6 +64,9 @@ from .pipeline import (
 from .search import grid_candidates, parse_space, random_candidates, run_search
 from .synthetic import TRUTH_ROUTES_FILE
 from .tensorize import (
+    MaskTensor,
+    STTensor,
+    Trajectory,
     build_time_axis,
     build_trajectories,
     dyna_to_graph_tensor,
@@ -85,12 +91,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A task's models, its run function, the metrics path ``stkit tune``
-    optimizes by default, the one the leaderboard ranks on, and which end
-    ("min" or "max") of both is better."""
+    """One task: its models; ``prepare(ds, ds_dir)``, the part of a run that
+    no config key can change; ``run(cfg, inputs)``, the rest; the metrics
+    path ``stkit tune`` optimizes by default, the one the leaderboard ranks
+    on, and which end ("min" or "max") of both is better."""
 
     models: tuple[str, ...]
-    run: Callable[[Config, AtomicDataset, Path], tuple[dict, dict]]
+    prepare: Callable[[AtomicDataset, Path], object]
+    run: Callable[[Config, object], tuple[dict, dict]]
     objective: str
     metric: str
     direction: str
@@ -178,7 +186,47 @@ def _default_horizons(t_out: int) -> list[int]:
     return chosen or [t_out]
 
 
-def _run_traffic_state(cfg: Config, ds: AtomicDataset, ds_dir: Path) -> tuple[dict, dict]:
+def _config_number(
+    cfg: Config,
+    key: str,
+    kind: type,
+    error: Callable[[str], Exception] = BadPipelineParams,
+):
+    """``cfg[key]`` as ``kind`` (int or float).
+
+    A value that does not convert, or that an int key would truncate or
+    reinterpret (2.7, "3"), raises ``error(message)`` naming the key.
+    """
+    value = cfg[key]
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and number != value):
+        want = "a whole number" if kind is int else "a number"
+        raise error(f"config key {key}: expected {want}, got {value!r}")
+    return number
+
+
+# Baseline fit argument -> config key.
+_MODEL_KEYS = {"period": "ha_period", "order": "var_order", "max_dim": "var_max_dim"}
+
+
+def _fit(fit: Callable, *args, **kwargs):
+    """Call a baseline fit; a bad model value names its config key."""
+    try:
+        return fit(*args, **kwargs)
+    except BadModelParams as exc:
+        raise BadModelParams(
+            f"config key {_MODEL_KEYS[exc.param]}: {exc}", exc.param
+        ) from None
+
+
+def _prepare_traffic_state(
+    ds: AtomicDataset, ds_dir: Path
+) -> tuple[STTensor, MaskTensor]:
+    """The dense tensor and mask of the first of state rows, grid or od that
+    the dataset has, both read-only."""
     state_rows = [d for d in ds.dyna if d.dyna_type == "state"]
     if state_rows:
         layout = "graph"
@@ -204,10 +252,23 @@ def _run_traffic_state(cfg: Config, ds: AtomicDataset, ds_dir: Path) -> tuple[di
         tensor, mask = grid_to_tensor(records, shape, axis, features)
     else:
         tensor, mask = od_to_tensor(records, ds.geo_order(), axis, features)
+    tensor.values.flags.writeable = False
+    mask.values.flags.writeable = False
+    return tensor, mask
 
-    wspec = WindowSpec(int(cfg["input_window"]), int(cfg["output_window"]))
+
+def _run_traffic_state(
+    cfg: Config, inputs: tuple[STTensor, MaskTensor]
+) -> tuple[dict, dict]:
+    tensor, mask = inputs
+    layout, axis = tensor.layout, tensor.time_axis
+
+    wspec = WindowSpec(
+        _config_number(cfg, "input_window", int),
+        _config_number(cfg, "output_window", int),
+    )
     sspec = SplitSpec(
-        float(cfg["train_ratio"]), float(cfg["val_ratio"]), float(cfg["test_ratio"])
+        *(_config_number(cfg, f"{k}_ratio", float) for k in ("train", "val", "test"))
     )
     n_train = split_chronological(tensor.values.shape[0], sspec)[0].stop
 
@@ -219,29 +280,33 @@ def _run_traffic_state(cfg: Config, ds: AtomicDataset, ds_dir: Path) -> tuple[di
 
     model_name = cfg["model"]
     if model_name == "HA":
-        period = cfg["ha_period"] or max(1, 86400 // interval)
-        model: HAModel | VARModel | PersistenceModel = ha_fit(
-            values[:n_train], mask.values[:n_train], int(period), start_slot=0
+        period = max(1, 86400 // axis.interval)
+        if cfg["ha_period"]:  # None or 0: one day of slots
+            period = _config_number(cfg, "ha_period", int, BadModelParams)
+        model: HAModel | VARModel | PersistenceModel = _fit(
+            ha_fit, values[:n_train], mask.values[:n_train], period, start_slot=0
         )
     elif model_name == "VAR":
-        model = var_fit(
+        model = _fit(
+            var_fit,
             values[:n_train],
             mask.values[:n_train],
-            int(cfg["var_order"]),
-            ridge=float(cfg["var_ridge"]),
-            max_dim=int(cfg["var_max_dim"]),
+            _config_number(cfg, "var_order", int, BadModelParams),
+            ridge=_config_number(cfg, "var_ridge", float, BadModelParams),
+            max_dim=_config_number(cfg, "var_max_dim", int, BadModelParams),
         )
     else:
         model = PersistenceModel()
 
-    mape_floor = cfg["mape_floor"]
-    if mape_floor is None:
+    if cfg["mape_floor"] is None:
         mape_floor = 5.0 if layout == "grid" else 0.0
+    else:
+        mape_floor = _config_number(cfg, "mape_floor", float)
     horizons = cfg["horizons"] or _default_horizons(wspec.t_out)
 
     metrics: dict = {"layout": layout, "n_samples": {}}
     extras: dict = {}
-    batch_size = int(cfg["batch_size"])
+    batch_size = _config_number(cfg, "batch_size", int)
     for split in ("val", "test"):
         pred, truth, m = _forecast_arrays(model, splits[split], batch_size)
         pred = scaler.inverse(pred)
@@ -251,7 +316,7 @@ def _run_traffic_state(cfg: Config, ds: AtomicDataset, ds_dir: Path) -> tuple[di
             np.moveaxis(truth, 1, 0),
             np.moveaxis(m, 1, 0),
             horizons=[int(h) for h in horizons],
-            mape_floor=float(mape_floor),
+            mape_floor=mape_floor,
         )
         metrics[split] = report.to_json()
         metrics["n_samples"][split] = len(splits[split])
@@ -296,17 +361,10 @@ _MATCH_KEYS = {
 
 def _match_params(cfg: Config) -> MatchParams:
     """MatchParams from the match_* config keys; a bad value names its key."""
-    values = {}
-    for name, (key, kind) in _MATCH_KEYS.items():
-        try:
-            values[name] = kind(cfg[key])
-        except (TypeError, ValueError, OverflowError):
-            values[name] = None
-        if values[name] is None or (kind is int and values[name] != cfg[key]):
-            want = "a whole number" if kind is int else "a number"
-            raise BadMatchParams(
-                f"config key {key}: expected {want}, got {cfg[key]!r}", name
-            )
+    values = {
+        name: _config_number(cfg, key, kind, partial(BadMatchParams, param=name))
+        for name, (key, kind) in _MATCH_KEYS.items()
+    }
     try:
         return MatchParams(**values)
     except BadMatchParams as exc:
@@ -315,21 +373,23 @@ def _match_params(cfg: Config) -> MatchParams:
         ) from None
 
 
-def _run_map_matching(
-    cfg: Config, ds: AtomicDataset, ds_dir: Path
-) -> tuple[dict, dict]:
-    params = _match_params(cfg)
-    network = build_road_network(ds.geo, ds.rel, index_cell_m=params.radius_m)
+def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
+    """The dataset, its trajectories and the truth routes beside it, if any."""
     traj_rows = [d for d in ds.dyna if d.dyna_type == "trajectory"]
     if not traj_rows:
         raise EmptyTable("dataset has no trajectory rows to match")
-    trajectories = build_trajectories(traj_rows)
-
+    trajectories = tuple(build_trajectories(traj_rows))
     truth = None
     truth_path = ds_dir / TRUTH_ROUTES_FILE
     if truth_path.is_file():
         truth = json.loads(truth_path.read_text("utf-8"))
+    return ds, trajectories, truth
 
+
+def _run_map_matching(cfg: Config, inputs) -> tuple[dict, dict]:
+    ds, trajectories, truth = inputs
+    params = _match_params(cfg)
+    network = build_road_network(ds.geo, ds.rel, index_cell_m=params.radius_m)
     lengths = network.segment_lengths()
     per_traj: dict = {}
     matched_rows = []
@@ -383,29 +443,36 @@ def _run_map_matching(
     return metrics, {"matched_rows": matched_rows, "dataset": ds}
 
 
-def _run_ranking(cfg: Config, ds: AtomicDataset, ds_dir: Path) -> tuple[dict, dict]:
+def _prepare_ranking(ds: AtomicDataset, ds_dir: Path) -> tuple[Trajectory, ...]:
+    """The dataset's trajectories."""
     traj_rows = [d for d in ds.dyna if d.dyna_type == "trajectory"]
     if not traj_rows:
         raise EmptyTable("dataset has no trajectory rows to rank over")
     if all(r.location is None for r in traj_rows):
         raise EmptyTable("ranking needs trajectory rows with location ids")
-    trajectories = build_trajectories(traj_rows)
-    cut = TrajWindowSpec(cfg["traj_window_mode"], int(cfg["traj_window_size"]))
+    return tuple(build_trajectories(traj_rows))
+
+
+def _run_ranking(cfg: Config, trajectories: tuple[Trajectory, ...]) -> tuple[dict, dict]:
+    cut = TrajWindowSpec(
+        cfg["traj_window_mode"], _config_number(cfg, "traj_window_size", int)
+    )
     pieces = [p for t in trajectories for p in cut_trajectory(t, cut)]
     pieces = filter_trajectories(
         pieces,
-        min_points=int(cfg["min_checkins"]),
-        min_trajs_per_user=int(cfg["min_trajs_per_user"]),
-        min_visits_per_location=int(cfg["min_visits_per_location"]),
+        min_points=_config_number(cfg, "min_checkins", int),
+        min_trajs_per_user=_config_number(cfg, "min_trajs_per_user", int),
+        min_visits_per_location=_config_number(cfg, "min_visits_per_location", int),
     )
     if not pieces:
         raise EmptyTable("filtering removed every trajectory")
     splits = split_per_user(
         pieces,
         SplitSpec(
-            float(cfg["ranking_train_ratio"]),
-            float(cfg["ranking_val_ratio"]),
-            float(cfg["ranking_test_ratio"]),
+            *(
+                _config_number(cfg, f"ranking_{k}_ratio", float)
+                for k in ("train", "val", "test")
+            )
         ),
     )
     counts: dict[str, int] = {}
@@ -418,7 +485,7 @@ def _run_ranking(cfg: Config, ds: AtomicDataset, ds_dir: Path) -> tuple[dict, di
     ranked = [
         loc for loc, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
-    k = int(cfg["ranking_k"])
+    k = _config_number(cfg, "ranking_k", int)
 
     def cases_of(trajs):
         cases = []
@@ -442,15 +509,16 @@ def _run_ranking(cfg: Config, ds: AtomicDataset, ds_dir: Path) -> tuple[dict, di
 
 TASK_TABLE = {
     "traffic_state_pred": TaskSpec(
-        ("HA", "VAR", "Persistence"), _run_traffic_state,
+        ("HA", "VAR", "Persistence"), _prepare_traffic_state, _run_traffic_state,
         objective="val.aggregate.mae", metric="test.aggregate.mae", direction="min",
     ),
     "map_matching": TaskSpec(
-        ("HMM", "HMMM"), _run_map_matching,  # HMMM: common alias for the same matcher
+        # HMMM: common alias for the same matcher
+        ("HMM", "HMMM"), _prepare_map_matching, _run_map_matching,
         objective="aggregate.rmf", metric="aggregate.rmf", direction="min",
     ),
     "eval_ranking": TaskSpec(
-        ("Popularity",), _run_ranking,
+        ("Popularity",), _prepare_ranking, _run_ranking,
         objective="val.recall_at_k", metric="test.recall_at_k", direction="max",
     ),
 }
@@ -458,8 +526,19 @@ TASKS = tuple(TASK_TABLE)
 MODEL_TASKS = {m: task for task, spec in TASK_TABLE.items() for m in spec.models}
 
 
-def cmd_run(cfg: Config) -> RunRecord:
-    """Execute one run and persist run.json, metrics.json, and outputs."""
+def cmd_run(
+    cfg: Config,
+    prepared: dict | None = None,
+    check: Callable[[dict], object] | None = None,
+) -> RunRecord:
+    """Execute one run and persist run.json, metrics.json, and outputs.
+
+    A run loads the dataset, prepares the task's inputs from it, runs the
+    config on them and persists the result. ``prepared`` maps (task,
+    resolved dataset dir) to prepared inputs; calls that share one dict
+    load and prepare each dataset once. ``check`` sees the metrics before
+    anything is written, so an exception from it leaves no run directory.
+    """
     for key in ("task", "model", "dataset"):
         if not cfg.get(key):
             raise BadConfigFile(f"run needs {key!r} (flag --{key})")
@@ -467,17 +546,22 @@ def cmd_run(cfg: Config) -> RunRecord:
     _check_model_task(model, task)
     seed = int(cfg["seed"])
     ds_dir = resolve_dataset_dir(dataset)
-    ds = load_dataset(ds_dir)
+    spec = TASK_TABLE[task]
+    prepared = {} if prepared is None else prepared
+    key = (task, ds_dir.resolve())
 
     started = time.perf_counter()
-    metrics, extras = TASK_TABLE[task].run(cfg, ds, ds_dir)
+    if key not in prepared:
+        prepared[key] = spec.prepare(load_dataset(ds_dir), ds_dir)
+    metrics, extras = spec.run(cfg, prepared[key])
+    metrics = jsonify_metrics(metrics)
+    if check is not None:
+        check(metrics)
     wall = time.perf_counter() - started
 
     run_id = _run_id(task, model, dataset, seed, cfg.as_dict())
     out_dir = Path(cfg["output_dir"]) / run_id
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    metrics = jsonify_metrics(metrics)
     (out_dir / "metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n", "utf-8"
     )
@@ -597,6 +681,12 @@ def cmd_tune(cfg: Config):
         "tune_" + _run_id(cfg["task"], cfg["model"], cfg["dataset"], int(cfg["seed"]), cfg.as_dict())
     )
 
+    task, dotted = cfg["task"], cfg.get("objective")
+    prepared: dict = {}  # shared by the trials, so each dataset loads once
+
+    def objective_of(metrics: Mapping) -> float:
+        return _objective_from(metrics, task, dotted)
+
     def run_trial(params: Mapping):
         values = dict(cfg.values)
         values.update(params)
@@ -605,9 +695,10 @@ def cmd_tune(cfg: Config):
         for key in params:
             provenance[key] = "search"
         run_trial.counter += 1
-        record = cmd_run(Config(values=values, provenance=provenance))
-        objective = _objective_from(record.metrics, cfg["task"], cfg.get("objective"))
-        return record, objective
+        record = cmd_run(
+            Config(values=values, provenance=provenance), prepared, check=objective_of
+        )
+        return record, objective_of(record.metrics)
 
     run_trial.counter = 0
     result = run_search(candidates, run_trial)

@@ -211,6 +211,40 @@ def test_run_bad_pipeline_values(cli_root, tmp_path, capsys, task, values):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "model, values, key",
+    [
+        ("VAR", {"var_order": 0}, "var_order"),
+        ("HA", {"ha_period": -2}, "ha_period"),
+        ("VAR", {"var_max_dim": 1}, "var_max_dim"),  # 3 cells flattened
+        ("HA", {"input_window": "abc"}, "input_window"),
+        ("HA", {"output_window": 2.7}, "output_window"),
+        ("VAR", {"var_order": "abc"}, "var_order"),
+        ("VAR", {"var_order": 2.7}, "var_order"),
+        ("HA", {"batch_size": "abc"}, "batch_size"),
+        ("HA", {"train_ratio": "most"}, "train_ratio"),
+    ],
+)
+def test_run_bad_model_values(cli_root, tmp_path, capsys, model, values, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"input_window": 4, "output_window": 2, **values}), "utf-8")
+    code = main(
+        [
+            "run",
+            "--task", "traffic_state_pred",
+            "--model", model,
+            "--dataset", str(cli_root / "flow_p4"),
+            "--output_dir", str(tmp_path / "runs"),
+            "--config_file", str(cfg),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 # -- validate ---------------------------------------------------------------------
 
 
@@ -361,6 +395,11 @@ def test_tune_missing_objective_path(cli_root, tmp_path, capsys):
     )
     assert code == 3
     assert "error: objective path 'val.nope' not found" in capsys.readouterr().err
+    # Nothing was written, so the leaderboard over output_dir ranks nothing.
+    assert not list(tmp_path.glob("**/trial_*"))
+    leaderboard = ["leaderboard", "--task", "traffic_state_pred"]
+    assert main([*leaderboard, "--output_dir", str(tmp_path / "runs")]) == 4
+    assert "error: no run records found" in capsys.readouterr().err
 
 
 # -- leaderboard ---------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stkit import runner
 from stkit.atomic import DynaRecord, GeoUnit, UserUnit, parse_table
 from stkit.config import load_config
 from stkit.dataset import AtomicDataset, Manifest, save_dataset
@@ -18,8 +19,10 @@ from stkit.exceptions import (
     DatasetNotFound,
     EmptySegment,
     IncompatibleModelTask,
+    NoResults,
     ValidationFailed,
 )
+from stkit.leaderboard import build_leaderboard, load_runs
 from stkit.runner import (
     MODEL_TASKS,
     TASKS,
@@ -578,6 +581,99 @@ def test_tune_missing_objective_path(data_root, tmp_path):
             {"ha_period": {"values": [4]}},
             input_window=4, output_window=2, objective="val.aggregate.nope",
         )
+    # The objective is read before trial 0 writes anything.
+    assert not list(tmp_path.glob("**/trial_*"))
+    with pytest.raises(NoResults):
+        build_leaderboard(load_runs(tmp_path / "runs"), "traffic_state_pred")
+
+
+def run_outputs(run_dir: Path) -> dict[str, bytes]:
+    """Every output of a run directory but run.json, predictions decompressed."""
+    out = {}
+    for p in sorted(run_dir.iterdir()):
+        if p.name != "run.json":
+            data = p.read_bytes()
+            out[p.name] = gzip.decompress(data) if p.suffix == ".gz" else data
+    return out
+
+
+def assert_trials_match_standalone_runs(result, tmp_path, task, model, file_values):
+    """Each tune trial wrote what a standalone run with its config writes."""
+    for trial in result.trials:
+        values = {**file_values, **trial.params}
+        cfg = load_config(
+            cli_args={
+                "task": task,
+                "model": model,
+                "dataset": values.pop("dataset", trial.record.config["dataset"]),
+                "output_dir": str(tmp_path / "alone" / str(trial.index)),
+            },
+            file_values=values,
+        )
+        alone = cmd_run(cfg)
+        assert run_outputs(Path(trial.record.output_dir)) == run_outputs(
+            Path(alone.output_dir)
+        )
+
+
+@pytest.mark.parametrize(
+    "task, model, dataset, space, file_values",
+    [
+        (
+            "traffic_state_pred", "VAR", "flow_var",
+            # A searched scaler would expose a trial writing into the
+            # tensor that the trials share.
+            {"scaler": {"values": ["zscore", "none", "minmax"]},
+             "var_order": {"values": [1, 2]}},
+            {"input_window": 4, "output_window": 2},
+        ),
+        ("map_matching", "HMM", "traces", {"match_sigma": {"values": [5.0, 50.0]}}, {}),
+        ("eval_ranking", "Popularity", "checkins", {"ranking_k": {"values": [1, 5]}}, {}),
+    ],
+    ids=["traffic_state_pred", "map_matching", "eval_ranking"],
+)
+def test_tune_trials_match_standalone_runs(
+    data_root, tmp_path, task, model, dataset, space, file_values
+):
+    result, _ = tune_trials(tmp_path, task, model, data_root / dataset, space, **file_values)
+    assert len(result.trials) == np.prod([len(d["values"]) for d in space.values()])
+    assert_trials_match_standalone_runs(result, tmp_path, task, model, file_values)
+
+
+def test_tune_loads_each_searched_dataset_once(data_root, tmp_path, monkeypatch):
+    loads = []
+
+    def counting_load(ds_dir, *args, **kwargs):
+        loads.append(Path(ds_dir).name)
+        return load_dataset(ds_dir, *args, **kwargs)
+
+    load_dataset = runner.load_dataset
+    monkeypatch.setattr(runner, "load_dataset", counting_load)
+    dirs = [str(data_root / "flow_p4"), str(data_root / "flow_var")]
+    file_values = {"input_window": 4, "output_window": 2}
+    result, _ = tune_trials(
+        tmp_path, "traffic_state_pred", "VAR", dirs[0],
+        {"dataset": {"values": dirs}, "var_order": {"values": [1, 2]}},
+        **file_values,
+    )
+    assert len(result.trials) == 4
+    assert sorted(loads) == ["flow_p4", "flow_var"]
+    assert_trials_match_standalone_runs(
+        result, tmp_path, "traffic_state_pred", "VAR", file_values
+    )
+
+
+def test_prepared_tensor_and_mask_are_read_only(data_root, tmp_path):
+    prepared: dict = {}
+    cmd_run(flow_config(data_root, tmp_path, ha_period=4), prepared)
+    ((key, (tensor, mask)),) = prepared.items()
+    assert key == ("traffic_state_pred", (data_root / "flow_p4").resolve())
+    for array in (tensor.values, mask.values):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(array, 1, out=array, casting="unsafe")
 
 
 # -- validate / convert / stats ----------------------------------------------------
