@@ -19,7 +19,7 @@ from typing import Mapping, Sequence, Union
 
 from .evaluate import format_metric_table
 from .exceptions import BadConfigFile, NoResults
-from .runner import TASK_TABLE, TASKS, metric_at
+from .runner import STAGING_SUFFIX, TASK_TABLE, TASKS, metric_at
 
 __all__ = [
     "LeaderboardRow",
@@ -30,10 +30,13 @@ __all__ = [
 ]
 
 def load_runs(results_dir: Union[str, Path]) -> list[dict]:
-    """Collect {task, model, dataset, metrics} from every run under a directory."""
+    """Collect {task, model, dataset, metrics} from every run under a
+    directory, skipping the staging directories of unfinished runs."""
     root = Path(results_dir)
     runs = []
     for run_json in sorted(root.glob("**/run.json")):
+        if run_json.parent.name.endswith(STAGING_SUFFIX):
+            continue
         payload = json.loads(run_json.read_text("utf-8"))
         metrics_path = run_json.parent / "metrics.json"
         if not metrics_path.is_file():

@@ -8,12 +8,13 @@ Wall-clock time is recorded in run.json only, never in metrics.json.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import math
 import os
+import shutil
 import time
+import zipfile
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -88,6 +89,11 @@ __all__ = [
     "cmd_convert",
     "cmd_stats",
 ]
+
+# cmd_run writes a run into ``<run_id>.staging`` beside its final directory
+# and renames it into place whole, so a run directory is complete or absent.
+STAGING_SUFFIX = ".staging"
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -192,12 +198,21 @@ def _config_number(
     kind: type,
     error: Callable[[str], Exception] = BadPipelineParams,
 ):
-    """``cfg[key]`` as ``kind`` (int or float).
+    """``cfg[key]`` as ``kind`` (int or float); see ``_as_number``."""
+    return _as_number(cfg[key], key, kind, error)
+
+
+def _as_number(
+    value,
+    key: str,
+    kind: type,
+    error: Callable[[str], Exception] = BadPipelineParams,
+):
+    """``value``, read from config key ``key``, as ``kind`` (int or float).
 
     A value that does not convert, or that an int key would truncate or
     reinterpret (2.7, "3"), raises ``error(message)`` naming the key.
     """
-    value = cfg[key]
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -303,6 +318,11 @@ def _run_traffic_state(
     else:
         mape_floor = _config_number(cfg, "mape_floor", float)
     horizons = cfg["horizons"] or _default_horizons(wspec.t_out)
+    if not isinstance(horizons, list):
+        raise BadPipelineParams(
+            f"config key horizons: expected a list, got {horizons!r}"
+        )
+    horizons = [_as_number(h, "horizons", int) for h in horizons]
 
     metrics: dict = {"layout": layout, "n_samples": {}}
     extras: dict = {}
@@ -315,7 +335,7 @@ def _run_traffic_state(
             np.moveaxis(pred, 1, 0),
             np.moveaxis(truth, 1, 0),
             np.moveaxis(m, 1, 0),
-            horizons=[int(h) for h in horizons],
+            horizons=horizons,
             mape_floor=mape_floor,
         )
         metrics[split] = report.to_json()
@@ -327,27 +347,24 @@ def _run_traffic_state(
 
 
 def _write_predictions(path: Path, pred: np.ndarray, truth: np.ndarray, mask) -> None:
-    """Write one CSV line per (sample, horizon, cell) as gzip level 6, mtime 0.
+    """Write ``prediction`` and ``truth`` (float64) and ``mask`` (bool) as a
+    deflated ``.npz``, each in the model's output shape.
 
-    Floats are written as ``repr(float(x))``. Lines are compressed one
-    (sample, horizon) at a time, so the text is never held whole in memory.
+    Every zip entry carries the fixed date 1980-01-01, so rewriting the same
+    arrays writes the same bytes. The date is set here rather than left to
+    whatever ``np.savez_compressed`` and ``zipfile`` default to.
     """
-    B, t_out = pred.shape[0], pred.shape[1]
-    flat_p = np.asarray(pred, dtype=np.float64).reshape(B, t_out, -1)
-    flat_t = np.asarray(truth, dtype=np.float64).reshape(B, t_out, -1)
-    flat_m = np.asarray(mask).reshape(B, t_out, -1).astype(np.int64)
-    with open(path, "wb") as raw, gzip.GzipFile(
-        filename="", mode="wb", fileobj=raw, compresslevel=6, mtime=0
-    ) as out:
-        out.write(b"sample,horizon,cell,y_true,y_pred,mask\n")
-        for b in range(B):
-            rows = zip(flat_t[b].tolist(), flat_p[b].tolist(), flat_m[b].tolist())
-            for h, (ts, ps, ms) in enumerate(rows, start=1):
-                lines = "".join(
-                    f"{b},{h},{c},{t!r},{p!r},{m}\n"
-                    for c, (t, p, m) in enumerate(zip(ts, ps, ms))
-                )
-                out.write(lines.encode("utf-8"))
+    arrays = {
+        "prediction": np.asarray(pred, dtype=np.float64),
+        "truth": np.asarray(truth, dtype=np.float64),
+        "mask": np.asarray(mask, dtype=bool),
+    }
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in arrays.items():
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = zipfile.ZIP_DEFLATED
+            with archive.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
 # MatchParams field -> (config key, conversion).
@@ -544,7 +561,7 @@ def cmd_run(
             raise BadConfigFile(f"run needs {key!r} (flag --{key})")
     task, model, dataset = cfg["task"], cfg["model"], cfg["dataset"]
     _check_model_task(model, task)
-    seed = int(cfg["seed"])
+    seed = _config_number(cfg, "seed", int, BadConfigFile)
     ds_dir = resolve_dataset_dir(dataset)
     spec = TASK_TABLE[task]
     prepared = {} if prepared is None else prepared
@@ -561,10 +578,6 @@ def cmd_run(
 
     run_id = _run_id(task, model, dataset, seed, cfg.as_dict())
     out_dir = Path(cfg["output_dir"]) / run_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.json").write_text(
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n", "utf-8"
-    )
     record = RunRecord(
         run_id=run_id,
         task=task,
@@ -576,17 +589,39 @@ def cmd_run(
         output_dir=str(out_dir),
         wall_time_s=wall,
     )
+    staging = out_dir.with_name(out_dir.name + STAGING_SUFFIX)
+    shutil.rmtree(staging, ignore_errors=True)  # left by a killed run
+    staging.mkdir(parents=True)
+    try:
+        _write_run(staging, record, cfg, extras)
+        shutil.rmtree(out_dir, ignore_errors=True)  # a rerun replaces it
+        os.replace(staging, out_dir)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    return record
+
+
+def _write_run(out_dir: Path, record: RunRecord, cfg: Config, extras: dict) -> None:
+    """Write a run's artifacts into ``out_dir``, run.json last."""
+    (out_dir / "metrics.json").write_text(
+        json.dumps(record.metrics, indent=2, sort_keys=True) + "\n", "utf-8"
+    )
+    if "predictions" in extras:
+        _write_predictions(out_dir / "predictions.npz", *extras["predictions"])
+    if "matched_rows" in extras:
+        _write_matched_table(out_dir, extras["dataset"], extras["matched_rows"])
     (out_dir / "run.json").write_text(
         json.dumps(
             {
-                "run_id": run_id,
-                "task": task,
-                "model": model,
+                "run_id": record.run_id,
+                "task": record.task,
+                "model": record.model,
                 "dataset": record.dataset,
-                "seed": seed,
+                "seed": record.seed,
                 "config": {k: v for k, v in sorted(cfg.as_dict().items())},
                 "provenance": {k: v for k, v in sorted(cfg.provenance.items())},
-                "wall_time_s": wall,
+                "wall_time_s": record.wall_time_s,
             },
             indent=2,
             sort_keys=True,
@@ -594,11 +629,6 @@ def cmd_run(
         + "\n",
         "utf-8",
     )
-    if "predictions" in extras:
-        _write_predictions(out_dir / "predictions.csv.gz", *extras["predictions"])
-    if "matched_rows" in extras:
-        _write_matched_table(out_dir, extras["dataset"], extras["matched_rows"])
-    return record
 
 
 def _write_matched_table(out_dir: Path, ds: AtomicDataset, rows: list[dict]) -> None:
@@ -667,18 +697,28 @@ def cmd_tune(cfg: Config):
     except ValueError as exc:
         raise BadConfigFile(str(exc)) from None
 
+    seed = _config_number(cfg, "seed", int, BadConfigFile)
     alg = str(cfg["search_alg"])
     if alg == "GridSearch":
         candidates = grid_candidates(space)
     elif alg == "RandomSearch":
-        candidates = random_candidates(space, int(cfg["n_trials"]), int(cfg["seed"]))
+        n_trials = _config_number(cfg, "n_trials", int, BadConfigFile)
+        if n_trials <= 0:
+            raise BadConfigFile(
+                f"config key n_trials: must be positive, got {n_trials}"
+            )
+        if seed < 0:
+            raise BadConfigFile(
+                f"config key seed: RandomSearch needs a non-negative seed, got {seed}"
+            )
+        candidates = random_candidates(space, n_trials, seed)
     else:
         raise BadConfigFile(
             f"unknown search_alg {alg!r}; pick GridSearch or RandomSearch"
         )
 
     tune_root = Path(cfg["output_dir"]) / (
-        "tune_" + _run_id(cfg["task"], cfg["model"], cfg["dataset"], int(cfg["seed"]), cfg.as_dict())
+        "tune_" + _run_id(cfg["task"], cfg["model"], cfg["dataset"], seed, cfg.as_dict())
     )
 
     task, dotted = cfg["task"], cfg.get("objective")
@@ -701,7 +741,12 @@ def cmd_tune(cfg: Config):
         return record, objective_of(record.metrics)
 
     run_trial.counter = 0
-    result = run_search(candidates, run_trial)
+    try:
+        result = run_search(candidates, run_trial)
+    except BaseException:
+        if run_trial.counter > 1:  # the trials before the failed one wrote runs
+            shutil.rmtree(tune_root, ignore_errors=True)
+        raise
     best = result.best
     tune_root.mkdir(parents=True, exist_ok=True)
     (tune_root / "search.json").write_text(

@@ -9,6 +9,8 @@ import pytest
 from conftest import clean_dataset
 from stkit.cli import main
 from stkit.dataset import save_dataset
+from stkit.exceptions import NoResults
+from stkit.leaderboard import build_leaderboard, load_runs
 from stkit.synthetic import generate_synthetic, save_synthetic
 
 
@@ -245,6 +247,44 @@ def test_run_bad_model_values(cli_root, tmp_path, capsys, model, values, key):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "command, values, key",
+    [
+        ("run", {"seed": "abc"}, "seed"),
+        ("run", {"seed": 2.5}, "seed"),
+        ("run", {"horizons": ["x"]}, "horizons"),
+        ("run", {"horizons": [1, 1.5]}, "horizons"),
+        ("run", {"horizons": 2}, "horizons"),
+        ("tune", {"seed": "abc"}, "seed"),
+        ("tune", {"seed": 2.5}, "seed"),
+        ("tune", {"search_alg": "RandomSearch", "n_trials": "many"}, "n_trials"),
+        ("tune", {"search_alg": "RandomSearch", "n_trials": 0}, "n_trials"),
+        ("tune", {"search_alg": "RandomSearch", "seed": -1}, "seed"),
+    ],
+)
+def test_bad_seed_trials_and_horizons(cli_root, tmp_path, capsys, command, values, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"input_window": 4, "output_window": 2, **values}), "utf-8")
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"ha_period": {"values": [4]}}), "utf-8")
+    code = main(
+        [
+            command,
+            "--task", "traffic_state_pred",
+            "--model", "HA",
+            "--dataset", str(cli_root / "flow_p4"),
+            "--output_dir", str(tmp_path / "runs"),
+            "--config_file", str(cfg),
+            *(["--space_file", str(space)] if command == "tune" else []),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 # -- validate ---------------------------------------------------------------------
 
 
@@ -400,6 +440,26 @@ def test_tune_missing_objective_path(cli_root, tmp_path, capsys):
     leaderboard = ["leaderboard", "--task", "traffic_state_pred"]
     assert main([*leaderboard, "--output_dir", str(tmp_path / "runs")]) == 4
     assert "error: no run records found" in capsys.readouterr().err
+
+
+def test_tune_failing_after_the_first_trial_leaves_no_runs(cli_root, tmp_path, capsys):
+    # Order 30 needs more coefficients than 60 slots can determine, so the
+    # second trial fails after the first has written its run.
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"var_order": {"values": [1, 30]}}), "utf-8")
+    code = main(
+        [
+            "tune",
+            *run_flags(cli_root, tmp_path / "runs", model="VAR"),
+            "--space_file", str(space),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("**/trial_*"))
+    with pytest.raises(NoResults):
+        build_leaderboard(load_runs(tmp_path / "runs"), "traffic_state_pred")
 
 
 # -- leaderboard ---------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """End-to-end runs of all three tasks plus tuning, conversion, stats."""
 
-import csv
-import gzip
-import io
 import json
+import time
+import zipfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -218,11 +217,13 @@ def test_ha_run_outputs(data_root, tmp_path):
     assert run_blob["wall_time_s"] >= 0.0
     assert "wall_time_s" not in metrics
 
-    with gzip.open(out / "predictions.csv.gz", "rt") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["sample", "horizon", "cell", "y_true", "y_pred", "mask"]
-    assert len(rows) == 1 + 7 * 2 * 3  # samples * horizons * cells
-    assert all(r[3] == r[4] for r in rows[1:])  # exact predictions
+    with np.load(out / "predictions.npz", allow_pickle=False) as z:
+        assert sorted(z.files) == ["mask", "prediction", "truth"]
+        pred, truth, mask = z["prediction"], z["truth"], z["mask"]
+    # [test samples, horizons, nodes, features]
+    assert pred.shape == truth.shape == mask.shape == (7, 2, 3, 1)
+    assert pred.dtype == truth.dtype == np.float64 and mask.dtype == bool
+    assert pred.tobytes() == truth.tobytes()  # exact predictions
 
 
 def test_metrics_byte_identical_across_reruns(data_root, tmp_path):
@@ -232,51 +233,91 @@ def test_metrics_byte_identical_across_reruns(data_root, tmp_path):
     bytes_a = (Path(a.output_dir) / "metrics.json").read_bytes()
     bytes_b = (Path(b.output_dir) / "metrics.json").read_bytes()
     assert bytes_a == bytes_b
-    preds_a = (Path(a.output_dir) / "predictions.csv.gz").read_bytes()
-    preds_b = (Path(b.output_dir) / "predictions.csv.gz").read_bytes()
-    assert preds_a == preds_b  # gzip written with a pinned mtime
+    preds_a = (Path(a.output_dir) / "predictions.npz").read_bytes()
+    preds_b = (Path(b.output_dir) / "predictions.npz").read_bytes()
+    assert preds_a == preds_b  # zip entries carry a fixed date
 
 
-def reference_predictions_text(pred, truth, mask) -> str:
-    """The predictions CSV as a per-cell csv.writer loop: the writer's oracle."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sample", "horizon", "cell", "y_true", "y_pred", "mask"])
-    B, t_out = pred.shape[0], pred.shape[1]
-    flat_p = pred.reshape(B, t_out, -1)
-    flat_t = truth.reshape(B, t_out, -1)
-    flat_m = np.asarray(mask).reshape(B, t_out, -1)
-    for b in range(B):
-        for h in range(t_out):
-            for c in range(flat_p.shape[2]):
-                writer.writerow(
-                    [
-                        b,
-                        h + 1,
-                        c,
-                        repr(float(flat_t[b, h, c])),
-                        repr(float(flat_p[b, h, c])),
-                        int(flat_m[b, h, c]),
-                    ]
-                )
-    return buf.getvalue()
-
-
-def test_predictions_writer_golden(tmp_path):
-    awkward = [1 / 3, 1e-300, -0.0, 1e16, 123456.789012345, 0.1, -2.5, 2.0**53]
-    # [B=2, t_out=2, 2 x 2 cells]: the writer flattens the spatial axes.
-    truth = np.array(awkward * 2).reshape(2, 2, 2, 2)
+def awkward_predictions():
+    """(pred, truth, mask) of shape [B=2, t_out=2, 2 x 2 cells, 2 features]
+    holding values a lossy writer would change, with one masked cell."""
+    awkward = [1 / 3, 1e-300, -0.0, 1e16, 2.0**53, 123456.789012345, 0.1, -2.5]
+    truth = np.array(awkward * 4).reshape(2, 2, 2, 2, 2)
     pred = -truth[::-1].copy()
     mask = np.ones(truth.shape, dtype=bool)
-    mask[1, 0, 1, 0] = False
-    path = tmp_path / "predictions.csv.gz"
+    mask[1, 0, 1, 0, 1] = False
+    return pred, truth, mask
+
+
+def test_predictions_writer_round_trip(tmp_path):
+    pred, truth, mask = awkward_predictions()
+    path = tmp_path / "predictions.npz"
     _write_predictions(path, pred, truth, mask)
-    raw = path.read_bytes()
-    text = gzip.decompress(raw).decode("utf-8")
-    assert text == reference_predictions_text(pred, truth, mask)
-    assert "1e-300,-1e-300,1\n" in text and "-0.0" in text and ",0\n" in text
-    assert raw[3] == 0  # no file name or other optional header fields
-    assert raw[4:8] == b"\0\0\0\0"  # mtime 0
+    with np.load(path, allow_pickle=False) as z:
+        assert sorted(z.files) == ["mask", "prediction", "truth"]
+        for name, want in (("prediction", pred), ("truth", truth), ("mask", mask)):
+            got = z[name]
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()  # bit-exact, -0.0 included
+    with zipfile.ZipFile(path) as archive:
+        entries = archive.infolist()
+    assert [e.filename for e in entries] == ["prediction.npy", "truth.npy", "mask.npy"]
+    assert all(e.date_time == (1980, 1, 1, 0, 0, 0) for e in entries)
+    assert all(e.compress_type == zipfile.ZIP_DEFLATED for e in entries)
+
+
+def test_predictions_writer_ignores_the_clock(tmp_path, monkeypatch):
+    pred, truth, mask = awkward_predictions()
+    now = time.time()
+    blobs = []
+    for tick in (0, 86400 * 400 + 3661):  # over a year later: every date field moves
+        monkeypatch.setattr(time, "time", lambda: now + tick)
+        path = tmp_path / f"p{tick}.npz"
+        _write_predictions(path, pred, truth, mask)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def failing_writer(path, *arrays):
+    """A predictions writer that dies after writing part of its file."""
+    path.write_bytes(b"half")
+    raise OSError("disk full")
+
+
+def test_failed_write_leaves_no_run(data_root, tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "_write_predictions", failing_writer)
+    with pytest.raises(OSError, match="disk full"):
+        cmd_run(flow_config(data_root, tmp_path, ha_period=4))
+    assert list(tmp_path.iterdir()) == []  # no run and no staging directory
+    assert load_runs(tmp_path) == []
+
+
+def test_failed_rerun_keeps_the_older_run(data_root, tmp_path, monkeypatch):
+    record = cmd_run(flow_config(data_root, tmp_path, ha_period=4))
+    before = run_outputs(Path(record.output_dir))
+    monkeypatch.setattr(runner, "_write_predictions", failing_writer)
+    with pytest.raises(OSError, match="disk full"):
+        cmd_run(flow_config(data_root, tmp_path, ha_period=4))
+    assert [p.name for p in tmp_path.iterdir()] == [record.run_id]
+    assert run_outputs(Path(record.output_dir)) == before
+
+
+def test_rerun_replaces_the_older_run(data_root, tmp_path):
+    cfg = flow_config(data_root, tmp_path, ha_period=4)
+    out = Path(cmd_run(cfg).output_dir)
+    (out / "stale.txt").write_text("from an older run", "utf-8")
+    # A staging directory left behind by a killed run.
+    staging = out.with_name(out.name + runner.STAGING_SUFFIX)
+    staging.mkdir()
+    (staging / "run.json").write_text("{}", "utf-8")
+    (staging / "metrics.json").write_text("{}", "utf-8")
+    assert len(load_runs(tmp_path)) == 1  # the leaderboard skips staging
+    record = cmd_run(cfg)
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics.json", "predictions.npz", "run.json"
+    ]
+    assert load_runs(tmp_path)[0]["run_id"] == record.run_id
 
 
 def test_run_id_sensitivity():
@@ -588,13 +629,10 @@ def test_tune_missing_objective_path(data_root, tmp_path):
 
 
 def run_outputs(run_dir: Path) -> dict[str, bytes]:
-    """Every output of a run directory but run.json, predictions decompressed."""
-    out = {}
-    for p in sorted(run_dir.iterdir()):
-        if p.name != "run.json":
-            data = p.read_bytes()
-            out[p.name] = gzip.decompress(data) if p.suffix == ".gz" else data
-    return out
+    """Every output of a run directory but run.json."""
+    return {
+        p.name: p.read_bytes() for p in sorted(run_dir.iterdir()) if p.name != "run.json"
+    }
 
 
 def assert_trials_match_standalone_runs(result, tmp_path, task, model, file_values):
