@@ -29,18 +29,28 @@ Property cells hold ``None`` (empty cell), int, float, or str. Writing a
 table and parsing it back reproduces the records exactly, provided property
 values are canonical (finite floats, ints within exact float range, strings
 that do not themselves look numeric).
+
+:func:`read_table` reads a table as dictionary-encoded columns into a
+:class:`Table`, which builds its records only when they are asked for;
+:func:`parse_table` returns those records as a list.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from typing import IO, Iterable, Union
+from functools import partial
+from operator import itemgetter
+from typing import IO, Iterable, NamedTuple, Union
+
+import numpy as np
 
 from .exceptions import (
     BadCoordinate,
@@ -48,6 +58,7 @@ from .exceptions import (
     BadTimestamp,
     DuplicateId,
     MissingColumn,
+    ParseError,
     RaggedRow,
 )
 
@@ -68,6 +79,10 @@ __all__ = [
     "ExtRecord",
     "parse_timestamp",
     "format_timestamp",
+    "Column",
+    "Table",
+    "as_table",
+    "read_table",
     "parse_table",
     "write_table",
 ]
@@ -322,21 +337,14 @@ def _format_coordinates(record: GeoUnit) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _parse_time_cell(cell: str, table: str, row: int, times: dict) -> datetime:
-    """Parse a time cell, reusing ``times`` (cell -> datetime) across rows.
-
-    Only good stamps enter ``times``, so a bad stamp fails at its first row.
-    """
-    dt = times.get(cell)
-    if dt is None:
-        try:
-            dt = times[cell] = parse_timestamp(cell)
-        except ValueError as exc:
-            raise BadTimestamp(str(exc), table=table, row=row, column="time") from None
-    return dt
+def _parse_time_cell(cell: str, table: str, row, column) -> datetime:
+    try:
+        return parse_timestamp(cell)
+    except ValueError as exc:
+        raise BadTimestamp(str(exc), table=table, row=row, column=column) from None
 
 
-def _parse_enum_cell(cell, domain, table, row, column):
+def _parse_enum_cell(cell, table, row, column, domain):
     if cell not in domain:
         raise BadFieldValue(
             f"value {cell!r} not in {domain}", table=table, row=row, column=column
@@ -375,14 +383,253 @@ def _read_rows(source: Union[bytes, str, IO]) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text, newline="")))
 
 
-def parse_table(kind: str, source: Union[bytes, str, IO]) -> list:
-    """Parse one table of the given kind from bytes, text, or a file object.
+def _parse_geometry(cell, table, row, column):
+    """``cell`` is a (geometry type, coordinates cell) pair; coordinates after
+    a bad type are not checked, since the type's error comes first."""
+    geo_type, text = cell
+    return None if geo_type is None else _parse_coordinates(text, geo_type, table, row)
 
-    Returns a list of record dataclasses in file order. Raises a located
-    :class:`~stkit.exceptions.ParseError` subclass on the first malformed
-    cell: missing or misordered mandatory columns, ragged rows, bad
-    timestamps, bad coordinates, out-of-domain enum values, negative grid
-    indices, or duplicated primary identifiers.
+
+_ID, _TIME, _INDEX = _parse_id_cell, _parse_time_cell, _parse_index_cell
+_STATE = partial(_parse_enum_cell, domain=("state",))
+
+# Per kind: the check of each mandatory cell, in header order. A check takes
+# (cell, table, row, column) and returns the decoded value or raises.
+_CHECKS = {
+    "geo": (_ID, partial(_parse_enum_cell, domain=GEO_TYPES), _parse_geometry),
+    "usr": (_ID,),
+    "rel": (_ID, partial(_parse_enum_cell, domain=REL_TYPES), _ID, _ID),
+    "dyna": (_ID, partial(_parse_enum_cell, domain=DYNA_TYPES), _TIME, _ID),
+    "grid": (_ID, _STATE, _TIME, _INDEX, _INDEX),
+    "od": (_ID, _STATE, _TIME, _ID, _ID),
+    "gridod": (_ID, _STATE, _TIME, _INDEX, _INDEX, _INDEX, _INDEX),
+    "ext": (_ID, _TIME),
+}
+
+_RECORD_TYPES = {
+    "geo": GeoUnit,
+    "usr": UserUnit,
+    "rel": RelationRecord,
+    "dyna": DynaRecord,
+    "grid": GridRecord,
+    "od": ODRecord,
+    "gridod": GridODRecord,
+    "ext": ExtRecord,
+}
+# Per kind: the record attributes before ``properties``, in header order.
+_ATTRS = {
+    kind: tuple(f.name for f in fields(cls))[:-1] for kind, cls in _RECORD_TYPES.items()
+}
+
+
+class _Missing(enum.Enum):
+    """The value a property column holds for a record without that property."""
+
+    MISSING = "missing"
+
+
+_MISSING = _Missing.MISSING
+
+
+class Column(NamedTuple):
+    """One column as codes into values: row ``i`` holds ``values[codes[i]]``.
+
+    Read from a file, ``values`` holds one decoded value per distinct cell
+    string. Over a record list every row has its own code, so typed values
+    that compare equal (1 and 1.0, -0.0 and 0.0) are never merged.
+    """
+
+    codes: np.ndarray
+    values: list
+
+    def at(self, row: int):
+        return self.values[self.codes[row]]
+
+    def tolist(self) -> list:
+        values = self.values
+        return [values[k] for k in self.codes.tolist()]
+
+    def flags(self, test) -> np.ndarray:
+        """Per row, ``test`` of its value as a bool; evaluated once per code."""
+        return np.array([bool(test(v)) for v in self.values], dtype=bool)[self.codes]
+
+    def present(self) -> list:
+        """The value of each code some row holds, in order of its first row."""
+        _, first = np.unique(self.codes, return_index=True)
+        return [self.values[k] for k in self.codes[np.sort(first)].tolist()]
+
+
+class Table(Sequence):
+    """One table held as columns, and a read-only sequence of its records.
+
+    :func:`read_table` checks and decodes the mandatory columns once per
+    distinct cell and types a property column only when it is asked for.
+    Records are built on first index or iteration and then kept; the columns
+    are then taken from them, as :meth:`from_records` does for a record list.
+    """
+
+    def __init__(
+        self, kind, n, prop_names, decoded, strings=None, ordinals=None, records=None
+    ):
+        self.kind = kind
+        self.prop_names = tuple(prop_names)
+        self._n = n
+        self._fields = decoded  # record attribute -> decoded Column
+        self._strings = strings  # property -> raw cell strings; None over records
+        self._props: dict[str, Column] = {}
+        self._ordinals = ordinals
+        self._records = records
+
+    @classmethod
+    def from_records(cls, kind: str, records, ordinals=None) -> "Table":
+        records = list(records)
+        names = tuple(records[0].properties) if records else ()
+        return cls(kind, len(records), names, {}, ordinals=ordinals, records=records)
+
+    def field(self, name: str) -> Column:
+        """The column of a mandatory record attribute, such as ``time``."""
+        column = self._fields.get(name)
+        if column is None:
+            if self._strings is not None:
+                raise KeyError(name)
+            values = [getattr(r, name) for r in self._records]
+            column = self._fields[name] = Column(np.arange(self._n), values)
+        return column
+
+    def prop(self, name: str) -> Column:
+        """A property column of typed values; ``_MISSING`` where a row lacks it."""
+        column = self._props.get(name)
+        if column is None:
+            if self._strings is None:
+                values = [r.properties.get(name, _MISSING) for r in self._records]
+                column = Column(np.arange(self._n), values)
+            elif name in self._strings:
+                raw = self._strings[name]
+                column = Column(raw.codes, [_coerce_scalar(s) for s in raw.values])
+            else:
+                column = Column(np.zeros(self._n, dtype=np.intp), [_MISSING])
+            self._props[name] = column
+        return column
+
+    def ordinal(self, row: int) -> int:
+        """The 1-based data row number of ``row`` in its file; blank lines count."""
+        return row + 1 if self._ordinals is None else int(self._ordinals[row])
+
+    def select(self, keep: np.ndarray) -> "Table":
+        """The rows where the boolean mask ``keep`` is true, in order."""
+        rows = np.flatnonzero(keep)
+        ordinals = rows + 1 if self._ordinals is None else self._ordinals[rows]
+        if self._strings is None:  # the records back the columns
+            picked = [self._records[i] for i in rows.tolist()]
+            return Table.from_records(self.kind, picked, ordinals)
+
+        def pick(columns):
+            return {k: Column(c.codes[rows], c.values) for k, c in columns.items()}
+
+        table = Table(
+            self.kind, len(rows), self.prop_names, pick(self._fields),
+            pick(self._strings), ordinals,
+        )
+        table._props = pick(self._props)
+        return table
+
+    def _built(self) -> list:
+        if self._records is None:
+            attrs, names = _ATTRS[self.kind], self.prop_names
+            columns = [self._fields[a].tolist() for a in attrs]
+            columns += [self.prop(name).tolist() for name in names]
+            cls, k = _RECORD_TYPES[self.kind], len(attrs)
+            self._records = [
+                cls(*row[:k], dict(zip(names, row[k:]))) for row in zip(*columns)
+            ]
+            # From now on the records back the columns, as in from_records,
+            # so the table does not hold its data twice.
+            self._fields, self._strings, self._props = {}, None, {}
+        return self._records
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, (Table, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Table({self.kind!r}, {self._n} rows)"
+
+
+def as_table(kind: str, rows) -> Table:
+    """``rows`` if it is a Table, else a Table over the record list ``rows``."""
+    return rows if isinstance(rows, Table) else Table.from_records(kind, rows)
+
+
+def _encode(cells: list) -> Column:
+    """Dictionary-encode cell strings; codes follow order of first appearance."""
+    index = dict.fromkeys(cells)
+    if len(index) == len(cells):
+        return Column(np.arange(len(cells)), list(cells))
+    index = dict(zip(index, range(len(index))))
+    codes = np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+    return Column(codes, list(index))
+
+
+def _decode(column: Column, check, table: str, name: str) -> tuple[Column, list[int]]:
+    """Run ``check`` once per distinct cell: the decoded column and failed codes.
+
+    A failing cell is checked again, located, on the first row holding it,
+    if that is the table's first error; so it raises what it raised here.
+    """
+    if check is _ID:  # an identifier cell only has to be non-empty
+        bad = [column.values.index("")] if "" in column.values else []
+        return column, bad
+    values, bad = [], []
+    for code, cell in enumerate(column.values):
+        try:
+            values.append(check(cell, table, None, name))
+        except (ParseError, ValueError, OverflowError):
+            values.append(None)
+            bad.append(code)
+    return Column(column.codes, values), bad
+
+
+def _first_row(column: Column, codes: list[int]) -> int:
+    """The first row whose code is one of ``codes``."""
+    flags = np.zeros(len(column.values), dtype=bool)
+    flags[codes] = True
+    return int(np.argmax(flags[column.codes]))
+
+
+def repeats(keys: np.ndarray) -> np.ndarray:
+    """Per position, whether an earlier position holds an equal key."""
+    if np.all(keys[1:] > keys[:-1]):  # increasing, as rows usually come
+        return np.zeros(len(keys), dtype=bool)
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return repeat
+
+
+def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
+    """Read one table of the given kind from bytes, text, or a file object.
+
+    ``csv.reader`` runs once and its rows are transposed to columns. Each
+    column is dictionary-encoded, and each distinct mandatory cell is checked
+    and decoded once. Property cells are typed only when asked for.
+
+    Raises a located :class:`~stkit.exceptions.ParseError` subclass on the
+    first malformed row in file order: missing or misordered mandatory
+    columns, ragged rows, bad timestamps, bad coordinates, out-of-domain enum
+    values, negative grid indices, or duplicated primary identifiers. Within
+    a row, columns are checked in header order and the identifier repeat
+    last. Row numbers count data rows from 1 and include skipped blank lines.
     """
     if kind not in MANDATORY_COLUMNS:
         raise ValueError(f"unknown table kind {kind!r}")
@@ -410,131 +657,75 @@ def parse_table(kind: str, source: Union[bytes, str, IO]) -> list:
             table=kind,
         )
 
-    records = []
-    seen_ids: set = set()
-    times: dict[str, datetime] = {}
-    builder = _ROW_BUILDERS[kind]
-    for ordinal, row in enumerate(rows[1:], start=1):
-        if not row:
-            continue  # ignore blank trailing lines
-        if len(row) != len(header):
-            raise RaggedRow(
-                f"row has {len(row)} cells, header has {len(header)}",
-                table=kind,
-                row=ordinal,
-            )
-        props = {
-            name: _coerce_scalar(cell) for name, cell in zip(prop_names, row[n_fixed:])
-        }
-        record = builder(row, props, ordinal, has_location, times)
-        key = _identity_key(kind, record)
-        if key in seen_ids:
-            raise DuplicateId(
-                f"identifier {key!r} already used",
-                table=kind,
-                row=ordinal,
-                column=mandatory[0],
-            )
-        seen_ids.add(key)
-        records.append(record)
-    return records
+    body = rows[1:]
+    del rows
+    width = len(header)
+    ordinals = ragged = None
+    if set(map(len, body)) - {width}:  # blank lines or a ragged row
+        kept, numbers = [], []
+        for ordinal, row in enumerate(body, start=1):
+            if not row:
+                continue  # ignore blank lines; they still count as rows
+            if len(row) != width:
+                ragged = RaggedRow(
+                    f"row has {len(row)} cells, header has {width}",
+                    table=kind,
+                    row=ordinal,
+                )
+                break  # the rows before it are checked first
+            kept.append(row)
+            numbers.append(ordinal)
+        body, ordinals = kept, np.array(numbers, dtype=np.intp)
+    n = len(body)
+    columns = [_encode(list(map(itemgetter(j), body))) for j in range(width)]
+    del body
+
+    decoded: dict[str, Column] = {}
+    failures = []  # (row, position, raise_at(row=ordinal)), one per failing check
+    for position, (attr, check, name, column) in enumerate(
+        zip(_ATTRS[kind], _CHECKS[kind], mandatory, columns)
+    ):
+        if check is _parse_geometry:
+            column = _encode(list(zip(decoded["geo_type"].tolist(), column.tolist())))
+        decoded[attr], bad = _decode(column, check, kind, name)
+        if bad:
+            row = _first_row(column, bad)
+            raise_at = partial(check, column.at(row), kind, column=name)
+            failures.append((row, position, raise_at))
+    ids = columns[0]
+    if kind == "ext":  # the identity is (ext_id, time)
+        ids = _encode(list(zip(ids.tolist(), decoded["time"].tolist())))
+    if len(ids.values) < n:  # a repeated identifier
+        row = int(np.argmax(repeats(ids.codes)))
+        raise_at = partial(_duplicate, ids.at(row), kind, mandatory[0])
+        failures.append((row, len(mandatory), raise_at))
+    if failures:
+        row, _, raise_at = min(failures, key=lambda f: f[:2])
+        raise_at(row=row + 1 if ordinals is None else int(ordinals[row]))
+    if ragged is not None:
+        raise ragged
+
+    if kind == "dyna":
+        location = columns[4] if has_location else Column(np.zeros(n, np.intp), [""])
+        locations = [cell or None for cell in location.values]
+        decoded["location"] = Column(location.codes, locations)
+    strings = dict(zip(prop_names, columns[n_fixed:]))
+    return Table(kind, n, prop_names, decoded, strings, ordinals)
 
 
-def _identity_key(kind: str, record):
-    # .ext identity is (ext_id, time): one row per context source per stamp.
-    if kind == "ext":
-        return (record.ext_id, record.time)
-    return getattr(record, f"{kind}_id" if kind in ("geo", "usr", "rel") else "dyna_id")
-
-
-def _build_geo(row, props, ordinal, *_):
-    geo_id = _parse_id_cell(row[0], "geo", ordinal, "geo_id")
-    geo_type = _parse_enum_cell(row[1], GEO_TYPES, "geo", ordinal, "type")
-    coords = _parse_coordinates(row[2], geo_type, "geo", ordinal)
-    return GeoUnit(geo_id, geo_type, coords, props)
-
-
-def _build_usr(row, props, ordinal, *_):
-    return UserUnit(_parse_id_cell(row[0], "usr", ordinal, "usr_id"), props)
-
-
-def _build_rel(row, props, ordinal, *_):
-    return RelationRecord(
-        _parse_id_cell(row[0], "rel", ordinal, "rel_id"),
-        _parse_enum_cell(row[1], REL_TYPES, "rel", ordinal, "type"),
-        _parse_id_cell(row[2], "rel", ordinal, "origin_id"),
-        _parse_id_cell(row[3], "rel", ordinal, "des_id"),
-        props,
+def _duplicate(key, table, column, row):
+    raise DuplicateId(
+        f"identifier {key!r} already used", table=table, row=row, column=column
     )
 
 
-def _build_dyna(row, props, ordinal, has_location, times):
-    location = None
-    if has_location and row[4] != "":
-        location = row[4]
-    return DynaRecord(
-        _parse_id_cell(row[0], "dyna", ordinal, "dyna_id"),
-        _parse_enum_cell(row[1], DYNA_TYPES, "dyna", ordinal, "type"),
-        _parse_time_cell(row[2], "dyna", ordinal, times),
-        _parse_id_cell(row[3], "dyna", ordinal, "entity_id"),
-        location,
-        props,
-    )
+def parse_table(kind: str, source: Union[bytes, str, IO]) -> list:
+    """Parse one table into a list of record dataclasses in file order.
 
-
-def _build_grid(row, props, ordinal, _, times):
-    return GridRecord(
-        _parse_id_cell(row[0], "grid", ordinal, "dyna_id"),
-        _parse_enum_cell(row[1], ("state",), "grid", ordinal, "type"),
-        _parse_time_cell(row[2], "grid", ordinal, times),
-        _parse_index_cell(row[3], "grid", ordinal, "row_id"),
-        _parse_index_cell(row[4], "grid", ordinal, "col_id"),
-        props,
-    )
-
-
-def _build_od(row, props, ordinal, _, times):
-    return ODRecord(
-        _parse_id_cell(row[0], "od", ordinal, "dyna_id"),
-        _parse_enum_cell(row[1], ("state",), "od", ordinal, "type"),
-        _parse_time_cell(row[2], "od", ordinal, times),
-        _parse_id_cell(row[3], "od", ordinal, "origin_id"),
-        _parse_id_cell(row[4], "od", ordinal, "des_id"),
-        props,
-    )
-
-
-def _build_gridod(row, props, ordinal, _, times):
-    return GridODRecord(
-        _parse_id_cell(row[0], "gridod", ordinal, "dyna_id"),
-        _parse_enum_cell(row[1], ("state",), "gridod", ordinal, "type"),
-        _parse_time_cell(row[2], "gridod", ordinal, times),
-        _parse_index_cell(row[3], "gridod", ordinal, "origin_row_id"),
-        _parse_index_cell(row[4], "gridod", ordinal, "origin_col_id"),
-        _parse_index_cell(row[5], "gridod", ordinal, "des_row_id"),
-        _parse_index_cell(row[6], "gridod", ordinal, "des_col_id"),
-        props,
-    )
-
-
-def _build_ext(row, props, ordinal, _, times):
-    return ExtRecord(
-        _parse_id_cell(row[0], "ext", ordinal, "ext_id"),
-        _parse_time_cell(row[1], "ext", ordinal, times),
-        props,
-    )
-
-
-_ROW_BUILDERS = {
-    "geo": _build_geo,
-    "usr": _build_usr,
-    "rel": _build_rel,
-    "dyna": _build_dyna,
-    "grid": _build_grid,
-    "od": _build_od,
-    "gridod": _build_gridod,
-    "ext": _build_ext,
-}
+    The same as ``list(read_table(kind, source))``, and raises the same
+    located errors.
+    """
+    return list(read_table(kind, source))
 
 
 def _mandatory_cells(kind: str, record, has_location: bool) -> list[str]:

@@ -15,17 +15,24 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Union
 
+import numpy as np
+
 from .atomic import (
     DYNA_TYPES,
     GEO_TYPES,
     MANDATORY_COLUMNS,
     REL_TYPES,
+    Column,
     DynaRecord,
     GeoUnit,
     Scalar,
+    Table,
     UserUnit,
-    parse_table,
+    as_table,
+    format_timestamp,
+    repeats,
     parse_timestamp,
+    read_table,
     write_table,
 )
 from .atomic import _check_coord_ranges  # shared range rule
@@ -90,19 +97,23 @@ class Manifest:
 
 @dataclass
 class AtomicDataset:
-    """All tables of one dataset plus its manifest, held in memory."""
+    """All tables of one dataset plus its manifest, held in memory.
+
+    Each table is a record list or, as :func:`load_dataset` gives it, a
+    :class:`~stkit.atomic.Table` that builds its records only when asked.
+    """
 
     manifest: Manifest
-    geo: list = field(default_factory=list)
-    usr: list = field(default_factory=list)
-    rel: list = field(default_factory=list)
-    dyna: list = field(default_factory=list)
-    grid: list = field(default_factory=list)
-    od: list = field(default_factory=list)
-    gridod: list = field(default_factory=list)
-    ext: list = field(default_factory=list)
+    geo: list | Table = field(default_factory=list)
+    usr: list | Table = field(default_factory=list)
+    rel: list | Table = field(default_factory=list)
+    dyna: list | Table = field(default_factory=list)
+    grid: list | Table = field(default_factory=list)
+    od: list | Table = field(default_factory=list)
+    gridod: list | Table = field(default_factory=list)
+    ext: list | Table = field(default_factory=list)
 
-    def tables(self) -> dict[str, list]:
+    def tables(self) -> dict[str, list | Table]:
         """Present (non-empty) tables keyed by kind."""
         return {
             kind: getattr(self, kind)
@@ -114,7 +125,7 @@ class AtomicDataset:
         """Spatial ordering: manifest override, else .geo file row order."""
         if self.manifest.geo_order is not None:
             return self.manifest.geo_order
-        return tuple(g.geo_id for g in self.geo)
+        return tuple(as_table("geo", self.geo).field("geo_id").tolist())
 
 
 @dataclass
@@ -158,28 +169,63 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _rows(table: Table, *attrs):
+    """(1-based row, tuple of the named fields) per row, in order."""
+    return enumerate(zip(*(table.field(a).tolist() for a in attrs)), start=1)
+
+
+def _repeats(column: Column) -> np.ndarray:
+    """Per row, whether an earlier row holds an equal value."""
+    values, keys = column.values, column.codes
+    if len(set(values)) < len(values):  # equal values under different codes
+        canon: dict = {}
+        first = [canon.setdefault(v, k) for k, v in enumerate(values)]
+        keys = np.array(first, dtype=np.intp)[keys]
+    return repeats(keys)
+
+
+def _found(found: list, table, rows, rank: int, severity, message, column=None):
+    """Add a finding at each flagged row; ``rank`` orders findings within a row.
+
+    ``message`` is a function of the row, or a format string for the row's
+    value in ``column``.
+    """
+    for i in np.flatnonzero(rows).tolist():
+        text = message(i) if column is None else message.format(column.at(i))
+        found.append((i, rank, Finding(severity, table, i + 1, text)))
+
+
+def _emit(out: list[Finding], found: list) -> None:
+    """Append the findings in row order, and by rank within a row."""
+    found.sort(key=lambda f: f[:2])
+    out.extend(f[-1] for f in found)
+
+
 def _check_geo(ds: AtomicDataset, out: list[Finding]):
     seen: set[str] = set()
-    for i, g in enumerate(ds.geo, start=1):
-        if g.geo_id in seen:
-            out.append(Finding("error", "geo", i, f"duplicate geo_id {g.geo_id!r}"))
+    geo = as_table("geo", ds.geo)
+    for i, (geo_id, geo_type, coordinates) in _rows(
+        geo, "geo_id", "geo_type", "coordinates"
+    ):
+        if geo_id in seen:
+            out.append(Finding("error", "geo", i, f"duplicate geo_id {geo_id!r}"))
             continue
-        seen.add(g.geo_id)
-        if g.geo_type not in GEO_TYPES:
-            out.append(Finding("error", "geo", i, f"unknown geo type {g.geo_type!r}"))
+        seen.add(geo_id)
+        if geo_type not in GEO_TYPES:
+            out.append(Finding("error", "geo", i, f"unknown geo type {geo_type!r}"))
             continue
         problems = []
-        if g.geo_type == "Point" and len(g.coordinates) != 1:
+        if geo_type == "Point" and len(coordinates) != 1:
             problems.append("Point must have exactly one coordinate pair")
-        if g.geo_type == "LineString" and len(g.coordinates) < 2:
+        if geo_type == "LineString" and len(coordinates) < 2:
             problems.append("LineString needs at least two points")
-        if g.geo_type == "Polygon":
-            if len(g.coordinates) < 4:
+        if geo_type == "Polygon":
+            if len(coordinates) < 4:
                 problems.append("Polygon ring needs at least four points")
-            elif g.coordinates[0] != g.coordinates[-1]:
+            elif coordinates[0] != coordinates[-1]:
                 problems.append("Polygon ring must close (first == last)")
         try:
-            _check_coord_ranges(g.coordinates)
+            _check_coord_ranges(coordinates)
         except ValueError as exc:
             problems.append(str(exc))
         if problems:
@@ -188,30 +234,33 @@ def _check_geo(ds: AtomicDataset, out: list[Finding]):
 
 def _check_usr(ds: AtomicDataset, out: list[Finding]):
     seen: set[str] = set()
-    for i, u in enumerate(ds.usr, start=1):
-        if u.usr_id in seen:
-            out.append(Finding("error", "usr", i, f"duplicate usr_id {u.usr_id!r}"))
-        seen.add(u.usr_id)
+    for i, (usr_id,) in _rows(as_table("usr", ds.usr), "usr_id"):
+        if usr_id in seen:
+            out.append(Finding("error", "usr", i, f"duplicate usr_id {usr_id!r}"))
+        seen.add(usr_id)
 
 
 def _check_rel(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
     seen: set[str] = set()
     missing_side_warned: set[str] = set()
-    for i, r in enumerate(ds.rel, start=1):
-        if r.rel_id in seen:
-            out.append(Finding("error", "rel", i, f"duplicate rel_id {r.rel_id!r}"))
+    rel = as_table("rel", ds.rel)
+    for i, (rel_id, rel_type, origin_id, des_id) in _rows(
+        rel, "rel_id", "rel_type", "origin_id", "des_id"
+    ):
+        if rel_id in seen:
+            out.append(Finding("error", "rel", i, f"duplicate rel_id {rel_id!r}"))
             continue
-        seen.add(r.rel_id)
-        if r.rel_type not in REL_TYPES:
+        seen.add(rel_id)
+        if rel_type not in REL_TYPES:
             out.append(
-                Finding("error", "rel", i, f"unknown relation type {r.rel_type!r}")
+                Finding("error", "rel", i, f"unknown relation type {rel_type!r}")
             )
             continue
-        origin_pool = usr_ids if r.rel_type in ("usr", "usr2geo") else geo_ids
-        des_pool = geo_ids if r.rel_type in ("geo", "usr2geo") else usr_ids
+        origin_pool = usr_ids if rel_type in ("usr", "usr2geo") else geo_ids
+        des_pool = geo_ids if rel_type in ("geo", "usr2geo") else usr_ids
         for side, value, pool, pool_name in (
-            ("origin_id", r.origin_id, origin_pool, "usr" if r.rel_type in ("usr", "usr2geo") else "geo"),
-            ("des_id", r.des_id, des_pool, "geo" if r.rel_type in ("geo", "usr2geo") else "usr"),
+            ("origin_id", origin_id, origin_pool, "usr" if rel_type in ("usr", "usr2geo") else "geo"),
+            ("des_id", des_id, des_pool, "geo" if rel_type in ("geo", "usr2geo") else "usr"),
         ):
             if pool is None:
                 if pool_name not in missing_side_warned:
@@ -236,87 +285,58 @@ def _check_rel(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
 
 
 def _check_dyna(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
-    seen: set[str] = set()
-    warned: set[str] = set()
+    dyna = as_table("dyna", ds.dyna)
+    ids, types, entities, locations, times = (
+        dyna.field(a) for a in ("dyna_id", "dyna_type", "entity_id", "location", "time")
+    )
+    found: list = []
+    repeat = _repeats(ids)
+    _found(found, "dyna", repeat, 0, "error", "duplicate dyna_id {!r}", ids)
+    bad_type = ~repeat & ~types.flags(lambda v: v in DYNA_TYPES)
+    _found(found, "dyna", bad_type, 0, "error", "unknown dyna type {!r}", types)
+    state = types.flags(lambda v: v == "state") & ~repeat
+    traj = types.flags(lambda v: v == "trajectory") & ~repeat
+    # A warning about an absent table is given once, where its first row is.
+    absent = []
+    for rows, column, pool, rank, warning, error in (
+        (
+            state, entities, geo_ids, 0,
+            "state rows present but .geo table absent; entities unresolvable",
+            "entity_id {!r} not in .geo",
+        ),
+        (
+            traj, entities, usr_ids, 0,
+            "trajectory rows present but .usr table absent; entities unresolvable",
+            "entity_id {!r} not in .usr",
+        ),
+        (
+            traj & locations.flags(lambda v: v is not None), locations, geo_ids, 1,
+            "location column present but .geo table absent",
+            "location {!r} not in .geo",
+        ),
+    ):
+        if pool is None:
+            if rows.any():
+                first = int(np.argmax(rows))
+                absent.append((first, rank, Finding("warning", "dyna", None, warning)))
+        else:
+            dangling = rows & ~column.flags(lambda v: v in pool)
+            _found(found, "dyna", dangling, rank, "error", error, column)
     last_time: dict[str, object] = {}
     nonmonotone: set[str] = set()
-    for i, d in enumerate(ds.dyna, start=1):
-        if d.dyna_id in seen:
-            out.append(Finding("error", "dyna", i, f"duplicate dyna_id {d.dyna_id!r}"))
-            continue
-        seen.add(d.dyna_id)
-        if d.dyna_type not in DYNA_TYPES:
-            out.append(
-                Finding("error", "dyna", i, f"unknown dyna type {d.dyna_type!r}")
+    for i in np.flatnonzero(traj).tolist():
+        entity, time = entities.at(i), times.at(i)
+        prev = last_time.get(entity)
+        if prev is not None and time < prev and entity not in nonmonotone:
+            nonmonotone.add(entity)
+            message = (
+                f"timestamps for entity {entity!r} are not "
+                "non-decreasing in file order"
             )
-            continue
-        if d.dyna_type == "state":
-            if geo_ids is None:
-                if "state-geo" not in warned:
-                    warned.add("state-geo")
-                    out.append(
-                        Finding(
-                            "warning",
-                            "dyna",
-                            None,
-                            "state rows present but .geo table absent; entities unresolvable",
-                        )
-                    )
-            elif d.entity_id not in geo_ids:
-                out.append(
-                    Finding(
-                        "error", "dyna", i, f"entity_id {d.entity_id!r} not in .geo"
-                    )
-                )
-        else:
-            if usr_ids is None:
-                if "traj-usr" not in warned:
-                    warned.add("traj-usr")
-                    out.append(
-                        Finding(
-                            "warning",
-                            "dyna",
-                            None,
-                            "trajectory rows present but .usr table absent; entities unresolvable",
-                        )
-                    )
-            elif d.entity_id not in usr_ids:
-                out.append(
-                    Finding(
-                        "error", "dyna", i, f"entity_id {d.entity_id!r} not in .usr"
-                    )
-                )
-            if d.location is not None:
-                if geo_ids is None:
-                    if "traj-geo" not in warned:
-                        warned.add("traj-geo")
-                        out.append(
-                            Finding(
-                                "warning",
-                                "dyna",
-                                None,
-                                "location column present but .geo table absent",
-                            )
-                        )
-                elif d.location not in geo_ids:
-                    out.append(
-                        Finding(
-                            "error", "dyna", i, f"location {d.location!r} not in .geo"
-                        )
-                    )
-            prev = last_time.get(d.entity_id)
-            if prev is not None and d.time < prev and d.entity_id not in nonmonotone:
-                nonmonotone.add(d.entity_id)
-                out.append(
-                    Finding(
-                        "warning",
-                        "dyna",
-                        i,
-                        f"timestamps for entity {d.entity_id!r} are not "
-                        "non-decreasing in file order",
-                    )
-                )
-            last_time[d.entity_id] = d.time
+            found.append((i, 2, Finding("warning", "dyna", i + 1, message)))
+        last_time[entity] = time
+    _emit(out, absent)
+    _emit(out, found)
 
 
 def _check_grid_like(ds: AtomicDataset, out: list[Finding]):
@@ -333,8 +353,8 @@ def _check_grid_like(ds: AtomicDataset, out: list[Finding]):
             ),
         ),
     ):
-        records = getattr(ds, kind)
-        if not records:
+        table = as_table(kind, getattr(ds, kind))
+        if not len(table):
             continue
         if rows is None or cols is None:
             out.append(
@@ -346,55 +366,57 @@ def _check_grid_like(ds: AtomicDataset, out: list[Finding]):
                 )
             )
             continue
-        seen: set[str] = set()
-        for i, rec in enumerate(records, start=1):
-            if rec.dyna_id in seen:
-                out.append(
-                    Finding("error", kind, i, f"duplicate dyna_id {rec.dyna_id!r}")
-                )
-                continue
-            seen.add(rec.dyna_id)
-            bad = []
-            for attr, bound_name in index_fields:
-                value = getattr(rec, attr)
-                bound = rows if bound_name == "grid_rows" else cols
-                if not 0 <= value < bound:
-                    bad.append(f"{attr}={value} outside [0, {bound})")
-            if bad:
-                out.append(Finding("error", kind, i, "; ".join(bad)))
+        ids = table.field("dyna_id")
+        found: list = []
+        repeat = _repeats(ids)
+        _found(found, kind, repeat, 0, "error", "duplicate dyna_id {!r}", ids)
+        bounds = [
+            (attr, table.field(attr), rows if bound_name == "grid_rows" else cols)
+            for attr, bound_name in index_fields
+        ]
+        outside = np.zeros(len(table), dtype=bool)
+        for _, column, bound in bounds:
+            outside |= column.flags(lambda v: not 0 <= v < bound)
+
+        def message(i):
+            return "; ".join(
+                f"{attr}={column.at(i)} outside [0, {bound})"
+                for attr, column, bound in bounds
+                if not 0 <= column.at(i) < bound
+            )
+
+        _found(found, kind, outside & ~repeat, 0, "error", message)
+        _emit(out, found)
 
 
 def _check_od(ds: AtomicDataset, out: list[Finding], geo_ids):
-    seen: set[str] = set()
-    warned = False
-    for i, rec in enumerate(ds.od, start=1):
-        if rec.dyna_id in seen:
-            out.append(Finding("error", "od", i, f"duplicate dyna_id {rec.dyna_id!r}"))
-            continue
-        seen.add(rec.dyna_id)
-        if geo_ids is None:
-            if not warned:
-                warned = True
-                out.append(
-                    Finding(
-                        "warning",
-                        "od",
-                        None,
-                        ".geo table absent; origin/destination unresolvable",
-                    )
+    od = as_table("od", ds.od)
+    ids = od.field("dyna_id")
+    found: list = []
+    repeat = _repeats(ids)
+    _found(found, "od", repeat, 0, "error", "duplicate dyna_id {!r}", ids)
+    if geo_ids is None:
+        if len(od):
+            out.append(
+                Finding(
+                    "warning",
+                    "od",
+                    None,
+                    ".geo table absent; origin/destination unresolvable",
                 )
-            continue
-        for side, value in (("origin_id", rec.origin_id), ("des_id", rec.des_id)):
-            if value not in geo_ids:
-                out.append(
-                    Finding("error", "od", i, f"{side} {value!r} not in .geo")
-                )
+            )
+    else:
+        for rank, side in enumerate(("origin_id", "des_id")):
+            column = od.field(side)
+            dangling = ~repeat & ~column.flags(lambda v: v in geo_ids)
+            message = side + " {!r} not in .geo"
+            _found(found, "od", dangling, rank, "error", message, column)
+    _emit(out, found)
 
 
 def _check_ext(ds: AtomicDataset, out: list[Finding]):
     seen: set = set()
-    for i, rec in enumerate(ds.ext, start=1):
-        key = (rec.ext_id, rec.time)
+    for i, key in _rows(as_table("ext", ds.ext), "ext_id", "time"):
         if key in seen:
             out.append(
                 Finding(
@@ -417,8 +439,8 @@ def validate_dataset(ds: AtomicDataset) -> ValidationReport:
     survivable). Findings come out in table order, then row order.
     """
     out: list[Finding] = []
-    geo_ids = {g.geo_id for g in ds.geo} if ds.geo else None
-    usr_ids = {u.usr_id for u in ds.usr} if ds.usr else None
+    geo_ids = set(as_table("geo", ds.geo).field("geo_id").tolist()) if ds.geo else None
+    usr_ids = set(as_table("usr", ds.usr).field("usr_id").tolist()) if ds.usr else None
     _check_geo(ds, out)
     _check_usr(ds, out)
     _check_rel(ds, out, geo_ids, usr_ids)
@@ -435,7 +457,8 @@ def load_dataset(path: Union[str, Path], validate: bool = True) -> AtomicDataset
     """Load a dataset directory; raise ValidationFailed if errors are found.
 
     Tables are discovered as ``<name>.<suffix>`` next to ``manifest.json``,
-    where ``<name>`` comes from the manifest.
+    where ``<name>`` comes from the manifest, and read with
+    :func:`~stkit.atomic.read_table`.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -446,7 +469,7 @@ def load_dataset(path: Union[str, Path], validate: bool = True) -> AtomicDataset
     for kind in MANDATORY_COLUMNS:
         table_path = root / f"{manifest.name}.{kind}"
         if table_path.is_file():
-            setattr(ds, kind, parse_table(kind, table_path.read_bytes()))
+            setattr(ds, kind, read_table(kind, table_path.read_bytes()))
     if validate:
         report = validate_dataset(ds)
         if not report.ok:
@@ -582,15 +605,11 @@ def dataset_stats(ds: AtomicDataset) -> dict:
     """Row counts, time extent, and feature coverage, JSON-friendly."""
     stats: dict = {"name": ds.manifest.name, "tables": {}}
     times = []
-    for kind, records in ds.tables().items():
-        stats["tables"][kind] = len(records)
-        for rec in records:
-            t = getattr(rec, "time", None)
-            if t is not None:
-                times.append(t)
+    for kind, rows in ds.tables().items():
+        stats["tables"][kind] = len(rows)
+        if kind in ("dyna", "grid", "od", "gridod", "ext"):
+            times.extend(as_table(kind, rows).field("time").present())
     if times:
-        from .atomic import format_timestamp
-
         stats["time_min"] = format_timestamp(min(times))
         stats["time_max"] = format_timestamp(max(times))
     if ds.manifest.features:

@@ -16,6 +16,7 @@ __all__ = [
     "BadCoordinate",
     "BadFieldValue",
     "DuplicateId",
+    "BadFeatureValue",
     "MissingManifest",
     "ValidationFailed",
     "UnmappedMandatoryColumn",
@@ -106,6 +107,11 @@ class BadFieldValue(ParseError):
 
 class DuplicateId(ParseError):
     """Primary identifier repeated within one table."""
+
+
+class BadFeatureValue(ParseError, ValueError):
+    """A feature cell to tensorize is not a number, or is an integer too
+    large for a float."""
 
 
 class MissingManifest(StkitError):

@@ -22,6 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .atomic import as_table
 from .baselines import HAModel, PersistenceModel, VARModel, ha_fit, var_fit
 from .config import Config
 from .dataset import (
@@ -241,32 +242,29 @@ def _prepare_traffic_state(
     ds: AtomicDataset, ds_dir: Path
 ) -> tuple[STTensor, MaskTensor]:
     """The dense tensor and mask of the first of state rows, grid or od that
-    the dataset has, both read-only."""
-    state_rows = [d for d in ds.dyna if d.dyna_type == "state"]
-    if state_rows:
-        layout = "graph"
-        records = state_rows
+    the dataset has, both read-only. Works on columns; builds no records."""
+    dyna = as_table("dyna", ds.dyna)
+    state = dyna.field("dyna_type").flags(lambda t: t == "state")
+    if state.any():
+        layout, table = "graph", dyna.select(state)
     elif ds.grid:
-        layout = "grid"
-        records = ds.grid
+        layout, table = "grid", as_table("grid", ds.grid)
     elif ds.od:
-        layout = "od"
-        records = ds.od
+        layout, table = "od", as_table("od", ds.od)
     else:
         raise EmptyTable("dataset has no state, grid, or od table to forecast")
 
-    features = ds.manifest.features or tuple(records[0].properties.keys())
-    interval = ds.manifest.interval_seconds or _infer_interval(
-        [r.time for r in records]
-    )
-    axis = build_time_axis(records, interval)
+    features = ds.manifest.features or table.prop_names
+    stamps = table.field("time").present()
+    interval = ds.manifest.interval_seconds or _infer_interval(stamps)
+    axis = build_time_axis(stamps, interval)
     if layout == "graph":
-        tensor, mask = dyna_to_graph_tensor(records, ds.geo_order(), axis, features)
+        tensor, mask = dyna_to_graph_tensor(table, ds.geo_order(), axis, features)
     elif layout == "grid":
         shape = (ds.manifest.grid_rows, ds.manifest.grid_cols)
-        tensor, mask = grid_to_tensor(records, shape, axis, features)
+        tensor, mask = grid_to_tensor(table, shape, axis, features)
     else:
-        tensor, mask = od_to_tensor(records, ds.geo_order(), axis, features)
+        tensor, mask = od_to_tensor(table, ds.geo_order(), axis, features)
     tensor.values.flags.writeable = False
     mask.values.flags.writeable = False
     return tensor, mask
@@ -574,7 +572,6 @@ def cmd_run(
     metrics = jsonify_metrics(metrics)
     if check is not None:
         check(metrics)
-    wall = time.perf_counter() - started
 
     run_id = _run_id(task, model, dataset, seed, cfg.as_dict())
     out_dir = Path(cfg["output_dir"]) / run_id
@@ -587,13 +584,13 @@ def cmd_run(
         config=cfg.as_dict(),
         metrics=metrics,
         output_dir=str(out_dir),
-        wall_time_s=wall,
+        wall_time_s=0.0,  # set by _write_run
     )
     staging = out_dir.with_name(out_dir.name + STAGING_SUFFIX)
     shutil.rmtree(staging, ignore_errors=True)  # left by a killed run
     staging.mkdir(parents=True)
     try:
-        _write_run(staging, record, cfg, extras)
+        _write_run(staging, record, cfg, extras, started)
         shutil.rmtree(out_dir, ignore_errors=True)  # a rerun replaces it
         os.replace(staging, out_dir)
     except BaseException:
@@ -602,8 +599,14 @@ def cmd_run(
     return record
 
 
-def _write_run(out_dir: Path, record: RunRecord, cfg: Config, extras: dict) -> None:
-    """Write a run's artifacts into ``out_dir``, run.json last."""
+def _write_run(
+    out_dir: Path, record: RunRecord, cfg: Config, extras: dict, started: float
+) -> None:
+    """Write a run's artifacts into ``out_dir``, run.json last.
+
+    ``record.wall_time_s`` is set to the seconds since ``started`` just before
+    run.json is written, so it covers the other artifacts' writes.
+    """
     (out_dir / "metrics.json").write_text(
         json.dumps(record.metrics, indent=2, sort_keys=True) + "\n", "utf-8"
     )
@@ -611,6 +614,7 @@ def _write_run(out_dir: Path, record: RunRecord, cfg: Config, extras: dict) -> N
         _write_predictions(out_dir / "predictions.npz", *extras["predictions"])
     if "matched_rows" in extras:
         _write_matched_table(out_dir, extras["dataset"], extras["matched_rows"])
+    record.wall_time_s = time.perf_counter() - started
     (out_dir / "run.json").write_text(
         json.dumps(
             {

@@ -1,4 +1,8 @@
-"""Turn validated records into dense tensors, masks, and graph structures.
+"""Turn validated tables into dense tensors, masks, and graph structures.
+
+The tensorize functions take a :class:`~stkit.atomic.Table` or a record
+list, which is put behind the same columns, and scatter rows from their
+codes: each distinct cell value is looked up or converted once.
 
 All dynamic tensors share the convention: axis 0 is time (slot index on a
 fixed-interval axis), spatial axes follow, features come last. Unobserved
@@ -12,12 +16,24 @@ import csv
 import io
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .atomic import DynaRecord, GridRecord, ODRecord, format_timestamp
+from .atomic import (
+    _MISSING,
+    Column,
+    DynaRecord,
+    GridRecord,
+    ODRecord,
+    Table,
+    as_table,
+    format_timestamp,
+    repeats,
+)
 from .exceptions import (
+    BadFeatureValue,
     DuplicateCell,
     EmptyTable,
     NegativeWeight,
@@ -134,66 +150,138 @@ class MaskTensor:
         return self.values.shape
 
 
-def _feature_value(rec, name: str):
-    if name not in rec.properties:
-        raise ValueError(
-            f"record {rec!r} lacks declared feature column {name!r}"
-        )
-    v = rec.properties[name]
-    if v is None:
-        return None
-    if isinstance(v, (int, float)):
-        return float(v)
-    raise ValueError(f"feature {name!r} has non-numeric value {v!r}")
+def _feature_number(value) -> float | None:
+    """A typed property value as a tensor value; None when unobserved.
 
-
-def _scatter(records, axis, spatial_shape, features, locate, describe):
-    """Place each record on the [T, *spatial_shape] grid, checking it in file order.
-
-    ``locate(rec)`` returns the record's spatial index or raises. Returns the
-    records' ``(slot, *spatial)`` keys, their linear cell indices, and their
-    [n, D] feature values (0 where None) with observed flags. The first
-    offending record raises what a per-record loop would: its ``locate``
-    error, then an off-grid time, then DuplicateCell naming
-    ``describe(rec, key)`` if an earlier record holds its cell, then a
-    missing or non-numeric feature.
+    Raises ValueError for a value that is not a number and OverflowError for
+    an int beyond float range.
     """
-    dims = (axis.length, *spatial_shape)
-    slots: dict[datetime, int] = {}
-    keys: list[tuple[int, ...]] = []
-    values: list[float] = []
-    observed: list[bool] = []
-    try:
-        for rec in records:
-            spatial = locate(rec)
-            slot = slots.get(rec.time)
-            if slot is None:
-                slot = slots[rec.time] = axis.slot_of(rec.time)
-            keys.append((slot, *spatial))
-            for name in features:
-                v = _feature_value(rec, name)
-                values.append(0.0 if v is None else v)
-                observed.append(v is not None)
-    finally:
-        # Also on error: a repeat before the failing record is reported first.
-        lin = np.ravel_multi_index(
-            np.array(keys, dtype=np.int64).reshape(-1, len(dims)).T, dims
+    if value is None:
+        return None
+    if isinstance(value, (int, float)):
+        return float(value)
+    raise ValueError(value)
+
+
+def _bad_feature(table: Table, column: Column, name: str, row: int):
+    value = column.at(row)
+    if value is _MISSING:
+        raise ValueError(
+            f"record {table[row]!r} lacks declared feature column {name!r}"
         )
-        _, first = np.unique(lin, return_index=True)
-        if len(first) < len(lin):
-            i = int(np.setdiff1d(np.arange(len(lin)), first)[0])
-            raise DuplicateCell(f"second record for {describe(records[i], keys[i])}")
-    D = len(features)
-    values = np.array(values, dtype=np.float64).reshape(-1, D)
-    return keys, lin, values, np.array(observed, dtype=bool).reshape(-1, D)
-
-
-def _dense(layout, records, axis, spatial_shape, features, locate, describe, **meta):
-    """Scatter records into an STTensor of [T, *spatial_shape, D] and its mask."""
-    _, lin, cell_values, cell_observed = _scatter(
-        records, axis, spatial_shape, features, locate, describe
+    what = f"non-numeric value {value!r}"
+    if isinstance(value, int):
+        what = f"value {value!r} too large for a float"
+    raise BadFeatureValue(
+        f"feature {name!r} has {what}",
+        table=table.kind,
+        row=table.ordinal(row),
+        column=name,
     )
-    shape = (axis.length, *spatial_shape, len(features))
+
+
+def _features(table: Table, features):
+    """[n, D] feature values (0 where unobserved), observed flags, and one
+    check per feature. Each distinct value of a column converts once."""
+    n, D = len(table), len(features)
+    values = np.zeros((n, D), dtype=np.float64)
+    observed = np.zeros((n, D), dtype=bool)
+    checks = []
+    for d, name in enumerate(features):
+        column = table.prop(name)
+        numbers, seen, bad = [], [], []
+        for value in column.values:
+            try:
+                number = _feature_number(value)
+            except (ValueError, OverflowError):
+                number = None
+            numbers.append(0.0 if number is None else number)
+            seen.append(number is not None)
+            bad.append(number is None and value is not None)
+        values[:, d] = np.array(numbers, dtype=np.float64)[column.codes]
+        observed[:, d] = np.array(seen, dtype=bool)[column.codes]
+        failed = np.array(bad, dtype=bool)[column.codes]
+        checks.append((failed, partial(_bad_feature, table, column, name)))
+    return values, observed, checks
+
+
+def _positions(column: Column, index: Mapping) -> np.ndarray:
+    """Per row, ``index[value]``; -1 where the value is not in ``index``."""
+    found = [index.get(v, -1) for v in column.values]
+    return np.array(found, dtype=np.intp)[column.codes]
+
+
+def _indices(column: Column, bound: int) -> np.ndarray:
+    """Per row, the value as an index below ``bound``; -1 where it is not one."""
+    found = [v if 0 <= v < bound else -1 for v in column.values]
+    return np.array(found, dtype=np.intp)[column.codes]
+
+
+def _unknown_entity(column: Column, row: int):
+    raise UnknownEntity(f"entity {column.at(row)!r} not in the geo ordering")
+
+
+def _first_failure(n: int, checks) -> tuple[int, int | None]:
+    """(row, check index) of the first failing row; at one row the earlier
+    check wins. ``(n, None)`` when no row fails."""
+    row, which = n, None
+    for k, (failed, _) in enumerate(checks):
+        hits = np.flatnonzero(failed[:row])
+        if hits.size:
+            row, which = int(hits[0]), k
+    return row, which
+
+
+def _scatter(table: Table, axis, shape, spatial, checks, features, describe):
+    """Place each row on the [T, *shape] grid from its codes, in file order.
+
+    ``spatial`` holds one per-row index array per axis of ``shape``;
+    ``checks`` are (per-row failure flags, raise_at(row)) pairs, in the order
+    a row's cells are looked at. Returns the rows' [1 + len(shape), n] keys
+    (slot first), their linear cell indices, and their [n, D] feature values
+    (0 where unobserved) with observed flags. The first offending row raises
+    what a per-row loop would: its first failing check, then an off-grid
+    time, then DuplicateCell naming ``describe(row, key)`` if an earlier row
+    holds its cell, then a missing or non-numeric feature.
+    """
+    times = table.field("time")
+    slot_of: dict[datetime, int] = {}
+    for t in times.values:
+        if t not in slot_of:
+            try:
+                slot_of[t] = axis.slot_of(t)
+            except (NonAlignedTimestamp, ValueError):
+                slot_of[t] = -1
+    slots = np.array([slot_of[t] for t in times.values], dtype=np.intp)[times.codes]
+    values, observed, feature_checks = _features(table, features)
+
+    def off_grid(row):
+        axis.slot_of(times.at(row))
+
+    checks = [*checks, (slots < 0, off_grid), *feature_checks]
+    row, which = _first_failure(len(table), checks)
+    # The rows before the failing one hold cells, and so does the failing
+    # row itself when only a feature failed: a repeat among them is reported.
+    feature_failed = which is not None and which >= len(checks) - len(features)
+    keyed = row + 1 if feature_failed else row
+    keys = np.stack([slots[:keyed], *(s[:keyed] for s in spatial)])
+    lin = np.ravel_multi_index(keys, (axis.length, *shape))
+    repeat = repeats(lin)
+    if repeat.any():
+        i = int(np.argmax(repeat))
+        key = tuple(keys[:, i].tolist())
+        raise DuplicateCell(f"second record for {describe(i, key)}")
+    if which is not None:
+        checks[which][1](row)
+    return keys, lin, values, observed
+
+
+def _dense(layout, table, axis, shape, spatial, checks, features, describe, **meta):
+    """Scatter a table into an STTensor of [T, *shape, D] and its mask."""
+    _, lin, cell_values, cell_observed = _scatter(
+        table, axis, shape, spatial, checks, features, describe
+    )
+    shape = (axis.length, *shape, len(features))
     values = np.zeros(shape, dtype=np.float64)
     mask = np.zeros(shape, dtype=bool)
     values.reshape(-1, len(features))[lin] = cell_values
@@ -203,84 +291,92 @@ def _dense(layout, records, axis, spatial_shape, features, locate, describe, **m
 
 
 def dyna_to_graph_tensor(
-    records: Sequence[DynaRecord],
+    records: Table | Sequence[DynaRecord],
     geo_order: Sequence[str],
     axis: TimeAxis,
     features: Sequence[str],
 ) -> tuple[STTensor, MaskTensor]:
-    """Scatter state records into a [T, N, D] tensor over the geo ordering."""
-    if not records:
+    """Scatter state rows into a [T, N, D] tensor over the geo ordering."""
+    table = as_table("dyna", records)
+    if not len(table):
         raise EmptyTable("no state records to tensorize")
+    types, entities, times = map(table.field, ("dyna_type", "entity_id", "time"))
     index = {gid: i for i, gid in enumerate(geo_order)}
+    position = _positions(entities, index)
 
-    def locate(rec):
-        if rec.dyna_type != "state":
-            raise ValueError(f"expected state rows, got {rec.dyna_type!r}")
-        if rec.entity_id not in index:
-            raise UnknownEntity(f"entity {rec.entity_id!r} not in the geo ordering")
-        return (index[rec.entity_id],)
+    def not_state(row):
+        raise ValueError(f"expected state rows, got {types.at(row)!r}")
 
-    def describe(rec, _):
-        return f"entity {rec.entity_id!r} at {format_timestamp(rec.time)}"
+    def describe(row, _):
+        return f"entity {entities.at(row)!r} at {format_timestamp(times.at(row))}"
 
+    checks = [
+        (types.flags(lambda v: v != "state"), not_state),
+        (position < 0, partial(_unknown_entity, entities)),
+    ]
     order = tuple(geo_order)
-    N = len(order)
     return _dense(
-        "graph", records, axis, (N,), features, locate, describe, geo_order=order
+        "graph", table, axis, (len(order),), [position], checks, features, describe,
+        geo_order=order,
     )
 
 
 def grid_to_tensor(
-    records: Sequence[GridRecord],
+    records: Table | Sequence[GridRecord],
     grid_shape: tuple[int, int],
     axis: TimeAxis,
     features: Sequence[str],
 ) -> tuple[STTensor, MaskTensor]:
-    """Scatter grid records into a [T, I, J, D] tensor."""
-    if not records:
+    """Scatter grid rows into a [T, I, J, D] tensor."""
+    table = as_table("grid", records)
+    if not len(table):
         raise EmptyTable("no grid records to tensorize")
     I, J = grid_shape
+    row_ids, col_ids, times = map(table.field, ("row_id", "col_id", "time"))
+    rows, cols = _indices(row_ids, I), _indices(col_ids, J)
 
-    def locate(rec):
-        if not (0 <= rec.row_id < I and 0 <= rec.col_id < J):
-            raise UnknownEntity(
-                f"cell ({rec.row_id}, {rec.col_id}) outside grid {grid_shape}"
-            )
-        return (rec.row_id, rec.col_id)
+    def cell(row):
+        return f"cell ({row_ids.at(row)}, {col_ids.at(row)})"
 
-    def describe(rec, _):
-        return f"cell ({rec.row_id}, {rec.col_id}) at {format_timestamp(rec.time)}"
+    def outside(row):
+        raise UnknownEntity(f"{cell(row)} outside grid {grid_shape}")
 
+    def describe(row, _):
+        return f"{cell(row)} at {format_timestamp(times.at(row))}"
+
+    checks = [((rows < 0) | (cols < 0), outside)]
     return _dense(
-        "grid", records, axis, (I, J), features, locate, describe, grid_shape=(I, J)
+        "grid", table, axis, (I, J), [rows, cols], checks, features, describe,
+        grid_shape=(I, J),
     )
 
 
 def od_to_tensor(
-    records: Sequence[ODRecord],
+    records: Table | Sequence[ODRecord],
     geo_order: Sequence[str],
     axis: TimeAxis,
     features: Sequence[str],
 ) -> tuple[STTensor, MaskTensor]:
-    """Scatter origin-destination records into a [T, N, N, D] tensor."""
-    if not records:
+    """Scatter origin-destination rows into a [T, N, N, D] tensor."""
+    table = as_table("od", records)
+    if not len(table):
         raise EmptyTable("no od records to tensorize")
+    origins, dests, times = map(table.field, ("origin_id", "des_id", "time"))
     index = {gid: i for i, gid in enumerate(geo_order)}
+    o, d = _positions(origins, index), _positions(dests, index)
 
-    def locate(rec):
-        for side in (rec.origin_id, rec.des_id):
-            if side not in index:
-                raise UnknownEntity(f"entity {side!r} not in the geo ordering")
-        return (index[rec.origin_id], index[rec.des_id])
+    def describe(row, _):
+        at = format_timestamp(times.at(row))
+        return f"pair ({origins.at(row)!r}, {dests.at(row)!r}) at {at}"
 
-    def describe(rec, _):
-        at = format_timestamp(rec.time)
-        return f"pair ({rec.origin_id!r}, {rec.des_id!r}) at {at}"
-
+    checks = [
+        (o < 0, partial(_unknown_entity, origins)),
+        (d < 0, partial(_unknown_entity, dests)),
+    ]
     order = tuple(geo_order)
     N = len(order)
     return _dense(
-        "od", records, axis, (N, N), features, locate, describe, geo_order=order
+        "od", table, axis, (N, N), [o, d], checks, features, describe, geo_order=order
     )
 
 
@@ -326,39 +422,40 @@ class GridODTensor:
 
 
 def gridod_to_tensor(
-    records: Sequence,
+    records: Table | Sequence,
     grid_shape: tuple[int, int],
     axis: TimeAxis,
     features: Sequence[str],
 ) -> GridODTensor:
-    """Collect grid-to-grid records into the sparse GridODTensor store."""
-    if not records:
+    """Collect grid-to-grid rows into the sparse GridODTensor store."""
+    table = as_table("gridod", records)
+    if not len(table):
         raise EmptyTable("no gridod records to tensorize")
     I, J = grid_shape
-    bounds = (
+    spatial, checks = [], []
+    for attr, bound in (
         ("origin_row_id", I),
         ("origin_col_id", J),
         ("des_row_id", I),
         ("des_col_id", J),
-    )
+    ):
+        column = table.field(attr)
 
-    def locate(rec):
-        for attr, bound in bounds:
-            if not 0 <= getattr(rec, attr) < bound:
-                raise UnknownEntity(
-                    f"{attr}={getattr(rec, attr)} outside grid {grid_shape}"
-                )
-        return tuple(getattr(rec, attr) for attr, _ in bounds)
+        def outside(row, attr=attr, column=column):
+            raise UnknownEntity(f"{attr}={column.at(row)} outside grid {grid_shape}")
+
+        spatial.append(_indices(column, bound))
+        checks.append((spatial[-1] < 0, outside))
 
     def describe(_, key):
         return f"cells {key[1:]} at slot {key[0]}"
 
     keys, _, cell_values, cell_observed = _scatter(
-        records, axis, (I, J, I, J), features, locate, describe
+        table, axis, (I, J, I, J), spatial, checks, features, describe
     )
     out = GridODTensor(axis, (I, J), tuple(features))
     for (slot, *base), row, seen in zip(
-        keys, cell_values.tolist(), cell_observed.tolist()
+        keys.T.tolist(), cell_values.tolist(), cell_observed.tolist()
     ):
         bucket = out.cells.setdefault(slot, {})
         for d, (v, s) in enumerate(zip(row, seen)):

@@ -510,3 +510,30 @@ def test_leaderboard_unknown_task(results_dir, capsys):
     assert main(
         ["leaderboard", "--task", "time_travel", "--output_dir", str(results_dir)]
     ) == 3
+
+
+@pytest.mark.parametrize(
+    "cell, what",
+    [("abc", "non-numeric value 'abc'"), ("9" * 400, "too large for a float")],
+    ids=["non_numeric", "overflow"],
+)
+def test_run_bad_feature_cell_exits_with_a_located_error(
+    cli_root, tmp_path, capsys, cell, what
+):
+    data = tmp_path / "flow_p4"
+    data.mkdir()
+    for p in (cli_root / "flow_p4").iterdir():
+        (data / p.name).write_bytes(p.read_bytes())
+    dyna = data / "flow_p4.dyna"
+    lines = dyna.read_text("utf-8").splitlines()
+    assert lines[0].endswith(",flow")
+    lines[5] = lines[5].rsplit(",", 1)[0] + "," + cell
+    dyna.write_text("\n".join(lines) + "\n", "utf-8")
+    flags = run_flags(cli_root, tmp_path / "out")
+    flags[flags.index("--dataset") + 1] = str(data)
+    assert main(["run", *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: feature 'flow' has ") and what in err
+    assert "(table=dyna, row=5, column=flow)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

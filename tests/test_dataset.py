@@ -1,13 +1,24 @@
 """Dataset assembly: validation findings, disk round trips, raw conversion."""
 
 import json
+import random
 
 import pytest
 
-from conftest import FAULTS, clean_dataset, inject_faults, ts
-from stkit.atomic import DynaRecord, GeoUnit, RelationRecord, UserUnit
+from conftest import FAULTS, clean_dataset, inject_faults, seeded_fault_subset, ts
+from stkit.atomic import (
+    DYNA_TYPES,
+    DynaRecord,
+    GeoUnit,
+    GridRecord,
+    ODRecord,
+    RelationRecord,
+    Table,
+    UserUnit,
+)
 from stkit.dataset import (
     AtomicDataset,
+    Finding,
     Manifest,
     RawConversionSpec,
     convert_raw_csv,
@@ -16,7 +27,11 @@ from stkit.dataset import (
     save_dataset,
     validate_dataset,
 )
-from stkit.exceptions import MissingManifest, UnmappedMandatoryColumn, ValidationFailed
+from stkit.exceptions import (
+    MissingManifest,
+    UnmappedMandatoryColumn,
+    ValidationFailed,
+)
 
 
 def test_clean_dataset_has_zero_findings():
@@ -234,3 +249,261 @@ def test_validation_report_render_mentions_counts():
     text = validate_dataset(mutated).render()
     assert "1 error(s)" in text
     assert "geo" in text
+
+
+# -- dyna, grid and od checks against the per-record checks they replaced ------------
+# The three functions below are the record-by-record checks validate_dataset
+# ran before it read columns; they pin its findings, order included.
+
+
+def reference_check_dyna(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
+    seen: set[str] = set()
+    warned: set[str] = set()
+    last_time: dict[str, object] = {}
+    nonmonotone: set[str] = set()
+    for i, d in enumerate(ds.dyna, start=1):
+        if d.dyna_id in seen:
+            out.append(Finding("error", "dyna", i, f"duplicate dyna_id {d.dyna_id!r}"))
+            continue
+        seen.add(d.dyna_id)
+        if d.dyna_type not in DYNA_TYPES:
+            out.append(
+                Finding("error", "dyna", i, f"unknown dyna type {d.dyna_type!r}")
+            )
+            continue
+        if d.dyna_type == "state":
+            if geo_ids is None:
+                if "state-geo" not in warned:
+                    warned.add("state-geo")
+                    out.append(
+                        Finding(
+                            "warning",
+                            "dyna",
+                            None,
+                            "state rows present but .geo table absent; entities unresolvable",
+                        )
+                    )
+            elif d.entity_id not in geo_ids:
+                out.append(
+                    Finding(
+                        "error", "dyna", i, f"entity_id {d.entity_id!r} not in .geo"
+                    )
+                )
+        else:
+            if usr_ids is None:
+                if "traj-usr" not in warned:
+                    warned.add("traj-usr")
+                    out.append(
+                        Finding(
+                            "warning",
+                            "dyna",
+                            None,
+                            "trajectory rows present but .usr table absent; entities unresolvable",
+                        )
+                    )
+            elif d.entity_id not in usr_ids:
+                out.append(
+                    Finding(
+                        "error", "dyna", i, f"entity_id {d.entity_id!r} not in .usr"
+                    )
+                )
+            if d.location is not None:
+                if geo_ids is None:
+                    if "traj-geo" not in warned:
+                        warned.add("traj-geo")
+                        out.append(
+                            Finding(
+                                "warning",
+                                "dyna",
+                                None,
+                                "location column present but .geo table absent",
+                            )
+                        )
+                elif d.location not in geo_ids:
+                    out.append(
+                        Finding(
+                            "error", "dyna", i, f"location {d.location!r} not in .geo"
+                        )
+                    )
+            prev = last_time.get(d.entity_id)
+            if prev is not None and d.time < prev and d.entity_id not in nonmonotone:
+                nonmonotone.add(d.entity_id)
+                out.append(
+                    Finding(
+                        "warning",
+                        "dyna",
+                        i,
+                        f"timestamps for entity {d.entity_id!r} are not "
+                        "non-decreasing in file order",
+                    )
+                )
+            last_time[d.entity_id] = d.time
+
+
+def reference_check_grid_like(ds: AtomicDataset, out: list[Finding]):
+    rows, cols = ds.manifest.grid_rows, ds.manifest.grid_cols
+    for kind, index_fields in (
+        ("grid", (("row_id", "grid_rows"), ("col_id", "grid_cols"))),
+        (
+            "gridod",
+            (
+                ("origin_row_id", "grid_rows"),
+                ("origin_col_id", "grid_cols"),
+                ("des_row_id", "grid_rows"),
+                ("des_col_id", "grid_cols"),
+            ),
+        ),
+    ):
+        records = getattr(ds, kind)
+        if not records:
+            continue
+        if rows is None or cols is None:
+            out.append(
+                Finding(
+                    "error",
+                    kind,
+                    None,
+                    "manifest lacks grid_rows/grid_cols but grid-indexed rows exist",
+                )
+            )
+            continue
+        seen: set[str] = set()
+        for i, rec in enumerate(records, start=1):
+            if rec.dyna_id in seen:
+                out.append(
+                    Finding("error", kind, i, f"duplicate dyna_id {rec.dyna_id!r}")
+                )
+                continue
+            seen.add(rec.dyna_id)
+            bad = []
+            for attr, bound_name in index_fields:
+                value = getattr(rec, attr)
+                bound = rows if bound_name == "grid_rows" else cols
+                if not 0 <= value < bound:
+                    bad.append(f"{attr}={value} outside [0, {bound})")
+            if bad:
+                out.append(Finding("error", kind, i, "; ".join(bad)))
+
+
+def reference_check_od(ds: AtomicDataset, out: list[Finding], geo_ids):
+    seen: set[str] = set()
+    warned = False
+    for i, rec in enumerate(ds.od, start=1):
+        if rec.dyna_id in seen:
+            out.append(Finding("error", "od", i, f"duplicate dyna_id {rec.dyna_id!r}"))
+            continue
+        seen.add(rec.dyna_id)
+        if geo_ids is None:
+            if not warned:
+                warned = True
+                out.append(
+                    Finding(
+                        "warning",
+                        "od",
+                        None,
+                        ".geo table absent; origin/destination unresolvable",
+                    )
+                )
+            continue
+        for side, value in (("origin_id", rec.origin_id), ("des_id", rec.des_id)):
+            if value not in geo_ids:
+                out.append(
+                    Finding("error", "od", i, f"{side} {value!r} not in .geo")
+                )
+
+
+REFERENCE_TABLES = ("dyna", "grid", "od", "gridod")  # validate_dataset order
+
+
+def reference_findings(ds):
+    out = []
+    geo_ids = {g.geo_id for g in ds.geo} if ds.geo else None
+    usr_ids = {u.usr_id for u in ds.usr} if ds.usr else None
+    reference_check_dyna(ds, out, geo_ids, usr_ids)
+    reference_check_grid_like(ds, out)
+    reference_check_od(ds, out, geo_ids)
+    order = {kind: k for k, kind in enumerate(REFERENCE_TABLES)}
+    out.sort(key=lambda f: (order[f.table], f.row if f.row is not None else 0))
+    return out
+
+
+# Faults that leave every table parseable; the others break a parse rule.
+PARSEABLE_FAULTS = {
+    "dangling_rel_origin", "dangling_rel_des", "dangling_state_entity",
+    "dangling_traj_entity", "dangling_traj_location", "grid_out_of_bounds",
+    "dangling_od_origin", "gridod_out_of_bounds",
+}
+
+
+def perturbed_dataset(seed, parseable=False):
+    """clean_dataset with seeded faults plus random state, trajectory, grid and
+    od rows: dangling ids, unordered stamps, absent tables and, unless the
+    tables must stay parseable, repeated ids and unknown types."""
+    faults = seeded_fault_subset(seed)
+    if parseable:
+        faults = [f for f in faults if f in PARSEABLE_FAULTS]
+    ds, _ = inject_faults(clean_dataset(), faults)
+    rng = random.Random(seed)
+
+    def new_id(prefix, n, taken):
+        return f"{prefix}{n + 9}" if parseable else rng.choice([f"{prefix}{n + 9}", taken])
+
+    for n in range(rng.randint(0, 12)):
+        pick = rng.random()
+        if pick < 0.4:
+            ds.dyna.append(DynaRecord(
+                new_id("t", n, "d3"), "trajectory", ts(rng.randint(0, 9)),
+                rng.choice(["u0", "u1", "nobody"]), rng.choice([None, "g0", "nowhere"]),
+                {"flow": None},
+            ))
+        elif pick < 0.6:
+            dyna_type = "state" if parseable else rng.choice(["state", "state", "stream"])
+            ds.dyna.append(DynaRecord(
+                new_id("s", n, "d0"), dyna_type, ts(rng.randint(0, 9)),
+                rng.choice(["g0", "g1", "ghost"]), None, {"flow": 1},
+            ))
+        elif pick < 0.8:
+            ds.od.append(ODRecord(
+                new_id("o", n, "o0"), "state", ts(rng.randint(0, 9)),
+                rng.choice(["g0", "ghost"]), rng.choice(["g1", "phantom"]), {"demand": 1},
+            ))
+        else:
+            ds.grid.append(GridRecord(
+                new_id("q", n, "q1"), "state", ts(rng.randint(0, 9)),
+                rng.randint(0, 3), rng.randint(0, 3), {"inflow": 1},
+            ))
+    if rng.random() < 0.5:
+        rng.shuffle(ds.dyna)
+    if rng.random() < 0.3:
+        ds.geo = []
+    if rng.random() < 0.3:
+        ds.usr = []
+    if rng.random() < 0.2:
+        ds.manifest.grid_rows = None
+    return ds
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dyna_grid_od_findings_match_the_per_record_checks(seed, tmp_path):
+    for parseable in (False, True):
+        ds = perturbed_dataset(seed, parseable)
+        got = [f for f in validate_dataset(ds).findings if f.table in REFERENCE_TABLES]
+        assert got == reference_findings(ds)
+    # The same findings from the tables read back as columns.
+    loaded = load_dataset(save_dataset(ds, tmp_path / "ds"), validate=False)
+    assert isinstance(loaded.dyna, Table)
+    got = [f for f in validate_dataset(loaded).findings if f.table in REFERENCE_TABLES]
+    assert got == reference_findings(ds)
+
+
+def test_absent_table_warnings_follow_their_first_rows():
+    ds = AtomicDataset(
+        manifest=Manifest(name="w"),
+        dyna=[
+            DynaRecord("t0", "trajectory", ts(0), "u0", "g0", {}),
+            DynaRecord("s0", "state", ts(0), "g0", None, {}),
+        ],
+    )
+    got = validate_dataset(ds).findings
+    assert got == reference_findings(ds)
+    assert [f.message.split()[0] for f in got] == ["trajectory", "location", "state"]

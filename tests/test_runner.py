@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 
 from stkit import runner
-from stkit.atomic import DynaRecord, GeoUnit, UserUnit, parse_table
+from stkit.atomic import (
+    DynaRecord,
+    ExtRecord,
+    GeoUnit,
+    GridODRecord,
+    GridRecord,
+    ODRecord,
+    RelationRecord,
+    UserUnit,
+    parse_table,
+)
 from stkit.config import load_config
 from stkit.dataset import AtomicDataset, Manifest, save_dataset
 from stkit.exceptions import (
@@ -800,3 +810,90 @@ def test_cmd_stats(data_root):
     assert stats["tables"]["dyna"] == 180
     assert stats["interval_seconds"] == 1800
     assert stats["features"] == ["flow"]
+
+
+# -- runs read tables as columns ---------------------------------------------------
+
+
+RECORD_TYPES = (
+    GeoUnit, UserUnit, RelationRecord, DynaRecord, GridRecord, ODRecord, GridODRecord,
+    ExtRecord,
+)
+
+
+def count_records(monkeypatch) -> list[str]:
+    """From here on, the type name of every record built is appended to the list."""
+    built: list[str] = []
+    for cls in RECORD_TYPES:
+
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def run_config(data_root, out, task, model, dataset):
+    file_values = {}
+    if task == "traffic_state_pred":
+        file_values = {"input_window": 4, "output_window": 2, "ha_period": 4}
+    return load_config(
+        cli_args={
+            "task": task,
+            "model": model,
+            "dataset": str(data_root / dataset),
+            "output_dir": str(out),
+        },
+        file_values=file_values,
+    )
+
+
+@pytest.mark.parametrize("dataset", ["flow_p4", "grid_p4"])
+def test_forecast_run_builds_no_records(data_root, tmp_path, monkeypatch, dataset):
+    built = count_records(monkeypatch)
+    cmd_run(run_config(data_root, tmp_path, "traffic_state_pred", "HA", dataset))
+    assert built == []
+    table = runner.load_dataset(data_root / dataset).tables()["grid" if "grid" in dataset else "dyna"]
+    list(table)  # records are built when asked for, and counted
+    assert len(built) == len(table) > 0
+
+
+@pytest.mark.parametrize(
+    "task, model, dataset",
+    [
+        ("traffic_state_pred", "HA", "flow_p4"),
+        ("traffic_state_pred", "VAR", "grid_p4"),
+        ("map_matching", "HMM", "traces"),
+    ],
+)
+def test_columns_and_record_lists_write_the_same_run(
+    data_root, tmp_path, monkeypatch, task, model, dataset
+):
+    columns = cmd_run(run_config(data_root, tmp_path / "a", task, model, dataset))
+    load_dataset = runner.load_dataset
+
+    def load_record_lists(path, *args, **kwargs):
+        ds = load_dataset(path, *args, **kwargs)
+        for kind, table in ds.tables().items():
+            setattr(ds, kind, list(table))
+        return ds
+
+    monkeypatch.setattr(runner, "load_dataset", load_record_lists)
+    records = cmd_run(run_config(data_root, tmp_path / "b", task, model, dataset))
+    outputs = run_outputs(Path(columns.output_dir))
+    assert outputs == run_outputs(Path(records.output_dir))
+    assert any(name.endswith((".npz", "_matched.dyna")) for name in outputs)
+
+
+def test_wall_time_covers_the_artifact_writes(data_root, tmp_path, monkeypatch):
+    write = runner._write_predictions
+
+    def slow_write(*args):
+        time.sleep(0.2)
+        write(*args)
+
+    monkeypatch.setattr(runner, "_write_predictions", slow_write)
+    record = cmd_run(flow_config(data_root, tmp_path, ha_period=4))
+    run_blob = json.loads((Path(record.output_dir) / "run.json").read_text("utf-8"))
+    assert run_blob["wall_time_s"] == record.wall_time_s >= 0.2

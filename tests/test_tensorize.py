@@ -14,8 +14,12 @@ from stkit.atomic import (
     GridRecord,
     ODRecord,
     RelationRecord,
+    parse_table,
+    read_table,
+    write_table,
 )
 from stkit.exceptions import (
+    BadFeatureValue,
     DuplicateCell,
     EmptyTable,
     NegativeWeight,
@@ -560,3 +564,125 @@ def test_dump_tensor_csv_layout():
     assert rows[1] == ["0", "g0", "flow", "10.0", "1"]
     unmasked = [r for r in rows[1:] if r[4] == "0"]
     assert all(r[3] == "0.0" for r in unmasked)
+
+
+# -- tables read as columns ----------------------------------------------------
+
+
+LAYOUT_KINDS = {"graph": "dyna", "grid": "grid", "od": "od"}
+
+
+def as_read_table(layout, recs):
+    """The records written to CSV and read back as a column Table."""
+    kind = LAYOUT_KINDS[layout]
+    return read_table(kind, write_table(kind, recs))
+
+
+@pytest.mark.parametrize("layout", ["graph", "grid", "od"])
+def test_table_and_record_list_give_bit_equal_tensors(layout):
+    cells = [(0, 0, 1), (0, 1, 2), (1, 0, 0), (2, 2, 1), (2, 1, 1), (3, 0, 2)]
+    values = [  # -0.0 and 0.0 share a column, so merging equal values shows
+        (-0.0, None),
+        (1e-300, 2**53 + 1),
+        (None, 0.0),
+        (7, 0.1),
+        (0.0, -0.0),
+        (-2.5, 12),
+    ]
+    recs, tensorize = dense_case(layout, cells, values=values)
+    kind = LAYOUT_KINDS[layout]
+    text = write_table(kind, recs)
+    a, am = tensorize(recs)
+    # The columns of a read table, and the record list parsed from the same file.
+    for other in (read_table(kind, text), parse_table(kind, text)):
+        b, bm = tensorize(other)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert am.values.tobytes() == bm.values.tobytes()
+    assert (np.signbit(b.values) & (b.values == 0)).sum() == 2  # both -0.0 cells
+
+
+def test_gridod_table_and_record_list_agree():
+    recs = gridod_records(np.random.default_rng(5), 2, 3, 3)
+    axis = build_time_axis([r.time for r in recs], 300)
+    a = gridod_to_tensor(recs, (2, 3), axis, ("d",))
+    b = gridod_to_tensor(read_table("gridod", write_table("gridod", recs)), (2, 3), axis, ("d",))
+    assert a.cells == b.cells
+
+
+def failure(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("layout", ["graph", "grid", "od"])
+def test_table_errors_match_record_lists(layout):
+    cases = [
+        [(1, 2, 2), (0, 0, 1), (1, 2, 2), (0, 0, 1)],  # DuplicateCell
+        [(0, 0, 0), (0, 0, 0), (1, 9, 9)],  # a repeat before an unknown cell
+        [(0, 0, 0), (1, 9, 9), (0, 0, 0)],  # an unknown cell before a repeat
+        [(0, 0, 0), (1, 5, 0)],  # UnknownEntity
+    ]
+    seen = set()
+    for cells in cases:
+        recs, tensorize = dense_case(layout, cells)
+        expected = failure(lambda: tensorize(recs))
+        assert failure(lambda: tensorize(as_read_table(layout, recs))) == expected
+        seen.add(expected[0])
+    recs, tensorize = dense_case(layout, [(0, 0, 0), (1, 1, 1)])
+    recs[1].time += timedelta(seconds=7)
+    expected = failure(lambda: tensorize(recs))
+    assert expected[0] is NonAlignedTimestamp
+    assert failure(lambda: tensorize(as_read_table(layout, recs))) == expected
+    assert seen == {DuplicateCell, UnknownEntity}
+
+
+@pytest.mark.parametrize("cell, what", [
+    ("abc", "non-numeric value 'abc'"),
+    ("9" * 400, f"value {'9' * 400} too large for a float"),
+], ids=["non_numeric", "overflow"])
+def test_bad_feature_cell_is_located(cell, what):
+    text = (
+        "dyna_id,type,time,entity_id,flow\n"
+        "d0,state,2021-03-01T00:00:00Z,g0,1\n"
+        "\n"
+        f"d1,state,2021-03-01T00:05:00Z,g1,{cell}\n"
+    )
+    table = read_table("dyna", text)
+    axis = build_time_axis([ts(0), ts(1)], 300)
+    for rows, row in ((table, 3), (list(table), 2)):
+        with pytest.raises(BadFeatureValue) as err:
+            dyna_to_graph_tensor(rows, GEOS, axis, ("flow",))
+        assert str(err.value) == (
+            f"feature 'flow' has {what} (table=dyna, row={row}, column=flow)"
+        )
+        assert (err.value.table, err.value.row, err.value.column) == ("dyna", row, "flow")
+        assert isinstance(err.value, ValueError)
+
+
+def test_missing_feature_column_message_names_the_record():
+    recs = [DynaRecord("d0", "state", ts(0), "g0", None, {"flow": 1})]
+    axis = build_time_axis([ts(0)], 300)
+    for rows in (recs, read_table("dyna", write_table("dyna", recs))):
+        with pytest.raises(ValueError, match="lacks declared feature column 'speed'") as err:
+            dyna_to_graph_tensor(rows, GEOS, axis, ("speed",))
+        assert repr(recs[0]) in str(err.value)
+
+
+def test_selected_rows_keep_their_file_row_numbers():
+    text = (
+        "dyna_id,type,time,entity_id,location,flow\n"
+        "t0,trajectory,2021-03-01T00:00:00Z,u0,,x\n"
+        "d0,state,2021-03-01T00:00:00Z,g0,,1\n"
+        "d1,state,2021-03-01T00:05:00Z,g1,,oops\n"
+    )
+    table = read_table("dyna", text)
+    state = table.field("dyna_type").flags(lambda t: t == "state")
+    states = table.select(state)
+    assert [r.dyna_id for r in states] == ["d0", "d1"]
+    axis = build_time_axis(states.field("time").present(), 300)
+    with pytest.raises(BadFeatureValue) as err:
+        dyna_to_graph_tensor(states, GEOS, axis, ("flow",))
+    assert err.value.row == 3
