@@ -293,7 +293,9 @@ def _scalar_to_cell(value: Scalar) -> str:
 
 def _parse_coordinates(cell: str, geo_type: str, table: str, row: int):
     try:
-        raw = json.loads(cell)
+        # Integers parse as floats: no digit limit, and one too large for a
+        # float is inf, which the range check rejects.
+        raw = json.loads(cell, parse_int=float)
     except json.JSONDecodeError as exc:
         raise BadCoordinate(
             f"coordinates cell is not valid JSON: {exc}",
@@ -353,14 +355,18 @@ def _parse_enum_cell(cell, table, row, column, domain):
 
 
 def _parse_index_cell(cell, table, row, column) -> int:
-    if not _INT_RE.match(cell) or int(cell) < 0:
+    try:
+        value = int(cell) if _INT_RE.match(cell) else -1
+    except ValueError:  # more digits than int() converts
+        value = -1
+    if value < 0:
         raise BadFieldValue(
             f"expected a non-negative integer, got {cell!r}",
             table=table,
             row=row,
             column=column,
         )
-    return int(cell)
+    return value
 
 
 def _parse_id_cell(cell, table, row, column) -> str:

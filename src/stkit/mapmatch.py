@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,24 +136,164 @@ class _GridIndex:
         return list(seen)
 
 
+class _Row(NamedTuple):
+    """One origin's settled segments, sorted, each with its distance and the
+    segment routed through just before it (-1 for a first hop)."""
+
+    segment: np.ndarray
+    dist: np.ndarray
+    prev: np.ndarray
+    complete: bool
+
+
+class _RouteTable:
+    """Exact on-road routes between segments, filled per origin on demand.
+
+    Distances run from the END of an origin segment to the START of a target:
+    a segment's own length is paid on leaving it, and the origin itself is a
+    valid target (a route looping back onto it). Segment ids are interned as
+    ints in sorted string order, so the Dijkstra heap entries
+    ``(cost, segment, parent)``, with parent -1 for a first hop out of the
+    origin, tie-break exactly as the string ids would, and the settle order,
+    every distance and every predecessor follow from the graph alone.
+
+    Each origin used has a row: the segments its search settled, as arrays
+    sorted by segment and ended by a sentinel past every segment. No heap is
+    kept. A query for a segment the row lacks reruns the origin's search from
+    scratch until every queried segment is settled; the search settles in
+    the same order every time, so the new row extends the old one. A row
+    whose search ran out of segments is complete, and what it lacks is
+    unreachable.
+    """
+
+    __slots__ = ("ids", "code", "lengths", "succ", "dtype", "rows", "_unfilled")
+
+    def __init__(
+        self, segments: dict[str, Segment], out_edges: dict[str, tuple[str, ...]]
+    ):
+        self.ids = sorted(segments)
+        self.code = {gid: n for n, gid in enumerate(self.ids)}
+        self.lengths = [segments[gid].length_m for gid in self.ids]
+        self.succ = [
+            tuple(self.code[w] for w in out_edges.get(gid, ())) for gid in self.ids
+        ]
+        # The narrowest int type for the codes, the sentinel and -1.
+        self.dtype = np.min_scalar_type(-len(self.ids) - 1)
+        self.rows: dict[int, _Row] = {}
+        self._unfilled = self._row([], complete=False)
+
+    def _row(self, settled: list[tuple[float, int, int]], complete: bool) -> _Row:
+        """The row of the settled ``(dist, segment, prev)`` heap entries."""
+        entries = np.array(settled + [(math.inf, len(self.ids), -1)], dtype=np.float64)
+        entries = entries[np.argsort(entries[:, 1])]
+        return _Row(
+            entries[:, 1].astype(self.dtype),
+            entries[:, 0].copy(),
+            entries[:, 2].astype(self.dtype),
+            complete,
+        )
+
+    def _settle(self, origin: int, targets: np.ndarray) -> _Row:
+        """Dijkstra from the end of ``origin`` until ``targets`` are settled."""
+        lengths, succ = self.lengths, self.succ
+        done = bytearray(len(self.ids))
+        wanted = bytearray(len(self.ids))
+        for t in targets.tolist():
+            wanted[t] = 1
+        pending = sum(wanted)
+        settled = []
+        heap = [(0.0, w, -1) for w in succ[origin]]
+        heapq.heapify(heap)
+        while heap:
+            entry = heapq.heappop(heap)
+            v = entry[1]
+            if done[v]:
+                continue
+            done[v] = 1
+            settled.append(entry)
+            if wanted[v]:
+                pending -= 1
+                if not pending:
+                    return self._row(settled, complete=False)
+            dv = entry[0] + lengths[v]
+            for w in succ[v]:
+                if not done[w]:
+                    heapq.heappush(heap, (dv, w, v))
+        return self._row(settled, complete=True)
+
+    def start_distances(self, origin: int, targets: np.ndarray) -> np.ndarray:
+        """Cost from the end of segment ``origin`` to the start of each of the
+        segment codes ``targets`` (of ``dtype``); inf when unreachable."""
+        row = self.rows.get(origin, self._unfilled)
+        pos = row.segment.searchsorted(targets)
+        found = row.segment[pos] == targets
+        if found.all():
+            return row.dist[pos]
+        if not row.complete:
+            row = self.rows[origin] = self._settle(origin, targets)
+            pos = row.segment.searchsorted(targets)
+            found = row.segment[pos] == targets
+        return np.where(found, row.dist[pos], math.inf)
+
+    def chain(self, origin: int, target: int) -> list[str]:
+        """Segment ids from the first hop out of ``origin`` through ``target``,
+        which the origin's row must hold."""
+        row = self.rows[origin]
+        out = [target]
+        while (parent := int(row.prev[row.segment.searchsorted(out[-1])])) >= 0:
+            out.append(parent)
+        return [self.ids[c] for c in reversed(out)]
+
+
+def _grid_index(segments: dict[str, Segment], cell_m: float) -> _GridIndex | None:
+    if not segments:
+        return None
+    all_lons = [c[0] for s in segments.values() for c in s.coords]
+    all_lats = [c[1] for s in segments.values() for c in s.coords]
+    index = _GridIndex(
+        cell_m, min(all_lons), min(all_lats), (min(all_lats) + max(all_lats)) / 2.0
+    )
+    for seg in segments.values():
+        index.insert(seg)
+    return index
+
+
 @dataclass
 class RoadNetwork:
-    """Directed segment graph with a spatial index over the polylines."""
+    """Directed segment graph, its route table and a spatial index.
+
+    ``routes`` is built from the segments and edges when not given. Networks
+    made from one another by :meth:`indexed` share it, so every match on the
+    same roads reuses the routes the earlier ones settled.
+    """
 
     segments: dict[str, Segment]
     out_edges: dict[str, tuple[str, ...]]
     index: _GridIndex | None = None
+    routes: _RouteTable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.routes is None:
+            self.routes = _RouteTable(self.segments, self.out_edges)
 
     def segment_lengths(self) -> dict[str, float]:
         return {gid: seg.length_m for gid, seg in self.segments.items()}
 
+    def indexed(self, cell_m: float) -> "RoadNetwork":
+        """This network, route table included, with a candidate index of
+        ``cell_m`` meter cells."""
+        return replace(self, index=_grid_index(self.segments, cell_m))
 
-def build_road_network(geos, rels, index_cell_m: float = 200.0) -> RoadNetwork:
+
+def build_road_network(
+    geos, rels, index_cell_m: float | None = 200.0
+) -> RoadNetwork:
     """Assemble the directed segment graph from geometry and relation rows.
 
     Every geo unit must be a LineString (NonLineGeometry otherwise); every
     relation row of type ``geo`` adds one directed connectivity edge whose
-    endpoints must name known segments.
+    endpoints must name known segments. ``index_cell_m`` None builds no
+    candidate index; :meth:`RoadNetwork.indexed` adds one later.
     """
     segments: dict[str, Segment] = {}
     for g in geos:
@@ -174,24 +315,8 @@ def build_road_network(geos, rels, index_cell_m: float = 200.0) -> RoadNetwork:
             if side not in segments:
                 raise UnknownEntity(f"relation endpoint {side!r} is not a segment")
         adj[r.origin_id].append(r.des_id)
-
-    index = None
-    if segments:
-        all_lons = [c[0] for s in segments.values() for c in s.coords]
-        all_lats = [c[1] for s in segments.values() for c in s.coords]
-        index = _GridIndex(
-            index_cell_m,
-            min(all_lons),
-            min(all_lats),
-            (min(all_lats) + max(all_lats)) / 2.0,
-        )
-        for seg in segments.values():
-            index.insert(seg)
-    return RoadNetwork(
-        segments=segments,
-        out_edges={gid: tuple(v) for gid, v in adj.items()},
-        index=index,
-    )
+    network = RoadNetwork(segments, {gid: tuple(v) for gid, v in adj.items()})
+    return network if index_cell_m is None else network.indexed(index_cell_m)
 
 
 @dataclass(frozen=True)
@@ -287,105 +412,58 @@ def emission_logprob(distance_m: float, sigma_m: float) -> float:
     )
 
 
-def transition_logprob(route_m: float, greatcircle_m: float, beta_m: float) -> float:
-    """Exponential log-density of |route - great circle|; unreachable is -inf."""
-    if math.isinf(route_m):
-        return -math.inf
-    return -abs(route_m - greatcircle_m) / beta_m - math.log(beta_m)
+def transition_logprob(route_m, greatcircle_m: float, beta_m: float):
+    """Exponential log-density of |route - great circle|; unreachable is -inf.
 
-
-class _RouteTree:
-    """Dijkstra from the END of one origin segment, extended on demand.
-
-    ``dist[v]`` is the settled cost from the origin segment's end to the start
-    of segment v: a segment's own length is paid on leaving it. ``prev[v]`` is
-    the segment routed through just before v, "" for a first hop out of the
-    origin: never a parsed id, it sorts before every id, so the heap entries
-    that a zero-length segment makes tie on (cost, segment) still compare.
-    The origin segment itself is a valid target (a route looping back onto
-    it). The heap stays live, so a later request resumes the search where the
-    last one stopped; the settle order, and with it every distance and
-    predecessor, does not depend on the order of requests.
+    ``route_m`` is a distance or an array of them.
     """
-
-    __slots__ = ("network", "dist", "prev", "heap")
-
-    def __init__(self, network: RoadNetwork, origin_segment: str):
-        self.network = network
-        self.dist: dict[str, float] = {}
-        self.prev: dict[str, str] = {}
-        self.heap: list[tuple[float, str, str]] = [
-            (0.0, succ, "") for succ in network.out_edges.get(origin_segment, ())
-        ]
-        heapq.heapify(self.heap)
-
-    def distance(self, target: str) -> float:
-        """Settled cost to the start of ``target``; inf when unreachable."""
-        dist = self.dist
-        if target in dist:
-            return dist[target]
-        heap, prev = self.heap, self.prev
-        segments, out_edges = self.network.segments, self.network.out_edges
-        while heap:
-            d, v, parent = heapq.heappop(heap)
-            if v in dist:
-                continue
-            dist[v] = d
-            prev[v] = parent
-            dv = d + segments[v].length_m
-            for w in out_edges.get(v, ()):
-                if w not in dist:
-                    heapq.heappush(heap, (dv, w, v))
-            if v == target:
-                return d
-        return math.inf
-
-    def chain(self, target: str) -> list[str]:
-        """Settled segments from the first hop through ``target``."""
-        out = [target]
-        while self.prev[out[-1]]:
-            out.append(self.prev[out[-1]])
-        out.reverse()
-        return out
+    return -np.abs(np.subtract(route_m, greatcircle_m)) / beta_m - math.log(beta_m)
 
 
 def _route_distances(
-    network: RoadNetwork,
-    trees: dict[str, _RouteTree],
-    origin: Candidate,
-    targets: list[Candidate],
-) -> list[float]:
-    """On-road distance from candidate ``origin`` to each target candidate.
+    network: RoadNetwork, origins: list[Candidate], targets: list[Candidate]
+) -> np.ndarray:
+    """On-road distance from each origin candidate to each target candidate.
 
-    The route runs to the end of the origin's segment, through the origin
-    segment's tree in ``trees`` (created on first use), and along the target
-    segment to its offset; moving forward along a shared segment costs the
-    offset difference instead when that is shorter. Unreachable is inf.
+    Row k of the [len(origins), len(targets)] result is origin k's. A route
+    runs to the end of the origin's segment, through the network's route
+    table, and along the target segment to its offset; moving forward along
+    a shared segment costs the offset difference instead when that is
+    shorter. Unreachable is inf.
     """
-    tree = trees.get(origin.segment_id)
-    if tree is None:
-        tree = trees[origin.segment_id] = _RouteTree(network, origin.segment_id)
-    leave = network.segments[origin.segment_id].length_m - origin.offset_m
-    out = []
-    for b in targets:
-        d = leave + tree.distance(b.segment_id) + b.offset_m
-        if b.segment_id == origin.segment_id and b.offset_m >= origin.offset_m:
-            d = min(d, b.offset_m - origin.offset_m)
-        out.append(d)
+    table = network.routes
+    code, lengths = table.code, table.lengths
+    to_seg = np.array([code[b.segment_id] for b in targets], dtype=table.dtype)
+    to_off = np.array([b.offset_m for b in targets], dtype=np.float64)
+    from_seg = [code[a.segment_id] for a in origins]
+    from_off = np.array([a.offset_m for a in origins], dtype=np.float64)
+    starts = np.empty((len(origins), len(targets)))
+    for k, origin in enumerate(from_seg):
+        starts[k] = table.start_distances(origin, to_seg)
+    leave = np.array([lengths[o] for o in from_seg], dtype=np.float64) - from_off
+    out = leave[:, None] + starts + to_off
+    forward = (np.array(from_seg)[:, None] == to_seg) & (to_off >= from_off[:, None])
+    if forward.any():
+        along = to_off - from_off[:, None]
+        out[forward] = np.minimum(out[forward], along[forward])
     return out
 
 
-def _route(
-    network: RoadNetwork, trees: dict[str, _RouteTree], a: Candidate, b: Candidate
-) -> tuple[float, list[str] | None]:
-    """Distance and segment sequence from a to b, read from a's tree."""
-    (d,) = _route_distances(network, trees, a, [b])
+def _leg(
+    network: RoadNetwork, a: Candidate, b: Candidate, d: float
+) -> list[str] | None:
+    """The segment sequence of the route from a to b, whose distance is ``d``
+    as :func:`_route_distances` gave it; None when unreachable."""
     if math.isinf(d):
-        return d, None
+        return None
     same = a.segment_id == b.segment_id and b.offset_m >= a.offset_m
     if same and d == b.offset_m - a.offset_m:  # ties keep the one-segment route
-        return d, [a.segment_id]
-    return d, [a.segment_id, *trees[a.segment_id].chain(b.segment_id)]
+        return [a.segment_id]
+    table = network.routes
+    return [
+        a.segment_id,
+        *table.chain(table.code[a.segment_id], table.code[b.segment_id]),
+    ]
 
 
 def shortest_route(
@@ -396,9 +474,10 @@ def shortest_route(
     Moving forward along a shared segment costs the offset difference;
     otherwise the route runs to the end of a's segment, through intermediate
     segments, and along b's segment to its offset. Returns (inf, None) when
-    b is unreachable.
+    b is unreachable. Routes come from the network's shared route table.
     """
-    return _route(network, {}, a, b)
+    d = float(_route_distances(network, [a], [b])[0, 0])
+    return d, _leg(network, a, b, d)
 
 
 def viterbi_decode(
@@ -474,10 +553,10 @@ def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> Matc
 
     Chains are built online: per point, candidate scores extend the running
     chain unless nothing reaches them, in which case the chain is decoded
-    with :func:`viterbi_decode` and a new one starts at that point. Routing
-    keeps one resumable Dijkstra tree per origin segment for the length of
-    the call, shared by transition scoring and route recovery. Raises
-    NoCandidatesAnywhere when not a single point has a candidate.
+    with :func:`viterbi_decode` and a new one starts at that point.
+    Transition scoring and route recovery read the network's route table,
+    which outlives the call. Raises NoCandidatesAnywhere when not a single
+    point has a candidate.
     """
     points = _extract_points(trajectory)
     if not points:
@@ -493,9 +572,8 @@ def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> Matc
     point_logprob: list[float | None] = [None] * len(points)
     chains: list[tuple[int, int]] = []
     routes: list[list[str]] = []
-    trees: dict[str, _RouteTree] = {}
 
-    def close_chain(start, emissions, transitions):
+    def close_chain(start, emissions, transitions, route_m):
         _, idx = viterbi_decode(emissions, transitions)
         chosen = [cands[start + n][j] for n, j in enumerate(idx)]
         matched[start : start + len(idx)] = chosen
@@ -506,51 +584,52 @@ def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> Matc
             point_logprob[start + n] = float(
                 emissions[n][idx[n]] + transitions[n - 1][idx[n - 1], idx[n]]
             )
-            _, leg = _route(network, trees, chosen[n - 1], chosen[n])
-            for gid in leg or ():
+            d = float(route_m[n - 1][idx[n - 1], idx[n]])
+            for gid in _leg(network, chosen[n - 1], chosen[n], d) or ():
                 if route[-1] != gid:
                     route.append(gid)
         chains.append((start, start + len(idx)))
         routes.append(route)
 
-    # The running chain: its first point, per-step emission vectors and
-    # transition matrices, and the forward scores that detect a break.
+    # The running chain: its first point, per-step emission vectors,
+    # transition matrices and the route distances they score, and the
+    # forward scores that detect a break.
     start = None
     emissions: list[np.ndarray] = []
     transitions: list[np.ndarray] = []
+    route_m: list[np.ndarray] = []
     dp: np.ndarray | None = None
     for i, point_cands in enumerate(cands):
         if not point_cands:
             if start is not None:
-                close_chain(start, emissions, transitions)
+                close_chain(start, emissions, transitions, route_m)
                 start = None
             continue
         e = np.array(
             [emission_logprob(c.distance_m, params.sigma_m) for c in point_cands]
         )
         if start is None:
-            start, emissions, transitions, dp = i, [e], [], e
+            start, emissions, transitions, route_m, dp = i, [e], [], [], e
             continue
-        # Transition matrix from the previous point's candidates.
+        # Route distances from the previous point's candidates still in
+        # play; the others stay unreachable.
         gc = haversine_m(*points[i - 1], *points[i])
-        tr = np.full((len(cands[i - 1]), len(point_cands)), -np.inf)
-        for pi, a in enumerate(cands[i - 1]):
-            if not np.isfinite(dp[pi]):
-                continue
-            tr[pi] = [
-                transition_logprob(d, gc, params.beta_m)
-                for d in _route_distances(network, trees, a, point_cands)
-            ]
+        live = np.flatnonzero(np.isfinite(dp))
+        d = np.full((len(cands[i - 1]), len(point_cands)), np.inf)
+        origins = [cands[i - 1][k] for k in live]
+        d[live] = _route_distances(network, origins, point_cands)
+        tr = transition_logprob(d, gc, params.beta_m)
         col_best = (dp[:, None] + tr).max(axis=0)
         if not np.isfinite(col_best).any():
-            close_chain(start, emissions, transitions)
-            start, emissions, transitions, dp = i, [e], [], e
+            close_chain(start, emissions, transitions, route_m)
+            start, emissions, transitions, route_m, dp = i, [e], [], [], e
             continue
         emissions.append(e)
         transitions.append(tr)
+        route_m.append(d)
         dp = col_best + e
     if start is not None:
-        close_chain(start, emissions, transitions)
+        close_chain(start, emissions, transitions, route_m)
 
     breaks = [c[0] for c in chains[1:]]
     return MatchResult(

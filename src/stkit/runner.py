@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .atomic import as_table
+from .atomic import _MISSING, as_table
 from .baselines import HAModel, PersistenceModel, VARModel, ha_fit, var_fit
 from .config import Config
 from .dataset import (
@@ -42,6 +42,7 @@ from .evaluate import (
 )
 from .exceptions import (
     BadConfigFile,
+    BadFieldValue,
     BadMatchParams,
     BadModelParams,
     BadPipelineParams,
@@ -388,23 +389,61 @@ def _match_params(cfg: Config) -> MatchParams:
         ) from None
 
 
+def _coordinate_fault(value) -> str | None:
+    """What keeps a trajectory lon or lat value from being a coordinate."""
+    if value is None or value is _MISSING:
+        return "is missing"
+    if not isinstance(value, (int, float)):
+        return f"has non-numeric value {value!r}"
+    try:
+        float(value)
+    except OverflowError:
+        return f"has value {value!r} too large for a float"
+    return None
+
+
 def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
-    """The dataset, its trajectories and the truth routes beside it, if any."""
-    traj_rows = [d for d in ds.dyna if d.dyna_type == "trajectory"]
-    if not traj_rows:
+    """The road network with its route table, the dataset, its trajectories
+    and the truth routes beside it, if any.
+
+    The network carries no candidate index, since each run's match_radius
+    sets its cell size; the route table it holds is config-free, so every
+    run on the prepared inputs shares it. Every trajectory row needs numeric
+    lon and lat properties.
+    """
+    dyna = as_table("dyna", ds.dyna)
+    traj = dyna.select(dyna.field("dyna_type").flags(lambda t: t == "trajectory"))
+    if not len(traj):
         raise EmptyTable("dataset has no trajectory rows to match")
-    trajectories = tuple(build_trajectories(traj_rows))
+    faults = []
+    for name in ("lon", "lat"):
+        column = traj.prop(name)
+        what = [_coordinate_fault(v) for v in column.values]
+        bad = np.array([w is not None for w in what], dtype=bool)[column.codes]
+        if bad.any():
+            row = int(np.argmax(bad))
+            faults.append((row, name, what[column.codes[row]]))
+    if faults:
+        row, name, what = min(faults, key=lambda f: f[0])  # lon first on a tie
+        raise BadFieldValue(
+            f"trajectory property {name!r} {what}",
+            table="dyna",
+            row=traj.ordinal(row),
+            column=name,
+        )
+    trajectories = tuple(build_trajectories(traj))
+    network = build_road_network(ds.geo, ds.rel, index_cell_m=None)
     truth = None
     truth_path = ds_dir / TRUTH_ROUTES_FILE
     if truth_path.is_file():
         truth = json.loads(truth_path.read_text("utf-8"))
-    return ds, trajectories, truth
+    return network, ds, trajectories, truth
 
 
 def _run_map_matching(cfg: Config, inputs) -> tuple[dict, dict]:
-    ds, trajectories, truth = inputs
+    network, ds, trajectories, truth = inputs
     params = _match_params(cfg)
-    network = build_road_network(ds.geo, ds.rel, index_cell_m=params.radius_m)
+    network = network.indexed(params.radius_m)
     lengths = network.segment_lengths()
     per_traj: dict = {}
     matched_rows = []

@@ -19,6 +19,7 @@ from stkit.atomic import (
     format_timestamp,
     parse_table,
     parse_timestamp,
+    read_table,
     write_table,
 )
 from stkit.exceptions import (
@@ -237,6 +238,45 @@ def test_grid_index_must_be_nonnegative_integer():
         text = base + f"d1,state,2020-01-01T00:00:00Z,{cell},0,1\n"
         with pytest.raises(BadFieldValue):
             parse_table("grid", text)
+
+
+def test_grid_index_past_the_int_digit_limit_is_located():
+    """A 5,000-digit index is more than int() converts; it fails as a bad
+    field value at its cell, not as a raw ValueError."""
+    text = (
+        "dyna_id,type,time,row_id,col_id,v\n"
+        "d0,state,2020-01-01T00:00:00Z,0,0,1\n"
+        f"d1,state,2020-01-01T00:00:00Z,{'1' * 5000},0,1\n"
+    )
+    with pytest.raises(BadFieldValue) as err:
+        read_table("grid", text)
+    assert (err.value.table, err.value.row, err.value.column) == ("grid", 2, "row_id")
+    assert "non-negative integer" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "coordinates",
+    ["[1" + "0" * 400 + ",0]", "[" + "1" * 5000 + ",0]"],
+    ids=["too_large_for_a_float", "past_the_int_digit_limit"],
+)
+def test_huge_integer_coordinate_is_located(coordinates):
+    text = f'geo_id,type,coordinates\ng0,Point,"[116,39]"\ng1,Point,"{coordinates}"\n'
+    with pytest.raises(BadCoordinate) as err:
+        read_table("geo", text)
+    assert (err.value.table, err.value.row, err.value.column) == (
+        "geo", 2, "coordinates"
+    )
+    assert "finite" in str(err.value)
+
+
+def test_integer_coordinates_read_as_floats():
+    text = 'geo_id,type,coordinates\ng0,LineString,"[[116,39],[116,-39]]"\n'
+    (unit,) = read_table("geo", text)
+    assert unit.coordinates == ((116.0, 39.0), (116.0, -39.0))
+    assert {type(v) for pair in unit.coordinates for v in pair} == {float}
+    assert write_table("geo", [unit]).decode("utf-8").splitlines()[1] == (
+        'g0,LineString,"[[116.0,39.0],[116.0,-39.0]]"'
+    )
 
 
 def test_dyna_location_column_optional_and_round_trips():

@@ -537,3 +537,95 @@ def test_run_bad_feature_cell_exits_with_a_located_error(
     assert "(table=dyna, row=5, column=flow)" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def copy_of(src: Path, dst: Path) -> Path:
+    dst.mkdir()
+    for p in src.iterdir():
+        (dst / p.name).write_bytes(p.read_bytes())
+    return dst
+
+
+def edit_cell(path: Path, row: int, column: str, cell: str):
+    """Set one cell of a table file; ``row`` counts data rows from 1."""
+    rows = list(csv.reader(path.read_text("utf-8").splitlines()))
+    rows[row][rows[0].index(column)] = cell
+    with path.open("w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+
+
+def assert_located_exit_3(argv, out: Path, capsys, message: str, where: str):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err[:200]
+    assert f"({where})" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, column, cell, message",
+    [
+        ("grid", "row_id", "1" * 5000, "expected a non-negative integer"),
+        ("geo", "coordinates", "[1" + "0" * 400 + ",39.9]",
+         "coordinates must be finite"),
+        ("geo", "coordinates", "[116.0," + "3" * 5000 + "]",
+         "coordinates must be finite"),
+    ],
+    ids=["grid_index_digits", "coordinate_overflow", "coordinate_digits"],
+)
+def test_run_huge_integer_cell_exits_with_a_located_error(
+    tmp_path, capsys, kind, column, cell, message
+):
+    if kind == "grid":
+        params = {"rows": 2, "cols": 2, "n_slots": 40, "period": 4, "name": "g"}
+        result = generate_synthetic("grid_flow", params, seed=2)
+    else:
+        params = {"n_nodes": 3, "n_slots": 40, "period": 4, "name": "g"}
+        result = generate_synthetic("graph_flow", params, seed=0)
+    data = tmp_path / "g"
+    save_synthetic(result, data)
+    edit_cell(data / f"g.{kind}", 2, column, cell)
+    out = tmp_path / "out"
+    argv = ["run", "--task", "traffic_state_pred", "--model", "HA",
+            "--dataset", str(data), "--output_dir", str(out)]
+    assert_located_exit_3(
+        argv, out, capsys, message, f"table={kind}, row=2, column={column}"
+    )
+
+
+@pytest.mark.parametrize(
+    "edits, message, where",
+    [
+        (None, "trajectory property 'lon' is missing", "row=1, column=lon"),
+        ([(4, "lat", "north"), (5, "lon", "east")],
+         "trajectory property 'lat' has non-numeric value 'north'",
+         "row=4, column=lat"),
+        ([(3, "lon", "west"), (6, "lat", "north")],
+         "trajectory property 'lon' has non-numeric value 'west'", "row=3, column=lon"),
+        ([(2, "lat", "north"), (2, "lon", "west")],
+         "trajectory property 'lon' has non-numeric value 'west'", "row=2, column=lon"),
+        ([(3, "lon", "")], "trajectory property 'lon' is missing", "row=3, column=lon"),
+        ([(2, "lon", "1" + "0" * 400)],
+         "trajectory property 'lon' has value 1000", "row=2, column=lon"),
+    ],
+    ids=["no_lon_column", "non_numeric_lat", "first_bad_row_wins", "lon_first_in_a_row",
+         "empty_lon", "lon_too_large"],
+)
+def test_run_matching_without_numeric_points_exits_with_a_located_error(
+    cli_root, tmp_path, capsys, edits, message, where
+):
+    data = copy_of(cli_root / "traces", tmp_path / "traces")
+    dyna = data / "traces.dyna"
+    if edits is None:  # drop the lon column
+        rows = list(csv.reader(dyna.read_text("utf-8").splitlines()))
+        k = rows[0].index("lon")
+        with dyna.open("w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerows(r[:k] + r[k + 1:] for r in rows)
+    for row, column, cell in edits or ():
+        edit_cell(dyna, row, column, cell)
+    out = tmp_path / "out"
+    argv = ["run", "--task", "map_matching", "--model", "HMM",
+            "--dataset", str(data), "--output_dir", str(out)]
+    assert_located_exit_3(argv, out, capsys, message, f"table=dyna, {where}")

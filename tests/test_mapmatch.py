@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from stkit.exceptions import (
 from stkit.mapmatch import (
     Candidate,
     MatchParams,
-    _route,
+    RoadNetwork,
+    Segment,
     _route_distances,
     build_road_network,
     candidate_segments,
@@ -395,7 +397,7 @@ def test_match_params_reject_non_finite():
         assert param in str(info.value)
 
 
-# -- shared routing trees against a per-call Dijkstra reference ----------------
+# -- the shared route table against a per-call Dijkstra reference -------------
 
 
 def _reference_route_distances(network, origin, target_segments):
@@ -588,9 +590,15 @@ def test_match_equals_per_call_dijkstra_reference():
     assert all(v > 0 for v in seen.values()), seen
 
 
+def fresh_table(network):
+    """The same network with a new, empty route table."""
+    return replace(network, routes=None)
+
+
 def test_route_tree_resume_order_is_irrelevant():
-    """Asking one origin's tree for targets in any order gives the same
-    distances and routes as asking in another order, and as shortest_route."""
+    """Asking a fresh route table for one origin's targets in any order, one
+    at a time or all at once, gives the same distances and routes, and the
+    same as shortest_route and a per-call Dijkstra."""
     rng = np.random.default_rng(37)
     for trial in range(10):
         network = random_network(rng, int(rng.integers(6, 16)), 0.15)
@@ -606,14 +614,16 @@ def test_route_tree_resume_order_is_irrelevant():
         ]
         answers = []
         for order in (targets, targets[::-1], list(rng.permutation(targets))):
-            trees = {}
+            table = fresh_table(network)
             got = {}
             for b in order:
-                got[b.segment_id] = _route(network, trees, a, b)
-                (d,) = _route_distances(network, trees, a, [b])
+                got[b.segment_id] = shortest_route(table, a, b)
+                ((d,),) = _route_distances(table, [a], [b])
                 assert d == got[b.segment_id][0]
             answers.append(got)
         assert answers[0] == answers[1] == answers[2]
+        (at_once,) = _route_distances(fresh_table(network), [a], targets)
+        assert at_once.tolist() == [answers[0][b.segment_id][0] for b in targets]
         for b in targets:
             assert answers[0][b.segment_id] == shortest_route(network, a, b)
             # Same decisions as a fresh per-call Dijkstra.
@@ -624,6 +634,123 @@ def test_route_tree_resume_order_is_irrelevant():
                 assert math.isinf(got_d)
             else:
                 assert abs(got_d - want_d) <= 1e-9 * max(1.0, want_d)
+
+
+def test_route_table_filled_by_two_traces_answers_like_a_fresh_one():
+    """A table that matched trace A and then trace B matches B as a fresh
+    table does, and answers every segment pair as a fresh table, as
+    shortest_route and as a per-call Dijkstra do."""
+    rng = np.random.default_rng(41)
+    partial_rows = 0
+    for trial in range(20):
+        network = random_network(rng, int(rng.integers(6, 16)), 0.15)
+        params = MatchParams(sigma_m=20.0, beta_m=10.0, radius_m=200.0,
+                             max_candidates=int(rng.integers(1, 6)))
+        trace_a, trace_b = random_trace(rng, 25), random_trace(rng, 25)
+        try:
+            viterbi_match(network, trace_a, params)
+            got_b = viterbi_match(network, trace_b, params)
+        except NoCandidatesAnywhere:
+            continue
+        assert got_b == viterbi_match(fresh_table(network), trace_b, params)
+        partial_rows += sum(not row.complete for row in network.routes.rows.values())
+        cands = [
+            Candidate(g, 0.0, 0.0, 0.0,
+                      float(rng.uniform(0, network.segments[g].length_m)))
+            for g in sorted(network.segments)
+        ]
+        filled = _route_distances(network, cands, cands)
+        assert filled.tobytes() == _route_distances(
+            fresh_table(network), cands, cands
+        ).tobytes()
+        for (i, a), (j, b) in itertools.product(enumerate(cands), repeat=2):
+            got_d, got_route = shortest_route(network, a, b)
+            assert (got_d, got_route) == shortest_route(fresh_table(network), a, b)
+            assert got_d == filled[i, j]
+            want_d, want_route = _reference_shortest_route(network, a, b)
+            assert got_route == want_route
+            if math.isinf(want_d):
+                assert math.isinf(got_d)
+            else:
+                assert abs(got_d - want_d) <= 1e-9 * max(1.0, want_d)
+    # Some rows stopped short, so the pair queries reran their searches.
+    assert partial_rows > 0
+
+
+def test_equal_cost_routes_break_ties_by_segment_id_not_insertion_order():
+    """Twin lanes make every detour an equal-cost tie. Segment ids inserted
+    in shuffled order still route, and match, as the string-keyed per-call
+    reference does: through the twin whose id sorts first."""
+    rng = np.random.default_rng(43)
+    names = [f"{c}{n}" for c in "zqmeb" for n in (7, 10, 3)]
+    for trial in range(6):
+        rng.shuffle(names)
+        geos, rels, pts = [], [], []
+        lane = iter(names)
+        for k in range(4):
+            x = 0.01 * k
+            road, twin_1, twin_2 = next(lane), next(lane), next(lane)
+            geos.append(line(road, (x, 0.0), (x + 0.004, 0.0)))
+            for twin in (twin_1, twin_2):  # same polyline, so the same length
+                geos.append(line(twin, (x + 0.004, 0.0), (x + 0.01, 0.0)))
+                rels += [rel(f"r{len(rels)}", road, twin)]
+                if k < 3:
+                    rels += [rel(f"r{len(rels) + 1}", twin, names[3 * (k + 1)])]
+            pts += [(x + 0.001, 0.00005), (x + 0.003, -0.00005)]
+        network = build_road_network([geos[i] for i in rng.permutation(len(geos))],
+                                     [rels[i] for i in rng.permutation(len(rels))])
+        params = MatchParams(sigma_m=10.0, beta_m=20.0, radius_m=60.0)
+        got = viterbi_match(network, pts, params)
+        matched, chains, routes, logprob, _ = _reference_match(network, pts, params)
+        assert got.matched == matched
+        assert got.chains == chains == [(0, len(pts))]
+        assert got.routes == routes
+        for g, w in zip(got.point_logprob, logprob):
+            assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
+        for k in range(3):
+            twins = sorted(names[3 * k + 1: 3 * k + 3])
+            assert twins[0] in got.routes[0] and twins[1] not in got.routes[0]
+
+
+def test_dead_end_origin_has_an_empty_row_and_reaches_nothing():
+    """A segment with no out-edges settles nothing: its row holds only the
+    sentinel, is complete, and every other target is unreachable."""
+    net = build_road_network(
+        [line("A", (0.0, 0.0), (0.001, 0.0)), line("B", (0.001, 0.0), (0.002, 0.0))],
+        [rel("r0", "B", "A")],
+    )
+    a = Candidate("A", 0.0005, 0.0, 0.0, 40.0)
+    assert shortest_route(net, a, Candidate("B", 0.0015, 0.0, 0.0, 10.0)) == (
+        math.inf, None
+    )
+    assert shortest_route(net, a, Candidate("A", 0.0001, 0.0, 0.0, 5.0)) == (
+        math.inf, None
+    )
+    assert shortest_route(net, a, Candidate("A", 0.0008, 0.0, 0.0, 90.0)) == (
+        50.0, ["A"]
+    )
+    table = net.routes
+    row = table.rows[table.code["A"]]
+    assert row.complete
+    assert row.segment.tolist() == [len(table.ids)]  # the sentinel alone
+    assert np.isinf(_route_distances(net, [a], [Candidate("B", 0, 0, 0, 1.0)])).all()
+
+
+def test_route_table_codes_widen_past_int16():
+    """A chain of 33,000 one-meter segments needs 32-bit segment codes; the
+    far end is routed exactly, through every segment in between."""
+    n = 33_000
+    ids = [f"s{i:05d}" for i in range(n)]
+    network = RoadNetwork(
+        {g: Segment(g, ((0.0, 0.0), (0.0, 0.0)), 1.0, (0.0, 1.0)) for g in ids},
+        {g: (h,) for g, h in zip(ids, ids[1:])},
+    )
+    assert network.routes.dtype == np.int32
+    d, route = shortest_route(
+        network, Candidate(ids[0], 0, 0, 0, 0.25), Candidate(ids[-1], 0, 0, 0, 0.5)
+    )
+    assert d == 0.75 + (n - 2) + 0.5
+    assert route == ids
 
 
 def test_zero_length_segment_ties_keep_the_first_hop():

@@ -711,6 +711,33 @@ def test_tune_loads_each_searched_dataset_once(data_root, tmp_path, monkeypatch)
     )
 
 
+def test_tune_over_match_sigma_builds_one_network_and_route_table(
+    data_root, tmp_path, monkeypatch
+):
+    """The trials share the prepared road network and its route table."""
+    from stkit import mapmatch
+
+    built = {"network": 0, "table": 0}
+
+    def counting_build(*args, **kwargs):
+        built["network"] += 1
+        return build_road_network(*args, **kwargs)
+
+    def counting_table(*args, **kwargs):
+        built["table"] += 1
+        return route_table(*args, **kwargs)
+
+    build_road_network, route_table = runner.build_road_network, mapmatch._RouteTable
+    monkeypatch.setattr(runner, "build_road_network", counting_build)
+    monkeypatch.setattr(mapmatch, "_RouteTable", counting_table)
+    result, _ = tune_trials(
+        tmp_path, "map_matching", "HMM", data_root / "traces",
+        {"match_sigma": {"values": [5.0, 50.0]}},
+    )
+    assert len(result.trials) == 2
+    assert built == {"network": 1, "table": 1}
+
+
 def test_prepared_tensor_and_mask_are_read_only(data_root, tmp_path):
     prepared: dict = {}
     cmd_run(flow_config(data_root, tmp_path, ha_period=4), prepared)
