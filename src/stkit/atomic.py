@@ -31,8 +31,8 @@ values are canonical (finite floats, ints within exact float range, strings
 that do not themselves look numeric).
 
 :func:`read_table` reads a table as dictionary-encoded columns into a
-:class:`Table`, which builds its records only when they are asked for;
-:func:`parse_table` returns those records as a list.
+:class:`Table`, which keeps only those columns and builds a record each time
+one is asked for; :func:`parse_table` returns the records as a list.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable, NamedTuple, Union
 
 import numpy as np
@@ -158,6 +158,20 @@ def _check_coord_ranges(pairs):
             raise ValueError(f"longitude {lon} outside [-180, 180]")
         if not -90.0 <= lat <= 90.0:
             raise ValueError(f"latitude {lat} outside [-90, 90]")
+
+
+def _shape_fault(geo_type: str, pairs) -> str | None:
+    """What keeps ``pairs`` from being a geometry of ``geo_type``; None if nothing."""
+    if geo_type == "Point" and len(pairs) != 1:
+        return "Point must have exactly one coordinate pair"
+    if geo_type == "LineString" and len(pairs) < 2:
+        return "LineString needs at least two points"
+    if geo_type == "Polygon":
+        if len(pairs) < 4:
+            return "Polygon ring needs at least four points"
+        if pairs[0] != pairs[-1]:
+            return "Polygon ring must close (first == last)"
+    return None
 
 
 @dataclass
@@ -316,13 +330,9 @@ def _parse_coordinates(cell: str, geo_type: str, table: str, row: int):
             if not isinstance(raw, list):
                 raise ValueError("coordinates must be a JSON array")
             pairs = _as_coord_pairs(raw)
-            if geo_type == "LineString" and len(pairs) < 2:
-                raise ValueError("LineString needs at least two points")
-            if geo_type == "Polygon":
-                if len(pairs) < 4:
-                    raise ValueError("Polygon ring needs at least four points")
-                if pairs[0] != pairs[-1]:
-                    raise ValueError("Polygon ring must close (first == last)")
+        fault = _shape_fault(geo_type, pairs)
+        if fault is not None:
+            raise ValueError(fault)
         _check_coord_ranges(pairs)
     except (ValueError, TypeError) as exc:
         raise BadCoordinate(
@@ -331,11 +341,11 @@ def _parse_coordinates(cell: str, geo_type: str, table: str, row: int):
     return pairs
 
 
-def _format_coordinates(record: GeoUnit) -> str:
-    if record.geo_type == "Point":
-        payload = list(record.coordinates[0])
+def _format_coordinates(geo_type: str, coordinates) -> str:
+    if geo_type == "Point":
+        payload = list(coordinates[0])
     else:
-        payload = [list(p) for p in record.coordinates]
+        payload = [list(p) for p in coordinates]
     return json.dumps(payload, separators=(",", ":"))
 
 
@@ -469,51 +479,50 @@ class Table(Sequence):
     """One table held as columns, and a read-only sequence of its records.
 
     :func:`read_table` checks and decodes the mandatory columns once per
-    distinct cell and types a property column only when it is asked for.
-    Records are built on first index or iteration and then kept; the columns
-    are then taken from them, as :meth:`from_records` does for a record list.
+    distinct cell and types a property column only when it is asked for;
+    :meth:`from_records` encodes a record list into the same columns. A record
+    is built from the columns each time one is asked for and is not kept, so
+    changing it leaves the table as it was.
     """
 
-    def __init__(
-        self, kind, n, prop_names, decoded, strings=None, ordinals=None, records=None
-    ):
+    def __init__(self, kind, n, prop_names, decoded, strings, ordinals=None, props=None):
         self.kind = kind
         self.prop_names = tuple(prop_names)
         self._n = n
         self._fields = decoded  # record attribute -> decoded Column
-        self._strings = strings  # property -> raw cell strings; None over records
-        self._props: dict[str, Column] = {}
+        self._strings = strings  # property -> raw cell strings, typed when asked for
+        self._props: dict[str, Column] = props or {}  # property -> typed Column
         self._ordinals = ordinals
-        self._records = records
 
     @classmethod
-    def from_records(cls, kind: str, records, ordinals=None) -> "Table":
+    def from_records(cls, kind: str, records) -> "Table":
+        """The columns of a record list, one code per row. The properties are
+        the union of the records' keys, ``_MISSING`` where a record lacks one."""
         records = list(records)
-        names = tuple(records[0].properties) if records else ()
-        return cls(kind, len(records), names, {}, ordinals=ordinals, records=records)
+        codes = np.arange(len(records))
+        decoded = {
+            a: Column(codes, [getattr(r, a) for r in records]) for a in _ATTRS[kind]
+        }
+        names = tuple(dict.fromkeys(k for r in records for k in r.properties))
+        props = {
+            name: Column(codes, [r.properties.get(name, _MISSING) for r in records])
+            for name in names
+        }
+        return cls(kind, len(records), names, decoded, {}, props=props)
 
     def field(self, name: str) -> Column:
         """The column of a mandatory record attribute, such as ``time``."""
-        column = self._fields.get(name)
-        if column is None:
-            if self._strings is not None:
-                raise KeyError(name)
-            values = [getattr(r, name) for r in self._records]
-            column = self._fields[name] = Column(np.arange(self._n), values)
-        return column
+        return self._fields[name]
 
     def prop(self, name: str) -> Column:
         """A property column of typed values; ``_MISSING`` where a row lacks it."""
         column = self._props.get(name)
         if column is None:
-            if self._strings is None:
-                values = [r.properties.get(name, _MISSING) for r in self._records]
-                column = Column(np.arange(self._n), values)
-            elif name in self._strings:
-                raw = self._strings[name]
-                column = Column(raw.codes, [_coerce_scalar(s) for s in raw.values])
-            else:
+            raw = self._strings.get(name)
+            if raw is None:
                 column = Column(np.zeros(self._n, dtype=np.intp), [_MISSING])
+            else:
+                column = Column(raw.codes, [_coerce_scalar(s) for s in raw.values])
             self._props[name] = column
         return column
 
@@ -525,42 +534,39 @@ class Table(Sequence):
         """The rows where the boolean mask ``keep`` is true, in order."""
         rows = np.flatnonzero(keep)
         ordinals = rows + 1 if self._ordinals is None else self._ordinals[rows]
-        if self._strings is None:  # the records back the columns
-            picked = [self._records[i] for i in rows.tolist()]
-            return Table.from_records(self.kind, picked, ordinals)
 
         def pick(columns):
             return {k: Column(c.codes[rows], c.values) for k, c in columns.items()}
 
-        table = Table(
+        return Table(
             self.kind, len(rows), self.prop_names, pick(self._fields),
-            pick(self._strings), ordinals,
+            pick(self._strings), ordinals, pick(self._props),
         )
-        table._props = pick(self._props)
-        return table
 
-    def _built(self) -> list:
-        if self._records is None:
-            attrs, names = _ATTRS[self.kind], self.prop_names
-            columns = [self._fields[a].tolist() for a in attrs]
-            columns += [self.prop(name).tolist() for name in names]
-            cls, k = _RECORD_TYPES[self.kind], len(attrs)
-            self._records = [
-                cls(*row[:k], dict(zip(names, row[k:]))) for row in zip(*columns)
-            ]
-            # From now on the records back the columns, as in from_records,
-            # so the table does not hold its data twice.
-            self._fields, self._strings, self._props = {}, None, {}
-        return self._records
+    def _columns(self) -> list[Column]:
+        """The record attributes' columns in order, then the properties'."""
+        attrs = [self._fields[a] for a in _ATTRS[self.kind]]
+        return attrs + [self.prop(name) for name in self.prop_names]
+
+    def _record(self, row: Sequence):
+        """The record of one row's values, in :meth:`_columns` order."""
+        k = len(_ATTRS[self.kind])
+        props = zip(self.prop_names, row[k:])
+        return _RECORD_TYPES[self.kind](
+            *row[:k], {name: v for name, v in props if v is not _MISSING}
+        )
 
     def __len__(self):
         return self._n
 
     def __getitem__(self, index):
-        return self._built()[index]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._n))]
+        row = range(self._n)[index]  # IndexError past either end
+        return self._record([c.at(row) for c in self._columns()])
 
     def __iter__(self):
-        return iter(self._built())
+        return map(self._record, zip(*(c.tolist() for c in self._columns())))
 
     def __eq__(self, other):
         if isinstance(other, (Table, list)):
@@ -734,58 +740,11 @@ def parse_table(kind: str, source: Union[bytes, str, IO]) -> list:
     return list(read_table(kind, source))
 
 
-def _mandatory_cells(kind: str, record, has_location: bool) -> list[str]:
-    if kind == "geo":
-        return [record.geo_id, record.geo_type, _format_coordinates(record)]
-    if kind == "usr":
-        return [record.usr_id]
-    if kind == "rel":
-        return [record.rel_id, record.rel_type, record.origin_id, record.des_id]
-    if kind == "dyna":
-        cells = [
-            record.dyna_id,
-            record.dyna_type,
-            format_timestamp(record.time),
-            record.entity_id,
-        ]
-        if has_location:
-            cells.append(record.location if record.location is not None else "")
-        return cells
-    if kind == "grid":
-        return [
-            record.dyna_id,
-            record.dyna_type,
-            format_timestamp(record.time),
-            str(record.row_id),
-            str(record.col_id),
-        ]
-    if kind == "od":
-        return [
-            record.dyna_id,
-            record.dyna_type,
-            format_timestamp(record.time),
-            record.origin_id,
-            record.des_id,
-        ]
-    if kind == "gridod":
-        return [
-            record.dyna_id,
-            record.dyna_type,
-            format_timestamp(record.time),
-            str(record.origin_row_id),
-            str(record.origin_col_id),
-            str(record.des_row_id),
-            str(record.des_col_id),
-        ]
-    if kind == "ext":
-        return [record.ext_id, format_timestamp(record.time)]
-    raise ValueError(f"unknown table kind {kind!r}")
-
-
 def write_table(kind: str, records: Iterable) -> bytes:
-    """Serialize records of one kind to CSV bytes.
+    """Serialize records of one kind to CSV bytes, one row at a time.
 
-    The property header is taken from the first record's key order; every
+    The mandatory cells are the record attributes the reader decodes. The
+    property header is taken from the first record's key order; every
     record must carry the same property keys. Trajectory tables gain a
     ``location`` column only when at least one record has a location.
     ``parse_table(kind, write_table(kind, records))`` reproduces the records.
@@ -793,25 +752,35 @@ def write_table(kind: str, records: Iterable) -> bytes:
     if kind not in MANDATORY_COLUMNS:
         raise ValueError(f"unknown table kind {kind!r}")
     records = list(records)
-    header = list(MANDATORY_COLUMNS[kind])
-    has_location = kind == "dyna" and any(r.location is not None for r in records)
-    if has_location:
-        header.append(_LOCATION_COLUMN)
-    prop_names: tuple[str, ...] = ()
-    if records:
-        prop_names = tuple(records[0].properties.keys())
+    header, attrs = list(MANDATORY_COLUMNS[kind]), _ATTRS[kind]
+    if kind == "dyna":
+        if any(r.location is not None for r in records):
+            header.append(_LOCATION_COLUMN)
+        else:
+            attrs = attrs[:-1]
+    prop_names = tuple(records[0].properties) if records else ()
     header.extend(prop_names)
+    cells_of = attrgetter(*attrs, "properties")
+    at_time = attrs.index("time") if "time" in attrs else None
+    stamps: dict[datetime, str] = {}  # each distinct timestamp is formatted once
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for record in records:
-        if tuple(record.properties.keys()) != prop_names:
+        *cells, properties = cells_of(record)
+        if tuple(properties) != prop_names:
             raise ValueError(
                 f"all records must share property keys {prop_names}, "
-                f"got {tuple(record.properties.keys())}"
+                f"got {tuple(properties)}"
             )
-        cells = _mandatory_cells(kind, record, has_location)
-        cells.extend(_scalar_to_cell(record.properties[k]) for k in prop_names)
+        if at_time is not None:
+            time = cells[at_time]
+            if time not in stamps:
+                stamps[time] = format_timestamp(time)
+            cells[at_time] = stamps[time]
+        if kind == "geo":
+            cells[2] = _format_coordinates(cells[1], cells[2])
+        cells.extend(map(_scalar_to_cell, properties.values()))
         writer.writerow(cells)
     return out.getvalue().encode("utf-8")

@@ -5,7 +5,8 @@ are limited to the whitelisted keys; everything else goes through the JSON
 config file given by --config_file. Exit codes: 0 success, 2 dataset
 validation failed, 3 configuration problem (unknown flag, bad file,
 incompatible model/task, bad pipeline, model or matcher value, bad search
-space), 4 runtime failure (dataset not found, leaderboard over an empty
+space, and any located input error such as a bad table cell or manifest
+key), 4 runtime failure (dataset not found, leaderboard over an empty
 results directory).
 """
 
@@ -19,12 +20,7 @@ from pathlib import Path
 from .config import CLI_KEYS, load_config
 from .exceptions import (
     BadConfigFile,
-    BadMatchParams,
-    BadModelParams,
-    BadPipelineParams,
-    ContinuousDomainInGrid,
     DatasetNotFound,
-    IncompatibleModelTask,
     NoResults,
     StkitError,
     UnknownCliKey,
@@ -39,16 +35,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONFIG = 3
 EXIT_RUNTIME = 4
-
-_CONFIG_ERRORS = (
-    UnknownCliKey,
-    BadConfigFile,
-    IncompatibleModelTask,
-    ContinuousDomainInGrid,
-    BadMatchParams,
-    BadModelParams,
-    BadPipelineParams,
-)
 
 _FLAG_TYPES = {"seed": int, "batch_size": int}
 
@@ -94,9 +80,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DatasetNotFound, NoResults) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except StkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

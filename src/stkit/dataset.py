@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Union
@@ -35,8 +36,9 @@ from .atomic import (
     read_table,
     write_table,
 )
-from .atomic import _check_coord_ranges  # shared range rule
+from .atomic import _check_coord_ranges, _shape_fault  # shared geometry rules
 from .exceptions import (
+    BadManifest,
     MissingManifest,
     UnmappedMandatoryColumn,
     ValidationFailed,
@@ -69,12 +71,41 @@ class Manifest:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "Manifest":
+        """The manifest of a JSON object; :class:`BadManifest` names the bad key.
+
+        ``name`` must be a plain file name; ``interval_seconds`` (0 or null:
+        infer it), ``grid_rows`` and ``grid_cols`` ints or null; ``features``
+        and ``geo_order`` lists of strings or null.
+        """
+        if not isinstance(payload, Mapping):
+            raise BadManifest("manifest must be a JSON object", table="manifest")
+
+        def bad(key, message):
+            return BadManifest(message, table="manifest", column=key)
+
+        if "name" not in payload:
+            raise bad("name", "manifest lacks the dataset name")
+        name = str(payload["name"])
+        if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
+            raise bad("name", f"name {name!r} is not a plain file name")
+        for key in ("interval_seconds", "grid_rows", "grid_cols"):
+            value = payload.get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, type(None))):
+                raise bad(key, f"{key} must be an integer or null, got {value!r}")
+        if (payload.get("interval_seconds") or 0) < 0:
+            raise bad("interval_seconds", "interval_seconds must not be negative")
+        for key in ("features", "geo_order"):
+            value = payload.get(key)
+            if value is not None and not (
+                isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+            ):
+                raise bad(key, f"{key} must be a list of strings or null, got {value!r}")
         return cls(
-            name=str(payload["name"]),
+            name=name,
             interval_seconds=payload.get("interval_seconds"),
             grid_rows=payload.get("grid_rows"),
             grid_cols=payload.get("grid_cols"),
-            features=tuple(payload.get("features", ())),
+            features=tuple(payload.get("features") or ()),
             geo_order=(
                 tuple(payload["geo_order"]) if payload.get("geo_order") else None
             ),
@@ -100,7 +131,8 @@ class AtomicDataset:
     """All tables of one dataset plus its manifest, held in memory.
 
     Each table is a record list or, as :func:`load_dataset` gives it, a
-    :class:`~stkit.atomic.Table` that builds its records only when asked.
+    :class:`~stkit.atomic.Table` that keeps only columns and builds a record
+    each time one is asked for.
     """
 
     manifest: Manifest
@@ -214,16 +246,8 @@ def _check_geo(ds: AtomicDataset, out: list[Finding]):
         if geo_type not in GEO_TYPES:
             out.append(Finding("error", "geo", i, f"unknown geo type {geo_type!r}"))
             continue
-        problems = []
-        if geo_type == "Point" and len(coordinates) != 1:
-            problems.append("Point must have exactly one coordinate pair")
-        if geo_type == "LineString" and len(coordinates) < 2:
-            problems.append("LineString needs at least two points")
-        if geo_type == "Polygon":
-            if len(coordinates) < 4:
-                problems.append("Polygon ring needs at least four points")
-            elif coordinates[0] != coordinates[-1]:
-                problems.append("Polygon ring must close (first == last)")
+        fault = _shape_fault(geo_type, coordinates)
+        problems = [] if fault is None else [fault]
         try:
             _check_coord_ranges(coordinates)
         except ValueError as exc:
@@ -464,7 +488,11 @@ def load_dataset(path: Union[str, Path], validate: bool = True) -> AtomicDataset
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise MissingManifest(f"no manifest.json in {root}")
-    manifest = Manifest.from_json(json.loads(manifest_path.read_text("utf-8")))
+    try:
+        payload = json.loads(manifest_path.read_text("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise BadManifest(f"manifest.json is not JSON: {exc}", table="manifest") from None
+    manifest = Manifest.from_json(payload)
     ds = AtomicDataset(manifest=manifest)
     for kind in MANDATORY_COLUMNS:
         table_path = root / f"{manifest.name}.{kind}"

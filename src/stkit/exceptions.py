@@ -18,6 +18,7 @@ __all__ = [
     "DuplicateId",
     "BadFeatureValue",
     "MissingManifest",
+    "BadManifest",
     "ValidationFailed",
     "UnmappedMandatoryColumn",
     "EmptyTable",
@@ -110,12 +111,17 @@ class DuplicateId(ParseError):
 
 
 class BadFeatureValue(ParseError, ValueError):
-    """A feature cell to tensorize is not a number, or is an integer too
-    large for a float."""
+    """A feature cell to tensorize is missing, is not a number, or is an
+    integer too large for a float."""
 
 
 class MissingManifest(StkitError):
     """Dataset directory has no manifest.json."""
+
+
+class BadManifest(ParseError):
+    """manifest.json is not JSON, not an object, or has a key of the wrong
+    type; ``column`` names the key."""
 
 
 class ValidationFailed(StkitError):

@@ -166,17 +166,13 @@ def _feature_number(value) -> float | None:
 def _bad_feature(table: Table, column: Column, name: str, row: int):
     value = column.at(row)
     if value is _MISSING:
-        raise ValueError(
-            f"record {table[row]!r} lacks declared feature column {name!r}"
-        )
-    what = f"non-numeric value {value!r}"
-    if isinstance(value, int):
-        what = f"value {value!r} too large for a float"
+        message = f"record {table[row]!r} lacks declared feature column {name!r}"
+    elif isinstance(value, int):
+        message = f"feature {name!r} has value {value!r} too large for a float"
+    else:
+        message = f"feature {name!r} has non-numeric value {value!r}"
     raise BadFeatureValue(
-        f"feature {name!r} has {what}",
-        table=table.kind,
-        row=table.ordinal(row),
-        column=name,
+        message, table=table.kind, row=table.ordinal(row), column=name
     )
 
 

@@ -629,3 +629,115 @@ def test_run_matching_without_numeric_points_exits_with_a_located_error(
     argv = ["run", "--task", "map_matching", "--model", "HMM",
             "--dataset", str(data), "--output_dir", str(out)]
     assert_located_exit_3(argv, out, capsys, message, f"table=dyna, {where}")
+
+
+def test_run_missing_feature_column_exits_with_a_located_error(cli_root, tmp_path, capsys):
+    data = copy_of(cli_root / "flow_p4", tmp_path / "flow_p4")
+    manifest = json.loads((data / "manifest.json").read_text("utf-8"))
+    manifest["features"] = ["flow", "speed"]
+    (data / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    flags = run_flags(cli_root, tmp_path / "out")
+    flags[flags.index("--dataset") + 1] = str(data)
+    assert main(["run", *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: record DynaRecord(dyna_id=")
+    assert "lacks declared feature column 'speed' (table=dyna, row=1, column=speed)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# -- manifest.json is checked --------------------------------------------------------
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "edit, message, column",
+    [
+        ("{", "manifest.json is not JSON", None),
+        ("[]", "manifest must be a JSON object", None),
+        ({"name": None}, "manifest lacks the dataset name", "name"),
+        ({"interval_seconds": "abc"}, "interval_seconds must be an integer or null",
+         "interval_seconds"),
+        ({"interval_seconds": 0.5}, "interval_seconds must be an integer or null",
+         "interval_seconds"),
+        ({"interval_seconds": -5}, "interval_seconds must not be negative",
+         "interval_seconds"),
+        ({"grid_rows": 2.0}, "grid_rows must be an integer or null", "grid_rows"),
+        ({"grid_cols": True}, "grid_cols must be an integer or null", "grid_cols"),
+        ({"features": "flow"}, "features must be a list of strings or null", "features"),
+        ({"geo_order": ["g0", 1]}, "geo_order must be a list of strings or null",
+         "geo_order"),
+        ({"name": ""}, "name '' is not a plain file name", "name"),
+        ({"name": ".."}, "name '..' is not a plain file name", "name"),
+        ({"name": "a/b"}, "name 'a/b' is not a plain file name", "name"),
+        ({"name": "a\0b"}, "name 'a\\x00b' is not a plain file name", "name"),
+    ],
+    ids=["not_json", "not_an_object", "no_name", "interval_text", "interval_fraction",
+         "interval_negative", "grid_rows_float", "grid_cols_bool", "features_string",
+         "geo_order_int", "name_empty", "name_parent", "name_separator", "name_nul"],
+)
+def test_run_bad_manifest_exits_with_a_located_error(
+    cli_root, tmp_path, capsys, edit, message, column
+):
+    data = copy_of(cli_root / "flow_p4", tmp_path / "flow_p4")
+    path = data / "manifest.json"
+    if isinstance(edit, str):
+        path.write_text(edit, "utf-8")
+    else:
+        manifest = json.loads(path.read_text("utf-8"))
+        manifest.update(edit)
+        if edit.get("name", "") is None:
+            del manifest["name"]
+        path.write_text(json.dumps(manifest), "utf-8")
+    flags = run_flags(cli_root, tmp_path / "out")
+    flags[flags.index("--dataset") + 1] = str(data)
+    where = "table=manifest" if column is None else f"table=manifest, column={column}"
+    assert_located_exit_3(["run", *flags], tmp_path / "out", capsys, message, where)
+
+
+def test_manifest_name_cannot_reach_outside_the_dataset(cli_root, tmp_path, capsys):
+    # Unchecked, this name reads tables/x.* two levels above the dataset and
+    # writes tables/x_matched.dyna beside the output directory.
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    (tmp_path / "a").mkdir()
+    for p in (cli_root / "traces").iterdir():
+        if p.name != "manifest.json":
+            (tables / p.name.replace("traces", "x")).write_bytes(p.read_bytes())
+    data = copy_of(cli_root / "traces", tmp_path / "a" / "traces")
+    manifest = json.loads((data / "manifest.json").read_text("utf-8"))
+    manifest["name"] = "../../tables/x"
+    (data / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    before = files_under(tmp_path)
+    out = tmp_path / "out"
+    argv = ["run", "--task", "map_matching", "--model", "HMM",
+            "--dataset", str(data), "--output_dir", str(out)]
+    assert_located_exit_3(
+        argv, out, capsys, "name '../../tables/x' is not a plain file name",
+        "table=manifest, column=name",
+    )
+    assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"interval_seconds": 0}, {"interval_seconds": None}, {"features": None},
+     {"features": []}, {"geo_order": []}, {"geo_order": None}],
+    ids=["interval_zero", "interval_null", "features_null", "features_empty",
+         "geo_order_empty", "geo_order_null"],
+)
+def test_manifest_defaults_give_the_same_run(cli_root, tmp_path, capsys, edit):
+    """0 or null interval_seconds is inferred; a null or empty list is unset."""
+    data = copy_of(cli_root / "flow_p4", tmp_path / "flow_p4")
+    manifest = json.loads((data / "manifest.json").read_text("utf-8"))
+    manifest.update(edit)
+    (data / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    flags = run_flags(cli_root, tmp_path / "edited")
+    flags[flags.index("--dataset") + 1] = str(data)
+    assert main(["run", *flags]) == 0
+    assert main(["run", *run_flags(cli_root, tmp_path / "plain")]) == 0
+    (edited,), (plain,) = (list((tmp_path / d).iterdir()) for d in ("edited", "plain"))
+    assert (edited / "metrics.json").read_bytes() == (plain / "metrics.json").read_bytes()
