@@ -1,6 +1,7 @@
 """Atomic tables end to end: build records, write CSV bytes, parse back,
 validate a whole dataset, and watch the validator catch a planted fault."""
 
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from stkit.atomic import (
@@ -46,9 +47,10 @@ ds = AtomicDataset(
 report = validate_dataset(ds)
 print("\nclean dataset:", report.summary())
 
-# Plant a dangling reference and validate again.
-ds.rel.append(RelationRecord("r1", "geo", "s1", "s99", {}))
-report = validate_dataset(ds)
+# Plant a dangling reference and validate again. A dataset holds its tables
+# as read-only columns, so a changed copy is made with replace.
+broken = replace(ds, rel=[*ds.rel, RelationRecord("r1", "geo", "s1", "s99", {})])
+report = validate_dataset(broken)
 print("after planting a dangling link:", report.summary())
 for finding in report.findings:
     print(" ", finding)

@@ -17,7 +17,7 @@ ds = generate_synthetic(
     "graph_flow", {"n_nodes": 4, "n_slots": 240, "period": 24}, seed=0
 ).dataset
 
-axis = build_time_axis(ds.dyna, ds.manifest.interval_seconds)
+axis = build_time_axis(ds.dyna.field("time").present(), ds.manifest.interval_seconds)
 geo_order = [g.geo_id for g in ds.geo]
 tensor, mask = dyna_to_graph_tensor(ds.dyna, geo_order, axis, features=("flow",))
 print("tensor layout:", tensor.layout, "shape:", tensor.shape)  # [T, N, F]

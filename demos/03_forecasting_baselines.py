@@ -14,7 +14,7 @@ ds = generate_synthetic(
     {"n_nodes": 5, "n_slots": 288, "period": 48, "missing_rate": 0.05},
     seed=1,
 ).dataset
-axis = build_time_axis(ds.dyna, ds.manifest.interval_seconds)
+axis = build_time_axis(ds.dyna.field("time").present(), ds.manifest.interval_seconds)
 geo_order = [g.geo_id for g in ds.geo]
 tensor, mask = dyna_to_graph_tensor(ds.dyna, geo_order, axis, features=("flow",))
 

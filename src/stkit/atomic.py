@@ -33,6 +33,9 @@ that do not themselves look numeric).
 :func:`read_table` reads a table as dictionary-encoded columns into a
 :class:`Table`, which keeps only those columns and builds a record each time
 one is asked for; :func:`parse_table` returns the records as a list.
+:func:`write_table` writes a table from its columns; it takes a ``Table``
+or a record list, which :meth:`Table.from_records` puts behind the same
+columns.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import IO, Iterable, NamedTuple, Union
 
 import numpy as np
@@ -741,46 +744,49 @@ def parse_table(kind: str, source: Union[bytes, str, IO]) -> list:
 
 
 def write_table(kind: str, records: Iterable) -> bytes:
-    """Serialize records of one kind to CSV bytes, one row at a time.
+    """Serialize a :class:`Table` of one kind, or a record list put behind the
+    same columns, to CSV bytes.
 
-    The mandatory cells are the record attributes the reader decodes. The
-    property header is taken from the first record's key order; every
-    record must carry the same property keys. Trajectory tables gain a
-    ``location`` column only when at least one record has a location.
+    The mandatory cells are the record attributes the reader decodes, and
+    the property header is the table's ``prop_names``: for a record list,
+    the keys in order of first appearance. Every row must carry every
+    property. Trajectory tables gain a ``location`` column only when at
+    least one row has a location. Each column's cells are formatted once
+    per code and gathered by the codes.
     ``parse_table(kind, write_table(kind, records))`` reproduces the records.
     """
     if kind not in MANDATORY_COLUMNS:
         raise ValueError(f"unknown table kind {kind!r}")
-    records = list(records)
+    table = as_table(kind, records)
     header, attrs = list(MANDATORY_COLUMNS[kind]), _ATTRS[kind]
     if kind == "dyna":
-        if any(r.location is not None for r in records):
+        if table.field("location").flags(lambda v: v is not None).any():
             header.append(_LOCATION_COLUMN)
         else:
             attrs = attrs[:-1]
-    prop_names = tuple(records[0].properties) if records else ()
-    header.extend(prop_names)
-    cells_of = attrgetter(*attrs, "properties")
-    at_time = attrs.index("time") if "time" in attrs else None
-    stamps: dict[datetime, str] = {}  # each distinct timestamp is formatted once
+    header.extend(table.prop_names)
+    columns = [table.field(a) for a in attrs]
+    if "time" in attrs:
+        at = attrs.index("time")
+        times = columns[at].values
+        # Equal instants format alike, so each distinct one is formatted once.
+        stamps = {t: format_timestamp(t) for t in set(times)}
+        columns[at] = Column(columns[at].codes, list(map(stamps.__getitem__, times)))
+    if kind == "geo":  # a coordinates cell depends on the row's type too
+        shapes = map(_format_coordinates, columns[1].tolist(), columns[2].tolist())
+        columns[2] = Column(np.arange(len(table)), list(shapes))
+    for name in table.prop_names:
+        column = table.prop(name)
+        missing = column.flags(lambda v: v is _MISSING)
+        if missing.any():
+            raise ValueError(
+                f"every row must carry property {name!r}; "
+                f"row {table.ordinal(int(np.argmax(missing)))} lacks it"
+            )
+        columns.append(Column(column.codes, list(map(_scalar_to_cell, column.values))))
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for record in records:
-        *cells, properties = cells_of(record)
-        if tuple(properties) != prop_names:
-            raise ValueError(
-                f"all records must share property keys {prop_names}, "
-                f"got {tuple(properties)}"
-            )
-        if at_time is not None:
-            time = cells[at_time]
-            if time not in stamps:
-                stamps[time] = format_timestamp(time)
-            cells[at_time] = stamps[time]
-        if kind == "geo":
-            cells[2] = _format_coordinates(cells[1], cells[2])
-        cells.extend(map(_scalar_to_cell, properties.values()))
-        writer.writerow(cells)
+    writer.writerows(zip(*(c.tolist() for c in columns)))
     return out.getvalue().encode("utf-8")

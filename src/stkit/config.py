@@ -2,8 +2,9 @@
 
 Only a small whitelist of keys may come from command-line flags; everything
 else (model knobs, pipeline thresholds) must come through the JSON config
-file, which may set any key. Each resolved key remembers where its value
-came from.
+file. The file may set any key that has a default, plus the few in
+``FILE_ONLY_KEYS``; any other key is a typo and raises ``BadConfigFile``
+naming it. Each resolved key remembers where its value came from.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Mapping, Union
 
 from .exceptions import BadConfigFile, UnknownCliKey
 
-__all__ = ["CLI_KEYS", "DEFAULTS", "Config", "load_config"]
+__all__ = ["CLI_KEYS", "DEFAULTS", "Config", "check_keys", "load_config"]
 
 # Keys settable directly as command-line flags; all others are file-only.
 CLI_KEYS = (
@@ -75,6 +76,19 @@ DEFAULTS: dict = {
 }
 
 
+# Keys a config file may set that have no default: the raw-CSV mapping that
+# only ``stkit convert`` reads.
+FILE_ONLY_KEYS = ("conversion",)
+
+
+def check_keys(keys, known, where: str) -> None:
+    """Raise BadConfigFile naming the first of ``keys`` that is neither in
+    ``known`` nor in FILE_ONLY_KEYS; ``where`` says where the keys came from."""
+    for key in keys:
+        if key not in known and key not in FILE_ONLY_KEYS:
+            raise BadConfigFile(f"unknown {where} key {key!r}")
+
+
 @dataclass
 class Config:
     """Resolved key-value view plus per-key provenance.
@@ -117,7 +131,8 @@ def load_config(
 
     ``cli_args`` may only use whitelisted keys (UnknownCliKey otherwise) and
     None values there mean "not given". ``file_values`` is either a mapping
-    or a path to a JSON object file; file keys are unrestricted. When the
+    or a path to a JSON object file whose keys must be in the defaults or
+    in FILE_ONLY_KEYS (BadConfigFile names the first that is not). When the
     cli layer names a config_file and no explicit ``file_values`` is passed,
     that file is loaded as the middle layer.
     """
@@ -135,9 +150,11 @@ def load_config(
     if isinstance(file_values, (str, Path)):
         file_values = _read_config_file(file_values)
     file_values = dict(file_values or {})
+    defaults = dict(defaults if defaults is not None else DEFAULTS)
+    check_keys(file_values, defaults, "config file")
 
     merged = Config()
-    for key, value in dict(defaults if defaults is not None else DEFAULTS).items():
+    for key, value in defaults.items():
         merged.values[key] = value
         merged.provenance[key] = "default"
     for key, value in file_values.items():

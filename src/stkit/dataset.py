@@ -29,7 +29,6 @@ from .atomic import (
     Scalar,
     Table,
     UserUnit,
-    as_table,
     format_timestamp,
     repeats,
     parse_timestamp,
@@ -126,26 +125,34 @@ class Manifest:
         return payload
 
 
-@dataclass
+@dataclass(frozen=True)
 class AtomicDataset:
     """All tables of one dataset plus its manifest, held in memory.
 
-    Each table is a record list or, as :func:`load_dataset` gives it, a
-    :class:`~stkit.atomic.Table` that keeps only columns and builds a record
-    each time one is asked for.
+    Every table is a :class:`~stkit.atomic.Table`, which keeps only columns
+    and builds a record each time one is asked for. A record list given
+    here is put behind columns once, by :meth:`Table.from_records`. The
+    dataset cannot be assigned to: ``dataclasses.replace(ds, rel=[...])``
+    gives a changed copy.
     """
 
     manifest: Manifest
-    geo: list | Table = field(default_factory=list)
-    usr: list | Table = field(default_factory=list)
-    rel: list | Table = field(default_factory=list)
-    dyna: list | Table = field(default_factory=list)
-    grid: list | Table = field(default_factory=list)
-    od: list | Table = field(default_factory=list)
-    gridod: list | Table = field(default_factory=list)
-    ext: list | Table = field(default_factory=list)
+    geo: Table = ()
+    usr: Table = ()
+    rel: Table = ()
+    dyna: Table = ()
+    grid: Table = ()
+    od: Table = ()
+    gridod: Table = ()
+    ext: Table = ()
 
-    def tables(self) -> dict[str, list | Table]:
+    def __post_init__(self):
+        for kind in MANDATORY_COLUMNS:
+            rows = getattr(self, kind)
+            if not isinstance(rows, Table):
+                object.__setattr__(self, kind, Table.from_records(kind, rows))
+
+    def tables(self) -> dict[str, Table]:
         """Present (non-empty) tables keyed by kind."""
         return {
             kind: getattr(self, kind)
@@ -157,7 +164,7 @@ class AtomicDataset:
         """Spatial ordering: manifest override, else .geo file row order."""
         if self.manifest.geo_order is not None:
             return self.manifest.geo_order
-        return tuple(as_table("geo", self.geo).field("geo_id").tolist())
+        return tuple(self.geo.field("geo_id").tolist())
 
 
 @dataclass
@@ -201,9 +208,12 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _rows(table: Table, *attrs):
-    """(1-based row, tuple of the named fields) per row, in order."""
-    return enumerate(zip(*(table.field(a).tolist() for a in attrs)), start=1)
+def _pairs(a: Column, b: Column) -> Column:
+    """The column of (a, b) value pairs, one code per distinct pair of codes."""
+    width = len(b.values)
+    distinct, codes = np.unique(a.codes * width + b.codes, return_inverse=True)
+    values = [(a.values[k // width], b.values[k % width]) for k in distinct.tolist()]
+    return Column(codes.reshape(-1), values)
 
 
 def _repeats(column: Column) -> np.ndarray:
@@ -233,85 +243,80 @@ def _emit(out: list[Finding], found: list) -> None:
     out.extend(f[-1] for f in found)
 
 
+def _geometry_fault(geo_type, coordinates) -> str | None:
+    """The shape and range faults of a geometry, joined by "; "; None if it
+    has none or its type is unknown, which is a fault of its own."""
+    if geo_type not in GEO_TYPES:
+        return None
+    fault = _shape_fault(geo_type, coordinates)
+    problems = [] if fault is None else [fault]
+    try:
+        _check_coord_ranges(coordinates)
+    except ValueError as exc:
+        problems.append(str(exc))
+    return "; ".join(problems) or None
+
+
 def _check_geo(ds: AtomicDataset, out: list[Finding]):
-    seen: set[str] = set()
-    geo = as_table("geo", ds.geo)
-    for i, (geo_id, geo_type, coordinates) in _rows(
-        geo, "geo_id", "geo_type", "coordinates"
-    ):
-        if geo_id in seen:
-            out.append(Finding("error", "geo", i, f"duplicate geo_id {geo_id!r}"))
-            continue
-        seen.add(geo_id)
-        if geo_type not in GEO_TYPES:
-            out.append(Finding("error", "geo", i, f"unknown geo type {geo_type!r}"))
-            continue
-        fault = _shape_fault(geo_type, coordinates)
-        problems = [] if fault is None else [fault]
-        try:
-            _check_coord_ranges(coordinates)
-        except ValueError as exc:
-            problems.append(str(exc))
-        if problems:
-            out.append(Finding("error", "geo", i, "; ".join(problems)))
+    ids, types = ds.geo.field("geo_id"), ds.geo.field("geo_type")
+    found: list = []
+    repeat = _repeats(ids)
+    _found(found, "geo", repeat, 0, "error", "duplicate geo_id {!r}", ids)
+    bad_type = ~repeat & ~types.flags(lambda v: v in GEO_TYPES)
+    _found(found, "geo", bad_type, 0, "error", "unknown geo type {!r}", types)
+    shapes = _pairs(types, ds.geo.field("coordinates"))
+    faults = Column(shapes.codes, [_geometry_fault(*shape) for shape in shapes.values])
+    bad_shape = ~repeat & faults.flags(lambda v: v is not None)
+    _found(found, "geo", bad_shape, 0, "error", "{}", faults)
+    _emit(out, found)
 
 
 def _check_usr(ds: AtomicDataset, out: list[Finding]):
-    seen: set[str] = set()
-    for i, (usr_id,) in _rows(as_table("usr", ds.usr), "usr_id"):
-        if usr_id in seen:
-            out.append(Finding("error", "usr", i, f"duplicate usr_id {usr_id!r}"))
-        seen.add(usr_id)
+    ids = ds.usr.field("usr_id")
+    found: list = []
+    _found(found, "usr", _repeats(ids), 0, "error", "duplicate usr_id {!r}", ids)
+    _emit(out, found)
+
+
+# Per end of a relation: its column and, per relation type, the table it names.
+_REL_ENDS = (
+    ("origin_id", {"geo": "geo", "usr": "usr", "usr2geo": "usr"}),
+    ("des_id", {"geo": "geo", "usr": "usr", "usr2geo": "geo"}),
+)
 
 
 def _check_rel(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
-    seen: set[str] = set()
-    missing_side_warned: set[str] = set()
-    rel = as_table("rel", ds.rel)
-    for i, (rel_id, rel_type, origin_id, des_id) in _rows(
-        rel, "rel_id", "rel_type", "origin_id", "des_id"
-    ):
-        if rel_id in seen:
-            out.append(Finding("error", "rel", i, f"duplicate rel_id {rel_id!r}"))
-            continue
-        seen.add(rel_id)
-        if rel_type not in REL_TYPES:
-            out.append(
-                Finding("error", "rel", i, f"unknown relation type {rel_type!r}")
-            )
-            continue
-        origin_pool = usr_ids if rel_type in ("usr", "usr2geo") else geo_ids
-        des_pool = geo_ids if rel_type in ("geo", "usr2geo") else usr_ids
-        for side, value, pool, pool_name in (
-            ("origin_id", origin_id, origin_pool, "usr" if rel_type in ("usr", "usr2geo") else "geo"),
-            ("des_id", des_id, des_pool, "geo" if rel_type in ("geo", "usr2geo") else "usr"),
-        ):
+    ids, types = ds.rel.field("rel_id"), ds.rel.field("rel_type")
+    found: list = []
+    repeat = _repeats(ids)
+    _found(found, "rel", repeat, 0, "error", "duplicate rel_id {!r}", ids)
+    bad_type = ~repeat & ~types.flags(lambda v: v in REL_TYPES)
+    _found(found, "rel", bad_type, 0, "error", "unknown relation type {!r}", types)
+    # A warning about an absent table is given once, where its first end is.
+    absent: dict[str, tuple[int, int]] = {}
+    for rank, (side, tables) in enumerate(_REL_ENDS):
+        column = ds.rel.field(side)
+        for name, pool in (("geo", geo_ids), ("usr", usr_ids)):
+            rows = ~repeat & types.flags(lambda v: tables.get(v) == name)
             if pool is None:
-                if pool_name not in missing_side_warned:
-                    missing_side_warned.add(pool_name)
-                    out.append(
-                        Finding(
-                            "warning",
-                            "rel",
-                            None,
-                            f"referenced .{pool_name} table absent; endpoints unresolvable",
-                        )
-                    )
-            elif value not in pool:
-                out.append(
-                    Finding(
-                        "error",
-                        "rel",
-                        i,
-                        f"{side} {value!r} not found in .{pool_name}",
-                    )
-                )
+                if rows.any():
+                    first = (int(np.argmax(rows)), rank)
+                    absent[name] = min(absent.get(name, first), first)
+            else:
+                dangling = rows & ~column.flags(lambda v: v in pool)
+                message = f"{side} {{!r}} not found in .{name}"
+                _found(found, "rel", dangling, rank, "error", message, column)
+    warning = "referenced .{} table absent; endpoints unresolvable"
+    _emit(out, [
+        (*first, Finding("warning", "rel", None, warning.format(name)))
+        for name, first in absent.items()
+    ])
+    _emit(out, found)
 
 
 def _check_dyna(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
-    dyna = as_table("dyna", ds.dyna)
-    ids, types, entities, locations, times = (
-        dyna.field(a) for a in ("dyna_id", "dyna_type", "entity_id", "location", "time")
+    ids, types, entities, locations, times = map(
+        ds.dyna.field, ("dyna_id", "dyna_type", "entity_id", "location", "time")
     )
     found: list = []
     repeat = _repeats(ids)
@@ -363,41 +368,34 @@ def _check_dyna(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
     _emit(out, found)
 
 
+# Per grid-indexed kind: its index columns, each with the manifest key that
+# bounds it.
+_GRID_INDEXES = {
+    "grid": (("row_id", "grid_rows"), ("col_id", "grid_cols")),
+    "gridod": (
+        ("origin_row_id", "grid_rows"), ("origin_col_id", "grid_cols"),
+        ("des_row_id", "grid_rows"), ("des_col_id", "grid_cols"),
+    ),
+}
+
+
 def _check_grid_like(ds: AtomicDataset, out: list[Finding]):
-    rows, cols = ds.manifest.grid_rows, ds.manifest.grid_cols
-    for kind, index_fields in (
-        ("grid", (("row_id", "grid_rows"), ("col_id", "grid_cols"))),
-        (
-            "gridod",
-            (
-                ("origin_row_id", "grid_rows"),
-                ("origin_col_id", "grid_cols"),
-                ("des_row_id", "grid_rows"),
-                ("des_col_id", "grid_cols"),
-            ),
-        ),
-    ):
-        table = as_table(kind, getattr(ds, kind))
-        if not len(table):
+    for kind, index_fields in _GRID_INDEXES.items():
+        table = getattr(ds, kind)
+        if not table:
             continue
-        if rows is None or cols is None:
-            out.append(
-                Finding(
-                    "error",
-                    kind,
-                    None,
-                    "manifest lacks grid_rows/grid_cols but grid-indexed rows exist",
-                )
-            )
+        bounds = [
+            (attr, table.field(attr), getattr(ds.manifest, key))
+            for attr, key in index_fields
+        ]
+        if any(bound is None for *_, bound in bounds):
+            message = "manifest lacks grid_rows/grid_cols but grid-indexed rows exist"
+            out.append(Finding("error", kind, None, message))
             continue
         ids = table.field("dyna_id")
         found: list = []
         repeat = _repeats(ids)
         _found(found, kind, repeat, 0, "error", "duplicate dyna_id {!r}", ids)
-        bounds = [
-            (attr, table.field(attr), rows if bound_name == "grid_rows" else cols)
-            for attr, bound_name in index_fields
-        ]
         outside = np.zeros(len(table), dtype=bool)
         for _, column, bound in bounds:
             outside |= column.flags(lambda v: not 0 <= v < bound)
@@ -414,24 +412,17 @@ def _check_grid_like(ds: AtomicDataset, out: list[Finding]):
 
 
 def _check_od(ds: AtomicDataset, out: list[Finding], geo_ids):
-    od = as_table("od", ds.od)
-    ids = od.field("dyna_id")
+    ids = ds.od.field("dyna_id")
     found: list = []
     repeat = _repeats(ids)
     _found(found, "od", repeat, 0, "error", "duplicate dyna_id {!r}", ids)
     if geo_ids is None:
-        if len(od):
-            out.append(
-                Finding(
-                    "warning",
-                    "od",
-                    None,
-                    ".geo table absent; origin/destination unresolvable",
-                )
-            )
+        if ds.od:
+            message = ".geo table absent; origin/destination unresolvable"
+            out.append(Finding("warning", "od", None, message))
     else:
         for rank, side in enumerate(("origin_id", "des_id")):
-            column = od.field(side)
+            column = ds.od.field(side)
             dangling = ~repeat & ~column.flags(lambda v: v in geo_ids)
             message = side + " {!r} not in .geo"
             _found(found, "od", dangling, rank, "error", message, column)
@@ -439,18 +430,15 @@ def _check_od(ds: AtomicDataset, out: list[Finding], geo_ids):
 
 
 def _check_ext(ds: AtomicDataset, out: list[Finding]):
-    seen: set = set()
-    for i, key in _rows(as_table("ext", ds.ext), "ext_id", "time"):
-        if key in seen:
-            out.append(
-                Finding(
-                    "error",
-                    "ext",
-                    i,
-                    f"duplicate (ext_id, time) pair {key[0]!r} @ {key[1].isoformat()}",
-                )
-            )
-        seen.add(key)
+    keys = _pairs(ds.ext.field("ext_id"), ds.ext.field("time"))
+
+    def message(i):
+        ext_id, time = keys.at(i)
+        return f"duplicate (ext_id, time) pair {ext_id!r} @ {time.isoformat()}"
+
+    found: list = []
+    _found(found, "ext", _repeats(keys), 0, "error", message)
+    _emit(out, found)
 
 
 def validate_dataset(ds: AtomicDataset) -> ValidationReport:
@@ -463,8 +451,8 @@ def validate_dataset(ds: AtomicDataset) -> ValidationReport:
     survivable). Findings come out in table order, then row order.
     """
     out: list[Finding] = []
-    geo_ids = set(as_table("geo", ds.geo).field("geo_id").tolist()) if ds.geo else None
-    usr_ids = set(as_table("usr", ds.usr).field("usr_id").tolist()) if ds.usr else None
+    geo_ids = set(ds.geo.field("geo_id").tolist()) if ds.geo else None
+    usr_ids = set(ds.usr.field("usr_id").tolist()) if ds.usr else None
     _check_geo(ds, out)
     _check_usr(ds, out)
     _check_rel(ds, out, geo_ids, usr_ids)
@@ -493,11 +481,12 @@ def load_dataset(path: Union[str, Path], validate: bool = True) -> AtomicDataset
     except ValueError as exc:  # not UTF-8, or not JSON
         raise BadManifest(f"manifest.json is not JSON: {exc}", table="manifest") from None
     manifest = Manifest.from_json(payload)
-    ds = AtomicDataset(manifest=manifest)
-    for kind in MANDATORY_COLUMNS:
-        table_path = root / f"{manifest.name}.{kind}"
-        if table_path.is_file():
-            setattr(ds, kind, read_table(kind, table_path.read_bytes()))
+    paths = {kind: root / f"{manifest.name}.{kind}" for kind in MANDATORY_COLUMNS}
+    ds = AtomicDataset(manifest, **{
+        kind: read_table(kind, path.read_bytes())
+        for kind, path in paths.items()
+        if path.is_file()
+    })
     if validate:
         report = validate_dataset(ds)
         if not report.ok:
@@ -590,9 +579,7 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
     lon_i = col_index.get(spec.lon_column) if spec.lon_column else None
     from .atomic import _coerce_scalar
 
-    ds = AtomicDataset(
-        manifest=Manifest(name=spec.name, features=tuple(spec.property_columns))
-    )
+    geo, usr, dyna = [], [], []
     if spec.target == "state":
         entity_coord: dict[str, tuple[float, float] | None] = {}
         for n, row in enumerate(rows[1:]):
@@ -606,11 +593,9 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
             props: dict[str, Scalar] = {
                 c: _coerce_scalar(row[col_index[c]]) for c in spec.property_columns
             }
-            ds.dyna.append(DynaRecord(f"d{n}", "state", time, entity, None, props))
+            dyna.append(DynaRecord(f"d{n}", "state", time, entity, None, props))
         for entity, coord in entity_coord.items():
-            ds.geo.append(
-                GeoUnit(entity, "Point", (coord if coord else (0.0, 0.0),), {})
-            )
+            geo.append(GeoUnit(entity, "Point", (coord if coord else (0.0, 0.0),), {}))
     else:
         point_ids: dict[tuple[float, float], str] = {}
         users: dict[str, None] = {}
@@ -621,12 +606,11 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
             coord = (float(row[lon_i]), float(row[lat_i]))
             point = point_ids.setdefault(coord, f"p{len(point_ids)}")
             props = {c: _coerce_scalar(row[col_index[c]]) for c in spec.property_columns}
-            ds.dyna.append(DynaRecord(f"d{n}", "trajectory", time, user, point, props))
-        for coord, pid in point_ids.items():
-            ds.geo.append(GeoUnit(pid, "Point", (coord,), {}))
-        for user in users:
-            ds.usr.append(UserUnit(user, {}))
-    return ds
+            dyna.append(DynaRecord(f"d{n}", "trajectory", time, user, point, props))
+        geo = [GeoUnit(pid, "Point", (coord,), {}) for coord, pid in point_ids.items()]
+        usr = [UserUnit(user, {}) for user in users]
+    manifest = Manifest(name=spec.name, features=tuple(spec.property_columns))
+    return AtomicDataset(manifest, geo=geo, usr=usr, dyna=dyna)
 
 
 def dataset_stats(ds: AtomicDataset) -> dict:
@@ -636,7 +620,7 @@ def dataset_stats(ds: AtomicDataset) -> dict:
     for kind, rows in ds.tables().items():
         stats["tables"][kind] = len(rows)
         if kind in ("dyna", "grid", "od", "gridod", "ext"):
-            times.extend(as_table(kind, rows).field("time").present())
+            times.extend(rows.field("time").present())
     if times:
         stats["time_min"] = format_timestamp(min(times))
         stats["time_max"] = format_timestamp(max(times))

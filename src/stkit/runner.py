@@ -22,9 +22,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .atomic import _MISSING, as_table
+from .atomic import _MISSING, DynaRecord, Table, write_table
 from .baselines import HAModel, PersistenceModel, VARModel, ha_fit, var_fit
-from .config import Config
+from .config import Config, check_keys
 from .dataset import (
     AtomicDataset,
     RawConversionSpec,
@@ -244,14 +244,13 @@ def _prepare_traffic_state(
 ) -> tuple[STTensor, MaskTensor]:
     """The dense tensor and mask of the first of state rows, grid or od that
     the dataset has, both read-only. Works on columns; builds no records."""
-    dyna = as_table("dyna", ds.dyna)
-    state = dyna.field("dyna_type").flags(lambda t: t == "state")
+    state = ds.dyna.field("dyna_type").flags(lambda t: t == "state")
     if state.any():
-        layout, table = "graph", dyna.select(state)
+        layout, table = "graph", ds.dyna.select(state)
     elif ds.grid:
-        layout, table = "grid", as_table("grid", ds.grid)
+        layout, table = "grid", ds.grid
     elif ds.od:
-        layout, table = "od", as_table("od", ds.od)
+        layout, table = "od", ds.od
     else:
         raise EmptyTable("dataset has no state, grid, or od table to forecast")
 
@@ -402,6 +401,11 @@ def _coordinate_fault(value) -> str | None:
     return None
 
 
+def _trajectory_rows(ds: AtomicDataset) -> Table:
+    """The dyna rows of type trajectory, in file order."""
+    return ds.dyna.select(ds.dyna.field("dyna_type").flags(lambda t: t == "trajectory"))
+
+
 def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
     """The road network with its route table, the dataset, its trajectories
     and the truth routes beside it, if any.
@@ -411,8 +415,7 @@ def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
     run on the prepared inputs shares it. Every trajectory row needs numeric
     lon and lat properties.
     """
-    dyna = as_table("dyna", ds.dyna)
-    traj = dyna.select(dyna.field("dyna_type").flags(lambda t: t == "trajectory"))
+    traj = _trajectory_rows(ds)
     if not len(traj):
         raise EmptyTable("dataset has no trajectory rows to match")
     faults = []
@@ -446,7 +449,7 @@ def _run_map_matching(cfg: Config, inputs) -> tuple[dict, dict]:
     network = network.indexed(params.radius_m)
     lengths = network.segment_lengths()
     per_traj: dict = {}
-    matched_rows = []
+    matched_rows: list[DynaRecord] = []
     pooled = {"d_true": 0.0, "d_subtracted": 0.0, "d_added": 0.0, "d_correct": 0.0}
     pooled_counts = {"n_correct": 0, "n_true": 0}
     n_points = 0
@@ -458,14 +461,10 @@ def _run_map_matching(cfg: Config, inputs) -> tuple[dict, dict]:
         n_matched += sum(1 for m in result.matched if m is not None)
         n_breaks += len(result.breaks)
         for p, m in zip(traj.points, result.matched):
-            matched_rows.append(
-                {
-                    "entity_id": traj.user_id,
-                    "time": p.time,
-                    "location": m.segment_id if m else None,
-                    "properties": dict(p.properties),
-                }
-            )
+            matched_rows.append(DynaRecord(
+                f"m{len(matched_rows)}", "trajectory", p.time, traj.user_id,
+                m.segment_id if m else None, dict(p.properties),
+            ))
         entry: dict = {
             "n_points": len(traj.points),
             "n_breaks": len(result.breaks),
@@ -499,12 +498,12 @@ def _run_map_matching(cfg: Config, inputs) -> tuple[dict, dict]:
 
 def _prepare_ranking(ds: AtomicDataset, ds_dir: Path) -> tuple[Trajectory, ...]:
     """The dataset's trajectories."""
-    traj_rows = [d for d in ds.dyna if d.dyna_type == "trajectory"]
-    if not traj_rows:
+    traj = _trajectory_rows(ds)
+    if not len(traj):
         raise EmptyTable("dataset has no trajectory rows to rank over")
-    if all(r.location is None for r in traj_rows):
+    if not traj.field("location").flags(lambda v: v is not None).any():
         raise EmptyTable("ranking needs trajectory rows with location ids")
-    return tuple(build_trajectories(traj_rows))
+    return tuple(build_trajectories(traj))
 
 
 def _run_ranking(cfg: Config, trajectories: tuple[Trajectory, ...]) -> tuple[dict, dict]:
@@ -652,7 +651,8 @@ def _write_run(
     if "predictions" in extras:
         _write_predictions(out_dir / "predictions.npz", *extras["predictions"])
     if "matched_rows" in extras:
-        _write_matched_table(out_dir, extras["dataset"], extras["matched_rows"])
+        name = f"{extras['dataset'].manifest.name}_matched.dyna"
+        (out_dir / name).write_bytes(write_table("dyna", extras["matched_rows"]))
     record.wall_time_s = time.perf_counter() - started
     (out_dir / "run.json").write_text(
         json.dumps(
@@ -671,26 +671,6 @@ def _write_run(
         )
         + "\n",
         "utf-8",
-    )
-
-
-def _write_matched_table(out_dir: Path, ds: AtomicDataset, rows: list[dict]) -> None:
-    from .atomic import DynaRecord, write_table
-
-    records = []
-    for n, row in enumerate(rows):
-        records.append(
-            DynaRecord(
-                f"m{n}",
-                "trajectory",
-                row["time"],
-                row["entity_id"],
-                row["location"],
-                row["properties"],
-            )
-        )
-    (out_dir / f"{ds.manifest.name}_matched.dyna").write_bytes(
-        write_table("dyna", records)
     )
 
 
@@ -735,6 +715,7 @@ def cmd_tune(cfg: Config):
         raise BadConfigFile(f"space file {space_path}: {exc}") from None
     if not isinstance(payload, dict):
         raise BadConfigFile(f"space file {space_path} must hold a JSON object")
+    check_keys(payload, cfg.values, "search space")
     try:
         space = parse_space(payload)
     except ValueError as exc:

@@ -1,8 +1,9 @@
 """Turn validated tables into dense tensors, masks, and graph structures.
 
-The tensorize functions take a :class:`~stkit.atomic.Table` or a record
-list, which is put behind the same columns, and scatter rows from their
-codes: each distinct cell value is looked up or converted once.
+The four ``*_to_tensor`` functions take a :class:`~stkit.atomic.Table`, as
+an :class:`~stkit.dataset.AtomicDataset` holds it, or a record list, which
+is put behind the same columns. They scatter rows from the columns' codes:
+each distinct cell value is looked up or converted once.
 
 All dynamic tensors share the convention: axis 0 is time (slot index on a
 fixed-interval axis), spatial axes follow, features come last. Unobserved
@@ -92,22 +93,19 @@ class TimeAxis:
         return seconds / 86400.0
 
 
-def build_time_axis(records: Iterable, interval: int) -> TimeAxis:
-    """Derive the axis covering all record times at the given interval.
+def build_time_axis(stamps: Iterable[datetime], interval: int) -> TimeAxis:
+    """Derive the axis covering all timestamps at the given interval.
 
     The axis starts at the earliest time floored onto the epoch-anchored
-    interval grid. Every record must then land exactly on a slot boundary;
-    the first off-grid record raises NonAlignedTimestamp.
+    interval grid. Every timestamp must then land exactly on a slot
+    boundary; the first off-grid one raises NonAlignedTimestamp. A table's
+    distinct timestamps are ``table.field("time").present()``.
     """
     if interval <= 0:
         raise ValueError("interval must be positive seconds")
-    # Distinct times in order of first appearance; datetime has a .time()
-    # method, so the isinstance check must win.
-    times = dict.fromkeys(
-        rec if isinstance(rec, datetime) else rec.time for rec in records
-    )
+    times = dict.fromkeys(stamps)  # distinct, in order of first appearance
     if not times:
-        raise EmptyTable("cannot build a time axis from zero records")
+        raise EmptyTable("cannot build a time axis from zero timestamps")
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
     first = min(times)
     offset = int((first - epoch).total_seconds())

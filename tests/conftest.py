@@ -6,10 +6,13 @@ String properties must not look like ints or finite floats, floats must be
 finite, and empty strings are excluded (they read back as None).
 """
 
+import copy
 import random
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 from stkit.atomic import (
+    TABLE_KINDS,
     DynaRecord,
     ExtRecord,
     GeoUnit,
@@ -301,13 +304,7 @@ def clean_dataset():
     )
 
 
-def _copy_dataset(ds):
-    import copy
-
-    return copy.deepcopy(ds)
-
-
-# Fault catalog: name -> (inject(ds), expected (table, message fragment)).
+# Fault catalog: name -> (inject(tables), expected (table, message fragment)).
 # Every fault produces exactly one error finding; injectors touch disjoint
 # rows so any subset can be applied to one clean dataset copy.
 
@@ -437,14 +434,21 @@ FAULTS = {
 
 
 def inject_faults(ds, names):
-    """Apply the named faults to a deep copy; returns (copy, expected list)."""
-    mutated = _copy_dataset(ds)
+    """Apply the named faults to a copy; returns (copy, expected list).
+
+    The injectors change a namespace that holds each table as a list of
+    records built afresh from ``ds``; the copy is one AtomicDataset of them.
+    """
+    tables = SimpleNamespace(
+        manifest=copy.deepcopy(ds.manifest),
+        **{kind: list(getattr(ds, kind)) for kind in TABLE_KINDS},
+    )
     expected = []
     for name in names:
         inject, fingerprint = FAULTS[name]
-        inject(mutated)
+        inject(tables)
         expected.append(fingerprint)
-    return mutated, expected
+    return AtomicDataset(**vars(tables)), expected
 
 
 def seeded_fault_subset(seed):

@@ -93,6 +93,31 @@ def test_run_success(cli_root, tmp_path, capsys):
     assert (run_dirs[0] / "metrics.json").is_file()
 
 
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_unknown_config_keys_exit_3_naming_the_key(cli_root, tmp_path, capsys, command):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"input_window": 4, "var_ordr": 3}), "utf-8")
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"ha_period": {"values": [4]}}), "utf-8")
+    flags = [
+        "--task", "traffic_state_pred", "--model", "HA",
+        "--dataset", str(cli_root / "flow_p4"), "--output_dir", str(tmp_path / "runs"),
+        "--config_file", str(cfg),
+        *(["--space_file", str(space)] if command == "tune" else []),
+    ]
+    assert main([command, *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config file key 'var_ordr'")
+    assert "Traceback" not in err
+    # A search-space key is checked the same way.
+    space.write_text(json.dumps({"ha_perod": {"values": [4]}}), "utf-8")
+    cfg.write_text(json.dumps({"input_window": 4, "output_window": 2}), "utf-8")
+    assert main(["tune", *flags[:-2], "--space_file", str(space)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown search space key 'ha_perod'")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_incompatible_pair(cli_root, tmp_path, capsys):
     code = main(
         [
@@ -401,7 +426,7 @@ def test_tune_picks_exact_period(cli_root, tmp_path, capsys):
 
 def test_tune_bad_space(cli_root, tmp_path, capsys):
     space = tmp_path / "space.json"
-    space.write_text(json.dumps({"lr": {"low": 0.1, "high": 1.0}}), "utf-8")
+    space.write_text(json.dumps({"var_ridge": {"low": 0.1, "high": 1.0}}), "utf-8")
     code = main(
         [
             "tune",

@@ -64,10 +64,20 @@ def test_unknown_cli_key_rejected():
         load_config(cli_args={"bogus": 1})
 
 
-def test_file_keys_unrestricted():
-    cfg = load_config(file_values={"custom_knob": [1, 2]})
+def test_unknown_file_keys_rejected(tmp_path):
+    with pytest.raises(BadConfigFile, match="unknown config file key 'custom_knob'"):
+        load_config(file_values={"seed": 1, "custom_knob": [1, 2]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"var_ordr": 3}), "utf-8")
+    with pytest.raises(BadConfigFile, match="unknown config file key 'var_ordr'"):
+        load_config(file_values=path)
+    # Keys with a default, and the file-only ones, pass.
+    cfg = load_config(file_values={"objective": "val.rmse", "conversion": {}})
+    assert cfg["conversion"] == {}
+    assert cfg.provenance["conversion"] == "user_file"
+    # Explicit defaults name the known keys.
+    cfg = load_config(file_values={"custom_knob": [1, 2]}, defaults={"custom_knob": []})
     assert cfg["custom_knob"] == [1, 2]
-    assert cfg.provenance["custom_knob"] == "user_file"
 
 
 def test_config_file_path_loading(tmp_path):

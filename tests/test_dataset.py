@@ -2,19 +2,26 @@
 
 import json
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from conftest import FAULTS, clean_dataset, inject_faults, seeded_fault_subset, ts
 from stkit.atomic import (
     DYNA_TYPES,
+    GEO_TYPES,
+    REL_TYPES,
+    TABLE_KINDS,
     DynaRecord,
+    ExtRecord,
     GeoUnit,
     GridRecord,
     ODRecord,
     RelationRecord,
     Table,
     UserUnit,
+    _check_coord_ranges,
+    _shape_fault,
 )
 from stkit.dataset import (
     AtomicDataset,
@@ -75,8 +82,8 @@ def test_findings_ordered_by_table_then_row():
 
 def test_non_monotone_trajectory_times_warn():
     ds = clean_dataset()
-    ds.dyna.append(DynaRecord("d9", "trajectory", ts(0), "u0", "g0", {"flow": None}))
-    report = validate_dataset(ds)
+    late = DynaRecord("d9", "trajectory", ts(0), "u0", "g0", {"flow": None})
+    report = validate_dataset(replace(ds, dyna=[*ds.dyna, late]))
     assert report.errors == []
     assert len(report.warnings) == 1
     assert "not" in report.warnings[0].message
@@ -85,8 +92,28 @@ def test_non_monotone_trajectory_times_warn():
 
 def test_state_times_not_checked_for_monotonicity():
     ds = clean_dataset()
-    ds.dyna.append(DynaRecord("d9", "state", ts(0), "g1", None, {"flow": 9}))
-    assert validate_dataset(ds).findings == []
+    late = DynaRecord("d9", "state", ts(0), "g1", None, {"flow": 9})
+    assert validate_dataset(replace(ds, dyna=[*ds.dyna, late])).findings == []
+
+
+def test_every_table_of_a_dataset_is_a_table_and_cannot_be_assigned(tmp_path):
+    from_lists = clean_dataset()
+    from_tables = AtomicDataset(
+        from_lists.manifest,
+        **{kind: Table.from_records(kind, getattr(from_lists, kind)) for kind in TABLE_KINDS},
+    )
+    loaded = load_dataset(save_dataset(from_lists, tmp_path / "clean"))
+    changed = replace(from_lists, rel=list(from_lists.rel)[:2])
+    empty = AtomicDataset(Manifest(name="empty"))
+    for ds in (from_lists, from_tables, loaded, changed, empty):
+        for kind in TABLE_KINDS:
+            assert isinstance(getattr(ds, kind), Table), kind
+            with pytest.raises(FrozenInstanceError):
+                setattr(ds, kind, [])
+    assert from_tables == from_lists == loaded
+    assert len(changed.rel) == 2 and len(from_lists.rel) == 5
+    assert changed.geo is from_lists.geo  # replace keeps the other tables
+    assert empty.tables() == {} and len(empty.dyna) == 0
 
 
 def test_absent_referenced_table_warns_once():
@@ -251,9 +278,91 @@ def test_validation_report_render_mentions_counts():
     assert "geo" in text
 
 
-# -- dyna, grid and od checks against the per-record checks they replaced ------------
-# The three functions below are the record-by-record checks validate_dataset
-# ran before it read columns; they pin its findings, order included.
+# -- validate_dataset against the per-record checks it replaced ---------------------
+# The functions below are the record-by-record checks validate_dataset ran
+# before it read columns; they pin its findings, order included.
+
+
+def reference_check_geo(ds: AtomicDataset, out: list[Finding]):
+    seen: set[str] = set()
+    for i, g in enumerate(ds.geo, start=1):
+        if g.geo_id in seen:
+            out.append(Finding("error", "geo", i, f"duplicate geo_id {g.geo_id!r}"))
+            continue
+        seen.add(g.geo_id)
+        if g.geo_type not in GEO_TYPES:
+            out.append(Finding("error", "geo", i, f"unknown geo type {g.geo_type!r}"))
+            continue
+        fault = _shape_fault(g.geo_type, g.coordinates)
+        problems = [] if fault is None else [fault]
+        try:
+            _check_coord_ranges(g.coordinates)
+        except ValueError as exc:
+            problems.append(str(exc))
+        if problems:
+            out.append(Finding("error", "geo", i, "; ".join(problems)))
+
+
+def reference_check_usr(ds: AtomicDataset, out: list[Finding]):
+    seen: set[str] = set()
+    for i, u in enumerate(ds.usr, start=1):
+        if u.usr_id in seen:
+            out.append(Finding("error", "usr", i, f"duplicate usr_id {u.usr_id!r}"))
+        seen.add(u.usr_id)
+
+
+def reference_check_rel(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
+    seen: set[str] = set()
+    missing_side_warned: set[str] = set()
+    for i, r in enumerate(ds.rel, start=1):
+        if r.rel_id in seen:
+            out.append(Finding("error", "rel", i, f"duplicate rel_id {r.rel_id!r}"))
+            continue
+        seen.add(r.rel_id)
+        if r.rel_type not in REL_TYPES:
+            out.append(
+                Finding("error", "rel", i, f"unknown relation type {r.rel_type!r}")
+            )
+            continue
+        origin_usr = r.rel_type in ("usr", "usr2geo")
+        des_geo = r.rel_type in ("geo", "usr2geo")
+        for side, value, pool, pool_name in (
+            ("origin_id", r.origin_id, usr_ids if origin_usr else geo_ids,
+             "usr" if origin_usr else "geo"),
+            ("des_id", r.des_id, geo_ids if des_geo else usr_ids,
+             "geo" if des_geo else "usr"),
+        ):
+            if pool is None:
+                if pool_name not in missing_side_warned:
+                    missing_side_warned.add(pool_name)
+                    out.append(
+                        Finding(
+                            "warning",
+                            "rel",
+                            None,
+                            f"referenced .{pool_name} table absent; endpoints unresolvable",
+                        )
+                    )
+            elif value not in pool:
+                out.append(
+                    Finding("error", "rel", i, f"{side} {value!r} not found in .{pool_name}")
+                )
+
+
+def reference_check_ext(ds: AtomicDataset, out: list[Finding]):
+    seen: set = set()
+    for i, x in enumerate(ds.ext, start=1):
+        key = (x.ext_id, x.time)
+        if key in seen:
+            out.append(
+                Finding(
+                    "error",
+                    "ext",
+                    i,
+                    f"duplicate (ext_id, time) pair {key[0]!r} @ {key[1].isoformat()}",
+                )
+            )
+        seen.add(key)
 
 
 def reference_check_dyna(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
@@ -412,16 +521,20 @@ def reference_check_od(ds: AtomicDataset, out: list[Finding], geo_ids):
                 )
 
 
-REFERENCE_TABLES = ("dyna", "grid", "od", "gridod")  # validate_dataset order
+REFERENCE_TABLES = TABLE_KINDS  # validate_dataset order
 
 
 def reference_findings(ds):
     out = []
     geo_ids = {g.geo_id for g in ds.geo} if ds.geo else None
     usr_ids = {u.usr_id for u in ds.usr} if ds.usr else None
+    reference_check_geo(ds, out)
+    reference_check_usr(ds, out)
+    reference_check_rel(ds, out, geo_ids, usr_ids)
     reference_check_dyna(ds, out, geo_ids, usr_ids)
     reference_check_grid_like(ds, out)
     reference_check_od(ds, out, geo_ids)
+    reference_check_ext(ds, out)
     order = {kind: k for k, kind in enumerate(REFERENCE_TABLES)}
     out.sort(key=lambda f: (order[f.table], f.row if f.row is not None else 0))
     return out
@@ -436,64 +549,100 @@ PARSEABLE_FAULTS = {
 
 
 def perturbed_dataset(seed, parseable=False):
-    """clean_dataset with seeded faults plus random state, trajectory, grid and
-    od rows: dangling ids, unordered stamps, absent tables and, unless the
-    tables must stay parseable, repeated ids and unknown types."""
+    """clean_dataset with seeded faults plus random rows of every kind: dangling
+    ids, unordered stamps, absent tables and, unless the tables must stay
+    parseable, repeated ids, unknown types and malformed geometry. The rows
+    are made as record lists and put into one AtomicDataset."""
     faults = seeded_fault_subset(seed)
     if parseable:
         faults = [f for f in faults if f in PARSEABLE_FAULTS]
-    ds, _ = inject_faults(clean_dataset(), faults)
+    clean, _ = inject_faults(clean_dataset(), faults)
+    tables = {kind: list(getattr(clean, kind)) for kind in TABLE_KINDS}
+    manifest = clean.manifest
     rng = random.Random(seed)
 
     def new_id(prefix, n, taken):
         return f"{prefix}{n + 9}" if parseable else rng.choice([f"{prefix}{n + 9}", taken])
 
-    for n in range(rng.randint(0, 12)):
-        pick = rng.random()
-        if pick < 0.4:
-            ds.dyna.append(DynaRecord(
+    def pick(kinds, odd):
+        return rng.choice(kinds if parseable else kinds + odd)
+
+    def shape():
+        lon, lat = rng.uniform(116.0, 116.5), rng.uniform(39.5, 40.0)
+        if not parseable and rng.random() < 0.5:
+            return rng.choice([
+                ("Point", ((lon, 95.0),)),
+                ("LineString", ((lon, lat),)),
+                ("Polygon", ((lon, lat), (lon, 39.0), (116.6, lat), (lon, 39.1))),
+                ("Polygon", ((lon, lat), (190.0, lat), (lon, lat))),
+            ])
+        return rng.choice([
+            ("Point", ((lon, lat),)),
+            ("LineString", ((lon, lat), (lon, 39.0))),
+        ])
+
+    for n in range(rng.randint(0, 20)):
+        pick_kind = rng.random()
+        if pick_kind < 0.25:
+            tables["dyna"].append(DynaRecord(
                 new_id("t", n, "d3"), "trajectory", ts(rng.randint(0, 9)),
                 rng.choice(["u0", "u1", "nobody"]), rng.choice([None, "g0", "nowhere"]),
                 {"flow": None},
             ))
-        elif pick < 0.6:
-            dyna_type = "state" if parseable else rng.choice(["state", "state", "stream"])
-            ds.dyna.append(DynaRecord(
-                new_id("s", n, "d0"), dyna_type, ts(rng.randint(0, 9)),
-                rng.choice(["g0", "g1", "ghost"]), None, {"flow": 1},
+        elif pick_kind < 0.4:
+            tables["dyna"].append(DynaRecord(
+                new_id("s", n, "d0"), pick(["state"] * 2, ["stream"]),
+                ts(rng.randint(0, 9)), rng.choice(["g0", "g1", "ghost"]), None, {"flow": 1},
             ))
-        elif pick < 0.8:
-            ds.od.append(ODRecord(
+        elif pick_kind < 0.5:
+            tables["od"].append(ODRecord(
                 new_id("o", n, "o0"), "state", ts(rng.randint(0, 9)),
                 rng.choice(["g0", "ghost"]), rng.choice(["g1", "phantom"]), {"demand": 1},
             ))
-        else:
-            ds.grid.append(GridRecord(
+        elif pick_kind < 0.6:
+            tables["grid"].append(GridRecord(
                 new_id("q", n, "q1"), "state", ts(rng.randint(0, 9)),
                 rng.randint(0, 3), rng.randint(0, 3), {"inflow": 1},
             ))
-    if rng.random() < 0.5:
-        rng.shuffle(ds.dyna)
+        elif pick_kind < 0.7:
+            geo_type, coordinates = shape()
+            geo_type = pick([geo_type] * 3, ["Blob"])
+            tables["geo"].append(
+                GeoUnit(new_id("g", n, "g2"), geo_type, coordinates, {"kind": "x"})
+            )
+        elif pick_kind < 0.75:
+            tables["usr"].append(UserUnit(new_id("u", n, "u1"), {}))
+        elif pick_kind < 0.9:
+            tables["rel"].append(RelationRecord(
+                new_id("r", n, "r2"), pick(list(REL_TYPES), ["geo2geo"]),
+                rng.choice(["g0", "u0", "ghost"]), rng.choice(["g1", "u1", "phantom"]),
+                {"weight": 1.0},
+            ))
+        else:
+            tables["ext"].append(ExtRecord(
+                pick([f"x{n}"], ["w0"]), ts(rng.randint(0, 2)), {"temp": 1.0}
+            ))
+    for kind in ("dyna", "rel"):
+        if rng.random() < 0.5:
+            rng.shuffle(tables[kind])
     if rng.random() < 0.3:
-        ds.geo = []
+        tables["geo"] = []
     if rng.random() < 0.3:
-        ds.usr = []
+        tables["usr"] = []
     if rng.random() < 0.2:
-        ds.manifest.grid_rows = None
-    return ds
+        manifest = replace(manifest, grid_rows=None)
+    return AtomicDataset(manifest, **tables)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_dyna_grid_od_findings_match_the_per_record_checks(seed, tmp_path):
+    # The findings of all eight kinds; the name dates from the first three.
     for parseable in (False, True):
         ds = perturbed_dataset(seed, parseable)
-        got = [f for f in validate_dataset(ds).findings if f.table in REFERENCE_TABLES]
-        assert got == reference_findings(ds)
-    # The same findings from the tables read back as columns.
+        assert validate_dataset(ds).findings == reference_findings(ds)
+    # The same findings from the tables read back from files.
     loaded = load_dataset(save_dataset(ds, tmp_path / "ds"), validate=False)
-    assert isinstance(loaded.dyna, Table)
-    got = [f for f in validate_dataset(loaded).findings if f.table in REFERENCE_TABLES]
-    assert got == reference_findings(ds)
+    assert validate_dataset(loaded).findings == reference_findings(ds)
 
 
 def test_absent_table_warnings_follow_their_first_rows():
@@ -507,3 +656,34 @@ def test_absent_table_warnings_follow_their_first_rows():
     got = validate_dataset(ds).findings
     assert got == reference_findings(ds)
     assert [f.message.split()[0] for f in got] == ["trajectory", "location", "state"]
+
+
+def test_absent_table_warnings_follow_their_first_relation_ends():
+    ds = AtomicDataset(
+        manifest=Manifest(name="w"),
+        rel=[
+            RelationRecord("r0", "usr2geo", "u0", "g0", {}),
+            RelationRecord("r1", "geo", "g0", "g1", {}),
+        ],
+    )
+    got = validate_dataset(ds).findings
+    assert got == reference_findings(ds)
+    assert [f.message.split()[1] for f in got] == [".usr", ".geo"]
+
+
+def test_each_geo_row_gets_its_first_fault_only():
+    ds = AtomicDataset(
+        manifest=Manifest(name="g"),
+        geo=[
+            GeoUnit("g0", "Blob", ((200.0, 95.0),), {}),
+            GeoUnit("g0", "Point", ((200.0, 95.0),), {}),
+            GeoUnit("g1", "Polygon", ((0.0, 0.0), (1.0, 95.0), (0.0, 0.0)), {}),
+        ],
+    )
+    got = validate_dataset(ds).findings
+    assert got == reference_findings(ds)
+    assert [f.message for f in got] == [
+        "unknown geo type 'Blob'",
+        "duplicate geo_id 'g0'",
+        "Polygon ring needs at least four points; latitude 95.0 outside [-90, 90]",
+    ]

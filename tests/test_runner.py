@@ -3,6 +3,7 @@
 import json
 import time
 import zipfile
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -902,9 +903,7 @@ def test_columns_and_record_lists_write_the_same_run(
 
     def load_record_lists(path, *args, **kwargs):
         ds = load_dataset(path, *args, **kwargs)
-        for kind, table in ds.tables().items():
-            setattr(ds, kind, list(table))
-        return ds
+        return replace(ds, **{kind: list(table) for kind, table in ds.tables().items()})
 
     monkeypatch.setattr(runner, "load_dataset", load_record_lists)
     records = cmd_run(run_config(data_root, tmp_path / "b", task, model, dataset))

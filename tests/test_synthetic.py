@@ -13,7 +13,7 @@ from stkit.tensorize import build_time_axis, dyna_to_graph_tensor
 
 
 def tensorize_graph(ds):
-    axis = build_time_axis(ds.dyna, ds.manifest.interval_seconds)
+    axis = build_time_axis(ds.dyna.field("time").present(), ds.manifest.interval_seconds)
     return dyna_to_graph_tensor(
         ds.dyna, [g.geo_id for g in ds.geo], axis, ds.manifest.features
     )

@@ -128,6 +128,28 @@ def test_write_table_bytes_equal_the_oracle(generator_kind):
         assert seen == {"Point", "LineString", "Polygon"}
 
 
+def test_values_that_compare_equal_write_as_themselves():
+    # 1 == 1.0 and 0.0 == -0.0, and the large int equals a float: a writer
+    # that cached cells by value would write one of each pair for both.
+    mixed = [1, 1.0, 0.0, -0.0, 2**53 + 1, float(2**53), None, 1.0, -0.0, 1, 2**53]
+    records = [
+        DynaRecord(f"d{i}", "state", ts(i % 3), "g0", None, {"v": v, "n": i})
+        for i, v in enumerate(mixed)
+    ]
+    expected = oracle_write_table("dyna", records)
+    assert write_table("dyna", records) == expected
+    table = Table.from_records("dyna", records)
+    assert write_table("dyna", table) == expected
+    keep = np.arange(len(mixed)) % 3 != 1
+    picked = [r for r, k in zip(records, keep) if k]
+    assert write_table("dyna", table.select(keep)) == oracle_write_table("dyna", picked)
+    cells = [line.split(",")[4] for line in expected.decode().splitlines()[1:]]
+    assert cells == [
+        "1", "1.0", "0.0", "-0.0", "9007199254740993", "9007199254740992.0", "",
+        "1.0", "-0.0", "1", "9007199254740992",
+    ]
+
+
 def test_equal_instants_in_other_offsets_write_as_utc():
     t = ts(3)
     shifted = t.astimezone(timezone(timedelta(hours=5)))  # equal to t, and hashes so

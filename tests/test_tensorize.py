@@ -54,13 +54,6 @@ def test_axis_spans_min_to_max_inclusive():
     assert axis.time_of(2) == dt(0, 10)
 
 
-def test_axis_accepts_records_with_time_attribute():
-    recs = [DynaRecord("d0", "state", dt(1, 0), "g0", None, {})]
-    axis = build_time_axis(recs, 1800)
-    assert axis.start == dt(1, 0)
-    assert axis.length == 1
-
-
 def test_off_grid_record_rejected():
     with pytest.raises(NonAlignedTimestamp):
         build_time_axis([dt(0, 0), dt(0, 7)], 300)
