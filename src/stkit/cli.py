@@ -2,12 +2,14 @@
 
 Subcommands: run, tune, validate, convert, stats, leaderboard. Direct flags
 are limited to the whitelisted keys; everything else goes through the JSON
-config file given by --config_file. Exit codes: 0 success, 2 dataset
-validation failed, 3 configuration problem (unknown flag, bad file,
-incompatible model/task, bad pipeline, model or matcher value, bad search
-space, and any located input error such as a bad table cell or manifest
-key), 4 runtime failure (dataset not found, leaderboard over an empty
-results directory).
+config file given by --config_file. A failure prints one ``error:`` line, or
+the validation report, and never a traceback. Exit codes: 0 success; 2
+dataset validation failed; 3 configuration or input problem (unknown flag,
+bad config, space or truth-routes file, incompatible model and task, bad
+pipeline, model or matcher value, and any located input error such as a bad
+table cell, raw CSV cell or manifest key); 4 run failure (dataset not found,
+data too empty, short or singular to fit, evaluate or match, no results to
+rank). Each exception class carries its code.
 """
 
 from __future__ import annotations
@@ -18,23 +20,13 @@ import sys
 from pathlib import Path
 
 from .config import CLI_KEYS, load_config
-from .exceptions import (
-    BadConfigFile,
-    DatasetNotFound,
-    NoResults,
-    StkitError,
-    UnknownCliKey,
-    ValidationFailed,
-)
+from .exceptions import BadConfigFile, StkitError, UnknownCliKey, ValidationFailed
 from .leaderboard import build_leaderboard, leaderboard_csv, load_runs, render_leaderboard
 from .runner import cmd_convert, cmd_run, cmd_stats, cmd_tune, cmd_validate
 
 __all__ = ["main"]
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_CONFIG = 3
-EXIT_RUNTIME = 4
 
 _FLAG_TYPES = {"seed": int, "batch_size": int}
 
@@ -71,18 +63,15 @@ def main(argv: list[str] | None = None) -> int:
             )
         if not args.command:
             parser.print_usage(sys.stderr)
-            return EXIT_CONFIG
+            return UnknownCliKey.exit_code
         cfg = load_config({k: getattr(args, k) for k in CLI_KEYS})
         return _dispatch(args.command, cfg)
-    except ValidationFailed as exc:
-        print(exc.report.render(), file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DatasetNotFound, NoResults) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except StkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, ValidationFailed):
+            print(exc.report.render(), file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def _dispatch(command: str, cfg) -> int:
@@ -102,7 +91,7 @@ def _dispatch(command: str, cfg) -> int:
     if command == "validate":
         report = cmd_validate(cfg)
         print(report.render())
-        return EXIT_OK if report.ok else EXIT_VALIDATION
+        return EXIT_OK if report.ok else ValidationFailed.exit_code
     if command == "convert":
         out = cmd_convert(cfg)
         print(f"converted dataset written to {out}")

@@ -16,7 +16,9 @@ from typing import Mapping, Union
 
 from .exceptions import BadConfigFile, UnknownCliKey
 
-__all__ = ["CLI_KEYS", "DEFAULTS", "Config", "check_keys", "load_config"]
+__all__ = [
+    "CLI_KEYS", "DEFAULTS", "Config", "check_keys", "load_config", "read_json_object"
+]
 
 # Keys settable directly as command-line flags; all others are file-only.
 CLI_KEYS = (
@@ -109,16 +111,19 @@ class Config:
         return dict(self.values)
 
 
-def _read_config_file(path: Union[str, Path]) -> dict:
+def read_json_object(path: Union[str, Path], label: str) -> dict:
+    """The JSON object in the file at ``path``; BadConfigFile, whose message
+    starts with ``label`` and the path, when the file is missing, unreadable,
+    not JSON or not an object."""
     p = Path(path)
     if not p.is_file():
-        raise BadConfigFile(f"config file {p} does not exist")
+        raise BadConfigFile(f"{label} {p} does not exist")
     try:
         payload = json.loads(p.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadConfigFile(f"config file {p}: {exc}") from None
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise BadConfigFile(f"{label} {p}: {exc}") from None
     if not isinstance(payload, dict):
-        raise BadConfigFile(f"config file {p} must hold a JSON object")
+        raise BadConfigFile(f"{label} {p} must hold a JSON object")
     return payload
 
 
@@ -148,7 +153,7 @@ def load_config(
     if file_values is None and cli_args.get("config_file"):
         file_values = cli_args["config_file"]
     if isinstance(file_values, (str, Path)):
-        file_values = _read_config_file(file_values)
+        file_values = read_json_object(file_values, "config file")
     file_values = dict(file_values or {})
     defaults = dict(defaults if defaults is not None else DEFAULTS)
     check_keys(file_values, defaults, "config file")

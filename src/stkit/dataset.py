@@ -37,8 +37,12 @@ from .atomic import (
 )
 from .atomic import _check_coord_ranges, _shape_fault  # shared geometry rules
 from .exceptions import (
+    BadConfigFile,
+    BadCoordinate,
     BadManifest,
+    BadTimestamp,
     MissingManifest,
+    RaggedRow,
     UnmappedMandatoryColumn,
     ValidationFailed,
 )
@@ -549,14 +553,27 @@ def _parse_raw_time(cell: str, spec: RawConversionSpec):
     return dt.astimezone(timezone.utc)
 
 
+def _degrees(cell: str, limit: float) -> float:
+    """A raw coordinate cell as a float within [-limit, limit]."""
+    value = float(cell)
+    if not -limit <= value <= limit:  # NaN too
+        raise ValueError(f"coordinate {value} outside [-{limit:g}, {limit:g}]")
+    return value
+
+
 def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> AtomicDataset:
     """Convert one flat CSV into an AtomicDataset under the given mapping.
 
     Raises UnmappedMandatoryColumn when a mapped column is missing from the
-    raw header. The output passes :func:`validate_dataset` with zero errors.
+    raw header, and a ParseError located at the raw row and column for a
+    ragged row, a bad time cell or a coordinate that is not a number in
+    range. Blank lines are skipped. The output passes
+    :func:`validate_dataset` with zero errors.
     """
     if spec.target not in ("state", "trajectory"):
-        raise ValueError(f"unknown conversion target {spec.target!r}")
+        raise BadConfigFile(
+            f"conversion target {spec.target!r} is not 'state' or 'trajectory'"
+        )
     text = source.decode("utf-8") if isinstance(source, bytes) else source
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
@@ -575,40 +592,53 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
         if name not in col_index:
             raise UnmappedMandatoryColumn(f"raw CSV has no column {name!r}")
 
-    lat_i = col_index.get(spec.lat_column) if spec.lat_column else None
-    lon_i = col_index.get(spec.lon_column) if spec.lon_column else None
     from .atomic import _coerce_scalar
 
-    geo, usr, dyna = [], [], []
+    def cell(n: int, row: list[str], column: str, parse, error):
+        """``parse`` of data row ``n``'s cell in ``column``; its ValueError
+        becomes ``error`` located at that cell."""
+        try:
+            return parse(row[col_index[column]])
+        except ValueError as exc:
+            raise error(str(exc), table="raw", row=n, column=column) from None
+
+    def point(n: int, row: list[str]) -> tuple[float, float]:
+        return (
+            cell(n, row, spec.lon_column, lambda c: _degrees(c, 180.0), BadCoordinate),
+            cell(n, row, spec.lat_column, lambda c: _degrees(c, 90.0), BadCoordinate),
+        )
+
+    has_point = all(c and c in col_index for c in (spec.lat_column, spec.lon_column))
+    dyna: list[DynaRecord] = []
+    entity_coord: dict[str, tuple[float, float] | None] = {}  # state target
+    point_ids: dict[tuple[float, float], str] = {}  # trajectory target
+    for n, row in enumerate(rows[1:], start=1):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise RaggedRow(
+                f"row has {len(row)} cells, header has {len(header)}", table="raw",
+                row=n, column=header[len(row)] if len(row) < len(header) else None,
+            )
+        time = cell(
+            n, row, spec.time_column, lambda c: _parse_raw_time(c, spec), BadTimestamp
+        )
+        entity = row[col_index[spec.entity_column]]
+        location = None
+        if spec.target == "trajectory":
+            location = point_ids.setdefault(point(n, row), f"p{len(point_ids)}")
+        elif entity not in entity_coord:
+            entity_coord[entity] = point(n, row) if has_point else None
+        props: dict[str, Scalar] = {
+            c: _coerce_scalar(row[col_index[c]]) for c in spec.property_columns
+        }
+        dyna.append(DynaRecord(f"d{len(dyna)}", spec.target, time, entity, location, props))
     if spec.target == "state":
-        entity_coord: dict[str, tuple[float, float] | None] = {}
-        for n, row in enumerate(rows[1:]):
-            time = _parse_raw_time(row[col_index[spec.time_column]], spec)
-            entity = row[col_index[spec.entity_column]]
-            if entity not in entity_coord:
-                coord = None
-                if lat_i is not None and lon_i is not None:
-                    coord = (float(row[lon_i]), float(row[lat_i]))
-                entity_coord[entity] = coord
-            props: dict[str, Scalar] = {
-                c: _coerce_scalar(row[col_index[c]]) for c in spec.property_columns
-            }
-            dyna.append(DynaRecord(f"d{n}", "state", time, entity, None, props))
-        for entity, coord in entity_coord.items():
-            geo.append(GeoUnit(entity, "Point", (coord if coord else (0.0, 0.0),), {}))
+        geo = [GeoUnit(e, "Point", (c or (0.0, 0.0),), {}) for e, c in entity_coord.items()]
+        usr = []
     else:
-        point_ids: dict[tuple[float, float], str] = {}
-        users: dict[str, None] = {}
-        for n, row in enumerate(rows[1:]):
-            time = _parse_raw_time(row[col_index[spec.time_column]], spec)
-            user = row[col_index[spec.entity_column]]
-            users.setdefault(user)
-            coord = (float(row[lon_i]), float(row[lat_i]))
-            point = point_ids.setdefault(coord, f"p{len(point_ids)}")
-            props = {c: _coerce_scalar(row[col_index[c]]) for c in spec.property_columns}
-            dyna.append(DynaRecord(f"d{n}", "trajectory", time, user, point, props))
-        geo = [GeoUnit(pid, "Point", (coord,), {}) for coord, pid in point_ids.items()]
-        usr = [UserUnit(user, {}) for user in users]
+        geo = [GeoUnit(pid, "Point", (c,), {}) for c, pid in point_ids.items()]
+        usr = [UserUnit(u, {}) for u in dict.fromkeys(d.entity_id for d in dyna)]
     manifest = Manifest(name=spec.name, features=tuple(spec.property_columns))
     return AtomicDataset(manifest, geo=geo, usr=usr, dyna=dyna)
 

@@ -3,12 +3,16 @@
 Every error raised on purpose derives from :class:`StkitError` so callers can
 catch toolkit failures with a single except clause. Parse-time errors carry
 enough location detail (table, row, column) to point at the offending cell.
+Each class carries the command line's exit code for it: 3 for a
+configuration or input problem, 4 for a :class:`RunFailure` and 2 for
+:class:`ValidationFailed`.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "StkitError",
+    "RunFailure",
     "ParseError",
     "MissingColumn",
     "RaggedRow",
@@ -54,6 +58,15 @@ __all__ = [
 
 class StkitError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 3
+
+
+class RunFailure(StkitError):
+    """Well-formed input on which the run cannot go on: no dataset, no data
+    to fit, forecast, evaluate or match, or no results to rank."""
+
+    exit_code = 4
 
 
 class ParseError(StkitError):
@@ -127,6 +140,8 @@ class BadManifest(ParseError):
 class ValidationFailed(StkitError):
     """Dataset validation found errors; carries the full report."""
 
+    exit_code = 2
+
     def __init__(self, report):
         super().__init__(report.summary())
         self.report = report
@@ -136,7 +151,7 @@ class UnmappedMandatoryColumn(StkitError):
     """Raw-CSV conversion spec does not map a required column."""
 
 
-class EmptyTable(StkitError):
+class EmptyTable(RunFailure):
     """Operation needs at least one record."""
 
 
@@ -177,19 +192,19 @@ class WindowTooLong(StkitError):
     """Window length exceeds the number of available time slots."""
 
 
-class EmptyTrainingData(StkitError):
+class EmptyTrainingData(RunFailure):
     """Model fit received no observed cells."""
 
 
-class SingularDesign(StkitError):
+class SingularDesign(RunFailure):
     """Least-squares design matrix is singular beyond repair."""
 
 
-class InsufficientLength(StkitError):
+class InsufficientLength(RunFailure):
     """Series too short for the requested lag order or history."""
 
 
-class AllMasked(StkitError):
+class AllMasked(RunFailure):
     """Metric evaluation received zero observed cells."""
 
 
@@ -213,7 +228,7 @@ class NonLineGeometry(StkitError):
     """Road network construction requires LineString geometry."""
 
 
-class NoCandidatesAnywhere(StkitError):
+class NoCandidatesAnywhere(RunFailure):
     """No trajectory point has any candidate segment within the radius."""
 
 
@@ -249,14 +264,15 @@ class UnknownCliKey(StkitError):
 
 
 class BadConfigFile(StkitError):
-    """User config file is missing, unreadable, or not a JSON object."""
+    """A config, search-space or truth-routes file is missing, unreadable or
+    not a JSON object, or a key or value in it is wrong."""
 
 
 class IncompatibleModelTask(StkitError):
     """Selected model does not support the selected task."""
 
 
-class DatasetNotFound(StkitError):
+class DatasetNotFound(RunFailure):
     """Dataset directory could not be resolved."""
 
 
@@ -264,5 +280,5 @@ class ContinuousDomainInGrid(StkitError):
     """Grid search cannot enumerate a continuous domain."""
 
 
-class NoResults(StkitError):
+class NoResults(RunFailure):
     """Leaderboard aggregation found no usable run records."""

@@ -6,7 +6,7 @@ Gaussian of the point-to-segment distance, and transition scores fall off
 exponentially with the disagreement between on-road travel distance and
 great-circle distance between consecutive points. Viterbi decoding picks the
 jointly most likely segment sequence; when a point has no candidates, or no
-finite-probability transition reaches it, the chain breaks and matching
+finite route reaches them from the chain, the chain breaks and matching
 restarts there.
 
 Distances are meters. Segment lengths use the haversine formula on a sphere
@@ -83,19 +83,22 @@ class Segment:
 class _GridIndex:
     """Uniform lon/lat bucket grid over segment bounding boxes.
 
-    A segment is registered in every cell its bounding box touches, so a
-    query for all segments within ``radius`` of a point returns a superset
-    of the true set: anything the buckets miss is provably farther away.
+    Cells run from (0, 0) to ``last_cell`` over the (min, max) extent ``lons``
+    x ``lats``. A segment is registered in every cell its bounding box
+    touches, so a query for all segments within ``radius`` of a point returns
+    a superset of the true set: anything the buckets miss is provably farther
+    away.
     """
 
-    def __init__(self, cell_m: float, lon0: float, lat0: float, mid_lat: float):
+    def __init__(
+        self, cell_m: float, lons: tuple[float, float], lats: tuple[float, float]
+    ):
+        mid_lat = (lats[0] + lats[1]) / 2.0
         self.dlat = cell_m / _M_PER_DEG_LAT
         self.dlon = cell_m / (_M_PER_DEG_LAT * max(math.cos(math.radians(mid_lat)), 1e-12))
-        self.lon0 = lon0
-        self.lat0 = lat0
+        self.lon0, self.lat0 = lons[0], lats[0]
         self.buckets: dict[tuple[int, int], list[str]] = {}
-        self.ix_range: tuple[int, int] | None = None
-        self.iy_range: tuple[int, int] | None = None
+        self.last_cell = self._cell(lons[1], lats[1])
 
     def _cell(self, lon: float, lat: float) -> tuple[int, int]:
         return (
@@ -111,26 +114,15 @@ class _GridIndex:
         for ix in range(ix0, ix1 + 1):
             for iy in range(iy0, iy1 + 1):
                 self.buckets.setdefault((ix, iy), []).append(seg.geo_id)
-        if self.ix_range is None:
-            self.ix_range, self.iy_range = (ix0, ix1), (iy0, iy1)
-        else:
-            self.ix_range = (min(self.ix_range[0], ix0), max(self.ix_range[1], ix1))
-            self.iy_range = (min(self.iy_range[0], iy0), max(self.iy_range[1], iy1))
 
     def query(self, lon: float, lat: float, radius_m: float) -> list[str]:
-        if self.ix_range is None:
-            return []
         rlon = radius_m / (_M_PER_DEG_LAT * max(math.cos(math.radians(lat)), 1e-12))
         rlat = radius_m / _M_PER_DEG_LAT
         ix0, iy0 = self._cell(lon - rlon, lat - rlat)
         ix1, iy1 = self._cell(lon + rlon, lat + rlat)
-        ix0 = max(ix0, self.ix_range[0])
-        ix1 = min(ix1, self.ix_range[1])
-        iy0 = max(iy0, self.iy_range[0])
-        iy1 = min(iy1, self.iy_range[1])
         seen: dict[str, None] = {}
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
+        for ix in range(max(ix0, 0), min(ix1, self.last_cell[0]) + 1):
+            for iy in range(max(iy0, 0), min(iy1, self.last_cell[1]) + 1):
                 for gid in self.buckets.get((ix, iy), ()):
                     seen.setdefault(gid)
         return list(seen)
@@ -251,7 +243,7 @@ def _grid_index(segments: dict[str, Segment], cell_m: float) -> _GridIndex | Non
     all_lons = [c[0] for s in segments.values() for c in s.coords]
     all_lats = [c[1] for s in segments.values() for c in s.coords]
     index = _GridIndex(
-        cell_m, min(all_lons), min(all_lats), (min(all_lats) + max(all_lats)) / 2.0
+        cell_m, (min(all_lons), max(all_lons)), (min(all_lats), max(all_lats))
     )
     for seg in segments.values():
         index.insert(seg)
@@ -511,8 +503,7 @@ class MatchResult:
 
     ``matched[i]`` is the chosen candidate for point i (None when the point
     had no candidate in radius). ``chains`` lists half-open [start, stop)
-    point index ranges decoded jointly; ``breaks`` are the chain starts after
-    the first, where continuity was lost. ``routes`` holds one stitched
+    point index ranges decoded jointly. ``routes`` holds one stitched
     segment-id sequence per chain; ``point_logprob[i]`` is point i's
     contribution to its chain score (emission plus incoming transition).
     """
@@ -521,7 +512,11 @@ class MatchResult:
     chains: list[tuple[int, int]]
     routes: list[list[str]]
     point_logprob: list[float | None]
-    breaks: list[int] = field(default_factory=list)
+
+    @property
+    def breaks(self) -> list[int]:
+        """The chain starts after the first, where continuity was lost."""
+        return [start for start, _ in self.chains[1:]]
 
     def route(self) -> list[str]:
         """All chain routes concatenated, consecutive duplicates removed."""
@@ -551,12 +546,12 @@ def _extract_points(trajectory) -> list[tuple[float, float]]:
 def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> MatchResult:
     """Match one trajectory (Trajectory or [(lon, lat), ...]) to the network.
 
-    Chains are built online: per point, candidate scores extend the running
-    chain unless nothing reaches them, in which case the chain is decoded
-    with :func:`viterbi_decode` and a new one starts at that point.
-    Transition scoring and route recovery read the network's route table,
-    which outlives the call. Raises NoCandidatesAnywhere when not a single
-    point has a candidate.
+    Chains are built online. The first point of a chain reaches all its
+    candidates, a later point those that a finite route joins to a reached
+    candidate of the point before; a point that reaches none, or has none,
+    closes the chain, which :func:`viterbi_decode` decodes. Routes come from
+    the network's route table, which outlives the call. Raises
+    NoCandidatesAnywhere when not a single point has a candidate.
     """
     points = _extract_points(trajectory)
     if not points:
@@ -592,13 +587,13 @@ def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> Matc
         routes.append(route)
 
     # The running chain: its first point, per-step emission vectors,
-    # transition matrices and the route distances they score, and the
-    # forward scores that detect a break.
+    # transition matrices and the route distances they score; and which
+    # candidates of the chain's last point are reached.
     start = None
     emissions: list[np.ndarray] = []
     transitions: list[np.ndarray] = []
     route_m: list[np.ndarray] = []
-    dp: np.ndarray | None = None
+    reached = np.ones(0, dtype=bool)
     for i, point_cands in enumerate(cands):
         if not point_cands:
             if start is not None:
@@ -608,34 +603,23 @@ def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> Matc
         e = np.array(
             [emission_logprob(c.distance_m, params.sigma_m) for c in point_cands]
         )
-        if start is None:
-            start, emissions, transitions, route_m, dp = i, [e], [], [], e
-            continue
-        # Route distances from the previous point's candidates still in
-        # play; the others stay unreachable.
-        gc = haversine_m(*points[i - 1], *points[i])
-        live = np.flatnonzero(np.isfinite(dp))
-        d = np.full((len(cands[i - 1]), len(point_cands)), np.inf)
-        origins = [cands[i - 1][k] for k in live]
-        d[live] = _route_distances(network, origins, point_cands)
-        tr = transition_logprob(d, gc, params.beta_m)
-        col_best = (dp[:, None] + tr).max(axis=0)
-        if not np.isfinite(col_best).any():
+        if start is not None:
+            # Routes from the previous point's reached candidates only; the
+            # others stay unreachable.
+            live = np.flatnonzero(reached)
+            d = np.full((len(cands[i - 1]), len(point_cands)), np.inf)
+            origins = [cands[i - 1][k] for k in live]
+            d[live] = _route_distances(network, origins, point_cands)
+            reached = np.isfinite(d).any(axis=0)
+            if reached.any():
+                gc = haversine_m(*points[i - 1], *points[i])
+                emissions.append(e)
+                transitions.append(transition_logprob(d, gc, params.beta_m))
+                route_m.append(d)
+                continue
             close_chain(start, emissions, transitions, route_m)
-            start, emissions, transitions, route_m, dp = i, [e], [], [], e
-            continue
-        emissions.append(e)
-        transitions.append(tr)
-        route_m.append(d)
-        dp = col_best + e
+        start, emissions, transitions, route_m = i, [e], [], []
+        reached = np.ones(len(point_cands), dtype=bool)
     if start is not None:
         close_chain(start, emissions, transitions, route_m)
-
-    breaks = [c[0] for c in chains[1:]]
-    return MatchResult(
-        matched=matched,
-        chains=chains,
-        routes=routes,
-        point_logprob=point_logprob,
-        breaks=breaks,
-    )
+    return MatchResult(matched, chains, routes, point_logprob)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .atomic import _MISSING, DynaRecord, Table, write_table
 from .baselines import HAModel, PersistenceModel, VARModel, ha_fit, var_fit
-from .config import Config, check_keys
+from .config import Config, check_keys, read_json_object
 from .dataset import (
     AtomicDataset,
     RawConversionSpec,
@@ -406,6 +406,26 @@ def _trajectory_rows(ds: AtomicDataset) -> Table:
     return ds.dyna.select(ds.dyna.field("dyna_type").flags(lambda t: t == "trajectory"))
 
 
+def _truth_routes(path: Path, network) -> dict[str, list[str]]:
+    """The truth routes file at ``path``: an object mapping each user id to a
+    non-empty list of ids of the network's segments; BadConfigFile naming the
+    file and the user otherwise."""
+    truth = read_json_object(path, "truth routes file")
+    for user, route in truth.items():
+        if not (isinstance(route, list) and route):
+            raise BadConfigFile(
+                f"truth routes file {path}: route of user {user!r} must be a "
+                f"non-empty list of segment ids, got {route!r}"
+            )
+        for gid in route:
+            if not (isinstance(gid, str) and gid in network.segments):
+                raise BadConfigFile(
+                    f"truth routes file {path}: route of user {user!r} holds "
+                    f"{gid!r}, which is not a segment of the network"
+                )
+    return truth
+
+
 def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
     """The road network with its route table, the dataset, its trajectories
     and the truth routes beside it, if any.
@@ -436,10 +456,8 @@ def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
         )
     trajectories = tuple(build_trajectories(traj))
     network = build_road_network(ds.geo, ds.rel, index_cell_m=None)
-    truth = None
     truth_path = ds_dir / TRUTH_ROUTES_FILE
-    if truth_path.is_file():
-        truth = json.loads(truth_path.read_text("utf-8"))
+    truth = _truth_routes(truth_path, network) if truth_path.is_file() else None
     return network, ds, trajectories, truth
 
 
@@ -706,15 +724,7 @@ def cmd_tune(cfg: Config):
     """Hyper-parameter search around cmd_run; persists one run per trial."""
     if not cfg.get("space_file"):
         raise BadConfigFile("tune needs a search space (flag --space_file)")
-    space_path = Path(cfg["space_file"])
-    if not space_path.is_file():
-        raise BadConfigFile(f"space file {space_path} does not exist")
-    try:
-        payload = json.loads(space_path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise BadConfigFile(f"space file {space_path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise BadConfigFile(f"space file {space_path} must hold a JSON object")
+    payload = read_json_object(cfg["space_file"], "space file")
     check_keys(payload, cfg.values, "search space")
     try:
         space = parse_space(payload)

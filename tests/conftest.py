@@ -432,6 +432,13 @@ FAULTS = {
     "dup_ext_key": (_fault_dup_ext_key, ("ext", "duplicate (ext_id, time)")),
 }
 
+# Faults that leave every table parseable; the others break a parse rule.
+PARSEABLE_FAULTS = {
+    "dangling_rel_origin", "dangling_rel_des", "dangling_state_entity",
+    "dangling_traj_entity", "dangling_traj_location", "grid_out_of_bounds",
+    "dangling_od_origin", "gridod_out_of_bounds",
+}
+
 
 def inject_faults(ds, names):
     """Apply the named faults to a copy; returns (copy, expected list).

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from conftest import clean_dataset
+from conftest import FAULTS, PARSEABLE_FAULTS, clean_dataset, inject_faults
+from stkit import exceptions
 from stkit.cli import main
 from stkit.dataset import save_dataset
 from stkit.exceptions import NoResults
@@ -238,20 +240,20 @@ def test_run_bad_pipeline_values(cli_root, tmp_path, capsys, task, values):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize(
-    "model, values, key",
-    [
-        ("VAR", {"var_order": 0}, "var_order"),
-        ("HA", {"ha_period": -2}, "ha_period"),
-        ("VAR", {"var_max_dim": 1}, "var_max_dim"),  # 3 cells flattened
-        ("HA", {"input_window": "abc"}, "input_window"),
-        ("HA", {"output_window": 2.7}, "output_window"),
-        ("VAR", {"var_order": "abc"}, "var_order"),
-        ("VAR", {"var_order": 2.7}, "var_order"),
-        ("HA", {"batch_size": "abc"}, "batch_size"),
-        ("HA", {"train_ratio": "most"}, "train_ratio"),
-    ],
-)
+BAD_MODEL_VALUES = [
+    ("VAR", {"var_order": 0}, "var_order"),
+    ("HA", {"ha_period": -2}, "ha_period"),
+    ("VAR", {"var_max_dim": 1}, "var_max_dim"),  # 3 cells flattened
+    ("HA", {"input_window": "abc"}, "input_window"),
+    ("HA", {"output_window": 2.7}, "output_window"),
+    ("VAR", {"var_order": "abc"}, "var_order"),
+    ("VAR", {"var_order": 2.7}, "var_order"),
+    ("HA", {"batch_size": "abc"}, "batch_size"),
+    ("HA", {"train_ratio": "most"}, "train_ratio"),
+]
+
+
+@pytest.mark.parametrize("model, values, key", BAD_MODEL_VALUES)
 def test_run_bad_model_values(cli_root, tmp_path, capsys, model, values, key):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"input_window": 4, "output_window": 2, **values}), "utf-8")
@@ -272,21 +274,21 @@ def test_run_bad_model_values(cli_root, tmp_path, capsys, model, values, key):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize(
-    "command, values, key",
-    [
-        ("run", {"seed": "abc"}, "seed"),
-        ("run", {"seed": 2.5}, "seed"),
-        ("run", {"horizons": ["x"]}, "horizons"),
-        ("run", {"horizons": [1, 1.5]}, "horizons"),
-        ("run", {"horizons": 2}, "horizons"),
-        ("tune", {"seed": "abc"}, "seed"),
-        ("tune", {"seed": 2.5}, "seed"),
-        ("tune", {"search_alg": "RandomSearch", "n_trials": "many"}, "n_trials"),
-        ("tune", {"search_alg": "RandomSearch", "n_trials": 0}, "n_trials"),
-        ("tune", {"search_alg": "RandomSearch", "seed": -1}, "seed"),
-    ],
-)
+BAD_SEED_TRIALS_AND_HORIZONS = [
+    ("run", {"seed": "abc"}, "seed"),
+    ("run", {"seed": 2.5}, "seed"),
+    ("run", {"horizons": ["x"]}, "horizons"),
+    ("run", {"horizons": [1, 1.5]}, "horizons"),
+    ("run", {"horizons": 2}, "horizons"),
+    ("tune", {"seed": "abc"}, "seed"),
+    ("tune", {"seed": 2.5}, "seed"),
+    ("tune", {"search_alg": "RandomSearch", "n_trials": "many"}, "n_trials"),
+    ("tune", {"search_alg": "RandomSearch", "n_trials": 0}, "n_trials"),
+    ("tune", {"search_alg": "RandomSearch", "seed": -1}, "seed"),
+]
+
+
+@pytest.mark.parametrize("command, values, key", BAD_SEED_TRIALS_AND_HORIZONS)
 def test_bad_seed_trials_and_horizons(cli_root, tmp_path, capsys, command, values, key):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"input_window": 4, "output_window": 2, **values}), "utf-8")
@@ -469,7 +471,7 @@ def test_tune_missing_objective_path(cli_root, tmp_path, capsys):
 
 def test_tune_failing_after_the_first_trial_leaves_no_runs(cli_root, tmp_path, capsys):
     # Order 30 needs more coefficients than 60 slots can determine, so the
-    # second trial fails after the first has written its run.
+    # second trial fails after the first has written its run: a run failure.
     space = tmp_path / "space.json"
     space.write_text(json.dumps({"var_order": {"values": [1, 30]}}), "utf-8")
     code = main(
@@ -479,12 +481,183 @@ def test_tune_failing_after_the_first_trial_leaves_no_runs(cli_root, tmp_path, c
             "--space_file", str(space),
         ]
     )
-    assert code == 3
+    assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: 12 usable rows cannot determine 91 coefficients")
+    assert "Traceback" not in err
     assert not list(tmp_path.glob("**/trial_*"))
     with pytest.raises(NoResults):
         build_leaderboard(load_runs(tmp_path / "runs"), "traffic_state_pred")
+
+
+# -- failure matrix: every failure exits with its code and a located message ---------
+
+
+def fault_case(name):
+    """``stkit validate`` on a saved dataset with one fault of the catalog."""
+    table, fragment = FAULTS[name][1]
+
+    def build(root, tmp):
+        data = tmp / "faulty"
+        save_dataset(inject_faults(clean_dataset(), [name])[0], data)
+        if name in PARSEABLE_FAULTS:  # the validation report names table:row
+            where = rf"^\[error\] {table}:\d+: .*{re.escape(fragment)}"
+            return ["validate", "--dataset", str(data)], 2, where
+        where = rf"^error: .* \(table={table}, row=\d+, column=\w+\)$"
+        return ["validate", "--dataset", str(data)], 3, where
+
+    return build
+
+
+def config_case(command, model, values, key):
+    """A run or tune on flow_p4 with one bad config value."""
+
+    def build(root, tmp):
+        cfg = tmp / "bad.json"
+        cfg.write_text(
+            json.dumps({"input_window": 4, "output_window": 2, **values}), "utf-8"
+        )
+        space = tmp / "space.json"
+        space.write_text(json.dumps({"ha_period": {"values": [4]}}), "utf-8")
+        argv = [
+            command, "--task", "traffic_state_pred", "--model", model,
+            "--dataset", str(root / "flow_p4"), "--output_dir", str(tmp / "out"),
+            "--config_file", str(cfg),
+            *(["--space_file", str(space)] if command == "tune" else []),
+        ]
+        return argv, 3, rf"^error: config key {key}: "
+
+    return build
+
+
+def space_case():
+    """A tune whose search space file holds a list."""
+
+    def build(root, tmp):
+        (tmp / "space.json").write_text("[]", "utf-8")
+        argv = [*run_flags(root, tmp / "out"), "--space_file", str(tmp / "space.json")]
+        where = rf"^error: space file {re.escape(str(tmp / 'space.json'))} must hold"
+        return ["tune", *argv], 3, where
+
+    return build
+
+
+RAW_STATES = "sensor,ts,speed\ns1,2024-01-01T00:00:00Z,60.0\n"
+RAW_VISITS = "user,ts,lon,lat\nu1,2024-01-01T00:00:00Z,116.4,39.9\n"
+
+
+def convert_case(raw, conversion, code, where):
+    """``stkit convert`` of one raw CSV under one conversion mapping."""
+
+    def build(root, tmp):
+        (tmp / "raw.csv").write_text(raw, "utf-8")
+        (tmp / "conv.json").write_text(json.dumps({"conversion": conversion}), "utf-8")
+        argv = ["convert", "--dataset", str(tmp / "raw.csv"),
+                "--config_file", str(tmp / "conv.json"), "--output_dir", str(tmp / "out")]
+        return argv, code, where
+
+    return build
+
+
+STATES = {"target": "state", "time_column": "ts", "entity_column": "sensor",
+          "property_columns": ["speed"]}
+VISITS = {"target": "trajectory", "time_column": "ts", "entity_column": "user",
+          "lon_column": "lon", "lat_column": "lat"}
+
+
+def matching_case(where, truth=None, dyna_lat=None, dataset="traces", code=3):
+    """A map-matching run on a copy of a dataset, with its truth routes file
+    or every trajectory latitude replaced."""
+
+    def build(root, tmp):
+        data = copy_of(root / dataset, tmp / dataset)
+        if truth is not None:
+            (data / "truth_routes.json").write_text(truth, "utf-8")
+        if dyna_lat is not None:
+            for row in range(1, len((data / "traces.dyna").read_text().splitlines())):
+                edit_cell(data / "traces.dyna", row, "lat", dyna_lat)
+        argv = ["run", "--task", "map_matching", "--model", "HMM", "--dataset", str(data),
+                "--output_dir", str(tmp / "out")]
+        return argv, code, where.format(file=re.escape(str(data / "truth_routes.json")))
+
+    return build
+
+
+FAILURE_MATRIX = [
+    *(pytest.param(fault_case(name), id=f"fault-{name}") for name in sorted(FAULTS)),
+    *(pytest.param(config_case("run", model, values, key), id=f"model-{n}-{key}")
+      for n, (model, values, key) in enumerate(BAD_MODEL_VALUES)),
+    *(pytest.param(config_case(command, "HA", values, key), id=f"{command}-{n}-{key}")
+      for n, (command, values, key) in enumerate(BAD_SEED_TRIALS_AND_HORIZONS)),
+    pytest.param(space_case(), id="tune-space-not-an-object"),
+    pytest.param(convert_case(
+        RAW_STATES + "s2,badtime,55.0\n", STATES, 3,
+        r"^error: not an ISO-8601 UTC timestamp: 'badtime' \(table=raw, row=2, column=ts\)$",
+    ), id="convert-bad-time"),
+    pytest.param(convert_case(
+        RAW_STATES + "s2,2024-01-01T00:05:00Z\n", STATES, 3,
+        r"^error: row has 2 cells, header has 3 \(table=raw, row=2, column=speed\)$",
+    ), id="convert-short-row"),
+    pytest.param(convert_case(
+        RAW_VISITS + "u1,2024-01-01T00:05:00Z,116.5,north\n", VISITS, 3,
+        r"^error: could not convert string to float: 'north' "
+        r"\(table=raw, row=2, column=lat\)$",
+    ), id="convert-lat-not-a-number"),
+    pytest.param(convert_case(
+        RAW_VISITS + "u1,2024-01-01T00:05:00Z,116.5,95\n", VISITS, 3,
+        r"^error: coordinate 95.0 outside \[-90, 90\] \(table=raw, row=2, column=lat\)$",
+    ), id="convert-lat-out-of-range"),
+    pytest.param(convert_case(
+        RAW_STATES, {**STATES, "target": "grid"}, 3,
+        r"^error: conversion target 'grid' is not 'state' or 'trajectory'$",
+    ), id="convert-unknown-target"),
+    pytest.param(matching_case(
+        r"^error: truth routes file {file}: Expecting", truth="{not json"
+    ), id="truth-not-json"),
+    pytest.param(matching_case(
+        r"^error: truth routes file {file} must hold a JSON object$", truth="[]"
+    ), id="truth-a-list"),
+    pytest.param(matching_case(
+        r"^error: truth routes file {file}: route of user 'u0' must be a "
+        r"non-empty list of segment ids, got 's_n0x0_n0x1'$",
+        truth='{"u0": "s_n0x0_n0x1"}',
+    ), id="truth-route-a-string"),
+    pytest.param(matching_case(
+        r"^error: truth routes file {file}: route of user 'u0' holds 'nope', "
+        r"which is not a segment of the network$",
+        truth='{"u0": ["nope"]}',
+    ), id="truth-unknown-segment"),
+    pytest.param(matching_case(
+        r"^error: no candidates within 200.0 m of any", dyna_lat="0.0", code=4
+    ), id="run-no-candidates-anywhere"),
+    pytest.param(matching_case(
+        r"^error: dataset has no trajectory rows to match$", dataset="flow_p4", code=4
+    ), id="run-no-trajectories"),
+]
+
+
+def test_exit_codes_by_error_family():
+    """Run failures exit 4, a failed validation 2, every other error 3."""
+    run_failures = {
+        "RunFailure", "DatasetNotFound", "NoResults", "EmptyTable", "EmptyTrainingData",
+        "SingularDesign", "InsufficientLength", "AllMasked", "NoCandidatesAnywhere",
+    }
+    for name in exceptions.__all__:
+        want = 2 if name == "ValidationFailed" else 4 if name in run_failures else 3
+        assert getattr(exceptions, name).exit_code == want, name
+
+
+@pytest.mark.parametrize("build", FAILURE_MATRIX)
+def test_failure_matrix(cli_root, tmp_path, capsys, build):
+    """Every failure exits with its family's code and a message that locates
+    it (table and row, config key, file and user), without a traceback and
+    without writing anything."""
+    argv, code, where = build(cli_root, tmp_path)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert re.search(where, out + err, re.M), out + err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # -- leaderboard ---------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stkit.config import CLI_KEYS, DEFAULTS, load_config
+from stkit.config import CLI_KEYS, DEFAULTS, load_config, read_json_object
 from stkit.exceptions import BadConfigFile, UnknownCliKey
 
 
@@ -103,6 +103,25 @@ def test_bad_config_files(tmp_path):
     array.write_text("[1, 2]", "utf-8")
     with pytest.raises(BadConfigFile):
         load_config(file_values=array)
+
+
+@pytest.mark.parametrize("label", ["config file", "space file", "truth routes file"])
+def test_json_object_reader_names_the_file(tmp_path, label):
+    cases = {
+        "missing.json": (None, " does not exist"),
+        "broken.json": (b"{not json", ": Expecting property name"),
+        "array.json": (b"[1, 2]", " must hold a JSON object"),
+        "latin1.json": (b'{"a": "\xe9"}', ": 'utf-8' codec can't decode"),
+    }
+    for name, (content, rest) in cases.items():
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(BadConfigFile) as info:
+            read_json_object(path, label)
+        assert str(info.value).startswith(f"{label} {path}{rest}")
+    path.write_bytes(b'{"a": [1]}')
+    assert read_json_object(path, label) == {"a": [1]}
 
 
 def test_merge_equals_dict_union_oracle():

@@ -6,7 +6,14 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from conftest import FAULTS, clean_dataset, inject_faults, seeded_fault_subset, ts
+from conftest import (
+    FAULTS,
+    PARSEABLE_FAULTS,
+    clean_dataset,
+    inject_faults,
+    seeded_fault_subset,
+    ts,
+)
 from stkit.atomic import (
     DYNA_TYPES,
     GEO_TYPES,
@@ -35,6 +42,7 @@ from stkit.dataset import (
     validate_dataset,
 )
 from stkit.exceptions import (
+    BadCoordinate,
     MissingManifest,
     UnmappedMandatoryColumn,
     ValidationFailed,
@@ -245,6 +253,20 @@ def test_convert_missing_time_column_rejected():
     )
     with pytest.raises(UnmappedMandatoryColumn):
         convert_raw_csv(spec, RAW_STATE_CSV)
+
+
+def test_convert_skips_blank_lines_and_numbers_rows_by_line():
+    spec = RawConversionSpec(
+        target="trajectory", time_column="ts", entity_column="user",
+        lat_column="lat", lon_column="lon",
+    )
+    raw = RAW_TRAJ_CSV.replace("\nu1,39.91", "\n\nu1,39.91") + "\n"
+    ds = convert_raw_csv(spec, raw)
+    assert [d.dyna_id for d in ds.dyna] == ["d0", "d1", "d2"]
+    edge = convert_raw_csv(spec, raw.replace("39.90,116.40,", "90,-180,", 1))
+    assert edge.geo[0].coordinates == ((-180.0, 90.0),)
+    with pytest.raises(BadCoordinate, match=r"\(table=raw, row=4, column=lon\)"):
+        convert_raw_csv(spec, raw.replace("116.40,2020-01-01T00:20", "inf,2020-01-01T00:20"))
 
 
 def test_convert_custom_time_format():
@@ -538,14 +560,6 @@ def reference_findings(ds):
     order = {kind: k for k, kind in enumerate(REFERENCE_TABLES)}
     out.sort(key=lambda f: (order[f.table], f.row if f.row is not None else 0))
     return out
-
-
-# Faults that leave every table parseable; the others break a parse rule.
-PARSEABLE_FAULTS = {
-    "dangling_rel_origin", "dangling_rel_des", "dangling_state_entity",
-    "dangling_traj_entity", "dangling_traj_location", "grid_out_of_bounds",
-    "dangling_od_origin", "gridod_out_of_bounds",
-}
 
 
 def perturbed_dataset(seed, parseable=False):

@@ -19,6 +19,7 @@ from stkit.exceptions import (
 from stkit.mapmatch import (
     Candidate,
     MatchParams,
+    MatchResult,
     RoadNetwork,
     Segment,
     _route_distances,
@@ -395,6 +396,18 @@ def test_match_params_reject_non_finite():
         assert isinstance(info.value, StkitError)
         assert info.value.param == param
         assert param in str(info.value)
+
+
+def test_breaks_is_a_read_only_view_of_chains():
+    net = corridor()
+    result = viterbi_match(net, [(0.0002, 0.0), (0.5, 0.5), (0.0015, 0.0)], MatchParams())
+    assert result.breaks == [2]
+    result.chains.append((3, 4))
+    assert result.breaks == [2, 3]
+    with pytest.raises(AttributeError):
+        result.breaks = []
+    with pytest.raises(TypeError):
+        MatchResult([], [], [], [], breaks=[])
 
 
 # -- the shared route table against a per-call Dijkstra reference -------------
