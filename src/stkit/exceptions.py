@@ -235,8 +235,9 @@ class NoCandidatesAnywhere(RunFailure):
 class BadMatchParams(StkitError, ValueError):
     """A map-matching parameter is not a positive finite number.
 
-    That covers NaN, infinities, zero, negatives, values that are not numbers
-    and a fractional candidate cap.
+    That covers NaN, infinities, zero, negatives, values that are not numbers,
+    a fractional candidate cap and a noise or transition scale below the
+    matcher's 1 mm floor.
 
     ``param`` names the offending :class:`~stkit.mapmatch.MatchParams` field.
     """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +49,12 @@ __all__ = [
 
 EARTH_RADIUS_M = 6371000.0
 _M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
+_MIN_SCALE_M = 1e-3  # floor of MatchParams.sigma_m and beta_m
+
+
+def _m_per_deg_lon(lat: float) -> float:
+    """Meters per degree of longitude at latitude ``lat`` (equirectangular)."""
+    return _M_PER_DEG_LAT * max(math.cos(math.radians(lat)), 1e-12)
 
 
 def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
@@ -78,54 +84,6 @@ class Segment:
     @property
     def end(self) -> tuple[float, float]:
         return self.coords[-1]
-
-
-class _GridIndex:
-    """Uniform lon/lat bucket grid over segment bounding boxes.
-
-    Cells run from (0, 0) to ``last_cell`` over the (min, max) extent ``lons``
-    x ``lats``. A segment is registered in every cell its bounding box
-    touches, so a query for all segments within ``radius`` of a point returns
-    a superset of the true set: anything the buckets miss is provably farther
-    away.
-    """
-
-    def __init__(
-        self, cell_m: float, lons: tuple[float, float], lats: tuple[float, float]
-    ):
-        mid_lat = (lats[0] + lats[1]) / 2.0
-        self.dlat = cell_m / _M_PER_DEG_LAT
-        self.dlon = cell_m / (_M_PER_DEG_LAT * max(math.cos(math.radians(mid_lat)), 1e-12))
-        self.lon0, self.lat0 = lons[0], lats[0]
-        self.buckets: dict[tuple[int, int], list[str]] = {}
-        self.last_cell = self._cell(lons[1], lats[1])
-
-    def _cell(self, lon: float, lat: float) -> tuple[int, int]:
-        return (
-            int(math.floor((lon - self.lon0) / self.dlon)),
-            int(math.floor((lat - self.lat0) / self.dlat)),
-        )
-
-    def insert(self, seg: Segment):
-        lons = [c[0] for c in seg.coords]
-        lats = [c[1] for c in seg.coords]
-        ix0, iy0 = self._cell(min(lons), min(lats))
-        ix1, iy1 = self._cell(max(lons), max(lats))
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
-                self.buckets.setdefault((ix, iy), []).append(seg.geo_id)
-
-    def query(self, lon: float, lat: float, radius_m: float) -> list[str]:
-        rlon = radius_m / (_M_PER_DEG_LAT * max(math.cos(math.radians(lat)), 1e-12))
-        rlat = radius_m / _M_PER_DEG_LAT
-        ix0, iy0 = self._cell(lon - rlon, lat - rlat)
-        ix1, iy1 = self._cell(lon + rlon, lat + rlat)
-        seen: dict[str, None] = {}
-        for ix in range(max(ix0, 0), min(ix1, self.last_cell[0]) + 1):
-            for iy in range(max(iy0, 0), min(iy1, self.last_cell[1]) + 1):
-                for gid in self.buckets.get((ix, iy), ()):
-                    seen.setdefault(gid)
-        return list(seen)
 
 
 class _Row(NamedTuple):
@@ -237,55 +195,40 @@ class _RouteTable:
         return [self.ids[c] for c in reversed(out)]
 
 
-def _grid_index(segments: dict[str, Segment], cell_m: float) -> _GridIndex | None:
-    if not segments:
-        return None
-    all_lons = [c[0] for s in segments.values() for c in s.coords]
-    all_lats = [c[1] for s in segments.values() for c in s.coords]
-    index = _GridIndex(
-        cell_m, (min(all_lons), max(all_lons)), (min(all_lats), max(all_lats))
-    )
-    for seg in segments.values():
-        index.insert(seg)
-    return index
-
-
 @dataclass
 class RoadNetwork:
-    """Directed segment graph, its route table and a spatial index.
+    """Directed segment graph, its route table and segment bounding boxes.
 
-    ``routes`` is built from the segments and edges when not given. Networks
-    made from one another by :meth:`indexed` share it, so every match on the
-    same roads reuses the routes the earlier ones settled.
+    ``routes`` is built from the segments and edges when not given; every
+    match on the network reuses the routes the earlier ones settled.
+    ``boxes`` holds each segment's (min lon, min lat, max lon, max lat) as
+    the four contiguous rows of a [4, n] array in route-table code order, so
+    candidate search is one vectorized box test per point.
     """
 
     segments: dict[str, Segment]
     out_edges: dict[str, tuple[str, ...]]
-    index: _GridIndex | None = None
     routes: _RouteTable | None = field(default=None, repr=False, compare=False)
+    boxes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.routes is None:
             self.routes = _RouteTable(self.segments, self.out_edges)
+        coords = (zip(*self.segments[g].coords) for g in self.routes.ids)
+        boxes = [(min(x), min(y), max(x), max(y)) for x, y in coords]
+        self.boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4).T.copy()
 
     def segment_lengths(self) -> dict[str, float]:
         return {gid: seg.length_m for gid, seg in self.segments.items()}
 
-    def indexed(self, cell_m: float) -> "RoadNetwork":
-        """This network, route table included, with a candidate index of
-        ``cell_m`` meter cells."""
-        return replace(self, index=_grid_index(self.segments, cell_m))
 
-
-def build_road_network(
-    geos, rels, index_cell_m: float | None = 200.0
-) -> RoadNetwork:
+def build_road_network(geos, rels) -> RoadNetwork:
     """Assemble the directed segment graph from geometry and relation rows.
 
     Every geo unit must be a LineString (NonLineGeometry otherwise); every
     relation row of type ``geo`` adds one directed connectivity edge whose
-    endpoints must name known segments. ``index_cell_m`` None builds no
-    candidate index; :meth:`RoadNetwork.indexed` adds one later.
+    endpoints must name known segments. No spatial index is built: the
+    network's segment boxes are all candidate search needs, at any radius.
     """
     segments: dict[str, Segment] = {}
     for g in geos:
@@ -307,8 +250,7 @@ def build_road_network(
             if side not in segments:
                 raise UnknownEntity(f"relation endpoint {side!r} is not a segment")
         adj[r.origin_id].append(r.des_id)
-    network = RoadNetwork(segments, {gid: tuple(v) for gid, v in adj.items()})
-    return network if index_cell_m is None else network.indexed(index_cell_m)
+    return RoadNetwork(segments, {gid: tuple(v) for gid, v in adj.items()})
 
 
 @dataclass(frozen=True)
@@ -318,7 +260,9 @@ class MatchParams:
     ``sigma_m`` is the GPS noise scale of the emission Gaussian, ``beta_m``
     the scale of the route-versus-great-circle transition penalty,
     ``radius_m`` the candidate search radius, ``max_candidates`` the per-point
-    candidate cap (nearest first).
+    candidate cap (nearest first). Both scales are at least ``_MIN_SCALE_M``
+    (1 mm), so every emission score and every transition score over a finite
+    route is a finite float.
     """
 
     sigma_m: float = 10.0
@@ -332,6 +276,12 @@ class MatchParams:
             if not (math.isfinite(value) and value > 0):
                 raise BadMatchParams(
                     f"{name} must be a positive finite number, got {value!r}", name
+                )
+        for name in ("sigma_m", "beta_m"):
+            value = getattr(self, name)
+            if value < _MIN_SCALE_M:
+                raise BadMatchParams(
+                    f"{name} must be at least {_MIN_SCALE_M} m, got {value!r}", name
                 )
         if self.max_candidates <= 0:
             raise BadMatchParams(
@@ -356,7 +306,7 @@ def _project_to_segment(
 ) -> tuple[float, float, float, float]:
     """Nearest point on the polyline: (proj_lon, proj_lat, distance_m, offset_m)."""
     m_lat = _M_PER_DEG_LAT
-    m_lon = _M_PER_DEG_LAT * max(math.cos(math.radians(lat)), 1e-12)
+    m_lon = _m_per_deg_lon(lat)
     pts = [((c[0] - lon) * m_lon, (c[1] - lat) * m_lat) for c in seg.coords]
     best = (math.inf, 0.0, 0.0, 0.0)  # dist, x, y, offset
     for i in range(len(pts) - 1):
@@ -381,15 +331,18 @@ def candidate_segments(
 ) -> list[Candidate]:
     """Segments within the search radius, nearest first, capped.
 
-    Uses the bucket index to prune, then projects exactly; ties in distance
-    break on segment id so the result is deterministic.
+    The pool is the segments whose bounding box meets the point's ±radius
+    box, at the projection's meters-per-degree scale; any other segment is
+    farther away. Each is projected exactly; ties in distance break on
+    segment id so the result is deterministic.
     """
-    if network.index is not None:
-        pool = network.index.query(lon, lat, params.radius_m)
-    else:
-        pool = list(network.segments)
+    rlon = params.radius_m / _m_per_deg_lon(lat)
+    rlat = params.radius_m / _M_PER_DEG_LAT
+    lo_lon, lo_lat, hi_lon, hi_lat = network.boxes
+    near = (lo_lon <= lon + rlon) & (hi_lon >= lon - rlon)
+    near &= (lo_lat <= lat + rlat) & (hi_lat >= lat - rlat)
     out = []
-    for gid in pool:
+    for gid in [network.routes.ids[n] for n in np.flatnonzero(near).tolist()]:
         plon, plat, d, offset = _project_to_segment(network.segments[gid], lon, lat)
         if d <= params.radius_m:
             out.append(Candidate(gid, plon, plat, d, offset))

@@ -430,10 +430,9 @@ def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
     """The road network with its route table, the dataset, its trajectories
     and the truth routes beside it, if any.
 
-    The network carries no candidate index, since each run's match_radius
-    sets its cell size; the route table it holds is config-free, so every
-    run on the prepared inputs shares it. Every trajectory row needs numeric
-    lon and lat properties.
+    The network's route table and segment boxes are config-free, so every
+    run on the prepared inputs, at any match_radius, shares them. Every
+    trajectory row needs numeric lon and lat properties.
     """
     traj = _trajectory_rows(ds)
     if not len(traj):
@@ -455,7 +454,7 @@ def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
             column=name,
         )
     trajectories = tuple(build_trajectories(traj))
-    network = build_road_network(ds.geo, ds.rel, index_cell_m=None)
+    network = build_road_network(ds.geo, ds.rel)
     truth_path = ds_dir / TRUTH_ROUTES_FILE
     truth = _truth_routes(truth_path, network) if truth_path.is_file() else None
     return network, ds, trajectories, truth
@@ -464,7 +463,6 @@ def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
 def _run_map_matching(cfg: Config, inputs) -> tuple[dict, dict]:
     network, ds, trajectories, truth = inputs
     params = _match_params(cfg)
-    network = network.indexed(params.radius_m)
     lengths = network.segment_lengths()
     per_traj: dict = {}
     matched_rows: list[DynaRecord] = []

@@ -34,9 +34,10 @@ from stkit.evaluate import (
 from stkit.mapmatch import (
     Candidate,
     MatchParams,
-    RoadNetwork,
+    _project_to_segment,
     build_road_network,
     candidate_segments,
+    haversine_m,
     shortest_route,
     viterbi_decode,
     viterbi_match,
@@ -386,30 +387,51 @@ def test_criterion_08c_noisy_matching_recovers_most_segments():
     assert time.perf_counter() - started < 60.0
 
 
+def _linear_scan_candidates(network, lon, lat, params):
+    """Every segment projected, then the same radius test, sort and cap."""
+    out = []
+    for gid, seg in network.segments.items():
+        plon, plat, d, offset = _project_to_segment(seg, lon, lat)
+        if d <= params.radius_m:
+            out.append(Candidate(gid, plon, plat, d, offset))
+    out.sort(key=lambda c: (c.distance_m, c.segment_id))
+    return out[: params.max_candidates]
+
+
 def test_criterion_08d_indexed_candidates_equal_linear_scan():
-    """The bucket-index candidate lookup returns exactly what a full linear
-    scan over all segments returns, for every query point and radius."""
+    """The bounding-box candidate filter returns exactly what a linear scan
+    projecting every segment returns: for random points at radii from 1e-9 m
+    to wider than the network, and for every network vertex at 1e-9 and
+    1e-12 m."""
     started = time.perf_counter()
     roads = generate_synthetic("road_network", {"n": 5}).dataset
-    indexed = build_road_network(roads.geo, roads.rel, index_cell_m=150.0)
-    flat = RoadNetwork(
-        segments=indexed.segments, out_edges=indexed.out_edges, index=None
-    )
+    network = build_road_network(roads.geo, roads.rel)
     rng = np.random.default_rng(84)
-    lons = [c[0] for s in indexed.segments.values() for c in s.coords]
-    lats = [c[1] for s in indexed.segments.values() for c in s.coords]
+    vertices = sorted({c for s in network.segments.values() for c in s.coords})
+    lons = [v[0] for v in vertices]
+    lats = [v[1] for v in vertices]
     span_lon = max(lons) - min(lons)
     span_lat = max(lats) - min(lats)
-    total_hits = 0
+    # Ten diagonals of the extent: past every segment from any query point.
+    wide = 10.0 * haversine_m(min(lons), min(lats), max(lons), max(lats))
+    queries = []
     for _ in range(300):
         lon = min(lons) - 0.3 * span_lon + 1.6 * span_lon * rng.random()
         lat = min(lats) - 0.3 * span_lat + 1.6 * span_lat * rng.random()
-        for radius in (40.0, 150.0, 600.0):
-            params = MatchParams(radius_m=radius, max_candidates=10_000)
-            got = candidate_segments(indexed, lon, lat, params)
-            want = candidate_segments(flat, lon, lat, params)
-            assert got == want
-            total_hits += len(got)
+        queries += [(lon, lat, r) for r in (1e-9, 40.0, 150.0, 600.0, wide)]
+    # 1e-12 m is below half a float step of the coordinates: the query box
+    # collapses onto the point, and boxes touching it must still count.
+    queries += [(lon, lat, r) for lon, lat in vertices for r in (1e-9, 1e-12)]
+    total_hits = 0
+    for lon, lat, radius in queries:
+        params = MatchParams(radius_m=radius, max_candidates=10_000)
+        got = candidate_segments(network, lon, lat, params)
+        assert got == _linear_scan_candidates(network, lon, lat, params)
+        if radius == wide:
+            assert len(got) == len(network.segments)
+        if radius < 1e-6 and (lon, lat) in vertices:
+            assert got and got[0].distance_m == 0.0
+        total_hits += len(got)
     assert total_hits > 0
     assert time.perf_counter() - started < 60.0
 

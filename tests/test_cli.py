@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,27 @@ def test_run_matching(cli_root, tmp_path, capsys):
     assert '"rmf": 0.0' in out
 
 
+def test_run_matching_tiny_radius_finishes(cli_root, tmp_path, capsys):
+    """A 1e-9 m search radius sizes no data structure, so the run finishes
+    at once; the fixture's noise-free points lie on their roads."""
+    cfg = tmp_path / "match.json"
+    cfg.write_text(json.dumps({"match_radius": 1e-9}), "utf-8")
+    started = time.perf_counter()
+    code = main(
+        [
+            "run",
+            "--task", "map_matching",
+            "--model", "HMM",
+            "--dataset", str(cli_root / "traces"),
+            "--output_dir", str(tmp_path / "runs"),
+            "--config_file", str(cfg),
+        ]
+    )
+    assert time.perf_counter() - started < 30.0
+    assert "Traceback" not in capsys.readouterr().err
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -177,6 +199,10 @@ def test_run_matching(cli_root, tmp_path, capsys):
         ("match_max_candidates", float("inf")),
         ("match_max_candidates", 2.5),
         ("match_sigma", "wide"),
+        # Below the 1 mm floor: the emission overflows, and finite-route
+        # transitions fall to -inf.
+        ("match_sigma", 1e-300),
+        ("match_beta", 1e-320),
     ],
 )
 def test_run_matching_bad_params(cli_root, tmp_path, capsys, key, value):

@@ -398,6 +398,22 @@ def test_match_params_reject_non_finite():
         assert param in str(info.value)
 
 
+def test_match_scales_have_a_one_millimeter_floor():
+    """sigma_m and beta_m of 1 mm keep every emission and every finite-route
+    transition finite, out to distances past the Earth's circumference; a
+    smaller scale is rejected, naming its field."""
+    params = MatchParams(sigma_m=1e-3, beta_m=1e-3)
+    far = 4.1e7
+    assert math.isfinite(emission_logprob(far, params.sigma_m))
+    routes = np.array([0.0, far, 1e9])
+    assert np.isfinite(transition_logprob(routes, far, params.beta_m)).all()
+    for param, value in (("sigma_m", 1e-300), ("beta_m", 1e-320), ("sigma_m", 9.99e-4)):
+        with pytest.raises(BadMatchParams) as info:
+            MatchParams(**{param: value})
+        assert info.value.param == param
+        assert param in str(info.value)
+
+
 def test_breaks_is_a_read_only_view_of_chains():
     net = corridor()
     result = viterbi_match(net, [(0.0002, 0.0), (0.5, 0.5), (0.0015, 0.0)], MatchParams())

@@ -715,7 +715,9 @@ def test_tune_loads_each_searched_dataset_once(data_root, tmp_path, monkeypatch)
 def test_tune_over_match_sigma_builds_one_network_and_route_table(
     data_root, tmp_path, monkeypatch
 ):
-    """The trials share the prepared road network and its route table."""
+    """The trials share the prepared road network, its route table and its
+    segment boxes, at every searched radius, and each writes what its
+    standalone run writes."""
     from stkit import mapmatch
 
     built = {"network": 0, "table": 0}
@@ -733,10 +735,12 @@ def test_tune_over_match_sigma_builds_one_network_and_route_table(
     monkeypatch.setattr(mapmatch, "_RouteTable", counting_table)
     result, _ = tune_trials(
         tmp_path, "map_matching", "HMM", data_root / "traces",
-        {"match_sigma": {"values": [5.0, 50.0]}},
+        {"match_sigma": {"values": [5.0, 50.0]},
+         "match_radius": {"values": [1e-9, 40.0, 200.0]}},
     )
-    assert len(result.trials) == 2
+    assert len(result.trials) == 6
     assert built == {"network": 1, "table": 1}
+    assert_trials_match_standalone_runs(result, tmp_path, "map_matching", "HMM", {})
 
 
 def test_prepared_tensor_and_mask_are_read_only(data_root, tmp_path):
