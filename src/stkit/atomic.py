@@ -32,7 +32,9 @@ that do not themselves look numeric).
 
 :func:`read_table` reads a table as dictionary-encoded columns into a
 :class:`Table`, which keeps only those columns and builds a record each time
-one is asked for; :func:`parse_table` returns the records as a list.
+one is asked for; :func:`parse_table` returns the records as a list. A table
+with no quoted cell is split with ``str.split``; a quoted one, such as every
+``.geo`` table, goes through ``csv.reader``.
 :func:`write_table` writes a table from its columns; it takes a ``Table``
 or a record list, which :meth:`Table.from_records` puts behind the same
 columns.
@@ -50,13 +52,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
-from operator import itemgetter
+from itertools import chain, repeat
 from typing import IO, Iterable, NamedTuple, Union
 
 import numpy as np
 
 from .exceptions import (
     BadCoordinate,
+    BadEncoding,
     BadFieldValue,
     BadTimestamp,
     DuplicateId,
@@ -390,16 +393,56 @@ def _parse_id_cell(cell, table, row, column) -> str:
     return cell
 
 
-def _read_rows(source: Union[bytes, str, IO]) -> list[list[str]]:
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    return list(csv.reader(io.StringIO(text, newline="")))
+def _read_text(source: Union[bytes, str, IO], table: str) -> str:
+    """The text of ``source``; a byte that is not UTF-8 raises
+    :class:`BadEncoding` at its row."""
+    if not isinstance(source, (bytes, str)):
+        source = source.read()
+    try:
+        return source if isinstance(source, str) else source.decode("utf-8")
+    except UnicodeDecodeError as exc:  # "?" stands in the bad byte's row
+        rows = _csv_rows(source[: exc.start].decode("utf-8") + "?", table)
+        message = f"byte {source[exc.start]:#04x} at offset {exc.start} is not UTF-8"
+        raise BadEncoding(message, table=table, row=len(rows) - 1 or None) from None
+
+
+def _csv_rows(text: str, table: str) -> list[list[str]]:
+    """``csv.reader``'s rows of ``text``, with no cap on a cell's length; a
+    ``csv.Error`` becomes a :class:`BadEncoding` at its row."""
+    rows: list[list[str]] = []
+    limit = csv.field_size_limit(len(text) + 1)  # the limit is process-wide
+    try:
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise BadEncoding(str(exc), table=table, row=len(rows) or None) from None
+    finally:
+        csv.field_size_limit(limit)
+    return rows
+
+
+def _cells(text: str, table: str):
+    """(header, flat cells of the header and kept rows, the kept rows' ordinals
+    or None if all are kept, the RaggedRow ending them or None): see read_table."""
+    lines = text.removesuffix("\n").split("\n")  # the newline ending the last row
+    commas = set(map(str.count, lines, repeat(",")))
+    plain = len(commas) == 1 and "" not in lines and not any(map(text.__contains__, '"\r\0'))
+    del lines
+    if plain:
+        cells = text.removesuffix("\n").replace("\n", ",").split(",")
+        return cells[: commas.pop() + 1], cells, None, None
+    rows = _csv_rows(text, table)
+    if not rows:
+        raise MissingColumn("table has no header row", table=table)
+    width, ordinals, ragged = len(rows[0]), None, None
+    lengths = np.array(list(map(len, rows)))
+    if (lengths != width).any():  # blank lines, which keep their ordinals, or a ragged row
+        at = np.flatnonzero((lengths != width) & (lengths > 0))
+        if at.size:  # the rows before the first ragged one are checked first
+            message = f"row has {lengths[at[0]]} cells, header has {width}"
+            ragged, lengths = RaggedRow(message, table=table, row=int(at[0])), lengths[: at[0]]
+        ordinals = np.flatnonzero(lengths[1:]) + 1
+        rows = [rows[0], *map(rows.__getitem__, ordinals)]
+    return rows[0], list(chain.from_iterable(rows)), ordinals, ragged
 
 
 def _parse_geometry(cell, table, row, column):
@@ -591,7 +634,7 @@ def _encode(cells: list) -> Column:
     """Dictionary-encode cell strings; codes follow order of first appearance."""
     index = dict.fromkeys(cells)
     if len(index) == len(cells):
-        return Column(np.arange(len(cells)), list(cells))
+        return Column(np.arange(len(cells)), cells)
     index = dict(zip(index, range(len(index))))
     codes = np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
     return Column(codes, list(index))
@@ -635,34 +678,33 @@ def repeats(keys: np.ndarray) -> np.ndarray:
 def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
     """Read one table of the given kind from bytes, text, or a file object.
 
-    ``csv.reader`` runs once and its rows are transposed to columns. Each
-    column is dictionary-encoded, and each distinct mandatory cell is checked
-    and decoded once. Property cells are typed only when asked for.
+    A text with no quote, ``\\r``, NUL (which ``csv.reader`` refuses before
+    Python 3.11) or blank line, and the header's comma count on every line, is
+    split with one ``str.split``: the dyna, grid, rel, usr and ext tables stkit
+    writes, unless a property needs quotes. Any other, such as a ``.geo`` with
+    quoted coordinates, goes through ``csv.reader``. Column ``j`` is the slice
+    ``[width + j :: width]`` of the flat cell list either gives. Each distinct
+    mandatory cell is checked and decoded once; properties are typed on demand.
 
-    Raises a located :class:`~stkit.exceptions.ParseError` subclass on the
+    A byte that is not UTF-8 raises :class:`~stkit.exceptions.BadEncoding` at
+    its row. Otherwise a located ``ParseError`` subclass is raised on the
     first malformed row in file order: missing or misordered mandatory
-    columns, ragged rows, bad timestamps, bad coordinates, out-of-domain enum
-    values, negative grid indices, or duplicated primary identifiers. Within
-    a row, columns are checked in header order and the identifier repeat
-    last. Row numbers count data rows from 1 and include skipped blank lines.
+    columns, ragged rows, bad timestamps or coordinates, out-of-domain enum
+    values, negative grid indices, or repeated primary identifiers. Within a
+    row, columns are checked in header order and the identifier repeat last.
+    Rows count from 1 and include skipped blank lines.
     """
     if kind not in MANDATORY_COLUMNS:
         raise ValueError(f"unknown table kind {kind!r}")
-    rows = _read_rows(source)
-    if not rows:
-        raise MissingColumn("table has no header row", table=kind)
-    header = rows[0]
+    header, cells, ordinals, ragged = _cells(_read_text(source, kind), kind)
     mandatory = MANDATORY_COLUMNS[kind]
     if tuple(header[: len(mandatory)]) != mandatory:
         raise MissingColumn(
             f"header must start with {list(mandatory)}, got {header[: len(mandatory)]}",
             table=kind,
         )
-    n_fixed = len(mandatory)
-    has_location = False
-    if kind == "dyna" and len(header) > n_fixed and header[n_fixed] == _LOCATION_COLUMN:
-        has_location = True
-        n_fixed += 1
+    has_location = kind == "dyna" and header[len(mandatory) :][:1] == [_LOCATION_COLUMN]
+    n_fixed = len(mandatory) + has_location
     prop_names = header[n_fixed:]
     if len(set(prop_names)) != len(prop_names) or any(
         p in mandatory or p == _LOCATION_COLUMN for p in prop_names
@@ -672,28 +714,10 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
             table=kind,
         )
 
-    body = rows[1:]
-    del rows
     width = len(header)
-    ordinals = ragged = None
-    if set(map(len, body)) - {width}:  # blank lines or a ragged row
-        kept, numbers = [], []
-        for ordinal, row in enumerate(body, start=1):
-            if not row:
-                continue  # ignore blank lines; they still count as rows
-            if len(row) != width:
-                ragged = RaggedRow(
-                    f"row has {len(row)} cells, header has {width}",
-                    table=kind,
-                    row=ordinal,
-                )
-                break  # the rows before it are checked first
-            kept.append(row)
-            numbers.append(ordinal)
-        body, ordinals = kept, np.array(numbers, dtype=np.intp)
-    n = len(body)
-    columns = [_encode(list(map(itemgetter(j), body))) for j in range(width)]
-    del body
+    n = len(cells) // width - 1
+    columns = [_encode(cells[width + j :: width]) for j in range(width)]
+    del cells
 
     decoded: dict[str, Column] = {}
     failures = []  # (row, position, raise_at(row=ordinal)), one per failing check

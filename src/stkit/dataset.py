@@ -8,8 +8,6 @@ feature columns, and (optionally) an explicit geo ordering.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -36,6 +34,7 @@ from .atomic import (
     write_table,
 )
 from .atomic import _check_coord_ranges, _shape_fault  # shared geometry rules
+from .atomic import _coerce_scalar, _csv_rows, _read_text  # shared cell and text rules
 from .exceptions import (
     BadConfigFile,
     BadCoordinate,
@@ -566,16 +565,15 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
 
     Raises UnmappedMandatoryColumn when a mapped column is missing from the
     raw header, and a ParseError located at the raw row and column for a
-    ragged row, a bad time cell or a coordinate that is not a number in
-    range. Blank lines are skipped. The output passes
+    ragged row, a bad time cell, a coordinate that is not a number in range
+    or a byte that is not UTF-8. Blank lines are skipped. The output passes
     :func:`validate_dataset` with zero errors.
     """
     if spec.target not in ("state", "trajectory"):
         raise BadConfigFile(
             f"conversion target {spec.target!r} is not 'state' or 'trajectory'"
         )
-    text = source.decode("utf-8") if isinstance(source, bytes) else source
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    rows = _csv_rows(_read_text(source, "raw"), "raw")
     if not rows:
         raise UnmappedMandatoryColumn("raw CSV has no header row")
     header = rows[0]
@@ -591,8 +589,6 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
             )
         if name not in col_index:
             raise UnmappedMandatoryColumn(f"raw CSV has no column {name!r}")
-
-    from .atomic import _coerce_scalar
 
     def cell(n: int, row: list[str], column: str, parse, error):
         """``parse`` of data row ``n``'s cell in ``column``; its ValueError

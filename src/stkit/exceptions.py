@@ -21,6 +21,7 @@ __all__ = [
     "BadFieldValue",
     "DuplicateId",
     "BadFeatureValue",
+    "BadEncoding",
     "MissingManifest",
     "BadManifest",
     "ValidationFailed",
@@ -126,6 +127,10 @@ class DuplicateId(ParseError):
 class BadFeatureValue(ParseError, ValueError):
     """A feature cell to tensorize is missing, is not a number, or is an
     integer too large for a float."""
+
+
+class BadEncoding(ParseError):
+    """A byte is not UTF-8, or csv.reader refuses the text (NUL before 3.11)."""
 
 
 class MissingManifest(StkitError):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import sys
 from datetime import datetime, timezone
 
 import numpy as np
@@ -24,6 +25,7 @@ from stkit.atomic import (
 )
 from stkit.exceptions import (
     BadCoordinate,
+    BadEncoding,
     BadFieldValue,
     BadTimestamp,
     DuplicateId,
@@ -321,6 +323,64 @@ def test_crlf_input_accepted():
 def test_embedded_newline_in_quoted_field_round_trips():
     rec = UserUnit("u1", {"note": "line\nbreak"})
     assert parse_table("usr", write_table("usr", [rec])) == [rec]
+
+
+def test_long_cells_round_trip_and_leave_the_field_limit_alone():
+    """Cells far over csv's default 131,072-character field limit read back,
+    quoted or plain, and the process-wide limit is the same afterwards."""
+    vertices = tuple((-179.9 + i * 0.04, 45.0 + i * 1e-4) for i in range(8000))
+    line = GeoUnit("g0", "LineString", vertices, {"note": "x" * 200_000})
+    user = UserUnit("u0", {"note": "y" * 200_000})
+    limit = csv.field_size_limit()
+    data = write_table("geo", [line])
+    assert len(data) > 2 * 131_072
+    assert parse_table("geo", data) == [line]
+    assert parse_table("usr", write_table("usr", [user])) == [user]
+    assert csv.field_size_limit() == limit
+
+
+@pytest.mark.parametrize(
+    "data, row",
+    [
+        (b"usr_id,note\nu0,a\nu1,caf\xe9\n", 2),
+        (b"usr_id,not\xe9\nu0,a\n", None),  # the header
+        (b"usr_id,note\nu0,a\n\xe9,b\n", 2),  # the first byte of a row
+        (b'usr_id,note\nu0,"two\nlines"\n\nu1,\xe9\n', 3),  # after a quoted newline and a blank line
+    ],
+)
+def test_a_byte_that_is_not_utf8_is_located(data, row):
+    offset = data.index(0xE9)
+    with pytest.raises(BadEncoding) as err:
+        read_table("usr", data)
+    assert (err.value.table, err.value.row, err.value.column) == ("usr", row, None)
+    assert str(err.value).startswith(f"byte 0xe9 at offset {offset} is not UTF-8 (")
+
+
+def test_csv_errors_become_located_bad_encoding(monkeypatch):
+    """A ``csv.Error`` (Python 3.10 raises one for NUL) is located at its row,
+    and the field limit lifted for the read is restored."""
+    reader = csv.reader
+
+    def failing_reader(*args, **kwargs):
+        rows = reader(*args, **kwargs)
+        yield next(rows)
+        yield next(rows)
+        raise csv.Error("line contains NUL")
+
+    monkeypatch.setattr(csv, "reader", failing_reader)
+    limit = csv.field_size_limit()
+    with pytest.raises(BadEncoding, match=r"^line contains NUL \(table=usr, row=2\)$"):
+        read_table("usr", 'usr_id,note\nu0,"a"\nu1,"b"\n')
+    assert csv.field_size_limit() == limit
+
+
+def test_nul_reads_as_csv_reader_reads_it():
+    text = "usr_id,note\nu0,a\x00b\n"
+    if sys.version_info >= (3, 11):
+        assert parse_table("usr", text) == [UserUnit("u0", {"note": "a\x00b"})]
+    else:
+        with pytest.raises(BadEncoding, match=r"NUL \(table=usr, row=1\)$"):
+            parse_table("usr", text)
 
 
 def test_parse_accepts_bytes_text_and_file_objects():

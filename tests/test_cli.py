@@ -572,15 +572,33 @@ RAW_STATES = "sensor,ts,speed\ns1,2024-01-01T00:00:00Z,60.0\n"
 RAW_VISITS = "user,ts,lon,lat\nu1,2024-01-01T00:00:00Z,116.4,39.9\n"
 
 
-def convert_case(raw, conversion, code, where):
+def convert_case(raw, conversion, code, where, encoding="utf-8"):
     """``stkit convert`` of one raw CSV under one conversion mapping."""
 
     def build(root, tmp):
-        (tmp / "raw.csv").write_text(raw, "utf-8")
+        (tmp / "raw.csv").write_text(raw, encoding)
         (tmp / "conv.json").write_text(json.dumps({"conversion": conversion}), "utf-8")
         argv = ["convert", "--dataset", str(tmp / "raw.csv"),
                 "--config_file", str(tmp / "conv.json"), "--output_dir", str(tmp / "out")]
         return argv, code, where
+
+    return build
+
+
+def non_utf8_case(command):
+    """``stkit validate`` or ``run`` on flow_p4 whose dyna table holds byte
+    0xe9 in data row 3."""
+
+    def build(root, tmp):
+        data = copy_of(root / "flow_p4", tmp / "flow_p4")
+        lines = (data / "flow_p4.dyna").read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b"state", b"st\xe9te")
+        (data / "flow_p4.dyna").write_bytes(b"\n".join(lines))
+        argv = [command, "--dataset", str(data)]
+        if command == "run":
+            argv += ["--task", "traffic_state_pred", "--model", "HA",
+                     "--output_dir", str(tmp / "out")]
+        return argv, 3, r"^error: byte 0xe9 at offset \d+ is not UTF-8 \(table=dyna, row=3\)$"
 
     return build
 
@@ -633,6 +651,13 @@ FAILURE_MATRIX = [
         RAW_VISITS + "u1,2024-01-01T00:05:00Z,116.5,95\n", VISITS, 3,
         r"^error: coordinate 95.0 outside \[-90, 90\] \(table=raw, row=2, column=lat\)$",
     ), id="convert-lat-out-of-range"),
+    pytest.param(convert_case(
+        RAW_STATES + "s\xe9,2024-01-01T00:05:00Z,55.0\n", STATES, 3,
+        r"^error: byte 0xe9 at offset 46 is not UTF-8 \(table=raw, row=2\)$",
+        encoding="latin-1",
+    ), id="convert-not-utf8"),
+    pytest.param(non_utf8_case("validate"), id="validate-not-utf8"),
+    pytest.param(non_utf8_case("run"), id="run-not-utf8"),
     pytest.param(convert_case(
         RAW_STATES, {**STATES, "target": "grid"}, 3,
         r"^error: conversion target 'grid' is not 'state' or 'trajectory'$",

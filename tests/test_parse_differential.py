@@ -1,11 +1,13 @@
 """Located parse errors of ``read_table`` against the per-row parser it replaced.
 
 ``reference_parse_table`` below is the per-row parser stkit shipped before
-tables were read as columns: it builds one record per row and stops at the
-first bad cell. It pins what the column reader must raise on a malformed
-table (class, message, row and column) and what it must return on a clean
-one. Random tables from ``conftest.random_table`` get one to three faults at
-random rows.
+tables were read as columns: it builds one record per row from its own
+``csv.reader`` call and stops at the first bad cell. It pins what the column
+reader must raise on a malformed table (class, message, row and column) and
+what it must return on a clean one. Random tables from
+``conftest.random_table`` get one to three faults at random rows, and each is
+also laid out plain (no quoted cell, so ``read_table`` splits it with
+``str.split``) and with the features that need ``csv.reader``.
 """
 
 import csv
@@ -16,7 +18,8 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from conftest import TABLE_GENERATOR_KINDS, random_table
+from conftest import TABLE_GENERATOR_KINDS, random_table, random_usr_records
+from stkit import atomic
 from stkit.atomic import (
     _INT_RE,
     _LOCATION_COLUMN,
@@ -35,7 +38,6 @@ from stkit.atomic import (
     UserUnit,
     _coerce_scalar,
     _parse_coordinates,
-    _read_rows,
     parse_table,
     parse_timestamp,
     read_table,
@@ -49,6 +51,7 @@ from stkit.exceptions import (
     MissingColumn,
     RaggedRow,
 )
+from stkit.synthetic import generate_synthetic
 
 # -- the per-row reference parser ------------------------------------------------
 
@@ -105,7 +108,9 @@ def reference_parse_table(kind, source) -> list:
     """
     if kind not in MANDATORY_COLUMNS:
         raise ValueError(f"unknown table kind {kind!r}")
-    rows = _read_rows(source)
+    text = source.read() if hasattr(source, "read") else source
+    text = text.decode("utf-8") if isinstance(text, bytes) else text
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise MissingColumn("table has no header row", table=kind)
     header = rows[0]
@@ -315,10 +320,66 @@ def inject(kind, rows, rng):
             row[j] = choices[int(rng.integers(len(choices)))]
 
 
-def csv_text(rows):
+def csv_text(rows, lineterminator="\n", quoting=csv.QUOTE_MINIMAL):
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
+    csv.writer(out, lineterminator=lineterminator, quoting=quoting).writerows(rows)
     return out.getvalue()
+
+
+def plain(rows):
+    """``rows`` with every character that needs a quote replaced, so that
+    ``csv_text`` quotes no cell (but an empty cell alone on its row)."""
+    table = str.maketrans({",": ";", '"': "'", "\n": " ", "\r": " "})
+    return [[cell.translate(table) for cell in row] for row in rows]
+
+
+def _at(rows, where):
+    """The data row index at ``where`` (first, middle or last); 1 if none."""
+    return {"first": 1, "middle": max(1, len(rows) // 2), "last": max(1, len(rows) - 1)}[where]
+
+
+def _blank(where):
+    def layout(rows, rng):
+        return csv_text(rows[: _at(rows, where)] + [[]] + rows[_at(rows, where) :])
+
+    return layout
+
+
+def _ragged(where):
+    def layout(rows, rng):
+        rows = [list(row) for row in rows]
+        row = rows[_at(rows, where)] if len(rows) > 1 else rows[0]
+        if len(row) > 1 and rng.random() < 0.5:
+            row.pop()
+        else:
+            row.append("x")
+        return csv_text(rows)
+
+    return layout
+
+
+def _newline_in_quotes(rows, rng):
+    rows = [list(row) for row in rows]
+    row = rows[int(rng.integers(len(rows)))]
+    if row:
+        row[int(rng.integers(len(row)))] += "\nx"
+    return csv_text(rows)
+
+
+# Per layout: the text of a table's rows (header first). The first four are
+# split by ``str.split`` when the rows are plain; every other needs csv.reader.
+LAYOUTS = {
+    "as_written": lambda rows, rng: csv_text(rows),
+    "no_trailing_newline": lambda rows, rng: csv_text(rows).removesuffix("\n"),
+    "header_only": lambda rows, rng: csv_text(rows[:1]),
+    "header_only_no_newline": lambda rows, rng: csv_text(rows[:1]).removesuffix("\n"),
+    "trailing_blank_line": lambda rows, rng: csv_text(rows) + "\n",
+    "quoted": lambda rows, rng: csv_text(rows, quoting=csv.QUOTE_ALL),
+    "crlf": lambda rows, rng: csv_text(rows, lineterminator="\r\n"),
+    "newline_in_quotes": _newline_in_quotes,
+    **{f"blank_{w}": _blank(w) for w in ("first", "middle", "last")},
+    **{f"ragged_{w}": _ragged(w) for w in ("first", "middle", "last")},
+}
 
 
 def outcome(parse, kind, text):
@@ -416,3 +477,64 @@ def test_header_errors_match():
         got = outcome(parse_table, kind, text)
         assert got[0] == "error" and got[1][0] is MissingColumn
         assert got == outcome(reference_parse_table, kind, text)
+
+
+@pytest.mark.parametrize("generator_kind", TABLE_GENERATOR_KINDS)
+def test_every_layout_matches_the_per_row_parser(generator_kind, monkeypatch):
+    """The same random tables, clean or faulty, plain or laid out with quotes,
+    CRLF, newlines in quotes, blank and ragged rows, header-only or without a
+    final newline: both tokenizers run, and each gives the per-row parser's
+    records or its located error."""
+    calls = []
+    csv_rows = atomic._csv_rows
+    monkeypatch.setattr(atomic, "_csv_rows", lambda *a: calls.append(a) or csv_rows(*a))
+    rng = np.random.default_rng(sum(map(ord, generator_kind)) + 2)
+    took_csv_reader = set()
+    for _ in range(20):
+        kind, _, rows = random_rows(generator_kind, rng)
+        if rng.random() < 0.5:
+            inject(kind, rows, rng)
+        for base in (rows, plain(rows)):
+            for name, layout in LAYOUTS.items():
+                text = layout(base, rng)
+                before = len(calls)
+                got = outcome(parse_table, kind, text)
+                took_csv_reader.add(len(calls) > before)
+                assert got == outcome(reference_parse_table, kind, text), (name, text)
+    assert took_csv_reader == {True, False}
+
+
+def test_single_column_tables_with_blank_lines():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        records = random_usr_records(rng, int(rng.integers(1, 6)), ())
+        rows = [["usr_id"], *([r.usr_id] for r in records)]
+        for _ in range(int(rng.integers(0, 4))):
+            rows.insert(int(rng.integers(1, len(rows) + 1)), [])
+        if rng.random() < 0.2:
+            rows[int(rng.integers(1, len(rows)))] = [""]  # an empty id, quoted
+        text = csv_text(rows)
+        for text in (text, text + "\n", text.removesuffix("\n"), "\n" + text):
+            got = outcome(parse_table, "usr", text)
+            assert got == outcome(reference_parse_table, "usr", text), text
+
+
+def test_plain_tables_skip_csv_reader(monkeypatch):
+    """The synthetic dyna and grid tables are split with ``str.split``; a
+    ``.geo``, whose coordinates are quoted, still goes through csv.reader."""
+    graph = generate_synthetic("graph_flow", {"n_nodes": 3, "n_slots": 24}, seed=1).dataset
+    grid = generate_synthetic("grid_flow", {"rows": 2, "cols": 3, "n_slots": 24}, seed=1)
+    texts = {
+        "dyna": write_table("dyna", graph.dyna),
+        "grid": write_table("grid", grid.dataset.grid),
+        "geo": write_table("geo", graph.geo),
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    assert read_table("dyna", texts["dyna"]) == list(graph.dyna)
+    assert read_table("grid", texts["grid"]) == list(grid.dataset.grid)
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        read_table("geo", texts["geo"])
