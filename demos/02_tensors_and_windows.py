@@ -36,8 +36,9 @@ print(f"train mean/std: {scaler.mean:.2f} / {scaler.std:.2f}")
 splits = split_windows(
     scaled, mask.values, WindowSpec(t_in=12, t_out=6), SplitSpec(0.7, 0.1, 0.2), axis=axis
 )
-for name, samples in splits.items():
-    print(f"{name}: {len(samples)} windows")
+# Each split's windows are index ranges over its segment, gathered per batch.
+for name, windows in splits.items():
+    print(f"{name}: {len(windows)} windows")
 
 batches = make_batches(splits["train"], batch_size=16, shuffle_seed=0)
 batch = batches[0]

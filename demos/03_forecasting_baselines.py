@@ -28,11 +28,11 @@ models = {
     "Persistence": PersistenceModel(),
 }
 
-samples = make_windows(
+windows = make_windows(
     values[train_end:], observed[train_end:], WindowSpec(12, 12),
     axis=axis, start_slot=train_end,
 )
-batch = make_batches(samples, batch_size=len(samples))[0]
+batch = make_batches(windows, batch_size=len(windows))[0]
 
 rows = []
 for name, model in models.items():
@@ -48,6 +48,6 @@ for name, model in models.items():
         row[f"mae@{h}"] = report.horizons[h]["mae"]
     rows.append(row)
 
-print(f"{len(samples)} test windows, horizons 3/6/12")
+print(f"{len(windows)} test windows, horizons 3/6/12")
 print(format_metric_table(rows, ["model", "mae", "rmse", "mae@3", "mae@6", "mae@12"]))
 print("\nHA is exact here because the series repeats with the fitted period.")

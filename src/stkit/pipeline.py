@@ -2,7 +2,9 @@
 
 The leakage rule lives here: splits are chronological, scalers fit on
 training cells only, and sliding windows are built inside each split segment
-so no sample straddles a boundary.
+so no window straddles a boundary. A segment's windows are one ``Windows``
+(the segment plus its start slot and time fractions); ``make_batches``
+gathers each batch from it by row index.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ __all__ = [
     "SplitSpec",
     "split_chronological",
     "WindowSpec",
-    "Sample",
+    "Windows",
     "make_windows",
     "split_windows",
     "make_batches",
@@ -152,6 +154,10 @@ def split_chronological(n: int, spec: SplitSpec) -> tuple[range, range, range]:
     return segments
 
 
+def _positive_whole(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """Sliding-window lengths: t_in observed slots, t_out predicted slots."""
@@ -160,27 +166,29 @@ class WindowSpec:
     t_out: int = 12
 
     def __post_init__(self):
-        if self.t_in <= 0 or self.t_out <= 0:
-            raise BadPipelineParams("window lengths must be positive")
+        if not (_positive_whole(self.t_in) and _positive_whole(self.t_out)):
+            raise BadPipelineParams(
+                f"window lengths must be positive integers, got {self.t_in!r}, {self.t_out!r}"
+            )
 
 
-@dataclass
-class Sample:
-    """One (input window, target window) pair with its absolute slot ids.
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Every (t_in, t_out) window of one segment, kept as the segment itself.
 
-    ``x_time``/``y_time`` carry the time-of-day fraction in [0, 1) per slot;
-    ``x_slots``/``y_slots`` the absolute slot indices on the source axis, so
-    downstream code can audit leakage and do periodic lookups.
+    Window k is rows k .. k + t_in + t_out - 1. ``time`` is each row's
+    time-of-day fraction in [0, 1), and ``start_slot`` the absolute slot of
+    row 0, so batches carry slot ids for leakage audits and periodic lookups.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    x_mask: np.ndarray
-    y_mask: np.ndarray
-    x_time: np.ndarray
-    y_time: np.ndarray
-    x_slots: np.ndarray
-    y_slots: np.ndarray
+    values: np.ndarray
+    mask: np.ndarray
+    spec: WindowSpec
+    start_slot: int
+    time: np.ndarray
+
+    def __len__(self) -> int:
+        return self.values.shape[0] - self.spec.t_in - self.spec.t_out + 1
 
 
 def _time_fractions(slots: np.ndarray, axis: TimeAxis | None) -> np.ndarray:
@@ -188,7 +196,6 @@ def _time_fractions(slots: np.ndarray, axis: TimeAxis | None) -> np.ndarray:
         return np.zeros(len(slots), dtype=np.float64)
     start = axis.start
     first = start.hour * 3600 + start.minute * 60 + start.second
-    slots = np.asarray(slots, dtype=np.int64)
     return (first + slots * axis.interval) % 86400 / 86400.0
 
 
@@ -198,38 +205,25 @@ def make_windows(
     spec: WindowSpec,
     axis: TimeAxis | None = None,
     start_slot: int = 0,
-) -> list[Sample]:
+) -> Windows:
     """Slide (t_in, t_out) windows over axis 0 of a [T, ...] tensor.
 
-    Yields exactly ``T - t_in - t_out + 1`` samples. ``start_slot`` is the
+    Holds exactly ``T - t_in - t_out + 1`` windows. ``start_slot`` is the
     absolute slot of values[0] on the source axis, used for slot bookkeeping
     when windowing a segment of a larger tensor.
     """
     values = np.asarray(values)
     mask = np.asarray(mask, dtype=bool)
+    if mask.shape != values.shape:
+        raise BadPipelineParams(f"mask shape {mask.shape} differs from values shape {values.shape}")
     T = values.shape[0]
-    width = spec.t_in + spec.t_out
-    if width > T:
-        raise WindowTooLong(f"window needs {width} slots, segment has {T}")
-    samples = []
-    for k in range(T - width + 1):
-        x_slots = np.arange(start_slot + k, start_slot + k + spec.t_in)
-        y_slots = np.arange(
-            start_slot + k + spec.t_in, start_slot + k + width
+    if spec.t_in + spec.t_out > T:
+        raise WindowTooLong(
+            f"slots {start_slot}..{start_slot + T - 1} hold {T}, but input_window + output_window"
+            f" = {spec.t_in} + {spec.t_out} = {spec.t_in + spec.t_out}"
         )
-        samples.append(
-            Sample(
-                x=values[k : k + spec.t_in],
-                y=values[k + spec.t_in : k + width],
-                x_mask=mask[k : k + spec.t_in],
-                y_mask=mask[k + spec.t_in : k + width],
-                x_time=_time_fractions(x_slots, axis),
-                y_time=_time_fractions(y_slots, axis),
-                x_slots=x_slots,
-                y_slots=y_slots,
-            )
-        )
-    return samples
+    slots = np.arange(start_slot, start_slot + T, dtype=np.int64)
+    return Windows(values, mask, spec, start_slot, _time_fractions(slots, axis))
 
 
 def split_windows(
@@ -238,48 +232,52 @@ def split_windows(
     wspec: WindowSpec,
     sspec: SplitSpec,
     axis: TimeAxis | None = None,
-) -> dict[str, list[Sample]]:
+) -> dict[str, Windows]:
     """Split slots chronologically, then window inside each segment.
 
-    Windowing after splitting guarantees that no sample sees slots from two
+    Windowing after splitting guarantees that no window sees slots from two
     segments, which is the leakage property tests audit via x_slots/y_slots.
     """
     T = np.asarray(values).shape[0]
     train, val, test = split_chronological(T, sspec)
     out = {}
     for name, seg in (("train", train), ("val", val), ("test", test)):
-        out[name] = make_windows(
-            values[seg.start : seg.stop],
-            mask[seg.start : seg.stop],
-            wspec,
-            axis=axis,
-            start_slot=seg.start,
-        )
+        try:
+            out[name] = make_windows(
+                values[seg.start : seg.stop], mask[seg.start : seg.stop], wspec, axis, seg.start
+            )
+        except WindowTooLong as e:
+            raise WindowTooLong(f"split {name}: {e}") from None
     return out
 
 
 def make_batches(
-    samples: Sequence[Sample],
+    samples: Windows,
     batch_size: int,
     shuffle_seed: int | None = None,
 ) -> list[dict[str, np.ndarray]]:
-    """Stack samples into dict batches; the last batch may be short.
+    """Gather the windows into dict batches; the last batch may be short.
 
-    With ``shuffle_seed`` set, sample order is permuted reproducibly first.
-    Batch keys: x, y, x_mask, y_mask, x_time, y_time, x_slots, y_slots.
+    With ``shuffle_seed`` set, window order is permuted reproducibly first.
+    Batch keys: x, y, x_mask, y_mask, x_time, y_time, x_slots, y_slots; each
+    batch is one gather of segment rows, so every array is a fresh copy.
     """
-    if batch_size <= 0:
-        raise BadPipelineParams("batch_size must be positive")
-    order = np.arange(len(samples))
+    if not _positive_whole(batch_size):
+        raise BadPipelineParams(f"batch_size must be a positive integer, got {batch_size!r}")
+    w, n, t_in = samples, len(samples), samples.spec.t_in
+    order = np.arange(n)
     if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(len(samples))
-    fields = ("x", "y", "x_mask", "y_mask", "x_time", "y_time", "x_slots", "y_slots")
+        order = np.random.default_rng(shuffle_seed).permutation(n)
+    offsets = np.arange(t_in + w.spec.t_out)
     batches = []
-    for lo in range(0, len(samples), batch_size):
-        chunk = [samples[i] for i in order[lo : lo + batch_size]]
-        batches.append(
-            {f: np.stack([getattr(s, f) for s in chunk]) for f in fields}
-        )
+    for lo in range(0, n, batch_size):
+        rows = order[lo : lo + batch_size, None] + offsets
+        x, y = rows[:, :t_in], rows[:, t_in:]
+        batches.append(dict(
+            x=w.values[x], y=w.values[y], x_mask=w.mask[x], y_mask=w.mask[y],
+            x_time=w.time[x], y_time=w.time[y],
+            x_slots=w.start_slot + x, y_slots=w.start_slot + y,
+        ))
     return batches
 
 

@@ -52,7 +52,6 @@ from .exceptions import (
 )
 from .mapmatch import MatchParams, build_road_network, viterbi_match
 from .pipeline import (
-    Sample,
     SplitSpec,
     TrajWindowSpec,
     WindowSpec,
@@ -179,10 +178,10 @@ def _check_model_task(model: str, task: str):
         )
 
 
-def _forecast_arrays(model, samples: list[Sample], batch_size: int):
-    """Predict a sample list in batches; returns (pred, truth, mask) stacked."""
+def _forecast_arrays(model, windows, batch_size: int):
+    """Predict a split's windows in batches; returns (pred, truth, mask) stacked."""
     preds, ys, masks = [], [], []
-    for batch in make_batches(samples, batch_size):
+    for batch in make_batches(windows, batch_size):
         preds.append(model.predict(batch))
         ys.append(batch["y"])
         masks.append(batch["y_mask"])

@@ -209,15 +209,16 @@ def test_criterion_05_window_counts_split_sizes_and_leakage():
     splits = split_windows(values, mask, WindowSpec(4, 2), SplitSpec(0.7, 0.1, 0.2))
     bounds = {"train": (0, 70), "val": (70, 80), "test": (80, 100)}
     slot_sets = {}
-    for name, samples in splits.items():
+    for name, windows in splits.items():
         lo, hi = bounds[name]
         used = set()
-        for s in samples:
-            slots = np.concatenate([s.x_slots, s.y_slots])
-            assert slots.min() >= lo and slots.max() < hi
-            # Window contents really come from those slots.
-            assert np.array_equal(s.y[:, 0], s.y_slots.astype(np.float64))
-            used.update(int(i) for i in slots)
+        for b in make_batches(windows, batch_size=8):
+            for x_slots, y_slots, y in zip(b["x_slots"], b["y_slots"], b["y"]):
+                slots = np.concatenate([x_slots, y_slots])
+                assert slots.min() >= lo and slots.max() < hi
+                # Window contents really come from those slots.
+                assert np.array_equal(y[:, 0], y_slots.astype(np.float64))
+                used.update(int(i) for i in slots)
         slot_sets[name] = used
     assert slot_sets["train"] & slot_sets["test"] == set()
     assert slot_sets["train"] & slot_sets["val"] == set()
@@ -284,8 +285,8 @@ def test_criterion_07_historical_average_exact_on_periodic_data():
     mask = np.ones_like(values, dtype=bool)
 
     model = ha_fit(values[:48], mask[:48], period=12, start_slot=0)
-    samples = make_windows(values[48:], mask[48:], WindowSpec(12, 12), start_slot=48)
-    batch = make_batches(samples, batch_size=len(samples))[0]
+    windows = make_windows(values[48:], mask[48:], WindowSpec(12, 12), start_slot=48)
+    batch = make_batches(windows, batch_size=len(windows))[0]
     pred = model.predict(batch)
     assert np.array_equal(pred, batch["y"])
 

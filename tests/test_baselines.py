@@ -17,8 +17,8 @@ from stkit.pipeline import WindowSpec, make_batches, make_windows
 
 def windows_to_batch(values, t_in, t_out, start_slot=0):
     mask = np.ones_like(values, dtype=bool)
-    samples = make_windows(values, mask, WindowSpec(t_in, t_out), start_slot=start_slot)
-    (batch,) = make_batches(samples, len(samples))
+    windows = make_windows(values, mask, WindowSpec(t_in, t_out), start_slot=start_slot)
+    (batch,) = make_batches(windows, len(windows))
     return batch
 
 
@@ -86,8 +86,8 @@ def test_ha_predict_uses_y_slots_phase():
     mask = np.ones_like(values, dtype=bool)
     model = ha_fit(values, mask, period=4)
     # A window starting mid-series still predicts by absolute phase.
-    samples = make_windows(values[20:], mask[20:], WindowSpec(2, 3), start_slot=20)
-    (batch,) = make_batches(samples, len(samples))
+    windows = make_windows(values[20:], mask[20:], WindowSpec(2, 3), start_slot=20)
+    (batch,) = make_batches(windows, len(windows))
     assert np.array_equal(model.predict(batch), batch["y"])
 
 

@@ -568,6 +568,26 @@ def space_case():
     return build
 
 
+def window_case():
+    """A run with the default 12/12 windows on a 200-slot dataset, whose
+    validation split holds only 20 slots."""
+
+    def build(root, tmp):
+        save_synthetic(
+            generate_synthetic(
+                "graph_flow", {"n_nodes": 3, "n_slots": 200, "name": "flow_200"}, seed=0
+            ),
+            tmp / "flow_200",
+        )
+        argv = ["run", "--task", "traffic_state_pred", "--model", "HA",
+                "--dataset", str(tmp / "flow_200"), "--output_dir", str(tmp / "out")]
+        where = (r"^error: split val: slots 140\.\.159 hold 20, "
+                 r"but input_window \+ output_window = 12 \+ 12 = 24$")
+        return argv, 3, where
+
+    return build
+
+
 RAW_STATES = "sensor,ts,speed\ns1,2024-01-01T00:00:00Z,60.0\n"
 RAW_VISITS = "user,ts,lon,lat\nu1,2024-01-01T00:00:00Z,116.4,39.9\n"
 
@@ -634,6 +654,7 @@ FAILURE_MATRIX = [
     *(pytest.param(config_case(command, "HA", values, key), id=f"{command}-{n}-{key}")
       for n, (command, values, key) in enumerate(BAD_SEED_TRIALS_AND_HORIZONS)),
     pytest.param(space_case(), id="tune-space-not-an-object"),
+    pytest.param(window_case(), id="run-window-longer-than-val"),
     pytest.param(convert_case(
         RAW_STATES + "s2,badtime,55.0\n", STATES, 3,
         r"^error: not an ISO-8601 UTC timestamp: 'badtime' \(table=raw, row=2, column=ts\)$",

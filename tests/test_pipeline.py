@@ -1,19 +1,21 @@
 """Scaling, chronological splits, windowing, batching, trajectory prep."""
 
 import math
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from stkit.exceptions import (
+    BadPipelineParams,
     DegenerateScale,
     EmptySegment,
     NegativeInputForLog,
     WindowTooLong,
 )
 from stkit.pipeline import (
-    Sample,
     Scaler,
     SplitSpec,
     TrajWindowSpec,
@@ -153,31 +155,37 @@ def test_split_spec_validation():
 # -- windows -----------------------------------------------------------------
 
 
+def one_batch(windows):
+    (batch,) = make_batches(windows, len(windows))
+    return batch
+
+
 def test_window_count_t100():
     values = np.arange(100, dtype=np.float64).reshape(100, 1)
     mask = np.ones_like(values, dtype=bool)
-    samples = make_windows(values, mask, WindowSpec(12, 12))
-    assert len(samples) == 77  # 100 - 12 - 12 + 1
+    windows = make_windows(values, mask, WindowSpec(12, 12))
+    assert len(windows) == 77  # 100 - 12 - 12 + 1
 
 
 def test_window_contents_and_slots():
     values = np.arange(8, dtype=np.float64).reshape(8, 1)
     mask = values % 2 == 0
-    samples = make_windows(values, mask, WindowSpec(t_in=3, t_out=2), start_slot=50)
-    assert len(samples) == 4
-    s = samples[1]
-    assert s.x[:, 0].tolist() == [1.0, 2.0, 3.0]
-    assert s.y[:, 0].tolist() == [4.0, 5.0]
-    assert s.x_mask[:, 0].tolist() == [False, True, False]
-    assert s.x_slots.tolist() == [51, 52, 53]
-    assert s.y_slots.tolist() == [54, 55]
+    windows = make_windows(values, mask, WindowSpec(t_in=3, t_out=2), start_slot=50)
+    assert len(windows) == 4
+    b = one_batch(windows)
+    assert b["x"][1, :, 0].tolist() == [1.0, 2.0, 3.0]
+    assert b["y"][1, :, 0].tolist() == [4.0, 5.0]
+    assert b["x_mask"][1, :, 0].tolist() == [False, True, False]
+    assert b["x_slots"][1].tolist() == [51, 52, 53]
+    assert b["y_slots"][1].tolist() == [54, 55]
 
 
 def test_window_exact_fit_yields_one_sample():
     values = np.zeros((3, 2))
     mask = np.ones_like(values, dtype=bool)
-    samples = make_windows(values, mask, WindowSpec(2, 1))
-    assert len(samples) == 1
+    windows = make_windows(values, mask, WindowSpec(2, 1))
+    assert len(windows) == 1
+    assert one_batch(windows)["x"].shape == (1, 2, 2)
     with pytest.raises(WindowTooLong):
         make_windows(values, mask, WindowSpec(3, 1))
 
@@ -186,12 +194,12 @@ def test_window_time_fractions_follow_axis():
     axis = build_time_axis([hours(0), hours(5)], 3600)
     values = np.zeros((6, 1))
     mask = np.ones_like(values, dtype=bool)
-    samples = make_windows(values, mask, WindowSpec(2, 1), axis=axis)
-    assert samples[0].x_time.tolist() == [0.0, 1.0 / 24.0]
-    assert samples[0].y_time.tolist() == [2.0 / 24.0]
+    b = one_batch(make_windows(values, mask, WindowSpec(2, 1), axis=axis))
+    assert b["x_time"][0].tolist() == [0.0, 1.0 / 24.0]
+    assert b["y_time"][0].tolist() == [2.0 / 24.0]
     # Without an axis the fractions are zero placeholders.
-    plain = make_windows(values, mask, WindowSpec(2, 1))
-    assert plain[0].x_time.tolist() == [0.0, 0.0]
+    plain = one_batch(make_windows(values, mask, WindowSpec(2, 1)))
+    assert plain["x_time"][0].tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -206,10 +214,13 @@ def test_window_time_fractions_equal_per_slot_fraction_of_day(start, interval):
     axis = TimeAxis(start, interval, 5000)
     values = np.zeros((axis.length, 1))
     mask = np.ones_like(values, dtype=bool)
-    samples = make_windows(values, mask, WindowSpec(3, 2), axis=axis)
-    for s in samples[::97]:
-        for slots, fractions in ((s.x_slots, s.x_time), (s.y_slots, s.y_time)):
-            expected = [axis.fraction_of_day(int(k)) for k in slots]
+    b = one_batch(make_windows(values, mask, WindowSpec(3, 2), axis=axis))
+    for k in range(0, len(b["x"]), 97):
+        for slots, fractions in (
+            (b["x_slots"][k], b["x_time"][k]),
+            (b["y_slots"][k], b["y_time"][k]),
+        ):
+            expected = [axis.fraction_of_day(int(j)) for j in slots]
             assert fractions.tolist() == expected  # bit-identical, not approximate
 
 
@@ -220,6 +231,20 @@ def test_window_spec_validation():
         WindowSpec(12, -1)
 
 
+def test_window_spec_rejects_fractional_length():
+    with pytest.raises(BadPipelineParams, match="positive integers, got 2.5, 1"):
+        WindowSpec(2.5, 1)
+
+
+@pytest.mark.parametrize(
+    "mask_shape", [(9, 2), (10, 3)], ids=["one-row-short", "another-width"]
+)
+def test_make_windows_rejects_a_mask_of_another_shape(mask_shape):
+    where = rf"mask shape \({mask_shape[0]}, {mask_shape[1]}\) differs from values shape \(10, 2\)"
+    with pytest.raises(BadPipelineParams, match=where):
+        make_windows(np.zeros((10, 2)), np.ones(mask_shape, dtype=bool), WindowSpec(3, 1))
+
+
 def test_split_windows_no_leakage():
     T = 100
     values = np.arange(T, dtype=np.float64).reshape(T, 1)
@@ -228,22 +253,25 @@ def test_split_windows_no_leakage():
     assert len(parts["train"]) == 70 - 6 + 1
     assert len(parts["val"]) == 10 - 6 + 1
     assert len(parts["test"]) == 20 - 6 + 1
+    batches = {name: one_batch(ws) for name, ws in parts.items()}
     seen = {
-        name: {int(s) for w in ws for s in np.r_[w.x_slots, w.y_slots]}
-        for name, ws in parts.items()
+        name: {int(s) for s in np.r_[b["x_slots"].ravel(), b["y_slots"].ravel()]}
+        for name, b in batches.items()
     }
     assert max(seen["train"]) < min(seen["val"])
     assert max(seen["val"]) < min(seen["test"])
     # Slot ids index the original tensor: y values equal their slot index.
-    w = parts["test"][0]
-    assert w.y[:, 0].tolist() == [float(s) for s in w.y_slots]
+    b = batches["test"]
+    assert b["y"][0, :, 0].tolist() == [float(s) for s in b["y_slots"][0]]
 
 
 def test_split_windows_segment_too_short():
     values = np.zeros((30, 1))
     mask = np.ones_like(values, dtype=bool)
-    with pytest.raises(WindowTooLong):
-        split_windows(values, mask, WindowSpec(3, 1), SplitSpec())  # val has 3
+    # val holds slots 21..23: the error names the split, its slots and the width.
+    where = r"^split val: slots 21\.\.23 hold 3, but input_window \+ output_window = 3 \+ 1 = 4$"
+    with pytest.raises(WindowTooLong, match=where):
+        split_windows(values, mask, WindowSpec(3, 1), SplitSpec())
 
 
 # -- batching ----------------------------------------------------------------
@@ -256,22 +284,22 @@ def sample_batch_inputs(n):
 
 
 def test_batch_sizes_and_keys():
-    samples = sample_batch_inputs(10)
-    batches = make_batches(samples, 4)
+    windows = sample_batch_inputs(10)
+    batches = make_batches(windows, 4)
     assert [b["x"].shape[0] for b in batches] == [4, 4, 2]
     assert set(batches[0]) == {
         "x", "y", "x_mask", "y_mask", "x_time", "y_time", "x_slots", "y_slots",
     }
     assert batches[0]["x"].shape == (4, 3, 1)
-    # Unshuffled batches keep sample order.
+    # Unshuffled batches keep window order.
     assert batches[0]["y_slots"][:, 0].tolist() == [3, 4, 5, 6]
 
 
 def test_batch_shuffle_deterministic():
-    samples = sample_batch_inputs(10)
-    a = make_batches(samples, 4, shuffle_seed=11)
-    b = make_batches(samples, 4, shuffle_seed=11)
-    c = make_batches(samples, 4, shuffle_seed=12)
+    windows = sample_batch_inputs(10)
+    a = make_batches(windows, 4, shuffle_seed=11)
+    b = make_batches(windows, 4, shuffle_seed=11)
+    c = make_batches(windows, 4, shuffle_seed=12)
     key = lambda bs: [bs_i["x_slots"].tolist() for bs_i in bs]
     assert key(a) == key(b)
     assert key(a) != key(c)
@@ -283,6 +311,113 @@ def test_batch_shuffle_deterministic():
 def test_batch_size_validation():
     with pytest.raises(ValueError):
         make_batches([], 0)
+
+
+def test_batch_size_rejects_a_fraction():
+    with pytest.raises(BadPipelineParams, match="batch_size must be a positive integer, got 2.5"):
+        make_batches(sample_batch_inputs(10), 2.5)
+
+
+# -- batches against the per-window reference --------------------------------
+# The reference is the per-window implementation that ``Windows`` replaced:
+# one object per window, stacked field by field per batch.
+
+
+@dataclass
+class Sample:
+    x: np.ndarray
+    y: np.ndarray
+    x_mask: np.ndarray
+    y_mask: np.ndarray
+    x_time: np.ndarray
+    y_time: np.ndarray
+    x_slots: np.ndarray
+    y_slots: np.ndarray
+
+
+def reference_time_fractions(slots, axis):
+    if axis is None:
+        return np.zeros(len(slots), dtype=np.float64)
+    start = axis.start
+    first = start.hour * 3600 + start.minute * 60 + start.second
+    slots = np.asarray(slots, dtype=np.int64)
+    return (first + slots * axis.interval) % 86400 / 86400.0
+
+
+def reference_make_windows(values, mask, spec, axis=None, start_slot=0):
+    values = np.asarray(values)
+    mask = np.asarray(mask, dtype=bool)
+    T = values.shape[0]
+    width = spec.t_in + spec.t_out
+    if width > T:
+        raise WindowTooLong(f"window needs {width} slots, segment has {T}")
+    samples = []
+    for k in range(T - width + 1):
+        x_slots = np.arange(start_slot + k, start_slot + k + spec.t_in)
+        y_slots = np.arange(
+            start_slot + k + spec.t_in, start_slot + k + width
+        )
+        samples.append(
+            Sample(
+                x=values[k : k + spec.t_in],
+                y=values[k + spec.t_in : k + width],
+                x_mask=mask[k : k + spec.t_in],
+                y_mask=mask[k + spec.t_in : k + width],
+                x_time=reference_time_fractions(x_slots, axis),
+                y_time=reference_time_fractions(y_slots, axis),
+                x_slots=x_slots,
+                y_slots=y_slots,
+            )
+        )
+    return samples
+
+
+def reference_make_batches(samples: Sequence[Sample], batch_size, shuffle_seed=None):
+    if batch_size <= 0:
+        raise BadPipelineParams("batch_size must be positive")
+    order = np.arange(len(samples))
+    if shuffle_seed is not None:
+        order = np.random.default_rng(shuffle_seed).permutation(len(samples))
+    fields = ("x", "y", "x_mask", "y_mask", "x_time", "y_time", "x_slots", "y_slots")
+    batches = []
+    for lo in range(0, len(samples), batch_size):
+        chunk = [samples[i] for i in order[lo : lo + batch_size]]
+        batches.append(
+            {f: np.stack([getattr(s, f) for s in chunk]) for f in fields}
+        )
+    return batches
+
+
+TENSOR_SHAPES = {"1d": (40,), "graph": (40, 3, 2), "grid": (40, 2, 3, 2)}
+
+
+@pytest.mark.parametrize("layout", sorted(TENSOR_SHAPES))
+@pytest.mark.parametrize("t_in, t_out", [(12, 12), (3, 1), (1, 5)])
+@pytest.mark.parametrize("start_slot", [0, 17])
+@pytest.mark.parametrize("with_axis", [False, True])
+@pytest.mark.parametrize("shuffle_seed", [None, 3])
+@pytest.mark.parametrize("batch_size", [1, 4, 1000])
+def test_batches_equal_the_per_window_reference(
+    layout, t_in, t_out, start_slot, with_axis, shuffle_seed, batch_size
+):
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=TENSOR_SHAPES[layout])
+    mask = rng.random(values.shape) < 0.8
+    axis = TimeAxis(hours(5) + timedelta(seconds=7 * 13), 7, 1000) if with_axis else None
+    spec = WindowSpec(t_in, t_out)
+    windows = make_windows(values, mask, spec, axis=axis, start_slot=start_slot)
+    samples = reference_make_windows(values, mask, spec, axis=axis, start_slot=start_slot)
+    got = make_batches(windows, batch_size, shuffle_seed)
+    want = reference_make_batches(samples, batch_size, shuffle_seed)
+    assert len(windows) == len(samples)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert list(g) == list(w)
+        for key in w:
+            assert g[key].dtype == w[key].dtype, key
+            assert g[key].shape == w[key].shape, key
+            assert g[key].flags.c_contiguous == w[key].flags.c_contiguous, key
+            assert np.array_equal(g[key], w[key]), key
 
 
 # -- trajectory filtering ----------------------------------------------------
