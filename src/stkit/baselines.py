@@ -105,7 +105,8 @@ class VARModel(ForecastModel):
     """Vector autoregression x_t = c + sum_i A_i x_{t-i} on flattened cells.
 
     ``coefs[i]`` is A_{i+1} with [target, source] orientation. Forecasts roll
-    out recursively, feeding predictions back in as history.
+    out recursively, feeding predictions back in as history, one step for
+    every sample of a batch at once.
     """
 
     order: int
@@ -117,23 +118,6 @@ class VARModel(ForecastModel):
     def dim(self) -> int:
         return self.intercept.shape[0]
 
-    def step(self, history: np.ndarray) -> np.ndarray:
-        """One-step forecast from history[-p:] rows, newest last."""
-        x = self.intercept.copy()
-        for i in range(self.order):
-            x += self.coefs[i] @ history[-1 - i]
-        return x
-
-    def rollout(self, history: np.ndarray, t_out: int) -> np.ndarray:
-        """Recursive multi-step forecast, [t_out, k]."""
-        buf = [np.asarray(row, dtype=np.float64) for row in history]
-        out = []
-        for _ in range(t_out):
-            nxt = self.step(np.asarray(buf))
-            out.append(nxt)
-            buf.append(nxt)
-        return np.asarray(out)
-
     def predict(self, batch: dict) -> np.ndarray:
         x = np.asarray(batch["x"], dtype=np.float64)
         t_out = batch["y_slots"].shape[1]
@@ -142,9 +126,16 @@ class VARModel(ForecastModel):
                 f"need {self.order} history slots, batch has {x.shape[1]}"
             )
         flat = x.reshape(x.shape[0], x.shape[1], -1)
-        preds = np.stack(
-            [self.rollout(sample[-self.order :], t_out) for sample in flat]
-        )
+        # The last ``order`` input slots as [B, k] rows, newest last; each
+        # step's forecast is appended and fed back as history.
+        history = list(flat[:, -self.order :].swapaxes(0, 1))
+        preds = np.empty((x.shape[0], t_out, self.dim))
+        for h in range(t_out):
+            nxt = self.intercept
+            for i in range(self.order):
+                nxt = nxt + (self.coefs[i] @ history[-1 - i][:, :, None])[:, :, 0]
+            preds[:, h] = nxt
+            history.append(nxt)
         return preds.reshape((x.shape[0], t_out) + tuple(self.target_shape))
 
 
@@ -169,6 +160,10 @@ def var_fit(
     flat = values.reshape(T, k)
     if order <= 0:
         raise BadModelParams("order must be positive", "order")
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise BadModelParams(
+            f"ridge must be finite and non-negative, got {ridge}", "ridge"
+        )
     if k > max_dim:
         raise BadModelParams(
             f"flattened dimension {k} exceeds the {max_dim} limit for dense VAR",
@@ -195,19 +190,19 @@ def var_fit(
 
     def solve(XtX, XtY):
         XtX = XtX + ridge * np.eye(XtX.shape[0])
+        denom = max(float(np.linalg.norm(XtY)), 1e-300)
+
+        def rel_resid(theta):
+            return float(np.linalg.norm(XtX @ theta - XtY)) / denom
+
         try:
             theta = np.linalg.solve(XtX, XtY)
         except np.linalg.LinAlgError:
             theta = None
-        if theta is not None:
-            resid = XtX @ theta - XtY
-            denom = max(float(np.linalg.norm(XtY)), 1e-300)
-            if float(np.linalg.norm(resid)) / denom < 1e-8:
-                return theta
+        if theta is not None and rel_resid(theta) < 1e-8:
+            return theta
         theta, *_ = np.linalg.lstsq(XtX, XtY, rcond=None)
-        resid = XtX @ theta - XtY
-        denom = max(float(np.linalg.norm(XtY)), 1e-300)
-        if float(np.linalg.norm(resid)) / denom >= 1e-6:
+        if rel_resid(theta) >= 1e-6:
             raise SingularDesign("normal equations are numerically singular")
         return theta
 

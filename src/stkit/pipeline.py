@@ -113,7 +113,7 @@ def fit_scaler(kind: str, values: np.ndarray, mask: np.ndarray | None = None) ->
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological train/val/test ratios; must be positive and sum to 1."""
+    """Chronological train/val/test ratios; must be finite, positive and sum to 1."""
 
     train: float = 0.7
     val: float = 0.1
@@ -121,8 +121,8 @@ class SplitSpec:
 
     def __post_init__(self):
         total = self.train + self.val + self.test
-        if abs(total - 1.0) > 1e-9:
-            raise BadPipelineParams(f"ratios must sum to 1, got {total}")
+        if not abs(total - 1.0) <= 1e-9:  # a NaN or infinite ratio fails too
+            raise BadPipelineParams(f"ratios must be finite and sum to 1, got {total}")
         if min(self.train, self.val, self.test) <= 0:
             raise BadPipelineParams("all three ratios must be positive")
 

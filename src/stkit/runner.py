@@ -211,21 +211,29 @@ def _as_number(
 ):
     """``value``, read from config key ``key``, as ``kind`` (int or float).
 
-    A value that does not convert, or that an int key would truncate or
-    reinterpret (2.7, "3"), raises ``error(message)`` naming the key.
+    A value that does not convert, that an int key would truncate or
+    reinterpret (2.7, "3"), or that is NaN or infinite, raises
+    ``error(message)`` naming the key.
     """
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or (kind is int and number != value):
-        want = "a whole number" if kind is int else "a number"
+    if number is None or (
+        number != value if kind is int else not math.isfinite(number)
+    ):
+        want = "a whole number" if kind is int else "a finite number"
         raise error(f"config key {key}: expected {want}, got {value!r}")
     return number
 
 
 # Baseline fit argument -> config key.
-_MODEL_KEYS = {"period": "ha_period", "order": "var_order", "max_dim": "var_max_dim"}
+_MODEL_KEYS = {
+    "period": "ha_period",
+    "order": "var_order",
+    "ridge": "var_ridge",
+    "max_dim": "var_max_dim",
+}
 
 
 def _fit(fit: Callable, *args, **kwargs):
@@ -299,11 +307,18 @@ def _run_traffic_state(
             ha_fit, values[:n_train], mask.values[:n_train], period, start_slot=0
         )
     elif model_name == "VAR":
+        order = _config_number(cfg, "var_order", int, BadModelParams)
+        if order > wspec.t_in:
+            raise BadModelParams(
+                f"config key var_order: order {order} needs {order} input slots, "
+                f"but config key input_window is {wspec.t_in}",
+                "order",
+            )
         model = _fit(
             var_fit,
             values[:n_train],
             mask.values[:n_train],
-            _config_number(cfg, "var_order", int, BadModelParams),
+            order,
             ridge=_config_number(cfg, "var_ridge", float, BadModelParams),
             max_dim=_config_number(cfg, "var_max_dim", int, BadModelParams),
         )
@@ -594,6 +609,13 @@ TASKS = tuple(TASK_TABLE)
 MODEL_TASKS = {m: task for task, spec in TASK_TABLE.items() for m in spec.models}
 
 
+def _require(cfg: Config, command: str, keys) -> None:
+    """BadConfigFile naming the first of ``keys`` that ``cfg`` leaves unset."""
+    for key in keys:
+        if not cfg.get(key):
+            raise BadConfigFile(f"{command} needs {key!r} (flag --{key})")
+
+
 def cmd_run(
     cfg: Config,
     prepared: dict | None = None,
@@ -607,9 +629,7 @@ def cmd_run(
     load and prepare each dataset once. ``check`` sees the metrics before
     anything is written, so an exception from it leaves no run directory.
     """
-    for key in ("task", "model", "dataset"):
-        if not cfg.get(key):
-            raise BadConfigFile(f"run needs {key!r} (flag --{key})")
+    _require(cfg, "run", ("task", "model", "dataset"))
     task, model, dataset = cfg["task"], cfg["model"], cfg["dataset"]
     _check_model_task(model, task)
     seed = _config_number(cfg, "seed", int, BadConfigFile)
@@ -727,6 +747,10 @@ def cmd_tune(cfg: Config):
         space = parse_space(payload)
     except ValueError as exc:
         raise BadConfigFile(str(exc)) from None
+    # The space may choose the model, but not the task or the dataset.
+    _require(cfg, "tune", ("task", "dataset"))
+    if "model" not in space:
+        _require(cfg, "tune", ("model",))
 
     seed = _config_number(cfg, "seed", int, BadConfigFile)
     alg = str(cfg["search_alg"])

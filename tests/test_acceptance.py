@@ -265,7 +265,8 @@ def test_criterion_06_var_recovers_coefficients_and_rollout():
         assert np.max(np.abs(model.intercept - intercept)) < 1e-6
 
         history = values[-order:]
-        rolled = model.rollout(history, t_out=6)
+        batch = {"x": history[None], "y_slots": np.zeros((1, 6), dtype=np.int64)}
+        rolled = model.predict(batch)[0]
         buf = [row.copy() for row in history]
         for step in range(6):
             nxt = model.intercept.copy()

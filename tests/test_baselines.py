@@ -11,7 +11,7 @@ from stkit.baselines import (
     var_fit,
 )
 from stkit.evaluate import masked_mae
-from stkit.exceptions import EmptyTrainingData, InsufficientLength
+from stkit.exceptions import BadModelParams, EmptyTrainingData, InsufficientLength
 from stkit.pipeline import WindowSpec, make_batches, make_windows
 
 
@@ -177,8 +177,74 @@ def test_var_rollout_recurrence():
         coefs=np.array([[[0.5]]]),
         target_shape=(1,),
     )
-    out = model.rollout(np.array([[1.0]]), 3)
+    batch = {"x": np.array([[[1.0]]]), "y_slots": np.zeros((1, 3), dtype=np.int64)}
+    out = model.predict(batch)[0]
     assert out[:, 0].tolist() == [0.5, 0.25, 0.125]
+
+
+class PerSampleVAR(VARModel):
+    """The per-sample rollout that the batched ``VARModel.predict`` replaced,
+    kept verbatim as the reference it must match bit for bit."""
+
+    def step(self, history: np.ndarray) -> np.ndarray:
+        """One-step forecast from history[-p:] rows, newest last."""
+        x = self.intercept.copy()
+        for i in range(self.order):
+            x += self.coefs[i] @ history[-1 - i]
+        return x
+
+    def rollout(self, history: np.ndarray, t_out: int) -> np.ndarray:
+        """Recursive multi-step forecast, [t_out, k]."""
+        buf = [np.asarray(row, dtype=np.float64) for row in history]
+        out = []
+        for _ in range(t_out):
+            nxt = self.step(np.asarray(buf))
+            out.append(nxt)
+            buf.append(nxt)
+        return np.asarray(out)
+
+    def predict(self, batch: dict) -> np.ndarray:
+        x = np.asarray(batch["x"], dtype=np.float64)
+        t_out = batch["y_slots"].shape[1]
+        if x.shape[1] < self.order:
+            raise InsufficientLength(
+                f"need {self.order} history slots, batch has {x.shape[1]}"
+            )
+        flat = x.reshape(x.shape[0], x.shape[1], -1)
+        preds = np.stack(
+            [self.rollout(sample[-self.order :], t_out) for sample in flat]
+        )
+        return preds.reshape((x.shape[0], t_out) + tuple(self.target_shape))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(160,), (160, 5, 2), (160, 3, 4, 1)])
+def test_var_batched_predict_equals_per_sample_reference(order, shape):
+    rng = np.random.default_rng(order * 10 + len(shape))
+    values = rng.normal(10.0, 3.0, size=shape)
+    mask = rng.random(shape) > 0.05
+    values = np.where(mask, values, 0.0)  # masked cells zero-filled, as in runs
+    model = var_fit(values[:120], mask[:120], order=order)
+    reference = PerSampleVAR(**vars(model))
+    windows = make_windows(values[120:], mask[120:], WindowSpec(4, 5), start_slot=120)
+    for batch_size in (1, 7, len(windows) + 3):
+        for batch in make_batches(windows, batch_size):
+            assert_same_bits(model.predict(batch), reference.predict(batch))
+
+
+def test_var_batched_predict_equals_reference_on_short_history():
+    model = var_fit(np.random.default_rng(4).normal(size=(40, 2)), None, order=3)
+    reference = PerSampleVAR(**vars(model))
+    batch = windows_to_batch(np.ones((10, 2)), 2, 2)
+    for m in (model, reference):
+        with pytest.raises(InsufficientLength, match="need 3 history slots, batch has 2"):
+            m.predict(batch)
 
 
 def test_var_identity_coefs_behave_like_persistence():
@@ -214,6 +280,13 @@ def test_var_fit_errors():
     mask = np.zeros((30, 1), dtype=bool)
     with pytest.raises(EmptyTrainingData):
         var_fit(np.ones((30, 1)), mask, order=1)
+
+
+@pytest.mark.parametrize("ridge", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_var_fit_rejects_bad_ridge(ridge):
+    with pytest.raises(BadModelParams, match="ridge must be finite and non-negative") as err:
+        var_fit(np.random.default_rng(0).normal(size=(30, 2)), None, order=1, ridge=ridge)
+    assert err.value.param == "ridge"
 
 
 def test_var_target_with_zero_rows():

@@ -276,6 +276,13 @@ BAD_MODEL_VALUES = [
     ("VAR", {"var_order": 2.7}, "var_order"),
     ("HA", {"batch_size": "abc"}, "batch_size"),
     ("HA", {"train_ratio": "most"}, "train_ratio"),
+    ("VAR", {"var_ridge": -1}, "var_ridge"),
+    ("VAR", {"var_order": 3, "input_window": 2}, "var_order"),
+    ("VAR", {"var_ridge": float("nan")}, "var_ridge"),
+    ("VAR", {"var_ridge": float("inf")}, "var_ridge"),
+    ("HA", {"val_ratio": float("nan")}, "val_ratio"),
+    ("HA", {"train_ratio": float("nan")}, "train_ratio"),
+    ("HA", {"mape_floor": float("nan")}, "mape_floor"),
 ]
 
 
@@ -298,6 +305,17 @@ def test_run_bad_model_values(cli_root, tmp_path, capsys, model, values, key):
     assert err.startswith(f"error: config key {key}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "runs").exists()
+
+
+def test_var_order_past_input_window_names_both_keys(cli_root, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"input_window": 2, "output_window": 2, "var_order": 3}), "utf-8")
+    flags = run_flags(cli_root, tmp_path / "runs", model="VAR")[:-1]
+    assert main(["run", *flags, str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "error: config key var_order: order 3 needs 3 input slots, "
+        "but config key input_window is 2\n"
+    )
 
 
 BAD_SEED_TRIALS_AND_HORIZONS = [
@@ -496,24 +514,59 @@ def test_tune_missing_objective_path(cli_root, tmp_path, capsys):
 
 
 def test_tune_failing_after_the_first_trial_leaves_no_runs(cli_root, tmp_path, capsys):
-    # Order 30 needs more coefficients than 60 slots can determine, so the
-    # second trial fails after the first has written its run: a run failure.
+    # Order 12 needs more coefficients than the 24 training slots can
+    # determine, so the second trial fails after the first has written its
+    # run: a run failure. Its 12 input slots are enough for order 12.
+    cfg = tmp_path / "long_input.json"
+    cfg.write_text(json.dumps({"input_window": 12, "output_window": 2, "train_ratio": 0.4,
+                               "val_ratio": 0.3, "test_ratio": 0.3}), "utf-8")
     space = tmp_path / "space.json"
-    space.write_text(json.dumps({"var_order": {"values": [1, 30]}}), "utf-8")
+    space.write_text(json.dumps({"var_order": {"values": [1, 12]}}), "utf-8")
     code = main(
         [
             "tune",
-            *run_flags(cli_root, tmp_path / "runs", model="VAR"),
+            *run_flags(cli_root, tmp_path / "runs", model="VAR")[:-1], str(cfg),
             "--space_file", str(space),
         ]
     )
     assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: 12 usable rows cannot determine 91 coefficients")
+    assert err.startswith("error: 12 usable rows cannot determine 37 coefficients")
     assert "Traceback" not in err
     assert not list(tmp_path.glob("**/trial_*"))
     with pytest.raises(NoResults):
         build_leaderboard(load_runs(tmp_path / "runs"), "traffic_state_pred")
+
+
+def tune_flags(cli_root, tmp_path, space, drop):
+    """``run_flags`` for a tune over ``space``, without the flag ``drop``."""
+    flags = run_flags(cli_root, tmp_path / "runs")
+    at = flags.index(f"--{drop}")
+    (tmp_path / "space.json").write_text(json.dumps(space), "utf-8")
+    return [*flags[:at], *flags[at + 2 :], "--space_file", str(tmp_path / "space.json")]
+
+
+@pytest.mark.parametrize(
+    "drop, space",
+    [
+        ("dataset", {"ha_period": {"values": [4]}}),
+        ("task", {"ha_period": {"values": [4]}}),
+        # A space may choose the model, but not the task.
+        ("task", {"task": {"values": ["traffic_state_pred"]}}),
+    ],
+)
+def test_tune_needs_task_and_dataset(cli_root, tmp_path, capsys, drop, space):
+    assert main(["tune", *tune_flags(cli_root, tmp_path, space, drop)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: tune needs {drop!r} (flag --{drop})\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_tune_takes_the_model_from_the_space(cli_root, tmp_path, capsys):
+    space = {"model": {"values": ["HA", "VAR", "Persistence"]}}
+    assert main(["tune", *tune_flags(cli_root, tmp_path, space, "model")]) == 0
+    assert "3 trial(s); best is trial 0" in capsys.readouterr().out
+    assert len(list(tmp_path.glob("runs/tune_*/trial_*/*/metrics.json"))) == 3
 
 
 # -- failure matrix: every failure exits with its code and a located message ---------

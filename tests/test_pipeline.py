@@ -152,6 +152,20 @@ def test_split_spec_validation():
         SplitSpec(1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "ratios",
+    [
+        (float("nan"), 0.1, 0.2),
+        (0.7, float("nan"), 0.2),
+        (0.7, 0.1, float("inf")),
+        (float("inf"), float("-inf"), 1.0),
+    ],
+)
+def test_split_spec_rejects_non_finite_ratios(ratios):
+    with pytest.raises(BadPipelineParams, match="ratios must be finite and sum to 1"):
+        SplitSpec(*ratios)
+
+
 # -- windows -----------------------------------------------------------------
 
 
