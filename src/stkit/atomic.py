@@ -640,6 +640,14 @@ def _encode(cells: list) -> Column:
     return Column(codes, list(index))
 
 
+def _pairs(a: Column, b: Column) -> Column:
+    """The column of (a, b) value pairs; equal pairs share one code."""
+    width = len(b.values)
+    distinct, codes = np.unique(a.codes * width + b.codes, return_inverse=True)
+    pairs = _encode([(a.values[k // width], b.values[k % width]) for k in distinct.tolist()])
+    return Column(pairs.codes[codes.reshape(-1)], pairs.values)
+
+
 def _decode(column: Column, check, table: str, name: str) -> tuple[Column, list[int]]:
     """Run ``check`` once per distinct cell: the decoded column and failed codes.
 
@@ -725,7 +733,7 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
         zip(_ATTRS[kind], _CHECKS[kind], mandatory, columns)
     ):
         if check is _parse_geometry:
-            column = _encode(list(zip(decoded["geo_type"].tolist(), column.tolist())))
+            column = _pairs(decoded["geo_type"], column)
         decoded[attr], bad = _decode(column, check, kind, name)
         if bad:
             row = _first_row(column, bad)
@@ -733,7 +741,7 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
             failures.append((row, position, raise_at))
     ids = columns[0]
     if kind == "ext":  # the identity is (ext_id, time)
-        ids = _encode(list(zip(ids.tolist(), decoded["time"].tolist())))
+        ids = _pairs(ids, decoded["time"])
     if len(ids.values) < n:  # a repeated identifier
         row = int(np.argmax(repeats(ids.codes)))
         raise_at = partial(_duplicate, ids.at(row), kind, mandatory[0])

@@ -17,7 +17,8 @@ from typing import Mapping, Union
 from .exceptions import BadConfigFile, UnknownCliKey
 
 __all__ = [
-    "CLI_KEYS", "DEFAULTS", "Config", "check_keys", "load_config", "read_json_object"
+    "CLI_KEYS", "DEFAULTS", "Config", "check_keys", "load_config", "read_json_object",
+    "write_json",
 ]
 
 # Keys settable directly as command-line flags; all others are file-only.
@@ -125,6 +126,12 @@ def read_json_object(path: Union[str, Path], label: str) -> dict:
     if not isinstance(payload, dict):
         raise BadConfigFile(f"{label} {p} must hold a JSON object")
     return payload
+
+
+def write_json(path: Union[str, Path], payload) -> None:
+    """Write ``payload`` to ``path`` as UTF-8 JSON with sorted keys, indented
+    by two spaces and ending in a newline; every JSON artifact is written so."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
 def load_config(

@@ -34,7 +34,8 @@ from .atomic import (
     write_table,
 )
 from .atomic import _check_coord_ranges, _shape_fault  # shared geometry rules
-from .atomic import _coerce_scalar, _csv_rows, _read_text  # shared cell and text rules
+from .atomic import _coerce_scalar, _csv_rows, _pairs, _read_text  # shared cell rules
+from .config import write_json
 from .exceptions import (
     BadConfigFile,
     BadCoordinate,
@@ -211,14 +212,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _pairs(a: Column, b: Column) -> Column:
-    """The column of (a, b) value pairs, one code per distinct pair of codes."""
-    width = len(b.values)
-    distinct, codes = np.unique(a.codes * width + b.codes, return_inverse=True)
-    values = [(a.values[k // width], b.values[k % width]) for k in distinct.tolist()]
-    return Column(codes.reshape(-1), values)
-
-
 def _repeats(column: Column) -> np.ndarray:
     """Per row, whether an earlier row holds an equal value."""
     values, keys = column.values, column.codes
@@ -237,20 +230,41 @@ def _found(found: list, table, rows, rank: int, severity, message, column=None):
     """
     for i in np.flatnonzero(rows).tolist():
         text = message(i) if column is None else message.format(column.at(i))
-        found.append((i, rank, Finding(severity, table, i + 1, text)))
+        found.append(((i, rank), Finding(severity, table, i + 1, text)))
 
 
-def _emit(out: list[Finding], found: list) -> None:
-    """Append the findings in row order, and by rank within a row."""
-    found.sort(key=lambda f: f[:2])
-    out.extend(f[-1] for f in found)
+def _duplicate(ids, key) -> str:
+    """The finding of a row whose identifier ``key``, in the column ``ids``
+    (for ext, the column pair), an earlier row holds."""
+    if isinstance(ids, str):
+        return f"duplicate {ids} {key!r}"
+    ext_id, time = key
+    return f"duplicate (ext_id, time) pair {ext_id!r} @ {time.isoformat()}"
+
+
+def _references(found: list, table: str, references, pools: dict) -> None:
+    """Check each reference (rows, column, kind, rank, error, warning).
+
+    Each flagged row whose value is no id of the ``kind`` table is an error.
+    If that table is absent, ``warning`` is given once instead, where the
+    first of its references' rows and ranks is.
+    """
+    absent: dict[str, tuple] = {}
+    for rows, column, kind, rank, error, warning in references:
+        pool = pools[kind]
+        if pool is None:
+            if rows.any():
+                first = (-1, int(np.argmax(rows)), rank)
+                absent[warning] = min(absent.get(warning, first), first)
+        else:
+            dangling = rows & ~column.flags(lambda v: v in pool)
+            _found(found, table, dangling, rank, "error", error, column)
+    found.extend((first, Finding("warning", table, None, w)) for w, first in absent.items())
 
 
 def _geometry_fault(geo_type, coordinates) -> str | None:
     """The shape and range faults of a geometry, joined by "; "; None if it
-    has none or its type is unknown, which is a fault of its own."""
-    if geo_type not in GEO_TYPES:
-        return None
+    has none."""
     fault = _shape_fault(geo_type, coordinates)
     problems = [] if fault is None else [fault]
     try:
@@ -260,25 +274,22 @@ def _geometry_fault(geo_type, coordinates) -> str | None:
     return "; ".join(problems) or None
 
 
-def _check_geo(ds: AtomicDataset, out: list[Finding]):
-    ids, types = ds.geo.field("geo_id"), ds.geo.field("geo_type")
-    found: list = []
-    repeat = _repeats(ids)
-    _found(found, "geo", repeat, 0, "error", "duplicate geo_id {!r}", ids)
-    bad_type = ~repeat & ~types.flags(lambda v: v in GEO_TYPES)
-    _found(found, "geo", bad_type, 0, "error", "unknown geo type {!r}", types)
-    shapes = _pairs(types, ds.geo.field("coordinates"))
+# Each check below takes (dataset, table, ok, found): ``ok`` flags the rows
+# that pass the identifier and type rules. It adds the findings of its own
+# rules to ``found`` and returns the table's references, which
+# ``_references`` checks.
+
+
+def _check_geo(ds: AtomicDataset, table: Table, ok, found: list):
+    shapes = _pairs(table.field("geo_type"), table.field("coordinates"))
     faults = Column(shapes.codes, [_geometry_fault(*shape) for shape in shapes.values])
-    bad_shape = ~repeat & faults.flags(lambda v: v is not None)
-    _found(found, "geo", bad_shape, 0, "error", "{}", faults)
-    _emit(out, found)
+    _found(found, "geo", ok & faults.flags(lambda v: v is not None), 0, "error", "{}", faults)
+    return ()
 
 
-def _check_usr(ds: AtomicDataset, out: list[Finding]):
-    ids = ds.usr.field("usr_id")
-    found: list = []
-    _found(found, "usr", _repeats(ids), 0, "error", "duplicate usr_id {!r}", ids)
-    _emit(out, found)
+def _check_ids_only(ds: AtomicDataset, table: Table, ok, found: list):
+    """usr and ext: the identifier rule is their only rule."""
+    return ()
 
 
 # Per end of a relation: its column and, per relation type, the table it names.
@@ -288,72 +299,24 @@ _REL_ENDS = (
 )
 
 
-def _check_rel(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
-    ids, types = ds.rel.field("rel_id"), ds.rel.field("rel_type")
-    found: list = []
-    repeat = _repeats(ids)
-    _found(found, "rel", repeat, 0, "error", "duplicate rel_id {!r}", ids)
-    bad_type = ~repeat & ~types.flags(lambda v: v in REL_TYPES)
-    _found(found, "rel", bad_type, 0, "error", "unknown relation type {!r}", types)
-    # A warning about an absent table is given once, where its first end is.
-    absent: dict[str, tuple[int, int]] = {}
-    for rank, (side, tables) in enumerate(_REL_ENDS):
-        column = ds.rel.field(side)
-        for name, pool in (("geo", geo_ids), ("usr", usr_ids)):
-            rows = ~repeat & types.flags(lambda v: tables.get(v) == name)
-            if pool is None:
-                if rows.any():
-                    first = (int(np.argmax(rows)), rank)
-                    absent[name] = min(absent.get(name, first), first)
-            else:
-                dangling = rows & ~column.flags(lambda v: v in pool)
-                message = f"{side} {{!r}} not found in .{name}"
-                _found(found, "rel", dangling, rank, "error", message, column)
-    warning = "referenced .{} table absent; endpoints unresolvable"
-    _emit(out, [
-        (*first, Finding("warning", "rel", None, warning.format(name)))
-        for name, first in absent.items()
-    ])
-    _emit(out, found)
+def _check_rel(ds: AtomicDataset, table: Table, ok, found: list):
+    types = table.field("rel_type")
+    return [
+        (
+            ok & types.flags(lambda v: ends.get(v) == kind), table.field(side), kind, rank,
+            f"{side} {{!r}} not found in .{kind}",
+            f"referenced .{kind} table absent; endpoints unresolvable",
+        )
+        for rank, (side, ends) in enumerate(_REL_ENDS)
+        for kind in ("geo", "usr")
+    ]
 
 
-def _check_dyna(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
-    ids, types, entities, locations, times = map(
-        ds.dyna.field, ("dyna_id", "dyna_type", "entity_id", "location", "time")
+def _check_dyna(ds: AtomicDataset, table: Table, ok, found: list):
+    types, entities, locations, times = map(
+        table.field, ("dyna_type", "entity_id", "location", "time")
     )
-    found: list = []
-    repeat = _repeats(ids)
-    _found(found, "dyna", repeat, 0, "error", "duplicate dyna_id {!r}", ids)
-    bad_type = ~repeat & ~types.flags(lambda v: v in DYNA_TYPES)
-    _found(found, "dyna", bad_type, 0, "error", "unknown dyna type {!r}", types)
-    state = types.flags(lambda v: v == "state") & ~repeat
-    traj = types.flags(lambda v: v == "trajectory") & ~repeat
-    # A warning about an absent table is given once, where its first row is.
-    absent = []
-    for rows, column, pool, rank, warning, error in (
-        (
-            state, entities, geo_ids, 0,
-            "state rows present but .geo table absent; entities unresolvable",
-            "entity_id {!r} not in .geo",
-        ),
-        (
-            traj, entities, usr_ids, 0,
-            "trajectory rows present but .usr table absent; entities unresolvable",
-            "entity_id {!r} not in .usr",
-        ),
-        (
-            traj & locations.flags(lambda v: v is not None), locations, geo_ids, 1,
-            "location column present but .geo table absent",
-            "location {!r} not in .geo",
-        ),
-    ):
-        if pool is None:
-            if rows.any():
-                first = int(np.argmax(rows))
-                absent.append((first, rank, Finding("warning", "dyna", None, warning)))
-        else:
-            dangling = rows & ~column.flags(lambda v: v in pool)
-            _found(found, "dyna", dangling, rank, "error", error, column)
+    traj = ok & types.flags(lambda v: v == "trajectory")
     last_time: dict[str, object] = {}
     nonmonotone: set[str] = set()
     for i in np.flatnonzero(traj).tolist():
@@ -365,10 +328,23 @@ def _check_dyna(ds: AtomicDataset, out: list[Finding], geo_ids, usr_ids):
                 f"timestamps for entity {entity!r} are not "
                 "non-decreasing in file order"
             )
-            found.append((i, 2, Finding("warning", "dyna", i + 1, message)))
+            found.append(((i, 2), Finding("warning", "dyna", i + 1, message)))
         last_time[entity] = time
-    _emit(out, absent)
-    _emit(out, found)
+    return (
+        (
+            ok & types.flags(lambda v: v == "state"), entities, "geo", 0,
+            "entity_id {!r} not in .geo",
+            "state rows present but .geo table absent; entities unresolvable",
+        ),
+        (
+            traj, entities, "usr", 0, "entity_id {!r} not in .usr",
+            "trajectory rows present but .usr table absent; entities unresolvable",
+        ),
+        (
+            traj & locations.flags(lambda v: v is not None), locations, "geo", 1,
+            "location {!r} not in .geo", "location column present but .geo table absent",
+        ),
+    )
 
 
 # Per grid-indexed kind: its index columns, each with the manifest key that
@@ -382,66 +358,49 @@ _GRID_INDEXES = {
 }
 
 
-def _check_grid_like(ds: AtomicDataset, out: list[Finding]):
-    for kind, index_fields in _GRID_INDEXES.items():
-        table = getattr(ds, kind)
-        if not table:
-            continue
-        bounds = [
-            (attr, table.field(attr), getattr(ds.manifest, key))
-            for attr, key in index_fields
-        ]
-        if any(bound is None for *_, bound in bounds):
-            message = "manifest lacks grid_rows/grid_cols but grid-indexed rows exist"
-            out.append(Finding("error", kind, None, message))
-            continue
-        ids = table.field("dyna_id")
-        found: list = []
-        repeat = _repeats(ids)
-        _found(found, kind, repeat, 0, "error", "duplicate dyna_id {!r}", ids)
-        outside = np.zeros(len(table), dtype=bool)
-        for _, column, bound in bounds:
-            outside |= column.flags(lambda v: not 0 <= v < bound)
-
-        def message(i):
-            return "; ".join(
-                f"{attr}={column.at(i)} outside [0, {bound})"
-                for attr, column, bound in bounds
-                if not 0 <= column.at(i) < bound
-            )
-
-        _found(found, kind, outside & ~repeat, 0, "error", message)
-        _emit(out, found)
-
-
-def _check_od(ds: AtomicDataset, out: list[Finding], geo_ids):
-    ids = ds.od.field("dyna_id")
-    found: list = []
-    repeat = _repeats(ids)
-    _found(found, "od", repeat, 0, "error", "duplicate dyna_id {!r}", ids)
-    if geo_ids is None:
-        if ds.od:
-            message = ".geo table absent; origin/destination unresolvable"
-            out.append(Finding("warning", "od", None, message))
-    else:
-        for rank, side in enumerate(("origin_id", "des_id")):
-            column = ds.od.field(side)
-            dangling = ~repeat & ~column.flags(lambda v: v in geo_ids)
-            message = side + " {!r} not in .geo"
-            _found(found, "od", dangling, rank, "error", message, column)
-    _emit(out, found)
-
-
-def _check_ext(ds: AtomicDataset, out: list[Finding]):
-    keys = _pairs(ds.ext.field("ext_id"), ds.ext.field("time"))
+def _check_grid(ds: AtomicDataset, table: Table, ok, found: list):
+    bounds = [
+        (attr, table.field(attr), getattr(ds.manifest, key))
+        for attr, key in _GRID_INDEXES[table.kind]
+    ]
+    outside = np.zeros(len(table), dtype=bool)
+    for _, column, bound in bounds:
+        outside |= column.flags(lambda v: not 0 <= v < bound)
 
     def message(i):
-        ext_id, time = keys.at(i)
-        return f"duplicate (ext_id, time) pair {ext_id!r} @ {time.isoformat()}"
+        return "; ".join(
+            f"{attr}={column.at(i)} outside [0, {bound})"
+            for attr, column, bound in bounds
+            if not 0 <= column.at(i) < bound
+        )
 
-    found: list = []
-    _found(found, "ext", _repeats(keys), 0, "error", message)
-    _emit(out, found)
+    _found(found, table.kind, ok & outside, 0, "error", message)
+    return ()
+
+
+def _check_od(ds: AtomicDataset, table: Table, ok, found: list):
+    return [
+        (
+            ok, table.field(side), "geo", rank, side + " {!r} not in .geo",
+            ".geo table absent; origin/destination unresolvable",
+        )
+        for rank, side in enumerate(("origin_id", "des_id"))
+    ]
+
+
+# Per kind: the column that identifies a row (for ext, the pair of columns);
+# its type column with the domain and the name findings give it, or None;
+# and its check.
+_RULES = {
+    "geo": ("geo_id", ("geo_type", GEO_TYPES, "geo type"), _check_geo),
+    "usr": ("usr_id", None, _check_ids_only),
+    "rel": ("rel_id", ("rel_type", REL_TYPES, "relation type"), _check_rel),
+    "dyna": ("dyna_id", ("dyna_type", DYNA_TYPES, "dyna type"), _check_dyna),
+    "grid": ("dyna_id", None, _check_grid),
+    "od": ("dyna_id", None, _check_od),
+    "gridod": ("dyna_id", None, _check_grid),
+    "ext": (("ext_id", "time"), None, _check_ids_only),
+}
 
 
 def validate_dataset(ds: AtomicDataset) -> ValidationReport:
@@ -451,20 +410,37 @@ def validate_dataset(ds: AtomicDataset) -> ValidationReport:
     geometry, dangling references into present tables, grid indices outside
     the manifest bounds. Warnings: references into absent tables and
     non-monotone trajectory timestamps (tensorization sorts, so these are
-    survivable). Findings come out in table order, then row order.
+    survivable). Findings come out in table order, then row order; a table's
+    warnings about absent tables come before its rows' findings.
     """
+    pools = {
+        "geo": set(ds.geo.field("geo_id").tolist()) if ds.geo else None,
+        "usr": set(ds.usr.field("usr_id").tolist()) if ds.usr else None,
+    }
     out: list[Finding] = []
-    geo_ids = set(ds.geo.field("geo_id").tolist()) if ds.geo else None
-    usr_ids = set(ds.usr.field("usr_id").tolist()) if ds.usr else None
-    _check_geo(ds, out)
-    _check_usr(ds, out)
-    _check_rel(ds, out, geo_ids, usr_ids)
-    _check_dyna(ds, out, geo_ids, usr_ids)
-    _check_grid_like(ds, out)
-    _check_od(ds, out, geo_ids)
-    _check_ext(ds, out)
-    order = {kind: k for k, kind in enumerate(MANDATORY_COLUMNS)}
-    out.sort(key=lambda f: (order[f.table], f.row if f.row is not None else 0))
+    for kind in MANDATORY_COLUMNS:
+        table = getattr(ds, kind)
+        if not table:
+            continue
+        if any(getattr(ds.manifest, key) is None for _, key in _GRID_INDEXES.get(kind, ())):
+            message = "manifest lacks grid_rows/grid_cols but grid-indexed rows exist"
+            out.append(Finding("error", kind, None, message))  # its rows go unchecked
+            continue
+        ids, typed, check = _RULES[kind]
+        key = table.field(ids) if isinstance(ids, str) else _pairs(*map(table.field, ids))
+        found: list = []
+        repeat = _repeats(key)
+        _found(found, kind, repeat, 0, "error", lambda i: _duplicate(ids, key.at(i)))
+        ok = ~repeat
+        if typed is not None:
+            name, domain, label = typed
+            types = table.field(name)
+            bad = ok & ~types.flags(lambda v: v in domain)
+            _found(found, kind, bad, 0, "error", f"unknown {label} {{!r}}", types)
+            ok &= ~bad
+        _references(found, kind, check(ds, table, ok, found), pools)
+        found.sort(key=lambda f: f[0])
+        out.extend(finding for _, finding in found)
     return ValidationReport(out)
 
 
@@ -501,9 +477,7 @@ def save_dataset(ds: AtomicDataset, path: Union[str, Path]) -> Path:
     """Write manifest and all non-empty tables into a directory."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    (root / "manifest.json").write_text(
-        json.dumps(ds.manifest.to_json(), indent=2, sort_keys=True) + "\n", "utf-8"
-    )
+    write_json(root / "manifest.json", ds.manifest.to_json())
     for kind, records in ds.tables().items():
         (root / f"{ds.manifest.name}.{kind}").write_bytes(write_table(kind, records))
     return root

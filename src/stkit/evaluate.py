@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import (
     AllMasked,
+    BadPipelineParams,
     DuplicateCandidate,
     EmptyCandidateList,
     EmptyTrueRoute,
@@ -152,7 +153,7 @@ def ranking_metrics(cases: Sequence[tuple], k: int) -> dict:
     the top k.
     """
     if k <= 0:
-        raise ValueError("k must be positive")
+        raise BadPipelineParams(f"k must be positive, got {k!r}")
     if not cases:
         raise ValueError("need at least one ranking case")
     hits = 0

@@ -177,8 +177,8 @@ class NegativeWeight(StkitError):
 
 
 class BadPipelineParams(StkitError, ValueError):
-    """A scaler kind, split ratio, window or batch size, or trajectory cut is
-    out of its domain."""
+    """A scaler kind, split ratio, window or batch size, trajectory cut or
+    ranking cutoff is out of its domain."""
 
 
 class DegenerateScale(StkitError):

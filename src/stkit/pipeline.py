@@ -191,14 +191,6 @@ class Windows:
         return self.values.shape[0] - self.spec.t_in - self.spec.t_out + 1
 
 
-def _time_fractions(slots: np.ndarray, axis: TimeAxis | None) -> np.ndarray:
-    if axis is None:
-        return np.zeros(len(slots), dtype=np.float64)
-    start = axis.start
-    first = start.hour * 3600 + start.minute * 60 + start.second
-    return (first + slots * axis.interval) % 86400 / 86400.0
-
-
 def make_windows(
     values: np.ndarray,
     mask: np.ndarray,
@@ -223,7 +215,8 @@ def make_windows(
             f" = {spec.t_in} + {spec.t_out} = {spec.t_in + spec.t_out}"
         )
     slots = np.arange(start_slot, start_slot + T, dtype=np.int64)
-    return Windows(values, mask, spec, start_slot, _time_fractions(slots, axis))
+    time = np.zeros(T) if axis is None else axis.fraction_of_day(slots)
+    return Windows(values, mask, spec, start_slot, time)
 
 
 def split_windows(

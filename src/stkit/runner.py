@@ -15,8 +15,7 @@ import os
 import shutil
 import time
 import zipfile
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .atomic import _MISSING, DynaRecord, Table, write_table
 from .baselines import HAModel, PersistenceModel, VARModel, ha_fit, var_fit
-from .config import Config, check_keys, read_json_object
+from .config import Config, check_keys, read_json_object, write_json
 from .dataset import (
     AtomicDataset,
     RawConversionSpec,
@@ -48,6 +47,7 @@ from .exceptions import (
     BadPipelineParams,
     DatasetNotFound,
     EmptyTable,
+    HorizonOutOfRange,
     IncompatibleModelTask,
 )
 from .mapmatch import MatchParams, build_road_network, viterbi_match
@@ -178,10 +178,10 @@ def _check_model_task(model: str, task: str):
         )
 
 
-def _forecast_arrays(model, windows, batch_size: int):
-    """Predict a split's windows in batches; returns (pred, truth, mask) stacked."""
+def _forecast_arrays(model, batches):
+    """Predict a split's batches; returns (pred, truth, mask) stacked."""
     preds, ys, masks = [], [], []
-    for batch in make_batches(windows, batch_size):
+    for batch in batches:
         preds.append(model.predict(batch))
         ys.append(batch["y"])
         masks.append(batch["y_mask"])
@@ -227,23 +227,34 @@ def _as_number(
     return number
 
 
-# Baseline fit argument -> config key.
-_MODEL_KEYS = {
+# Baseline fit argument or MatchParams field -> config key.
+_CONFIG_KEYS = {
     "period": "ha_period",
     "order": "var_order",
     "ridge": "var_ridge",
     "max_dim": "var_max_dim",
+    "sigma_m": "match_sigma",
+    "beta_m": "match_beta",
+    "radius_m": "match_radius",
+    "max_candidates": "match_max_candidates",
 }
 
 
-def _fit(fit: Callable, *args, **kwargs):
-    """Call a baseline fit; a bad model value names its config key."""
+def _keyed(key: str | None, call: Callable, *args, **kwargs):
+    """``call(*args, **kwargs)``, where a bad value's error starts with
+    ``config key <key>: ``. ``key`` joins the keys of a check that covers
+    several with ", "; None takes the key of the ``param`` a model or
+    matcher error names."""
     try:
-        return fit(*args, **kwargs)
-    except BadModelParams as exc:
-        raise BadModelParams(
-            f"config key {_MODEL_KEYS[exc.param]}: {exc}", exc.param
-        ) from None
+        return call(*args, **kwargs)
+    except (BadPipelineParams, BadModelParams, BadMatchParams, HorizonOutOfRange) as exc:
+        exc.args = (f"config key {key or _CONFIG_KEYS[exc.param]}: {exc}",)
+        raise
+
+
+def _spec(cfg: Config, spec: Callable, kind: type, *keys: str):
+    """``spec`` of the config values at ``keys``, each as ``kind``."""
+    return _keyed(", ".join(keys), spec, *(_config_number(cfg, k, kind) for k in keys))
 
 
 def _prepare_traffic_state(
@@ -283,17 +294,12 @@ def _run_traffic_state(
     tensor, mask = inputs
     layout, axis = tensor.layout, tensor.time_axis
 
-    wspec = WindowSpec(
-        _config_number(cfg, "input_window", int),
-        _config_number(cfg, "output_window", int),
-    )
-    sspec = SplitSpec(
-        *(_config_number(cfg, f"{k}_ratio", float) for k in ("train", "val", "test"))
-    )
+    wspec = _spec(cfg, WindowSpec, int, "input_window", "output_window")
+    sspec = _spec(cfg, SplitSpec, float, "train_ratio", "val_ratio", "test_ratio")
     n_train = split_chronological(tensor.values.shape[0], sspec)[0].stop
 
-    scaler = fit_scaler(
-        cfg["scaler"], tensor.values[:n_train], mask.values[:n_train]
+    scaler = _keyed(
+        "scaler", fit_scaler, cfg["scaler"], tensor.values[:n_train], mask.values[:n_train]
     )
     values = np.where(mask.values, scaler.apply(tensor.values), 0.0)
     splits = split_windows(values, mask.values, wspec, sspec, axis=axis)
@@ -303,8 +309,8 @@ def _run_traffic_state(
         period = max(1, 86400 // axis.interval)
         if cfg["ha_period"]:  # None or 0: one day of slots
             period = _config_number(cfg, "ha_period", int, BadModelParams)
-        model: HAModel | VARModel | PersistenceModel = _fit(
-            ha_fit, values[:n_train], mask.values[:n_train], period, start_slot=0
+        model: HAModel | VARModel | PersistenceModel = _keyed(
+            None, ha_fit, values[:n_train], mask.values[:n_train], period, start_slot=0
         )
     elif model_name == "VAR":
         order = _config_number(cfg, "var_order", int, BadModelParams)
@@ -314,8 +320,8 @@ def _run_traffic_state(
                 f"but config key input_window is {wspec.t_in}",
                 "order",
             )
-        model = _fit(
-            var_fit,
+        model = _keyed(
+            None, var_fit,
             values[:n_train],
             mask.values[:n_train],
             order,
@@ -340,10 +346,12 @@ def _run_traffic_state(
     extras: dict = {}
     batch_size = _config_number(cfg, "batch_size", int)
     for split in ("val", "test"):
-        pred, truth, m = _forecast_arrays(model, splits[split], batch_size)
+        batches = _keyed("batch_size", make_batches, splits[split], batch_size)
+        pred, truth, m = _forecast_arrays(model, batches)
         pred = scaler.inverse(pred)
         truth = scaler.inverse(truth)
-        report = evaluate_forecast(
+        report = _keyed(
+            "horizons", evaluate_forecast,
             np.moveaxis(pred, 1, 0),
             np.moveaxis(truth, 1, 0),
             np.moveaxis(m, 1, 0),
@@ -379,27 +387,13 @@ def _write_predictions(path: Path, pred: np.ndarray, truth: np.ndarray, mask) ->
                 np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
-# MatchParams field -> (config key, conversion).
-_MATCH_KEYS = {
-    "sigma_m": ("match_sigma", float),
-    "beta_m": ("match_beta", float),
-    "radius_m": ("match_radius", float),
-    "max_candidates": ("match_max_candidates", int),
-}
-
-
 def _match_params(cfg: Config) -> MatchParams:
     """MatchParams from the match_* config keys; a bad value names its key."""
-    values = {
-        name: _config_number(cfg, key, kind, partial(BadMatchParams, param=name))
-        for name, (key, kind) in _MATCH_KEYS.items()
-    }
-    try:
-        return MatchParams(**values)
-    except BadMatchParams as exc:
-        raise BadMatchParams(
-            f"config key {_MATCH_KEYS[exc.param][0]}: {exc}", exc.param
-        ) from None
+    kinds = {"sigma_m": float, "beta_m": float, "radius_m": float, "max_candidates": int}
+    return _keyed(None, MatchParams, **{
+        name: _config_number(cfg, _CONFIG_KEYS[name], kind, BadMatchParams)
+        for name, kind in kinds.items()
+    })
 
 
 def _coordinate_fault(value) -> str | None:
@@ -537,9 +531,10 @@ def _prepare_ranking(ds: AtomicDataset, ds_dir: Path) -> tuple[Trajectory, ...]:
 
 
 def _run_ranking(cfg: Config, trajectories: tuple[Trajectory, ...]) -> tuple[dict, dict]:
-    cut = TrajWindowSpec(
-        cfg["traj_window_mode"], _config_number(cfg, "traj_window_size", int)
-    )
+    size = _config_number(cfg, "traj_window_size", int)
+    # The mode is checked first, at the default size, so each check names its key.
+    cut = _keyed("traj_window_mode", TrajWindowSpec, cfg["traj_window_mode"])
+    cut = _keyed("traj_window_size", replace, cut, size=size)
     pieces = [p for t in trajectories for p in cut_trajectory(t, cut)]
     pieces = filter_trajectories(
         pieces,
@@ -549,15 +544,9 @@ def _run_ranking(cfg: Config, trajectories: tuple[Trajectory, ...]) -> tuple[dic
     )
     if not pieces:
         raise EmptyTable("filtering removed every trajectory")
-    splits = split_per_user(
-        pieces,
-        SplitSpec(
-            *(
-                _config_number(cfg, f"ranking_{k}_ratio", float)
-                for k in ("train", "val", "test")
-            )
-        ),
-    )
+    splits = split_per_user(pieces, _spec(
+        cfg, SplitSpec, float, "ranking_train_ratio", "ranking_val_ratio", "ranking_test_ratio"
+    ))
     counts: dict[str, int] = {}
     for t in splits["train"]:
         for p in t.points:
@@ -586,7 +575,7 @@ def _run_ranking(cfg: Config, trajectories: tuple[Trajectory, ...]) -> tuple[dic
         cases = cases_of(splits[name])
         if not cases:
             raise EmptyTable(f"no {name} cases after the per-user split")
-        metrics[name] = ranking_metrics(cases, k)
+        metrics[name] = _keyed("ranking_k", ranking_metrics, cases, k)
     return metrics, {}
 
 
@@ -680,33 +669,23 @@ def _write_run(
     ``record.wall_time_s`` is set to the seconds since ``started`` just before
     run.json is written, so it covers the other artifacts' writes.
     """
-    (out_dir / "metrics.json").write_text(
-        json.dumps(record.metrics, indent=2, sort_keys=True) + "\n", "utf-8"
-    )
+    write_json(out_dir / "metrics.json", record.metrics)
     if "predictions" in extras:
         _write_predictions(out_dir / "predictions.npz", *extras["predictions"])
     if "matched_rows" in extras:
         name = f"{extras['dataset'].manifest.name}_matched.dyna"
         (out_dir / name).write_bytes(write_table("dyna", extras["matched_rows"]))
     record.wall_time_s = time.perf_counter() - started
-    (out_dir / "run.json").write_text(
-        json.dumps(
-            {
-                "run_id": record.run_id,
-                "task": record.task,
-                "model": record.model,
-                "dataset": record.dataset,
-                "seed": record.seed,
-                "config": {k: v for k, v in sorted(cfg.as_dict().items())},
-                "provenance": {k: v for k, v in sorted(cfg.provenance.items())},
-                "wall_time_s": record.wall_time_s,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        "utf-8",
-    )
+    write_json(out_dir / "run.json", {
+        "run_id": record.run_id,
+        "task": record.task,
+        "model": record.model,
+        "dataset": record.dataset,
+        "seed": record.seed,
+        "config": {k: v for k, v in sorted(cfg.as_dict().items())},
+        "provenance": {k: v for k, v in sorted(cfg.provenance.items())},
+        "wall_time_s": record.wall_time_s,
+    })
 
 
 def metric_at(metrics: Mapping, dotted: str):
@@ -772,8 +751,10 @@ def cmd_tune(cfg: Config):
             f"unknown search_alg {alg!r}; pick GridSearch or RandomSearch"
         )
 
+    # A space that chooses the model names the tune by its values, in order.
+    model = "+".join(map(str, space["model"].values)) if "model" in space else cfg["model"]
     tune_root = Path(cfg["output_dir"]) / (
-        "tune_" + _run_id(cfg["task"], cfg["model"], cfg["dataset"], seed, cfg.as_dict())
+        "tune_" + _run_id(cfg["task"], model, cfg["dataset"], seed, cfg.as_dict())
     )
 
     task, dotted = cfg["task"], cfg.get("objective")
@@ -804,31 +785,23 @@ def cmd_tune(cfg: Config):
         raise
     best = result.best
     tune_root.mkdir(parents=True, exist_ok=True)
-    (tune_root / "search.json").write_text(
-        json.dumps(
+    write_json(tune_root / "search.json", {
+        "algorithm": alg,
+        "n_trials": len(result.trials),
+        "best_trial": best.index,
+        "best_params": best.params,
+        "best_objective": best.objective,
+        "trials": [
             {
-                "algorithm": alg,
-                "n_trials": len(result.trials),
-                "best_trial": best.index,
-                "best_params": best.params,
-                "best_objective": best.objective,
-                "trials": [
-                    {
-                        "index": t.index,
-                        "params": t.params,
-                        "objective": t.objective,
-                        "run_id": t.record.run_id,
-                        "output_dir": t.record.output_dir,
-                    }
-                    for t in result.trials
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        "utf-8",
-    )
+                "index": t.index,
+                "params": t.params,
+                "objective": t.objective,
+                "run_id": t.record.run_id,
+                "output_dir": t.record.output_dir,
+            }
+            for t in result.trials
+        ],
+    })
     return result
 
 

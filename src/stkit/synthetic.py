@@ -18,7 +18,6 @@ Everything is deterministic in (kind, params, seed).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -28,6 +27,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .atomic import DynaRecord, GeoUnit, GridRecord, RelationRecord, UserUnit
+from .config import write_json
 from .dataset import AtomicDataset, Manifest, save_dataset
 from .mapmatch import EARTH_RADIUS_M
 
@@ -55,9 +55,7 @@ def save_synthetic(result: SyntheticResult, path: Union[str, Path]) -> Path:
     """Write the dataset directory, including truth_routes.json if present."""
     root = save_dataset(result.dataset, path)
     if result.truth_routes is not None:
-        (root / TRUTH_ROUTES_FILE).write_text(
-            json.dumps(result.truth_routes, indent=2, sort_keys=True) + "\n", "utf-8"
-        )
+        write_json(root / TRUTH_ROUTES_FILE, result.truth_routes)
     return root
 
 

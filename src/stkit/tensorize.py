@@ -86,11 +86,13 @@ class TimeAxis:
     def time_of(self, slot: int) -> datetime:
         return self.start + timedelta(seconds=slot * self.interval)
 
-    def fraction_of_day(self, slot: int) -> float:
-        """Time of day in [0, 1): seconds since UTC midnight over 86400."""
-        t = self.time_of(slot)
-        seconds = t.hour * 3600 + t.minute * 60 + t.second
-        return seconds / 86400.0
+    def fraction_of_day(self, slot: int | np.ndarray) -> float | np.ndarray:
+        """Time of day in [0, 1) of ``slot``: seconds since UTC midnight over
+        86400. ``slot`` is an int, which gives a float, or an integer array,
+        which gives a float64 array of the same shape, equal bit for bit."""
+        start = self.start
+        first = start.hour * 3600 + start.minute * 60 + start.second
+        return (first + slot * self.interval) % 86400 / 86400.0
 
 
 def build_time_axis(stamps: Iterable[datetime], interval: int) -> TimeAxis:

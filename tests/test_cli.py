@@ -569,6 +569,15 @@ def test_tune_takes_the_model_from_the_space(cli_root, tmp_path, capsys):
     assert len(list(tmp_path.glob("runs/tune_*/trial_*/*/metrics.json"))) == 3
 
 
+def test_tune_is_named_by_the_models_its_space_chooses(cli_root, tmp_path):
+    space = {"model": {"values": ["Persistence", "HA"]}}
+    assert main(["tune", *tune_flags(cli_root, tmp_path, space, "model")]) == 0
+    (tune_dir,) = (tmp_path / "runs").iterdir()
+    assert re.fullmatch(
+        r"tune_traffic_state_pred_Persistence\+HA_flow_p4_s0_[0-9a-f]{10}", tune_dir.name
+    ), tune_dir.name
+
+
 # -- failure matrix: every failure exits with its code and a located message ---------
 
 
@@ -607,6 +616,49 @@ def config_case(command, model, values, key):
         return argv, 3, rf"^error: config key {key}: "
 
     return build
+
+
+def pipeline_case(task, values, key):
+    """A run with one bad pipeline value: forecasting on flow_p4, or ranking
+    on the clean dataset with every trajectory kept."""
+
+    def build(root, tmp):
+        if task == "eval_ranking":
+            model, dataset = "Popularity", tmp / "clean"
+            save_dataset(clean_dataset(), dataset)
+            cfg_values = {"min_checkins": 0, "min_trajs_per_user": 0, **values}
+        else:
+            model, dataset = "HA", root / "flow_p4"
+            cfg_values = {"input_window": 4, "output_window": 2, **values}
+        (tmp / "bad.json").write_text(json.dumps(cfg_values), "utf-8")
+        argv = ["run", "--task", task, "--model", model, "--dataset", str(dataset),
+                "--output_dir", str(tmp / "out"), "--config_file", str(tmp / "bad.json")]
+        return argv, 3, rf"^error: config key {re.escape(key)}: "
+
+    return build
+
+
+# One per pipeline check; a check that covers several keys names them all.
+BAD_PIPELINE_VALUES = [
+    ("traffic_state_pred", {"scaler": "foo"}, "scaler"),
+    ("traffic_state_pred", {"input_window": 0}, "input_window, output_window"),
+    ("traffic_state_pred", {"output_window": -2}, "input_window, output_window"),
+    ("traffic_state_pred", {"train_ratio": 0.5}, "train_ratio, val_ratio, test_ratio"),
+    ("traffic_state_pred", {"val_ratio": 0.0, "train_ratio": 0.8},
+     "train_ratio, val_ratio, test_ratio"),
+    ("traffic_state_pred", {"batch_size": 0}, "batch_size"),
+    ("traffic_state_pred", {"horizons": [0]}, "horizons"),
+    ("traffic_state_pred", {"horizons": [1, 3]}, "horizons"),
+    ("eval_ranking", {"ranking_train_ratio": 0.9},
+     "ranking_train_ratio, ranking_val_ratio, ranking_test_ratio"),
+    ("eval_ranking", {"traj_window_mode": "x"}, "traj_window_mode"),
+    ("eval_ranking", {"traj_window_size": 0}, "traj_window_size"),
+    ("eval_ranking", {"traj_window_mode": "x", "traj_window_size": 0}, "traj_window_mode"),
+    # One-point trajectories, so the validation split of user u0 is not empty.
+    ("eval_ranking", {"traj_window_mode": "length", "traj_window_size": 1, "ranking_k": 0,
+                      "ranking_train_ratio": 0.1, "ranking_val_ratio": 0.5,
+                      "ranking_test_ratio": 0.4}, "ranking_k"),
+]
 
 
 def space_case():
@@ -706,6 +758,8 @@ FAILURE_MATRIX = [
       for n, (model, values, key) in enumerate(BAD_MODEL_VALUES)),
     *(pytest.param(config_case(command, "HA", values, key), id=f"{command}-{n}-{key}")
       for n, (command, values, key) in enumerate(BAD_SEED_TRIALS_AND_HORIZONS)),
+    *(pytest.param(pipeline_case(task, values, key), id=f"pipeline-{n}-{key.replace(', ', '+')}")
+      for n, (task, values, key) in enumerate(BAD_PIPELINE_VALUES)),
     pytest.param(space_case(), id="tune-space-not-an-object"),
     pytest.param(window_case(), id="run-window-longer-than-val"),
     pytest.param(convert_case(

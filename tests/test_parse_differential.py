@@ -538,3 +538,32 @@ def test_plain_tables_skip_csv_reader(monkeypatch):
     assert read_table("grid", texts["grid"]) == list(grid.dataset.grid)
     with pytest.raises(AssertionError, match="csv.reader called"):
         read_table("geo", texts["geo"])
+
+
+def test_unknown_geo_types_sharing_a_coordinates_cell():
+    """Two rows with different unknown types share one coordinates cell, and
+    a row with bad coordinates follows: each (type, coordinates) pair is
+    checked once, and the error is the per-row parser's."""
+    text = (
+        "geo_id,type,coordinates\n"
+        'g0,Blob,"[116.4,39.9]"\n'
+        'g1,Disc,"[116.4,39.9]"\n'
+        'g2,Point,"[116.4,95.0]"\n'
+    )
+    got = outcome(parse_table, "geo", text)
+    assert got == outcome(reference_parse_table, "geo", text)
+    assert got[1][0] is BadFieldValue and got[1][3:] == (1, "type")
+    # Without the unknown types, the bad coordinates are the first error.
+    fixed = text.replace("Blob", "Point").replace("Disc", "Point")
+    got = outcome(parse_table, "geo", fixed)
+    assert got == outcome(reference_parse_table, "geo", fixed)
+    assert got[1][0] is BadCoordinate and got[1][3:] == (3, "coordinates")
+
+
+def test_ext_stamps_that_spell_one_instant_two_ways_repeat_the_identity():
+    """Unicode digits parse as digits, so two distinct time cells can hold one
+    instant; the (ext_id, time) identity compares the instants."""
+    text = "ext_id,time\nx0,2024-01-01T00:00:00Z\nx0,２０２４-01-01T00:00:00Z\n"
+    got = outcome(parse_table, "ext", text)
+    assert got == outcome(reference_parse_table, "ext", text)
+    assert got[1][0] is DuplicateId and got[1][3:] == (2, "ext_id")

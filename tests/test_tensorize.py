@@ -27,6 +27,7 @@ from stkit.exceptions import (
     UnknownEntity,
 )
 from stkit.tensorize import (
+    TimeAxis,
     build_adjacency,
     build_time_axis,
     build_trajectories,
@@ -108,6 +109,28 @@ def test_fraction_of_day():
     assert axis.fraction_of_day(0) == 0.0
     assert axis.fraction_of_day(12) == 0.25  # 06:00
     assert axis.fraction_of_day(24) == 0.5
+
+
+@pytest.mark.parametrize(
+    "start, interval",
+    [
+        (datetime(2021, 3, 1, tzinfo=timezone.utc), 300),
+        (datetime(2021, 3, 1, 5, 1, 31, tzinfo=timezone.utc), 7),  # not dividing a day
+        (datetime(1969, 12, 31, 23, 59, 53, tzinfo=timezone.utc), 3601),
+    ],
+)
+def test_fraction_of_day_of_a_slot_array_equals_each_slot_bit_for_bit(start, interval):
+    axis = TimeAxis(start, interval, 5000)
+    slots = np.arange(-40, 5000, dtype=np.int64)
+    got = axis.fraction_of_day(slots)
+    scalar = [axis.fraction_of_day(int(s)) for s in slots]
+    assert all(type(f) is float for f in scalar)
+    clock = [axis.time_of(int(s)) for s in slots]  # the definition, via datetimes
+    by_clock = [(t.hour * 3600 + t.minute * 60 + t.second) / 86400.0 for t in clock]
+    assert got.dtype == np.float64 and got.shape == slots.shape
+    assert got.view(np.uint64).tolist() == np.array(scalar).view(np.uint64).tolist()
+    assert scalar == by_clock
+    assert axis.fraction_of_day(slots.reshape(40, 126)).shape == (40, 126)
 
 
 # -- graph tensor ------------------------------------------------------------
