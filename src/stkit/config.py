@@ -10,6 +10,7 @@ naming it. Each resolved key remembers where its value came from.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Union
@@ -84,12 +85,28 @@ DEFAULTS: dict = {
 FILE_ONLY_KEYS = ("conversion",)
 
 
-def check_keys(keys, known, where: str) -> None:
-    """Raise BadConfigFile naming the first of ``keys`` that is neither in
-    ``known`` nor in FILE_ONLY_KEYS; ``where`` says where the keys came from."""
-    for key in keys:
+def _non_finite(value):
+    """The first NaN or infinity in a JSON value, or None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return value
+    if isinstance(value, Mapping):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return next((bad for bad in map(_non_finite, value) if bad is not None), None)
+    return None
+
+
+def check_keys(payload: Mapping, known, where: str) -> None:
+    """Raise BadConfigFile naming the first key of ``payload`` that is neither
+    in ``known`` nor in FILE_ONLY_KEYS, or whose value holds a NaN or an
+    infinity, which no JSON artifact could record; ``where`` says where the
+    keys came from."""
+    for key, value in payload.items():
         if key not in known and key not in FILE_ONLY_KEYS:
             raise BadConfigFile(f"unknown {where} key {key!r}")
+        bad = _non_finite(value)
+        if bad is not None:
+            raise BadConfigFile(f"config key {key}: {bad} is not a finite number")
 
 
 @dataclass
@@ -130,8 +147,10 @@ def read_json_object(path: Union[str, Path], label: str) -> dict:
 
 def write_json(path: Union[str, Path], payload) -> None:
     """Write ``payload`` to ``path`` as UTF-8 JSON with sorted keys, indented
-    by two spaces and ending in a newline; every JSON artifact is written so."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+    by two spaces and ending in a newline; every JSON artifact is written so.
+    A NaN or infinity raises ValueError: standard JSON has no such number."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", "utf-8")
 
 
 def load_config(

@@ -270,8 +270,8 @@ class UnknownCliKey(StkitError):
 
 
 class BadConfigFile(StkitError):
-    """A config, search-space or truth-routes file is missing, unreadable or
-    not a JSON object, or a key or value in it is wrong."""
+    """A config, search-space, truth-routes or run-record file is missing,
+    unreadable or not a JSON object, or a key or value in it is wrong."""
 
 
 class IncompatibleModelTask(StkitError):

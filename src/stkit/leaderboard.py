@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
+from .config import read_json_object
 from .evaluate import format_metric_table
 from .exceptions import BadConfigFile, NoResults
 from .runner import STAGING_SUFFIX, TASK_TABLE, TASKS, metric_at
@@ -31,17 +31,34 @@ __all__ = [
 
 def load_runs(results_dir: Union[str, Path]) -> list[dict]:
     """Collect {task, model, dataset, metrics} from every run under a
-    directory, skipping the staging directories of unfinished runs."""
+    directory, skipping the staging directories of unfinished runs.
+
+    A record that is not a JSON object, lacks a string task, model or
+    dataset, or holds a non-numeric leaderboard metric raises BadConfigFile
+    naming its file.
+    """
     root = Path(results_dir)
     runs = []
     for run_json in sorted(root.glob("**/run.json")):
         if run_json.parent.name.endswith(STAGING_SUFFIX):
             continue
-        payload = json.loads(run_json.read_text("utf-8"))
+        payload = read_json_object(run_json, "run record")
+        for key in ("task", "model", "dataset"):
+            if not isinstance(payload.get(key), str):
+                raise BadConfigFile(f"run record {run_json}: {key} must be a string")
         metrics_path = run_json.parent / "metrics.json"
         if not metrics_path.is_file():
             continue
-        payload["metrics"] = json.loads(metrics_path.read_text("utf-8"))
+        payload["metrics"] = read_json_object(metrics_path, "run metrics")
+        spec = TASK_TABLE.get(payload["task"])
+        try:
+            value = metric_at(payload["metrics"], spec.metric) if spec else None
+        except KeyError:
+            value = None
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise BadConfigFile(
+                f"run metrics {metrics_path}: {spec.metric} is {value!r}, not a number"
+            )
         runs.append(payload)
     return runs
 

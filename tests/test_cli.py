@@ -283,6 +283,9 @@ BAD_MODEL_VALUES = [
     ("HA", {"val_ratio": float("nan")}, "val_ratio"),
     ("HA", {"train_ratio": float("nan")}, "train_ratio"),
     ("HA", {"mape_floor": float("nan")}, "mape_floor"),
+    # Keys the run does not read, which run.json would still record.
+    ("HA", {"ranking_k": float("inf")}, "ranking_k"),
+    ("HA", {"conversion": {"target": float("nan")}}, "conversion"),
 ]
 
 
@@ -673,6 +676,36 @@ def space_case():
     return build
 
 
+def nan_space_case():
+    """A tune whose search space offers NaN for a key the run does not read."""
+
+    def build(root, tmp):
+        (tmp / "space.json").write_text('{"ranking_k": {"values": [NaN]}}', "utf-8")
+        argv = [*run_flags(root, tmp / "out"), "--space_file", str(tmp / "space.json")]
+        return ["tune", *argv], 3, r"^error: config key ranking_k: nan is not a finite number$"
+
+    return build
+
+
+GOOD_RUN = b'{"task": "traffic_state_pred", "model": "HA", "dataset": "d"}'
+
+
+def leaderboard_case(where, run_json=GOOD_RUN, metrics='{"test": {"aggregate": {"mae": 1.5}}}'):
+    """``stkit leaderboard`` over one hand-written run record; ``where`` may
+    name its {run} and {metrics} files."""
+
+    def build(root, tmp):
+        run_dir = tmp / "runs" / "r0"
+        run_dir.mkdir(parents=True)
+        (run_dir / "run.json").write_bytes(run_json)
+        (run_dir / "metrics.json").write_text(metrics, "utf-8")
+        argv = ["leaderboard", "--task", "traffic_state_pred", "--output_dir", str(tmp / "runs")]
+        files = {"run": run_dir / "run.json", "metrics": run_dir / "metrics.json"}
+        return argv, 3, where.format(**{k: re.escape(str(v)) for k, v in files.items()})
+
+    return build
+
+
 def window_case():
     """A run with the default 12/12 windows on a 200-slot dataset, whose
     validation split holds only 20 slots."""
@@ -762,6 +795,32 @@ FAILURE_MATRIX = [
       for n, (task, values, key) in enumerate(BAD_PIPELINE_VALUES)),
     pytest.param(space_case(), id="tune-space-not-an-object"),
     pytest.param(window_case(), id="run-window-longer-than-val"),
+    pytest.param(nan_space_case(), id="tune-space-nan"),
+    pytest.param(leaderboard_case(
+        r"^error: run record {run}: Expecting property name", run_json=b"{not json",
+    ), id="leaderboard-run-not-json"),
+    pytest.param(leaderboard_case(
+        r"^error: run record {run}: 'utf-8' codec can't decode byte 0xe9",
+        run_json=b'{"task": "caf\xe9"}',
+    ), id="leaderboard-run-not-utf8"),
+    pytest.param(leaderboard_case(
+        r"^error: run record {run} must hold a JSON object$", run_json=b"[]",
+    ), id="leaderboard-run-a-list"),
+    pytest.param(leaderboard_case(
+        r"^error: run record {run}: model must be a string$",
+        run_json=b'{"task": "traffic_state_pred", "dataset": "d"}',
+    ), id="leaderboard-run-without-model"),
+    pytest.param(leaderboard_case(
+        r"^error: run metrics {metrics}: Expecting property name", metrics="{not json",
+    ), id="leaderboard-metrics-not-json"),
+    pytest.param(leaderboard_case(
+        r"^error: run metrics {metrics}: test.aggregate.mae is 'abc', not a number$",
+        metrics='{"test": {"aggregate": {"mae": "abc"}}}',
+    ), id="leaderboard-metric-a-string"),
+    pytest.param(leaderboard_case(
+        r"^error: run metrics {metrics}: test.aggregate.mae is True, not a number$",
+        metrics='{"test": {"aggregate": {"mae": true}}}',
+    ), id="leaderboard-metric-a-bool"),
     pytest.param(convert_case(
         RAW_STATES + "s2,badtime,55.0\n", STATES, 3,
         r"^error: not an ISO-8601 UTC timestamp: 'badtime' \(table=raw, row=2, column=ts\)$",

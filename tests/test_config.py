@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stkit.config import CLI_KEYS, DEFAULTS, load_config, read_json_object
+from stkit.config import CLI_KEYS, DEFAULTS, load_config, read_json_object, write_json
 from stkit.exceptions import BadConfigFile, UnknownCliKey
 
 
@@ -144,3 +144,26 @@ def test_config_mapping_interface():
     assert cfg.get("nope", 42) == 42
     with pytest.raises(KeyError):
         cfg["nope"]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"ranking_k": float("inf")}, "config key ranking_k: inf is not a finite number"),
+        ({"horizons": [1, float("nan")]}, "config key horizons: nan is not a finite number"),
+        ({"conversion": {"bounds": [0, {"x": float("-inf")}]}},
+         "config key conversion: -inf is not a finite number"),
+    ],
+)
+def test_non_finite_file_values_rejected_naming_the_key(tmp_path, values, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values), "utf-8")  # NaN and Infinity literals
+    with pytest.raises(BadConfigFile, match=f"^{message}$"):
+        load_config(file_values=str(path))
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "out.json", {"a": [1.0, float("nan")]})
+    write_json(tmp_path / "out.json", {"b": 1.5, "a": None})
+    assert (tmp_path / "out.json").read_text("utf-8") == '{\n  "a": null,\n  "b": 1.5\n}\n'

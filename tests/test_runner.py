@@ -1,8 +1,12 @@
 """End-to-end runs of all three tasks plus tuning, conversion, stats."""
 
+import io
 import json
+import math
+import struct
 import time
 import zipfile
+import zlib
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -289,6 +293,181 @@ def test_predictions_writer_ignores_the_clock(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
+def zipfile_writer(path, pred, truth, mask):
+    """The predictions writer as it was before the per-entry strategy,
+    verbatim: the oracle for entries that stay at deflate level 6."""
+    arrays = {
+        "prediction": np.asarray(pred, dtype=np.float64),
+        "truth": np.asarray(truth, dtype=np.float64),
+        "mask": np.asarray(mask, dtype=bool),
+    }
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in arrays.items():
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = zipfile.ZIP_DEFLATED
+            with archive.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def npy_stream(array) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, allow_pickle=False)
+    return buf.getvalue()
+
+
+def deflated(data: bytes, strategy=zlib.Z_DEFAULT_STRATEGY) -> bytes:
+    """Raw deflate of ``data`` at level 6, as a zip entry holds it."""
+    compressor = zlib.compressobj(6, zlib.DEFLATED, -15, 8, strategy)
+    return compressor.compress(data) + compressor.flush()
+
+
+def expected_strategy(data: bytes) -> int:
+    """Huffman-only when level 6 saves under 10% of the first 64 KiB."""
+    probe = data[: 1 << 16]
+    huffman = 10 * len(deflated(probe)) > 9 * len(probe)
+    return zlib.Z_HUFFMAN_ONLY if huffman else zlib.Z_DEFAULT_STRATEGY
+
+
+def entry_bytes(path) -> dict[str, bytes]:
+    """Each entry's compressed bytes, as they sit in the file."""
+    blob = path.read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        infos = archive.infolist()
+    out = {}
+    for info in infos:
+        name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+        start = info.header_offset + 30 + name_len + extra_len
+        out[info.filename] = blob[start : start + info.compress_size]
+    return out
+
+
+def assert_round_trip(path, pred, truth, mask):
+    with np.load(path, allow_pickle=False) as z:
+        for name, want in (("prediction", pred), ("truth", truth), ("mask", mask)):
+            got = z[name]
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    with zipfile.ZipFile(path) as archive:
+        assert archive.testzip() is None
+
+
+def test_compressible_entries_get_the_zipfile_bytes(tmp_path):
+    pred, truth, mask = (np.tile(a, (300, 1, 1, 1, 1)) for a in awkward_predictions())
+    assert len(npy_stream(pred)) > 1 << 16 > len(npy_stream(mask))
+    _write_predictions(tmp_path / "new.npz", pred, truth, mask)
+    zipfile_writer(tmp_path / "old.npz", pred, truth, mask)
+    assert (tmp_path / "new.npz").read_bytes() == (tmp_path / "old.npz").read_bytes()
+    assert_round_trip(tmp_path / "new.npz", pred, truth, mask)
+
+
+def test_random_floats_are_deflated_huffman_only(tmp_path):
+    rng = np.random.default_rng(7)
+    pred = rng.standard_normal((8, 4, 1024))  # 256 KiB
+    truth = pred + rng.standard_normal(pred.shape) * 1e-3
+    mask = rng.random(pred.shape) > 0.1
+    path = tmp_path / "predictions.npz"
+    _write_predictions(path, pred, truth, mask)
+    entries = entry_bytes(path)
+    for name, array in (("prediction", pred), ("truth", truth)):
+        stream = npy_stream(array)
+        assert entries[f"{name}.npy"] == deflated(stream, zlib.Z_HUFFMAN_ONLY)
+        assert len(entries[f"{name}.npy"]) <= len(deflated(stream))
+    assert entries["mask.npy"] == deflated(npy_stream(mask))  # bits compress well
+    assert_round_trip(path, pred, truth, mask)
+    zipfile_writer(tmp_path / "old.npz", pred, truth, mask)
+    assert path.stat().st_size < (tmp_path / "old.npz").stat().st_size
+
+
+@pytest.mark.parametrize("stream_len", [65535, 65536, 65537])
+def test_entries_at_the_probe_length_get_the_zipfile_bytes(tmp_path, stream_len):
+    header = len(npy_stream(np.zeros(stream_len, dtype=bool))) - stream_len
+    mask = np.arange(stream_len - header) % 7 != 3
+    assert len(npy_stream(mask)) == stream_len
+    pred, truth = np.zeros(3), np.ones(3)
+    _write_predictions(tmp_path / "new.npz", pred, truth, mask)
+    zipfile_writer(tmp_path / "old.npz", pred, truth, mask)
+    assert (tmp_path / "new.npz").read_bytes() == (tmp_path / "old.npz").read_bytes()
+    assert_round_trip(tmp_path / "new.npz", pred, truth, mask)
+
+
+@pytest.mark.parametrize("length", [100, 65535, 65536, 65537, 200_000])
+@pytest.mark.parametrize("kind", ["random", "pattern"])
+@pytest.mark.parametrize("chunk", [None, 128, 1000, 65536])
+def test_deflate_sink_streams_the_chosen_strategy(length, kind, chunk):
+    if kind == "random":
+        data = np.random.default_rng(length).bytes(length)
+    else:
+        data = (b"stkit predictions " * (length // 18 + 1))[:length]
+    want = zlib.Z_HUFFMAN_ONLY if kind == "random" else zlib.Z_DEFAULT_STRATEGY
+    assert expected_strategy(data) == want
+    out = io.BytesIO()
+    sink = runner._DeflateSink(out)
+    step = chunk or length
+    for at in range(0, length, step):
+        assert sink.write(data[at : at + step]) == len(data[at : at + step])
+        written = min(at + step, length)
+        if written < 1 << 16:  # the probe is held back until it is full
+            assert out.getvalue() == b""
+        elif kind == "random":
+            assert out.getvalue() != b""
+    sink.close()
+    assert out.getvalue() == deflated(data, want)
+    assert (sink.crc, sink.size, sink.csize) == (zlib.crc32(data), length, len(out.getvalue()))
+
+
+@pytest.mark.parametrize(
+    "alphabet, want",
+    # Level 6 saves 12% of random bytes from 128 values and 7.6% from 160.
+    [(128, zlib.Z_DEFAULT_STRATEGY), (160, zlib.Z_HUFFMAN_ONLY)],
+)
+def test_huffman_only_below_a_tenth_saved(alphabet, want):
+    data = np.random.default_rng(alphabet).integers(0, alphabet, 200_000, np.uint8).tobytes()
+    assert expected_strategy(data) == want
+    out = io.BytesIO()
+    sink = runner._DeflateSink(out)
+    sink.write(data)
+    sink.close()
+    assert out.getvalue() == deflated(data, want)
+
+
+# 3 GiB is past zipfile's zip64 limit of 2 GiB - 1, but fits 32 bits.
+@pytest.mark.parametrize("big", [3 << 30, 5 << 30])
+def test_central_record_moves_large_values_to_a_zip64_extra(big):
+    record = runner._central_record(b"prediction.npy", 0x1234ABCD, big, big - 7, big + 9)
+    fields = struct.unpack_from("<4s4B4HL2L5H2L", record)
+    assert fields[:9] == (b"PK\x01\x02", 45, 3, 45, 0, 0, 8, 0, 0x21)
+    crc, csize, size, name_len, extra_len = fields[9:14]
+    assert (crc, csize, size, fields[18]) == (0x1234ABCD, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
+    assert fields[17] == 0o600 << 16
+    assert record[46 : 46 + name_len] == b"prediction.npy"
+    assert struct.unpack("<HH3Q", record[46 + name_len :]) == (1, 24, big, big - 7, big + 9)
+    assert extra_len == 28
+    # Only the offset is large: the extra holds the offset alone.
+    record = runner._central_record(b"mask.npy", 1, 10, 5, big)
+    fields = struct.unpack_from("<4s4B4HL2L5H2L", record)
+    assert (fields[10], fields[11], fields[13], fields[18]) == (5, 10, 12, 0xFFFFFFFF)
+    assert struct.unpack("<HHQ", record[46 + 8 :]) == (1, 8, big)
+    # Nothing is large: no extra.
+    record = runner._central_record(b"mask.npy", 1, 10, 5, 7)
+    assert len(record) == 46 + 8 and struct.unpack_from("<4s4B4HL2L5H2L", record)[18] == 7
+
+
+@pytest.mark.parametrize("big", [3 << 30, 5 << 30])
+def test_end_records_add_zip64_records_past_the_limit(big):
+    records = runner._end_records(3, big, 200)
+    assert struct.unpack_from("<4sQ2H2L4Q", records) == (
+        b"PK\x06\x06", 44, 45, 45, 0, 0, 3, 3, 200, big
+    )
+    assert struct.unpack_from("<4sLQL", records, 56) == (b"PK\x06\x07", 0, big + 200, 1)
+    assert struct.unpack_from("<4s4H2LH", records, 76) == (
+        b"PK\x05\x06", 0, 0, 3, 3, 200, min(big, 0xFFFFFFFF), 0
+    )
+    assert len(records) == 98
+    assert runner._end_records(3, 1000, 200) == struct.pack(
+        "<4s4H2LH", b"PK\x05\x06", 0, 0, 3, 3, 200, 1000, 0
+    )
+
+
 def failing_writer(path, *arrays):
     """A predictions writer that dies after writing part of its file."""
     path.write_bytes(b"half")
@@ -518,6 +697,47 @@ def test_tune_grid_search(data_root, tmp_path):
         # The tuned objective is the task default, validation MAE.
         trial_metrics = json.loads((trial_dir / "metrics.json").read_text("utf-8"))
         assert t["objective"] == trial_metrics["val"]["aggregate"]["mae"]
+
+
+def strict_json(path: Path):
+    """``path`` parsed as standard JSON: a NaN or Infinity token fails."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not standard JSON")
+
+    return json.loads(path.read_text("utf-8"), parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "floors, best",
+    # Every value of flow_p4 is under a MAPE floor of 1e9, so those trials'
+    # MAPE objective is not finite and sorts last.
+    [([1e9, 0.0, 1e9], 1), ([1e9, 1e9], 0)],
+)
+def test_search_json_writes_a_non_finite_objective_as_null(data_root, tmp_path, floors, best):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps({"mape_floor": {"values": floors}}), "utf-8")
+    cfg = load_config(
+        cli_args={
+            "task": "traffic_state_pred",
+            "model": "HA",
+            "dataset": str(data_root / "flow_p4"),
+            "output_dir": str(tmp_path / "runs"),
+            "space_file": str(space_path),
+        },
+        file_values={"input_window": 4, "output_window": 2, "ha_period": 4,
+                     "objective": "val.aggregate.mape"},
+    )
+    result = cmd_tune(cfg)
+    (search,) = (tmp_path / "runs").glob("tune_*/search.json")
+    blob = strict_json(search)
+    objectives = [t.objective for t in result.trials]
+    assert [t["objective"] for t in blob["trials"]] == [
+        o if math.isfinite(o) else None for o in objectives
+    ]
+    assert [o == math.inf for o in objectives] == [f == 1e9 for f in floors]
+    assert blob["best_trial"] == result.best.index == best
+    assert blob["best_objective"] == blob["trials"][best]["objective"]
 
 
 def test_tune_requires_space(data_root, tmp_path):
