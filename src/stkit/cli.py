@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import CLI_KEYS, load_config
+from .config import CLI_KEYS, KINDS, load_config
 from .exceptions import BadConfigFile, StkitError, UnknownCliKey, ValidationFailed
 from .leaderboard import build_leaderboard, leaderboard_csv, load_runs, render_leaderboard
 from .runner import cmd_convert, cmd_run, cmd_stats, cmd_tune, cmd_validate
@@ -27,8 +27,6 @@ from .runner import cmd_convert, cmd_run, cmd_stats, cmd_tune, cmd_validate
 __all__ = ["main"]
 
 EXIT_OK = 0
-
-_FLAG_TYPES = {"seed": int, "batch_size": int}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common_flags(sub: argparse.ArgumentParser):
     for key in CLI_KEYS:
-        sub.add_argument(f"--{key}", type=_FLAG_TYPES.get(key))
+        sub.add_argument(f"--{key}", type=KINDS[key])
 
 
 def _build_parser() -> _Parser:

@@ -4,7 +4,8 @@ Only a small whitelist of keys may come from command-line flags; everything
 else (model knobs, pipeline thresholds) must come through the JSON config
 file. The file may set any key that has a default, plus the few in
 ``FILE_ONLY_KEYS``; any other key is a typo and raises ``BadConfigFile``
-naming it. Each resolved key remembers where its value came from.
+naming it. Every value is checked against its key's kind in ``KINDS`` when
+a ``Config`` is built. Each resolved key remembers where its value came from.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Mapping, Union
 from .exceptions import BadConfigFile, UnknownCliKey
 
 __all__ = [
-    "CLI_KEYS", "DEFAULTS", "Config", "check_keys", "load_config", "read_json_object",
-    "write_json",
+    "CLI_KEYS", "DEFAULTS", "KINDS", "Config", "check_keys", "is_number", "load_config",
+    "read_json_object", "write_json",
 ]
 
 # Keys settable directly as command-line flags; all others are file-only.
@@ -84,6 +85,52 @@ DEFAULTS: dict = {
 # only ``stkit convert`` reads.
 FILE_ONLY_KEYS = ("conversion",)
 
+# The kinds of the keys whose default is None; these alone may be None.
+# ``(list, int)`` is a list of whole numbers.
+_NONE_KINDS = {
+    **dict.fromkeys(("task", "model", "dataset", "config_file", "space_file", "objective"), str),
+    "ha_period": int, "mape_floor": float, "horizons": (list, int), "conversion": dict,
+}
+# Each key's kind: the type of its default, or the kind above.
+KINDS = {**{k: type(v) for k, v in DEFAULTS.items() if v is not None}, **_NONE_KINDS}
+_KIND_NAMES = {int: "a whole number", float: "a finite number", str: "a string",
+               dict: "an object", (list, int): "a list of whole numbers"}
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_kind(value, kind):
+    """``value`` as ``kind``, or None when it is not of that kind. A number
+    kind takes a JSON number only: an int kind a whole one (3.0 reads as 3),
+    a float kind a finite one (3 reads as 3.0)."""
+    if isinstance(kind, tuple):  # (list, item kind)
+        items = [_as_kind(v, kind[1]) for v in value] if isinstance(value, list) else [None]
+        return None if None in items else items
+    if kind not in (int, float):
+        return value if isinstance(value, kind) else None
+    if not is_number(value):
+        return None
+    try:
+        number = kind(value)
+    except (OverflowError, ValueError):  # int() of inf or NaN, float() of a huge int
+        return None
+    return number if (number == value if kind is int else math.isfinite(number)) else None
+
+
+def _checked(key: str, value):
+    """``value`` of config key ``key`` as the key's kind; BadConfigFile
+    naming the key when it is not of that kind. A key without a kind passes."""
+    kind = KINDS.get(key)
+    if kind is None or (value is None and key in _NONE_KINDS):
+        return value
+    checked = _as_kind(value, kind)
+    if checked is None:
+        raise BadConfigFile(f"config key {key}: expected {_KIND_NAMES[kind]}, got {value!r}")
+    return checked
+
 
 def _non_finite(value):
     """The first NaN or infinity in a JSON value, or None."""
@@ -113,17 +160,22 @@ def check_keys(payload: Mapping, known, where: str) -> None:
 class Config:
     """Resolved key-value view plus per-key provenance.
 
-    ``provenance[key]`` is one of ``"cli"``, ``"user_file"``, ``"default"``.
+    ``provenance[key]`` is one of ``"cli"``, ``"user_file"``, ``"default"``,
+    ``"search"``. Building one checks every value's kind, read or not; reads
+    return the checked value, ``values`` and ``as_dict()`` the value as given.
     """
 
     values: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._checked = {key: _checked(key, value) for key, value in self.values.items()}
+
     def __getitem__(self, key):
-        return self.values[key]
+        return self._checked[key]
 
     def get(self, key, default=None):
-        return self.values.get(key, default)
+        return self._checked.get(key, default)
 
     def as_dict(self) -> dict:
         return dict(self.values)
@@ -184,14 +236,9 @@ def load_config(
     defaults = dict(defaults if defaults is not None else DEFAULTS)
     check_keys(file_values, defaults, "config file")
 
-    merged = Config()
-    for key, value in defaults.items():
-        merged.values[key] = value
-        merged.provenance[key] = "default"
-    for key, value in file_values.items():
-        merged.values[key] = value
-        merged.provenance[key] = "user_file"
-    for key, value in cli_args.items():
-        merged.values[key] = value
-        merged.provenance[key] = "cli"
-    return merged
+    layers = {"default": defaults, "user_file": file_values, "cli": cli_args}
+    values, provenance = {}, {}
+    for source, layer in layers.items():
+        values.update(layer)
+        provenance.update(dict.fromkeys(layer, source))
+    return Config(values, provenance)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -503,16 +503,36 @@ class RawConversionSpec:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "RawConversionSpec":
-        return cls(
+        """The spec of a ``conversion`` config object. A missing required
+        field raises KeyError; a value of the wrong kind BadConfigFile naming
+        ``conversion.<field>``. Every field is a string, None where its
+        default is None, except ``property_columns``: a list of strings."""
+        columns = payload.get("property_columns", [])
+        if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+            raise BadConfigFile(
+                f"config key conversion.property_columns: expected a list of strings, "
+                f"got {columns!r}"
+            )
+        spec = cls(
             target=payload["target"],
             time_column=payload["time_column"],
             entity_column=payload["entity_column"],
             lat_column=payload.get("lat_column"),
             lon_column=payload.get("lon_column"),
-            property_columns=tuple(payload.get("property_columns", ())),
+            property_columns=tuple(columns),
             time_format=payload.get("time_format"),
             name=payload.get("name", "converted"),
         )
+        for f in fields(cls):
+            value, nullable = getattr(spec, f.name), f.default is None
+            if f.name != "property_columns" and not (
+                isinstance(value, str) or (nullable and value is None)
+            ):
+                want = "a string or null" if nullable else "a string"
+                raise BadConfigFile(
+                    f"config key conversion.{f.name}: expected {want}, got {value!r}"
+                )
+        return spec
 
 
 def _parse_raw_time(cell: str, spec: RawConversionSpec):

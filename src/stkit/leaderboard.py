@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from .config import read_json_object
+from .config import is_number, read_json_object
 from .evaluate import format_metric_table
 from .exceptions import BadConfigFile, NoResults
 from .runner import STAGING_SUFFIX, TASK_TABLE, TASKS, metric_at
@@ -55,7 +55,7 @@ def load_runs(results_dir: Union[str, Path]) -> list[dict]:
             value = metric_at(payload["metrics"], spec.metric) if spec else None
         except KeyError:
             value = None
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        if value is not None and not is_number(value):
             raise BadConfigFile(
                 f"run metrics {metrics_path}: {spec.metric} is {value!r}, not a number"
             )

@@ -194,40 +194,6 @@ def _default_horizons(t_out: int) -> list[int]:
     return chosen or [t_out]
 
 
-def _config_number(
-    cfg: Config,
-    key: str,
-    kind: type,
-    error: Callable[[str], Exception] = BadPipelineParams,
-):
-    """``cfg[key]`` as ``kind`` (int or float); see ``_as_number``."""
-    return _as_number(cfg[key], key, kind, error)
-
-
-def _as_number(
-    value,
-    key: str,
-    kind: type,
-    error: Callable[[str], Exception] = BadPipelineParams,
-):
-    """``value``, read from config key ``key``, as ``kind`` (int or float).
-
-    A value that does not convert, that an int key would truncate or
-    reinterpret (2.7, "3"), or that is NaN or infinite, raises
-    ``error(message)`` naming the key.
-    """
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (
-        number != value if kind is int else not math.isfinite(number)
-    ):
-        want = "a whole number" if kind is int else "a finite number"
-        raise error(f"config key {key}: expected {want}, got {value!r}")
-    return number
-
-
 # Baseline fit argument or MatchParams field -> config key.
 _CONFIG_KEYS = {
     "period": "ha_period",
@@ -253,9 +219,9 @@ def _keyed(key: str | None, call: Callable, *args, **kwargs):
         raise
 
 
-def _spec(cfg: Config, spec: Callable, kind: type, *keys: str):
-    """``spec`` of the config values at ``keys``, each as ``kind``."""
-    return _keyed(", ".join(keys), spec, *(_config_number(cfg, k, kind) for k in keys))
+def _spec(cfg: Config, spec: Callable, *keys: str):
+    """``spec`` of the config values at ``keys``."""
+    return _keyed(", ".join(keys), spec, *(cfg[k] for k in keys))
 
 
 def _prepare_traffic_state(
@@ -295,8 +261,8 @@ def _run_traffic_state(
     tensor, mask = inputs
     layout, axis = tensor.layout, tensor.time_axis
 
-    wspec = _spec(cfg, WindowSpec, int, "input_window", "output_window")
-    sspec = _spec(cfg, SplitSpec, float, "train_ratio", "val_ratio", "test_ratio")
+    wspec = _spec(cfg, WindowSpec, "input_window", "output_window")
+    sspec = _spec(cfg, SplitSpec, "train_ratio", "val_ratio", "test_ratio")
     n_train = split_chronological(tensor.values.shape[0], sspec)[0].stop
 
     scaler = _keyed(
@@ -307,14 +273,12 @@ def _run_traffic_state(
 
     model_name = cfg["model"]
     if model_name == "HA":
-        period = max(1, 86400 // axis.interval)
-        if cfg["ha_period"]:  # None or 0: one day of slots
-            period = _config_number(cfg, "ha_period", int, BadModelParams)
+        period = cfg["ha_period"] or max(1, 86400 // axis.interval)  # None or 0: one day
         model: HAModel | VARModel | PersistenceModel = _keyed(
             None, ha_fit, values[:n_train], mask.values[:n_train], period, start_slot=0
         )
     elif model_name == "VAR":
-        order = _config_number(cfg, "var_order", int, BadModelParams)
+        order = cfg["var_order"]
         if order > wspec.t_in:
             raise BadModelParams(
                 f"config key var_order: order {order} needs {order} input slots, "
@@ -326,26 +290,20 @@ def _run_traffic_state(
             values[:n_train],
             mask.values[:n_train],
             order,
-            ridge=_config_number(cfg, "var_ridge", float, BadModelParams),
-            max_dim=_config_number(cfg, "var_max_dim", int, BadModelParams),
+            ridge=cfg["var_ridge"],
+            max_dim=cfg["var_max_dim"],
         )
     else:
         model = PersistenceModel()
 
-    if cfg["mape_floor"] is None:
+    mape_floor = cfg["mape_floor"]
+    if mape_floor is None:
         mape_floor = 5.0 if layout == "grid" else 0.0
-    else:
-        mape_floor = _config_number(cfg, "mape_floor", float)
     horizons = cfg["horizons"] or _default_horizons(wspec.t_out)
-    if not isinstance(horizons, list):
-        raise BadPipelineParams(
-            f"config key horizons: expected a list, got {horizons!r}"
-        )
-    horizons = [_as_number(h, "horizons", int) for h in horizons]
 
     metrics: dict = {"layout": layout, "n_samples": {}}
     extras: dict = {}
-    batch_size = _config_number(cfg, "batch_size", int)
+    batch_size = cfg["batch_size"]
     for split in ("val", "test"):
         batches = _keyed("batch_size", make_batches, splits[split], batch_size)
         pred, truth, m = _forecast_arrays(model, batches)
@@ -501,15 +459,6 @@ def _write_predictions(path: Path, pred: np.ndarray, truth: np.ndarray, mask) ->
         out.write(_end_records(len(central), start, out.tell() - start))
 
 
-def _match_params(cfg: Config) -> MatchParams:
-    """MatchParams from the match_* config keys; a bad value names its key."""
-    kinds = {"sigma_m": float, "beta_m": float, "radius_m": float, "max_candidates": int}
-    return _keyed(None, MatchParams, **{
-        name: _config_number(cfg, _CONFIG_KEYS[name], kind, BadMatchParams)
-        for name, kind in kinds.items()
-    })
-
-
 def _coordinate_fault(value) -> str | None:
     """What keeps a trajectory lon or lat value from being a coordinate."""
     if value is None or value is _MISSING:
@@ -584,7 +533,9 @@ def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
 
 def _run_map_matching(cfg: Config, inputs) -> tuple[dict, dict]:
     network, ds, trajectories, truth = inputs
-    params = _match_params(cfg)
+    params = _keyed(None, MatchParams, **{
+        name: cfg[key] for name, key in _CONFIG_KEYS.items() if key.startswith("match_")
+    })
     lengths = network.segment_lengths()
     per_traj: dict = {}
     matched_rows: list[DynaRecord] = []
@@ -645,21 +596,20 @@ def _prepare_ranking(ds: AtomicDataset, ds_dir: Path) -> tuple[Trajectory, ...]:
 
 
 def _run_ranking(cfg: Config, trajectories: tuple[Trajectory, ...]) -> tuple[dict, dict]:
-    size = _config_number(cfg, "traj_window_size", int)
     # The mode is checked first, at the default size, so each check names its key.
     cut = _keyed("traj_window_mode", TrajWindowSpec, cfg["traj_window_mode"])
-    cut = _keyed("traj_window_size", replace, cut, size=size)
+    cut = _keyed("traj_window_size", replace, cut, size=cfg["traj_window_size"])
     pieces = [p for t in trajectories for p in cut_trajectory(t, cut)]
     pieces = filter_trajectories(
         pieces,
-        min_points=_config_number(cfg, "min_checkins", int),
-        min_trajs_per_user=_config_number(cfg, "min_trajs_per_user", int),
-        min_visits_per_location=_config_number(cfg, "min_visits_per_location", int),
+        min_points=cfg["min_checkins"],
+        min_trajs_per_user=cfg["min_trajs_per_user"],
+        min_visits_per_location=cfg["min_visits_per_location"],
     )
     if not pieces:
         raise EmptyTable("filtering removed every trajectory")
     splits = split_per_user(pieces, _spec(
-        cfg, SplitSpec, float, "ranking_train_ratio", "ranking_val_ratio", "ranking_test_ratio"
+        cfg, SplitSpec, "ranking_train_ratio", "ranking_val_ratio", "ranking_test_ratio"
     ))
     counts: dict[str, int] = {}
     for t in splits["train"]:
@@ -671,15 +621,11 @@ def _run_ranking(cfg: Config, trajectories: tuple[Trajectory, ...]) -> tuple[dic
     ranked = [
         loc for loc, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
-    k = _config_number(cfg, "ranking_k", int)
+    k = cfg["ranking_k"]
+    top = ranked[:k]  # all the metrics read; ranking_metrics checks k first
 
     def cases_of(trajs):
-        cases = []
-        for t in trajs:
-            for p in t.points:
-                if p.location is not None:
-                    cases.append((p.location, ranked))
-        return cases
+        return [(p.location, top) for t in trajs for p in t.points if p.location is not None]
 
     metrics: dict = {
         "n_locations_ranked": len(ranked),
@@ -735,7 +681,7 @@ def cmd_run(
     _require(cfg, "run", ("task", "model", "dataset"))
     task, model, dataset = cfg["task"], cfg["model"], cfg["dataset"]
     _check_model_task(model, task)
-    seed = _config_number(cfg, "seed", int, BadConfigFile)
+    seed = cfg["seed"]
     ds_dir = resolve_dataset_dir(dataset)
     spec = TASK_TABLE[task]
     prepared = {} if prepared is None else prepared
@@ -850,12 +796,11 @@ def cmd_tune(cfg: Config):
     if "model" not in space:
         _require(cfg, "tune", ("model",))
 
-    seed = _config_number(cfg, "seed", int, BadConfigFile)
-    alg = str(cfg["search_alg"])
+    seed, alg = cfg["seed"], cfg["search_alg"]
     if alg == "GridSearch":
         candidates = grid_candidates(space)
     elif alg == "RandomSearch":
-        n_trials = _config_number(cfg, "n_trials", int, BadConfigFile)
+        n_trials = cfg["n_trials"]
         if n_trials <= 0:
             raise BadConfigFile(
                 f"config key n_trials: must be positive, got {n_trials}"
@@ -876,6 +821,14 @@ def cmd_tune(cfg: Config):
         "tune_" + _run_id(cfg["task"], model, cfg["dataset"], seed, cfg.as_dict())
     )
 
+    # Every trial's config is built, and so checked, before the first runs.
+    trial_configs = [
+        Config(
+            {**cfg.values, **params, "output_dir": str(tune_root / f"trial_{i:03d}")},
+            {**cfg.provenance, **dict.fromkeys(params, "search")},
+        )
+        for i, params in enumerate(candidates)
+    ]
     task, dotted = cfg["task"], cfg.get("objective")
     prepared: dict = {}  # shared by the trials, so each dataset loads once
 
@@ -883,16 +836,9 @@ def cmd_tune(cfg: Config):
         return _objective_from(metrics, task, dotted)
 
     def run_trial(params: Mapping):
-        values = dict(cfg.values)
-        values.update(params)
-        values["output_dir"] = str(tune_root / f"trial_{run_trial.counter:03d}")
-        provenance = dict(cfg.provenance)
-        for key in params:
-            provenance[key] = "search"
+        trial_cfg = trial_configs[run_trial.counter]  # built from these params
         run_trial.counter += 1
-        record = cmd_run(
-            Config(values=values, provenance=provenance), prepared, check=objective_of
-        )
+        record = cmd_run(trial_cfg, prepared, check=objective_of)
         return record, objective_of(record.metrics)
 
     run_trial.counter = 0
@@ -941,7 +887,7 @@ def cmd_convert(cfg: Config) -> Path:
     if not raw_path.is_file():
         raise DatasetNotFound(f"raw csv {raw_path} does not exist")
     mapping = cfg.get("conversion")
-    if not isinstance(mapping, Mapping):
+    if mapping is None:
         raise BadConfigFile(
             "convert needs a 'conversion' object in the config file"
         )

@@ -22,6 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .config import is_number
 from .exceptions import ContinuousDomainInGrid
 
 __all__ = [
@@ -47,24 +48,33 @@ class SearchDomain:
 
 
 def parse_space(payload: Mapping) -> dict[str, SearchDomain]:
-    """Validate and normalize a JSON search-space object."""
+    """Validate and normalize a JSON search-space object; a ValueError names
+    the parameter whose domain is malformed or holds a value of the wrong
+    kind: ``values`` must be a non-empty list, ``low`` and ``high`` numbers
+    (not booleans), ``log`` a boolean and ``kind`` "int" or "float"."""
     space = {}
     for name, raw in payload.items():
         if not isinstance(raw, Mapping):
             raise ValueError(f"domain of {name!r} must be an object")
         if "values" in raw:
-            values = tuple(raw["values"])
-            if not values:
-                raise ValueError(f"domain of {name!r} has no values")
-            space[name] = SearchDomain("choice", values=values)
+            values = raw["values"]
+            if not (isinstance(values, list) and values):
+                raise ValueError(f"domain of {name!r}: values must be a non-empty list, "
+                                 f"got {values!r}")
+            space[name] = SearchDomain("choice", values=tuple(values))
             continue
         if "low" not in raw or "high" not in raw:
             raise ValueError(f"domain of {name!r} needs values or low/high")
         low, high = raw["low"], raw["high"]
+        if not (is_number(low) and is_number(high)):
+            raise ValueError(f"domain of {name!r}: low and high must be numbers, "
+                             f"got {low!r} and {high!r}")
         if not low < high:
             raise ValueError(f"domain of {name!r} needs low < high")
         kind = raw.get("kind", "float")
-        log = bool(raw.get("log", False))
+        log = raw.get("log", False)
+        if not isinstance(log, bool):
+            raise ValueError(f"domain of {name!r}: log must be true or false, got {log!r}")
         if kind not in ("int", "float"):
             raise ValueError(f"domain of {name!r} has unknown kind {kind!r}")
         if log and low <= 0:

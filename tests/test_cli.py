@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FAULTS, PARSEABLE_FAULTS, clean_dataset, inject_faults
-from stkit import exceptions
+from stkit import exceptions, runner
 from stkit.cli import main
 from stkit.dataset import save_dataset
 from stkit.exceptions import NoResults
@@ -541,6 +541,22 @@ def test_tune_failing_after_the_first_trial_leaves_no_runs(cli_root, tmp_path, c
         build_leaderboard(load_runs(tmp_path / "runs"), "traffic_state_pred")
 
 
+def test_tune_checks_every_trial_config_before_the_first_fit(
+    cli_root, tmp_path, capsys, monkeypatch
+):
+    fits = []
+    monkeypatch.setattr(runner, "var_fit", lambda *a, **k: fits.append(a))
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"var_order": {"values": [1, "x"]}}), "utf-8")
+    flags = run_flags(cli_root, tmp_path / "runs", model="VAR")
+    assert main(["tune", *flags, "--space_file", str(space)]) == 3
+    assert capsys.readouterr().err == (
+        "error: config key var_order: expected a whole number, got 'x'\n"
+    )
+    assert fits == []
+    assert not (tmp_path / "runs").exists()
+
+
 def tune_flags(cli_root, tmp_path, space, drop):
     """``run_flags`` for a tune over ``space``, without the flag ``drop``."""
     flags = run_flags(cli_root, tmp_path / "runs")
@@ -687,6 +703,81 @@ def nan_space_case():
     return build
 
 
+# The flags each command takes in ``kind_case``, by key.
+KIND_CASE_FLAGS = {
+    "run": ("task", "model", "dataset", "output_dir"),
+    "tune": ("task", "model", "dataset", "output_dir", "space_file"),
+    "validate": ("dataset",),
+    "stats": ("dataset",),
+    "convert": ("dataset", "output_dir"),
+    "leaderboard": ("task", "output_dir"),
+}
+
+
+def kind_case(command, values, key):
+    """``command`` on flow_p4 with a config file holding ``values``, one of
+    them of the wrong kind for ``key``; a key in ``values`` has no flag."""
+
+    def build(root, tmp):
+        (tmp / "bad.json").write_text(json.dumps(values), "utf-8")
+        (tmp / "space.json").write_text(json.dumps({"ha_period": {"values": [4]}}), "utf-8")
+        flags = {"task": "traffic_state_pred", "model": "HA", "dataset": str(root / "flow_p4"),
+                 "output_dir": str(tmp / "out"), "space_file": str(tmp / "space.json")}
+        argv = [command, "--config_file", str(tmp / "bad.json")]
+        for name in KIND_CASE_FLAGS[command]:
+            if name not in values:
+                argv += [f"--{name}", flags[name]]
+        return argv, 3, rf"^error: config key {key}: expected .+, got .+$"
+
+    return build
+
+
+# A value of the wrong kind, read by the command or not.
+WRONG_KINDS = [
+    ("run", {"output_dir": 5}, "output_dir"),
+    *((command, {"dataset": 5}, "dataset") for command in ("run", "validate", "stats", "convert")),
+    ("run", {"model": ["HA"]}, "model"),
+    ("tune", {"space_file": 5}, "space_file"),
+    ("tune", {"objective": 5}, "objective"),
+    ("leaderboard", {"output_dir": [1]}, "output_dir"),
+    ("run", {"seed": True}, "seed"),
+    ("run", {"horizons": [True]}, "horizons"),
+    ("run", {"model": "VAR", "var_ridge": "1e-3"}, "var_ridge"),
+    ("run", {"var_order": "3"}, "var_order"),  # an HA run does not read it
+    ("run", {"scaler": None}, "scaler"),  # None only where the default is None
+    ("run", {"conversion": 5}, "conversion"),
+]
+
+
+def bad_domain_case(space, where):
+    """A tune over one malformed search space."""
+
+    def build(root, tmp):
+        (tmp / "space.json").write_text(json.dumps(space), "utf-8")
+        argv = [*run_flags(root, tmp / "out"), "--space_file", str(tmp / "space.json")]
+        return ["tune", *argv], 3, where
+
+    return build
+
+
+BAD_DOMAINS = [
+    ({"var_order": {"values": 5}}, r"^error: domain of 'var_order': values must be a "
+     r"non-empty list, got 5$"),
+    ({"var_order": {"values": "12"}}, r"^error: domain of 'var_order': values must be"),
+    ({"var_ridge": {"low": "a", "high": 5}}, r"^error: domain of 'var_ridge': low and high "
+     r"must be numbers, got 'a' and 5$"),
+    ({"var_ridge": {"low": 0.1, "high": [1]}}, r"^error: domain of 'var_ridge': low and high"),
+    ({"var_ridge": {"low": False, "high": 1}}, r"^error: domain of 'var_ridge': low and high"),
+    ({"ha_period": {"low": 1, "high": 3, "kind": "int", "log": "yes"}},
+     r"^error: domain of 'ha_period': log must be true or false, got 'yes'$"),
+    ({"ha_period": {"low": 1, "high": 3, "kind": ["int"]}},
+     r"^error: domain of 'ha_period' has unknown kind \['int'\]$"),
+    # A domain of the right shape whose value is of the wrong kind.
+    ({"var_order": {"values": [1, "x"]}}, r"^error: config key var_order: expected a whole "
+     r"number, got 'x'$"),
+]
+
+
 GOOD_RUN = b'{"task": "traffic_state_pred", "model": "HA", "dataset": "d"}'
 
 
@@ -767,6 +858,20 @@ VISITS = {"target": "trajectory", "time_column": "ts", "entity_column": "user",
           "lon_column": "lon", "lat_column": "lat"}
 
 
+# A conversion field of the wrong kind.
+BAD_CONVERSIONS = [
+    ("time_format", 5, "a string or null"),
+    ("lat_column", ["lat"], "a string or null"),
+    ("property_columns", 5, "a list of strings"),
+    ("property_columns", "abc", "a list of strings"),
+    ("property_columns", ["speed", 1], "a list of strings"),
+    ("name", ["x"], "a string"),
+    ("name", None, "a string"),
+    ("time_column", ["t"], "a string"),
+    ("target", 5, "a string"),
+]
+
+
 def matching_case(where, truth=None, dyna_lat=None, dataset="traces", code=3):
     """A map-matching run on a copy of a dataset, with its truth routes file
     or every trajectory latitude replaced."""
@@ -793,6 +898,14 @@ FAILURE_MATRIX = [
       for n, (command, values, key) in enumerate(BAD_SEED_TRIALS_AND_HORIZONS)),
     *(pytest.param(pipeline_case(task, values, key), id=f"pipeline-{n}-{key.replace(', ', '+')}")
       for n, (task, values, key) in enumerate(BAD_PIPELINE_VALUES)),
+    *(pytest.param(kind_case(command, values, key), id=f"kind-{n}-{command}-{key}")
+      for n, (command, values, key) in enumerate(WRONG_KINDS)),
+    *(pytest.param(bad_domain_case(space, where), id=f"domain-{n}")
+      for n, (space, where) in enumerate(BAD_DOMAINS)),
+    *(pytest.param(convert_case(
+        RAW_STATES, {**STATES, field: value}, 3,
+        rf"^error: config key conversion\.{field}: expected {want}, got {re.escape(repr(value))}$",
+    ), id=f"conversion-{n}-{field}") for n, (field, value, want) in enumerate(BAD_CONVERSIONS)),
     pytest.param(space_case(), id="tune-space-not-an-object"),
     pytest.param(window_case(), id="run-window-longer-than-val"),
     pytest.param(nan_space_case(), id="tune-space-nan"),
@@ -895,6 +1008,8 @@ def test_failure_matrix(cli_root, tmp_path, capsys, build):
     out, err = capsys.readouterr()
     assert re.search(where, out + err, re.M), out + err
     assert "Traceback" not in err
+    if code != 2:  # one error line; a failed validation prints its report
+        assert not out and err.count("\n") == 1 and err.startswith("error: "), out + err
     assert not (tmp_path / "out").exists()
 
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from stkit.config import CLI_KEYS, DEFAULTS, load_config, read_json_object, write_json
+from stkit.config import (
+    CLI_KEYS, DEFAULTS, KINDS, Config, load_config, read_json_object, write_json,
+)
 from stkit.exceptions import BadConfigFile, UnknownCliKey
 
 
@@ -40,13 +42,17 @@ def test_cli_overrides_file_and_defaults():
 
 
 def test_precedence_for_every_cli_key():
+    # Each key gets a CLI and a file value of its kind, both unlike the default.
+    cli_file = {"seed": (7, 8), "batch_size": (7, 8)}
     for key in CLI_KEYS:
-        cfg = load_config(cli_args={key: "x"}, file_values={key: "y"})
-        assert cfg[key] == "x", key
+        x, y = cli_file.get(key, ("x", "y"))
+        cfg = load_config(cli_args={key: x}, file_values={key: y})
+        assert cfg[key] == x, key
         assert cfg.provenance[key] == "cli"
-        cfg2 = load_config(file_values={key: "y"})
-        assert cfg2[key] == "y", key
+        cfg2 = load_config(file_values={key: y})
+        assert cfg2[key] == y, key
         assert cfg2.provenance[key] == "user_file"
+        assert load_config()[key] not in (x, y), key
 
 
 def test_none_cli_values_do_not_mask_lower_layers():
@@ -167,3 +173,57 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
         write_json(tmp_path / "out.json", {"a": [1.0, float("nan")]})
     write_json(tmp_path / "out.json", {"b": 1.5, "a": None})
     assert (tmp_path / "out.json").read_text("utf-8") == '{\n  "a": null,\n  "b": 1.5\n}\n'
+
+
+def test_every_key_with_a_default_has_a_kind():
+    assert set(KINDS) == set(DEFAULTS) | {"conversion"}
+    assert KINDS["seed"] is int and KINDS["var_ridge"] is float and KINDS["scaler"] is str
+    assert KINDS["horizons"] == (list, int) and KINDS["conversion"] is dict
+
+
+@pytest.mark.parametrize(
+    "key, given, read",
+    [
+        ("var_order", 3.0, 3),
+        ("train_ratio", 1, 1.0),
+        ("seed", 10**30, 10**30),
+        ("horizons", [3, 6.0], [3, 6]),
+        ("horizons", None, None),
+        ("mape_floor", 2, 2.0),
+        ("task", None, None),
+        ("conversion", {"target": "state"}, {"target": "state"}),
+        ("custom_knob", "anything", "anything"),  # a key without a kind passes
+    ],
+)
+def test_reads_return_the_checked_value_and_values_keep_it_as_given(key, given, read):
+    cfg = load_config(file_values={key: given}, defaults={**DEFAULTS, "custom_knob": 0})
+    assert cfg[key] == read and type(cfg[key]) is type(read)
+    assert cfg.get(key) == read
+    assert cfg.values[key] == given and type(cfg.values[key]) is type(given)
+    assert cfg.as_dict()[key] == given
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", True, "expected a whole number, got True"),
+        ("seed", "3", "expected a whole number, got '3'"),
+        ("seed", 2.5, "expected a whole number, got 2.5"),
+        ("seed", None, "expected a whole number, got None"),
+        ("var_ridge", "1e-3", "expected a finite number, got '1e-3'"),
+        ("var_ridge", False, "expected a finite number, got False"),
+        ("var_ridge", 10**400, "expected a finite number, got 1000"),
+        ("scaler", 5, "expected a string, got 5"),
+        ("scaler", None, "expected a string, got None"),
+        ("horizons", 2, "expected a list of whole numbers, got 2"),
+        ("horizons", [1, True], "expected a list of whole numbers, got [1, True]"),
+        ("conversion", [], "expected an object, got []"),
+        ("objective", 5, "expected a string, got 5"),
+    ],
+)
+def test_wrong_kinds_raise_naming_the_key(key, value, message):
+    with pytest.raises(BadConfigFile) as info:
+        load_config(file_values={key: value})
+    assert str(info.value).startswith(f"config key {key}: {message}")
+    with pytest.raises(BadConfigFile, match=f"^config key {key}: "):
+        Config({**DEFAULTS, key: value}, {})

@@ -7,6 +7,7 @@ import struct
 import time
 import zipfile
 import zlib
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -36,7 +37,9 @@ from stkit.exceptions import (
     NoResults,
     ValidationFailed,
 )
+from stkit.evaluate import ranking_metrics
 from stkit.leaderboard import build_leaderboard, load_runs
+from stkit.pipeline import split_per_user
 from stkit.runner import (
     MODEL_TASKS,
     TASKS,
@@ -657,6 +660,34 @@ def test_ranking_run(data_root, tmp_path):
         assert m[split]["k"] == 5
         assert m[split]["n_cases"] == 12  # 3 pieces x 4 located points
     assert m["n_locations_ranked"] >= 2
+
+
+def test_ranking_run_scores_as_over_the_full_ranking(data_root, tmp_path, monkeypatch):
+    """The run hands ranking_metrics each case's top k only, which is all it
+    reads; the metrics equal those over the whole ranked list."""
+    splits = {}
+
+    def recording_split(pieces, spec):
+        splits.update(split_per_user(pieces, spec))
+        return splits
+
+    monkeypatch.setattr(runner, "split_per_user", recording_split)
+    cfg = load_config(
+        cli_args={
+            "task": "eval_ranking",
+            "model": "Popularity",
+            "dataset": str(data_root / "checkins"),
+            "output_dir": str(tmp_path),
+        },
+        file_values={"ranking_k": 2},
+    )
+    metrics = cmd_run(cfg).metrics
+    counts = Counter(p.location for t in splits["train"] for p in t.points if p.location)
+    ranked = sorted(counts, key=lambda loc: (-counts[loc], loc))
+    assert metrics["n_locations_ranked"] == len(ranked) > 2
+    for split in ("val", "test"):
+        cases = [(p.location, ranked) for t in splits[split] for p in t.points if p.location]
+        assert metrics[split] == ranking_metrics(cases, 2)
 
 
 # -- tuning ----------------------------------------------------------------------

@@ -43,6 +43,27 @@ def test_parse_space_validation():
         parse_space({"a": [1, 2]})
 
 
+@pytest.mark.parametrize(
+    "domain, fault",
+    [
+        ({"values": 5}, "values must be a non-empty list, got 5"),
+        ({"values": "ab"}, "values must be a non-empty list, got 'ab'"),
+        ({"values": {"x": 1}}, "values must be a non-empty list"),
+        ({"low": "a", "high": 5}, "low and high must be numbers, got 'a' and 5"),
+        ({"low": 0.1, "high": [1]}, "low and high must be numbers, got 0.1 and [1]"),
+        ({"low": True, "high": 3}, "low and high must be numbers, got True and 3"),
+        ({"low": 1, "high": 3, "kind": "int", "log": "yes"}, "log must be true or false"),
+        ({"low": 1, "high": 3, "log": 1}, "log must be true or false, got 1"),
+        ({"low": 1, "high": 3, "kind": None}, "unknown kind None"),
+    ],
+)
+def test_parse_space_names_the_parameter_of_a_wrong_kind(domain, fault):
+    with pytest.raises(ValueError) as info:
+        parse_space({"good": {"values": [1]}, "p": domain})
+    assert str(info.value).startswith("domain of 'p'")
+    assert fault in str(info.value)
+
+
 def test_grid_cross_product():
     space = parse_space({"a": {"values": [1, 2]}, "b": {"values": ["x", "y", "z"]}})
     combos = grid_candidates(space)
