@@ -153,6 +153,14 @@ def var_fit(
     matrix). Rows whose target cell is masked out are dropped for that target
     equation only. The flattened dimension k is capped at ``max_dim`` since
     the Gram matrix is (1 + p*k)^2.
+
+    The Gram ``G = X^T X`` and ``X^T Y`` are formed once per fit. A target's
+    equations downdate them by its dropped rows, ``G - X_d^T X_d``, when
+    those rows' squared norms sum to no more than its kept rows' do; the
+    subtraction's cancellation then costs at most about twice the rounding
+    of the kept rows' own product. Otherwise that target's Gram is formed
+    from its kept rows directly. Every product is exact on integer-valued
+    data, so such fits are bit-identical to the direct products.
     """
     values = np.asarray(values, dtype=np.float64)
     T = values.shape[0]
@@ -206,16 +214,23 @@ def var_fit(
             raise SingularDesign("normal equations are numerically singular")
         return theta
 
+    G, XtY = X.T @ X, X.T @ Y
     if flat_mask is None or flat_mask.all():
-        theta = solve(X.T @ X, X.T @ Y)
+        theta = solve(G, XtY)
     else:
+        row_sq = (X * X).sum(1)
+        downdate = row_sq @ ~flat_mask <= row_sq @ flat_mask
         theta = np.zeros((width, k), dtype=np.float64)
         for j in range(k):
             keep = flat_mask[:, j]
             if not keep.any():
                 raise EmptyTrainingData(f"target {j} has no observed rows")
-            Xj = X[keep]
-            theta[:, j] = solve(Xj.T @ Xj, Xj.T @ Y[keep, j])
+            if downdate[j]:
+                Xd = X[~keep]
+                theta[:, j] = solve(G - Xd.T @ Xd, XtY[:, j] - Xd.T @ Y[~keep, j])
+            else:
+                Xj = X[keep]
+                theta[:, j] = solve(Xj.T @ Xj, Xj.T @ Y[keep, j])
 
     intercept = theta[0].copy()
     coefs = np.stack(

@@ -43,6 +43,7 @@ from .evaluate import (
 from .exceptions import (
     BadConfigFile,
     BadFieldValue,
+    BadManifest,
     BadMatchParams,
     BadModelParams,
     BadPipelineParams,
@@ -224,6 +225,21 @@ def _spec(cfg: Config, spec: Callable, *keys: str):
     return _keyed(", ".join(keys), spec, *(cfg[k] for k in keys))
 
 
+def _check_grid_fits(slots: int, shape: tuple[int, int], n_features: int) -> None:
+    """Raise BadManifest naming the larger of grid_rows and grid_cols when the
+    dense [T, rows, cols, D] values and mask, 9 bytes a cell, would not fit in
+    this machine's memory. It runs before anything indexes or allocates the
+    grid; a grid that passes also keeps every cell index inside np.intp."""
+    need = 9 * slots * shape[0] * shape[1] * max(n_features, 1)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise BadManifest(
+            f"a {shape[0]} x {shape[1]} grid over {slots} slots needs {need} bytes "
+            f"as a dense tensor, more than the {memory} bytes of memory",
+            table="manifest", column="grid_rows" if shape[0] >= shape[1] else "grid_cols",
+        )
+
+
 def _prepare_traffic_state(
     ds: AtomicDataset, ds_dir: Path
 ) -> tuple[STTensor, MaskTensor]:
@@ -247,6 +263,7 @@ def _prepare_traffic_state(
         tensor, mask = dyna_to_graph_tensor(table, ds.geo_order(), axis, features)
     elif layout == "grid":
         shape = (ds.manifest.grid_rows, ds.manifest.grid_cols)
+        _check_grid_fits(axis.length, shape, len(features))
         tensor, mask = grid_to_tensor(table, shape, axis, features)
     else:
         tensor, mask = od_to_tensor(table, ds.geo_order(), axis, features)
@@ -787,6 +804,11 @@ def cmd_tune(cfg: Config):
         raise BadConfigFile("tune needs a search space (flag --space_file)")
     payload = read_json_object(cfg["space_file"], "space file")
     check_keys(payload, cfg.values, "search space")
+    # Each trial writes to its own directory and every trial reads the same
+    # files, so no trial may choose these.
+    for key in ("output_dir", "config_file", "space_file"):
+        if key in payload:
+            raise BadConfigFile(f"search space key {key!r}: a trial cannot choose it")
     try:
         space = parse_space(payload)
     except ValueError as exc:

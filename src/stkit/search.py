@@ -51,7 +51,8 @@ def parse_space(payload: Mapping) -> dict[str, SearchDomain]:
     """Validate and normalize a JSON search-space object; a ValueError names
     the parameter whose domain is malformed or holds a value of the wrong
     kind: ``values`` must be a non-empty list, ``low`` and ``high`` numbers
-    (not booleans), ``log`` a boolean and ``kind`` "int" or "float"."""
+    (not booleans), whole numbers for ``kind`` "int", ``log`` a boolean and
+    ``kind`` "int" or "float"."""
     space = {}
     for name, raw in payload.items():
         if not isinstance(raw, Mapping):
@@ -77,6 +78,9 @@ def parse_space(payload: Mapping) -> dict[str, SearchDomain]:
             raise ValueError(f"domain of {name!r}: log must be true or false, got {log!r}")
         if kind not in ("int", "float"):
             raise ValueError(f"domain of {name!r} has unknown kind {kind!r}")
+        if kind == "int" and not all(isinstance(v, int) or v.is_integer() for v in (low, high)):
+            raise ValueError(f"domain of {name!r}: int bounds must be whole numbers, "
+                             f"got {low!r} and {high!r}")
         if log and low <= 0:
             raise ValueError(f"log domain of {name!r} needs low > 0")
         space[name] = SearchDomain(kind, low=low, high=high, log=log)

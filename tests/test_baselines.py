@@ -11,8 +11,13 @@ from stkit.baselines import (
     var_fit,
 )
 from stkit.evaluate import masked_mae
-from stkit.exceptions import BadModelParams, EmptyTrainingData, InsufficientLength
-from stkit.pipeline import WindowSpec, make_batches, make_windows
+from stkit.exceptions import (
+    BadModelParams,
+    EmptyTrainingData,
+    InsufficientLength,
+    SingularDesign,
+)
+from stkit.pipeline import WindowSpec, fit_scaler, make_batches, make_windows
 
 
 def windows_to_batch(values, t_in, t_out, start_slot=0):
@@ -168,6 +173,102 @@ def test_var_fit_matches_normal_equation_oracle():
             got = model.coefs[i, j]
             want = theta_j[1 + i * k : 1 + (i + 1) * k]
             assert np.max(np.abs(got - want)) < 1e-8
+
+
+def kept_rows_fit(values, mask, order, ridge=1e-8):
+    """[1 + p*k, k] coefficients of the per-target fit that the Gram downdate
+    replaced, kept verbatim as its reference: each target's normal equations
+    are formed from its kept rows alone, then solved as ``var_fit`` solves
+    them (residual check, lstsq fallback)."""
+    T = values.shape[0]
+    flat = values.reshape(T, -1)
+    k = flat.shape[1]
+    X = np.ones((T - order, 1 + order * k))
+    for i in range(order):
+        X[:, 1 + i * k : 1 + (i + 1) * k] = flat[order - 1 - i : T - 1 - i]
+    Y = flat[order:]
+    M = mask.reshape(T, k)[order:]
+
+    def solve(XtX, XtY):
+        XtX = XtX + ridge * np.eye(XtX.shape[0])
+        denom = max(float(np.linalg.norm(XtY)), 1e-300)
+
+        def rel_resid(theta):
+            return float(np.linalg.norm(XtX @ theta - XtY)) / denom
+
+        try:
+            theta = np.linalg.solve(XtX, XtY)
+        except np.linalg.LinAlgError:
+            theta = None
+        if theta is not None and rel_resid(theta) < 1e-8:
+            return theta
+        theta, *_ = np.linalg.lstsq(XtX, XtY, rcond=None)
+        if rel_resid(theta) >= 1e-6:
+            raise SingularDesign("normal equations are numerically singular")
+        return theta
+
+    theta = np.zeros((X.shape[1], k))
+    for j in range(k):
+        Xj = X[M[:, j]]
+        theta[:, j] = solve(Xj.T @ Xj, Xj.T @ Y[M[:, j], j])
+    return theta
+
+
+def theta_of(model):
+    """A fitted VARModel's coefficients as [1 + p*k, k], as ``var_fit`` solved them."""
+    return np.vstack([model.intercept[None], *(c.T for c in model.coefs)])
+
+
+def masked_values(rng, shape, missing):
+    """Non-negative noisy values and a mask dropping ``missing`` of the
+    cells. Masked cells hold noise too, which a fit must not read as a target."""
+    return rng.gamma(4.0, 3.0, size=shape), rng.random(shape) >= missing
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("scaler", ["none", "zscore", "minmax", "log1p"])
+def test_var_fit_downdate_matches_kept_rows_solve(scaler, order):
+    # The downdated Gram sums in another order than the kept rows' product,
+    # so fits of non-integer data may move in the last bits: bounded here at
+    # 1e-10 of the largest coefficient (8e-16 to 2e-13 is seen).
+    rng = np.random.default_rng(100 + order)
+    values, mask = masked_values(rng, (200, 3, 2), 0.05)
+    fitted = fit_scaler(scaler, values[:140], mask[:140])
+    scaled = fitted.apply(values)
+    want = kept_rows_fit(scaled, mask, order)
+    got = theta_of(var_fit(scaled, mask, order))
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_var_fit_on_integer_data_is_bit_identical_to_kept_rows_solve(order):
+    # Every product of integer-valued data is exact, whatever the order.
+    rng = np.random.default_rng(order)
+    mask = rng.random((200, 6)) >= 0.02
+    mask[:, 0] = True  # a target whose downdate drops no row
+    values = rng.integers(0, 60, size=mask.shape).astype(np.float64)
+    assert_same_bits(theta_of(var_fit(values, mask, order)), kept_rows_fit(values, mask, order))
+
+
+def test_var_fit_direct_product_where_dropped_rows_dominate():
+    # Target 1 drops the 10 rows whose lagged inputs are 1e6 times the rest;
+    # downdating them away would cancel nearly all of the Gram.
+    rng = np.random.default_rng(8)
+    values, mask = masked_values(rng, (120, 4), 0.05)
+    big = np.arange(10, 110, 10)
+    values[big] *= 1e6
+    mask[big + 1, 1] = False
+    assert_same_bits(theta_of(var_fit(values, mask, 1))[:, 1], kept_rows_fit(values, mask, 1)[:, 1])
+
+
+def test_var_fit_direct_product_for_fewer_kept_rows_than_coefficients():
+    # Target 2 keeps 4 rows for 1 + 2*3 = 7 coefficients, with no ridge.
+    rng = np.random.default_rng(12)
+    values, mask = masked_values(rng, (60, 3), 0.0)
+    mask[:, 2] = False
+    mask[[10, 25, 40, 55], 2] = True
+    got = theta_of(var_fit(values, mask, 2, ridge=0.0))[:, 2]
+    assert_same_bits(got, kept_rows_fit(values, mask, 2, ridge=0.0)[:, 2])
 
 
 def test_var_rollout_recurrence():

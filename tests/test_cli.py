@@ -775,7 +775,34 @@ BAD_DOMAINS = [
     # A domain of the right shape whose value is of the wrong kind.
     ({"var_order": {"values": [1, "x"]}}, r"^error: config key var_order: expected a whole "
      r"number, got 'x'$"),
+    # Truncated, these bounds would offer 1, below low.
+    ({"ha_period": {"low": 1.5, "high": 3.9, "kind": "int"}},
+     r"^error: domain of 'ha_period': int bounds must be whole numbers, got 1\.5 and 3\.9$"),
+    ({"var_order": {"low": 1, "high": 2.5, "kind": "int"}},
+     r"^error: domain of 'var_order': int bounds must be whole numbers, got 1 and 2\.5$"),
 ]
+
+
+def huge_grid_case(key, value):
+    """``stkit run`` on a 2 x 2 grid dataset whose manifest declares ``key``
+    so large that the dense tensor cannot be indexed or held in memory."""
+
+    def build(root, tmp):
+        data = tmp / "grid"
+        save_synthetic(
+            generate_synthetic("grid_flow", {"rows": 2, "cols": 2, "n_slots": 60}, seed=0), data
+        )
+        manifest = json.loads((data / "manifest.json").read_text("utf-8"))
+        manifest[key] = value
+        (data / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        argv = ["run", "--task", "traffic_state_pred", "--model", "HA", "--dataset", str(data),
+                "--output_dir", str(tmp / "out"), "--config_file",
+                str(root / "small_windows.json")]
+        where = (r"^error: a .+ grid over 60 slots needs \d+ bytes as a dense tensor, more than "
+                 rf"the \d+ bytes of memory \(table=manifest, column={key}\)$")
+        return argv, 3, where
+
+    return build
 
 
 GOOD_RUN = b'{"task": "traffic_state_pred", "model": "HA", "dataset": "d"}'
@@ -902,6 +929,14 @@ FAILURE_MATRIX = [
       for n, (command, values, key) in enumerate(WRONG_KINDS)),
     *(pytest.param(bad_domain_case(space, where), id=f"domain-{n}")
       for n, (space, where) in enumerate(BAD_DOMAINS)),
+    # Each trial writes to its own directory and every trial reads the same files.
+    *(pytest.param(bad_domain_case(
+        {key: {"values": ["elsewhere"]}},
+        rf"^error: search space key '{key}': a trial cannot choose it$",
+    ), id=f"space-key-{key}") for key in ("output_dir", "config_file", "space_file")),
+    # Past np.intp as a cell index; within it, but past any machine's memory.
+    pytest.param(huge_grid_case("grid_rows", 10**30), id="manifest-grid-rows-past-index"),
+    pytest.param(huge_grid_case("grid_cols", 10**14), id="manifest-grid-cols-past-memory"),
     *(pytest.param(convert_case(
         RAW_STATES, {**STATES, field: value}, 3,
         rf"^error: config key conversion\.{field}: expected {want}, got {re.escape(repr(value))}$",
