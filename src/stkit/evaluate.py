@@ -27,6 +27,7 @@ __all__ = [
     "masked_mae",
     "regression_metrics",
     "RegressionReport",
+    "check_horizons",
     "evaluate_forecast",
     "ranking_metrics",
     "match_metrics",
@@ -113,6 +114,13 @@ class RegressionReport:
         }
 
 
+def check_horizons(horizons: Sequence[int], t_out: int) -> None:
+    """Raise HorizonOutOfRange unless every horizon falls in [1, t_out]."""
+    for h in horizons:
+        if not 1 <= h <= t_out:
+            raise HorizonOutOfRange(f"horizon {h} outside [1, {t_out}]")
+
+
 def evaluate_forecast(
     pred: np.ndarray,
     truth: np.ndarray,
@@ -132,9 +140,8 @@ def evaluate_forecast(
     report = RegressionReport(
         aggregate=regression_metrics(truth, pred, mask, mape_floor=mape_floor)
     )
+    check_horizons(horizons, t_out)
     for h in horizons:
-        if not 1 <= h <= t_out:
-            raise HorizonOutOfRange(f"horizon {h} outside [1, {t_out}]")
         m_h = None if mask is None else mask[h - 1]
         report.horizons[int(h)] = regression_metrics(
             truth[h - 1], pred[h - 1], m_h, mape_floor=mape_floor

@@ -17,6 +17,7 @@ approximation centered at the query point, accurate at street scale.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -134,7 +135,8 @@ class _RouteTable:
 
     def _row(self, settled: list[tuple[float, int, int]], complete: bool) -> _Row:
         """The row of the settled ``(dist, segment, prev)`` heap entries."""
-        entries = np.array(settled + [(math.inf, len(self.ids), -1)], dtype=np.float64)
+        flat = itertools.chain.from_iterable(settled + [(math.inf, len(self.ids), -1)])
+        entries = np.fromiter(flat, np.float64).reshape(-1, 3)
         entries = entries[np.argsort(entries[:, 1])]
         return _Row(
             entries[:, 1].astype(self.dtype),
@@ -150,7 +152,7 @@ class _RouteTable:
         wanted = bytearray(len(self.ids))
         for t in targets.tolist():
             wanted[t] = 1
-        pending = sum(wanted)
+        pending = wanted.count(1)
         settled = []
         heap = [(0.0, w, -1) for w in succ[origin]]
         heapq.heapify(heap)
@@ -197,26 +199,38 @@ class _RouteTable:
 
 @dataclass
 class RoadNetwork:
-    """Directed segment graph, its route table and segment bounding boxes.
+    """Directed segment graph, its route table, segment boxes and legs.
 
     ``routes`` is built from the segments and edges when not given; every
     match on the network reuses the routes the earlier ones settled.
     ``boxes`` holds each segment's (min lon, min lat, max lon, max lat) as
-    the four contiguous rows of a [4, n] array in route-table code order, so
-    candidate search is one vectorized box test per point.
+    the four contiguous rows of a [4, n] array, and ``legs`` each polyline
+    leg's start lon/lat, end lon/lat, cumulative length at its start and
+    length as the rows of a [6, legs] array, segment c's legs from column
+    ``first_leg[c]`` to ``first_leg[c + 1]``. Both follow route-table code
+    order, so a trajectory's candidate search is a few array passes.
     """
 
     segments: dict[str, Segment]
     out_edges: dict[str, tuple[str, ...]]
     routes: _RouteTable | None = field(default=None, repr=False, compare=False)
     boxes: np.ndarray = field(init=False, repr=False, compare=False)
+    legs: np.ndarray = field(init=False, repr=False, compare=False)
+    first_leg: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.routes is None:
             self.routes = _RouteTable(self.segments, self.out_edges)
-        coords = (zip(*self.segments[g].coords) for g in self.routes.ids)
-        boxes = [(min(x), min(y), max(x), max(y)) for x, y in coords]
+        segs = [self.segments[g] for g in self.routes.ids]
+        boxes = [(min(x), min(y), max(x), max(y)) for x, y in (zip(*s.coords) for s in segs)]
         self.boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4).T.copy()
+        legs = [
+            (*a, *b, m, n - m)
+            for s in segs
+            for a, b, m, n in zip(s.coords, s.coords[1:], s.cum_m, s.cum_m[1:])
+        ]
+        self.legs = np.array(legs, dtype=np.float64).reshape(-1, 6).T.copy()
+        self.first_leg = np.cumsum([0] + [len(s.coords) - 1 for s in segs])
 
     def segment_lengths(self) -> dict[str, float]:
         return {gid: seg.length_m for gid, seg in self.segments.items()}
@@ -301,96 +315,137 @@ class Candidate:
     offset_m: float  # along-segment distance from the segment start
 
 
-def _project_to_segment(
-    seg: Segment, lon: float, lat: float
-) -> tuple[float, float, float, float]:
-    """Nearest point on the polyline: (proj_lon, proj_lat, distance_m, offset_m)."""
-    m_lat = _M_PER_DEG_LAT
-    m_lon = _m_per_deg_lon(lat)
-    pts = [((c[0] - lon) * m_lon, (c[1] - lat) * m_lat) for c in seg.coords]
-    best = (math.inf, 0.0, 0.0, 0.0)  # dist, x, y, offset
-    for i in range(len(pts) - 1):
-        (x1, y1), (x2, y2) = pts[i], pts[i + 1]
-        dx, dy = x2 - x1, y2 - y1
-        leg2 = dx * dx + dy * dy
-        if leg2 == 0.0:
-            t = 0.0
-        else:
-            t = max(0.0, min(1.0, -(x1 * dx + y1 * dy) / leg2))
-        px, py = x1 + t * dx, y1 + t * dy
-        d = math.hypot(px, py)
-        if d < best[0]:
-            leg_m = seg.cum_m[i + 1] - seg.cum_m[i]
-            best = (d, px, py, seg.cum_m[i] + t * leg_m)
-    d, px, py, offset = best
-    return lon + px / m_lon, lat + py / m_lat, d, offset
+class _Candidates(NamedTuple):
+    """Candidates as arrays: point i's are rows ``ptr[i]`` to ``ptr[i + 1]``."""
+
+    ptr: np.ndarray
+    code: np.ndarray
+    lon: np.ndarray
+    lat: np.ndarray
+    distance_m: np.ndarray
+    offset_m: np.ndarray
+
+    def pick(self, network: RoadNetwork, rows) -> list[Candidate]:
+        """The candidates at ``rows``, as :class:`Candidate` objects."""
+        ids = network.routes.ids
+        code, *floats = (column[rows].tolist() for column in self[1:])
+        return [Candidate(ids[c], *f) for c, *f in zip(code, *floats)]
+
+
+# Point x segment cells of one box-test block: bounds the test's memory.
+_BOX_CELLS = 1 << 18
+
+
+def _search(
+    network: RoadNetwork, lon: np.ndarray, lat: np.ndarray, params: MatchParams
+) -> _Candidates:
+    """Every point's segments within the search radius, nearest first, capped.
+
+    A point's pool is the segments whose bounding box meets its ±radius box,
+    at the projection's meters-per-degree scale; any other segment is
+    farther away. Each leg of a pooled segment is projected in a local
+    equirectangular frame centered at the point, and a polyline's first
+    nearest leg gives its distance and offset. Ties in distance break on
+    segment id, so the result is deterministic.
+    """
+    m_lon = np.array([_m_per_deg_lon(y) for y in lat.tolist()], dtype=np.float64)
+    rlon = params.radius_m / m_lon
+    rlat = params.radius_m / _M_PER_DEG_LAT
+    lo_lon, lo_lat, hi_lon, hi_lat = network.boxes
+    block = max(1, _BOX_CELLS // max(len(lo_lon), 1))
+    hits = []
+    for s in range(0, len(lon), block):
+        x, y, r = (v[s : s + block, None] for v in (lon, lat, rlon))
+        near = (lo_lon <= x + r) & (hi_lon >= x - r)
+        near &= (lo_lat <= y + rlat) & (hi_lat >= y - rlat)
+        p, g = np.nonzero(near)
+        hits.append((p + s, g))
+    point, code = map(np.concatenate, zip(*hits))
+
+    # One row per (point, pooled segment, leg), each pair's legs in order.
+    first = network.first_leg[code]
+    n_legs = network.first_leg[code + 1] - first
+    pair = np.repeat(np.arange(len(code)), n_legs)
+    leg = np.arange(len(pair)) + np.repeat(first - n_legs.cumsum() + n_legs, n_legs)
+    lon0, lat0, lon1, lat1, cum_m, leg_m = network.legs[:, leg]
+    pt = point[pair]
+    x1, y1 = (lon0 - lon[pt]) * m_lon[pt], (lat0 - lat[pt]) * _M_PER_DEG_LAT
+    dx = (lon1 - lon[pt]) * m_lon[pt] - x1
+    dy = (lat1 - lat[pt]) * _M_PER_DEG_LAT - y1
+    leg2 = dx * dx + dy * dy
+    t = np.divide(-(x1 * dx + y1 * dy), leg2, out=np.zeros_like(leg2), where=leg2 != 0.0)
+    t = np.where(t < 1.0, t, 1.0)  # max(0, min(1, t)), picking as min and max do
+    t = np.where(t > 0.0, t, 0.0)
+    px, py = x1 + t * dx, y1 + t * dy
+    # math.hypot, not np.hypot: the two differ in the last bit on some pairs.
+    dist = np.fromiter(map(math.hypot, px.tolist(), py.tolist()), np.float64, len(px))
+
+    # Each pair's first nearest leg; those in radius, nearest first, capped.
+    order = np.lexsort((dist, pair))
+    best = order[np.diff(pair[order], prepend=-1) != 0]
+    best = best[dist[best] <= params.radius_m]
+    best = best[np.lexsort((code[pair[best]], dist[best], point[pair[best]]))]
+    counts = np.bincount(point[pair[best]], minlength=len(lon))
+    rank = np.arange(len(best)) - np.repeat(counts.cumsum() - counts, counts)
+    best = best[rank < params.max_candidates]
+    pt = point[pair[best]]
+    return _Candidates(
+        np.concatenate([[0], np.minimum(counts, params.max_candidates).cumsum()]),
+        code[pair[best]],
+        lon[pt] + px[best] / m_lon[pt],
+        lat[pt] + py[best] / _M_PER_DEG_LAT,
+        dist[best],
+        cum_m[best] + t[best] * leg_m[best],
+    )
 
 
 def candidate_segments(
     network: RoadNetwork, lon: float, lat: float, params: MatchParams
 ) -> list[Candidate]:
-    """Segments within the search radius, nearest first, capped.
-
-    The pool is the segments whose bounding box meets the point's ±radius
-    box, at the projection's meters-per-degree scale; any other segment is
-    farther away. Each is projected exactly; ties in distance break on
-    segment id so the result is deterministic.
-    """
-    rlon = params.radius_m / _m_per_deg_lon(lat)
-    rlat = params.radius_m / _M_PER_DEG_LAT
-    lo_lon, lo_lat, hi_lon, hi_lat = network.boxes
-    near = (lo_lon <= lon + rlon) & (hi_lon >= lon - rlon)
-    near &= (lo_lat <= lat + rlat) & (hi_lat >= lat - rlat)
-    out = []
-    for gid in [network.routes.ids[n] for n in np.flatnonzero(near).tolist()]:
-        plon, plat, d, offset = _project_to_segment(network.segments[gid], lon, lat)
-        if d <= params.radius_m:
-            out.append(Candidate(gid, plon, plat, d, offset))
-    out.sort(key=lambda c: (c.distance_m, c.segment_id))
-    return out[: params.max_candidates]
+    """Segments within the search radius of one point, nearest first, capped;
+    ties in distance break on segment id."""
+    found = _search(network, np.array([lon], float), np.array([lat], float), params)
+    return found.pick(network, slice(None))
 
 
-def emission_logprob(distance_m: float, sigma_m: float) -> float:
-    """Gaussian log-density of the point-to-segment distance."""
-    return -0.5 * (distance_m / sigma_m) ** 2 - math.log(
+def emission_logprob(distance_m, sigma_m: float):
+    """Gaussian log-density of a point-to-segment distance or an array of them."""
+    return -0.5 * np.square(np.divide(distance_m, sigma_m)) - math.log(
         sigma_m * math.sqrt(2.0 * math.pi)
     )
 
 
-def transition_logprob(route_m, greatcircle_m: float, beta_m: float):
+def transition_logprob(route_m, greatcircle_m, beta_m: float):
     """Exponential log-density of |route - great circle|; unreachable is -inf.
 
-    ``route_m`` is a distance or an array of them.
+    ``route_m`` and ``greatcircle_m`` are distances or arrays of them.
     """
     return -np.abs(np.subtract(route_m, greatcircle_m)) / beta_m - math.log(beta_m)
 
 
-def _route_distances(
-    network: RoadNetwork, origins: list[Candidate], targets: list[Candidate]
-) -> np.ndarray:
-    """On-road distance from each origin candidate to each target candidate.
+def _route_distances(network: RoadNetwork, from_seg, from_off, to_seg, to_off) -> np.ndarray:
+    """On-road distance of each (origin, target) pair of candidates, given as
+    arrays of segment codes and offsets.
 
-    Row k of the [len(origins), len(targets)] result is origin k's. A route
-    runs to the end of the origin's segment, through the network's route
-    table, and along the target segment to its offset; moving forward along
-    a shared segment costs the offset difference instead when that is
-    shorter. Unreachable is inf.
+    A route runs to the end of the origin's segment, through the network's
+    route table, and along the target segment to its offset; moving forward
+    along a shared segment costs the offset difference instead when that is
+    shorter. Unreachable is inf. The table is asked once per distinct origin
+    segment, for the union of its targets.
     """
     table = network.routes
-    code, lengths = table.code, table.lengths
-    to_seg = np.array([code[b.segment_id] for b in targets], dtype=table.dtype)
-    to_off = np.array([b.offset_m for b in targets], dtype=np.float64)
-    from_seg = [code[a.segment_id] for a in origins]
-    from_off = np.array([a.offset_m for a in origins], dtype=np.float64)
-    starts = np.empty((len(origins), len(targets)))
-    for k, origin in enumerate(from_seg):
-        starts[k] = table.start_distances(origin, to_seg)
-    leave = np.array([lengths[o] for o in from_seg], dtype=np.float64) - from_off
-    out = leave[:, None] + starts + to_off
-    forward = (np.array(from_seg)[:, None] == to_seg) & (to_off >= from_off[:, None])
-    if forward.any():
-        along = to_off - from_off[:, None]
-        out[forward] = np.minimum(out[forward], along[forward])
+    n = len(table.ids)
+    pairs, inverse = np.unique(from_seg.astype(np.int64) * n + to_seg, return_inverse=True)
+    origin, target = np.divmod(pairs, n)
+    starts = np.empty(len(pairs))
+    cuts = [*np.flatnonzero(np.diff(origin, prepend=-1)).tolist(), len(pairs)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        starts[lo:hi] = table.start_distances(int(origin[lo]), target[lo:hi].astype(table.dtype))
+    leave = np.take(table.lengths, from_seg) - from_off
+    out = leave + starts[inverse] + to_off
+    forward = (from_seg == to_seg) & (to_off >= from_off)
+    along = to_off - from_off
+    out[forward] = np.minimum(out[forward], along[forward])
     return out
 
 
@@ -421,7 +476,10 @@ def shortest_route(
     segments, and along b's segment to its offset. Returns (inf, None) when
     b is unreachable. Routes come from the network's shared route table.
     """
-    d = float(_route_distances(network, [a], [b])[0, 0])
+    code = network.routes.code
+    seg = np.array([code[a.segment_id], code[b.segment_id]])
+    off = np.array([a.offset_m, b.offset_m])
+    d = float(_route_distances(network, seg[:1], off[:1], seg[1:], off[1:])[0])
     return d, _leg(network, a, b, d)
 
 
@@ -499,80 +557,91 @@ def _extract_points(trajectory) -> list[tuple[float, float]]:
 def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> MatchResult:
     """Match one trajectory (Trajectory or [(lon, lat), ...]) to the network.
 
-    Chains are built online. The first point of a chain reaches all its
-    candidates, a later point those that a finite route joins to a reached
-    candidate of the point before; a point that reaches none, or has none,
-    closes the chain, which :func:`viterbi_decode` decodes. Routes come from
-    the network's route table, which outlives the call. Raises
+    Every point's candidates are found in one search, and every pair of
+    consecutive points' candidates is routed in one call. Chains are then
+    built in order. The first point of a chain reaches all its candidates, a
+    later point those that a finite route joins to a reached candidate of
+    the point before; a point that reaches none, or has none, closes the
+    chain, which :func:`viterbi_decode` decodes. Routes come from the
+    network's route table, which outlives the call. Raises
     NoCandidatesAnywhere when not a single point has a candidate.
     """
     points = _extract_points(trajectory)
     if not points:
         raise ValueError("trajectory has no points")
-    cands = [candidate_segments(network, lon, lat, params) for lon, lat in points]
-    if not any(cands):
+    lon, lat = np.array(points, dtype=np.float64).T
+    cands = _search(network, lon, lat, params)
+    if not len(cands.code):
         raise NoCandidatesAnywhere(
             f"no candidates within {params.radius_m} m of any of the "
             f"{len(points)} points"
         )
+    emissions = emission_logprob(cands.distance_m, params.sigma_m)
+
+    # The (previous candidate, candidate) pairs of every step between two
+    # points, step by step, previous-major: step i - 1 -> i holds pairs
+    # bounds[i - 1] to bounds[i].
+    ptr, count = cands.ptr, np.diff(cands.ptr)
+    size = count[:-1] * count[1:]
+    bounds = np.concatenate([[0], size.cumsum()])
+    pair_step = np.repeat(np.arange(len(size)), size)
+    k = np.arange(bounds[-1]) - bounds[pair_step]
+    src = ptr[pair_step] + k // count[pair_step + 1]
+    dst = ptr[pair_step + 1] + k % count[pair_step + 1]
+    route_m = _route_distances(
+        network, cands.code[src], cands.offset_m[src], cands.code[dst], cands.offset_m[dst]
+    )
+    greatcircle = [haversine_m(*a, *b) for a, b in zip(points, points[1:])]
+    transitions = transition_logprob(route_m, np.take(greatcircle, pair_step), params.beta_m)
+
+    def at_step(pairs: np.ndarray, i: int) -> np.ndarray:
+        """Step i - 1 -> i of a per-pair array, as a matrix view."""
+        return pairs[bounds[i - 1] : bounds[i]].reshape(count[i - 1], count[i])
 
     matched: list[Candidate | None] = [None] * len(points)
     point_logprob: list[float | None] = [None] * len(points)
     chains: list[tuple[int, int]] = []
     routes: list[list[str]] = []
 
-    def close_chain(start, emissions, transitions, route_m):
-        _, idx = viterbi_decode(emissions, transitions)
-        chosen = [cands[start + n][j] for n, j in enumerate(idx)]
-        matched[start : start + len(idx)] = chosen
+    def close_chain(start, stop):
+        emit = [emissions[ptr[i] : ptr[i + 1]] for i in range(start, stop)]
+        trans = [at_step(transitions, i) for i in range(start + 1, stop)]
+        _, idx = viterbi_decode(emit, trans)
+        chosen = cands.pick(network, ptr[start:stop] + idx)
+        matched[start:stop] = chosen
         # Per-point score contributions along the chosen path.
-        point_logprob[start] = float(emissions[0][idx[0]])
+        point_logprob[start] = float(emit[0][idx[0]])
         route = [chosen[0].segment_id]
         for n in range(1, len(idx)):
-            point_logprob[start + n] = float(
-                emissions[n][idx[n]] + transitions[n - 1][idx[n - 1], idx[n]]
-            )
-            d = float(route_m[n - 1][idx[n - 1], idx[n]])
+            point_logprob[start + n] = float(emit[n][idx[n]] + trans[n - 1][idx[n - 1], idx[n]])
+            d = float(at_step(route_m, start + n)[idx[n - 1], idx[n]])
             for gid in _leg(network, chosen[n - 1], chosen[n], d) or ():
                 if route[-1] != gid:
                     route.append(gid)
-        chains.append((start, start + len(idx)))
+        chains.append((start, stop))
         routes.append(route)
 
-    # The running chain: its first point, per-step emission vectors,
-    # transition matrices and the route distances they score; and which
-    # candidates of the chain's last point are reached.
+    # The running chain's first point, and which candidates of its last
+    # point are reached.
     start = None
-    emissions: list[np.ndarray] = []
-    transitions: list[np.ndarray] = []
-    route_m: list[np.ndarray] = []
-    reached = np.ones(0, dtype=bool)
-    for i, point_cands in enumerate(cands):
-        if not point_cands:
+    for i in range(len(points)):
+        if not count[i]:
             if start is not None:
-                close_chain(start, emissions, transitions, route_m)
+                close_chain(start, i)
                 start = None
             continue
-        e = np.array(
-            [emission_logprob(c.distance_m, params.sigma_m) for c in point_cands]
-        )
         if start is not None:
             # Routes from the previous point's reached candidates only; the
-            # others stay unreachable.
-            live = np.flatnonzero(reached)
-            d = np.full((len(cands[i - 1]), len(point_cands)), np.inf)
-            origins = [cands[i - 1][k] for k in live]
-            d[live] = _route_distances(network, origins, point_cands)
+            # others stay unreachable. The views write through, so the
+            # decode reads the masked rows.
+            d, tr = at_step(route_m, i), at_step(transitions, i)
+            d[~reached] = np.inf
+            tr[~reached] = -np.inf
             reached = np.isfinite(d).any(axis=0)
             if reached.any():
-                gc = haversine_m(*points[i - 1], *points[i])
-                emissions.append(e)
-                transitions.append(transition_logprob(d, gc, params.beta_m))
-                route_m.append(d)
                 continue
-            close_chain(start, emissions, transitions, route_m)
-        start, emissions, transitions, route_m = i, [e], [], []
-        reached = np.ones(len(point_cands), dtype=bool)
+            close_chain(start, i)
+        start, reached = i, np.ones(count[i], dtype=bool)
     if start is not None:
-        close_chain(start, emissions, transitions, route_m)
+        close_chain(start, len(points))
     return MatchResult(matched, chains, routes, point_logprob)

@@ -35,6 +35,7 @@ from .dataset import (
     validate_dataset,
 )
 from .evaluate import (
+    check_horizons,
     evaluate_forecast,
     jsonify_metrics,
     match_metrics,
@@ -852,6 +853,12 @@ def cmd_tune(cfg: Config):
         for i, params in enumerate(candidates)
     ]
     task, dotted = cfg["task"], cfg.get("objective")
+    # So are each trial's model and horizons, which a run checks only after its fit.
+    for trial_cfg in trial_configs:
+        _check_model_task(trial_cfg["model"], task)
+        if task == "traffic_state_pred":
+            t_out = _spec(trial_cfg, WindowSpec, "input_window", "output_window").t_out
+            _keyed("horizons", check_horizons, trial_cfg["horizons"] or (), t_out)
     prepared: dict = {}  # shared by the trials, so each dataset loads once
 
     def objective_of(metrics: Mapping) -> float:

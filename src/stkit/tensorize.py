@@ -527,21 +527,29 @@ class Trajectory:
         return len(self.points)
 
 
-def build_trajectories(records: Sequence[DynaRecord]) -> list[Trajectory]:
+def build_trajectories(records: Table | Sequence[DynaRecord]) -> list[Trajectory]:
     """Group trajectory rows by entity and sort each group by time.
 
     The sort is stable, so rows sharing a timestamp keep file order. Output
-    trajectories appear in order of each entity's first row.
+    trajectories appear in order of each entity's first row. Points are read
+    from the columns; no record is built.
     """
-    groups: dict[str, list[DynaRecord]] = {}
-    for rec in records:
-        if rec.dyna_type != "trajectory":
-            raise ValueError(f"expected trajectory rows, got {rec.dyna_type!r}")
-        groups.setdefault(rec.entity_id, []).append(rec)
+    table = as_table("dyna", records)
+    types = table.field("dyna_type")
+    if (bad := types.flags(lambda v: v != "trajectory")).any():
+        raise ValueError(f"expected trajectory rows, got {types.at(int(np.argmax(bad)))!r}")
+    entities, times, locations = (table.field(a).tolist() for a in ("entity_id", "time", "location"))
+    props = [(name, table.prop(name).tolist()) for name in table.prop_names]
+    groups: dict[str, list[int]] = {}
+    for row, entity in enumerate(entities):
+        groups.setdefault(entity, []).append(row)
     out = []
     for entity, rows in groups.items():
-        rows = sorted(rows, key=lambda r: r.time)
-        points = [TrajPoint(r.location, r.time, dict(r.properties)) for r in rows]
+        rows.sort(key=times.__getitem__)
+        points = [
+            TrajPoint(locations[r], times[r], {k: c[r] for k, c in props if c[r] is not _MISSING})
+            for r in rows
+        ]
         out.append(Trajectory(entity, points))
     return out
 

@@ -1,4 +1,6 @@
-"""Shared test builders: random atomic tables, a clean dataset, a fault catalog.
+"""Shared test builders: random atomic tables, a clean dataset, a fault catalog,
+and the scalar map-matching candidate search that the matcher tests use as
+their oracle.
 
 The random generators only emit canonical property values (values that the
 CSV typing rules can represent), so parse(write(x)) == x is a fair check.
@@ -7,9 +9,12 @@ finite, and empty strings are excluded (they read back as None).
 """
 
 import copy
+import math
 import random
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
+
+import numpy as np
 
 from stkit.atomic import (
     TABLE_KINDS,
@@ -23,6 +28,7 @@ from stkit.atomic import (
     UserUnit,
 )
 from stkit.dataset import AtomicDataset, Manifest
+from stkit.mapmatch import Candidate
 
 T0 = datetime(2021, 3, 1, tzinfo=timezone.utc)
 
@@ -463,3 +469,57 @@ def seeded_fault_subset(seed):
     rng = random.Random(seed)
     k = rng.randint(1, len(FAULTS))
     return rng.sample(sorted(FAULTS), k)
+
+
+# -- the scalar candidate search: one point, one segment, one leg at a time ---------
+
+_M_PER_DEG_LAT = 6371000.0 * math.pi / 180.0
+
+
+def _m_per_deg_lon(lat):
+    return _M_PER_DEG_LAT * max(math.cos(math.radians(lat)), 1e-12)
+
+
+def project_to_segment(seg, lon, lat):
+    """Nearest point on the polyline: (proj_lon, proj_lat, distance_m, offset_m)."""
+    m_lat = _M_PER_DEG_LAT
+    m_lon = _m_per_deg_lon(lat)
+    pts = [((c[0] - lon) * m_lon, (c[1] - lat) * m_lat) for c in seg.coords]
+    best = (math.inf, 0.0, 0.0, 0.0)  # dist, x, y, offset
+    for i in range(len(pts) - 1):
+        (x1, y1), (x2, y2) = pts[i], pts[i + 1]
+        dx, dy = x2 - x1, y2 - y1
+        leg2 = dx * dx + dy * dy
+        if leg2 == 0.0:
+            t = 0.0
+        else:
+            t = max(0.0, min(1.0, -(x1 * dx + y1 * dy) / leg2))
+        px, py = x1 + t * dx, y1 + t * dy
+        d = math.hypot(px, py)
+        if d < best[0]:
+            leg_m = seg.cum_m[i + 1] - seg.cum_m[i]
+            best = (d, px, py, seg.cum_m[i] + t * leg_m)
+    d, px, py, offset = best
+    return lon + px / m_lon, lat + py / m_lat, d, offset
+
+
+def scalar_candidates(network, lon, lat, params):
+    """Segments within the search radius, nearest first, capped.
+
+    The pool is the segments whose bounding box meets the point's ±radius
+    box, at the projection's meters-per-degree scale; any other segment is
+    farther away. Each is projected exactly; ties in distance break on
+    segment id so the result is deterministic.
+    """
+    rlon = params.radius_m / _m_per_deg_lon(lat)
+    rlat = params.radius_m / _M_PER_DEG_LAT
+    lo_lon, lo_lat, hi_lon, hi_lat = network.boxes
+    near = (lo_lon <= lon + rlon) & (hi_lon >= lon - rlon)
+    near &= (lo_lat <= lat + rlat) & (hi_lat >= lat - rlat)
+    out = []
+    for gid in [network.routes.ids[n] for n in np.flatnonzero(near).tolist()]:
+        plon, plat, d, offset = project_to_segment(network.segments[gid], lon, lat)
+        if d <= params.radius_m:
+            out.append(Candidate(gid, plon, plat, d, offset))
+    out.sort(key=lambda c: (c.distance_m, c.segment_id))
+    return out[: params.max_candidates]

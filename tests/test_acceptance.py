@@ -18,6 +18,7 @@ from conftest import (
     TABLE_GENERATOR_KINDS,
     clean_dataset,
     inject_faults,
+    project_to_segment,
     random_table,
     seeded_fault_subset,
 )
@@ -34,7 +35,6 @@ from stkit.evaluate import (
 from stkit.mapmatch import (
     Candidate,
     MatchParams,
-    _project_to_segment,
     build_road_network,
     candidate_segments,
     haversine_m,
@@ -393,7 +393,7 @@ def _linear_scan_candidates(network, lon, lat, params):
     """Every segment projected, then the same radius test, sort and cap."""
     out = []
     for gid, seg in network.segments.items():
-        plon, plat, d, offset = _project_to_segment(seg, lon, lat)
+        plon, plat, d, offset = project_to_segment(seg, lon, lat)
         if d <= params.radius_m:
             out.append(Candidate(gid, plon, plat, d, offset))
     out.sort(key=lambda c: (c.distance_m, c.segment_id))

@@ -557,6 +557,31 @@ def test_tune_checks_every_trial_config_before_the_first_fit(
     assert not (tmp_path / "runs").exists()
 
 
+# Trials a run would only fail after its fit: a model of another task, and a
+# horizon past the output window (small_windows.json's is 2).
+TRIAL_MISMATCHES = [
+    ({"model": {"values": ["HA", "HMM"]}},
+     r"^error: model HMM serves task map_matching, not traffic_state_pred\n$"),
+    ({"horizons": {"values": [[1], [5]]}},
+     r"^error: config key horizons: horizon 5 outside \[1, 2\]\n$"),
+]
+
+
+@pytest.mark.parametrize("space, where", TRIAL_MISMATCHES, ids=["model", "horizons"])
+def test_tune_checks_models_and_horizons_before_the_first_fit(
+    cli_root, tmp_path, capsys, monkeypatch, space, where
+):
+    fits = []
+    monkeypatch.setattr(runner, "ha_fit", lambda *a, **k: fits.append(a))
+    (tmp_path / "space.json").write_text(json.dumps(space), "utf-8")
+    flags = run_flags(cli_root, tmp_path / "runs")
+    assert main(["tune", *flags, "--space_file", str(tmp_path / "space.json")]) == 3
+    out, err = capsys.readouterr()
+    assert not out and re.match(where, err), out + err
+    assert fits == []
+    assert not (tmp_path / "runs").exists()
+
+
 def tune_flags(cli_root, tmp_path, space, drop):
     """``run_flags`` for a tune over ``space``, without the flag ``drop``."""
     flags = run_flags(cli_root, tmp_path / "runs")
@@ -941,6 +966,8 @@ FAILURE_MATRIX = [
         RAW_STATES, {**STATES, field: value}, 3,
         rf"^error: config key conversion\.{field}: expected {want}, got {re.escape(repr(value))}$",
     ), id=f"conversion-{n}-{field}") for n, (field, value, want) in enumerate(BAD_CONVERSIONS)),
+    *(pytest.param(bad_domain_case(space, where), id=f"tune-trial-{n}")
+      for n, (space, where) in enumerate(TRIAL_MISMATCHES)),
     pytest.param(space_case(), id="tune-space-not-an-object"),
     pytest.param(window_case(), id="run-window-longer-than-val"),
     pytest.param(nan_space_case(), id="tune-space-nan"),

@@ -3,11 +3,14 @@
 import heapq
 import itertools
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import scalar_candidates
+from stkit import mapmatch
 from stkit.atomic import GeoUnit, RelationRecord
 from stkit.exceptions import (
     BadMatchParams,
@@ -153,6 +156,87 @@ def test_candidates_sorted_capped_and_bounded():
     assert [c.segment_id for c in one] == ["A"]
     far = candidate_segments(net, 0.001, 0.5, MatchParams(radius_m=200.0))
     assert far == []
+
+
+def bits(cands):
+    """Candidates as segment ids and the bytes of their floats."""
+    return [
+        (c.segment_id, *(struct.pack("<d", v) for v in (c.lon, c.lat, c.distance_m, c.offset_m)))
+        for c in cands
+    ]
+
+
+def multi_leg_network(rng, n_segments):
+    """Polylines of one to five legs with repeated vertices (zero-length
+    legs), twins (the same polyline under a later id: equal distances) and
+    out-and-back polylines (two legs equally near), at city coordinates, where
+    1e-12 m is below half a float step."""
+    geos = []
+    for i in range(n_segments):
+        coords = [tuple((rng.uniform(0.0, 0.01, size=2) + (116.3, 39.9)).tolist())]
+        for _ in range(int(rng.integers(1, 6))):
+            if rng.random() < 0.25:
+                coords.append(coords[-1])
+            else:
+                step = rng.normal(0, 0.002, size=2)
+                coords.append(tuple((np.array(coords[-1]) + step).tolist()))
+        geos.append(line(f"s{i:02d}", *coords))
+        if rng.random() < 0.3:
+            geos.append(line(f"t{i:02d}", *coords))
+        if rng.random() < 0.3:
+            geos.append(line(f"b{i:02d}", coords[0], coords[-1], coords[0]))
+    return build_road_network(geos, [])
+
+
+def test_trajectory_search_equals_the_scalar_search_bit_for_bit(monkeypatch):
+    """The whole-trajectory candidate search gives every point exactly the
+    candidates of the scalar per-point search, float bits included: on
+    multi-leg polylines with zero-length legs, on every vertex, at radii from
+    1e-12 m to wider than the network and caps from 1 to unbounded, and in
+    box-test blocks of any size."""
+    rng = np.random.default_rng(97)
+    seen = {"zero_legs": 0, "on_vertex": 0, "segment_ties": 0, "capped": 0}
+    for trial in range(4):
+        network = multi_leg_network(rng, int(rng.integers(8, 20)))
+        vertices = sorted({c for s in network.segments.values() for c in s.coords})
+        seen["zero_legs"] += sum(
+            a == b for s in network.segments.values() for a, b in zip(s.coords, s.coords[1:])
+        )
+        box = rng.uniform(-0.003, 0.013, size=(150, 2)) + (116.3, 39.9)
+        points = [tuple(p) for p in box.tolist()] + vertices
+        lon, lat = np.array(points).T
+        # A radius equal to a candidate's distance keeps that candidate.
+        wide = scalar_candidates(network, *points[0], MatchParams(radius_m=1e7))
+        exact = wide[len(wide) // 2].distance_m
+        for radius in (1e-12, 1e-9, 5.0, 40.0, 150.0, exact, 600.0, 1e7):
+            want = [
+                scalar_candidates(network, x, y, MatchParams(radius_m=radius, max_candidates=10**9))
+                for x, y in points
+            ]
+            for cap in (1, 2, 3, 5, 10**9):
+                params = MatchParams(radius_m=radius, max_candidates=cap)
+                monkeypatch.setattr(mapmatch, "_BOX_CELLS", int(rng.choice([1, 7, 1 << 18])))
+                found = mapmatch._search(network, lon, lat, params)
+                for i, w in enumerate(want):
+                    got = found.pick(network, slice(found.ptr[i], found.ptr[i + 1]))
+                    assert bits(got) == bits(w[:cap]), (radius, cap, points[i])
+                    seen["capped"] += len(w) > cap
+                assert bits(candidate_segments(network, *points[0], params)) == bits(want[0][:cap])
+            for (x, y), w in zip(points, want):
+                seen["on_vertex"] += radius < 1e-6 and (x, y) in vertices and w[0].distance_m == 0.0
+                seen["segment_ties"] += any(
+                    a.distance_m == b.distance_m for a, b in zip(w, w[1:])
+                )
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_equally_near_legs_keep_the_first():
+    """A point beside an out-and-back polyline is equally near both legs; the
+    first leg gives its offset, as the scalar search does."""
+    net = build_road_network([line("A", (0.0, 0.0), (0.001, 0.0), (0.0, 0.0))], [])
+    (c,) = candidate_segments(net, 0.0004, 0.0001, MatchParams())
+    assert c.offset_m < net.segments["A"].length_m / 2
+    assert bits([c]) == bits(scalar_candidates(net, 0.0004, 0.0001, MatchParams()))
 
 
 # -- hmm scores --------------------------------------------------------------
@@ -469,7 +553,7 @@ def _reference_shortest_route(network, a, b):
 def _reference_match(network, points, params):
     """The matcher with a new Dijkstra per candidate pair and an inline
     max-sum decoder: (matched, chains, routes, point_logprob, n_loop_legs)."""
-    cands = [candidate_segments(network, lon, lat, params) for lon, lat in points]
+    cands = [scalar_candidates(network, lon, lat, params) for lon, lat in points]
     matched = [None] * len(points)
     point_logprob = [None] * len(points)
     chains, routes = [], []
@@ -619,6 +703,19 @@ def test_match_equals_per_call_dijkstra_reference():
     assert all(v > 0 for v in seen.values()), seen
 
 
+def route_matrix(network, origins, targets):
+    """``_route_distances`` of every (origin, target) candidate pair, as a
+    [len(origins), len(targets)] matrix."""
+    code = network.routes.code
+    seg = np.array([code[c.segment_id] for c in [*origins, *targets]])
+    off = np.array([c.offset_m for c in [*origins, *targets]])
+    o, t = np.divmod(np.arange(len(origins) * len(targets)), len(targets))
+    t += len(origins)
+    return _route_distances(network, seg[o], off[o], seg[t], off[t]).reshape(
+        len(origins), len(targets)
+    )
+
+
 def fresh_table(network):
     """The same network with a new, empty route table."""
     return replace(network, routes=None)
@@ -647,11 +744,11 @@ def test_route_tree_resume_order_is_irrelevant():
             got = {}
             for b in order:
                 got[b.segment_id] = shortest_route(table, a, b)
-                ((d,),) = _route_distances(table, [a], [b])
+                ((d,),) = route_matrix(table, [a], [b])
                 assert d == got[b.segment_id][0]
             answers.append(got)
         assert answers[0] == answers[1] == answers[2]
-        (at_once,) = _route_distances(fresh_table(network), [a], targets)
+        (at_once,) = route_matrix(fresh_table(network), [a], targets)
         assert at_once.tolist() == [answers[0][b.segment_id][0] for b in targets]
         for b in targets:
             assert answers[0][b.segment_id] == shortest_route(network, a, b)
@@ -688,8 +785,8 @@ def test_route_table_filled_by_two_traces_answers_like_a_fresh_one():
                       float(rng.uniform(0, network.segments[g].length_m)))
             for g in sorted(network.segments)
         ]
-        filled = _route_distances(network, cands, cands)
-        assert filled.tobytes() == _route_distances(
+        filled = route_matrix(network, cands, cands)
+        assert filled.tobytes() == route_matrix(
             fresh_table(network), cands, cands
         ).tobytes()
         for (i, a), (j, b) in itertools.product(enumerate(cands), repeat=2):
@@ -762,7 +859,7 @@ def test_dead_end_origin_has_an_empty_row_and_reaches_nothing():
     row = table.rows[table.code["A"]]
     assert row.complete
     assert row.segment.tolist() == [len(table.ids)]  # the sentinel alone
-    assert np.isinf(_route_distances(net, [a], [Candidate("B", 0, 0, 0, 1.0)])).all()
+    assert np.isinf(route_matrix(net, [a], [Candidate("B", 0, 0, 0, 1.0)])).all()
 
 
 def test_route_table_codes_widen_past_int16():
