@@ -30,6 +30,7 @@ __all__ = [
     "NonAlignedTimestamp",
     "DuplicateCell",
     "UnknownEntity",
+    "TensorTooLarge",
     "NegativeWeight",
     "BadPipelineParams",
     "DegenerateScale",
@@ -172,6 +173,12 @@ class UnknownEntity(StkitError):
     """A record references an identifier with no position in the ordering."""
 
 
+class TensorTooLarge(ParseError):
+    """A dense tensor would not fit in this machine's memory. The location
+    names what drives its size: the row of a time span's far stamp, the
+    manifest's ``grid_rows`` or ``grid_cols``, or the geo table."""
+
+
 class NegativeWeight(StkitError):
     """Adjacency weight property is negative."""
 
@@ -254,7 +261,8 @@ class BadMatchParams(StkitError, ValueError):
 
 class BadModelParams(StkitError, ValueError):
     """A forecasting model value is out of its domain: a period, lag order or
-    dimension cap that is not positive, or that the data cannot meet.
+    dimension cap that is not positive, or that the data or the machine's
+    memory cannot meet.
 
     ``param`` names the offending fit argument (``period``, ``order`` or
     ``max_dim``) when there is one.

@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .atomic import _MISSING, DynaRecord, Table, write_table
+from .atomic import _MISSING, DynaRecord, Table, format_timestamp, write_table
 from .baselines import HAModel, PersistenceModel, VARModel, ha_fit, var_fit
 from .config import Config, check_keys, read_json_object, write_json
 from .dataset import (
@@ -44,7 +44,6 @@ from .evaluate import (
 from .exceptions import (
     BadConfigFile,
     BadFieldValue,
-    BadManifest,
     BadMatchParams,
     BadModelParams,
     BadPipelineParams,
@@ -52,6 +51,7 @@ from .exceptions import (
     EmptyTable,
     HorizonOutOfRange,
     IncompatibleModelTask,
+    TensorTooLarge,
 )
 from .mapmatch import MatchParams, build_road_network, viterbi_match
 from .pipeline import (
@@ -226,19 +226,53 @@ def _spec(cfg: Config, spec: Callable, *keys: str):
     return _keyed(", ".join(keys), spec, *(cfg[k] for k in keys))
 
 
-def _check_grid_fits(slots: int, shape: tuple[int, int], n_features: int) -> None:
-    """Raise BadManifest naming the larger of grid_rows and grid_cols when the
-    dense [T, rows, cols, D] values and mask, 9 bytes a cell, would not fit in
-    this machine's memory. It runs before anything indexes or allocates the
-    grid; a grid that passes also keeps every cell index inside np.intp."""
-    need = 9 * slots * shape[0] * shape[1] * max(n_features, 1)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise BadManifest(
-            f"a {shape[0]} x {shape[1]} grid over {slots} slots needs {need} bytes "
-            f"as a dense tensor, more than the {memory} bytes of memory",
+def _memory_bytes() -> int:
+    """This machine's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _size_error(shape, cell_bytes: int) -> str | None:
+    """None when arrays of ``shape`` taking ``cell_bytes`` a cell fit in this
+    machine's memory; else "needs N bytes as a dense tensor, more than the M
+    bytes of memory". Counted in Python ints, so a shape past np.intp is
+    measured too; a shape that passes keeps every cell index inside np.intp."""
+    need = cell_bytes * math.prod(shape)
+    memory = _memory_bytes()
+    if need <= memory:
+        return None
+    return f"needs {need} bytes as a dense tensor, more than the {memory} bytes of memory"
+
+
+def _check_tensor_fits(layout: str, table: Table, axis, shape, n_features: int) -> None:
+    """Raise TensorTooLarge when the dense [T, *shape, D] values and mask, 9
+    bytes a cell, would not fit in memory. It runs before anything indexes or
+    allocates the tensor, and names what drives the size: the time span when
+    T is at least the spatial cell count, located at the row of whichever of
+    its first and last stamps lies farther from the median stamp; otherwise
+    the larger of grid_rows and grid_cols, or the geo ordering."""
+    T, cells = axis.length, math.prod(shape)
+    error = _size_error((T, cells, max(n_features, 1)), 9)
+    if error is None:
+        return
+    if T >= cells:
+        times = table.field("time")
+        stamps = sorted(times.present())
+        first, middle, last = stamps[0], stamps[len(stamps) // 2], stamps[-1]
+        far = first if middle - first > last - middle else last
+        row = int(np.argmax(times.flags(lambda t: t == far)))
+        raise TensorTooLarge(
+            f"the time span {format_timestamp(first)} to {format_timestamp(last)} "
+            f"({T} slots of {axis.interval}s) over {cells} cells {error}",
+            table=table.kind, row=table.ordinal(row), column="time",
+        )
+    if layout == "grid":
+        raise TensorTooLarge(
+            f"a {shape[0]} x {shape[1]} grid over {T} slots {error}",
             table="manifest", column="grid_rows" if shape[0] >= shape[1] else "grid_cols",
         )
+    raise TensorTooLarge(
+        f"the {layout} tensor of {shape[0]} entities over {T} slots {error}", table="geo"
+    )
 
 
 def _prepare_traffic_state(
@@ -260,14 +294,18 @@ def _prepare_traffic_state(
     stamps = table.field("time").present()
     interval = ds.manifest.interval_seconds or _infer_interval(stamps)
     axis = build_time_axis(stamps, interval)
-    if layout == "graph":
-        tensor, mask = dyna_to_graph_tensor(table, ds.geo_order(), axis, features)
-    elif layout == "grid":
+    if layout == "grid":
         shape = (ds.manifest.grid_rows, ds.manifest.grid_cols)
-        _check_grid_fits(axis.length, shape, len(features))
+    else:
+        geo = ds.geo_order()
+        shape = (len(geo),) * (1 if layout == "graph" else 2)
+    _check_tensor_fits(layout, table, axis, shape, len(features))
+    if layout == "graph":
+        tensor, mask = dyna_to_graph_tensor(table, geo, axis, features)
+    elif layout == "grid":
         tensor, mask = grid_to_tensor(table, shape, axis, features)
     else:
-        tensor, mask = od_to_tensor(table, ds.geo_order(), axis, features)
+        tensor, mask = od_to_tensor(table, geo, axis, features)
     tensor.values.flags.writeable = False
     mask.values.flags.writeable = False
     return tensor, mask
@@ -292,6 +330,12 @@ def _run_traffic_state(
     model_name = cfg["model"]
     if model_name == "HA":
         period = cfg["ha_period"] or max(1, 86400 // axis.interval)  # None or 0: one day
+        table_shape = (period, *values.shape[1:])
+        too_large = _size_error(table_shape, 25)  # sums, counts, table and seen flags
+        if too_large:
+            raise BadModelParams(
+                f"config key ha_period: a {list(table_shape)} period table {too_large}", "period"
+            )
         model: HAModel | VARModel | PersistenceModel = _keyed(
             None, ha_fit, values[:n_train], mask.values[:n_train], period, start_slot=0
         )

@@ -1,6 +1,6 @@
 """Turn validated tables into dense tensors, masks, and graph structures.
 
-The four ``*_to_tensor`` functions take a :class:`~stkit.atomic.Table`, as
+The three ``*_to_tensor`` functions take a :class:`~stkit.atomic.Table`, as
 an :class:`~stkit.dataset.AtomicDataset` holds it, or a record list, which
 is put behind the same columns. They scatter rows from the columns' codes:
 each distinct cell value is looked up or converted once.
@@ -13,8 +13,6 @@ hard error, never a silent overwrite.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
@@ -47,17 +45,13 @@ __all__ = [
     "build_time_axis",
     "STTensor",
     "MaskTensor",
-    "GridODTensor",
     "dyna_to_graph_tensor",
     "grid_to_tensor",
     "od_to_tensor",
-    "gridod_to_tensor",
     "build_adjacency",
     "TrajPoint",
     "Trajectory",
     "build_trajectories",
-    "scatter_tensor",
-    "dump_tensor_csv",
 ]
 
 
@@ -233,12 +227,12 @@ def _scatter(table: Table, axis, shape, spatial, checks, features, describe):
 
     ``spatial`` holds one per-row index array per axis of ``shape``;
     ``checks`` are (per-row failure flags, raise_at(row)) pairs, in the order
-    a row's cells are looked at. Returns the rows' [1 + len(shape), n] keys
-    (slot first), their linear cell indices, and their [n, D] feature values
-    (0 where unobserved) with observed flags. The first offending row raises
-    what a per-row loop would: its first failing check, then an off-grid
-    time, then DuplicateCell naming ``describe(row, key)`` if an earlier row
-    holds its cell, then a missing or non-numeric feature.
+    a row's cells are looked at. Returns the rows' linear cell indices and
+    their [n, D] feature values (0 where unobserved) with observed flags.
+    The first offending row raises what a per-row loop would: its first
+    failing check, then an off-grid time, then DuplicateCell naming
+    ``describe(row)`` if an earlier row holds its cell, then a missing or
+    non-numeric feature.
     """
     times = table.field("time")
     slot_of: dict[datetime, int] = {}
@@ -264,17 +258,15 @@ def _scatter(table: Table, axis, shape, spatial, checks, features, describe):
     lin = np.ravel_multi_index(keys, (axis.length, *shape))
     repeat = repeats(lin)
     if repeat.any():
-        i = int(np.argmax(repeat))
-        key = tuple(keys[:, i].tolist())
-        raise DuplicateCell(f"second record for {describe(i, key)}")
+        raise DuplicateCell(f"second record for {describe(int(np.argmax(repeat)))}")
     if which is not None:
         checks[which][1](row)
-    return keys, lin, values, observed
+    return lin, values, observed
 
 
 def _dense(layout, table, axis, shape, spatial, checks, features, describe, **meta):
     """Scatter a table into an STTensor of [T, *shape, D] and its mask."""
-    _, lin, cell_values, cell_observed = _scatter(
+    lin, cell_values, cell_observed = _scatter(
         table, axis, shape, spatial, checks, features, describe
     )
     shape = (axis.length, *shape, len(features))
@@ -303,7 +295,7 @@ def dyna_to_graph_tensor(
     def not_state(row):
         raise ValueError(f"expected state rows, got {types.at(row)!r}")
 
-    def describe(row, _):
+    def describe(row):
         return f"entity {entities.at(row)!r} at {format_timestamp(times.at(row))}"
 
     checks = [
@@ -337,7 +329,7 @@ def grid_to_tensor(
     def outside(row):
         raise UnknownEntity(f"{cell(row)} outside grid {grid_shape}")
 
-    def describe(row, _):
+    def describe(row):
         return f"{cell(row)} at {format_timestamp(times.at(row))}"
 
     checks = [((rows < 0) | (cols < 0), outside)]
@@ -361,7 +353,7 @@ def od_to_tensor(
     index = {gid: i for i, gid in enumerate(geo_order)}
     o, d = _positions(origins, index), _positions(dests, index)
 
-    def describe(row, _):
+    def describe(row):
         at = format_timestamp(times.at(row))
         return f"pair ({origins.at(row)!r}, {dests.at(row)!r}) at {at}"
 
@@ -374,90 +366,6 @@ def od_to_tensor(
     return _dense(
         "od", table, axis, (N, N), [o, d], checks, features, describe, geo_order=order
     )
-
-
-@dataclass
-class GridODTensor:
-    """Sparse [T, I, J, I, J, D] tensor; cells live in per-slot dicts.
-
-    The five-dimensional spatial product is too large to hold dense at city
-    scale, so values are stored per slot and densified on demand.
-    """
-
-    time_axis: TimeAxis
-    grid_shape: tuple[int, int]
-    feature_names: tuple[str, ...]
-    cells: dict[int, dict[tuple[int, int, int, int, int], float]] = field(
-        default_factory=dict
-    )
-
-    layout = "gridod"
-
-    @property
-    def shape(self):
-        I, J = self.grid_shape
-        return (self.time_axis.length, I, J, I, J, len(self.feature_names))
-
-    def dense_slice(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize one slot as ([I, J, I, J, D], bool mask)."""
-        I, J = self.grid_shape
-        values = np.zeros((I, J, I, J, len(self.feature_names)), dtype=np.float64)
-        mask = np.zeros(values.shape, dtype=bool)
-        for key, v in self.cells.get(slot, {}).items():
-            values[key] = v
-            mask[key] = True
-        return values, mask
-
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize the whole tensor; intended for small instances."""
-        slices = [self.dense_slice(t) for t in range(self.time_axis.length)]
-        return (
-            np.stack([s[0] for s in slices]),
-            np.stack([s[1] for s in slices]),
-        )
-
-
-def gridod_to_tensor(
-    records: Table | Sequence,
-    grid_shape: tuple[int, int],
-    axis: TimeAxis,
-    features: Sequence[str],
-) -> GridODTensor:
-    """Collect grid-to-grid rows into the sparse GridODTensor store."""
-    table = as_table("gridod", records)
-    if not len(table):
-        raise EmptyTable("no gridod records to tensorize")
-    I, J = grid_shape
-    spatial, checks = [], []
-    for attr, bound in (
-        ("origin_row_id", I),
-        ("origin_col_id", J),
-        ("des_row_id", I),
-        ("des_col_id", J),
-    ):
-        column = table.field(attr)
-
-        def outside(row, attr=attr, column=column):
-            raise UnknownEntity(f"{attr}={column.at(row)} outside grid {grid_shape}")
-
-        spatial.append(_indices(column, bound))
-        checks.append((spatial[-1] < 0, outside))
-
-    def describe(_, key):
-        return f"cells {key[1:]} at slot {key[0]}"
-
-    keys, _, cell_values, cell_observed = _scatter(
-        table, axis, (I, J, I, J), spatial, checks, features, describe
-    )
-    out = GridODTensor(axis, (I, J), tuple(features))
-    for (slot, *base), row, seen in zip(
-        keys.T.tolist(), cell_values.tolist(), cell_observed.tolist()
-    ):
-        bucket = out.cells.setdefault(slot, {})
-        for d, (v, s) in enumerate(zip(row, seen)):
-            if s:
-                bucket[(*base, d)] = v
-    return out
 
 
 def build_adjacency(
@@ -552,78 +460,3 @@ def build_trajectories(records: Table | Sequence[DynaRecord]) -> list[Trajectory
         ]
         out.append(Trajectory(entity, points))
     return out
-
-
-def scatter_tensor(tensor: STTensor, mask: MaskTensor) -> list:
-    """Inverse of tensorization: emit one record per observed spatial cell.
-
-    Re-tensorizing the result reproduces values and mask exactly. Cells where
-    only some features are observed come back with None for the others.
-    """
-    axis = tensor.time_axis
-    features = tensor.feature_names
-    records: list = []
-    observed = mask.values.any(axis=-1)
-    for flat_index in np.argwhere(observed):
-        key = tuple(int(k) for k in flat_index)
-        slot = key[0]
-        props: dict = {}
-        for d, name in enumerate(features):
-            cell = key + (d,)
-            props[name] = tensor.values[cell] if mask.values[cell] else None
-        n = len(records)
-        t = axis.time_of(slot)
-        if tensor.layout == "graph":
-            records.append(
-                DynaRecord(f"d{n}", "state", t, tensor.geo_order[key[1]], None, props)
-            )
-        elif tensor.layout == "grid":
-            records.append(GridRecord(f"d{n}", "state", t, key[1], key[2], props))
-        elif tensor.layout == "od":
-            records.append(
-                ODRecord(
-                    f"d{n}",
-                    "state",
-                    t,
-                    tensor.geo_order[key[1]],
-                    tensor.geo_order[key[2]],
-                    props,
-                )
-            )
-        else:
-            raise ValueError(f"cannot scatter layout {tensor.layout!r}")
-    return records
-
-
-def dump_tensor_csv(tensor: STTensor, mask: MaskTensor) -> str:
-    """Debug dump: one CSV line per tensor cell (slot, key..., feature, value, mask)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if tensor.layout == "graph":
-        keys = ["entity"]
-    elif tensor.layout == "grid":
-        keys = ["row", "col"]
-    elif tensor.layout == "od":
-        keys = ["origin", "des"]
-    else:
-        raise ValueError(f"cannot dump layout {tensor.layout!r}")
-    writer.writerow(["slot", *keys, "feature", "value", "mask"])
-    shape = tensor.values.shape
-    for flat in np.ndindex(*shape):
-        slot, *spatial, d = flat
-        if tensor.layout == "graph":
-            labels = [tensor.geo_order[spatial[0]]]
-        elif tensor.layout == "od":
-            labels = [tensor.geo_order[spatial[0]], tensor.geo_order[spatial[1]]]
-        else:
-            labels = [str(spatial[0]), str(spatial[1])]
-        writer.writerow(
-            [
-                slot,
-                *labels,
-                tensor.feature_names[d],
-                repr(float(tensor.values[flat])),
-                int(mask.values[flat]),
-            ]
-        )
-    return out.getvalue()

@@ -286,6 +286,7 @@ BAD_MODEL_VALUES = [
     # Keys the run does not read, which run.json would still record.
     ("HA", {"ranking_k": float("inf")}, "ranking_k"),
     ("HA", {"conversion": {"target": float("nan")}}, "conversion"),
+    ("HA", {"ha_period": 10**30}, "ha_period"),  # a period table past any memory
 ]
 
 
@@ -830,6 +831,30 @@ def huge_grid_case(key, value):
     return build
 
 
+def far_stamp_case(kind, params, table, cells):
+    """``stkit run`` on a synthetic dataset whose manifest sets
+    interval_seconds to 1 and whose data row 5 is stamped
+    9999-12-31T23:59:59Z: about 2.5e11 slots, past any machine's memory as a
+    dense tensor over even one cell."""
+
+    def build(root, tmp):
+        data = tmp / "far"
+        save_synthetic(generate_synthetic(kind, {**params, "n_slots": 60}, seed=0), data)
+        manifest = json.loads((data / "manifest.json").read_text("utf-8"))
+        manifest["interval_seconds"] = 1
+        (data / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        edit_cell(next(data.glob(f"*.{table}")), 5, "time", "9999-12-31T23:59:59Z")
+        argv = ["run", "--task", "traffic_state_pred", "--model", "HA", "--dataset", str(data),
+                "--output_dir", str(tmp / "out"), "--config_file",
+                str(root / "small_windows.json")]
+        where = (r"^error: the time span 2024-01-01T00:00:00Z to 9999-12-31T23:59:59Z "
+                 rf"\(251698233600 slots of 1s\) over {cells} cells needs \d+ bytes as a dense "
+                 rf"tensor, more than the \d+ bytes of memory \(table={table}, row=5, column=time\)$")
+        return argv, 3, where
+
+    return build
+
+
 GOOD_RUN = b'{"task": "traffic_state_pred", "model": "HA", "dataset": "d"}'
 
 
@@ -962,6 +987,11 @@ FAILURE_MATRIX = [
     # Past np.intp as a cell index; within it, but past any machine's memory.
     pytest.param(huge_grid_case("grid_rows", 10**30), id="manifest-grid-rows-past-index"),
     pytest.param(huge_grid_case("grid_cols", 10**14), id="manifest-grid-cols-past-memory"),
+    # A far stamp makes the time span, not the grid or the geo ordering, too large.
+    pytest.param(far_stamp_case("graph_flow", {"n_nodes": 4}, "dyna", 4),
+                 id="graph-far-stamp-past-memory"),
+    pytest.param(far_stamp_case("grid_flow", {"rows": 2, "cols": 3}, "grid", 6),
+                 id="grid-far-stamp-past-memory"),
     *(pytest.param(convert_case(
         RAW_STATES, {**STATES, field: value}, 3,
         rf"^error: config key conversion\.{field}: expected {want}, got {re.escape(repr(value))}$",

@@ -25,16 +25,19 @@ from stkit.atomic import (
     ODRecord,
     RelationRecord,
     UserUnit,
+    Table,
     parse_table,
 )
 from stkit.config import load_config
 from stkit.dataset import AtomicDataset, Manifest, save_dataset
 from stkit.exceptions import (
     BadConfigFile,
+    BadModelParams,
     DatasetNotFound,
     EmptySegment,
     IncompatibleModelTask,
     NoResults,
+    TensorTooLarge,
     ValidationFailed,
 )
 from stkit.evaluate import ranking_metrics
@@ -52,6 +55,7 @@ from stkit.runner import (
 )
 from stkit.runner import _run_id, _write_predictions
 from stkit.synthetic import TRUTH_ROUTES_FILE, generate_synthetic, save_synthetic
+from stkit.tensorize import build_time_axis
 
 
 @pytest.fixture(scope="module")
@@ -585,6 +589,89 @@ def test_grid_run_layout_and_scaler(data_root, tmp_path):
     assert record.metrics["layout"] == "grid"
     # Scaling is inverted before scoring, so exactness survives.
     assert record.metrics["test"]["aggregate"]["mae"] < 1e-9
+
+
+# -- dense size checks ------------------------------------------------------------
+
+
+@pytest.fixture
+def memory(monkeypatch):
+    """Sets this machine's memory, in bytes, as the size checks see it."""
+    return lambda size: monkeypatch.setattr(runner, "_memory_bytes", lambda: size)
+
+
+def size_case(layout, slots):
+    """A table of ``layout`` with one record at each of ``slots`` (300 s
+    apart), over 3 entities or a 3 x 3 grid, its time axis and spatial shape."""
+    t0 = datetime(2021, 3, 1, tzinfo=timezone.utc)
+    recs = []
+    for n, slot in enumerate(slots):
+        t, i, j = t0 + timedelta(seconds=300 * slot), n % 3, (n + 1) % 3
+        if layout == "graph":
+            recs.append(DynaRecord(f"d{n}", "state", t, f"g{i}", None, {"a": 1.0}))
+        elif layout == "grid":
+            recs.append(GridRecord(f"d{n}", "state", t, i, j, {"a": 1.0}))
+        else:
+            recs.append(ODRecord(f"d{n}", "state", t, f"g{i}", f"g{j}", {"a": 1.0}))
+    kind = "dyna" if layout == "graph" else layout
+    axis = build_time_axis([r.time for r in recs], 300)
+    return Table.from_records(kind, recs), axis, (3,) if layout == "graph" else (3, 3)
+
+
+@pytest.mark.parametrize("layout", ["graph", "grid", "od"])
+def test_size_check_names_the_time_span_at_its_far_stamp(layout, memory):
+    table, axis, shape = size_case(layout, [1, 0, 2, 40, 2])
+    cells = math.prod(shape)
+    memory(9 * 41 * cells - 1)
+    with pytest.raises(TensorTooLarge) as err:
+        runner._check_tensor_fits(layout, table, axis, shape, 1)
+    assert str(err.value) == (
+        f"the time span 2021-03-01T00:00:00Z to 2021-03-01T03:20:00Z (41 slots of 300s) "
+        f"over {cells} cells needs {9 * 41 * cells} bytes as a dense tensor, more than the "
+        f"{9 * 41 * cells - 1} bytes of memory (table={table.kind}, row=4, column=time)"
+    )
+    table, axis, shape = size_case(layout, [0, 40, 41])  # the first stamp is the far one
+    with pytest.raises(TensorTooLarge, match=r"\(table=\w+, row=1, column=time\)$"):
+        runner._check_tensor_fits(layout, table, axis, shape, 1)
+    memory(9 * 42 * cells)
+    runner._check_tensor_fits(layout, table, axis, shape, 1)
+
+
+def test_size_check_names_the_larger_grid_side(memory):
+    table, axis, _ = size_case("grid", [0])
+    memory(80)
+    for shape, key in (((4, 3), "grid_rows"), ((3, 4), "grid_cols"), ((3, 3), "grid_rows")):
+        with pytest.raises(TensorTooLarge) as err:
+            runner._check_tensor_fits("grid", table, axis, shape, 1)
+        assert str(err.value) == (
+            f"a {shape[0]} x {shape[1]} grid over 1 slots needs {9 * shape[0] * shape[1]} "
+            f"bytes as a dense tensor, more than the 80 bytes of memory "
+            f"(table=manifest, column={key})"
+        )
+
+
+@pytest.mark.parametrize("layout", ["graph", "od"])
+def test_size_check_names_the_geo_ordering(layout, memory):
+    table, axis, shape = size_case(layout, [0, 1])
+    memory(9 * 2 * math.prod(shape) - 1)
+    with pytest.raises(TensorTooLarge) as err:
+        runner._check_tensor_fits(layout, table, axis, shape, 1)
+    assert str(err.value).startswith(f"the {layout} tensor of 3 entities over 2 slots needs ")
+    assert err.value.table == "geo"
+
+
+def test_ha_period_table_past_memory_fails_before_the_fit(data_root, tmp_path, memory):
+    # flow_p4: 60 slots, 3 nodes, 1 feature; its tensor needs 9 * 60 * 3 bytes.
+    memory(25 * 1000 * 3 - 1)
+    with pytest.raises(BadModelParams) as err:
+        cmd_run(flow_config(data_root, tmp_path, ha_period=1000))
+    assert str(err.value) == (
+        "config key ha_period: a [1000, 3, 1] period table needs 75000 bytes as a dense "
+        "tensor, more than the 74999 bytes of memory"
+    )
+    assert not any(tmp_path.iterdir())
+    memory(25 * 1000 * 3)
+    assert cmd_run(flow_config(data_root, tmp_path, ha_period=1000)).metrics["layout"] == "graph"
 
 
 # -- map matching runs -----------------------------------------------------------

@@ -1,7 +1,5 @@
 """Time axis and tensor construction: shapes, masks, inverses."""
 
-import csv
-import io
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -10,7 +8,6 @@ import pytest
 from conftest import ts
 from stkit.atomic import (
     DynaRecord,
-    GridODRecord,
     GridRecord,
     ODRecord,
     RelationRecord,
@@ -31,12 +28,9 @@ from stkit.tensorize import (
     build_adjacency,
     build_time_axis,
     build_trajectories,
-    dump_tensor_csv,
     dyna_to_graph_tensor,
     grid_to_tensor,
-    gridod_to_tensor,
     od_to_tensor,
-    scatter_tensor,
 )
 
 
@@ -364,61 +358,16 @@ def test_scatter_matches_per_record_loop(layout):
     assert mask.values.sum() == sum(v is not None for row in values for v in row)
 
 
-# -- gridod tensor -----------------------------------------------------------
-
-
-def gridod_records(rng, I, J, n_slots, density=0.3):
-    recs = []
-    n = 0
-    for slot in range(n_slots):
-        for key in np.ndindex(I, J, I, J):
-            if rng.random() < density:
-                recs.append(
-                    GridODRecord("x%d" % n, "state", ts(slot), *key, {"d": n * 1.5})
-                )
-                n += 1
-    return recs
-
-
-def test_gridod_dense_slice_matches_brute_force():
-    rng = np.random.default_rng(7)
-    I, J, T = 3, 4, 3
-    recs = gridod_records(rng, I, J, T)
-    axis = build_time_axis([r.time for r in recs], 300)
-    tensor = gridod_to_tensor(recs, (I, J), axis, ("d",))
-    assert tensor.shape == (T, I, J, I, J, 1)
-    expect_v = np.zeros((T, I, J, I, J, 1))
-    expect_m = np.zeros((T, I, J, I, J, 1), dtype=bool)
-    for r in recs:
-        key = (
-            axis.slot_of(r.time),
-            r.origin_row_id,
-            r.origin_col_id,
-            r.des_row_id,
-            r.des_col_id,
-            0,
-        )
-        expect_v[key] = r.properties["d"]
-        expect_m[key] = True
-    for slot in range(T):
-        v, m = tensor.dense_slice(slot)
-        assert np.array_equal(v, expect_v[slot])
-        assert np.array_equal(m, expect_m[slot])
-    dv, dm = tensor.dense()
-    assert np.array_equal(dv, expect_v)
-    assert np.array_equal(dm, expect_m)
-
-
-def test_gridod_duplicate_and_bounds():
-    recs = [
-        GridODRecord("a", "state", ts(0), 0, 0, 1, 1, {"d": 1.0}),
-        GridODRecord("b", "state", ts(0), 0, 0, 1, 1, {"d": 2.0}),
-    ]
-    axis = build_time_axis([r.time for r in recs], 300)
-    with pytest.raises(DuplicateCell):
-        gridod_to_tensor(recs, (2, 2), axis, ("d",))
-    with pytest.raises(UnknownEntity):
-        gridod_to_tensor(recs[:1], (1, 1), axis, ("d",))
+@pytest.mark.parametrize("layout", ["graph", "grid", "od"])
+def test_numpy_float_values_match_per_record_loop(layout):
+    # Property values may be numpy floats, as arithmetic on arrays leaves them.
+    cells = [(0, 0, 1), (0, 2, 2), (2, 1, 0)]
+    values = [(np.float64(1.5), None), (np.float64(-0.0), np.float64(3)), (None, np.float64(7))]
+    recs, tensorize = dense_case(layout, cells, values=values)
+    tensor, mask = tensorize(recs)
+    expect_v, expect_m = reference_dense(layout, recs, ("a", "b"))
+    assert tensor.values.tobytes() == expect_v.tobytes()
+    assert np.array_equal(mask.values, expect_m)
 
 
 # -- adjacency ---------------------------------------------------------------
@@ -516,72 +465,6 @@ def test_trajectory_point_carries_properties():
     assert traj.points[0].location is None
 
 
-# -- scatter inversion -------------------------------------------------------
-
-
-def test_scatter_graph_round_trip():
-    recs = graph_records()
-    axis = build_time_axis([r.time for r in recs], 300)
-    tensor, mask = dyna_to_graph_tensor(recs, GEOS, axis, FEATS)
-    back = scatter_tensor(tensor, mask)
-    # Partially observed cell comes back with None for the missing feature.
-    by_cell = {(r.time, r.entity_id): r.properties for r in back}
-    assert by_cell[(ts(0), "g1")] == {"flow": 7.0, "speed": None}
-    tensor2, mask2 = dyna_to_graph_tensor(back, GEOS, axis, FEATS)
-    assert np.array_equal(tensor.values, tensor2.values)
-    assert np.array_equal(mask.values, mask2.values)
-
-
-def test_scatter_grid_round_trip():
-    recs = [
-        GridRecord("q0", "state", ts(0), 0, 1, {"inflow": 4.0, "outflow": None}),
-        GridRecord("q1", "state", ts(2), 1, 0, {"inflow": 6.0, "outflow": 1.0}),
-    ]
-    axis = build_time_axis([r.time for r in recs], 300)
-    tensor, mask = grid_to_tensor(recs, (2, 2), axis, ("inflow", "outflow"))
-    back = scatter_tensor(tensor, mask)
-    assert len(back) == 2  # fully unobserved cells are not emitted
-    tensor2, mask2 = grid_to_tensor(back, (2, 2), axis, ("inflow", "outflow"))
-    assert np.array_equal(tensor.values, tensor2.values)
-    assert np.array_equal(mask.values, mask2.values)
-
-
-def test_scatter_od_round_trip():
-    recs = [
-        ODRecord("o0", "state", ts(0), "g0", "g1", {"demand": 3.0}),
-        ODRecord("o1", "state", ts(1), "g1", "g0", {"demand": 2.0}),
-    ]
-    axis = build_time_axis([r.time for r in recs], 300)
-    tensor, mask = od_to_tensor(recs, GEOS, axis, ("demand",))
-    back = scatter_tensor(tensor, mask)
-    tensor2, mask2 = od_to_tensor(back, GEOS, axis, ("demand",))
-    assert np.array_equal(tensor.values, tensor2.values)
-    assert np.array_equal(mask.values, mask2.values)
-
-
-def test_scatter_skips_all_unobserved():
-    recs = [DynaRecord("d0", "state", ts(0), "g0", None, {"flow": None})]
-    axis = build_time_axis([r.time for r in recs], 300)
-    tensor, mask = dyna_to_graph_tensor(recs, GEOS, axis, ("flow",))
-    assert scatter_tensor(tensor, mask) == []
-
-
-# -- csv dump ----------------------------------------------------------------
-
-
-def test_dump_tensor_csv_layout():
-    recs = graph_records()
-    axis = build_time_axis([r.time for r in recs], 300)
-    tensor, mask = dyna_to_graph_tensor(recs, GEOS, axis, FEATS)
-    text = dump_tensor_csv(tensor, mask)
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["slot", "entity", "feature", "value", "mask"]
-    assert len(rows) == 1 + 3 * 2 * 2
-    assert rows[1] == ["0", "g0", "flow", "10.0", "1"]
-    unmasked = [r for r in rows[1:] if r[4] == "0"]
-    assert all(r[3] == "0.0" for r in unmasked)
-
-
 # -- tables read as columns ----------------------------------------------------
 
 
@@ -615,14 +498,6 @@ def test_table_and_record_list_give_bit_equal_tensors(layout):
         assert a.values.tobytes() == b.values.tobytes()
         assert am.values.tobytes() == bm.values.tobytes()
     assert (np.signbit(b.values) & (b.values == 0)).sum() == 2  # both -0.0 cells
-
-
-def test_gridod_table_and_record_list_agree():
-    recs = gridod_records(np.random.default_rng(5), 2, 3, 3)
-    axis = build_time_axis([r.time for r in recs], 300)
-    a = gridod_to_tensor(recs, (2, 3), axis, ("d",))
-    b = gridod_to_tensor(read_table("gridod", write_table("gridod", recs)), (2, 3), axis, ("d",))
-    assert a.cells == b.cells
 
 
 def failure(call):
