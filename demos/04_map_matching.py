@@ -1,6 +1,8 @@
 """Match noisy GPS traces back onto a street grid and score the recovered
 routes against the generator's ground truth."""
 
+import numpy as np
+
 from stkit.evaluate import match_metrics
 from stkit.mapmatch import MatchParams, build_road_network, viterbi_match
 from stkit.synthetic import generate_synthetic
@@ -24,19 +26,23 @@ lengths = network.segment_lengths()
 print(f"network: {len(network.segments)} directed segments")
 
 params = MatchParams(sigma_m=10.0, beta_m=5.0, radius_m=100.0)
+# Trajectory i is rows[ptr[i]:ptr[i+1]] of the table, in time order.
 trajs = build_trajectories([d for d in ds.dyna if d.dyna_type == "trajectory"])
+lon, lat = (trajs.table.prop(name).tolist() for name in ("lon", "lat"))
+points = np.array([lon, lat]).T[trajs.rows]  # [n, 2] (lon, lat), grouped
+ptr = trajs.ptr.tolist()
 
-for traj in trajs:
-    res = viterbi_match(network, traj, params)
+for user, lo, hi in zip(trajs.users, ptr, ptr[1:]):
+    res = viterbi_match(network, points[lo:hi], params)
     matched_route = res.route()
-    scores = match_metrics(truth[traj.user_id], matched_route, lengths)
+    scores = match_metrics(truth[user], matched_route, lengths)
     print(
-        f"{traj.user_id}: {len(traj.points)} points -> {len(matched_route)} segments"
+        f"{user}: {hi - lo} points -> {len(matched_route)} segments"
         f"  RMF={scores['rmf']:.3f}  AN={scores['an']:.3f}  AL={scores['al']:.3f}"
         f"  breaks={len(res.breaks)}"
     )
 
 # One decoded route in full, against its ground truth.
-res = viterbi_match(network, trajs[0], params)
-print("\ntruth  :", " ".join(truth[trajs[0].user_id]))
+res = viterbi_match(network, points[ptr[0] : ptr[1]], params)
+print("\ntruth  :", " ".join(truth[trajs.users[0]]))
 print("matched:", " ".join(res.route()))

@@ -578,14 +578,18 @@ class Table(Sequence):
 
     def select(self, keep: np.ndarray) -> "Table":
         """The rows where the boolean mask ``keep`` is true, in order."""
-        rows = np.flatnonzero(keep)
+        return self.take(np.flatnonzero(keep))
+
+    def take(self, rows: np.ndarray, **fields: Column) -> "Table":
+        """The rows at the indices ``rows``, in that order, with the columns
+        of the record attributes named in ``fields`` replaced by theirs."""
         ordinals = rows + 1 if self._ordinals is None else self._ordinals[rows]
 
         def pick(columns):
             return {k: Column(c.codes[rows], c.values) for k, c in columns.items()}
 
         return Table(
-            self.kind, len(rows), self.prop_names, pick(self._fields),
+            self.kind, len(rows), self.prop_names, {**pick(self._fields), **fields},
             pick(self._strings), ordinals, pick(self._props),
         )
 

@@ -539,23 +539,8 @@ class MatchResult:
         return out
 
 
-def _extract_points(trajectory) -> list[tuple[float, float]]:
-    if isinstance(trajectory, (list, tuple)):
-        return [(float(lon), float(lat)) for lon, lat in trajectory]
-    pts = []
-    for p in trajectory.points:
-        lon = p.properties.get("lon")
-        lat = p.properties.get("lat")
-        if lon is None or lat is None:
-            raise ValueError(
-                "trajectory points need 'lon'/'lat' properties for matching"
-            )
-        pts.append((float(lon), float(lat)))
-    return pts
-
-
-def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> MatchResult:
-    """Match one trajectory (Trajectory or [(lon, lat), ...]) to the network.
+def viterbi_match(network: RoadNetwork, points, params: MatchParams) -> MatchResult:
+    """Match one trajectory, an [n, 2] array or list of (lon, lat), to the network.
 
     Every point's candidates are found in one search, and every pair of
     consecutive points' candidates is routed in one call. Chains are then
@@ -566,10 +551,12 @@ def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> Matc
     network's route table, which outlives the call. Raises
     NoCandidatesAnywhere when not a single point has a candidate.
     """
-    points = _extract_points(trajectory)
-    if not points:
+    points = np.asarray(points, dtype=np.float64)
+    if not len(points):
         raise ValueError("trajectory has no points")
-    lon, lat = np.array(points, dtype=np.float64).T
+    if points.shape != (len(points), 2):
+        raise ValueError(f"points must be (lon, lat) pairs, got shape {points.shape}")
+    lon, lat = points.T
     cands = _search(network, lon, lat, params)
     if not len(cands.code):
         raise NoCandidatesAnywhere(
@@ -591,7 +578,8 @@ def viterbi_match(network: RoadNetwork, trajectory, params: MatchParams) -> Matc
     route_m = _route_distances(
         network, cands.code[src], cands.offset_m[src], cands.code[dst], cands.offset_m[dst]
     )
-    greatcircle = [haversine_m(*a, *b) for a, b in zip(points, points[1:])]
+    coords = points.tolist()
+    greatcircle = [haversine_m(*a, *b) for a, b in zip(coords, coords[1:])]
     transitions = transition_logprob(route_m, np.take(greatcircle, pair_step), params.beta_m)
 
     def at_step(pairs: np.ndarray, i: int) -> np.ndarray:

@@ -10,7 +10,6 @@ gathers each batch from it by row index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .exceptions import (
     NegativeInputForLog,
     WindowTooLong,
 )
-from .tensorize import TimeAxis, Trajectory
+from .tensorize import TimeAxis, Trajectories
 
 __all__ = [
     "Scaler",
@@ -35,7 +34,7 @@ __all__ = [
     "make_batches",
     "filter_trajectories",
     "TrajWindowSpec",
-    "cut_trajectory",
+    "cut_trajectories",
     "split_per_user",
 ]
 
@@ -275,11 +274,11 @@ def make_batches(
 
 
 def filter_trajectories(
-    trajectories: Sequence[Trajectory],
+    trajs: Trajectories,
     min_points: int = 0,
     min_trajs_per_user: int = 0,
     min_visits_per_location: int = 0,
-) -> list[Trajectory]:
+) -> Trajectories:
     """Jointly filter sparse trajectories, users, and locations to a fixed point.
 
     Dropping a location can sink a trajectory below min_points, which can
@@ -288,37 +287,26 @@ def filter_trajectories(
     filtering it again with the same thresholds returns it unchanged.
     Location counting ignores points whose location is None.
     """
-    trajs = list(trajectories)
+    ids: dict = {None: -1}
+    location = np.array([ids.setdefault(v, len(ids) - 1) for v in trajs.values("location")], int)
+    users: dict[str, int] = {}
+    user = np.array([users.setdefault(u, len(users)) for u in trajs.users], dtype=np.intp)
+    owner = np.repeat(np.arange(len(trajs)), np.diff(trajs.ptr))
+    keep = np.ones(len(trajs), dtype=bool)  # per trajectory
+    alive = np.ones(len(trajs.rows), dtype=bool)  # per position of rows
     while True:
-        kept = [t for t in trajs if len(t.points) >= min_points]
+        kept = keep & (np.bincount(owner[alive], minlength=len(trajs)) >= min_points)
         if min_trajs_per_user > 0:
-            per_user: dict[str, int] = {}
-            for t in kept:
-                per_user[t.user_id] = per_user.get(t.user_id, 0) + 1
-            kept = [t for t in kept if per_user[t.user_id] >= min_trajs_per_user]
+            kept &= np.bincount(user[kept], minlength=len(users))[user] >= min_trajs_per_user
+        trim = np.zeros_like(alive)
         if min_visits_per_location > 0:
-            visits: dict[str, int] = {}
-            for t in kept:
-                for p in t.points:
-                    if p.location is not None:
-                        visits[p.location] = visits.get(p.location, 0) + 1
-            trimmed = []
-            for t in kept:
-                points = [
-                    p
-                    for p in t.points
-                    if p.location is None
-                    or visits[p.location] >= min_visits_per_location
-                ]
-                trimmed.append(
-                    t if len(points) == len(t.points) else Trajectory(t.user_id, points)
-                )
-            kept = trimmed
-        if len(kept) == len(trajs) and all(
-            a is b or a.points == b.points for a, b in zip(kept, trajs)
-        ):
-            return kept
-        trajs = kept
+            counted = alive & kept[owner] & (location >= 0)
+            # One slot past the locations, for the -1 of None.
+            visits = np.bincount(location[counted], minlength=len(ids))
+            trim = counted & (visits[location] < min_visits_per_location)
+        if (kept == keep).all() and not trim.any():
+            return trajs.pick(np.flatnonzero(keep), alive)
+        keep, alive = kept, alive & ~trim
 
 
 @dataclass(frozen=True)
@@ -340,41 +328,40 @@ class TrajWindowSpec:
             raise BadPipelineParams("cut size must be positive")
 
 
-def cut_trajectory(traj: Trajectory, spec: TrajWindowSpec) -> list[Trajectory]:
-    """Cut one trajectory into sub-trajectories; concatenation reproduces it."""
-    if not traj.points:
-        return []
-    pieces: list[list] = [[traj.points[0]]]
-    for p in traj.points[1:]:
-        if spec.mode == "time":
-            window_start = pieces[-1][0].time
-            if (p.time - window_start).total_seconds() > spec.size:
-                pieces.append([p])
-                continue
+def cut_trajectories(trajs: Trajectories, spec: TrajWindowSpec) -> Trajectories:
+    """Cut every trajectory into pieces over the same rows; each piece keeps
+    its trajectory's user, and concatenating the pieces reproduces the rows."""
+    stamps = trajs.values("time")
+    ptr, users = [0], []
+    for user, lo, hi in zip(trajs.users, trajs.ptr.tolist(), trajs.ptr[1:].tolist()):
+        if spec.mode == "length":
+            starts = list(range(lo, hi, spec.size))
         else:
-            if len(pieces[-1]) >= spec.size:
-                pieces.append([p])
-                continue
-        pieces[-1].append(p)
-    return [Trajectory(traj.user_id, piece) for piece in pieces]
+            starts = [lo] if hi > lo else []
+            for k in range(lo + 1, hi):
+                if (stamps[k] - stamps[starts[-1]]).total_seconds() > spec.size:
+                    starts.append(k)
+        ptr.extend(starts[1:] + [hi] if starts else [])
+        users.extend([user] * len(starts))
+    return Trajectories(trajs.table, trajs.rows, np.array(ptr, dtype=np.intp), tuple(users))
 
 
-def split_per_user(
-    trajectories: Sequence[Trajectory], spec: SplitSpec
-) -> dict[str, list[Trajectory]]:
+def split_per_user(trajs: Trajectories, spec: SplitSpec) -> dict[str, Trajectories]:
     """Split each user's trajectories chronologically by the given ratios.
 
-    Trajectories are ordered by first-point time per user and split by the
-    rule of :func:`split_chronological`. Users with too few trajectories to
-    fill a segment simply leave it empty instead of erroring, since sparse
-    users are routine after filtering.
+    Users come in order of their first trajectory. Each user's trajectories
+    are ordered by first-point time, empty ones last, and split by the rule
+    of :func:`split_chronological`. Users with too few trajectories to fill
+    a segment simply leave it empty instead of erroring, since sparse users
+    are routine after filtering.
     """
-    by_user: dict[str, list[Trajectory]] = {}
-    for t in trajectories:
-        by_user.setdefault(t.user_id, []).append(t)
-    out: dict[str, list[Trajectory]] = {"train": [], "val": [], "test": []}
-    for trajs in by_user.values():
-        trajs = sorted(trajs, key=lambda t: (len(t.points) == 0, t.points[0].time if t.points else 0))
-        for segment, seg in zip(out.values(), _split_ranges(len(trajs), spec)):
-            segment.extend(trajs[seg.start : seg.stop])
-    return out
+    stamps, ptr = trajs.values("time"), trajs.ptr.tolist()
+    by_user: dict[str, list[int]] = {}
+    for i, user in enumerate(trajs.users):
+        by_user.setdefault(user, []).append(i)
+    out: dict[str, list[int]] = {"train": [], "val": [], "test": []}
+    for indices in by_user.values():
+        indices.sort(key=lambda i: (False, stamps[ptr[i]]) if ptr[i] < ptr[i + 1] else (True, 0))
+        for segment, seg in zip(out.values(), _split_ranges(len(indices), spec)):
+            segment.extend(indices[seg.start : seg.stop])
+    return {name: trajs.pick(indices) for name, indices in out.items()}

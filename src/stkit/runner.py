@@ -16,13 +16,14 @@ import shutil
 import struct
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .atomic import _MISSING, DynaRecord, Table, format_timestamp, write_table
+from .atomic import _MISSING, Column, Table, format_timestamp, write_table
 from .baselines import HAModel, PersistenceModel, VARModel, ha_fit, var_fit
 from .config import Config, check_keys, read_json_object, write_json
 from .dataset import (
@@ -58,7 +59,7 @@ from .pipeline import (
     SplitSpec,
     TrajWindowSpec,
     WindowSpec,
-    cut_trajectory,
+    cut_trajectories,
     filter_trajectories,
     fit_scaler,
     make_batches,
@@ -71,7 +72,7 @@ from .synthetic import TRUTH_ROUTES_FILE
 from .tensorize import (
     MaskTensor,
     STTensor,
-    Trajectory,
+    Trajectories,
     build_time_axis,
     build_trajectories,
     dyna_to_graph_tensor,
@@ -561,7 +562,7 @@ def _truth_routes(path: Path, network) -> dict[str, list[str]]:
 
 def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
     """The road network with its route table, the dataset, its trajectories
-    and the truth routes beside it, if any.
+    with their points' (lon, lat), and the truth routes beside it, if any.
 
     The network's route table and segment boxes are config-free, so every
     run on the prepared inputs, at any match_radius, shares them. Every
@@ -570,7 +571,7 @@ def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
     traj = _trajectory_rows(ds)
     if not len(traj):
         raise EmptyTable("dataset has no trajectory rows to match")
-    faults = []
+    faults, coordinates = [], []
     for name in ("lon", "lat"):
         column = traj.prop(name)
         what = [_coordinate_fault(v) for v in column.values]
@@ -578,6 +579,8 @@ def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
         if bad.any():
             row = int(np.argmax(bad))
             faults.append((row, name, what[column.codes[row]]))
+        values = [math.nan if w else float(v) for v, w in zip(column.values, what)]
+        coordinates.append(np.array(values, dtype=np.float64)[column.codes])
     if faults:
         row, name, what = min(faults, key=lambda f: f[0])  # lon first on a tie
         raise BadFieldValue(
@@ -586,55 +589,46 @@ def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
             row=traj.ordinal(row),
             column=name,
         )
-    trajectories = tuple(build_trajectories(traj))
+    trajs = build_trajectories(traj)
+    points = np.column_stack(coordinates)[trajs.rows]
     network = build_road_network(ds.geo, ds.rel)
     truth_path = ds_dir / TRUTH_ROUTES_FILE
     truth = _truth_routes(truth_path, network) if truth_path.is_file() else None
-    return network, ds, trajectories, truth
+    return network, ds, trajs, points, truth
 
 
 def _run_map_matching(cfg: Config, inputs) -> tuple[dict, dict]:
-    network, ds, trajectories, truth = inputs
+    network, ds, trajs, points, truth = inputs
     params = _keyed(None, MatchParams, **{
         name: cfg[key] for name, key in _CONFIG_KEYS.items() if key.startswith("match_")
     })
     lengths = network.segment_lengths()
     per_traj: dict = {}
-    matched_rows: list[DynaRecord] = []
+    locations: list[str | None] = []
     pooled = {"d_true": 0.0, "d_subtracted": 0.0, "d_added": 0.0, "d_correct": 0.0}
     pooled_counts = {"n_correct": 0, "n_true": 0}
-    n_points = 0
-    n_matched = 0
-    n_breaks = 0
-    for traj in trajectories:
-        result = viterbi_match(network, traj, params)
-        n_points += len(traj.points)
-        n_matched += sum(1 for m in result.matched if m is not None)
-        n_breaks += len(result.breaks)
-        for p, m in zip(traj.points, result.matched):
-            matched_rows.append(DynaRecord(
-                f"m{len(matched_rows)}", "trajectory", p.time, traj.user_id,
-                m.segment_id if m else None, dict(p.properties),
-            ))
+    for user, lo, hi in zip(trajs.users, trajs.ptr.tolist(), trajs.ptr[1:].tolist()):
+        result = viterbi_match(network, points[lo:hi], params)
+        locations.extend(m.segment_id if m else None for m in result.matched)
         entry: dict = {
-            "n_points": len(traj.points),
+            "n_points": hi - lo,
             "n_breaks": len(result.breaks),
             "route": result.route(),
         }
-        if truth is not None and traj.user_id in truth:
-            scores = match_metrics(truth[traj.user_id], result.route(), lengths)
+        if truth is not None and user in truth:
+            scores = match_metrics(truth[user], result.route(), lengths)
             entry["metrics"] = scores
             for key in pooled:
                 pooled[key] += scores[key]
             for key in pooled_counts:
                 pooled_counts[key] += scores[key]
-        per_traj[traj.user_id] = entry
+        per_traj[user] = entry
 
     metrics: dict = {
-        "n_trajectories": len(trajectories),
-        "n_points": n_points,
-        "n_matched_points": n_matched,
-        "n_breaks": n_breaks,
+        "n_trajectories": len(trajs),
+        "n_points": len(locations),
+        "n_matched_points": sum(loc is not None for loc in locations),
+        "n_breaks": sum(entry["n_breaks"] for entry in per_traj.values()),
         "per_trajectory": per_traj,
     }
     if truth is not None and pooled["d_true"] > 0:
@@ -644,50 +638,50 @@ def _run_map_matching(cfg: Config, inputs) -> tuple[dict, dict]:
             "al": pooled["d_correct"] / pooled["d_true"],
             **pooled,
         }
-    return metrics, {"matched_rows": matched_rows, "dataset": ds}
+    # The trajectory rows in trajectory order, renumbered, at their matches.
+    every = np.arange(len(locations))
+    matched = trajs.table.take(
+        trajs.rows,
+        dyna_id=Column(every, [f"m{k}" for k in range(len(locations))]),
+        location=Column(every, locations),
+    )
+    return metrics, {"matched": matched, "dataset": ds}
 
 
-def _prepare_ranking(ds: AtomicDataset, ds_dir: Path) -> tuple[Trajectory, ...]:
+def _prepare_ranking(ds: AtomicDataset, ds_dir: Path) -> Trajectories:
     """The dataset's trajectories."""
     traj = _trajectory_rows(ds)
     if not len(traj):
         raise EmptyTable("dataset has no trajectory rows to rank over")
     if not traj.field("location").flags(lambda v: v is not None).any():
         raise EmptyTable("ranking needs trajectory rows with location ids")
-    return tuple(build_trajectories(traj))
+    return build_trajectories(traj)
 
 
-def _run_ranking(cfg: Config, trajectories: tuple[Trajectory, ...]) -> tuple[dict, dict]:
+def _run_ranking(cfg: Config, trajs: Trajectories) -> tuple[dict, dict]:
     # The mode is checked first, at the default size, so each check names its key.
     cut = _keyed("traj_window_mode", TrajWindowSpec, cfg["traj_window_mode"])
     cut = _keyed("traj_window_size", replace, cut, size=cfg["traj_window_size"])
-    pieces = [p for t in trajectories for p in cut_trajectory(t, cut)]
     pieces = filter_trajectories(
-        pieces,
+        cut_trajectories(trajs, cut),
         min_points=cfg["min_checkins"],
         min_trajs_per_user=cfg["min_trajs_per_user"],
         min_visits_per_location=cfg["min_visits_per_location"],
     )
-    if not pieces:
+    if not len(pieces):
         raise EmptyTable("filtering removed every trajectory")
     splits = split_per_user(pieces, _spec(
         cfg, SplitSpec, "ranking_train_ratio", "ranking_val_ratio", "ranking_test_ratio"
     ))
-    counts: dict[str, int] = {}
-    for t in splits["train"]:
-        for p in t.points:
-            if p.location is not None:
-                counts[p.location] = counts.get(p.location, 0) + 1
+    counts = Counter(loc for loc in splits["train"].values("location") if loc is not None)
     if not counts:
         raise EmptyTable("no training visits to rank locations by")
-    ranked = [
-        loc for loc, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
+    ranked = sorted(counts, key=lambda loc: (-counts[loc], loc))
     k = cfg["ranking_k"]
     top = ranked[:k]  # all the metrics read; ranking_metrics checks k first
 
-    def cases_of(trajs):
-        return [(p.location, top) for t in trajs for p in t.points if p.location is not None]
+    def cases_of(split):
+        return [(loc, top) for loc in split.values("location") if loc is not None]
 
     metrics: dict = {
         "n_locations_ranked": len(ranked),
@@ -772,7 +766,7 @@ def cmd_run(
     )
     staging = out_dir.with_name(out_dir.name + STAGING_SUFFIX)
     shutil.rmtree(staging, ignore_errors=True)  # left by a killed run
-    staging.mkdir(parents=True)
+    _make_dir(staging)
     try:
         _write_run(staging, record, cfg, extras, started)
         shutil.rmtree(out_dir, ignore_errors=True)  # a rerun replaces it
@@ -781,6 +775,16 @@ def cmd_run(
         shutil.rmtree(staging, ignore_errors=True)
         raise
     return record
+
+
+def _make_dir(path: Path) -> None:
+    """Create ``path`` and its missing parents under output_dir; BadConfigFile
+    naming output_dir if the system refuses, as when a file stands in the way."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        message = f"config key output_dir: cannot create {path}: {exc.strerror}"
+        raise BadConfigFile(message) from None
 
 
 def _write_run(
@@ -794,9 +798,9 @@ def _write_run(
     write_json(out_dir / "metrics.json", record.metrics)
     if "predictions" in extras:
         _write_predictions(out_dir / "predictions.npz", *extras["predictions"])
-    if "matched_rows" in extras:
+    if "matched" in extras:
         name = f"{extras['dataset'].manifest.name}_matched.dyna"
-        (out_dir / name).write_bytes(write_table("dyna", extras["matched_rows"]))
+        (out_dir / name).write_bytes(write_table("dyna", extras["matched"]))
     record.wall_time_s = time.perf_counter() - started
     write_json(out_dir / "run.json", {
         "run_id": record.run_id,
@@ -887,6 +891,8 @@ def cmd_tune(cfg: Config):
     tune_root = Path(cfg["output_dir"]) / (
         "tune_" + _run_id(cfg["task"], model, cfg["dataset"], seed, cfg.as_dict())
     )
+    # The highest directory on the way to tune_root that the tune creates, if any.
+    created = next((p for p in (*tune_root.parents[::-1], tune_root) if not p.exists()), None)
 
     # Every trial's config is built, and so checked, before the first runs.
     trial_configs = [
@@ -918,11 +924,13 @@ def cmd_tune(cfg: Config):
     try:
         result = run_search(candidates, run_trial)
     except BaseException:
-        if run_trial.counter > 1:  # the trials before the failed one wrote runs
+        if created is not None:  # all that the tune made lies in it
+            shutil.rmtree(created, ignore_errors=True)
+        elif run_trial.counter > 1:  # the trials before the failed one wrote runs
             shutil.rmtree(tune_root, ignore_errors=True)
         raise
     best = result.best
-    tune_root.mkdir(parents=True, exist_ok=True)
+    _make_dir(tune_root)
     write_json(tune_root / "search.json", {
         "algorithm": alg,
         "n_trials": len(result.trials),
@@ -970,6 +978,7 @@ def cmd_convert(cfg: Config) -> Path:
         raise BadConfigFile(f"conversion mapping lacks {exc}") from None
     ds = convert_raw_csv(conv, raw_path.read_bytes())
     out = Path(cfg["output_dir"]) / ds.manifest.name
+    _make_dir(out)
     save_dataset(ds, out)
     return out
 

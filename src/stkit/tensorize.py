@@ -13,7 +13,7 @@ hard error, never a silent overwrite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from typing import Iterable, Mapping, Sequence
@@ -49,8 +49,7 @@ __all__ = [
     "grid_to_tensor",
     "od_to_tensor",
     "build_adjacency",
-    "TrajPoint",
-    "Trajectory",
+    "Trajectories",
     "build_trajectories",
 ]
 
@@ -415,48 +414,59 @@ def build_adjacency(
     return A
 
 
-@dataclass(frozen=True)
-class TrajPoint:
-    """One visit: optional location id, timestamp, extra properties."""
+@dataclass(frozen=True, eq=False)
+class Trajectories:
+    """A dyna table's trajectory rows as index ranges: trajectory ``i`` is
+    ``table`` rows ``rows[ptr[i] : ptr[i + 1]]``, in time order, of user
+    ``users[i]``. Points are read from the table's columns, and no per-point
+    object is built. A range may be empty, as filtering can leave a piece."""
 
-    location: str | None
-    time: datetime
-    properties: Mapping = field(default_factory=dict)
+    table: Table
+    rows: np.ndarray
+    ptr: np.ndarray
+    users: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def values(self, name: str) -> list:
+        """A record attribute's values at ``rows``, in order."""
+        column = self.table.field(name)
+        return Column(column.codes[self.rows], column.values).tolist()
+
+    def pick(self, indices: Sequence[int], keep: np.ndarray | None = None) -> "Trajectories":
+        """The trajectories at ``indices``, in that order, each without the
+        positions of ``rows`` where the boolean mask ``keep`` is false."""
+        indices = np.asarray(indices, dtype=np.intp)
+        counts = np.diff(self.ptr)[indices]
+        owner = np.repeat(np.arange(len(indices)), counts)
+        # Picked trajectory j's k-th point sits at ptr[indices[j]] + k in rows.
+        shift = self.ptr[indices] - (counts.cumsum() - counts)
+        position = np.arange(len(owner)) + np.repeat(shift, counts)
+        if keep is not None:
+            owner, position = owner[keep[position]], position[keep[position]]
+        ptr = np.concatenate([[0], np.bincount(owner, minlength=len(indices)).cumsum()])
+        users = tuple(self.users[i] for i in indices.tolist())
+        return Trajectories(self.table, self.rows[position], ptr, users)
 
 
-@dataclass
-class Trajectory:
-    """Time-ordered visit sequence of one moving entity."""
-
-    user_id: str
-    points: list[TrajPoint]
-
-    def __len__(self):
-        return len(self.points)
-
-
-def build_trajectories(records: Table | Sequence[DynaRecord]) -> list[Trajectory]:
+def build_trajectories(records: Table | Sequence[DynaRecord]) -> Trajectories:
     """Group trajectory rows by entity and sort each group by time.
 
-    The sort is stable, so rows sharing a timestamp keep file order. Output
-    trajectories appear in order of each entity's first row. Points are read
-    from the columns; no record is built.
+    The sort is stable, so rows sharing a timestamp keep file order.
+    Trajectories appear in order of each entity's first row.
     """
     table = as_table("dyna", records)
     types = table.field("dyna_type")
     if (bad := types.flags(lambda v: v != "trajectory")).any():
         raise ValueError(f"expected trajectory rows, got {types.at(int(np.argmax(bad)))!r}")
-    entities, times, locations = (table.field(a).tolist() for a in ("entity_id", "time", "location"))
-    props = [(name, table.prop(name).tolist()) for name in table.prop_names]
-    groups: dict[str, list[int]] = {}
-    for row, entity in enumerate(entities):
-        groups.setdefault(entity, []).append(row)
-    out = []
-    for entity, rows in groups.items():
-        rows.sort(key=times.__getitem__)
-        points = [
-            TrajPoint(locations[r], times[r], {k: c[r] for k, c in props if c[r] is not _MISSING})
-            for r in rows
-        ]
-        out.append(Trajectory(entity, points))
-    return out
+    entities, times = table.field("entity_id"), table.field("time")
+    users = tuple(dict.fromkeys(entities.present()))
+    index = {user: i for i, user in enumerate(users)}
+    user = np.array([index.get(v, -1) for v in entities.values], dtype=np.intp)[entities.codes]
+    # Equal instants rank alike, whichever codes hold them.
+    order = {t: k for k, t in enumerate(sorted(set(times.values)))}
+    time = np.array([order[t] for t in times.values], dtype=np.intp)[times.codes]
+    rows = np.lexsort((time, user))
+    ptr = np.concatenate([[0], np.bincount(user, minlength=len(users)).cumsum()])
+    return Trajectories(table, rows, ptr, users)

@@ -1,6 +1,7 @@
 """Shared test builders: random atomic tables, a clean dataset, a fault catalog,
-and the scalar map-matching candidate search that the matcher tests use as
-their oracle.
+the scalar map-matching candidate search that the matcher tests use as their
+oracle, and the per-point trajectory objects that the trajectory tests use as
+theirs.
 
 The random generators only emit canonical property values (values that the
 CSV typing rules can represent), so parse(write(x)) == x is a fair check.
@@ -11,12 +12,15 @@ finite, and empty strings are excluded (they read back as None).
 import copy
 import math
 import random
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from stkit.atomic import (
+    _MISSING,
     TABLE_KINDS,
     DynaRecord,
     ExtRecord,
@@ -25,10 +29,13 @@ from stkit.atomic import (
     GridRecord,
     ODRecord,
     RelationRecord,
+    Table,
     UserUnit,
+    as_table,
 )
 from stkit.dataset import AtomicDataset, Manifest
 from stkit.mapmatch import Candidate
+from stkit.pipeline import SplitSpec, TrajWindowSpec, _split_ranges
 
 T0 = datetime(2021, 3, 1, tzinfo=timezone.utc)
 
@@ -523,3 +530,143 @@ def scalar_candidates(network, lon, lat, params):
             out.append(Candidate(gid, plon, plat, d, offset))
     out.sort(key=lambda c: (c.distance_m, c.segment_id))
     return out[: params.max_candidates]
+
+
+# -- the object trajectories: one TrajPoint per row, one Trajectory per piece ------
+#
+# The per-point versions of trajectory building, cutting, filtering and the
+# per-user split, kept as the oracle of the range versions in stkit.
+
+
+@dataclass(frozen=True)
+class TrajPoint:
+    """One visit: optional location id, timestamp, extra properties."""
+
+    location: str | None
+    time: datetime
+    properties: Mapping = field(default_factory=dict)
+
+
+@dataclass
+class Trajectory:
+    """Time-ordered visit sequence of one moving entity."""
+
+    user_id: str
+    points: list[TrajPoint]
+
+    def __len__(self):
+        return len(self.points)
+
+
+def build_trajectories(records: Table | Sequence[DynaRecord]) -> list[Trajectory]:
+    """Group trajectory rows by entity and sort each group by time.
+
+    The sort is stable, so rows sharing a timestamp keep file order. Output
+    trajectories appear in order of each entity's first row. Points are read
+    from the columns; no record is built.
+    """
+    table = as_table("dyna", records)
+    types = table.field("dyna_type")
+    if (bad := types.flags(lambda v: v != "trajectory")).any():
+        raise ValueError(f"expected trajectory rows, got {types.at(int(np.argmax(bad)))!r}")
+    entities, times, locations = (table.field(a).tolist() for a in ("entity_id", "time", "location"))
+    props = [(name, table.prop(name).tolist()) for name in table.prop_names]
+    groups: dict[str, list[int]] = {}
+    for row, entity in enumerate(entities):
+        groups.setdefault(entity, []).append(row)
+    out = []
+    for entity, rows in groups.items():
+        rows.sort(key=times.__getitem__)
+        points = [
+            TrajPoint(locations[r], times[r], {k: c[r] for k, c in props if c[r] is not _MISSING})
+            for r in rows
+        ]
+        out.append(Trajectory(entity, points))
+    return out
+
+
+def cut_trajectory(traj: Trajectory, spec: TrajWindowSpec) -> list[Trajectory]:
+    """Cut one trajectory into sub-trajectories; concatenation reproduces it."""
+    if not traj.points:
+        return []
+    pieces: list[list] = [[traj.points[0]]]
+    for p in traj.points[1:]:
+        if spec.mode == "time":
+            window_start = pieces[-1][0].time
+            if (p.time - window_start).total_seconds() > spec.size:
+                pieces.append([p])
+                continue
+        else:
+            if len(pieces[-1]) >= spec.size:
+                pieces.append([p])
+                continue
+        pieces[-1].append(p)
+    return [Trajectory(traj.user_id, piece) for piece in pieces]
+
+
+def filter_trajectories(
+    trajectories: Sequence[Trajectory],
+    min_points: int = 0,
+    min_trajs_per_user: int = 0,
+    min_visits_per_location: int = 0,
+) -> list[Trajectory]:
+    """Jointly filter sparse trajectories, users, and locations to a fixed point.
+
+    Dropping a location can sink a trajectory below min_points, which can
+    sink a user below min_trajs_per_user, which can sink another location, so
+    the three filters iterate until nothing changes. The result is idempotent:
+    filtering it again with the same thresholds returns it unchanged.
+    Location counting ignores points whose location is None.
+    """
+    trajs = list(trajectories)
+    while True:
+        kept = [t for t in trajs if len(t.points) >= min_points]
+        if min_trajs_per_user > 0:
+            per_user: dict[str, int] = {}
+            for t in kept:
+                per_user[t.user_id] = per_user.get(t.user_id, 0) + 1
+            kept = [t for t in kept if per_user[t.user_id] >= min_trajs_per_user]
+        if min_visits_per_location > 0:
+            visits: dict[str, int] = {}
+            for t in kept:
+                for p in t.points:
+                    if p.location is not None:
+                        visits[p.location] = visits.get(p.location, 0) + 1
+            trimmed = []
+            for t in kept:
+                points = [
+                    p
+                    for p in t.points
+                    if p.location is None
+                    or visits[p.location] >= min_visits_per_location
+                ]
+                trimmed.append(
+                    t if len(points) == len(t.points) else Trajectory(t.user_id, points)
+                )
+            kept = trimmed
+        if len(kept) == len(trajs) and all(
+            a is b or a.points == b.points for a, b in zip(kept, trajs)
+        ):
+            return kept
+        trajs = kept
+
+
+def split_per_user(
+    trajectories: Sequence[Trajectory], spec: SplitSpec
+) -> dict[str, list[Trajectory]]:
+    """Split each user's trajectories chronologically by the given ratios.
+
+    Trajectories are ordered by first-point time per user and split by the
+    rule of :func:`split_chronological`. Users with too few trajectories to
+    fill a segment simply leave it empty instead of erroring, since sparse
+    users are routine after filtering.
+    """
+    by_user: dict[str, list[Trajectory]] = {}
+    for t in trajectories:
+        by_user.setdefault(t.user_id, []).append(t)
+    out: dict[str, list[Trajectory]] = {"train": [], "val": [], "test": []}
+    for trajs in by_user.values():
+        trajs = sorted(trajs, key=lambda t: (len(t.points) == 0, t.points[0].time if t.points else 0))
+        for segment, seg in zip(out.values(), _split_ranges(len(trajs), spec)):
+            segment.extend(trajs[seg.start : seg.stop])
+    return out

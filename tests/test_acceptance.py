@@ -334,6 +334,15 @@ def test_criterion_08a_viterbi_equals_exhaustive_enumeration():
     assert time.perf_counter() - started < 60.0
 
 
+def trajectory_points(ds):
+    """Each trajectory's user and its points' (lon, lat) as an [n, 2] array."""
+    trajs = build_trajectories([d for d in ds.dyna if d.dyna_type == "trajectory"])
+    lon, lat = (trajs.table.prop(name).tolist() for name in ("lon", "lat"))
+    points = np.array([lon, lat]).T[trajs.rows]
+    ptr = trajs.ptr.tolist()
+    return [(user, points[lo:hi]) for user, lo, hi in zip(trajs.users, ptr, ptr[1:])]
+
+
 def test_criterion_08b_zero_noise_matching_is_perfect():
     """Points exactly on a Manhattan grid: every trajectory's matched route
     equals the ground truth, so RMF=0.0, AN=1.0, AL=1.0 bitwise."""
@@ -346,11 +355,11 @@ def test_criterion_08b_zero_noise_matching_is_perfect():
     ds, truth = result.dataset, result.truth_routes
     network = build_road_network(ds.geo, ds.rel)
     lengths = network.segment_lengths()
-    trajs = build_trajectories([d for d in ds.dyna if d.dyna_type == "trajectory"])
+    trajs = trajectory_points(ds)
     assert len(trajs) == 5
-    for traj in trajs:
-        res = viterbi_match(network, traj, MatchParams())
-        scores = match_metrics(truth[traj.user_id], res.route(), lengths)
+    for user, points in trajs:
+        res = viterbi_match(network, points, MatchParams())
+        scores = match_metrics(truth[user], res.route(), lengths)
         assert scores["rmf"] == 0.0
         assert scores["an"] == 1.0
         assert scores["al"] == 1.0
@@ -376,12 +385,12 @@ def test_criterion_08c_noisy_matching_recovers_most_segments():
     ds, truth = result.dataset, result.truth_routes
     network = build_road_network(ds.geo, ds.rel)
     lengths = network.segment_lengths()
-    trajs = build_trajectories([d for d in ds.dyna if d.dyna_type == "trajectory"])
+    trajs = trajectory_points(ds)
     n_correct = 0
     n_true = 0
-    for traj in trajs:
-        res = viterbi_match(network, traj, MatchParams())
-        scores = match_metrics(truth[traj.user_id], res.route(), lengths)
+    for user, points in trajs:
+        res = viterbi_match(network, points, MatchParams())
+        scores = match_metrics(truth[user], res.route(), lengths)
         n_correct += scores["n_correct"]
         n_true += scores["n_true"]
     achieved = n_correct / n_true

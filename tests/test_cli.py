@@ -967,6 +967,52 @@ def matching_case(where, truth=None, dyna_lat=None, dataset="traces", code=3):
     return build
 
 
+def late_trial_case(space, where):
+    """A VAR tune on flow_p4 whose trial 0 runs and writes its run, and
+    whose trial 1 fails on a value that only a run checks."""
+
+    def build(root, tmp):
+        (tmp / "space.json").write_text(json.dumps(space), "utf-8")
+        argv = [*run_flags(root, tmp / "out", model="VAR"), "--space_file", str(tmp / "space.json")]
+        return ["tune", *argv], 3, where
+
+    return build
+
+
+LATE_TRIAL_FAULTS = [
+    ({"batch_size": {"values": [32, 0]}},
+     r"^error: config key batch_size: batch_size must be a positive integer, got 0$"),
+    ({"var_order": {"values": [1, 20]}},
+     r"^error: config key var_order: order 20 needs 20 input slots, but config key "
+     r"input_window is 4$"),
+    ({"train_ratio": {"values": [0.7, 0.9]}},
+     r"^error: config key train_ratio, val_ratio, test_ratio: ratios must be finite and "
+     r"sum to 1, got 1\.2$"),
+]
+
+
+def blocked_output_case(command, below):
+    """``command`` whose --output_dir is a regular file, or lies under one."""
+
+    def build(root, tmp):
+        blocker = tmp / "blocker"
+        blocker.write_text("a file", "utf-8")
+        out = blocker / "sub" if below else blocker
+        (tmp / "space.json").write_text(json.dumps({"ha_period": {"values": [4]}}), "utf-8")
+        (tmp / "raw.csv").write_text(RAW_STATES, "utf-8")
+        (tmp / "conv.json").write_text(json.dumps({"conversion": STATES}), "utf-8")
+        argv = {
+            "run": ["run", *run_flags(root, out)],
+            "tune": ["tune", *run_flags(root, out), "--space_file", str(tmp / "space.json")],
+            "convert": ["convert", "--dataset", str(tmp / "raw.csv"), "--config_file",
+                        str(tmp / "conv.json"), "--output_dir", str(out)],
+        }[command]
+        where = rf"^error: config key output_dir: cannot create {re.escape(str(out))}\S*: .+$"
+        return argv, 3, where
+
+    return build
+
+
 FAILURE_MATRIX = [
     *(pytest.param(fault_case(name), id=f"fault-{name}") for name in sorted(FAULTS)),
     *(pytest.param(config_case("run", model, values, key), id=f"model-{n}-{key}")
@@ -1076,6 +1122,11 @@ FAILURE_MATRIX = [
     pytest.param(matching_case(
         r"^error: dataset has no trajectory rows to match$", dataset="flow_p4", code=4
     ), id="run-no-trajectories"),
+    *(pytest.param(late_trial_case(space, where), id=f"tune-late-trial-{next(iter(space))}")
+      for space, where in LATE_TRIAL_FAULTS),
+    pytest.param(blocked_output_case("run", below=False), id="run-output-dir-a-file"),
+    pytest.param(blocked_output_case("tune", below=True), id="tune-output-dir-under-a-file"),
+    pytest.param(blocked_output_case("convert", below=False), id="convert-output-dir-a-file"),
 ]
 
 

@@ -395,25 +395,14 @@ def test_match_clean_corridor():
     assert all(p is not None for p in result.point_logprob)
 
 
-def test_match_accepts_trajectory_objects():
-    from datetime import datetime, timezone
-
-    from stkit.tensorize import TrajPoint, Trajectory
-
+def test_match_accepts_point_arrays():
     net = corridor()
-    t0 = datetime(2021, 3, 1, tzinfo=timezone.utc)
-    traj = Trajectory(
-        "u0",
-        [
-            TrajPoint(None, t0, {"lon": 0.0002, "lat": 0.0}),
-            TrajPoint(None, t0, {"lon": 0.0012, "lat": 0.0}),
-        ],
-    )
-    result = viterbi_match(net, traj, MatchParams())
+    points = [(0.0002, 0.0), (0.0012, 0.0)]
+    result = viterbi_match(net, np.array(points), MatchParams())
+    assert result == viterbi_match(net, points, MatchParams())
     assert result.route() == ["A", "B"]
-    bad = Trajectory("u1", [TrajPoint(None, t0, {})])
     with pytest.raises(ValueError):
-        viterbi_match(net, bad, MatchParams())
+        viterbi_match(net, np.zeros((2, 3)), MatchParams())
 
 
 def test_match_break_and_restart():

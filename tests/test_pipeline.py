@@ -20,7 +20,7 @@ from stkit.pipeline import (
     SplitSpec,
     TrajWindowSpec,
     WindowSpec,
-    cut_trajectory,
+    cut_trajectories,
     filter_trajectories,
     fit_scaler,
     make_batches,
@@ -29,7 +29,8 @@ from stkit.pipeline import (
     split_per_user,
     split_windows,
 )
-from stkit.tensorize import TimeAxis, TrajPoint, Trajectory, build_time_axis
+from stkit.atomic import DynaRecord, as_table
+from stkit.tensorize import TimeAxis, Trajectories, build_time_axis
 
 
 def hours(h):
@@ -37,8 +38,29 @@ def hours(h):
 
 
 def traj(user, times, locations=None):
-    locations = locations or [None] * len(times)
-    return Trajectory(user, [TrajPoint(l, t, {}) for l, t in zip(locations, times)])
+    """One trajectory as (user, [(location, time), ...])."""
+    return user, list(zip(locations or [None] * len(times), times))
+
+
+def ranges(*trajs):
+    """The trajectories made by ``traj``, in order, as ranges over one table."""
+    rows = [(user, loc, t) for user, points in trajs for loc, t in points]
+    records = [
+        DynaRecord(f"d{n}", "trajectory", t, user, loc) for n, (user, loc, t) in enumerate(rows)
+    ]
+    ptr = np.cumsum([0] + [len(points) for _, points in trajs])
+    return Trajectories(
+        as_table("dyna", records), np.arange(len(records)), ptr, tuple(u for u, _ in trajs)
+    )
+
+
+def listed(trajs):
+    """Trajectories as ``traj`` makes them: (user, [(location, time), ...])."""
+    points = list(zip(trajs.values("location"), trajs.values("time")))
+    return [
+        (user, points[lo:hi])
+        for user, lo, hi in zip(trajs.users, trajs.ptr.tolist(), trajs.ptr[1:].tolist())
+    ]
 
 
 # -- scalers -----------------------------------------------------------------
@@ -437,19 +459,22 @@ def test_batches_equal_the_per_window_reference(
 # -- trajectory filtering ----------------------------------------------------
 
 
+def filtered(*trajs, **thresholds):
+    return listed(filter_trajectories(ranges(*trajs), **thresholds))
+
+
 def test_filter_min_points_only():
     t1 = traj("u0", [hours(0), hours(1)])
     t2 = traj("u0", [hours(2)])
-    kept = filter_trajectories([t1, t2], min_points=2)
-    assert kept == [t1]
+    assert filtered(t1, t2, min_points=2) == [t1]
 
 
 def test_filter_min_trajs_per_user():
     t1 = traj("u0", [hours(0)])
     t2 = traj("u0", [hours(1)])
     t3 = traj("u1", [hours(2)])
-    kept = filter_trajectories([t1, t2, t3], min_trajs_per_user=2)
-    assert [t.user_id for t in kept] == ["u0", "u0"]
+    kept = filtered(t1, t2, t3, min_trajs_per_user=2)
+    assert [user for user, _ in kept] == ["u0", "u0"]
 
 
 def test_filter_cascades_to_fixed_point():
@@ -460,58 +485,61 @@ def test_filter_cascades_to_fixed_point():
     t2 = traj("u0", [hours(2), hours(3)], ["popular", "popular"])
     t3 = traj("u1", [hours(4), hours(5)], ["shared", "lonely"])
     kept = filter_trajectories(
-        [t1, t2, t3],
+        ranges(t1, t2, t3),
         min_points=2,
         min_visits_per_location=2,
     )
-    locations = [p.location for t in kept for p in t.points]
-    assert "lonely" not in locations
-    assert all(len(t.points) >= 2 for t in kept)
+    assert "lonely" not in kept.values("location")
+    assert all(np.diff(kept.ptr) >= 2)
     # Re-filtering is a no-op (idempotence).
-    assert filter_trajectories(kept, min_points=2, min_visits_per_location=2) == kept
+    again = filter_trajectories(kept, min_points=2, min_visits_per_location=2)
+    assert listed(again) == listed(kept)
 
 
 def test_filter_none_locations_never_counted():
     t1 = traj("u0", [hours(0), hours(1)])
-    kept = filter_trajectories([t1], min_visits_per_location=5)
-    assert kept == [t1]
+    assert filtered(t1, min_visits_per_location=5) == [t1]
 
 
 def test_filter_no_thresholds_is_identity():
     t1 = traj("u0", [hours(0)])
-    assert filter_trajectories([t1]) == [t1]
+    assert filtered(t1) == [t1]
 
 
 # -- trajectory cutting ------------------------------------------------------
 
 
+def cut(t, spec):
+    return listed(cut_trajectories(ranges(t), spec))
+
+
 def test_cut_time_mode_gap_from_window_start():
     t = traj("u0", [hours(0), hours(10), hours(80)])
-    pieces = cut_trajectory(t, TrajWindowSpec("time", 72 * 3600))
-    assert [len(p.points) for p in pieces] == [2, 1]
+    pieces = cut(t, TrajWindowSpec("time", 72 * 3600))
+    assert [len(points) for _, points in pieces] == [2, 1]
     # The gap is measured from the window start, not the previous point.
     t2 = traj("u0", [hours(0), hours(50), hours(100)])
-    pieces2 = cut_trajectory(t2, TrajWindowSpec("time", 72 * 3600))
-    assert [len(p.points) for p in pieces2] == [2, 1]
+    pieces2 = cut(t2, TrajWindowSpec("time", 72 * 3600))
+    assert [len(points) for _, points in pieces2] == [2, 1]
 
 
 def test_cut_length_mode_chunks():
     t = traj("u0", [hours(i) for i in range(250)])
-    pieces = cut_trajectory(t, TrajWindowSpec("length", 100))
-    assert [len(p.points) for p in pieces] == [100, 100, 50]
+    pieces = cut(t, TrajWindowSpec("length", 100))
+    assert [len(points) for _, points in pieces] == [100, 100, 50]
 
 
 def test_cut_concatenation_identity():
     t = traj("u0", [hours(i * 7) for i in range(40)])
     for spec in (TrajWindowSpec("time", 24 * 3600), TrajWindowSpec("length", 7)):
-        pieces = cut_trajectory(t, spec)
-        flat = [p for piece in pieces for p in piece.points]
-        assert flat == t.points
-        assert all(piece.user_id == "u0" for piece in pieces)
+        pieces = cut(t, spec)
+        flat = [p for _, points in pieces for p in points]
+        assert flat == t[1]
+        assert all(user == "u0" for user, _ in pieces)
 
 
 def test_cut_empty_and_spec_validation():
-    assert cut_trajectory(traj("u0", []), TrajWindowSpec()) == []
+    assert cut(traj("u0", []), TrajWindowSpec()) == []
     with pytest.raises(ValueError):
         TrajWindowSpec("by_day", 1)
     with pytest.raises(ValueError):
@@ -521,13 +549,17 @@ def test_cut_empty_and_spec_validation():
 # -- per-user splits ----------------------------------------------------------
 
 
+def split(trajs, spec):
+    return {name: listed(part) for name, part in split_per_user(ranges(*trajs), spec).items()}
+
+
 def test_split_per_user_ratios_and_order():
     trajs = [traj("u0", [hours(i), hours(i) + timedelta(minutes=30)]) for i in range(10)]
-    parts = split_per_user(trajs[::-1], SplitSpec(0.6, 0.2, 0.2))
+    parts = split(trajs[::-1], SplitSpec(0.6, 0.2, 0.2))
     assert [len(parts[k]) for k in ("train", "val", "test")] == [6, 2, 2]
     # Chronological per user regardless of input order.
-    assert [t.points[0].time for t in parts["train"]] == [hours(i) for i in range(6)]
-    assert [t.points[0].time for t in parts["test"]] == [hours(8), hours(9)]
+    assert [points[0][1] for _, points in parts["train"]] == [hours(i) for i in range(6)]
+    assert [points[0][1] for _, points in parts["test"]] == [hours(8), hours(9)]
 
 
 def test_split_per_user_sparse_users_keep_train():
@@ -536,15 +568,15 @@ def test_split_per_user_sparse_users_keep_train():
         traj("u1", [hours(1)]),
         traj("u1", [hours(2)]),
     ]
-    parts = split_per_user(trajs, SplitSpec(0.6, 0.2, 0.2))
-    assert [t.user_id for t in parts["train"]] == ["u0", "u1", "u1"]
+    parts = split(trajs, SplitSpec(0.6, 0.2, 0.2))
+    assert [user for user, _ in parts["train"]] == ["u0", "u1", "u1"]
     assert parts["val"] == [] and parts["test"] == []
 
 
 def test_split_per_user_is_per_user_not_global():
     a = [traj("u0", [hours(i)]) for i in range(5)]
     b = [traj("u1", [hours(i + 100)]) for i in range(5)]
-    parts = split_per_user(a + b, SplitSpec(0.6, 0.2, 0.2))
+    parts = split(a + b, SplitSpec(0.6, 0.2, 0.2))
     for name in ("train", "val", "test"):
-        users = {t.user_id for t in parts[name]}
+        users = {user for user, _ in parts[name]}
         assert users == {"u0", "u1"}, name

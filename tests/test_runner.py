@@ -769,11 +769,11 @@ def test_ranking_run_scores_as_over_the_full_ranking(data_root, tmp_path, monkey
         file_values={"ranking_k": 2},
     )
     metrics = cmd_run(cfg).metrics
-    counts = Counter(p.location for t in splits["train"] for p in t.points if p.location)
+    counts = Counter(loc for loc in splits["train"].values("location") if loc)
     ranked = sorted(counts, key=lambda loc: (-counts[loc], loc))
     assert metrics["n_locations_ranked"] == len(ranked) > 2
     for split in ("val", "test"):
-        cases = [(p.location, ranked) for t in splits[split] for p in t.points if p.location]
+        cases = [(loc, ranked) for loc in splits[split].values("location") if loc]
         assert metrics[split] == ranking_metrics(cases, 2)
 
 

@@ -437,10 +437,11 @@ def test_build_trajectories_groups_and_sorts():
     ]
     trajs = build_trajectories(recs)
     # First-appearance order of entities, points time-sorted within each.
-    assert [t.user_id for t in trajs] == ["u1", "u0"]
-    assert [p.location for p in trajs[0].points] == ["g2", "g0"]
-    assert [p.location for p in trajs[1].points] == ["g1", "g3"]
-    assert len(trajs[0]) == 2
+    assert trajs.users == ("u1", "u0")
+    assert trajs.ptr.tolist() == [0, 2, 4]
+    assert trajs.rows.tolist() == [2, 0, 1, 3]
+    assert trajs.values("location") == ["g2", "g0", "g1", "g3"]
+    assert len(trajs) == 2
 
 
 def test_build_trajectories_stable_on_ties():
@@ -449,8 +450,8 @@ def test_build_trajectories_stable_on_ties():
         DynaRecord("d1", "trajectory", ts(1), "u0", "gB", {}),
         DynaRecord("d2", "trajectory", ts(0), "u0", "gC", {}),
     ]
-    (traj,) = build_trajectories(recs)
-    assert [p.location for p in traj.points] == ["gC", "gA", "gB"]
+    trajs = build_trajectories(recs)
+    assert trajs.values("location") == ["gC", "gA", "gB"]
 
 
 def test_build_trajectories_rejects_state_rows():
@@ -460,9 +461,9 @@ def test_build_trajectories_rejects_state_rows():
 
 def test_trajectory_point_carries_properties():
     recs = [DynaRecord("d0", "trajectory", ts(0), "u0", None, {"lon": 116.0})]
-    (traj,) = build_trajectories(recs)
-    assert traj.points[0].properties == {"lon": 116.0}
-    assert traj.points[0].location is None
+    trajs = build_trajectories(recs)
+    assert trajs.table.prop("lon").at(int(trajs.rows[0])) == 116.0
+    assert trajs.values("location") == [None]
 
 
 # -- tables read as columns ----------------------------------------------------
