@@ -30,19 +30,20 @@ params = MatchParams(sigma_m=10.0, beta_m=5.0, radius_m=100.0)
 trajs = build_trajectories([d for d in ds.dyna if d.dyna_type == "trajectory"])
 lon, lat = (trajs.table.prop(name).tolist() for name in ("lon", "lat"))
 points = np.array([lon, lat]).T[trajs.rows]  # [n, 2] (lon, lat), grouped
-ptr = trajs.ptr.tolist()
 
-for user, lo, hi in zip(trajs.users, ptr, ptr[1:]):
-    res = viterbi_match(network, points[lo:hi], params)
+# One call matches every trajectory; chains stop at trajectory bounds.
+run = viterbi_match(network, points, params, trajs.ptr)
+for k, user in enumerate(trajs.users):
+    res = run.trajectory(k)
     matched_route = res.route()
     scores = match_metrics(truth[user], matched_route, lengths)
     print(
-        f"{user}: {hi - lo} points -> {len(matched_route)} segments"
+        f"{user}: {len(res.matched)} points -> {len(matched_route)} segments"
         f"  RMF={scores['rmf']:.3f}  AN={scores['an']:.3f}  AL={scores['al']:.3f}"
         f"  breaks={len(res.breaks)}"
     )
 
 # One decoded route in full, against its ground truth.
-res = viterbi_match(network, points[ptr[0] : ptr[1]], params)
+res = run.trajectory(0)
 print("\ntruth  :", " ".join(truth[trajs.users[0]]))
 print("matched:", " ".join(res.route()))

@@ -123,8 +123,10 @@ DYNA_TYPES = ("state", "trajectory")
 # Optional column allowed right after entity_id in trajectory .dyna tables.
 _LOCATION_COLUMN = "location"
 
-_TIMESTAMP_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z")
-_INT_RE = re.compile(r"^[+-]?\d+$")
+# ASCII digits only: str.isdigit, int() and float() also take other scripts'.
+_TIMESTAMP_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z", re.ASCII)
+_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
+_FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -286,19 +288,15 @@ def _coerce_scalar(cell: str) -> Scalar:
     """Type a property cell: empty -> None, canonical int, finite float, str."""
     if cell == "":
         return None
-    if _INT_RE.match(cell):
+    if _INT_RE.fullmatch(cell):
         try:
             return int(cell)
         except ValueError:
             return cell
-    try:
-        value = float(cell)
-    except ValueError:
+    if not _FLOAT_RE.fullmatch(cell):
         return cell
-    # Keep nan/inf spellings as strings so writing reproduces the input.
-    if not math.isfinite(value):
-        return cell
-    return value
+    value = float(cell)  # a literal too large for a float stays a string
+    return value if math.isfinite(value) else cell
 
 
 def _scalar_to_cell(value: Scalar) -> str:
@@ -372,7 +370,7 @@ def _parse_enum_cell(cell, table, row, column, domain):
 
 def _parse_index_cell(cell, table, row, column) -> int:
     try:
-        value = int(cell) if _INT_RE.match(cell) else -1
+        value = int(cell) if _INT_RE.fullmatch(cell) else -1
     except ValueError:  # more digits than int() converts
         value = -1
     if value < 0:

@@ -16,6 +16,7 @@ approximation centered at the query point, accurate at street scale.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -148,6 +149,7 @@ class _RouteTable:
     def _settle(self, origin: int, targets: np.ndarray) -> _Row:
         """Dijkstra from the end of ``origin`` until ``targets`` are settled."""
         lengths, succ = self.lengths, self.succ
+        heappop, heappush = heapq.heappop, heapq.heappush
         done = bytearray(len(self.ids))
         wanted = bytearray(len(self.ids))
         for t in targets.tolist():
@@ -157,7 +159,7 @@ class _RouteTable:
         heap = [(0.0, w, -1) for w in succ[origin]]
         heapq.heapify(heap)
         while heap:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             v = entry[1]
             if done[v]:
                 continue
@@ -170,7 +172,7 @@ class _RouteTable:
             dv = entry[0] + lengths[v]
             for w in succ[v]:
                 if not done[w]:
-                    heapq.heappush(heap, (dv, w, v))
+                    heappush(heap, (dv, w, v))
         return self._row(settled, complete=True)
 
     def start_distances(self, origin: int, targets: np.ndarray) -> np.ndarray:
@@ -187,14 +189,14 @@ class _RouteTable:
             found = row.segment[pos] == targets
         return np.where(found, row.dist[pos], math.inf)
 
-    def chain(self, origin: int, target: int) -> list[str]:
-        """Segment ids from the first hop out of ``origin`` through ``target``,
-        which the origin's row must hold."""
+    def chain(self, origin: int, target: int) -> list[int]:
+        """Segment codes from the first hop out of ``origin`` through
+        ``target``, which the origin's row must hold."""
         row = self.rows[origin]
         out = [target]
         while (parent := int(row.prev[row.segment.searchsorted(out[-1])])) >= 0:
             out.append(parent)
-        return [self.ids[c] for c in reversed(out)]
+        return out[::-1]
 
 
 @dataclass
@@ -304,7 +306,7 @@ class MatchParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """A projection of one GPS point onto one segment."""
 
@@ -332,8 +334,8 @@ class _Candidates(NamedTuple):
         return [Candidate(ids[c], *f) for c, *f in zip(code, *floats)]
 
 
-# Point x segment cells of one box-test block: bounds the test's memory.
-_BOX_CELLS = 1 << 18
+# Point x segment cells of one search block's box test: bounds its memory.
+_BOX_CELLS = 1 << 15
 
 
 def _search(
@@ -346,21 +348,22 @@ def _search(
     farther away. Each leg of a pooled segment is projected in a local
     equirectangular frame centered at the point, and a polyline's first
     nearest leg gives its distance and offset. Ties in distance break on
-    segment id, so the result is deterministic.
+    segment id, so the result is deterministic. Points go in blocks.
     """
+    block = max(1, _BOX_CELLS // max(network.boxes.shape[1], 1))
+    if len(lon) > block:
+        parts = [_search(network, lon[s : s + block], lat[s : s + block], params)
+                 for s in range(0, len(lon), block)]
+        ptr = np.concatenate([[0], np.concatenate([np.diff(c.ptr) for c in parts]).cumsum()])
+        return _Candidates(ptr, *(np.concatenate(column) for column in list(zip(*parts))[1:]))
     m_lon = np.array([_m_per_deg_lon(y) for y in lat.tolist()], dtype=np.float64)
     rlon = params.radius_m / m_lon
     rlat = params.radius_m / _M_PER_DEG_LAT
     lo_lon, lo_lat, hi_lon, hi_lat = network.boxes
-    block = max(1, _BOX_CELLS // max(len(lo_lon), 1))
-    hits = []
-    for s in range(0, len(lon), block):
-        x, y, r = (v[s : s + block, None] for v in (lon, lat, rlon))
-        near = (lo_lon <= x + r) & (hi_lon >= x - r)
-        near &= (lo_lat <= y + rlat) & (hi_lat >= y - rlat)
-        p, g = np.nonzero(near)
-        hits.append((p + s, g))
-    point, code = map(np.concatenate, zip(*hits))
+    x, y, r = lon[:, None], lat[:, None], rlon[:, None]
+    near = (lo_lon <= x + r) & (hi_lon >= x - r)
+    near &= (lo_lat <= y + rlat) & (hi_lat >= y - rlat)
+    point, code = np.nonzero(near)
 
     # One row per (point, pooled segment, leg), each pair's legs in order.
     first = network.first_leg[code]
@@ -423,47 +426,30 @@ def transition_logprob(route_m, greatcircle_m, beta_m: float):
     return -np.abs(np.subtract(route_m, greatcircle_m)) / beta_m - math.log(beta_m)
 
 
-def _route_distances(network: RoadNetwork, from_seg, from_off, to_seg, to_off) -> np.ndarray:
-    """On-road distance of each (origin, target) pair of candidates, given as
-    arrays of segment codes and offsets.
-
-    A route runs to the end of the origin's segment, through the network's
-    route table, and along the target segment to its offset; moving forward
-    along a shared segment costs the offset difference instead when that is
-    shorter. Unreachable is inf. The table is asked once per distinct origin
-    segment, for the union of its targets.
-    """
+def _route_distances(network: RoadNetwork, origin: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Cost from the end of each origin segment to the start of its target,
+    for distinct code pairs grouped by origin; inf when unreachable. The table
+    is asked once per origin, so no origin's search runs twice in one call."""
     table = network.routes
-    n = len(table.ids)
-    pairs, inverse = np.unique(from_seg.astype(np.int64) * n + to_seg, return_inverse=True)
-    origin, target = np.divmod(pairs, n)
-    starts = np.empty(len(pairs))
-    cuts = [*np.flatnonzero(np.diff(origin, prepend=-1)).tolist(), len(pairs)]
+    out = np.empty(len(origin))
+    cuts = [*np.flatnonzero(np.diff(origin, prepend=-1)).tolist(), len(origin)]
     for lo, hi in zip(cuts, cuts[1:]):
-        starts[lo:hi] = table.start_distances(int(origin[lo]), target[lo:hi].astype(table.dtype))
-    leave = np.take(table.lengths, from_seg) - from_off
-    out = leave + starts[inverse] + to_off
-    forward = (from_seg == to_seg) & (to_off >= from_off)
-    along = to_off - from_off
-    out[forward] = np.minimum(out[forward], along[forward])
+        out[lo:hi] = table.start_distances(int(origin[lo]), target[lo:hi].astype(table.dtype))
     return out
 
 
-def _leg(
-    network: RoadNetwork, a: Candidate, b: Candidate, d: float
-) -> list[str] | None:
-    """The segment sequence of the route from a to b, whose distance is ``d``
-    as :func:`_route_distances` gave it; None when unreachable."""
-    if math.isinf(d):
-        return None
-    same = a.segment_id == b.segment_id and b.offset_m >= a.offset_m
-    if same and d == b.offset_m - a.offset_m:  # ties keep the one-segment route
-        return [a.segment_id]
-    table = network.routes
-    return [
-        a.segment_id,
-        *table.chain(table.code[a.segment_id], table.code[b.segment_id]),
-    ]
+def _candidate_routes(network: RoadNetwork, start, from_seg, from_off, to_seg, to_off):
+    """On-road distance of candidate pairs (segment codes and offsets) whose
+    segments are ``start`` apart in the route table; moving forward along a
+    shared segment costs the offset difference instead when that is shorter."""
+    out = np.take(network.routes.lengths, from_seg) - from_off + start + to_off
+    forward = (from_seg == to_seg) & (to_off >= from_off)
+    return np.where(forward, np.minimum(out, to_off - from_off), out)
+
+
+def _one_segment(from_seg, from_off, to_seg, to_off, d):
+    """Whether a route of distance ``d`` stays on one segment (ties do)."""
+    return (from_seg == to_seg) & (to_off >= from_off) & (d == to_off - from_off)
 
 
 def shortest_route(
@@ -476,11 +462,43 @@ def shortest_route(
     segments, and along b's segment to its offset. Returns (inf, None) when
     b is unreachable. Routes come from the network's shared route table.
     """
-    code = network.routes.code
-    seg = np.array([code[a.segment_id], code[b.segment_id]])
-    off = np.array([a.offset_m, b.offset_m])
-    d = float(_route_distances(network, seg[:1], off[:1], seg[1:], off[1:])[0])
-    return d, _leg(network, a, b, d)
+    table = network.routes
+    ca, cb = table.code[a.segment_id], table.code[b.segment_id]
+    start = _route_distances(network, np.array([ca]), np.array([cb]))
+    d = float(_candidate_routes(network, start, ca, a.offset_m, cb, b.offset_m)[0])
+    if math.isinf(d):
+        return d, None
+    if _one_segment(ca, a.offset_m, cb, b.offset_m, d):
+        return d, [a.segment_id]
+    return d, [a.segment_id, *(table.ids[c] for c in table.chain(ca, cb))]
+
+
+def _max_sum(n_open, at):
+    """Max-sum over sequences advanced together, one position at a time.
+
+    ``n_open[t]`` sequences, a prefix of a longest-first order, reach position
+    t; ``at(t)`` gives their [B, K] emissions there (-inf padded) and [B, K, K]
+    transitions into it (None at t = 0). A candidate is reached when its
+    running score is finite; a position that reaches none starts a new chain.
+    Returns each position's choices and chain starts, and the last scores.
+    """
+    dp, _ = at(0)
+    fresh, back, top = [np.ones(len(dp), dtype=bool)], [None], [dp.argmax(axis=1)]
+    for t in range(1, len(n_open)):
+        e, tr = at(t)
+        scores = dp[: len(e), :, None] + tr
+        back.append(scores.argmax(axis=1))
+        dp = scores.max(axis=1) + e
+        fresh.append(~np.isfinite(dp).any(axis=1))
+        dp[fresh[-1]] = e[fresh[-1]]
+        top.append(dp.argmax(axis=1))
+    path = [top[-1]]
+    for t in range(len(n_open) - 2, -1, -1):
+        after, kept = path[-1], ~fresh[t + 1]
+        chosen = top[t].copy()
+        chosen[: len(after)][kept] = back[t + 1][kept, after[kept]]
+        path.append(chosen)
+    return path[::-1], fresh, dp
 
 
 def viterbi_decode(
@@ -492,42 +510,51 @@ def viterbi_decode(
     the [n_i, n_{i+1}] matrix of step-to-step scores. Returns the best total
     score and one argmax candidate index per step. Adding a constant to all
     of a step's emission or transition scores shifts the score but never
-    changes the argmax path.
+    changes the argmax path. This is :func:`_max_sum` on one sequence, so a
+    step no finite score reaches restarts the chain, and scores the last.
     """
-    dp = np.asarray(emissions[0], dtype=np.float64).copy()
-    back: list[np.ndarray] = []
-    for e, tr in zip(emissions[1:], transitions):
-        scores = dp[:, None] + np.asarray(tr, dtype=np.float64)
-        best_prev = np.argmax(scores, axis=0)
-        dp = scores[best_prev, np.arange(scores.shape[1])] + np.asarray(e)
-        back.append(best_prev)
-    path = [int(np.argmax(dp))]
-    for bp in reversed(back):
-        path.append(int(bp[path[-1]]))
-    path.reverse()
-    return float(np.max(dp)), path
+    width = max(map(len, emissions))
+    e = np.full((len(emissions), 1, width), -np.inf)
+    tr = np.full((len(emissions), 1, width, width), -np.inf)
+    for t, scores in enumerate(emissions):
+        e[t, 0, : len(scores)] = scores
+        if t:
+            tr[t, 0, : len(emissions[t - 1]), : len(scores)] = transitions[t - 1]
+    path, _, dp = _max_sum([1] * len(emissions), lambda t: (e[t], tr[t] if t else None))
+    return float(dp.max()), [int(c[0]) for c in path]
 
 
 @dataclass
 class MatchResult:
-    """Everything the matcher decided for one trajectory.
-
-    ``matched[i]`` is the chosen candidate for point i (None when the point
-    had no candidate in radius). ``chains`` lists half-open [start, stop)
-    point index ranges decoded jointly. ``routes`` holds one stitched
-    segment-id sequence per chain; ``point_logprob[i]`` is point i's
-    contribution to its chain score (emission plus incoming transition).
+    """Everything the matcher decided for a run; trajectory k is points
+    ``ptr[k]`` to ``ptr[k + 1]``. ``matched[i]`` is point i's chosen candidate
+    (None when it had none in radius); ``chains`` lists the half-open
+    [start, stop) point ranges decoded jointly, none across a trajectory
+    bound; ``routes`` holds one stitched segment-id sequence per chain;
+    ``point_logprob[i]`` is point i's emission plus incoming transition.
     """
 
     matched: list[Candidate | None]
     chains: list[tuple[int, int]]
     routes: list[list[str]]
     point_logprob: list[float | None]
+    ptr: list[int]
 
     @property
     def breaks(self) -> list[int]:
-        """The chain starts after the first, where continuity was lost."""
-        return [start for start, _ in self.chains[1:]]
+        """The chain starts after a trajectory's first chain, where
+        continuity was lost."""
+        inner = self.ptr[1:-1]
+        return [s for (b, _), (s, _) in zip(self.chains, self.chains[1:])
+                if bisect.bisect_right(inner, b) == bisect.bisect_right(inner, s)]
+
+    def trajectory(self, k: int) -> MatchResult:
+        """Trajectory k's part, as a one-trajectory match of its points."""
+        lo, hi = self.ptr[k], self.ptr[k + 1]
+        first, last = (bisect.bisect_left(self.chains, (i,)) for i in (lo, hi))
+        chains = [(start - lo, stop - lo) for start, stop in self.chains[first:last]]
+        return MatchResult(self.matched[lo:hi], chains, self.routes[first:last],
+                           self.point_logprob[lo:hi], [0, hi - lo])
 
     def route(self) -> list[str]:
         """All chain routes concatenated, consecutive duplicates removed."""
@@ -539,97 +566,111 @@ class MatchResult:
         return out
 
 
-def viterbi_match(network: RoadNetwork, points, params: MatchParams) -> MatchResult:
-    """Match one trajectory, an [n, 2] array or list of (lon, lat), to the network.
+# Candidate-pair cells of one max-sum step or route-query chunk: bounds memory.
+_STEP_CELLS = 1 << 14
 
-    Every point's candidates are found in one search, and every pair of
-    consecutive points' candidates is routed in one call. Chains are then
-    built in order. The first point of a chain reaches all its candidates, a
-    later point those that a finite route joins to a reached candidate of
-    the point before; a point that reaches none, or has none, closes the
-    chain, which :func:`viterbi_decode` decodes. Routes come from the
-    network's route table, which outlives the call. Raises
-    NoCandidatesAnywhere when not a single point has a candidate.
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of non-negative integer ``keys``, sorted."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def viterbi_match(
+    network: RoadNetwork, points, params: MatchParams, ptr=None
+) -> MatchResult:
+    """Match a run of trajectories, an [n, 2] array or list of (lon, lat), to
+    the network; trajectory k is points ``ptr[k]`` to ``ptr[k + 1]`` (default:
+    one trajectory). One search finds every point's candidates, the route
+    table settles each origin segment once for every target the run asks of
+    it, and :func:`_max_sum` advances all trajectories together. A point that
+    no finite route reaches, or that has no candidate, closes its chain; no
+    chain crosses a trajectory bound, so part k equals a one-trajectory call.
+    Raises NoCandidatesAnywhere for the first trajectory without a candidate.
     """
     points = np.asarray(points, dtype=np.float64)
-    if not len(points):
-        raise ValueError("trajectory has no points")
+    ptr = np.asarray([0, len(points)] if ptr is None else ptr, dtype=np.int64)
+    sizes = np.diff(ptr)
+    if len(ptr) < 2 or ptr[0] != 0 or ptr[-1] != len(points) or not (sizes > 0).all():
+        raise ValueError(f"trajectories need points: {len(points)} split at {ptr.tolist()}")
     if points.shape != (len(points), 2):
         raise ValueError(f"points must be (lon, lat) pairs, got shape {points.shape}")
     lon, lat = points.T
     cands = _search(network, lon, lat, params)
-    if not len(cands.code):
+    cptr, count, code, offset = cands.ptr, np.diff(cands.ptr), cands.code, cands.offset_m
+    found = np.add.reduceat(count, ptr[:-1])
+    if not found.all():
         raise NoCandidatesAnywhere(
             f"no candidates within {params.radius_m} m of any of the "
-            f"{len(points)} points"
+            f"{sizes[np.argmin(found)]} points"
         )
-    emissions = emission_logprob(cands.distance_m, params.sigma_m)
+    emissions = np.append(emission_logprob(cands.distance_m, params.sigma_m), -np.inf)
+    ends = (c.tolist() for c in (lon[:-1], lat[:-1], lon[1:], lat[1:]))
+    greatcircle = np.array([0.0, *map(haversine_m, *ends)])  # from point i - 1 to i
+    width = int(count.max())
+    block = max(1, _STEP_CELLS // (width * width))
 
-    # The (previous candidate, candidate) pairs of every step between two
-    # points, step by step, previous-major: step i - 1 -> i holds pairs
-    # bounds[i - 1] to bounds[i].
-    ptr, count = cands.ptr, np.diff(cands.ptr)
-    size = count[:-1] * count[1:]
-    bounds = np.concatenate([[0], size.cumsum()])
-    pair_step = np.repeat(np.arange(len(size)), size)
-    k = np.arange(bounds[-1]) - bounds[pair_step]
-    src = ptr[pair_step] + k // count[pair_step + 1]
-    dst = ptr[pair_step + 1] + k % count[pair_step + 1]
-    route_m = _route_distances(
-        network, cands.code[src], cands.offset_m[src], cands.code[dst], cands.offset_m[dst]
+    def pairs(p):
+        """Candidate pairs of the steps into points p: step, rows and ranks."""
+        size = count[p - 1] * count[p]
+        step = np.repeat(np.arange(len(p)), size)
+        rank_in_step = np.arange(len(step)) - np.repeat(size.cumsum() - size, size)
+        i, j = np.divmod(rank_in_step, count[p][step])
+        return step, cptr[p - 1][step] + i, cptr[p][step] + j, i, j
+
+    # Every step's segment pairs, then one table query for their union.
+    n_seg = len(network.routes.ids)
+    steps = np.setdiff1d(np.arange(len(points)), ptr, assume_unique=True)
+    chunks = (pairs(steps[s : s + block])[1:3] for s in range(0, len(steps), block))
+    asked = (_distinct(code[a] * n_seg + code[b]) for a, b in chunks)
+    keys = _distinct(np.concatenate([np.empty(0, np.int64), *asked]))
+    starts = _route_distances(network, *np.divmod(keys, n_seg))
+
+    def route_m(a, b):
+        """Route distances from candidate rows a to candidate rows b."""
+        start = starts[np.searchsorted(keys, code[a] * n_seg + code[b])]
+        return _candidate_routes(network, start, code[a], offset[a], code[b], offset[b])
+
+    # Longest trajectories first, in groups whose steps fit the cell bound.
+    choice, fresh = np.zeros(len(points), dtype=np.int64), np.zeros(len(points), dtype=bool)
+    order = np.argsort(-sizes, kind="stable")
+    rank = np.arange(width)
+    for g in range(0, len(order), block):
+        first, length = ptr[order[g : g + block]], sizes[order[g : g + block]]
+
+        def at(t):
+            p = first[: n_open[t]] + t
+            e = emissions[np.where(rank < count[p, None], cptr[p, None] + rank, -1)]
+            if not t:
+                return e, None
+            step, a, b, i, j = pairs(p)
+            tr = np.full((len(p), width, width), -np.inf)
+            tr[step, i, j] = transition_logprob(route_m(a, b), greatcircle[p][step], params.beta_m)
+            return e, tr
+
+        n_open = np.searchsorted(-length, -np.arange(length[0]))
+        for t, (c, f) in enumerate(zip(*_max_sum(n_open, at)[:2])):
+            choice[first[: len(c)] + t], fresh[first[: len(c)] + t] = c, f
+
+    # A chain runs from one chain start to the next, over matched points.
+    matched = count > 0
+    rows, fresh = (cptr[:-1] + choice)[matched], fresh[matched]
+    point, lead, legs = np.flatnonzero(matched), np.flatnonzero(fresh), np.flatnonzero(~fresh)
+    stops = point[np.append(lead[1:], len(point)) - 1] + 1
+    a, b = rows[legs - 1], rows[legs]
+    leg_m = route_m(a, b)
+    logprob = emissions[rows]
+    logprob[legs] += transition_logprob(leg_m, greatcircle[point[legs]], params.beta_m)
+    hops = ~_one_segment(code[a], offset[a], code[b], offset[b], leg_m)
+    stitched = [[c] for c in code[rows[lead]].tolist()]
+    chain_of = np.searchsorted(lead, legs[hops], side="right") - 1
+    for k, o, t in zip(chain_of.tolist(), code[a[hops]].tolist(), code[b[hops]].tolist()):
+        stitched[k] += network.routes.chain(o, t)
+    picked, scores = iter(cands.pick(network, rows)), iter(logprob.tolist())
+    return MatchResult(
+        [next(picked) if m else None for m in matched.tolist()],
+        list(zip(point[lead].tolist(), stops.tolist())),
+        [[network.routes.ids[c] for c, prev in zip(r, [-1, *r]) if c != prev] for r in stitched],
+        [next(scores) if m else None for m in matched.tolist()],
+        ptr.tolist(),
     )
-    coords = points.tolist()
-    greatcircle = [haversine_m(*a, *b) for a, b in zip(coords, coords[1:])]
-    transitions = transition_logprob(route_m, np.take(greatcircle, pair_step), params.beta_m)
-
-    def at_step(pairs: np.ndarray, i: int) -> np.ndarray:
-        """Step i - 1 -> i of a per-pair array, as a matrix view."""
-        return pairs[bounds[i - 1] : bounds[i]].reshape(count[i - 1], count[i])
-
-    matched: list[Candidate | None] = [None] * len(points)
-    point_logprob: list[float | None] = [None] * len(points)
-    chains: list[tuple[int, int]] = []
-    routes: list[list[str]] = []
-
-    def close_chain(start, stop):
-        emit = [emissions[ptr[i] : ptr[i + 1]] for i in range(start, stop)]
-        trans = [at_step(transitions, i) for i in range(start + 1, stop)]
-        _, idx = viterbi_decode(emit, trans)
-        chosen = cands.pick(network, ptr[start:stop] + idx)
-        matched[start:stop] = chosen
-        # Per-point score contributions along the chosen path.
-        point_logprob[start] = float(emit[0][idx[0]])
-        route = [chosen[0].segment_id]
-        for n in range(1, len(idx)):
-            point_logprob[start + n] = float(emit[n][idx[n]] + trans[n - 1][idx[n - 1], idx[n]])
-            d = float(at_step(route_m, start + n)[idx[n - 1], idx[n]])
-            for gid in _leg(network, chosen[n - 1], chosen[n], d) or ():
-                if route[-1] != gid:
-                    route.append(gid)
-        chains.append((start, stop))
-        routes.append(route)
-
-    # The running chain's first point, and which candidates of its last
-    # point are reached.
-    start = None
-    for i in range(len(points)):
-        if not count[i]:
-            if start is not None:
-                close_chain(start, i)
-                start = None
-            continue
-        if start is not None:
-            # Routes from the previous point's reached candidates only; the
-            # others stay unreachable. The views write through, so the
-            # decode reads the masked rows.
-            d, tr = at_step(route_m, i), at_step(transitions, i)
-            d[~reached] = np.inf
-            tr[~reached] = -np.inf
-            reached = np.isfinite(d).any(axis=0)
-            if reached.any():
-                continue
-            close_chain(start, i)
-        start, reached = i, np.ones(count[i], dtype=bool)
-    if start is not None:
-        close_chain(start, len(points))
-    return MatchResult(matched, chains, routes, point_logprob)

@@ -285,7 +285,8 @@ def filter_trajectories(
     sink a user below min_trajs_per_user, which can sink another location, so
     the three filters iterate until nothing changes. The result is idempotent:
     filtering it again with the same thresholds returns it unchanged.
-    Location counting ignores points whose location is None.
+    Location counting ignores points whose location is None. A piece needs a
+    point whatever ``min_points`` is, so emptied pieces never count a user.
     """
     ids: dict = {None: -1}
     location = np.array([ids.setdefault(v, len(ids) - 1) for v in trajs.values("location")], int)
@@ -295,7 +296,7 @@ def filter_trajectories(
     keep = np.ones(len(trajs), dtype=bool)  # per trajectory
     alive = np.ones(len(trajs.rows), dtype=bool)  # per position of rows
     while True:
-        kept = keep & (np.bincount(owner[alive], minlength=len(trajs)) >= min_points)
+        kept = keep & (np.bincount(owner[alive], minlength=len(trajs)) >= max(min_points, 1))
         if min_trajs_per_user > 0:
             kept &= np.bincount(user[kept], minlength=len(users))[user] >= min_trajs_per_user
         trim = np.zeros_like(alive)

@@ -604,14 +604,14 @@ def _run_map_matching(cfg: Config, inputs) -> tuple[dict, dict]:
     })
     lengths = network.segment_lengths()
     per_traj: dict = {}
-    locations: list[str | None] = []
     pooled = {"d_true": 0.0, "d_subtracted": 0.0, "d_added": 0.0, "d_correct": 0.0}
     pooled_counts = {"n_correct": 0, "n_true": 0}
-    for user, lo, hi in zip(trajs.users, trajs.ptr.tolist(), trajs.ptr[1:].tolist()):
-        result = viterbi_match(network, points[lo:hi], params)
-        locations.extend(m.segment_id if m else None for m in result.matched)
+    matches = viterbi_match(network, points, params, trajs.ptr)
+    locations = [m.segment_id if m else None for m in matches.matched]
+    for k, user in enumerate(trajs.users):
+        result = matches.trajectory(k)
         entry: dict = {
-            "n_points": hi - lo,
+            "n_points": len(result.matched),
             "n_breaks": len(result.breaks),
             "route": result.route(),
         }

@@ -616,11 +616,12 @@ def filter_trajectories(
     sink a user below min_trajs_per_user, which can sink another location, so
     the three filters iterate until nothing changes. The result is idempotent:
     filtering it again with the same thresholds returns it unchanged.
-    Location counting ignores points whose location is None.
+    Location counting ignores points whose location is None. A trajectory
+    needs at least one point, whatever ``min_points`` is.
     """
     trajs = list(trajectories)
     while True:
-        kept = [t for t in trajs if len(t.points) >= min_points]
+        kept = [t for t in trajs if len(t.points) >= max(min_points, 1)]
         if min_trajs_per_user > 0:
             per_user: dict[str, int] = {}
             for t in kept:

@@ -101,6 +101,41 @@ def test_property_typing_rules():
     assert rec.properties["f"] == 1000.0
 
 
+@pytest.mark.parametrize("cell", ["٣", '"5\n"', " 5", "٣.٥", "1_000", "１.５"])
+def test_number_cells_outside_ascii_digits_stay_strings(cell):
+    """int() and float() also read other scripts' digits, surrounding
+    whitespace and underscores; such a property cell stays the string it is,
+    so writing the table gives back the same bytes."""
+    text = f"usr_id,v\nu1,{cell}\n".encode()
+    (rec,) = parse_table("usr", text)
+    assert rec.properties["v"] == cell.strip('"')
+    assert write_table("usr", [rec]) == text
+
+
+@pytest.mark.parametrize("stamp", ["٢٠٢٤-01-01T00:00:00Z", "2024-01-01T0٣:00:00Z"])
+def test_timestamps_in_other_scripts_digits_are_located(stamp):
+    with pytest.raises(ValueError):
+        parse_timestamp(stamp)
+    text = f"ext_id,time\nw0,2024-01-01T00:00:00Z\nw1,{stamp}\n"
+    with pytest.raises(BadTimestamp) as err:
+        read_table("ext", text)
+    assert (err.value.table, err.value.row, err.value.column) == ("ext", 2, "time")
+    assert err.value.exit_code == 3
+
+
+@pytest.mark.parametrize("cell", ["٣", '"5\n"', "３"])
+def test_grid_index_outside_ascii_digits_is_located(cell):
+    text = (
+        "dyna_id,type,time,row_id,col_id,v\n"
+        "d0,state,2020-01-01T00:00:00Z,0,0,1\n"
+        f"d1,state,2020-01-01T00:00:00Z,{cell},0,1\n"
+    )
+    with pytest.raises(BadFieldValue) as err:
+        read_table("grid", text)
+    assert (err.value.table, err.value.row, err.value.column) == ("grid", 2, "row_id")
+    assert err.value.exit_code == 3
+
+
 def test_float_repr_round_trip_is_exact():
     values = [0.1, 1 / 3, 1e-300, 123456.789012345, -2.5e17]
     recs = [UserUnit(f"u{i}", {"v": v}) for i, v in enumerate(values)]

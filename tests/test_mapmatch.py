@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import struct
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from stkit.mapmatch import (
     MatchResult,
     RoadNetwork,
     Segment,
+    _candidate_routes,
     _route_distances,
     build_road_network,
     candidate_segments,
@@ -692,15 +694,155 @@ def test_match_equals_per_call_dijkstra_reference():
     assert all(v > 0 for v in seen.values()), seen
 
 
+OFF = (5.0, 5.0)  # a point far from every random network
+
+
+def random_run(rng, network, params):
+    """Random traces laid end to end, each with a candidate somewhere: some
+    one point long, some starting or ending far off the network. Returns
+    the traces, the points and ``ptr``."""
+    traces = []
+    while len(traces) < 8:
+        trace = random_trace(rng, int(rng.choice([1, 1, 2, 5, 20, 40])))
+        if rng.random() < 0.25:
+            trace = [OFF, *trace]
+        if rng.random() < 0.25:
+            trace = [*trace, OFF]
+        if any(scalar_candidates(network, *p, params) for p in trace):
+            traces.append(trace)
+    ptr = np.cumsum([0, *map(len, traces)])
+    return traces, [p for t in traces for p in t], ptr
+
+
+def test_run_equals_the_reference_per_trajectory():
+    """A run of traces laid end to end decodes each trace as the per-call
+    reference does: matched candidates, chains, routes and breaks equal,
+    point scores to 1e-9 relative, and the run's breaks are the traces'."""
+    rng = np.random.default_rng(53)
+    seen = {"one_point": 0, "first_off": 0, "last_off": 0, "breaks": 0}
+    for trial in range(25):
+        network = random_network(rng, int(rng.integers(6, 16)), float(rng.choice([0.05, 0.3])))
+        params = MatchParams(
+            sigma_m=float(rng.choice([5.0, 60.0])),
+            beta_m=float(rng.choice([2.0, 50.0])),
+            radius_m=float(rng.choice([80.0, 200.0])),
+            max_candidates=int(rng.integers(1, 6)),
+        )
+        traces, points, ptr = random_run(rng, network, params)
+        run = viterbi_match(network, points, params, ptr)
+        assert run.ptr == ptr.tolist() and len(run.matched) == len(points)
+        breaks = []
+        for k, trace in enumerate(traces):
+            got = run.trajectory(k)
+            matched, chains, routes, logprob, _ = _reference_match(network, trace, params)
+            assert got.matched == matched
+            assert got.chains == chains
+            assert got.routes == routes
+            assert got.breaks == [c[0] for c in chains[1:]]
+            for g, w in zip(got.point_logprob, logprob):
+                assert (g is None) == (w is None)
+                assert w is None or abs(g - w) <= 1e-9 * max(1.0, abs(w))
+            breaks += [b + int(ptr[k]) for b in got.breaks]
+            seen["one_point"] += len(trace) == 1
+            seen["first_off"] += matched[0] is None
+            seen["last_off"] += matched[-1] is None
+        assert run.breaks == breaks
+        seen["breaks"] += len(breaks)
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_trajectory_k_equals_a_one_trajectory_call():
+    """Part k of a run is exactly what a one-trajectory call on trace k
+    returns, on a fresh route table or on the table the run filled."""
+    rng = np.random.default_rng(59)
+    for trial in range(10):
+        network = random_network(rng, int(rng.integers(6, 16)), 0.15)
+        params = MatchParams(sigma_m=20.0, beta_m=10.0, max_candidates=int(rng.integers(1, 6)))
+        traces, points, ptr = random_run(rng, network, params)
+        run = viterbi_match(network, points, params, ptr)
+        for k, trace in enumerate(traces):
+            alone = viterbi_match(fresh_table(network), trace, params)
+            assert run.trajectory(k) == alone == viterbi_match(network, trace, params)
+            assert alone.ptr == [0, len(trace)]
+
+
+def test_no_chain_crosses_a_trajectory_bound():
+    """The corridor routes A to B, so one trace over both is one chain; as
+    two trajectories it is two chains, and the second start is no break."""
+    net = corridor()
+    points = [(0.0002, 0.0), (0.0007, 0.0), (0.0012, 0.0), (0.0018, 0.0)]
+    assert viterbi_match(net, points, MatchParams()).chains == [(0, 4)]
+    run = viterbi_match(net, points, MatchParams(), [0, 2, 4])
+    assert run.chains == [(0, 2), (2, 4)]
+    assert run.breaks == []
+    assert run.routes == [["A"], ["B"]]
+    # Point 2 starts a chain: its score is its emission alone.
+    assert run.point_logprob[2] == emission_logprob(run.matched[2].distance_m, 10.0)
+    # A break inside the second trajectory is still a break.
+    run = viterbi_match(net, [*points[:2], (0.0012, 0.0), (0.5, 0.5), (0.0018, 0.0)],
+                        MatchParams(), [0, 2, 5])
+    assert run.chains == [(0, 2), (2, 3), (4, 5)]
+    assert run.breaks == [4]
+    assert [len(run.trajectory(k).breaks) for k in (0, 1)] == [0, 1]
+
+
+def test_no_candidates_anywhere_names_the_first_such_trajectory():
+    net = corridor()
+    on, off = (0.0005, 0.0), (0.5, 0.5)
+    points = [on, on, off, off, off, off, off, on]
+    with pytest.raises(NoCandidatesAnywhere) as err:
+        viterbi_match(net, points, MatchParams(), [0, 2, 5, 7, 8])
+    with pytest.raises(NoCandidatesAnywhere) as alone:
+        viterbi_match(net, points[2:5], MatchParams())
+    assert str(err.value) == str(alone.value)
+    assert "of any of the 3 points" in str(err.value)
+    for ptr in ([0, 0, 8], [1, 8], [0, 9], [0, 5, 3, 8]):
+        with pytest.raises(ValueError):
+            viterbi_match(net, points, MatchParams(), ptr)
+
+
+def test_each_origin_settles_once_per_run(monkeypatch):
+    """A run asks the route table for every step's targets before decoding,
+    so each origin segment any step leaves from is settled exactly once."""
+    settled = Counter()
+    real = mapmatch._RouteTable._settle
+
+    def counting(self, origin, targets):
+        settled[origin] += 1
+        return real(self, origin, targets)
+
+    monkeypatch.setattr(mapmatch._RouteTable, "_settle", counting)
+    rng = np.random.default_rng(61)
+    for trial in range(10):
+        network = random_network(rng, int(rng.integers(6, 16)), 0.15)
+        params = MatchParams(radius_m=200.0, max_candidates=int(rng.integers(1, 6)))
+        traces, points, ptr = random_run(rng, network, params)
+        settled.clear()
+        viterbi_match(network, points, params, ptr)
+        code = network.routes.code
+        origins = {
+            code[c.segment_id]
+            for trace in traces
+            for a, b in zip(trace, trace[1:])
+            if scalar_candidates(network, *b, params)
+            for c in scalar_candidates(network, *a, params)
+        }
+        assert set(settled) == origins and set(settled.values()) <= {1}
+
+
 def route_matrix(network, origins, targets):
-    """``_route_distances`` of every (origin, target) candidate pair, as a
+    """The route distance of every (origin, target) candidate pair, from one
+    ``_route_distances`` query over their distinct segment pairs, as a
     [len(origins), len(targets)] matrix."""
     code = network.routes.code
     seg = np.array([code[c.segment_id] for c in [*origins, *targets]])
     off = np.array([c.offset_m for c in [*origins, *targets]])
     o, t = np.divmod(np.arange(len(origins) * len(targets)), len(targets))
     t += len(origins)
-    return _route_distances(network, seg[o], off[o], seg[t], off[t]).reshape(
+    n = len(network.routes.ids)
+    keys, inverse = np.unique(seg[o] * n + seg[t], return_inverse=True)
+    start = _route_distances(network, *np.divmod(keys, n))[inverse]
+    return _candidate_routes(network, start, seg[o], off[o], seg[t], off[t]).reshape(
         len(origins), len(targets)
     )
 

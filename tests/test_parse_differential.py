@@ -79,7 +79,7 @@ def _parse_enum_cell(cell, domain, table, row, column):
 
 
 def _parse_index_cell(cell, table, row, column) -> int:
-    if not _INT_RE.match(cell) or int(cell) < 0:
+    if not _INT_RE.fullmatch(cell) or int(cell) < 0:
         raise BadFieldValue(
             f"expected a non-negative integer, got {cell!r}",
             table=table,
@@ -560,10 +560,11 @@ def test_unknown_geo_types_sharing_a_coordinates_cell():
     assert got[1][0] is BadCoordinate and got[1][3:] == (3, "coordinates")
 
 
-def test_ext_stamps_that_spell_one_instant_two_ways_repeat_the_identity():
-    """Unicode digits parse as digits, so two distinct time cells can hold one
-    instant; the (ext_id, time) identity compares the instants."""
+def test_ext_stamps_in_other_scripts_digits_are_located():
+    """Only ASCII digits spell a stamp, so one instant has one spelling: a
+    stamp in full-width digits fails at its row, not as a repeat of the
+    instant before it."""
     text = "ext_id,time\nx0,2024-01-01T00:00:00Z\nx0,２０２４-01-01T00:00:00Z\n"
     got = outcome(parse_table, "ext", text)
     assert got == outcome(reference_parse_table, "ext", text)
-    assert got[1][0] is DuplicateId and got[1][3:] == (2, "ext_id")
+    assert got[1][0] is BadTimestamp and got[1][3:] == (2, "time")

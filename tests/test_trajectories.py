@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -114,8 +115,8 @@ def test_cut_filter_and_split_equal_the_objects(seed):
 
 def test_the_thresholds_cascade_and_trim_to_empty_pieces():
     """The random tables reach what the thresholds are there for: a piece
-    that survives the first pass but not a later one, and a piece trimmed
-    to no points."""
+    that survives the first pass but not a later one, and a piece that the
+    first pass's trimming leaves with no points."""
     cascades = emptied = 0
     for seed in SEEDS:
         table = tables(seed)[0]
@@ -129,8 +130,47 @@ def test_the_thresholds_cascade_and_trim_to_empty_pieces():
                 per_user = Counter(t.user_id for t in first)
                 first = [t for t in first if per_user[t.user_id] >= users]
                 cascades += len(kept) < len(first)
-                emptied += any(len(t) == 0 for t in kept)
+                seen = Counter(p.location for t in first for p in t.points)
+                emptied += any(
+                    all(p.location is not None and seen[p.location] < visits for p in t.points)
+                    for t in first
+                )
     assert cascades and emptied
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_no_split_holds_an_empty_piece(seed):
+    """Whatever the thresholds and the cut, every piece the filter keeps and
+    every piece of every split has a point: a piece the location filter
+    empties is dropped, with min_points 0 too."""
+    spec = SplitSpec(0.6, 0.2, 0.2)
+    for table in tables(seed):
+        trajs = build_trajectories(table)
+        for cut in CUTS:
+            for points, users, visits in THRESHOLDS:
+                kept = filter_trajectories(cut_trajectories(trajs, cut), points, users, visits)
+                assert (np.diff(kept.ptr) > 0).all(), (cut, points, users, visits)
+                for split in split_per_user(kept, spec).values():
+                    assert (np.diff(split.ptr) > 0).all(), (cut, points, users, visits)
+
+
+def test_a_user_whose_pieces_are_all_emptied_is_dropped():
+    """User a's two pieces visit locations seen once each. Trimming those
+    locations empties both pieces, so a has no piece left to count toward
+    min_trajs_per_user, even with min_points 0."""
+    hour = timedelta(hours=1)
+    rows = [("a", 0, "rare0"), ("a", 100, "rare1")]
+    rows += [(user, 10 * k, f"g{k % 2}") for user in ("b", "c") for k in range(4)]
+    records = [
+        DynaRecord(f"d{n}", "trajectory", T0 + t * hour, user, loc, {})
+        for n, (user, t, loc) in enumerate(rows)
+    ]
+    pieces = cut_trajectories(build_trajectories(records), TrajWindowSpec("time", 24 * 3600))
+    assert pieces.users.count("a") == 2
+    kept = filter_trajectories(pieces, 0, 1, 2)
+    assert "a" not in kept.users and set(kept.users) == {"b", "c"}
+    assert (np.diff(kept.ptr) > 0).all()
+    assert "a" not in {t.user_id for t in oracle_filter(objects(pieces), 0, 1, 2)}
 
 
 def shuffled_traces(tmp_path, seed):
