@@ -87,6 +87,7 @@ __all__ = [
     "format_timestamp",
     "Column",
     "Table",
+    "NUMBER", "EMPTY", "MISSING", "TEXT", "HUGE",
     "as_table",
     "read_table",
     "parse_table",
@@ -490,6 +491,21 @@ class _Missing(enum.Enum):
 
 _MISSING = _Missing.MISSING
 
+# Why a property value is or is not a number, per row of Table.numbers: a
+# number (int, float or bool), empty (None), missing (the record lacks the
+# property), text, or an int too large for a float.
+NUMBER, EMPTY, MISSING, TEXT, HUGE = range(5)
+
+
+def _as_number(value) -> tuple[float, int]:
+    """``value`` as a float and its reason; 0.0 when it is not a number."""
+    if not isinstance(value, (int, float)):
+        return 0.0, EMPTY if value is None else MISSING if value is _MISSING else TEXT
+    try:
+        return float(value), NUMBER
+    except OverflowError:
+        return 0.0, HUGE
+
 
 class Column(NamedTuple):
     """One column as codes into values: row ``i`` holds ``values[codes[i]]``.
@@ -569,6 +585,16 @@ class Table(Sequence):
                 column = Column(raw.codes, [_coerce_scalar(s) for s in raw.values])
             self._props[name] = column
         return column
+
+    def numbers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The property ``name`` per row as float64, 0.0 where it is not a
+        number, and per row its int8 reason: NUMBER, EMPTY, MISSING, TEXT or
+        HUGE. Each distinct value converts once."""
+        column = self.prop(name)
+        pairs = list(map(_as_number, column.values))
+        numbers = np.array([x for x, _ in pairs], dtype=np.float64)
+        reasons = np.array([r for _, r in pairs], dtype=np.int8)
+        return numbers[column.codes], reasons[column.codes]
 
     def ordinal(self, row: int) -> int:
         """The 1-based data row number of ``row`` in its file; blank lines count."""

@@ -61,6 +61,13 @@ __all__ = [
 ]
 
 
+def _name_fault(name: str) -> str | None:
+    """Why a dataset ``name`` is not a plain file name; None if it is one."""
+    if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
+        return f"name {name!r} is not a plain file name"
+    return None
+
+
 @dataclass
 class Manifest:
     """Dataset-level metadata stored as manifest.json."""
@@ -89,8 +96,8 @@ class Manifest:
         if "name" not in payload:
             raise bad("name", "manifest lacks the dataset name")
         name = str(payload["name"])
-        if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
-            raise bad("name", f"name {name!r} is not a plain file name")
+        if fault := _name_fault(name):
+            raise bad("name", fault)
         for key in ("interval_seconds", "grid_rows", "grid_cols"):
             value = payload.get(key)
             if isinstance(value, bool) or not isinstance(value, (int, type(None))):
@@ -505,8 +512,8 @@ class RawConversionSpec:
     def from_json(cls, payload: Mapping) -> "RawConversionSpec":
         """The spec of a ``conversion`` config object. A missing required
         field raises KeyError; a value of the wrong kind BadConfigFile naming
-        ``conversion.<field>``. Every field is a string, None where its
-        default is None, except ``property_columns``: a list of strings."""
+        ``conversion.<field>``. ``property_columns`` is a list of strings, ``name``
+        a plain file name, and every other field a string (None if its default is)."""
         columns = payload.get("property_columns", [])
         if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
             raise BadConfigFile(
@@ -532,6 +539,8 @@ class RawConversionSpec:
                 raise BadConfigFile(
                     f"config key conversion.{f.name}: expected {want}, got {value!r}"
                 )
+        if fault := _name_fault(spec.name):
+            raise BadConfigFile(f"config key conversion.name: {fault}")
         return spec
 
 

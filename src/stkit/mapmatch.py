@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .atomic import as_table
 from .exceptions import (
     BadMatchParams,
     NoCandidatesAnywhere,
@@ -241,31 +242,31 @@ class RoadNetwork:
 def build_road_network(geos, rels) -> RoadNetwork:
     """Assemble the directed segment graph from geometry and relation rows.
 
-    Every geo unit must be a LineString (NonLineGeometry otherwise); every
-    relation row of type ``geo`` adds one directed connectivity edge whose
-    endpoints must name known segments. No spatial index is built: the
-    network's segment boxes are all candidate search needs, at any radius.
+    Both are Tables or record lists, read as columns. Every geo unit must be
+    a LineString (NonLineGeometry names the first that is not); every
+    relation row of type ``geo`` adds one directed edge between known
+    segments. No spatial index is built: segment boxes serve any radius.
     """
+    geo, rel = as_table("geo", geos), as_table("rel", rels)
+    ids, types = geo.field("geo_id"), geo.field("geo_type")
+    if (bad := types.flags(lambda t: t != "LineString")).any():
+        row = int(np.argmax(bad))
+        raise NonLineGeometry(f"geo unit {ids.at(row)!r} is {types.at(row)}, need LineString")
     segments: dict[str, Segment] = {}
-    for g in geos:
-        if g.geo_type != "LineString":
-            raise NonLineGeometry(
-                f"geo unit {g.geo_id!r} is {g.geo_type}, need LineString"
-            )
+    for gid, coords in zip(ids.tolist(), geo.field("coordinates").tolist()):
         cum = [0.0]
-        for (lon1, lat1), (lon2, lat2) in zip(g.coordinates, g.coordinates[1:]):
+        for (lon1, lat1), (lon2, lat2) in zip(coords, coords[1:]):
             cum.append(cum[-1] + haversine_m(lon1, lat1, lon2, lat2))
-        segments[g.geo_id] = Segment(
-            g.geo_id, tuple(g.coordinates), cum[-1], tuple(cum)
-        )
+        segments[gid] = Segment(gid, coords, cum[-1], tuple(cum))
     adj: dict[str, list[str]] = {gid: [] for gid in segments}
-    for r in rels:
-        if r.rel_type != "geo":
+    edges = zip(*(rel.field(a).tolist() for a in ("rel_type", "origin_id", "des_id")))
+    for rel_type, origin, dest in edges:
+        if rel_type != "geo":
             continue
-        for side in (r.origin_id, r.des_id):
+        for side in (origin, dest):
             if side not in segments:
                 raise UnknownEntity(f"relation endpoint {side!r} is not a segment")
-        adj[r.origin_id].append(r.des_id)
+        adj[origin].append(dest)
     return RoadNetwork(segments, {gid: tuple(v) for gid, v in adj.items()})
 
 

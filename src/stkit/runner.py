@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .atomic import _MISSING, Column, Table, format_timestamp, write_table
+from .atomic import HUGE, NUMBER, TEXT, Column, Table, format_timestamp, write_table
 from .baselines import HAModel, PersistenceModel, VARModel, ha_fit, var_fit
 from .config import Config, check_keys, read_json_object, write_json
 from .dataset import (
@@ -95,8 +95,8 @@ __all__ = [
     "cmd_stats",
 ]
 
-# cmd_run writes a run into ``<run_id>.staging`` beside its final directory
-# and renames it into place whole, so a run directory is complete or absent.
+# A run or a converted dataset is written into ``<name>.staging`` beside its
+# final directory and renamed into place whole, so it is complete or absent.
 STAGING_SUFFIX = ".staging"
 
 
@@ -522,19 +522,6 @@ def _write_predictions(path: Path, pred: np.ndarray, truth: np.ndarray, mask) ->
         out.write(_end_records(len(central), start, out.tell() - start))
 
 
-def _coordinate_fault(value) -> str | None:
-    """What keeps a trajectory lon or lat value from being a coordinate."""
-    if value is None or value is _MISSING:
-        return "is missing"
-    if not isinstance(value, (int, float)):
-        return f"has non-numeric value {value!r}"
-    try:
-        float(value)
-    except OverflowError:
-        return f"has value {value!r} too large for a float"
-    return None
-
-
 def _trajectory_rows(ds: AtomicDataset) -> Table:
     """The dyna rows of type trajectory, in file order."""
     return ds.dyna.select(ds.dyna.field("dyna_type").flags(lambda t: t == "trajectory"))
@@ -571,26 +558,20 @@ def _prepare_map_matching(ds: AtomicDataset, ds_dir: Path):
     traj = _trajectory_rows(ds)
     if not len(traj):
         raise EmptyTable("dataset has no trajectory rows to match")
-    faults, coordinates = [], []
-    for name in ("lon", "lat"):
-        column = traj.prop(name)
-        what = [_coordinate_fault(v) for v in column.values]
-        bad = np.array([w is not None for w in what], dtype=bool)[column.codes]
-        if bad.any():
-            row = int(np.argmax(bad))
-            faults.append((row, name, what[column.codes[row]]))
-        values = [math.nan if w else float(v) for v, w in zip(column.values, what)]
-        coordinates.append(np.array(values, dtype=np.float64)[column.codes])
-    if faults:
-        row, name, what = min(faults, key=lambda f: f[0])  # lon first on a tie
-        raise BadFieldValue(
-            f"trajectory property {name!r} {what}",
-            table="dyna",
-            row=traj.ordinal(row),
-            column=name,
-        )
+    (lon, lon_why), (lat, lat_why) = traj.numbers("lon"), traj.numbers("lat")
+    bad = (lon_why != NUMBER) | (lat_why != NUMBER)
+    if bad.any():
+        row = int(np.argmax(bad))
+        name, why = ("lon", lon_why) if lon_why[row] != NUMBER else ("lat", lat_why)
+        value = traj.prop(name).at(row)
+        what = {
+            TEXT: f"has non-numeric value {value!r}",
+            HUGE: f"has value {value!r} too large for a float",
+        }.get(why[row], "is missing")
+        message = f"trajectory property {name!r} {what}"
+        raise BadFieldValue(message, table="dyna", row=traj.ordinal(row), column=name)
     trajs = build_trajectories(traj)
-    points = np.column_stack(coordinates)[trajs.rows]
+    points = np.column_stack((lon, lat))[trajs.rows]
     network = build_road_network(ds.geo, ds.rel)
     truth_path = ds_dir / TRUTH_ROUTES_FILE
     truth = _truth_routes(truth_path, network) if truth_path.is_file() else None
@@ -764,17 +745,23 @@ def cmd_run(
         output_dir=str(out_dir),
         wall_time_s=0.0,  # set by _write_run
     )
+    _write_whole(out_dir, _write_run, record, cfg, extras, started)
+    return record
+
+
+def _write_whole(out_dir: Path, write: Callable, *args) -> None:
+    """``write(staging, *args)``, then the staging directory replaces ``out_dir``
+    whole: ``out_dir`` is complete or absent and keeps no file of an earlier one."""
     staging = out_dir.with_name(out_dir.name + STAGING_SUFFIX)
-    shutil.rmtree(staging, ignore_errors=True)  # left by a killed run
+    shutil.rmtree(staging, ignore_errors=True)  # left by a killed write
     _make_dir(staging)
     try:
-        _write_run(staging, record, cfg, extras, started)
-        shutil.rmtree(out_dir, ignore_errors=True)  # a rerun replaces it
+        write(staging, *args)
+        shutil.rmtree(out_dir, ignore_errors=True)
         os.replace(staging, out_dir)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
-    return record
 
 
 def _make_dir(path: Path) -> None:
@@ -962,7 +949,7 @@ def cmd_convert(cfg: Config) -> Path:
     """Convert a raw flat CSV (at --dataset) using the config's mapping.
 
     The config file must hold a ``conversion`` object understood by
-    RawConversionSpec; the result is written under output_dir.
+    RawConversionSpec; the result replaces output_dir's directory of its name.
     """
     raw_path = Path(cfg.get("dataset") or "")
     if not raw_path.is_file():
@@ -978,8 +965,7 @@ def cmd_convert(cfg: Config) -> Path:
         raise BadConfigFile(f"conversion mapping lacks {exc}") from None
     ds = convert_raw_csv(conv, raw_path.read_bytes())
     out = Path(cfg["output_dir"]) / ds.manifest.name
-    _make_dir(out)
-    save_dataset(ds, out)
+    _write_whole(out, lambda staging: save_dataset(ds, staging))
     return out
 
 

@@ -21,7 +21,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .atomic import (
-    _MISSING,
+    EMPTY,
+    HUGE,
+    MISSING,
+    NUMBER,
     Column,
     DynaRecord,
     GridRecord,
@@ -143,54 +146,28 @@ class MaskTensor:
         return self.values.shape
 
 
-def _feature_number(value) -> float | None:
-    """A typed property value as a tensor value; None when unobserved.
-
-    Raises ValueError for a value that is not a number and OverflowError for
-    an int beyond float range.
-    """
-    if value is None:
-        return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ValueError(value)
-
-
-def _bad_feature(table: Table, column: Column, name: str, row: int):
-    value = column.at(row)
-    if value is _MISSING:
+def _bad_feature(table: Table, name: str, reasons: np.ndarray, row: int):
+    value = table.prop(name).at(row)
+    if reasons[row] == MISSING:
         message = f"record {table[row]!r} lacks declared feature column {name!r}"
-    elif isinstance(value, int):
+    elif reasons[row] == HUGE:
         message = f"feature {name!r} has value {value!r} too large for a float"
     else:
         message = f"feature {name!r} has non-numeric value {value!r}"
-    raise BadFeatureValue(
-        message, table=table.kind, row=table.ordinal(row), column=name
-    )
+    raise BadFeatureValue(message, table=table.kind, row=table.ordinal(row), column=name)
 
 
 def _features(table: Table, features):
     """[n, D] feature values (0 where unobserved), observed flags, and one
-    check per feature. Each distinct value of a column converts once."""
-    n, D = len(table), len(features)
-    values = np.zeros((n, D), dtype=np.float64)
-    observed = np.zeros((n, D), dtype=bool)
+    check per feature, from :meth:`Table.numbers`; an empty cell is unobserved."""
+    values = np.zeros((len(table), len(features)), dtype=np.float64)
+    observed = np.zeros(values.shape, dtype=bool)
     checks = []
     for d, name in enumerate(features):
-        column = table.prop(name)
-        numbers, seen, bad = [], [], []
-        for value in column.values:
-            try:
-                number = _feature_number(value)
-            except (ValueError, OverflowError):
-                number = None
-            numbers.append(0.0 if number is None else number)
-            seen.append(number is not None)
-            bad.append(number is None and value is not None)
-        values[:, d] = np.array(numbers, dtype=np.float64)[column.codes]
-        observed[:, d] = np.array(seen, dtype=bool)[column.codes]
-        failed = np.array(bad, dtype=bool)[column.codes]
-        checks.append((failed, partial(_bad_feature, table, column, name)))
+        values[:, d], reasons = table.numbers(name)
+        observed[:, d] = reasons == NUMBER
+        failed = (reasons != NUMBER) & (reasons != EMPTY)
+        checks.append((failed, partial(_bad_feature, table, name, reasons)))
     return values, observed, checks
 
 

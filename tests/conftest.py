@@ -1,7 +1,7 @@
 """Shared test builders: random atomic tables, a clean dataset, a fault catalog,
 the scalar map-matching candidate search that the matcher tests use as their
-oracle, and the per-point trajectory objects that the trajectory tests use as
-theirs.
+oracle, the per-point trajectory objects that the trajectory tests use as
+theirs, and the per-value number rules that ``Table.numbers`` is held to.
 
 The random generators only emit canonical property values (values that the
 CSV typing rules can represent), so parse(write(x)) == x is a fair check.
@@ -671,3 +671,35 @@ def split_per_user(
         for segment, seg in zip(out.values(), _split_ranges(len(trajs), spec)):
             segment.extend(trajs[seg.start : seg.stop])
     return out
+
+
+# -- the per-value number rules: one feature value, one lon or lat value -----------
+#
+# The rules a feature cell and a trajectory coordinate were converted by, one
+# value at a time, kept as the oracle of Table.numbers.
+
+
+def feature_number(value) -> float | None:
+    """A typed property value as a tensor value; None when unobserved.
+
+    Raises ValueError for a value that is not a number and OverflowError for
+    an int beyond float range.
+    """
+    if value is None:
+        return None
+    if isinstance(value, (int, float)):
+        return float(value)
+    raise ValueError(value)
+
+
+def coordinate_fault(value) -> str | None:
+    """What keeps a trajectory lon or lat value from being a coordinate."""
+    if value is None or value is _MISSING:
+        return "is missing"
+    if not isinstance(value, (int, float)):
+        return f"has non-numeric value {value!r}"
+    try:
+        float(value)
+    except OverflowError:
+        return f"has value {value!r} too large for a float"
+    return None

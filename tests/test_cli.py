@@ -444,6 +444,51 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert main(["validate", "--dataset", str(tmp_path / "converted" / "speeds")]) == 0
 
 
+def write_conversion(path, **conversion):
+    path.write_text(json.dumps({"conversion": conversion}), "utf-8")
+    return path
+
+
+def test_convert_refuses_a_name_that_leaves_the_output_dir(tmp_path, capsys):
+    raw = tmp_path / "sensors.csv"
+    raw.write_text("sensor,ts,speed\ns1,2024-01-01T00:00:00Z,60.0\n", "utf-8")
+    conv = write_conversion(
+        tmp_path / "conv.json", target="state", time_column="ts", entity_column="sensor",
+        property_columns=["speed"], name="../../escaped",
+    )
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["convert", "--dataset", str(raw), "--config_file", str(conv),
+            "--output_dir", str(tmp_path / "a" / "b" / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "config key conversion.name: name '../../escaped' is not a plain file name" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_convert_replaces_the_dataset_directory_of_its_name(tmp_path, capsys):
+    raw = tmp_path / "checkins.csv"
+    raw.write_text(
+        "user,ts,lat,lon,speed\n"
+        + "".join(f"u{i},2024-01-01T00:0{i}:00Z,39.9,116.{i},{i}.5\n" for i in range(5)),
+        "utf-8",
+    )
+    out = tmp_path / "converted"
+    columns = {"time_column": "ts", "entity_column": "user", "property_columns": ["speed"]}
+    for target in ("trajectory", "state"):
+        conv = write_conversion(
+            tmp_path / f"{target}.json", target=target, lat_column="lat", lon_column="lon",
+            name="ck", **columns,
+        )
+        argv = ["convert", "--dataset", str(raw), "--config_file", str(conv),
+                "--output_dir", str(out)]
+        assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["ck"]
+    assert sorted(p.name for p in (out / "ck").iterdir()) == ["ck.dyna", "ck.geo", "manifest.json"]
+    capsys.readouterr()
+    assert main(["stats", "--dataset", str(out / "ck")]) == 0
+    assert json.loads(capsys.readouterr().out)["tables"] == {"geo": 5, "dyna": 5}
+
+
 def test_convert_missing_raw(tmp_path, capsys):
     assert main(["convert", "--dataset", str(tmp_path / "nope.csv")]) == 4
 

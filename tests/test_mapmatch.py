@@ -12,7 +12,7 @@ import pytest
 
 from conftest import scalar_candidates
 from stkit import mapmatch
-from stkit.atomic import GeoUnit, RelationRecord
+from stkit.atomic import GeoUnit, RelationRecord, read_table, write_table
 from stkit.exceptions import (
     BadMatchParams,
     NoCandidatesAnywhere,
@@ -37,6 +37,7 @@ from stkit.mapmatch import (
     viterbi_decode,
     viterbi_match,
 )
+from stkit.synthetic import generate_synthetic
 
 M_PER_DEG = 6371000.0 * math.pi / 180.0  # ~111194.93 m
 
@@ -109,6 +110,45 @@ def test_network_rejects_non_lines():
 def test_network_rejects_dangling_relation():
     with pytest.raises(UnknownEntity):
         build_road_network([line("A", (0.0, 0.0), (0.001, 0.0))], [rel("r0", "A", "Z")])
+
+
+def as_read_table(kind, records):
+    return read_table(kind, write_table(kind, records))
+
+
+def test_network_from_read_tables_equals_the_one_from_record_lists():
+    ds = generate_synthetic("road_network", {"n": 3}).dataset
+    geos, rels = list(ds.geo), list(ds.rel)
+    want = build_road_network(geos, rels)
+    got = build_road_network(as_read_table("geo", geos), as_read_table("rel", rels))
+    assert got == want and len(want.segments) > 0
+    assert list(got.segments) == list(want.segments)
+    assert list(got.out_edges.items()) == list(want.out_edges.items())
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["records", "read"])
+def test_network_errors_name_the_first_offending_row(read):
+    tables = as_read_table if read else (lambda kind, records: records)
+    ring = ((0.0, 0.0), (0.001, 0.0), (0.001, 0.001), (0.0, 0.0))
+    geos = [
+        line("A", (0.0, 0.0), (0.001, 0.0)),
+        GeoUnit("Q", "Polygon", ring, {}),
+        GeoUnit("P", "Point", ((0.0, 0.0),), {}),
+    ]
+    with pytest.raises(NonLineGeometry, match="geo unit 'Q' is Polygon, need LineString"):
+        build_road_network(tables("geo", geos), [])
+    rels = [
+        rel("r0", "A", "B"),
+        RelationRecord("r1", "usr", "u0", "Y", {}),
+        rel("r2", "X", "Z"),
+        rel("r3", "Y", "A"),
+    ]
+    two = [geos[0], line("B", (0.001, 0.0), (0.002, 0.0))]
+    with pytest.raises(UnknownEntity, match="relation endpoint 'X' is not a segment"):
+        build_road_network(tables("geo", two), tables("rel", rels))
+    rels[2] = rel("r2", "B", "Z")
+    with pytest.raises(UnknownEntity, match="relation endpoint 'Z' is not a segment"):
+        build_road_network(tables("geo", two), tables("rel", rels))
 
 
 def test_network_ignores_non_geo_relations():

@@ -1219,14 +1219,23 @@ def run_config(data_root, out, task, model, dataset):
     )
 
 
-@pytest.mark.parametrize("dataset", ["flow_p4", "grid_p4"])
-def test_forecast_run_builds_no_records(data_root, tmp_path, monkeypatch, dataset):
+@pytest.mark.parametrize(
+    "task, model, dataset",
+    [
+        ("traffic_state_pred", "HA", "flow_p4"),
+        ("traffic_state_pred", "HA", "grid_p4"),
+        ("map_matching", "HMM", "traces"),
+        ("eval_ranking", "Popularity", "checkins"),
+    ],
+)
+def test_run_builds_no_records(data_root, tmp_path, monkeypatch, task, model, dataset):
     built = count_records(monkeypatch)
-    cmd_run(run_config(data_root, tmp_path, "traffic_state_pred", "HA", dataset))
+    cmd_run(run_config(data_root, tmp_path, task, model, dataset))
     assert built == []
-    table = runner.load_dataset(data_root / dataset).tables()["grid" if "grid" in dataset else "dyna"]
-    list(table)  # records are built when asked for, and counted
-    assert len(built) == len(table) > 0
+    for table in runner.load_dataset(data_root / dataset).tables().values():
+        built.clear()
+        list(table)  # records are built when asked for, and counted
+        assert len(built) == len(table) > 0
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,14 @@ from datetime import timedelta, timezone
 import numpy as np
 import pytest
 
-from conftest import TABLE_GENERATOR_KINDS, random_table, ts
+from conftest import TABLE_GENERATOR_KINDS, coordinate_fault, feature_number, random_table, ts
 from stkit.atomic import (
+    EMPTY,
+    HUGE,
     MANDATORY_COLUMNS,
+    MISSING,
+    NUMBER,
+    TEXT,
     _MISSING,
     DynaRecord,
     GeoUnit,
@@ -246,3 +251,60 @@ def test_select_keeps_file_row_numbers():
     listed = Table.from_records("usr", list(table)).select(np.array([0, 1, 1, 0], bool))
     assert [listed.ordinal(i) for i in range(len(listed))] == [2, 3]
     assert [r.usr_id for r in listed] == ["u1", "u2"]
+
+
+# -- Table.numbers against the per-value rules it replaced ----------------------------
+
+NUMBER_CELLS = [None, "abc", "٣", 10**400, -0.0, 1e-300, 2**53 + 1, 7, 2.5, float("inf")]
+
+
+def oracle_numbers(values) -> tuple[np.ndarray, np.ndarray]:
+    """Per value: the feature rule's tensor value (0.0 where it gives none)
+    and the reason read off the coordinate rule's fault."""
+    numbers, reasons = [], []
+    for value in values:
+        try:
+            number = feature_number(value)
+        except (ValueError, OverflowError):
+            number = None
+        numbers.append(0.0 if number is None else number)
+        fault = coordinate_fault(value)
+        if fault is None:
+            reasons.append(NUMBER)
+        elif fault == "is missing":
+            reasons.append(EMPTY if value is None else MISSING)
+        else:
+            reasons.append(HUGE if fault.endswith("too large for a float") else TEXT)
+        # The two rules agree on which values are numbers.
+        assert (number is not None) == (reasons[-1] == NUMBER)
+    return np.array(numbers, dtype=np.float64), np.array(reasons, dtype=np.int8)
+
+
+def number_tables():
+    """Property ``x`` over NUMBER_CELLS and the values no cell holds, with one
+    record lacking it; and read back from a file, where each cell repeats."""
+    def dyna(prefix, values, start):
+        return [
+            DynaRecord(f"{prefix}{i}", "state", ts(start + i), "g0", None, {"x": v})
+            for i, v in enumerate(values)
+        ]
+
+    lacking = DynaRecord("lacks", "state", ts(99), "g0", None, {})
+    records = [*dyna("d", NUMBER_CELLS, 0), lacking, *dyna("e", [np.float64(0.1), True], 20)]
+    text = write_table("dyna", dyna("d", NUMBER_CELLS, 0) + dyna("r", NUMBER_CELLS, 40))
+    return [
+        pytest.param(Table.from_records("dyna", records), {MISSING}, id="records"),
+        pytest.param(read_table("dyna", text), set(), id="read"),
+    ]
+
+
+@pytest.mark.parametrize("table, more_reasons", number_tables())
+def test_numbers_equal_the_per_value_rules_bit_for_bit(table, more_reasons):
+    for name in ("x", "absent"):
+        numbers, reasons = table.numbers(name)
+        want_numbers, want_reasons = oracle_numbers(table.prop(name).tolist())
+        assert numbers.dtype == np.float64 and reasons.dtype == np.int8
+        assert numbers.tobytes() == want_numbers.tobytes()
+        assert reasons.tobytes() == want_reasons.tobytes()
+    assert set(table.numbers("x")[1].tolist()) == {NUMBER, EMPTY, TEXT, HUGE} | more_reasons
+    assert table.numbers("absent")[1].tolist() == [MISSING] * len(table)
