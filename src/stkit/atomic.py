@@ -301,12 +301,15 @@ def _coerce_scalar(cell: str) -> Scalar:
 
 
 def _scalar_to_cell(value: Scalar) -> str:
+    if type(value) is float:
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         raise TypeError("bool is not a valid property value")
     if isinstance(value, float):
-        return repr(value)
+        # repr of a float subclass such as np.float64 may name its type.
+        return repr(float(value))
     return str(value)
 
 

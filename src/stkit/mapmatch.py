@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -53,6 +52,13 @@ __all__ = [
 EARTH_RADIUS_M = 6371000.0
 _M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 _MIN_SCALE_M = 1e-3  # floor of MatchParams.sigma_m and beta_m
+
+# Cells of one block of work, each bounding that block's memory: point x
+# segment box tests of a candidate search, candidate pairs of a max-sum step
+# or route-query chunk, and origin x segment labels of a route settle.
+_BOX_CELLS = 1 << 15
+_STEP_CELLS = 1 << 14
+_ROUTE_CELLS = 1 << 15
 
 
 def _m_per_deg_lon(lat: float) -> float:
@@ -90,13 +96,16 @@ class Segment:
 
 
 class _Row(NamedTuple):
-    """One origin's settled segments, sorted, each with its distance and the
-    segment routed through just before it (-1 for a first hop)."""
+    """One origin's settled segments, sorted, each with its distance."""
 
     segment: np.ndarray
     dist: np.ndarray
-    prev: np.ndarray
     complete: bool
+
+
+def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The indices ``first[i]`` to ``first[i] + count[i]``, concatenated."""
+    return np.arange(count.sum()) + np.repeat(first - count.cumsum() + count, count)
 
 
 class _RouteTable:
@@ -105,99 +114,171 @@ class _RouteTable:
     Distances run from the END of an origin segment to the START of a target:
     a segment's own length is paid on leaving it, and the origin itself is a
     valid target (a route looping back onto it). Segment ids are interned as
-    ints in sorted string order, so the Dijkstra heap entries
-    ``(cost, segment, parent)``, with parent -1 for a first hop out of the
-    origin, tie-break exactly as the string ids would, and the settle order,
-    every distance and every predecessor follow from the graph alone.
+    ints in sorted string order, so ties break exactly as the string ids
+    would, and every distance and every predecessor follow from the graph
+    alone.
 
-    Each origin used has a row: the segments its search settled, as arrays
-    sorted by segment and ended by a sentinel past every segment. No heap is
-    kept. A query for a segment the row lacks reruns the origin's search from
-    scratch until every queried segment is settled; the search settles in
-    the same order every time, so the new row extends the old one. A row
-    whose search ran out of segments is complete, and what it lacks is
-    unreachable.
+    :meth:`settle` fills the rows of many origins at once, in blocks of
+    ``_ROUTE_CELLS // n_segments`` origins whose labels are one flat float64
+    array. First hops out of an origin start at 0.0; each pass extends last
+    pass's improved (origin, segment) labels along their out-edges by the
+    segment's length and keeps a candidate below the current label and at
+    most the origin's bound, the largest current label of its targets (inf
+    while any is unreached). A row holds the segments whose final label is
+    finite and within the final bound, as arrays sorted by segment and ended
+    by a sentinel past every segment. Every such label is exact: each prefix
+    of its shortest path lies under it, so the bound never cut that path.
+    Float ``+`` is monotone and lengths are non-negative, so this pass and a
+    Dijkstra search both give the least left-fold path sum, bit for bit. A
+    row whose bound stayed inf is complete: what it lacks is unreachable. A
+    query for a segment an incomplete row lacks settles the origin again,
+    past the old bound, so the new row extends the old one.
+
+    Predecessors are derived on demand and equal a Dijkstra search's whose
+    heap entries are ``(cost, segment, parent)``, parent -1 for a first hop:
+    a first hop's is -1, and otherwise it is the smallest in-neighbour ``v``
+    with ``dist(v) < dist(w)`` and ``dist(v) + len(v) == dist(w)``. Where
+    an in-neighbour at ``dist(w)`` itself joins the two by a flat segment
+    (``d + len == d``, say zero-length), which entry pops first depends on
+    the settle order, so the heap's pops over that plateau are replayed.
     """
 
-    __slots__ = ("ids", "code", "lengths", "succ", "dtype", "rows", "_unfilled")
+    __slots__ = ("ids", "code", "lengths", "succ", "degree", "out_ptr", "out_to",
+                 "in_ptr", "in_from", "dtype", "rows")
 
     def __init__(
         self, segments: dict[str, Segment], out_edges: dict[str, tuple[str, ...]]
     ):
         self.ids = sorted(segments)
         self.code = {gid: n for n, gid in enumerate(self.ids)}
-        self.lengths = [segments[gid].length_m for gid in self.ids]
+        self.lengths = np.array([segments[gid].length_m for gid in self.ids], np.float64)
         self.succ = [
             tuple(self.code[w] for w in out_edges.get(gid, ())) for gid in self.ids
         ]
-        # The narrowest int type for the codes, the sentinel and -1.
+        # Out- and in-edges as CSR arrays, in-neighbours in ascending order.
+        self.degree = np.array([len(out) for out in self.succ], dtype=np.intp)
+        self.out_ptr = np.concatenate([[0], self.degree.cumsum()])
+        self.out_to = np.array([w for out in self.succ for w in out], dtype=np.intp)
+        order = np.argsort(self.out_to, kind="stable")
+        self.in_from = np.repeat(np.arange(len(self.ids)), self.degree)[order]
+        self.in_ptr = np.searchsorted(self.out_to[order], np.arange(len(self.ids) + 1))
+        # The narrowest signed int type for the codes and the sentinel.
         self.dtype = np.min_scalar_type(-len(self.ids) - 1)
         self.rows: dict[int, _Row] = {}
-        self._unfilled = self._row([], complete=False)
 
-    def _row(self, settled: list[tuple[float, int, int]], complete: bool) -> _Row:
-        """The row of the settled ``(dist, segment, prev)`` heap entries."""
-        flat = itertools.chain.from_iterable(settled + [(math.inf, len(self.ids), -1)])
-        entries = np.fromiter(flat, np.float64).reshape(-1, 3)
-        entries = entries[np.argsort(entries[:, 1])]
-        return _Row(
-            entries[:, 1].astype(self.dtype),
-            entries[:, 0].copy(),
-            entries[:, 2].astype(self.dtype),
-            complete,
-        )
+    def settle(self, origins: np.ndarray, tptr: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Fill the rows of the distinct origin codes ``origins``, origin k's
+        until its targets ``targets[tptr[k]:tptr[k + 1]]`` (at least one) are
+        settled; returns the targets' distances, inf when unreachable."""
+        n = len(self.ids)
+        block = max(1, _ROUTE_CELLS // n)
+        out = np.empty(len(targets))
+        for lo in range(0, len(origins), block):
+            hi = min(lo + block, len(origins))
+            part = slice(tptr[lo], tptr[hi])
+            out[part] = self._settle_block(origins[lo:hi], tptr[lo : hi + 1] - tptr[lo], targets[part])
+        return out
 
-    def _settle(self, origin: int, targets: np.ndarray) -> _Row:
-        """Dijkstra from the end of ``origin`` until ``targets`` are settled."""
-        lengths, succ = self.lengths, self.succ
-        heappop, heappush = heapq.heappop, heapq.heappush
-        done = bytearray(len(self.ids))
-        wanted = bytearray(len(self.ids))
-        for t in targets.tolist():
-            wanted[t] = 1
-        pending = wanted.count(1)
-        settled = []
-        heap = [(0.0, w, -1) for w in succ[origin]]
-        heapq.heapify(heap)
-        while heap:
-            entry = heappop(heap)
-            v = entry[1]
-            if done[v]:
-                continue
-            done[v] = 1
-            settled.append(entry)
-            if wanted[v]:
-                pending -= 1
-                if not pending:
-                    return self._row(settled, complete=False)
-            dv = entry[0] + lengths[v]
-            for w in succ[v]:
-                if not done[w]:
-                    heappush(heap, (dv, w, v))
-        return self._row(settled, complete=True)
+    def _settle_block(self, origins, tptr, targets) -> np.ndarray:
+        """:meth:`settle` for one block of origins."""
+        n, out_ptr, out_to = len(self.ids), self.out_ptr, self.out_to
+        label = np.full(len(origins) * n, math.inf)
+        base = np.arange(len(origins)) * n
+        degree = self.degree[origins]
+        front = np.repeat(base, degree) + out_to[_spans(out_ptr[origins], degree)]
+        label[front] = 0.0
+        wanted = np.repeat(base, np.diff(tptr)) + targets
+        while True:
+            bound = np.maximum.reduceat(label[wanted], tptr[:-1])
+            if not len(front):
+                break
+            k, v = np.divmod(front, n)
+            degree = self.degree[v]
+            cand = np.repeat(label[front] + self.lengths[v], degree)
+            dest = np.repeat(k * n, degree) + out_to[_spans(out_ptr[v], degree)]
+            keep = (cand < label[dest]) & (cand <= np.repeat(bound[k], degree))
+            dest = dest[keep]
+            np.minimum.at(label, dest, cand[keep])
+            front = _distinct(dest)
+        # Each origin's kept segments, then its sentinel, in one flat array.
+        rows = label.reshape(len(origins), n)
+        kept = np.flatnonzero((rows <= bound[:, None]) & (rows < math.inf))
+        k, segment = np.divmod(kept, n)
+        at = np.arange(len(k)) + k
+        codes = np.full(len(k) + len(origins), n, self.dtype)
+        dist = np.full(len(codes), math.inf)
+        codes[at], dist[at] = segment, label[kept]
+        stops = np.bincount(k, minlength=len(origins)).cumsum() + np.arange(1, len(origins) + 1)
+        starts = np.append(0, stops[:-1])
+        for o, lo, hi, last in zip(origins.tolist(), starts.tolist(), stops.tolist(), bound.tolist()):
+            self.rows[o] = _Row(codes[lo:hi], dist[lo:hi], last == math.inf)
+        return label[wanted]
 
-    def start_distances(self, origin: int, targets: np.ndarray) -> np.ndarray:
-        """Cost from the end of segment ``origin`` to the start of each of the
-        segment codes ``targets`` (of ``dtype``); inf when unreachable."""
-        row = self.rows.get(origin, self._unfilled)
-        pos = row.segment.searchsorted(targets)
-        found = row.segment[pos] == targets
-        if found.all():
-            return row.dist[pos]
-        if not row.complete:
-            row = self.rows[origin] = self._settle(origin, targets)
-            pos = row.segment.searchsorted(targets)
-            found = row.segment[pos] == targets
-        return np.where(found, row.dist[pos], math.inf)
+    def start_distances(self, origin: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Cost from the end of each origin segment to the start of its
+        target, for distinct code pairs grouped by origin; inf when
+        unreachable. Every origin whose row cannot answer is settled in one
+        :meth:`settle` call."""
+        target = target.astype(self.dtype)
+        cuts = np.flatnonzero(np.diff(origin, prepend=-1))
+        stops = np.append(cuts[1:], len(origin))
+        out, stale = np.empty(len(origin)), []
+        for k, (o, lo, hi) in enumerate(zip(origin[cuts].tolist(), cuts.tolist(), stops.tolist())):
+            if (row := self.rows.get(o)) is not None:
+                pos = row.segment.searchsorted(target[lo:hi])
+                found = row.segment[pos] == target[lo:hi]
+                if row.complete or found.all():
+                    out[lo:hi] = np.where(found, row.dist[pos], math.inf)
+                    continue
+            stale.append(k)
+        if stale:
+            size = stops[stale] - cuts[stale]
+            at = _spans(cuts[stale], size)
+            tptr = np.concatenate([[0], size.cumsum()])
+            out[at] = self.settle(origin[cuts[stale]], tptr, target[at])
+        return out
 
     def chain(self, origin: int, target: int) -> list[int]:
         """Segment codes from the first hop out of ``origin`` through
         ``target``, which the origin's row must hold."""
-        row = self.rows[origin]
-        out = [target]
-        while (parent := int(row.prev[row.segment.searchsorted(out[-1])])) >= 0:
-            out.append(parent)
+        row, first = self.rows[origin], self.succ[origin]
+        out, d = [target], row.dist[row.segment.searchsorted(target)]
+        while (w := out[-1]) not in first:
+            v = self.in_from[self.in_ptr[w] : self.in_ptr[w + 1]]
+            pos = row.segment.searchsorted(v)
+            dv = np.where(row.segment[pos] == v, row.dist[pos], math.inf)
+            tie = dv + self.lengths[v] == d
+            k = int(np.argmax(tie))
+            if (tie & (dv == d)).any():
+                k = int(np.searchsorted(v, self._replay(row, origin, w, d)))
+            out.append(int(v[k]))
+            d = dv[k]
         return out[::-1]
+
+    def _replay(self, row: _Row, origin: int, target: int, d: float) -> int:
+        """Dijkstra's parent of ``target`` on the plateau of segments at
+        distance ``d``: its heap pops in (segment, parent) order there, from
+        the hops onto the plateau and then along flat segments of it."""
+        level = row.segment[:-1][row.dist[:-1] == d]
+        count = self.in_ptr[level + 1] - self.in_ptr[level]
+        v = self.in_from[_spans(self.in_ptr[level], count)]
+        pos = row.segment.searchsorted(v)
+        dv = np.where(row.segment[pos] == v, row.dist[pos], math.inf)
+        onto = (dv < d) & (dv + self.lengths[v] == d)
+        heap = [(w, -1) for w in self.succ[origin]] if d == 0.0 else []
+        heap += zip(np.repeat(level, count)[onto].tolist(), v[onto].tolist())
+        heapq.heapify(heap)
+        on, done = set(level.tolist()), set()
+        while (entry := heapq.heappop(heap))[0] != target:
+            w = entry[0]
+            if w in done:
+                continue
+            done.add(w)
+            if d + self.lengths[w] == d:
+                for x in self.succ[w]:
+                    if x in on and x not in done:
+                        heapq.heappush(heap, (x, w))
+        return entry[1]
 
 
 @dataclass
@@ -335,10 +416,6 @@ class _Candidates(NamedTuple):
         return [Candidate(ids[c], *f) for c, *f in zip(code, *floats)]
 
 
-# Point x segment cells of one search block's box test: bounds its memory.
-_BOX_CELLS = 1 << 15
-
-
 def _search(
     network: RoadNetwork, lon: np.ndarray, lat: np.ndarray, params: MatchParams
 ) -> _Candidates:
@@ -370,7 +447,7 @@ def _search(
     first = network.first_leg[code]
     n_legs = network.first_leg[code + 1] - first
     pair = np.repeat(np.arange(len(code)), n_legs)
-    leg = np.arange(len(pair)) + np.repeat(first - n_legs.cumsum() + n_legs, n_legs)
+    leg = _spans(first, n_legs)
     lon0, lat0, lon1, lat1, cum_m, leg_m = network.legs[:, leg]
     pt = point[pair]
     x1, y1 = (lon0 - lon[pt]) * m_lon[pt], (lat0 - lat[pt]) * _M_PER_DEG_LAT
@@ -429,14 +506,10 @@ def transition_logprob(route_m, greatcircle_m, beta_m: float):
 
 def _route_distances(network: RoadNetwork, origin: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Cost from the end of each origin segment to the start of its target,
-    for distinct code pairs grouped by origin; inf when unreachable. The table
-    is asked once per origin, so no origin's search runs twice in one call."""
-    table = network.routes
-    out = np.empty(len(origin))
-    cuts = [*np.flatnonzero(np.diff(origin, prepend=-1)).tolist(), len(origin)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        out[lo:hi] = table.start_distances(int(origin[lo]), target[lo:hi].astype(table.dtype))
-    return out
+    for distinct code pairs grouped by origin; inf when unreachable. Every
+    origin the table cannot yet answer is settled in one pass, so no origin's
+    search runs twice in one call."""
+    return network.routes.start_distances(origin, target)
 
 
 def _candidate_routes(network: RoadNetwork, start, from_seg, from_off, to_seg, to_off):
@@ -567,14 +640,10 @@ class MatchResult:
         return out
 
 
-# Candidate-pair cells of one max-sum step or route-query chunk: bounds memory.
-_STEP_CELLS = 1 << 14
-
-
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of non-negative integer ``keys``, sorted."""
+    """The distinct values of integer ``keys``, sorted."""
     keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=-1) != 0]
+    return np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
 
 
 def viterbi_match(

@@ -1,7 +1,8 @@
 """Shared test builders: random atomic tables, a clean dataset, a fault catalog,
 the scalar map-matching candidate search that the matcher tests use as their
 oracle, the per-point trajectory objects that the trajectory tests use as
-theirs, and the per-value number rules that ``Table.numbers`` is held to.
+theirs, the per-value number rules that ``Table.numbers`` is held to, and
+the per-origin heap Dijkstra that the route table is held to.
 
 The random generators only emit canonical property values (values that the
 CSV typing rules can represent), so parse(write(x)) == x is a fair check.
@@ -10,6 +11,7 @@ finite, and empty strings are excluded (they read back as None).
 """
 
 import copy
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -703,3 +705,41 @@ def coordinate_fault(value) -> str | None:
     except OverflowError:
         return f"has value {value!r} too large for a float"
     return None
+
+
+# -- the per-origin heap Dijkstra ----------------------------------------------
+#
+# The search each route-table row was settled by, one origin at a time, kept
+# as the oracle of _RouteTable.settle and _RouteTable.chain.
+
+
+def dijkstra_settle(table, origin: int, targets: np.ndarray):
+    """Dijkstra from the end of ``origin`` until ``targets`` are settled:
+    the settled ``(dist, segment, prev)`` heap entries, in settle order, and
+    whether the search ran out of segments."""
+    lengths, succ = table.lengths.tolist(), table.succ
+    heappop, heappush = heapq.heappop, heapq.heappush
+    done = bytearray(len(table.ids))
+    wanted = bytearray(len(table.ids))
+    for t in targets.tolist():
+        wanted[t] = 1
+    pending = wanted.count(1)
+    settled = []
+    heap = [(0.0, w, -1) for w in succ[origin]]
+    heapq.heapify(heap)
+    while heap:
+        entry = heappop(heap)
+        v = entry[1]
+        if done[v]:
+            continue
+        done[v] = 1
+        settled.append(entry)
+        if wanted[v]:
+            pending -= 1
+            if not pending:
+                return settled, False
+        dv = entry[0] + lengths[v]
+        for w in succ[v]:
+            if not done[w]:
+                heappush(heap, (dv, w, v))
+    return settled, True

@@ -15,6 +15,7 @@ from stkit.atomic import (
     GeoUnit,
     GridRecord,
     MANDATORY_COLUMNS,
+    NUMBER,
     RelationRecord,
     UserUnit,
     format_timestamp,
@@ -142,6 +143,22 @@ def test_float_repr_round_trip_is_exact():
     out = parse_table("usr", write_table("usr", recs))
     for rec, v in zip(out, values):
         assert rec.properties["v"] == v
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_numpy_float_properties_round_trip_as_numbers(dtype):
+    """A numpy float property is written as the plain float it holds, so it
+    reads back as a number: the same float64, or the float32's value."""
+    values = [dtype(v) for v in (0.1, 1 / 3, 1e-30, -2.5e17, 0.0)]
+    recs = [UserUnit(f"u{i}", {"v": v}) for i, v in enumerate(values)]
+    data = write_table("usr", recs)
+    assert b"float" not in data
+    table = read_table("usr", data)
+    for i, v in enumerate(values):
+        got = table.prop("v").at(i)
+        assert type(got) is float and dtype(got) == v
+    number, reason = table.numbers("v")
+    assert (reason == NUMBER).all() and [dtype(x) for x in number.tolist()] == values
 
 
 def test_timestamp_format_round_trip_and_rejections():

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import scalar_candidates
+from conftest import dijkstra_settle, scalar_candidates
 from stkit import mapmatch
 from stkit.atomic import GeoUnit, RelationRecord, read_table, write_table
 from stkit.exceptions import (
@@ -27,6 +27,7 @@ from stkit.mapmatch import (
     RoadNetwork,
     Segment,
     _candidate_routes,
+    _distinct,
     _route_distances,
     build_road_network,
     candidate_segments,
@@ -845,13 +846,13 @@ def test_each_origin_settles_once_per_run(monkeypatch):
     """A run asks the route table for every step's targets before decoding,
     so each origin segment any step leaves from is settled exactly once."""
     settled = Counter()
-    real = mapmatch._RouteTable._settle
+    real = mapmatch._RouteTable.settle
 
-    def counting(self, origin, targets):
-        settled[origin] += 1
-        return real(self, origin, targets)
+    def counting(self, origins, tptr, targets):
+        settled.update(origins.tolist())
+        return real(self, origins, tptr, targets)
 
-    monkeypatch.setattr(mapmatch._RouteTable, "_settle", counting)
+    monkeypatch.setattr(mapmatch._RouteTable, "settle", counting)
     rng = np.random.default_rng(61)
     for trial in range(10):
         network = random_network(rng, int(rng.integers(6, 16)), 0.15)
@@ -972,6 +973,140 @@ def test_route_table_filled_by_two_traces_answers_like_a_fresh_one():
                 assert abs(got_d - want_d) <= 1e-9 * max(1.0, want_d)
     # Some rows stopped short, so the pair queries reran their searches.
     assert partial_rows > 0
+
+
+def segment_graph(rng, kind):
+    """Random segments and out-edges of a route table: 5 to 40 segments
+    whose lengths are floats, small integers {1, 2, 3} (many equal-cost
+    ties) or {0, 1, 2} (zero-length plateaus). Some segments have no
+    out-edges; an edge may loop back onto its own segment or repeat another."""
+    n = int(rng.integers(5, 41))
+    ids = [f"g{i:02d}" for i in range(n)]
+    lengths = {
+        "float": rng.uniform(0.0, 100.0, n),
+        "ties": rng.integers(1, 4, n).astype(float),
+        "flat": rng.integers(0, 3, n).astype(float),
+    }[kind]
+    segments = {g: Segment(g, ((0.0, 0.0), (0.0, 0.0)), float(m), (0.0, float(m)))
+                for g, m in zip(ids, lengths)}
+    out = {g: tuple(ids[j] for j in rng.integers(0, n, int(rng.integers(1, 4))))
+           for g in ids if rng.random() < 0.8}
+    return segments, out
+
+
+def random_targets(rng, table):
+    """Sorted distinct targets for every origin, some holding the origin.
+    Returns the grouped (origin, target) code pairs."""
+    n = len(table.ids)
+    groups = [np.unique(rng.integers(0, n, int(rng.integers(1, 6)))) for _ in range(n)]
+    for o, group in enumerate(groups):
+        if rng.random() < 0.3:
+            groups[o] = np.union1d(group, [o])
+    origin = np.repeat(np.arange(n), [len(g) for g in groups])
+    return origin, np.concatenate(groups)
+
+
+def oracle_routes(table, origin):
+    """The heap Dijkstra's distance and predecessor of every segment the
+    origin reaches."""
+    settled, _ = dijkstra_settle(table, origin, np.arange(len(table.ids)))
+    return {v: (d, prev) for d, v, prev in settled}
+
+
+def oracle_chain(routes, target):
+    out = [target]
+    while routes[out[-1]][1] >= 0:
+        out.append(routes[out[-1]][1])
+    return out[::-1]
+
+
+def late_plateau():
+    """Origin o reaches t at 2 both over u (length 2) and over a, b and the
+    zero-length c, which is reached later, with t's bound already 2. c pops
+    before t, so the heap Dijkstra routes t through c, not u."""
+    lengths = {"a": 1.0, "b": 1.0, "c": 0.0, "o": 1.0, "t": 1.0, "u": 2.0}
+    out = {"o": ("u", "a"), "a": ("b",), "b": ("c",), "c": ("t",), "u": ("t",)}
+    return {g: Segment(g, (), m, ()) for g, m in lengths.items()}, out
+
+
+@pytest.mark.parametrize("kind", ["float", "ties", "flat"])
+def test_route_table_equals_the_heap_dijkstra_bit_for_bit(kind):
+    """Rows filled all at once, one origin at a time, or after an earlier run
+    on the same table give every target the heap Dijkstra's distance, bit for
+    bit, and every route its predecessor walk."""
+    rng = np.random.default_rng({"float": 71, "ties": 73, "flat": 79}[kind])
+    cases = []
+    for trial in range(12):
+        graph = segment_graph(rng, kind)
+        table = mapmatch._RouteTable(*graph)
+        cases.append((graph, random_targets(rng, table), random_targets(rng, table)))
+    if kind == "flat":  # codes a 0, b 1, c 2, o 3, t 4, u 5
+        cases.append((late_plateau(), (np.array([3]), np.array([4])),
+                       (np.array([3]), np.array([5]))))
+    seen = {"unreachable": 0, "loops": 0, "reruns": 0, "dead_ends": 0}
+    for graph, (origin, target), earlier in cases:
+        table = mapmatch._RouteTable(*graph)
+        n = len(table.ids)
+        want = {o: oracle_routes(table, o) for o in range(n)}
+        expect = np.array([want[o].get(t, (math.inf,))[0]
+                           for o, t in zip(origin.tolist(), target.tolist())])
+        at_once = mapmatch._RouteTable(*graph)
+        got = {"at_once": (at_once, at_once.start_distances(origin, target))}
+        alone = mapmatch._RouteTable(*graph)
+        got["alone"] = (alone, np.concatenate([
+            alone.start_distances(origin[origin == o], target[origin == o])
+            for o in _distinct(origin).tolist()
+        ]))
+        later = mapmatch._RouteTable(*graph)
+        later.start_distances(*earlier)
+        seen["reruns"] += sum(
+            not later.rows[o].complete
+            and not np.isin(target[origin == o], later.rows[o].segment).all()
+            for o in _distinct(origin).tolist()
+        )
+        got["later"] = (later, later.start_distances(origin, target))
+        for name, (filled, dist) in got.items():
+            assert dist.tobytes() == expect.tobytes(), name
+            for o, t in zip(origin.tolist(), target.tolist()):
+                if t in want[o]:
+                    assert filled.chain(o, t) == oracle_chain(want[o], t), (name, o, t)
+        seen["unreachable"] += int(np.isinf(expect).sum())
+        seen["loops"] += int(np.isfinite(expect[origin == target]).sum())
+        seen["dead_ends"] += sum(not out for out in table.succ)
+    assert min(seen.values()) > 0, seen
+    if kind == "flat":
+        assert at_once.chain(3, 4) == [0, 1, 2, 4]
+
+
+def test_blocks_of_few_origins_route_as_one_block(monkeypatch):
+    """With ``_ROUTE_CELLS`` below the segment count a settle block holds one
+    origin, and with three times the count three; a run matches as with one
+    block, and the table it filled answers shortest_route as a fresh one."""
+    rng = np.random.default_rng(83)
+    for trial in range(8):
+        network = random_network(rng, int(rng.integers(6, 16)), 0.15)
+        params = MatchParams(radius_m=200.0, max_candidates=int(rng.integers(1, 6)))
+        _, points, ptr = random_run(rng, network, params)
+        whole = viterbi_match(fresh_table(network), points, params, ptr)
+        cands = [Candidate(g, 0.0, 0.0, 0.0, float(rng.uniform(0, network.segments[g].length_m)))
+                 for g in sorted(network.segments)]
+        routes = [shortest_route(fresh_table(network), a, b) for a in cands for b in cands]
+        n = len(network.routes.ids)
+        for per_block, cells in ((1, n - 1), (3, 3 * n)):
+            monkeypatch.setattr(mapmatch, "_ROUTE_CELLS", cells)
+            blocks = []
+            real = mapmatch._RouteTable._settle_block
+
+            def counting(self, origins, tptr, targets):
+                blocks.append(len(origins))
+                return real(self, origins, tptr, targets)
+
+            monkeypatch.setattr(mapmatch._RouteTable, "_settle_block", counting)
+            table = fresh_table(network)
+            assert viterbi_match(table, points, params, ptr) == whole
+            assert max(blocks) == per_block and len(blocks) > 1
+            assert [shortest_route(table, a, b) for a in cands for b in cands] == routes
+            monkeypatch.undo()
 
 
 def test_equal_cost_routes_break_ties_by_segment_id_not_insertion_order():
