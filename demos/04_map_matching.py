@@ -23,7 +23,7 @@ ds, truth = result.dataset, result.truth_routes
 
 network = build_road_network(ds.geo, ds.rel)
 lengths = network.segment_lengths()
-print(f"network: {len(network.segments)} directed segments")
+print(f"network: {len(lengths)} directed segments")
 
 params = MatchParams(sigma_m=10.0, beta_m=5.0, radius_m=100.0)
 # Trajectory i is rows[ptr[i]:ptr[i+1]] of the table, in time order.

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import as_table
+from .atomic import _duplicate, as_table
 from .exceptions import (
     BadMatchParams,
     NoCandidatesAnywhere,
@@ -35,7 +36,6 @@ from .exceptions import (
 __all__ = [
     "EARTH_RADIUS_M",
     "haversine_m",
-    "Segment",
     "RoadNetwork",
     "build_road_network",
     "MatchParams",
@@ -77,24 +77,6 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
-@dataclass
-class Segment:
-    """One directed road segment: polyline plus precomputed leg lengths."""
-
-    geo_id: str
-    coords: tuple[tuple[float, float], ...]
-    length_m: float
-    cum_m: tuple[float, ...]  # cumulative length at each vertex
-
-    @property
-    def start(self) -> tuple[float, float]:
-        return self.coords[0]
-
-    @property
-    def end(self) -> tuple[float, float]:
-        return self.coords[-1]
-
-
 class _Row(NamedTuple):
     """One origin's settled segments, sorted, each with its distance."""
 
@@ -108,15 +90,20 @@ def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(count.sum()) + np.repeat(first - count.cumsum() + count, count)
 
 
+@dataclass(eq=False, repr=False)
 class _RouteTable:
     """Exact on-road routes between segments, filled per origin on demand.
 
     Distances run from the END of an origin segment to the START of a target:
     a segment's own length is paid on leaving it, and the origin itself is a
-    valid target (a route looping back onto it). Segment ids are interned as
-    ints in sorted string order, so ties break exactly as the string ids
-    would, and every distance and every predecessor follow from the graph
-    alone.
+    valid target (a route looping back onto it). Segments are int codes in
+    sorted id order (``ids[c]`` is code c's id, ``code`` the inverse), so
+    ties break exactly as the string ids would, and every distance and every
+    predecessor follow from the graph alone. ``lengths`` holds each
+    segment's length; code c's out-edges run to ``out_to[out_ptr[c] :
+    out_ptr[c + 1]]`` in relation order, and its in-edges come from
+    ``in_from[in_ptr[c] : in_ptr[c + 1]]`` in ascending order. These arrays
+    are the network's graph; the table's own state is ``rows``.
 
     :meth:`settle` fills the rows of many origins at once, in blocks of
     ``_ROUTE_CELLS // n_segments`` origins whose labels are one flat float64
@@ -143,28 +130,23 @@ class _RouteTable:
     the settle order, so the heap's pops over that plateau are replayed.
     """
 
-    __slots__ = ("ids", "code", "lengths", "succ", "degree", "out_ptr", "out_to",
-                 "in_ptr", "in_from", "dtype", "rows")
+    ids: list[str]
+    code: dict[str, int]
+    lengths: np.ndarray
+    out_ptr: np.ndarray
+    out_to: np.ndarray
+    in_ptr: np.ndarray
+    in_from: np.ndarray
+    rows: dict[int, _Row] = field(default_factory=dict)
 
-    def __init__(
-        self, segments: dict[str, Segment], out_edges: dict[str, tuple[str, ...]]
-    ):
-        self.ids = sorted(segments)
-        self.code = {gid: n for n, gid in enumerate(self.ids)}
-        self.lengths = np.array([segments[gid].length_m for gid in self.ids], np.float64)
-        self.succ = [
-            tuple(self.code[w] for w in out_edges.get(gid, ())) for gid in self.ids
-        ]
-        # Out- and in-edges as CSR arrays, in-neighbours in ascending order.
-        self.degree = np.array([len(out) for out in self.succ], dtype=np.intp)
-        self.out_ptr = np.concatenate([[0], self.degree.cumsum()])
-        self.out_to = np.array([w for out in self.succ for w in out], dtype=np.intp)
-        order = np.argsort(self.out_to, kind="stable")
-        self.in_from = np.repeat(np.arange(len(self.ids)), self.degree)[order]
-        self.in_ptr = np.searchsorted(self.out_to[order], np.arange(len(self.ids) + 1))
-        # The narrowest signed int type for the codes and the sentinel.
-        self.dtype = np.min_scalar_type(-len(self.ids) - 1)
-        self.rows: dict[int, _Row] = {}
+    @property
+    def dtype(self) -> np.dtype:
+        """The narrowest signed int type for the codes and the sentinel."""
+        return np.min_scalar_type(-len(self.ids) - 1)
+
+    def _out(self, v: int) -> list[int]:
+        """The codes segment ``v``'s out-edges run to, in relation order."""
+        return self.out_to[self.out_ptr[v] : self.out_ptr[v + 1]].tolist()
 
     def settle(self, origins: np.ndarray, tptr: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Fill the rows of the distinct origin codes ``origins``, origin k's
@@ -184,8 +166,9 @@ class _RouteTable:
         n, out_ptr, out_to = len(self.ids), self.out_ptr, self.out_to
         label = np.full(len(origins) * n, math.inf)
         base = np.arange(len(origins)) * n
-        degree = self.degree[origins]
-        front = np.repeat(base, degree) + out_to[_spans(out_ptr[origins], degree)]
+        first = out_ptr[origins]
+        degree = out_ptr[origins + 1] - first
+        front = np.repeat(base, degree) + out_to[_spans(first, degree)]
         label[front] = 0.0
         wanted = np.repeat(base, np.diff(tptr)) + targets
         while True:
@@ -193,9 +176,10 @@ class _RouteTable:
             if not len(front):
                 break
             k, v = np.divmod(front, n)
-            degree = self.degree[v]
+            first = out_ptr[v]
+            degree = out_ptr[v + 1] - first
             cand = np.repeat(label[front] + self.lengths[v], degree)
-            dest = np.repeat(k * n, degree) + out_to[_spans(out_ptr[v], degree)]
+            dest = np.repeat(k * n, degree) + out_to[_spans(first, degree)]
             keep = (cand < label[dest]) & (cand <= np.repeat(bound[k], degree))
             dest = dest[keep]
             np.minimum.at(label, dest, cand[keep])
@@ -241,7 +225,7 @@ class _RouteTable:
     def chain(self, origin: int, target: int) -> list[int]:
         """Segment codes from the first hop out of ``origin`` through
         ``target``, which the origin's row must hold."""
-        row, first = self.rows[origin], self.succ[origin]
+        row, first = self.rows[origin], self._out(origin)
         out, d = [target], row.dist[row.segment.searchsorted(target)]
         while (w := out[-1]) not in first:
             v = self.in_from[self.in_ptr[w] : self.in_ptr[w + 1]]
@@ -265,7 +249,7 @@ class _RouteTable:
         pos = row.segment.searchsorted(v)
         dv = np.where(row.segment[pos] == v, row.dist[pos], math.inf)
         onto = (dv < d) & (dv + self.lengths[v] == d)
-        heap = [(w, -1) for w in self.succ[origin]] if d == 0.0 else []
+        heap = [(w, -1) for w in self._out(origin)] if d == 0.0 else []
         heap += zip(np.repeat(level, count)[onto].tolist(), v[onto].tolist())
         heapq.heapify(heap)
         on, done = set(level.tolist()), set()
@@ -275,81 +259,90 @@ class _RouteTable:
                 continue
             done.add(w)
             if d + self.lengths[w] == d:
-                for x in self.succ[w]:
+                for x in self._out(w):
                     if x in on and x not in done:
                         heapq.heappush(heap, (x, w))
         return entry[1]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RoadNetwork:
-    """Directed segment graph, its route table, segment boxes and legs.
+    """Directed segment graph as arrays, in the route table's code order.
 
-    ``routes`` is built from the segments and edges when not given; every
-    match on the network reuses the routes the earlier ones settled.
+    ``routes`` holds the ids, lengths and edges that routing reads, and the
+    routes settled so far, which every match on the network reuses.
     ``boxes`` holds each segment's (min lon, min lat, max lon, max lat) as
-    the four contiguous rows of a [4, n] array, and ``legs`` each polyline
-    leg's start lon/lat, end lon/lat, cumulative length at its start and
-    length as the rows of a [6, legs] array, segment c's legs from column
-    ``first_leg[c]`` to ``first_leg[c + 1]``. Both follow route-table code
-    order, so a trajectory's candidate search is a few array passes.
+    the four rows of a [4, n] array, and ``legs`` each polyline leg's start
+    lon/lat, end lon/lat, cumulative length at its start and length as the
+    rows of a [6, legs] array, segment c's legs from column ``first_leg[c]``
+    to ``first_leg[c + 1]``, so a trajectory's candidate search is a few
+    array passes.
     """
 
-    segments: dict[str, Segment]
-    out_edges: dict[str, tuple[str, ...]]
-    routes: _RouteTable | None = field(default=None, repr=False, compare=False)
-    boxes: np.ndarray = field(init=False, repr=False, compare=False)
-    legs: np.ndarray = field(init=False, repr=False, compare=False)
-    first_leg: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.routes is None:
-            self.routes = _RouteTable(self.segments, self.out_edges)
-        segs = [self.segments[g] for g in self.routes.ids]
-        boxes = [(min(x), min(y), max(x), max(y)) for x, y in (zip(*s.coords) for s in segs)]
-        self.boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4).T.copy()
-        legs = [
-            (*a, *b, m, n - m)
-            for s in segs
-            for a, b, m, n in zip(s.coords, s.coords[1:], s.cum_m, s.cum_m[1:])
-        ]
-        self.legs = np.array(legs, dtype=np.float64).reshape(-1, 6).T.copy()
-        self.first_leg = np.cumsum([0] + [len(s.coords) - 1 for s in segs])
+    routes: _RouteTable
+    boxes: np.ndarray
+    legs: np.ndarray
+    first_leg: np.ndarray
 
     def segment_lengths(self) -> dict[str, float]:
-        return {gid: seg.length_m for gid, seg in self.segments.items()}
+        """Each segment's length in meters, by id."""
+        return dict(zip(self.routes.ids, self.routes.lengths.tolist()))
 
 
 def build_road_network(geos, rels) -> RoadNetwork:
     """Assemble the directed segment graph from geometry and relation rows.
 
     Both are Tables or record lists, read as columns. Every geo unit must be
-    a LineString (NonLineGeometry names the first that is not); every
-    relation row of type ``geo`` adds one directed edge between known
-    segments. No spatial index is built: segment boxes serve any radius.
+    a LineString (NonLineGeometry names the first that is not) with an id of
+    its own (DuplicateId names the first repeat); every relation row of type
+    ``geo`` adds one directed edge between known segments. A leg's length is
+    :func:`haversine_m`, summed left to right along its polyline. No spatial
+    index is built: segment boxes serve any radius.
     """
     geo, rel = as_table("geo", geos), as_table("rel", rels)
     ids, types = geo.field("geo_id"), geo.field("geo_type")
     if (bad := types.flags(lambda t: t != "LineString")).any():
         row = int(np.argmax(bad))
         raise NonLineGeometry(f"geo unit {ids.at(row)!r} is {types.at(row)}, need LineString")
-    segments: dict[str, Segment] = {}
-    for gid, coords in zip(ids.tolist(), geo.field("coordinates").tolist()):
-        cum = [0.0]
-        for (lon1, lat1), (lon2, lat2) in zip(coords, coords[1:]):
-            cum.append(cum[-1] + haversine_m(lon1, lat1, lon2, lat2))
-        segments[gid] = Segment(gid, coords, cum[-1], tuple(cum))
-    adj: dict[str, list[str]] = {gid: [] for gid in segments}
-    edges = zip(*(rel.field(a).tolist() for a in ("rel_type", "origin_id", "des_id")))
-    for rel_type, origin, dest in edges:
-        if rel_type != "geo":
-            continue
-        for side in (origin, dest):
-            if side not in segments:
-                raise UnknownEntity(f"relation endpoint {side!r} is not a segment")
-        adj[origin].append(dest)
-    return RoadNetwork(segments, {gid: tuple(v) for gid, v in adj.items()})
+    names, polylines = ids.tolist(), geo.field("coordinates").tolist()
+    order = sorted(range(len(names)), key=names.__getitem__)
+    code = {names[i]: c for c, i in enumerate(order)}
+    if len(code) < len(names):
+        seen: set[str] = set()
+        row = next(r for r, gid in enumerate(names) if gid in seen or seen.add(gid))
+        _duplicate(names[row], "geo", "geo_id", geo.ordinal(row))
+    # Every vertex in code order; each but a polyline's last starts a leg.
+    lines = [polylines[i] for i in order]
+    sizes = np.array([len(line) for line in lines], np.intp)
+    x, y = np.array([p for line in lines for p in line], np.float64).reshape(-1, 2).T
+    ends = sizes.cumsum()
+    start = np.delete(np.arange(len(x)), ends - 1)
+    legs = np.stack([x[start], y[start], x[start + 1], y[start + 1]])
+    legs_m = list(map(haversine_m, *legs.tolist()))
+    first_leg = np.concatenate([[0], (sizes - 1).cumsum()])
+    bounds = first_leg.tolist()
+    cum = np.array([m for a, b in zip(bounds, bounds[1:])
+                    for m in itertools.accumulate(legs_m[a:b], initial=0.0)])
+    legs = np.vstack([legs, cum[start], cum[start + 1] - cum[start]])
+    boxes = [f.reduceat(v, ends - sizes) for f, v in
+             ((np.minimum, x), (np.minimum, y), (np.maximum, x), (np.maximum, y))]
 
+    kinds, heads, tails = (rel.field(a).tolist() for a in ("rel_type", "origin_id", "des_id"))
+    try:
+        edges = [(code[o], code[d]) for t, o, d in zip(kinds, heads, tails) if t == "geo"]
+    except KeyError as missing:
+        raise UnknownEntity(f"relation endpoint {missing.args[0]!r} is not a segment") from None
+    origin, dest = np.array(edges, np.intp).reshape(-1, 2).T
+    degree = np.bincount(origin, minlength=len(names))
+    out_to = dest[np.argsort(origin, kind="stable")]
+    by_dest = np.argsort(out_to, kind="stable")
+    routes = _RouteTable(
+        list(code), code, cum[ends - 1],
+        np.concatenate([[0], degree.cumsum()]), out_to,
+        np.searchsorted(out_to[by_dest], np.arange(len(names) + 1)),
+        np.repeat(np.arange(len(names)), degree)[by_dest],
+    )
+    return RoadNetwork(routes, np.stack(boxes), legs, first_leg)
 
 @dataclass(frozen=True)
 class MatchParams:

@@ -539,7 +539,7 @@ def _truth_routes(path: Path, network) -> dict[str, list[str]]:
                 f"non-empty list of segment ids, got {route!r}"
             )
         for gid in route:
-            if not (isinstance(gid, str) and gid in network.segments):
+            if not (isinstance(gid, str) and gid in network.routes.code):
                 raise BadConfigFile(
                     f"truth routes file {path}: route of user {user!r} holds "
                     f"{gid!r}, which is not a segment of the network"

@@ -221,24 +221,20 @@ def _road_network(params: Mapping) -> AtomicDataset:
             if i + 1 < n:
                 pairs.append(((i, j), (i + 1, j)))
     geo = []
-    ends: dict[str, tuple] = {}
-    starts: dict[str, tuple] = {}
+    nodes: dict[str, tuple] = {}  # each segment's start and end node
+    leaving: dict[tuple, list[str]] = {}  # each node's segments, in geo order
     for a, b in pairs:
         for u, v in ((a, b), (b, a)):
             gid = f"s_{node_name(u)}_{node_name(v)}"
             geo.append(GeoUnit(gid, "LineString", (coords[u], coords[v]), {}))
-            starts[gid] = u
-            ends[gid] = v
+            leaving.setdefault(u, []).append(gid)
+            nodes[gid] = (u, v)
     rel = []
-    k = 0
-    for gid, end_node in ends.items():
-        for hid, start_node in starts.items():
-            if start_node != end_node:
-                continue
-            if not allow_uturn and starts[gid] == ends[hid] and gid != hid:
+    for gid, (start_node, end_node) in nodes.items():
+        for hid in leaving[end_node]:
+            if not allow_uturn and nodes[hid][1] == start_node:
                 continue  # hid retraces gid backwards
-            rel.append(RelationRecord(f"r{k}", "geo", gid, hid, {}))
-            k += 1
+            rel.append(RelationRecord(f"r{len(rel)}", "geo", gid, hid, {}))
     manifest = Manifest(name=name)
     return AtomicDataset(manifest=manifest, geo=geo, rel=rel)
 

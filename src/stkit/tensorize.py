@@ -25,6 +25,7 @@ from .atomic import (
     HUGE,
     MISSING,
     NUMBER,
+    TEXT,
     Column,
     DynaRecord,
     GridRecord,
@@ -353,36 +354,39 @@ def build_adjacency(
 ) -> np.ndarray:
     """Build the [N, N] adjacency matrix from geo-to-geo relation rows.
 
-    Rows with rel_type other than ``geo`` are ignored. Without a weight
-    property every present edge gets weight 1; with one, empty cells default
-    to 1 and negative weights raise. A repeated (origin, destination) pair is
-    an error. ``symmetrize`` takes the elementwise max with the transpose.
+    The rows are a Table or a record list, read as columns. Rows with
+    rel_type other than ``geo`` are ignored. Without a weight property every
+    present edge gets weight 1; with one, read by :meth:`Table.numbers`,
+    empty or missing cells default to 1, a text or too-large cell raises
+    BadFeatureValue and a negative weight NegativeWeight. A repeated
+    (origin, destination) pair is an error. ``symmetrize`` takes the
+    elementwise max with the transpose.
     """
+    rel = as_table("rel", rel_records)
     index = {gid: i for i, gid in enumerate(geo_order)}
     N = len(geo_order)
     A = np.zeros((N, N), dtype=np.float64)
+    weights, reasons = np.ones(len(rel)), np.full(len(rel), NUMBER, np.int8)
+    if weight_property is not None:
+        weights, reasons = rel.numbers(weight_property)
+        weights[reasons != NUMBER] = 1.0  # empty or missing; text and huge raise
     seen: set[tuple[int, int]] = set()
-    for rec in rel_records:
-        if rec.rel_type != "geo":
+    columns = (rel.field(a).tolist() for a in ("rel_type", "origin_id", "des_id"))
+    for row, (rel_type, origin, dest) in enumerate(zip(*columns)):
+        if rel_type != "geo":
             continue
-        for side in (rec.origin_id, rec.des_id):
+        for side in (origin, dest):
             if side not in index:
                 raise UnknownEntity(f"entity {side!r} not in the geo ordering")
-        edge = (index[rec.origin_id], index[rec.des_id])
+        edge = (index[origin], index[dest])
         if edge in seen:
-            raise DuplicateCell(
-                f"duplicate edge ({rec.origin_id!r}, {rec.des_id!r})"
-            )
+            raise DuplicateCell(f"duplicate edge ({origin!r}, {dest!r})")
         seen.add(edge)
-        if weight_property is None:
-            w = 1.0
-        else:
-            raw = rec.properties.get(weight_property)
-            w = 1.0 if raw is None else float(raw)
-            if w < 0:
-                raise NegativeWeight(
-                    f"edge ({rec.origin_id!r}, {rec.des_id!r}) has weight {w}"
-                )
+        if reasons[row] in (TEXT, HUGE):
+            _bad_feature(rel, weight_property, reasons, row)
+        w = float(weights[row])
+        if w < 0:
+            raise NegativeWeight(f"edge ({origin!r}, {dest!r}) has weight {w}")
         A[edge] = w
     if symmetrize:
         A = np.maximum(A, A.T)

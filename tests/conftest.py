@@ -1,8 +1,10 @@
 """Shared test builders: random atomic tables, a clean dataset, a fault catalog,
-the scalar map-matching candidate search that the matcher tests use as their
-oracle, the per-point trajectory objects that the trajectory tests use as
-theirs, the per-value number rules that ``Table.numbers`` is held to, and
-the per-origin heap Dijkstra that the route table is held to.
+the object road network that the network arrays are held to, the street
+grid's relation scan that the generator is held to, the scalar map-matching
+candidate search that the matcher tests use as their oracle, the per-point
+trajectory objects that the trajectory tests use as theirs, the per-value
+number rules that ``Table.numbers`` is held to, and the per-origin heap
+Dijkstra that the route table is held to.
 
 The random generators only emit canonical property values (values that the
 CSV typing rules can represent), so parse(write(x)) == x is a fair check.
@@ -36,7 +38,7 @@ from stkit.atomic import (
     as_table,
 )
 from stkit.dataset import AtomicDataset, Manifest
-from stkit.mapmatch import Candidate
+from stkit.mapmatch import Candidate, RoadNetwork, _RouteTable, haversine_m
 from stkit.pipeline import SplitSpec, TrajWindowSpec, _split_ranges
 
 T0 = datetime(2021, 3, 1, tzinfo=timezone.utc)
@@ -480,6 +482,128 @@ def seeded_fault_subset(seed):
     return rng.sample(sorted(FAULTS), k)
 
 
+# -- the object road network: one Segment per geo unit, edges as dicts --------------
+#
+# The network as the matcher once built it, kept as the oracle of the arrays
+# build_road_network makes, and the array-to-dict views the oracles read.
+
+
+@dataclass
+class Segment:
+    """One directed road segment: polyline plus precomputed leg lengths."""
+
+    geo_id: str
+    coords: tuple[tuple[float, float], ...]
+    length_m: float
+    cum_m: tuple[float, ...]  # cumulative length at each vertex
+
+
+def object_network(geos, rels):
+    """The segments by id and each one's successor ids, in relation order."""
+    geo, rel = as_table("geo", geos), as_table("rel", rels)
+    segments: dict[str, Segment] = {}
+    for gid, coords in zip(geo.field("geo_id").tolist(), geo.field("coordinates").tolist()):
+        cum = [0.0]
+        for (lon1, lat1), (lon2, lat2) in zip(coords, coords[1:]):
+            cum.append(cum[-1] + haversine_m(lon1, lat1, lon2, lat2))
+        segments[gid] = Segment(gid, coords, cum[-1], tuple(cum))
+    adj: dict[str, list[str]] = {gid: [] for gid in segments}
+    edges = zip(*(rel.field(a).tolist() for a in ("rel_type", "origin_id", "des_id")))
+    for rel_type, origin, dest in edges:
+        if rel_type == "geo":
+            adj[origin].append(dest)
+    return segments, {gid: tuple(v) for gid, v in adj.items()}
+
+
+def route_arrays(segments, out_edges) -> dict:
+    """The route table's graph arrays from segments and out-edge dicts."""
+    ids = sorted(segments)
+    code = {gid: n for n, gid in enumerate(ids)}
+    succ = [tuple(code[w] for w in out_edges.get(gid, ())) for gid in ids]
+    degree = np.array([len(out) for out in succ], dtype=np.intp)
+    out_to = np.array([w for out in succ for w in out], dtype=np.intp)
+    order = np.argsort(out_to, kind="stable")
+    return {
+        "ids": ids,
+        "code": code,
+        "lengths": np.array([segments[gid].length_m for gid in ids], np.float64),
+        "out_ptr": np.concatenate([[0], degree.cumsum()]),
+        "out_to": out_to,
+        "in_ptr": np.searchsorted(out_to[order], np.arange(len(ids) + 1)),
+        "in_from": np.repeat(np.arange(len(ids)), degree)[order],
+    }
+
+
+def network_arrays(segments, out_edges) -> dict:
+    """:func:`route_arrays` plus the segment boxes, legs and first legs."""
+    arrays = route_arrays(segments, out_edges)
+    segs = [segments[g] for g in arrays["ids"]]
+    boxes = [(min(x), min(y), max(x), max(y)) for x, y in (zip(*s.coords) for s in segs)]
+    legs = [
+        (*a, *b, m, n - m)
+        for s in segs
+        for a, b, m, n in zip(s.coords, s.coords[1:], s.cum_m, s.cum_m[1:])
+    ]
+    return {
+        **arrays,
+        "boxes": np.array(boxes, dtype=np.float64).reshape(-1, 4).T.copy(),
+        "legs": np.array(legs, dtype=np.float64).reshape(-1, 6).T.copy(),
+        "first_leg": np.cumsum([0] + [len(s.coords) - 1 for s in segs]),
+    }
+
+
+def route_table(segments, out_edges) -> _RouteTable:
+    """A fresh route table over segments and out-edge dicts."""
+    return _RouteTable(**route_arrays(segments, out_edges))
+
+
+def road_network(segments, out_edges) -> RoadNetwork:
+    """A network over segments and out-edge dicts, from :func:`network_arrays`."""
+    arrays = network_arrays(segments, out_edges)
+    geometry = [arrays.pop(name) for name in ("boxes", "legs", "first_leg")]
+    return RoadNetwork(_RouteTable(**arrays), *geometry)
+
+
+def successors(network) -> dict[str, tuple[str, ...]]:
+    """Each segment's successor ids, in relation order, read from the network."""
+    t, ptr = network.routes, network.routes.out_ptr.tolist()
+    return {g: tuple(t.ids[w] for w in t.out_to[a:b].tolist())
+            for g, a, b in zip(t.ids, ptr, ptr[1:])}
+
+
+def polyline(network, gid) -> Segment:
+    """Segment ``gid`` of the network, read back from its legs."""
+    c = network.routes.code[gid]
+    x0, y0, x1, y1, cum, _ = network.legs[:, network.first_leg[c] : network.first_leg[c + 1]].tolist()
+    length = float(network.routes.lengths[c])
+    return Segment(gid, tuple(zip(x0 + x1[-1:], y0 + y1[-1:])), length, (*cum, length))
+
+
+# -- the quadratic street-grid relation scan ----------------------------------------
+#
+# How the synthetic generator once found each segment's successors, kept as
+# the oracle of its node index.
+
+
+def scan_relations(geo, allow_uturn):
+    """A synthetic street grid's relations, found by scanning every segment
+    for the successors of each: the generator's quadratic loop, with segment
+    ends keyed by coordinates instead of grid nodes."""
+    starts = {g.geo_id: g.coordinates[0] for g in geo}
+    ends = {g.geo_id: g.coordinates[-1] for g in geo}
+    rel = []
+    k = 0
+    for gid, end_node in ends.items():
+        for hid, start_node in starts.items():
+            if start_node != end_node:
+                continue
+            if not allow_uturn and starts[gid] == ends[hid] and gid != hid:
+                continue  # hid retraces gid backwards
+            rel.append(RelationRecord(f"r{k}", "geo", gid, hid, {}))
+            k += 1
+    return rel
+
+
 # -- the scalar candidate search: one point, one segment, one leg at a time ---------
 
 _M_PER_DEG_LAT = 6371000.0 * math.pi / 180.0
@@ -527,7 +651,7 @@ def scalar_candidates(network, lon, lat, params):
     near &= (lo_lat <= lat + rlat) & (hi_lat >= lat - rlat)
     out = []
     for gid in [network.routes.ids[n] for n in np.flatnonzero(near).tolist()]:
-        plon, plat, d, offset = project_to_segment(network.segments[gid], lon, lat)
+        plon, plat, d, offset = project_to_segment(polyline(network, gid), lon, lat)
         if d <= params.radius_m:
             out.append(Candidate(gid, plon, plat, d, offset))
     out.sort(key=lambda c: (c.distance_m, c.segment_id))
@@ -717,7 +841,8 @@ def dijkstra_settle(table, origin: int, targets: np.ndarray):
     """Dijkstra from the end of ``origin`` until ``targets`` are settled:
     the settled ``(dist, segment, prev)`` heap entries, in settle order, and
     whether the search ran out of segments."""
-    lengths, succ = table.lengths.tolist(), table.succ
+    lengths, ptr = table.lengths.tolist(), table.out_ptr.tolist()
+    succ = [table.out_to[a:b].tolist() for a, b in zip(ptr, ptr[1:])]
     heappop, heappush = heapq.heappop, heapq.heappush
     done = bytearray(len(table.ids))
     wanted = bytearray(len(table.ids))

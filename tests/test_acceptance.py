@@ -18,6 +18,7 @@ from conftest import (
     TABLE_GENERATOR_KINDS,
     clean_dataset,
     inject_faults,
+    object_network,
     project_to_segment,
     random_table,
     seeded_fault_subset,
@@ -398,10 +399,10 @@ def test_criterion_08c_noisy_matching_recovers_most_segments():
     assert time.perf_counter() - started < 60.0
 
 
-def _linear_scan_candidates(network, lon, lat, params):
+def _linear_scan_candidates(segments, lon, lat, params):
     """Every segment projected, then the same radius test, sort and cap."""
     out = []
-    for gid, seg in network.segments.items():
+    for gid, seg in segments.items():
         plon, plat, d, offset = project_to_segment(seg, lon, lat)
         if d <= params.radius_m:
             out.append(Candidate(gid, plon, plat, d, offset))
@@ -417,8 +418,9 @@ def test_criterion_08d_indexed_candidates_equal_linear_scan():
     started = time.perf_counter()
     roads = generate_synthetic("road_network", {"n": 5}).dataset
     network = build_road_network(roads.geo, roads.rel)
+    segments, _ = object_network(roads.geo, roads.rel)
     rng = np.random.default_rng(84)
-    vertices = sorted({c for s in network.segments.values() for c in s.coords})
+    vertices = sorted({c for s in segments.values() for c in s.coords})
     lons = [v[0] for v in vertices]
     lats = [v[1] for v in vertices]
     span_lon = max(lons) - min(lons)
@@ -437,9 +439,9 @@ def test_criterion_08d_indexed_candidates_equal_linear_scan():
     for lon, lat, radius in queries:
         params = MatchParams(radius_m=radius, max_candidates=10_000)
         got = candidate_segments(network, lon, lat, params)
-        assert got == _linear_scan_candidates(network, lon, lat, params)
+        assert got == _linear_scan_candidates(segments, lon, lat, params)
         if radius == wide:
-            assert len(got) == len(network.segments)
+            assert len(got) == len(segments)
         if radius < 1e-6 and (lon, lat) in vertices:
             assert got and got[0].distance_m == 0.0
         total_hits += len(got)
@@ -447,30 +449,29 @@ def test_criterion_08d_indexed_candidates_equal_linear_scan():
     assert time.perf_counter() - started < 60.0
 
 
-def _floyd_warshall_start_distances(network):
+def _floyd_warshall_start_distances(segments, out_edges):
     """All-pairs cost to travel from the start of u to the start of v,
     where traversing a segment costs its length. Diagonal is 0."""
-    ids = sorted(network.segments)
+    ids = sorted(segments)
     pos = {g: i for i, g in enumerate(ids)}
     n = len(ids)
     D = np.full((n, n), math.inf)
     np.fill_diagonal(D, 0.0)
     for u in ids:
-        w = network.segments[u].length_m
-        for v in network.out_edges[u]:
+        w = segments[u].length_m
+        for v in out_edges[u]:
             D[pos[u], pos[v]] = min(D[pos[u], pos[v]], w)
     for mid in range(n):
         D = np.minimum(D, D[:, [mid]] + D[[mid], :])
     return ids, pos, D
 
 
-def _oracle_route_m(network, pos, D, a, b):
+def _oracle_route_m(segments, out_edges, pos, D, a, b):
     best = math.inf
     if a.segment_id == b.segment_id and b.offset_m >= a.offset_m:
         best = b.offset_m - a.offset_m
-    seg_a = network.segments[a.segment_id]
-    leave = seg_a.length_m - a.offset_m
-    for succ in network.out_edges[a.segment_id]:
+    leave = segments[a.segment_id].length_m - a.offset_m
+    for succ in out_edges[a.segment_id]:
         via = leave + D[pos[succ], pos[b.segment_id]] + b.offset_m
         best = min(best, via)
     return best
@@ -506,16 +507,15 @@ def test_criterion_08e_routing_matches_floyd_warshall():
                     rels.append(RelationRecord(f"r{rid}", "geo", f"s{u}", f"s{v}", {}))
                     rid += 1
         network = build_road_network(geos, rels)
-        ids, pos, D = _floyd_warshall_start_distances(network)
+        segments, out_edges = object_network(geos, rels)
+        ids, pos, D = _floyd_warshall_start_distances(segments, out_edges)
 
         for _ in range(25):
             sa, sb = (ids[int(rng.integers(m))] for _ in range(2))
-            a = Candidate(sa, 0.0, 0.0, 0.0,
-                          float(rng.uniform(0, network.segments[sa].length_m)))
-            b = Candidate(sb, 0.0, 0.0, 0.0,
-                          float(rng.uniform(0, network.segments[sb].length_m)))
+            a = Candidate(sa, 0.0, 0.0, 0.0, float(rng.uniform(0, segments[sa].length_m)))
+            b = Candidate(sb, 0.0, 0.0, 0.0, float(rng.uniform(0, segments[sb].length_m)))
             got, route = shortest_route(network, a, b)
-            want = _oracle_route_m(network, pos, D, a, b)
+            want = _oracle_route_m(segments, out_edges, pos, D, a, b)
             if math.isinf(want):
                 assert math.isinf(got) and route is None
                 continue
@@ -524,10 +524,8 @@ def test_criterion_08e_routing_matches_floyd_warshall():
             if len(route) == 1:
                 recomputed = b.offset_m - a.offset_m
             else:
-                mids = sum(network.segments[g].length_m for g in route[1:-1])
-                recomputed = (
-                    network.segments[sa].length_m - a.offset_m + mids + b.offset_m
-                )
+                mids = sum(segments[g].length_m for g in route[1:-1])
+                recomputed = segments[sa].length_m - a.offset_m + mids + b.offset_m
             assert abs(recomputed - got) <= 1e-9 * max(1.0, got)
     assert time.perf_counter() - started < 60.0
 

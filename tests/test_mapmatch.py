@@ -10,11 +10,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dijkstra_settle, scalar_candidates
+from conftest import (
+    Segment,
+    dijkstra_settle,
+    network_arrays,
+    object_network,
+    successors,
+    polyline,
+    road_network,
+    route_table,
+    scalar_candidates,
+)
 from stkit import mapmatch
 from stkit.atomic import GeoUnit, RelationRecord, read_table, write_table
 from stkit.exceptions import (
     BadMatchParams,
+    DuplicateId,
     NoCandidatesAnywhere,
     NonLineGeometry,
     StkitError,
@@ -24,8 +35,6 @@ from stkit.mapmatch import (
     Candidate,
     MatchParams,
     MatchResult,
-    RoadNetwork,
-    Segment,
     _candidate_routes,
     _distinct,
     _route_distances,
@@ -86,21 +95,22 @@ def test_haversine_zero_and_symmetry():
 
 def test_network_segments_and_edges():
     net = corridor()
-    assert set(net.segments) == {"A", "B"}
-    segA = net.segments["A"]
-    assert abs(segA.length_m - 0.001 * M_PER_DEG) < 1e-6
-    assert segA.start == (0.0, 0.0) and segA.end == (0.001, 0.0)
-    assert net.out_edges["A"] == ("B",)
-    assert net.out_edges["B"] == ()
-    assert net.segment_lengths()["A"] == segA.length_m
+    assert net.routes.ids == ["A", "B"] and net.routes.code == {"A": 0, "B": 1}
+    length_a = float(net.routes.lengths[0])
+    assert abs(length_a - 0.001 * M_PER_DEG) < 1e-6
+    assert net.legs[:4, 0].tolist() == [0.0, 0.0, 0.001, 0.0]  # A's start, then end
+    assert net.boxes[:, 0].tolist() == [0.0, 0.0, 0.001, 0.0]
+    assert successors(net) == {"A": ("B",), "B": ()}
+    assert net.segment_lengths()["A"] == length_a
 
 
 def test_network_polyline_length_sums_legs():
     net = build_road_network(
         [line("Z", (0.0, 0.0), (0.001, 0.0), (0.001, 0.001))], []
     )
-    assert abs(net.segments["Z"].length_m - 2 * 0.001 * M_PER_DEG) < 1e-3
-    assert len(net.segments["Z"].cum_m) == 3
+    assert abs(net.segment_lengths()["Z"] - 2 * 0.001 * M_PER_DEG) < 1e-3
+    assert net.first_leg.tolist() == [0, 2]
+    assert net.legs[4:, 1].sum() == net.segment_lengths()["Z"]
 
 
 def test_network_rejects_non_lines():
@@ -113,8 +123,39 @@ def test_network_rejects_dangling_relation():
         build_road_network([line("A", (0.0, 0.0), (0.001, 0.0))], [rel("r0", "A", "Z")])
 
 
+def test_network_rejects_a_repeated_geo_id():
+    geos = [
+        line("B", (0.0, 0.0), (0.001, 0.0)),
+        line("A", (0.001, 0.0), (0.002, 0.0)),
+        line("B", (0.002, 0.0), (0.003, 0.0)),
+    ]
+    with pytest.raises(DuplicateId, match="identifier 'B' already used") as info:
+        build_road_network(geos, [])
+    assert (info.value.table, info.value.row, info.value.column) == ("geo", 3, "geo_id")
+
+
 def as_read_table(kind, records):
     return read_table(kind, write_table(kind, records))
+
+
+def network_fields(net):
+    """Every array of a network, named as :func:`network_arrays` names them."""
+    r = net.routes
+    return {"ids": r.ids, "code": r.code, "lengths": r.lengths, "out_ptr": r.out_ptr,
+            "out_to": r.out_to, "in_ptr": r.in_ptr, "in_from": r.in_from,
+            "boxes": net.boxes, "legs": net.legs, "first_leg": net.first_leg}
+
+
+def assert_same_arrays(got, want):
+    """Equal ids and codes, and arrays of equal dtype, shape and bytes."""
+    assert got.keys() == want.keys()
+    for name, w in want.items():
+        g = got[name]
+        if isinstance(w, np.ndarray):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+            assert g.tobytes() == w.tobytes(), name
+        else:
+            assert g == w, name
 
 
 def test_network_from_read_tables_equals_the_one_from_record_lists():
@@ -122,9 +163,37 @@ def test_network_from_read_tables_equals_the_one_from_record_lists():
     geos, rels = list(ds.geo), list(ds.rel)
     want = build_road_network(geos, rels)
     got = build_road_network(as_read_table("geo", geos), as_read_table("rel", rels))
-    assert got == want and len(want.segments) > 0
-    assert list(got.segments) == list(want.segments)
-    assert list(got.out_edges.items()) == list(want.out_edges.items())
+    assert len(want.routes.ids) > 0
+    assert_same_arrays(network_fields(got), network_fields(want))
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["records", "read"])
+def test_network_arrays_equal_the_object_network_bit_for_bit(read):
+    """Every array of the network equals the one made from Segment objects
+    and edge dicts, by bytes: on synthetic grids of 48 to 6,240 segments, on
+    no segments at all, and on shuffled multi-leg polylines with random
+    edges, self-loops and repeated edges among them."""
+    tables = as_read_table if read else (lambda kind, records: records)
+    cases = [([], [])]
+    for n in (4, 12, 40):
+        ds = generate_synthetic("road_network", {"n": n}).dataset
+        cases.append((list(ds.geo), list(ds.rel)))
+    rng = np.random.default_rng(103)
+    seen = {"zero_legs": 0, "self_loops": 0, "repeats": 0}
+    for trial in range(40):
+        geos = multi_leg_geos(rng, int(rng.integers(1, 20)))
+        geos = [geos[i] for i in rng.permutation(len(geos))]
+        ids = [g.geo_id for g in geos]
+        pairs = rng.integers(0, len(ids), size=(int(rng.integers(0, 3 * len(ids))), 2)).tolist()
+        cases.append((geos, [rel(f"r{k}", ids[a], ids[b]) for k, (a, b) in enumerate(pairs)]))
+        seen["zero_legs"] += sum(a == b for g in geos for a, b in zip(g.coordinates, g.coordinates[1:]))
+        seen["self_loops"] += sum(a == b for a, b in pairs)
+        seen["repeats"] += len(pairs) - len(set(map(tuple, pairs)))
+    for geos, rels in cases:
+        geo, rel_table = tables("geo", geos), tables("rel", rels)
+        want = network_arrays(*object_network(geo, rel_table))
+        assert_same_arrays(network_fields(build_road_network(geo, rel_table)), want)
+    assert min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("read", [False, True], ids=["records", "read"])
@@ -157,7 +226,7 @@ def test_network_ignores_non_geo_relations():
         [line("A", (0.0, 0.0), (0.001, 0.0))],
         [RelationRecord("r0", "usr", "u0", "u1", {})],
     )
-    assert net.out_edges["A"] == ()
+    assert successors(net) == {"A": ()}
 
 
 # -- candidates --------------------------------------------------------------
@@ -209,7 +278,7 @@ def bits(cands):
     ]
 
 
-def multi_leg_network(rng, n_segments):
+def multi_leg_geos(rng, n_segments):
     """Polylines of one to five legs with repeated vertices (zero-length
     legs), twins (the same polyline under a later id: equal distances) and
     out-and-back polylines (two legs equally near), at city coordinates, where
@@ -228,7 +297,12 @@ def multi_leg_network(rng, n_segments):
             geos.append(line(f"t{i:02d}", *coords))
         if rng.random() < 0.3:
             geos.append(line(f"b{i:02d}", coords[0], coords[-1], coords[0]))
-    return build_road_network(geos, [])
+    return geos
+
+
+def multi_leg_network(rng, n_segments):
+    """The polylines of :func:`multi_leg_geos`, without edges."""
+    return build_road_network(multi_leg_geos(rng, n_segments), [])
 
 
 def test_trajectory_search_equals_the_scalar_search_bit_for_bit(monkeypatch):
@@ -241,9 +315,10 @@ def test_trajectory_search_equals_the_scalar_search_bit_for_bit(monkeypatch):
     seen = {"zero_legs": 0, "on_vertex": 0, "segment_ties": 0, "capped": 0}
     for trial in range(4):
         network = multi_leg_network(rng, int(rng.integers(8, 20)))
-        vertices = sorted({c for s in network.segments.values() for c in s.coords})
+        segments = [polyline(network, g) for g in network.routes.ids]
+        vertices = sorted({c for s in segments for c in s.coords})
         seen["zero_legs"] += sum(
-            a == b for s in network.segments.values() for a, b in zip(s.coords, s.coords[1:])
+            a == b for s in segments for a, b in zip(s.coords, s.coords[1:])
         )
         box = rng.uniform(-0.003, 0.013, size=(150, 2)) + (116.3, 39.9)
         points = [tuple(p) for p in box.tolist()] + vertices
@@ -278,7 +353,7 @@ def test_equally_near_legs_keep_the_first():
     first leg gives its offset, as the scalar search does."""
     net = build_road_network([line("A", (0.0, 0.0), (0.001, 0.0), (0.0, 0.0))], [])
     (c,) = candidate_segments(net, 0.0004, 0.0001, MatchParams())
-    assert c.offset_m < net.segments["A"].length_m / 2
+    assert c.offset_m < net.segment_lengths()["A"] / 2
     assert bits([c]) == bits(scalar_candidates(net, 0.0004, 0.0001, MatchParams()))
 
 
@@ -324,7 +399,7 @@ def test_route_across_junction():
     b_cands = candidate_segments(net, 0.0012, 0.0, p)
     b = next(c for c in b_cands if c.segment_id == "B")
     d, route = shortest_route(net, a, b)
-    lenA = net.segments["A"].length_m
+    lenA = net.segment_lengths()["A"]
     assert abs(d - ((lenA - a.offset_m) + b.offset_m)) < 1e-9
     assert route == ["A", "B"]
 
@@ -351,8 +426,7 @@ def test_route_around_a_loop():
     cand_a = next(c for c in a if c.segment_id == "A")
     cand_b = next(c for c in b if c.segment_id == "A")
     d, route = shortest_route(net, cand_a, cand_b)
-    lenA = net.segments["A"].length_m
-    lenR = net.segments["R"].length_m
+    lenA, lenR = net.segment_lengths()["A"], net.segment_lengths()["R"]
     want = (lenA - cand_a.offset_m) + lenR + cand_b.offset_m
     assert abs(d - want) < 1e-9
     assert route == ["A", "R", "A"]
@@ -547,10 +621,10 @@ def test_breaks_is_a_read_only_view_of_chains():
 
 def _reference_route_distances(network, origin, target_segments):
     """Fresh Dijkstra from a candidate to the START of each target segment."""
-    seg = network.segments[origin.segment_id]
-    init = seg.length_m - origin.offset_m
+    lengths, succ_of = network.segment_lengths(), successors(network)
+    init = lengths[origin.segment_id] - origin.offset_m
     dist, prev, heap = {}, {}, []
-    for succ in network.out_edges.get(origin.segment_id, ()):
+    for succ in succ_of.get(origin.segment_id, ()):
         heapq.heappush(heap, (init, succ, None))
     pending = set(target_segments)
     while heap and pending:
@@ -560,8 +634,8 @@ def _reference_route_distances(network, origin, target_segments):
         dist[v] = d
         prev[v] = parent
         pending.discard(v)
-        dv = d + network.segments[v].length_m
-        for w in network.out_edges.get(v, ()):
+        dv = d + lengths[v]
+        for w in succ_of.get(v, ()):
             if w not in dist:
                 heapq.heappush(heap, (dv, w, v))
     return {t: (dist.get(t, math.inf), prev) for t in target_segments}
@@ -890,7 +964,7 @@ def route_matrix(network, origins, targets):
 
 def fresh_table(network):
     """The same network with a new, empty route table."""
-    return replace(network, routes=None)
+    return replace(network, routes=replace(network.routes, rows={}))
 
 
 def test_route_tree_resume_order_is_irrelevant():
@@ -900,15 +974,11 @@ def test_route_tree_resume_order_is_irrelevant():
     rng = np.random.default_rng(37)
     for trial in range(10):
         network = random_network(rng, int(rng.integers(6, 16)), 0.15)
-        ids = sorted(network.segments)
+        ids, lengths = network.routes.ids, network.segment_lengths()
         origin = ids[int(rng.integers(len(ids)))]
-        a = Candidate(origin, 0.0, 0.0, 0.0,
-                      float(rng.uniform(0, network.segments[origin].length_m)))
+        a = Candidate(origin, 0.0, 0.0, 0.0, float(rng.uniform(0, lengths[origin])))
         targets = [
-            Candidate(
-                g, 0.0, 0.0, 0.0, float(rng.uniform(0, network.segments[g].length_m))
-            )
-            for g in ids
+            Candidate(g, 0.0, 0.0, 0.0, float(rng.uniform(0, lengths[g]))) for g in ids
         ]
         answers = []
         for order in (targets, targets[::-1], list(rng.permutation(targets))):
@@ -953,9 +1023,8 @@ def test_route_table_filled_by_two_traces_answers_like_a_fresh_one():
         assert got_b == viterbi_match(fresh_table(network), trace_b, params)
         partial_rows += sum(not row.complete for row in network.routes.rows.values())
         cands = [
-            Candidate(g, 0.0, 0.0, 0.0,
-                      float(rng.uniform(0, network.segments[g].length_m)))
-            for g in sorted(network.segments)
+            Candidate(g, 0.0, 0.0, 0.0, float(rng.uniform(0, m)))
+            for g, m in network.segment_lengths().items()
         ]
         filled = route_matrix(network, cands, cands)
         assert filled.tobytes() == route_matrix(
@@ -1038,26 +1107,26 @@ def test_route_table_equals_the_heap_dijkstra_bit_for_bit(kind):
     cases = []
     for trial in range(12):
         graph = segment_graph(rng, kind)
-        table = mapmatch._RouteTable(*graph)
+        table = route_table(*graph)
         cases.append((graph, random_targets(rng, table), random_targets(rng, table)))
     if kind == "flat":  # codes a 0, b 1, c 2, o 3, t 4, u 5
         cases.append((late_plateau(), (np.array([3]), np.array([4])),
                        (np.array([3]), np.array([5]))))
     seen = {"unreachable": 0, "loops": 0, "reruns": 0, "dead_ends": 0}
     for graph, (origin, target), earlier in cases:
-        table = mapmatch._RouteTable(*graph)
+        table = route_table(*graph)
         n = len(table.ids)
         want = {o: oracle_routes(table, o) for o in range(n)}
         expect = np.array([want[o].get(t, (math.inf,))[0]
                            for o, t in zip(origin.tolist(), target.tolist())])
-        at_once = mapmatch._RouteTable(*graph)
+        at_once = route_table(*graph)
         got = {"at_once": (at_once, at_once.start_distances(origin, target))}
-        alone = mapmatch._RouteTable(*graph)
+        alone = route_table(*graph)
         got["alone"] = (alone, np.concatenate([
             alone.start_distances(origin[origin == o], target[origin == o])
             for o in _distinct(origin).tolist()
         ]))
-        later = mapmatch._RouteTable(*graph)
+        later = route_table(*graph)
         later.start_distances(*earlier)
         seen["reruns"] += sum(
             not later.rows[o].complete
@@ -1072,7 +1141,7 @@ def test_route_table_equals_the_heap_dijkstra_bit_for_bit(kind):
                     assert filled.chain(o, t) == oracle_chain(want[o], t), (name, o, t)
         seen["unreachable"] += int(np.isinf(expect).sum())
         seen["loops"] += int(np.isfinite(expect[origin == target]).sum())
-        seen["dead_ends"] += sum(not out for out in table.succ)
+        seen["dead_ends"] += int((np.diff(table.out_ptr) == 0).sum())
     assert min(seen.values()) > 0, seen
     if kind == "flat":
         assert at_once.chain(3, 4) == [0, 1, 2, 4]
@@ -1088,8 +1157,8 @@ def test_blocks_of_few_origins_route_as_one_block(monkeypatch):
         params = MatchParams(radius_m=200.0, max_candidates=int(rng.integers(1, 6)))
         _, points, ptr = random_run(rng, network, params)
         whole = viterbi_match(fresh_table(network), points, params, ptr)
-        cands = [Candidate(g, 0.0, 0.0, 0.0, float(rng.uniform(0, network.segments[g].length_m)))
-                 for g in sorted(network.segments)]
+        cands = [Candidate(g, 0.0, 0.0, 0.0, float(rng.uniform(0, m)))
+                 for g, m in network.segment_lengths().items()]
         routes = [shortest_route(fresh_table(network), a, b) for a in cands for b in cands]
         n = len(network.routes.ids)
         for per_block, cells in ((1, n - 1), (3, 3 * n)):
@@ -1173,7 +1242,7 @@ def test_route_table_codes_widen_past_int16():
     far end is routed exactly, through every segment in between."""
     n = 33_000
     ids = [f"s{i:05d}" for i in range(n)]
-    network = RoadNetwork(
+    network = road_network(
         {g: Segment(g, ((0.0, 0.0), (0.0, 0.0)), 1.0, (0.0, 1.0)) for g in ids},
         {g: (h,) for g, h in zip(ids, ids[1:])},
     )
@@ -1195,9 +1264,9 @@ def test_zero_length_segment_ties_keep_the_first_hop():
     ]
     net = build_road_network(geos, [rel("r0", "a", "u"), rel("r1", "a", "v"),
                                     rel("r2", "u", "v")])
-    assert net.segments["u"].length_m == 0.0
+    assert net.segment_lengths()["u"] == 0.0
     a = Candidate("a", 0.0005, 0.0, 0.0, 40.0)
-    leave = net.segments["a"].length_m - 40.0
+    leave = net.segment_lengths()["a"] - 40.0
     assert shortest_route(net, a, Candidate("v", 0.0015, 0.0, 0.0, 25.0)) == (
         leave + 25.0, ["a", "v"]
     )

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import scan_relations, successors
 from stkit.baselines import ha_fit, var_fit
 from stkit.dataset import load_dataset, validate_dataset
 from stkit.mapmatch import MatchParams, build_road_network, candidate_segments
@@ -122,7 +123,7 @@ def test_road_network_segment_count():
     assert len(ds.geo) == 48
     assert all(g.geo_type == "LineString" for g in ds.geo)
     net = build_road_network(ds.geo, ds.rel)
-    assert len(net.segments) == 48
+    assert len(net.routes.ids) == 48
 
 
 def test_road_network_counts_scale():
@@ -139,12 +140,12 @@ def test_road_network_no_uturns_by_default():
         head, a, b = gid.rsplit("_", 2)
         return f"{head}_{b}_{a}"
 
-    for gid, succs in net.out_edges.items():
+    for gid, succs in successors(net).items():
         assert reverse_of(gid) not in succs, gid
     with_u = generate_synthetic("road_network", {"n": 3, "allow_uturn": True}).dataset
     net_u = build_road_network(with_u.geo, with_u.rel)
     assert any(
-        reverse_of(gid) in succs for gid, succs in net_u.out_edges.items()
+        reverse_of(gid) in succs for gid, succs in successors(net_u).items()
     )
     assert len(with_u.rel) > len(ds.rel)
 
@@ -152,11 +153,20 @@ def test_road_network_no_uturns_by_default():
 def test_road_network_interior_degree():
     # Interior nodes pass 4 streets; leaving one without U-turn leaves 3 options.
     ds = generate_synthetic("road_network", {"n": 4}).dataset
-    net = build_road_network(ds.geo, ds.rel)
+    succ = successors(build_road_network(ds.geo, ds.rel))
     into_interior = "s_n1x0_n1x1"  # ends at interior node (1,1)
-    assert len(net.out_edges[into_interior]) == 3
+    assert len(succ[into_interior]) == 3
     into_corner = "s_n0x1_n0x0"  # ends at corner (0,0)
-    assert len(net.out_edges[into_corner]) == 1
+    assert len(succ[into_corner]) == 1
+
+
+@pytest.mark.parametrize("allow_uturn", [False, True], ids=["no_uturn", "uturn"])
+@pytest.mark.parametrize("n", [4, 12, 40])
+def test_road_network_relations_equal_the_full_scan(n, allow_uturn):
+    """Indexing segment starts by node emits the relations of scanning every
+    segment for each one's successors: same ids, same pairs, same order."""
+    ds = generate_synthetic("road_network", {"n": n, "allow_uturn": allow_uturn}).dataset
+    assert list(ds.rel) == scan_relations(ds.geo, allow_uturn)
 
 
 def test_road_network_min_size():
@@ -173,13 +183,14 @@ def test_trajectories_truth_routes_are_walkable():
     )
     ds = res.dataset
     net = build_road_network(ds.geo, ds.rel)
+    succ = successors(net)
     assert set(res.truth_routes) == {u.usr_id for u in ds.usr}
     for user, route in res.truth_routes.items():
         assert route, user
         for gid in route:
-            assert gid in net.segments
+            assert gid in net.routes.code
         for a, b in zip(route, route[1:]):
-            assert b in net.out_edges[a], (a, b)
+            assert b in succ[a], (a, b)
 
 
 def test_trajectories_points_lie_on_their_segments():

@@ -418,6 +418,30 @@ def test_adjacency_errors():
         )
     with pytest.raises(UnknownEntity):
         build_adjacency([RelationRecord("r0", "geo", "g0", "gX", {})], GEOS)
+    # A weight cell that is text or too large for a float is located at its
+    # row and column, whether the rows are records or a read table.
+    for value, what in (("nan", "non-numeric value 'nan'"), ("abc", "non-numeric value 'abc'"),
+                        (10**400, "too large for a float")):
+        rels = [
+            RelationRecord("r0", "geo", "g0", "g1", {"w": 2.0}),
+            RelationRecord("r1", "usr", "u0", "u1", {"w": "x"}),
+            RelationRecord("r2", "geo", "g1", "g0", {"w": value}),
+        ]
+        for rows in (rels, read_table("rel", write_table("rel", rels))):
+            with pytest.raises(BadFeatureValue, match=what) as info:
+                build_adjacency(rows, GEOS, weight_property="w")
+            assert (info.value.table, info.value.row, info.value.column) == ("rel", 3, "w")
+    # Empty cells and a missing column stay weight 1, from a read table too.
+    empty = [RelationRecord("r0", "geo", "g0", "g1", {"w": None}),
+             RelationRecord("r1", "geo", "g1", "g0", {"w": 4.0})]
+    absent = [RelationRecord("r0", "geo", "g0", "g1", {"v": 3.0}),
+              RelationRecord("r1", "geo", "g1", "g0", {"v": 3.0})]
+    for rels, want in ((empty, [[0.0, 1.0], [4.0, 0.0]]), (absent, [[0.0, 1.0], [1.0, 0.0]])):
+        for rows in (rels, read_table("rel", write_table("rel", rels))):
+            assert build_adjacency(rows, GEOS, weight_property="w").tolist() == want
+    with pytest.raises(NegativeWeight):
+        negative = [RelationRecord("r0", "geo", "g0", "g1", {"w": -0.5})]
+        build_adjacency(read_table("rel", write_table("rel", negative)), GEOS, weight_property="w")
 
 
 def test_adjacency_self_loops():
