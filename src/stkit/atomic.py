@@ -128,6 +128,8 @@ _LOCATION_COLUMN = "location"
 _TIMESTAMP_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z", re.ASCII)
 _INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+_NEEDS_QUOTES = re.compile(r'[,"\n\r]')
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":")).encode  # tuples encode as arrays
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -350,11 +352,7 @@ def _parse_coordinates(cell: str, geo_type: str, table: str, row: int):
 
 
 def _format_coordinates(geo_type: str, coordinates) -> str:
-    if geo_type == "Point":
-        payload = list(coordinates[0])
-    else:
-        payload = [list(p) for p in coordinates]
-    return json.dumps(payload, separators=(",", ":"))
+    return _COMPACT_JSON(coordinates[0] if geo_type == "Point" else coordinates)
 
 
 def _parse_time_cell(cell: str, table: str, row, column) -> datetime:
@@ -806,6 +804,21 @@ def parse_table(kind: str, source: Union[bytes, str, IO]) -> list:
     return list(read_table(kind, source))
 
 
+def _csv_fields(cells: list, lone: bool) -> list[str]:
+    """``cells`` as CSV fields: text as ``csv.writer`` makes it, quoted with
+    ``"`` doubled if it holds ``,``, ``"``, ``\\n`` or ``\\r``, or if ``lone``
+    in its row and empty. One search of the joined cells clears a column."""
+    try:
+        text = "".join(cells)
+    except TypeError:  # None is empty, a float its repr
+        cells = ["" if c is None else repr(c) if isinstance(c, float) else str(c) for c in cells]
+        text = "".join(cells)
+    if not _NEEDS_QUOTES.search(text) and not (lone and "" in cells):
+        return cells
+    quote = _NEEDS_QUOTES.search
+    return ['"' + c.replace('"', '""') + '"' if quote(c) or lone and not c else c for c in cells]
+
+
 def write_table(kind: str, records: Iterable) -> bytes:
     """Serialize a :class:`Table` of one kind, or a record list put behind the
     same columns, to CSV bytes.
@@ -814,8 +827,8 @@ def write_table(kind: str, records: Iterable) -> bytes:
     the property header is the table's ``prop_names``: for a record list,
     the keys in order of first appearance. Every row must carry every
     property. Trajectory tables gain a ``location`` column only when at
-    least one row has a location. Each column's cells are formatted once
-    per code and gathered by the codes.
+    least one row has a location. Each column's distinct cells are formatted
+    and quoted once and gathered by the codes; rows end with ``\\n``.
     ``parse_table(kind, write_table(kind, records))`` reproduces the records.
     """
     if kind not in MANDATORY_COLUMNS:
@@ -848,8 +861,7 @@ def write_table(kind: str, records: Iterable) -> bytes:
             )
         columns.append(Column(column.codes, list(map(_scalar_to_cell, column.values))))
 
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*(c.tolist() for c in columns)))
-    return out.getvalue().encode("utf-8")
+    lone = len(header) == 1
+    cells = [Column(c.codes, _csv_fields(c.values, lone)).tolist() for c in columns]
+    lines = [",".join(_csv_fields(header, lone)), *map(",".join, zip(*cells)), ""]
+    return "\n".join(lines).encode("utf-8")

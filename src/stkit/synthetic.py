@@ -13,20 +13,21 @@ Four kinds are supported:
   random routes with configurable Gaussian noise, and the ground-truth
   segment sequence for each trace.
 
-Everything is deterministic in (kind, params, seed).
+Everything is deterministic in (kind, params, seed). Each table is built as
+columns (see :class:`~stkit.atomic.Column`), with no per-row record object.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Mapping, Union
 
 import numpy as np
 
-from .atomic import DynaRecord, GeoUnit, GridRecord, RelationRecord, UserUnit
+from .atomic import Column, Table
 from .config import write_json
 from .dataset import AtomicDataset, Manifest, save_dataset
 from .mapmatch import EARTH_RADIUS_M
@@ -69,10 +70,46 @@ def generate_synthetic(
     if kind == "grid_flow":
         return _grid_flow(params, seed)
     if kind == "road_network":
-        return SyntheticResult(_road_network(params))
+        return SyntheticResult(_road_network(params)[0])
     if kind == "trajectories":
         return _trajectories(params, seed)
     raise ValueError(f"unknown synthetic kind {kind!r}")
+
+
+def _table(kind: str, props: dict | None = None, **columns) -> Table:
+    """A table of ``kind`` over its record attributes' and properties'
+    columns; a list is a column of one row per value."""
+    def column(c):
+        return c if isinstance(c, Column) else Column(np.arange(len(c)), c)
+
+    columns = {a: column(c) for a, c in columns.items()}
+    props = {name: column(c) for name, c in (props or {}).items()}
+    n = len(next(iter(columns.values())).codes)
+    return Table(kind, n, tuple(props), columns, {}, props=props)
+
+
+def _constant(value, n: int) -> Column:
+    return Column(np.zeros(n, dtype=np.intp), [value])
+
+
+def _ids(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{k}" for k in range(n)]
+
+
+def _state_rows(rng, values: np.ndarray, missing_rate: float, interval: int):
+    """The state rows of ``values`` [n_slots, cells]: their dyna_id, dyna_type
+    and time columns, cell, and flow property. A cell is dropped when its
+    draw falls below ``missing_rate``, one draw per cell in row-major order.
+    Flows share a code when their bits are equal, so -0.0 is not 0.0."""
+    kept = np.arange(values.size)
+    if missing_rate > 0:
+        kept = np.flatnonzero(~(rng.random(values.size) < missing_rate))
+    slot, cell = np.divmod(kept, values.shape[1])  # kept is empty if there are no cells
+    bits, codes = np.unique(values.reshape(-1)[kept].view(np.int64), return_inverse=True)
+    stamps = [_T0 + timedelta(seconds=t * interval) for t in range(len(values))]
+    columns = dict(dyna_id=_ids("d", len(kept)), dyna_type=_constant("state", len(kept)),
+                   time=Column(slot, stamps))
+    return columns, cell, {"flow": Column(codes.reshape(-1), bits.view(np.float64).tolist())}
 
 
 def _graph_flow(params: Mapping, seed: int) -> SyntheticResult:
@@ -116,34 +153,20 @@ def _graph_flow(params: Mapping, seed: int) -> SyntheticResult:
     else:
         raise ValueError(f"unknown graph_flow mode {mode!r}")
 
-    geo = [
-        GeoUnit(f"g{i}", "Point", ((116.0 + 0.01 * i, 39.9),), {})
-        for i in range(n_nodes)
-    ]
-    rel = []
-    for i in range(n_nodes):
-        j = (i + 1) % n_nodes
-        rel.append(RelationRecord(f"r{2 * i}", "geo", f"g{i}", f"g{j}", {}))
-        rel.append(RelationRecord(f"r{2 * i + 1}", "geo", f"g{j}", f"g{i}", {}))
-    dyna = []
-    n = 0
-    for t in range(n_slots):
-        stamp = _T0 + timedelta(seconds=t * interval)
-        for i in range(n_nodes):
-            if missing_rate > 0 and rng.random() < missing_rate:
-                continue
-            dyna.append(
-                DynaRecord(
-                    f"d{n}", "state", stamp, f"g{i}", None, {"flow": float(values[t, i])}
-                )
-            )
-            n += 1
-    manifest = Manifest(
-        name=name, interval_seconds=interval, features=("flow",)
-    )
-    return SyntheticResult(
-        AtomicDataset(manifest=manifest, geo=geo, rel=rel, dyna=dyna)
-    )
+    ids = _ids("g", n_nodes)
+    points = [((116.0 + 0.01 * i, 39.9),) for i in range(n_nodes)]
+    geo = _table("geo", geo_id=ids, geo_type=_constant("Point", n_nodes), coordinates=points)
+    # Relation 2i runs from node i to the next one around the ring, 2i + 1 back.
+    ring = np.arange(n_nodes)
+    ends = np.stack([ring, (ring + 1) % n_nodes], axis=1)
+    rel = _table("rel", rel_id=_ids("r", 2 * n_nodes), rel_type=_constant("geo", 2 * n_nodes),
+                 origin_id=Column(ends.reshape(-1), ids),
+                 des_id=Column(ends[:, ::-1].reshape(-1), ids))
+    state, node, flow = _state_rows(rng, values, missing_rate, interval)
+    dyna = _table("dyna", flow, **state, entity_id=Column(node, ids),
+                  location=_constant(None, len(node)))
+    manifest = Manifest(name=name, interval_seconds=interval, features=("flow",))
+    return SyntheticResult(AtomicDataset(manifest=manifest, geo=geo, rel=rel, dyna=dyna))
 
 
 def _grid_flow(params: Mapping, seed: int) -> SyntheticResult:
@@ -158,47 +181,24 @@ def _grid_flow(params: Mapping, seed: int) -> SyntheticResult:
     period = int(params.get("period", max(1, 86400 // interval)))
     base = rng.integers(0, max_flow, size=(period, rows, cols)).astype(np.float64)
 
-    records = []
-    n = 0
-    for t in range(n_slots):
-        stamp = _T0 + timedelta(seconds=t * interval)
-        for i in range(rows):
-            for j in range(cols):
-                if missing_rate > 0 and rng.random() < missing_rate:
-                    continue
-                records.append(
-                    GridRecord(
-                        f"d{n}",
-                        "state",
-                        stamp,
-                        i,
-                        j,
-                        {"flow": float(base[t % period, i, j])},
-                    )
-                )
-                n += 1
-    manifest = Manifest(
-        name=name,
-        interval_seconds=interval,
-        grid_rows=rows,
-        grid_cols=cols,
-        features=("flow",),
-    )
-    return SyntheticResult(AtomicDataset(manifest=manifest, grid=records))
+    values = base[np.arange(n_slots) % period].reshape(n_slots, rows * cols)
+    state, cell, flow = _state_rows(rng, values, missing_rate, interval)
+    row, col = np.divmod(cell, cols)
+    grid = _table("grid", flow, **state, row_id=Column(row, list(range(rows))),
+                  col_id=Column(col, list(range(cols))))
+    manifest = Manifest(name=name, interval_seconds=interval, grid_rows=rows, grid_cols=cols,
+                        features=("flow",))
+    return SyntheticResult(AtomicDataset(manifest=manifest, grid=grid))
 
 
-def _node_coords(n: int, block_m: float, lon0: float, lat0: float):
-    dlat = block_m / _M_PER_DEG_LAT
-    dlon = block_m / (_M_PER_DEG_LAT * math.cos(math.radians(lat0)))
-    return {
-        (i, j): (lon0 + j * dlon, lat0 + i * dlat)
-        for i in range(n)
-        for j in range(n)
-    }
+def _road_network(params: Mapping):
+    """n-by-n street grid: 2*n*(n-1) undirected streets, one segment per direction.
 
-
-def _road_network(params: Mapping) -> AtomicDataset:
-    """n-by-n street grid: 2*n*(n-1) undirected streets, one segment per direction."""
+    Returns the dataset; the segment ids in geo order, segment ``s ^ 1`` being
+    segment ``s`` reversed; per segment its start and end lon and lat [S, 4];
+    and the successors of segment ``s`` in relation order, which are
+    ``succ[succ_ptr[s] : succ_ptr[s + 1]]``, as ``succ_ptr`` and ``succ``.
+    """
     n = int(params.get("n", 4))
     block_m = float(params.get("block_m", 500.0))
     lon0 = float(params.get("lon0", 116.0))
@@ -207,36 +207,41 @@ def _road_network(params: Mapping) -> AtomicDataset:
     name = params.get("name", "syn_roads")
     if n < 2:
         raise ValueError("need at least a 2x2 node grid")
-    coords = _node_coords(n, block_m, lon0, lat0)
-
-    def node_name(ij):
-        # No underscore inside node names: segment ids split on it.
-        return f"n{ij[0]}x{ij[1]}"
-
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if j + 1 < n:
-                pairs.append(((i, j), (i, j + 1)))
-            if i + 1 < n:
-                pairs.append(((i, j), (i + 1, j)))
-    geo = []
-    nodes: dict[str, tuple] = {}  # each segment's start and end node
-    leaving: dict[tuple, list[str]] = {}  # each node's segments, in geo order
-    for a, b in pairs:
-        for u, v in ((a, b), (b, a)):
-            gid = f"s_{node_name(u)}_{node_name(v)}"
-            geo.append(GeoUnit(gid, "LineString", (coords[u], coords[v]), {}))
-            leaving.setdefault(u, []).append(gid)
-            nodes[gid] = (u, v)
-    rel = []
-    for gid, (start_node, end_node) in nodes.items():
-        for hid in leaving[end_node]:
-            if not allow_uturn and nodes[hid][1] == start_node:
-                continue  # hid retraces gid backwards
-            rel.append(RelationRecord(f"r{len(rel)}", "geo", gid, hid, {}))
-    manifest = Manifest(name=name)
-    return AtomicDataset(manifest=manifest, geo=geo, rel=rel)
+    dlat = block_m / _M_PER_DEG_LAT
+    dlon = block_m / (_M_PER_DEG_LAT * math.cos(math.radians(lat0)))
+    # Node k is grid node (k // n, k % n). No underscore inside node names:
+    # segment ids split on it.
+    names = [f"n{i}x{j}" for i in range(n) for j in range(n)]
+    lon = np.tile(lon0 + np.arange(n) * dlon, n).tolist()
+    lat = np.repeat(lat0 + np.arange(n) * dlat, n).tolist()
+    # From each node its street east, then its street south, if inside the
+    # grid; each street is the segment there and the segment back.
+    node = np.repeat(np.arange(n * n), 2)
+    step = np.tile([1, n], n * n)
+    inside = np.where(step == 1, node % n + 1 < n, node // n + 1 < n)
+    a, b = node[inside], (node + step)[inside]
+    start, end = np.stack([a, b], axis=1).reshape(-1), np.stack([b, a], axis=1).reshape(-1)
+    pairs = list(zip(start.tolist(), end.tolist()))
+    ids = [f"s_{names[u]}_{names[v]}" for u, v in pairs]
+    coordinates = [((lon[u], lat[u]), (lon[v], lat[v])) for u, v in pairs]
+    # A segment is followed by each segment leaving its end node, in geo
+    # order, but the one retracing it unless U-turns are allowed.
+    leaving = np.argsort(start, kind="stable")
+    ptr = np.concatenate([[0], np.bincount(start, minlength=n * n).cumsum()])
+    count = ptr[end + 1] - ptr[end]
+    origin = np.repeat(np.arange(len(ids)), count)
+    des = leaving[np.arange(count.sum()) + np.repeat(ptr[end] - count.cumsum() + count, count)]
+    if not allow_uturn:
+        keep = end[des] != start[origin]
+        origin, des = origin[keep], des[keep]
+    geo = _table("geo", geo_id=ids, geo_type=_constant("LineString", len(ids)),
+                 coordinates=coordinates)
+    rel = _table("rel", rel_id=_ids("r", len(des)), rel_type=_constant("geo", len(des)),
+                 origin_id=Column(origin, ids), des_id=Column(des, ids))
+    succ_ptr = np.concatenate([[0], np.bincount(origin, minlength=len(ids)).cumsum()])
+    ends = np.array(coordinates, dtype=np.float64).reshape(-1, 4)
+    dataset = AtomicDataset(manifest=Manifest(name=name), geo=geo, rel=rel)
+    return dataset, ids, ends, succ_ptr.tolist(), des.tolist()
 
 
 def _trajectories(params: Mapping, seed: int) -> SyntheticResult:
@@ -250,75 +255,54 @@ def _trajectories(params: Mapping, seed: int) -> SyntheticResult:
     name = params.get("name", "syn_traj")
     rng = np.random.default_rng(seed)
 
-    network_ds = _road_network(
-        {
-            "n": n,
-            "block_m": block_m,
-            "lon0": params.get("lon0", 116.0),
-            "lat0": params.get("lat0", 39.9),
-            "name": name,
-        }
+    network, ids, ends, succ_ptr, succ = _road_network(
+        {"n": n, "block_m": block_m, "lon0": params.get("lon0", 116.0),
+         "lat0": params.get("lat0", 39.9), "name": name}
     )
-    segments = {g.geo_id: g for g in network_ds.geo}
-    out_edges: dict[str, list[str]] = {gid: [] for gid in segments}
-    for r in network_ds.rel:
-        out_edges[r.origin_id].append(r.des_id)
-    seg_ids = sorted(segments)
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    m_lon = _M_PER_DEG_LAT * math.cos(math.radians(ends[by_id[0], 1]))
 
-    lat_mid = segments[seg_ids[0]].coordinates[0][1]
-    m_lon = _M_PER_DEG_LAT * math.cos(math.radians(lat_mid))
-
-    def reverse_of(gid: str) -> str:
-        head, a, b = gid.rsplit("_", 2)
-        return f"{head}_{b}_{a}"
-
-    usr = []
-    dyna = []
-    truth: dict[str, list[str]] = {}
-    row = 0
+    # Per point its segment, user and step from the user's first point; per
+    # user the first point's second and the points' noise.
+    users, truth = _ids("u", n_trajectories), {}
+    seg, user, steps, firsts, noise = [], [], [], [], [np.zeros((0, 2))]
     for u in range(n_trajectories):
-        user = f"u{u}"
-        usr.append(UserUnit(user, {}))
         # Self-avoiding walk over directed segments, skipping reversals.
-        current = seg_ids[int(rng.integers(len(seg_ids)))]
+        current = by_id[int(rng.integers(len(by_id)))]
         route = [current]
-        used = {current, reverse_of(current)}
+        used = {current, current ^ 1}
         while len(route) < route_segments:
-            options = [s for s in out_edges[current] if s not in used]
+            options = [s for s in succ[succ_ptr[current] : succ_ptr[current + 1]] if s not in used]
             if not options:
                 break
             current = options[int(rng.integers(len(options)))]
             route.append(current)
-            used.add(current)
-            used.add(reverse_of(current))
-        truth[user] = route
-        stamp = _T0 + timedelta(seconds=int(rng.integers(0, 3600)))
-        for gid in route:
-            (lon1, lat1), (lon2, lat2) = segments[gid].coordinates
-            for p in range(points_per_segment):
-                frac = (p + 0.5) / points_per_segment
-                lon = lon1 + frac * (lon2 - lon1)
-                lat = lat1 + frac * (lat2 - lat1)
-                if noise_sigma_m > 0:
-                    lon += rng.normal(scale=noise_sigma_m) / m_lon
-                    lat += rng.normal(scale=noise_sigma_m) / _M_PER_DEG_LAT
-                dyna.append(
-                    DynaRecord(
-                        f"d{row}",
-                        "trajectory",
-                        stamp,
-                        user,
-                        None,
-                        {"lon": float(lon), "lat": float(lat)},
-                    )
-                )
-                row += 1
-                stamp += timedelta(seconds=step_seconds)
-    ds = AtomicDataset(
-        manifest=network_ds.manifest,
-        geo=network_ds.geo,
-        rel=network_ds.rel,
-        usr=usr,
-        dyna=dyna,
+            used.update((current, current ^ 1))
+        truth[users[u]] = [ids[s] for s in route]
+        k = len(route) * points_per_segment
+        seg += [s for s in route for _ in range(points_per_segment)]
+        user += [u] * k
+        steps += range(k)
+        firsts.append(int(rng.integers(0, 3600)))
+        if noise_sigma_m > 0:  # lon then lat, point by point
+            noise.append(rng.normal(scale=noise_sigma_m, size=(k, 2)))
+    lon1, lat1, lon2, lat2 = ends[np.array(seg, dtype=np.intp)].T
+    steps = np.array(steps, dtype=np.int64)
+    frac = (steps % points_per_segment + 0.5) / points_per_segment
+    lon, lat = lon1 + frac * (lon2 - lon1), lat1 + frac * (lat2 - lat1)
+    if noise_sigma_m > 0:
+        noise = np.concatenate(noise)
+        lon += noise[:, 0] / m_lon
+        lat += noise[:, 1] / _M_PER_DEG_LAT
+    user = np.array(user, dtype=np.intp)
+    seconds = np.array(firsts, dtype=np.int64)[user] + step_seconds * steps
+    distinct, time_codes = np.unique(seconds, return_inverse=True)
+    stamps = [_T0 + timedelta(seconds=s) for s in distinct.tolist()]
+    dyna = _table(
+        "dyna", {"lon": lon.tolist(), "lat": lat.tolist()},
+        dyna_id=_ids("d", len(user)), dyna_type=_constant("trajectory", len(user)),
+        time=Column(time_codes.reshape(-1), stamps), entity_id=Column(user, users),
+        location=_constant(None, len(user)),
     )
+    ds = replace(network, usr=_table("usr", usr_id=users), dyna=dyna)
     return SyntheticResult(ds, truth_routes=truth)

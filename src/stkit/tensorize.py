@@ -357,8 +357,8 @@ def build_adjacency(
     The rows are a Table or a record list, read as columns. Rows with
     rel_type other than ``geo`` are ignored. Without a weight property every
     present edge gets weight 1; with one, read by :meth:`Table.numbers`,
-    empty or missing cells default to 1, a text or too-large cell raises
-    BadFeatureValue and a negative weight NegativeWeight. A repeated
+    empty or missing cells default to 1, a text, too-large, NaN or infinite
+    weight raises BadFeatureValue and a negative one NegativeWeight. A repeated
     (origin, destination) pair is an error. ``symmetrize`` takes the
     elementwise max with the transpose.
     """
@@ -385,6 +385,9 @@ def build_adjacency(
         if reasons[row] in (TEXT, HUGE):
             _bad_feature(rel, weight_property, reasons, row)
         w = float(weights[row])
+        if not np.isfinite(w):  # only a record list can hold one
+            raise BadFeatureValue(f"weight {weight_property!r} has non-finite value {w!r}",
+                                  table="rel", row=rel.ordinal(row), column=weight_property)
         if w < 0:
             raise NegativeWeight(f"edge ({origin!r}, {dest!r}) has weight {w}")
         A[edge] = w

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import scan_relations, successors
+from conftest import csv_writer_table, record_synthetic, scan_relations, successors
 from stkit.baselines import ha_fit, var_fit
 from stkit.dataset import load_dataset, validate_dataset
 from stkit.mapmatch import MatchParams, build_road_network, candidate_segments
@@ -281,3 +281,62 @@ def test_save_synthetic_round_trip(tmp_path):
         generate_synthetic("graph_flow", {"n_nodes": 2, "n_slots": 4}), tmp_path / "f"
     )
     assert not (flow_root / TRUTH_ROUTES_FILE).exists()
+
+
+# -- the column-built generators against the record-built oracle ---------------
+
+# The three benchmark workloads' recipes (perfbench/workloads.py).
+GRAPH_HA = {"n_nodes": 50, "n_slots": 2016, "interval_seconds": 300,
+            "missing_rate": 0.05, "mode": "periodic", "name": "bench_graph"}
+MATCH_HMM = {"n": 12, "n_trajectories": 40, "route_segments": 30,
+             "points_per_segment": 3, "noise_sigma_m": 8.0, "name": "bench_traj"}
+TUNE_GRID_VAR = {"rows": 10, "cols": 10, "n_slots": 1008, "interval_seconds": 600,
+                 "missing_rate": 0.02, "name": "bench_grid"}
+
+DIFFERENTIAL_CASES = {
+    **{f"{kind}_defaults": (kind, {}, 0)
+       for kind in ("graph_flow", "grid_flow", "road_network", "trajectories")},
+    "graph_missing_0.3": ("graph_flow", {"missing_rate": 0.3}, 3),
+    "graph_missing_1.0": ("graph_flow", {"missing_rate": 1.0}, 3),
+    "grid_missing_0.3": ("grid_flow", {"missing_rate": 0.3}, 4),
+    "grid_missing_1.0": ("grid_flow", {"missing_rate": 1.0}, 4),
+    "graph_no_slots": ("graph_flow", {"n_slots": 0}, 5),
+    "graph_one_slot": ("graph_flow", {"n_slots": 1, "missing_rate": 0.5}, 5),
+    "graph_no_nodes": ("graph_flow", {"n_nodes": 0, "n_slots": 3}, 5),
+    "grid_no_slots": ("grid_flow", {"n_slots": 0}, 5),
+    "grid_one_slot": ("grid_flow", {"n_slots": 1, "missing_rate": 0.5}, 5),
+    "grid_no_rows": ("grid_flow", {"rows": 0, "n_slots": 3}, 5),
+    "var_noise_missing": ("graph_flow", {"mode": "var", "n_nodes": 5, "n_slots": 60,
+                                         "noise_std": 0.5, "missing_rate": 0.2}, 6),
+    # Row 0 holds -0.0 beside 0.0; every later value is 0.0.
+    "var_signed_zeros": ("graph_flow", {"mode": "var", "n_nodes": 2, "n_slots": 5,
+                                        "coefs": [[[0.0, 0.0], [0.0, 0.0]]],
+                                        "intercept": [0.0, 0.0], "x0": [[-0.0, 0.0]]}, 6),
+    "roads_uturn": ("road_network", {"n": 5, "allow_uturn": True}, 0),
+    "traj_noise_5m": ("trajectories", {"n": 6, "n_trajectories": 7, "noise_sigma_m": 5.0}, 8),
+    "traj_n40": ("trajectories", {"n": 40, "n_trajectories": 10}, 9),
+    **{f"{name}_seed{seed}": (kind, params, seed)
+       for seed in (1, 54, 913)
+       for name, kind, params in (("graph_ha", "graph_flow", GRAPH_HA),
+                                  ("match_hmm", "trajectories", MATCH_HMM),
+                                  ("tune_grid_var", "grid_flow", TUNE_GRID_VAR))},
+}
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+def test_saved_files_equal_the_record_built_oracle(tmp_path, case):
+    """save_synthetic writes the same bytes, file by file, for the column-built
+    dataset as for the record-built one; and each table's file is what
+    csv.writer writes for the oracle's records."""
+    kind, params, seed = DIFFERENTIAL_CASES[case]
+    want = record_synthetic(kind, params, seed)
+    got = generate_synthetic(kind, params, seed)
+    assert got.truth_routes == want.truth_routes
+    a = read_tree(save_synthetic(got, tmp_path / "columns"))
+    b = read_tree(save_synthetic(want, tmp_path / "records"))
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name] == b[name], name
+    for table_kind, records in want.dataset.tables().items():
+        file = f"{want.dataset.manifest.name}.{table_kind}"
+        assert a[file] == csv_writer_table(table_kind, records), file

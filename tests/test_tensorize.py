@@ -431,6 +431,16 @@ def test_adjacency_errors():
             with pytest.raises(BadFeatureValue, match=what) as info:
                 build_adjacency(rows, GEOS, weight_property="w")
             assert (info.value.table, info.value.row, info.value.column) == ("rel", 3, "w")
+    # A NaN or infinite weight, which only a record list can hold, is
+    # located at its row and column too.
+    for value in (float("nan"), float("inf"), float("-inf")):
+        rels = [
+            RelationRecord("r0", "geo", "g0", "g1", {"w": 2.0}),
+            RelationRecord("r1", "geo", "g1", "g0", {"w": value}),
+        ]
+        with pytest.raises(BadFeatureValue, match="non-finite value") as info:
+            build_adjacency(rels, GEOS, weight_property="w")
+        assert (info.value.table, info.value.row, info.value.column) == ("rel", 2, "w")
     # Empty cells and a missing column stay weight 1, from a read table too.
     empty = [RelationRecord("r0", "geo", "g0", "g1", {"w": None}),
              RelationRecord("r1", "geo", "g1", "g0", {"w": 4.0})]
