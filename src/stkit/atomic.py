@@ -132,6 +132,17 @@ _NEEDS_QUOTES = re.compile(r'[,"\n\r]')
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":")).encode  # tuples encode as arrays
 
 
+def _property_fault(kind: str, names) -> str | None:
+    """Why ``names`` cannot be the property columns of a ``kind`` header, or
+    None: the one header rule of the reader and the writer."""
+    for i, name in enumerate(names):
+        if name in MANDATORY_COLUMNS[kind] or name == _LOCATION_COLUMN:
+            return f"property {name!r} is a reserved {kind} column"
+        if name in names[:i]:
+            return f"property {name!r} is repeated"
+    return None
+
+
 def parse_timestamp(text: str) -> datetime:
     """Parse ``YYYY-MM-DDTHH:MM:SSZ`` into a tz-aware UTC datetime.
 
@@ -145,10 +156,10 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    """Render a UTC datetime as ``YYYY-MM-DDTHH:MM:SSZ``."""
+    """Render a UTC datetime as ``YYYY-MM-DDTHH:MM:SSZ``, the year in four digits."""
     if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    return dt.isoformat(timespec="seconds") + "Z"
 
 
 def _as_coord_pairs(value) -> tuple[tuple[float, float], ...]:
@@ -539,20 +550,25 @@ class Column(NamedTuple):
 class Table(Sequence):
     """One table held as columns, and a read-only sequence of its records.
 
-    :func:`read_table` checks and decodes the mandatory columns once per
-    distinct cell and types a property column only when it is asked for;
-    :meth:`from_records` encodes a record list into the same columns. A record
+    ``fields`` maps each record attribute to its :class:`Column`, and
+    ``props`` each property to its column of typed values, in header order;
+    a plain list is a column with one code per row. ``ordinals`` are the
+    rows' data row numbers in their file, if not 1 to n. :func:`read_table`
+    checks and decodes every column once per distinct cell;
+    :meth:`from_records` puts a record list behind the same columns. A record
     is built from the columns each time one is asked for and is not kept, so
     changing it leaves the table as it was.
     """
 
-    def __init__(self, kind, n, prop_names, decoded, strings, ordinals=None, props=None):
+    def __init__(self, kind, fields, props=None, ordinals=None):
+        def column(c):
+            return c if isinstance(c, Column) else Column(np.arange(len(c)), c)
+
         self.kind = kind
-        self.prop_names = tuple(prop_names)
-        self._n = n
-        self._fields = decoded  # record attribute -> decoded Column
-        self._strings = strings  # property -> raw cell strings, typed when asked for
-        self._props: dict[str, Column] = props or {}  # property -> typed Column
+        self._fields = {a: column(c) for a, c in fields.items()}  # record attribute -> Column
+        self._props = {p: column(c) for p, c in (props or {}).items()}  # property -> Column
+        self.prop_names = tuple(self._props)
+        self._n = len(next(iter(self._fields.values())).codes)
         self._ordinals = ordinals
 
     @classmethod
@@ -560,16 +576,9 @@ class Table(Sequence):
         """The columns of a record list, one code per row. The properties are
         the union of the records' keys, ``_MISSING`` where a record lacks one."""
         records = list(records)
-        codes = np.arange(len(records))
-        decoded = {
-            a: Column(codes, [getattr(r, a) for r in records]) for a in _ATTRS[kind]
-        }
-        names = tuple(dict.fromkeys(k for r in records for k in r.properties))
-        props = {
-            name: Column(codes, [r.properties.get(name, _MISSING) for r in records])
-            for name in names
-        }
-        return cls(kind, len(records), names, decoded, {}, props=props)
+        names = dict.fromkeys(k for r in records for k in r.properties)
+        return cls(kind, {a: [getattr(r, a) for r in records] for a in _ATTRS[kind]},
+                   {p: [r.properties.get(p, _MISSING) for r in records] for p in names})
 
     def field(self, name: str) -> Column:
         """The column of a mandatory record attribute, such as ``time``."""
@@ -578,14 +587,7 @@ class Table(Sequence):
     def prop(self, name: str) -> Column:
         """A property column of typed values; ``_MISSING`` where a row lacks it."""
         column = self._props.get(name)
-        if column is None:
-            raw = self._strings.get(name)
-            if raw is None:
-                column = Column(np.zeros(self._n, dtype=np.intp), [_MISSING])
-            else:
-                column = Column(raw.codes, [_coerce_scalar(s) for s in raw.values])
-            self._props[name] = column
-        return column
+        return Column(np.zeros(self._n, dtype=np.intp), [_MISSING]) if column is None else column
 
     def numbers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """The property ``name`` per row as float64, 0.0 where it is not a
@@ -605,18 +607,16 @@ class Table(Sequence):
         """The rows where the boolean mask ``keep`` is true, in order."""
         return self.take(np.flatnonzero(keep))
 
-    def take(self, rows: np.ndarray, **fields: Column) -> "Table":
+    def take(self, rows: np.ndarray, **fields) -> "Table":
         """The rows at the indices ``rows``, in that order, with the columns
-        of the record attributes named in ``fields`` replaced by theirs."""
+        of the record attributes named in ``fields`` replaced by theirs (a
+        list: one value per taken row)."""
         ordinals = rows + 1 if self._ordinals is None else self._ordinals[rows]
 
         def pick(columns):
             return {k: Column(c.codes[rows], c.values) for k, c in columns.items()}
 
-        return Table(
-            self.kind, len(rows), self.prop_names, {**pick(self._fields), **fields},
-            pick(self._strings), ordinals, pick(self._props),
-        )
+        return Table(self.kind, {**pick(self._fields), **fields}, pick(self._props), ordinals)
 
     def _columns(self) -> list[Column]:
         """The record attributes' columns in order, then the properties'."""
@@ -721,7 +721,8 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
     writes, unless a property needs quotes. Any other, such as a ``.geo`` with
     quoted coordinates, goes through ``csv.reader``. Column ``j`` is the slice
     ``[width + j :: width]`` of the flat cell list either gives. Each distinct
-    mandatory cell is checked and decoded once; properties are typed on demand.
+    cell is checked and decoded once: a mandatory cell by its column's rule, a
+    property cell typed as None, int, float or str.
 
     A byte that is not UTF-8 raises :class:`~stkit.exceptions.BadEncoding` at
     its row. Otherwise a located ``ParseError`` subclass is raised on the
@@ -743,9 +744,7 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
     has_location = kind == "dyna" and header[len(mandatory) :][:1] == [_LOCATION_COLUMN]
     n_fixed = len(mandatory) + has_location
     prop_names = header[n_fixed:]
-    if len(set(prop_names)) != len(prop_names) or any(
-        p in mandatory or p == _LOCATION_COLUMN for p in prop_names
-    ):
+    if _property_fault(kind, prop_names) is not None:
         raise MissingColumn(
             f"property columns must be unique and distinct from mandatory ones: {prop_names}",
             table=kind,
@@ -785,8 +784,8 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
         location = columns[4] if has_location else Column(np.zeros(n, np.intp), [""])
         locations = [cell or None for cell in location.values]
         decoded["location"] = Column(location.codes, locations)
-    strings = dict(zip(prop_names, columns[n_fixed:]))
-    return Table(kind, n, prop_names, decoded, strings, ordinals)
+    typed = (Column(c.codes, list(map(_coerce_scalar, c.values))) for c in columns[n_fixed:])
+    return Table(kind, decoded, dict(zip(prop_names, typed)), ordinals)
 
 
 def _duplicate(key, table, column, row):
@@ -826,7 +825,8 @@ def write_table(kind: str, records: Iterable) -> bytes:
     The mandatory cells are the record attributes the reader decodes, and
     the property header is the table's ``prop_names``: for a record list,
     the keys in order of first appearance. Every row must carry every
-    property. Trajectory tables gain a ``location`` column only when at
+    property, and a property name the reader's header rule refuses raises
+    ValueError. Trajectory tables gain a ``location`` column only when at
     least one row has a location. Each column's distinct cells are formatted
     and quoted once and gathered by the codes; rows end with ``\\n``.
     ``parse_table(kind, write_table(kind, records))`` reproduces the records.
@@ -834,6 +834,8 @@ def write_table(kind: str, records: Iterable) -> bytes:
     if kind not in MANDATORY_COLUMNS:
         raise ValueError(f"unknown table kind {kind!r}")
     table = as_table(kind, records)
+    if (fault := _property_fault(kind, table.prop_names)) is not None:
+        raise ValueError(fault)
     header, attrs = list(MANDATORY_COLUMNS[kind]), _ATTRS[kind]
     if kind == "dyna":
         if table.field("location").flags(lambda v: v is not None).any():

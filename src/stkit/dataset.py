@@ -35,6 +35,7 @@ from .atomic import (
 )
 from .atomic import _check_coord_ranges, _shape_fault  # shared geometry rules
 from .atomic import _coerce_scalar, _csv_rows, _pairs, _read_text  # shared cell rules
+from .atomic import _parse_id_cell, _property_fault  # shared header and id rules
 from .config import write_json
 from .exceptions import (
     BadConfigFile,
@@ -85,7 +86,7 @@ class Manifest:
 
         ``name`` must be a plain file name; ``interval_seconds`` (0 or null:
         infer it), ``grid_rows`` and ``grid_cols`` ints or null; ``features``
-        and ``geo_order`` lists of strings or null.
+        and ``geo_order`` lists of strings or null, ``geo_order`` without a repeat.
         """
         if not isinstance(payload, Mapping):
             raise BadManifest("manifest must be a JSON object", table="manifest")
@@ -110,6 +111,10 @@ class Manifest:
                 isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
             ):
                 raise bad(key, f"{key} must be a list of strings or null, got {value!r}")
+        seen: set = set()
+        repeated = [g for g in payload.get("geo_order") or () if g in seen or seen.add(g)]
+        if repeated:
+            raise bad("geo_order", f"geo_order repeats {repeated[0]!r}")
         return cls(
             name=name,
             interval_seconds=payload.get("interval_seconds"),
@@ -415,16 +420,19 @@ def validate_dataset(ds: AtomicDataset) -> ValidationReport:
 
     Errors: duplicate identifiers, out-of-domain enum values, malformed
     geometry, dangling references into present tables, grid indices outside
-    the manifest bounds. Warnings: references into absent tables and
-    non-monotone trajectory timestamps (tensorization sorts, so these are
-    survivable). Findings come out in table order, then row order; a table's
+    the manifest bounds, manifest ``geo_order`` ids absent from ``.geo``.
+    Warnings: references into absent tables and non-monotone trajectory
+    timestamps (tensorization sorts, so these are survivable). Findings come
+    out in table order, the manifest first, then row order; a table's
     warnings about absent tables come before its rows' findings.
     """
     pools = {
         "geo": set(ds.geo.field("geo_id").tolist()) if ds.geo else None,
         "usr": set(ds.usr.field("usr_id").tolist()) if ds.usr else None,
     }
-    out: list[Finding] = []
+    unknown = [g for g in ds.manifest.geo_order or () if g not in (pools["geo"] or ())]
+    out = [Finding("error", "manifest", None, f"geo_order names {g!r}, which is not in .geo")
+           for g in unknown]
     for kind in MANDATORY_COLUMNS:
         table = getattr(ds, kind)
         if not table:
@@ -512,14 +520,17 @@ class RawConversionSpec:
     def from_json(cls, payload: Mapping) -> "RawConversionSpec":
         """The spec of a ``conversion`` config object. A missing required
         field raises KeyError; a value of the wrong kind BadConfigFile naming
-        ``conversion.<field>``. ``property_columns`` is a list of strings, ``name``
-        a plain file name, and every other field a string (None if its default is)."""
+        ``conversion.<field>``. ``property_columns`` is a list of strings that
+        the dyna header takes as its properties, ``name`` a plain file name,
+        and every other field a string (None if its default is)."""
         columns = payload.get("property_columns", [])
         if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
             raise BadConfigFile(
                 f"config key conversion.property_columns: expected a list of strings, "
                 f"got {columns!r}"
             )
+        if fault := _property_fault("dyna", columns):
+            raise BadConfigFile(f"config key conversion.property_columns: {fault}")
         spec = cls(
             target=payload["target"],
             time_column=payload["time_column"],
@@ -568,8 +579,9 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
 
     Raises UnmappedMandatoryColumn when a mapped column is missing from the
     raw header, and a ParseError located at the raw row and column for a
-    ragged row, a bad time cell, a coordinate that is not a number in range
-    or a byte that is not UTF-8. Blank lines are skipped. The output passes
+    ragged row, a bad time cell or one outside the years 1 to 9999 in UTC,
+    an empty entity cell, a coordinate that is not a number in range or a
+    byte that is not UTF-8. Blank lines are skipped. The output passes
     :func:`validate_dataset` with zero errors.
     """
     if spec.target not in ("state", "trajectory"):
@@ -595,10 +607,10 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
 
     def cell(n: int, row: list[str], column: str, parse, error):
         """``parse`` of data row ``n``'s cell in ``column``; its ValueError
-        becomes ``error`` located at that cell."""
+        or OverflowError becomes ``error`` located at that cell."""
         try:
             return parse(row[col_index[column]])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise error(str(exc), table="raw", row=n, column=column) from None
 
     def point(n: int, row: list[str]) -> tuple[float, float]:
@@ -622,7 +634,7 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
         time = cell(
             n, row, spec.time_column, lambda c: _parse_raw_time(c, spec), BadTimestamp
         )
-        entity = row[col_index[spec.entity_column]]
+        entity = _parse_id_cell(row[col_index[spec.entity_column]], "raw", n, spec.entity_column)
         location = None
         if spec.target == "trajectory":
             location = point_ids.setdefault(point(n, row), f"p{len(point_ids)}")

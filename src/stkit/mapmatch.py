@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -66,15 +65,14 @@ def _m_per_deg_lon(lat: float) -> float:
     return _M_PER_DEG_LAT * max(math.cos(math.radians(lat)), 1e-12)
 
 
-def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
-    """Great-circle distance in meters between two lon/lat points."""
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = phi2 - phi1
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(
-        dlam / 2.0
-    ) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+def haversine_m(lon1, lat1, lon2, lat2):
+    """Great-circle distance in meters between lon/lat points, scalars or arrays
+    elementwise; squares are products, so both give the same bits."""
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
+    half_dphi = np.sin((phi2 - phi1) / 2.0)
+    half_dlam = np.sin(np.radians(np.subtract(lon2, lon1)) / 2.0)
+    a = half_dphi * half_dphi + np.cos(phi1) * np.cos(phi2) * (half_dlam * half_dlam)
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
 class _Row(NamedTuple):
@@ -318,11 +316,14 @@ def build_road_network(geos, rels) -> RoadNetwork:
     ends = sizes.cumsum()
     start = np.delete(np.arange(len(x)), ends - 1)
     legs = np.stack([x[start], y[start], x[start + 1], y[start + 1]])
-    legs_m = list(map(haversine_m, *legs.tolist()))
     first_leg = np.concatenate([[0], (sizes - 1).cumsum()])
-    bounds = first_leg.tolist()
-    cum = np.array([m for a, b in zip(bounds, bounds[1:])
-                    for m in itertools.accumulate(legs_m[a:b], initial=0.0)])
+    # Per vertex, its polyline's length up to it: a left fold over positions.
+    cum, leg_m = np.zeros(len(x)), np.zeros(len(x))
+    leg_m[start] = haversine_m(*legs)
+    position = np.arange(len(x)) - np.repeat(ends - sizes, sizes)
+    by_position = np.argsort(position, kind="stable")
+    for vertex in np.split(by_position, np.bincount(position).cumsum()[:-1])[1:]:
+        cum[vertex] = cum[vertex - 1] + leg_m[vertex - 1]
     legs = np.vstack([legs, cum[start], cum[start + 1] - cum[start]])
     boxes = [f.reduceat(v, ends - sizes) for f, v in
              ((np.minimum, x), (np.minimum, y), (np.maximum, x), (np.maximum, y))]
@@ -668,8 +669,7 @@ def viterbi_match(
             f"{sizes[np.argmin(found)]} points"
         )
     emissions = np.append(emission_logprob(cands.distance_m, params.sigma_m), -np.inf)
-    ends = (c.tolist() for c in (lon[:-1], lat[:-1], lon[1:], lat[1:]))
-    greatcircle = np.array([0.0, *map(haversine_m, *ends)])  # from point i - 1 to i
+    greatcircle = np.append(0.0, haversine_m(lon[:-1], lat[:-1], lon[1:], lat[1:]))  # i - 1 to i
     width = int(count.max())
     block = max(1, _STEP_CELLS // (width * width))
 

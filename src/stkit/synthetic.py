@@ -76,18 +76,6 @@ def generate_synthetic(
     raise ValueError(f"unknown synthetic kind {kind!r}")
 
 
-def _table(kind: str, props: dict | None = None, **columns) -> Table:
-    """A table of ``kind`` over its record attributes' and properties'
-    columns; a list is a column of one row per value."""
-    def column(c):
-        return c if isinstance(c, Column) else Column(np.arange(len(c)), c)
-
-    columns = {a: column(c) for a, c in columns.items()}
-    props = {name: column(c) for name, c in (props or {}).items()}
-    n = len(next(iter(columns.values())).codes)
-    return Table(kind, n, tuple(props), columns, {}, props=props)
-
-
 def _constant(value, n: int) -> Column:
     return Column(np.zeros(n, dtype=np.intp), [value])
 
@@ -155,16 +143,16 @@ def _graph_flow(params: Mapping, seed: int) -> SyntheticResult:
 
     ids = _ids("g", n_nodes)
     points = [((116.0 + 0.01 * i, 39.9),) for i in range(n_nodes)]
-    geo = _table("geo", geo_id=ids, geo_type=_constant("Point", n_nodes), coordinates=points)
+    geo = Table("geo", dict(geo_id=ids, geo_type=_constant("Point", n_nodes), coordinates=points))
     # Relation 2i runs from node i to the next one around the ring, 2i + 1 back.
     ring = np.arange(n_nodes)
     ends = np.stack([ring, (ring + 1) % n_nodes], axis=1)
-    rel = _table("rel", rel_id=_ids("r", 2 * n_nodes), rel_type=_constant("geo", 2 * n_nodes),
-                 origin_id=Column(ends.reshape(-1), ids),
-                 des_id=Column(ends[:, ::-1].reshape(-1), ids))
+    rel = Table("rel", dict(rel_id=_ids("r", 2 * n_nodes), rel_type=_constant("geo", 2 * n_nodes),
+                            origin_id=Column(ends.reshape(-1), ids),
+                            des_id=Column(ends[:, ::-1].reshape(-1), ids)))
     state, node, flow = _state_rows(rng, values, missing_rate, interval)
-    dyna = _table("dyna", flow, **state, entity_id=Column(node, ids),
-                  location=_constant(None, len(node)))
+    dyna = Table("dyna", dict(**state, entity_id=Column(node, ids),
+                              location=_constant(None, len(node))), flow)
     manifest = Manifest(name=name, interval_seconds=interval, features=("flow",))
     return SyntheticResult(AtomicDataset(manifest=manifest, geo=geo, rel=rel, dyna=dyna))
 
@@ -184,8 +172,8 @@ def _grid_flow(params: Mapping, seed: int) -> SyntheticResult:
     values = base[np.arange(n_slots) % period].reshape(n_slots, rows * cols)
     state, cell, flow = _state_rows(rng, values, missing_rate, interval)
     row, col = np.divmod(cell, cols)
-    grid = _table("grid", flow, **state, row_id=Column(row, list(range(rows))),
-                  col_id=Column(col, list(range(cols))))
+    grid = Table("grid", dict(**state, row_id=Column(row, list(range(rows))),
+                              col_id=Column(col, list(range(cols)))), flow)
     manifest = Manifest(name=name, interval_seconds=interval, grid_rows=rows, grid_cols=cols,
                         features=("flow",))
     return SyntheticResult(AtomicDataset(manifest=manifest, grid=grid))
@@ -234,10 +222,10 @@ def _road_network(params: Mapping):
     if not allow_uturn:
         keep = end[des] != start[origin]
         origin, des = origin[keep], des[keep]
-    geo = _table("geo", geo_id=ids, geo_type=_constant("LineString", len(ids)),
-                 coordinates=coordinates)
-    rel = _table("rel", rel_id=_ids("r", len(des)), rel_type=_constant("geo", len(des)),
-                 origin_id=Column(origin, ids), des_id=Column(des, ids))
+    geo = Table("geo", dict(geo_id=ids, geo_type=_constant("LineString", len(ids)),
+                            coordinates=coordinates))
+    rel = Table("rel", dict(rel_id=_ids("r", len(des)), rel_type=_constant("geo", len(des)),
+                            origin_id=Column(origin, ids), des_id=Column(des, ids)))
     succ_ptr = np.concatenate([[0], np.bincount(origin, minlength=len(ids)).cumsum()])
     ends = np.array(coordinates, dtype=np.float64).reshape(-1, 4)
     dataset = AtomicDataset(manifest=Manifest(name=name), geo=geo, rel=rel)
@@ -298,11 +286,9 @@ def _trajectories(params: Mapping, seed: int) -> SyntheticResult:
     seconds = np.array(firsts, dtype=np.int64)[user] + step_seconds * steps
     distinct, time_codes = np.unique(seconds, return_inverse=True)
     stamps = [_T0 + timedelta(seconds=s) for s in distinct.tolist()]
-    dyna = _table(
-        "dyna", {"lon": lon.tolist(), "lat": lat.tolist()},
+    dyna = Table("dyna", dict(
         dyna_id=_ids("d", len(user)), dyna_type=_constant("trajectory", len(user)),
         time=Column(time_codes.reshape(-1), stamps), entity_id=Column(user, users),
-        location=_constant(None, len(user)),
-    )
-    ds = replace(network, usr=_table("usr", usr_id=users), dyna=dyna)
+        location=_constant(None, len(user))), {"lon": lon.tolist(), "lat": lat.tolist()})
+    ds = replace(network, usr=Table("usr", {"usr_id": users}), dyna=dyna)
     return SyntheticResult(ds, truth_routes=truth)

@@ -170,6 +170,12 @@ def test_numpy_float_properties_round_trip_as_numbers(dtype):
 def test_timestamp_format_round_trip_and_rejections():
     t = datetime(2023, 7, 15, 6, 30, 45, tzinfo=timezone.utc)
     assert parse_timestamp(format_timestamp(t)) == t
+    for year in (1, 999, 9999):  # the reader takes four-digit years only
+        far = t.replace(year=year)
+        assert format_timestamp(far) == f"{year:04d}-07-15T06:30:45Z"
+        assert parse_timestamp(format_timestamp(far)) == far
+        records = [DynaRecord("d0", "state", far, "g0", None, {"flow": 1.5})]
+        assert parse_table("dyna", write_table("dyna", records)) == records
     for bad in (
         "2023-07-15 06:30:45Z",
         "2023-07-15T06:30:45",
@@ -364,6 +370,26 @@ def test_property_shadowing_mandatory_rejected():
     text = "usr_id,usr_id\nu1,x\n"
     with pytest.raises(MissingColumn):
         parse_table("usr", text)
+
+
+RESERVED_NAMES = [
+    (kind, name) for kind, columns in MANDATORY_COLUMNS.items() for name in (*columns, "location")
+]
+
+
+@pytest.mark.parametrize("kind, name", RESERVED_NAMES, ids=[f"{k}-{n}" for k, n in RESERVED_NAMES])
+def test_reserved_property_names_are_refused_both_ways(kind, name):
+    """A property named like a mandatory column of its kind, or ``location``,
+    is written by no table and read from no header: written after a state
+    dyna table's entity_id, a ``location`` property reads as the location."""
+    generator = {"dyna": "dyna_state"}.get(kind, kind)
+    _, records = random_table(generator, np.random.default_rng(0))
+    for record in records:
+        record.properties = {"p": 1, name: 2}
+    with pytest.raises(ValueError, match=f"property '{name}' is a reserved {kind} column"):
+        write_table(kind, records)
+    with pytest.raises(MissingColumn):
+        read_table(kind, ",".join([*MANDATORY_COLUMNS[kind], "p", name]) + "\n")
 
 
 def test_mixed_property_keys_rejected_on_write():

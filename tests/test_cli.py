@@ -956,6 +956,21 @@ def convert_case(raw, conversion, code, where, encoding="utf-8"):
     return build
 
 
+def geo_order_case(order):
+    """``stkit run`` on flow_p4, nodes g0 to g2, whose manifest sets geo_order."""
+
+    def build(root, tmp):
+        data = copy_of(root / "flow_p4", tmp / "flow_p4")
+        manifest = json.loads((data / "manifest.json").read_text("utf-8"))
+        manifest["geo_order"] = order
+        (data / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        argv = ["run", *run_flags(root, tmp / "out")]
+        argv[argv.index("--dataset") + 1] = str(data)
+        return argv, 2, r"^\[error\] manifest: geo_order names 'gX', which is not in \.geo$"
+
+    return build
+
+
 def non_utf8_case(command):
     """``stkit validate`` or ``run`` on flow_p4 whose dyna table holds byte
     0xe9 in data row 3."""
@@ -1122,6 +1137,29 @@ FAILURE_MATRIX = [
         r"^error: not an ISO-8601 UTC timestamp: 'badtime' \(table=raw, row=2, column=ts\)$",
     ), id="convert-bad-time"),
     pytest.param(convert_case(
+        RAW_STATES + ",2024-01-01T00:05:00Z,55.0\n", STATES, 3,
+        r"^error: identifier cell is empty \(table=raw, row=2, column=sensor\)$",
+    ), id="convert-empty-entity"),
+    pytest.param(convert_case(
+        RAW_VISITS + ",2024-01-01T00:05:00Z,116.5,39.9\n", VISITS, 3,
+        r"^error: identifier cell is empty \(table=raw, row=2, column=user\)$",
+    ), id="convert-empty-user"),
+    *(pytest.param(convert_case(
+        f"sensor,ts,{column}\ns1,2024-01-01T00:00:00Z,60.0\n",
+        {**STATES, "property_columns": [column]}, 3,
+        rf"^error: config key conversion\.property_columns: property '{column}' "
+        r"is a reserved dyna column$",
+    ), id=f"convert-property-{column}") for column in ("location", "time")),
+    pytest.param(convert_case(
+        RAW_STATES, {**STATES, "property_columns": ["speed", "speed"]}, 3,
+        r"^error: config key conversion\.property_columns: property 'speed' is repeated$",
+    ), id="convert-property-repeated"),
+    pytest.param(convert_case(
+        "sensor,ts,speed\ns1,0001-01-01 00:00:00+0500,60.0\n",
+        {**STATES, "time_format": "%Y-%m-%d %H:%M:%S%z"}, 3,
+        r"^error: date value out of range \(table=raw, row=1, column=ts\)$",
+    ), id="convert-time-before-year-1-utc"),
+    pytest.param(convert_case(
         RAW_STATES + "s2,2024-01-01T00:05:00Z\n", STATES, 3,
         r"^error: row has 2 cells, header has 3 \(table=raw, row=2, column=speed\)$",
     ), id="convert-short-row"),
@@ -1140,6 +1178,7 @@ FAILURE_MATRIX = [
         encoding="latin-1",
     ), id="convert-not-utf8"),
     pytest.param(non_utf8_case("validate"), id="validate-not-utf8"),
+    pytest.param(geo_order_case(["g0", "g1", "g2", "gX"]), id="manifest-geo-order-unknown-id"),
     pytest.param(non_utf8_case("run"), id="run-not-utf8"),
     pytest.param(convert_case(
         RAW_STATES, {**STATES, "target": "grid"}, 3,
@@ -1409,6 +1448,7 @@ def files_under(root: Path) -> dict[str, bytes]:
         ({"features": "flow"}, "features must be a list of strings or null", "features"),
         ({"geo_order": ["g0", 1]}, "geo_order must be a list of strings or null",
          "geo_order"),
+        ({"geo_order": ["g0", "g0", "g1", "g2"]}, "geo_order repeats 'g0'", "geo_order"),
         ({"name": ""}, "name '' is not a plain file name", "name"),
         ({"name": ".."}, "name '..' is not a plain file name", "name"),
         ({"name": "a/b"}, "name 'a/b' is not a plain file name", "name"),
@@ -1416,7 +1456,8 @@ def files_under(root: Path) -> dict[str, bytes]:
     ],
     ids=["not_json", "not_an_object", "no_name", "interval_text", "interval_fraction",
          "interval_negative", "grid_rows_float", "grid_cols_bool", "features_string",
-         "geo_order_int", "name_empty", "name_parent", "name_separator", "name_nul"],
+         "geo_order_int", "geo_order_repeat", "name_empty", "name_parent", "name_separator",
+         "name_nul"],
 )
 def test_run_bad_manifest_exits_with_a_located_error(
     cli_root, tmp_path, capsys, edit, message, column
