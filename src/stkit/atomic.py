@@ -433,7 +433,7 @@ def _csv_rows(text: str, table: str) -> list[list[str]]:
 
 def _cells(text: str, table: str):
     """(header, flat cells of the header and kept rows, the kept rows' ordinals
-    or None if all are kept, the RaggedRow ending them or None): see read_table."""
+    or None if all are kept, the ragged row's (ordinal, cells) or None): see read_table."""
     lines = text.removesuffix("\n").split("\n")  # the newline ending the last row
     commas = set(map(str.count, lines, repeat(",")))
     plain = len(commas) == 1 and "" not in lines and not any(map(text.__contains__, '"\r\0'))
@@ -449,8 +449,7 @@ def _cells(text: str, table: str):
     if (lengths != width).any():  # blank lines, which keep their ordinals, or a ragged row
         at = np.flatnonzero((lengths != width) & (lengths > 0))
         if at.size:  # the rows before the first ragged one are checked first
-            message = f"row has {lengths[at[0]]} cells, header has {width}"
-            ragged, lengths = RaggedRow(message, table=table, row=int(at[0])), lengths[: at[0]]
+            ragged, lengths = (int(at[0]), int(lengths[at[0]])), lengths[: at[0]]
         ordinals = np.flatnonzero(lengths[1:]) + 1
         rows = [rows[0], *map(rows.__getitem__, ordinals)]
     return rows[0], list(chain.from_iterable(rows)), ordinals, ragged
@@ -659,6 +658,14 @@ def as_table(kind: str, rows) -> Table:
     return rows if isinstance(rows, Table) else Table.from_records(kind, rows)
 
 
+def _constant(value, n: int) -> Column:
+    return Column(np.zeros(n, dtype=np.intp), [value])
+
+
+def _ids(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{k}" for k in range(n)]
+
+
 def _encode(cells: list) -> Column:
     """Dictionary-encode cell strings; codes follow order of first appearance."""
     index = dict.fromkeys(cells)
@@ -677,30 +684,36 @@ def _pairs(a: Column, b: Column) -> Column:
     return Column(pairs.codes[codes.reshape(-1)], pairs.values)
 
 
-def _decode(column: Column, check, table: str, name: str) -> tuple[Column, list[int]]:
-    """Run ``check`` once per distinct cell: the decoded column and failed codes.
-
-    A failing cell is checked again, located, on the first row holding it,
-    if that is the table's first error; so it raises what it raised here.
-    """
-    if check is _ID:  # an identifier cell only has to be non-empty
-        bad = [column.values.index("")] if "" in column.values else []
-        return column, bad
-    values, bad = [], []
+def _decode(column: Column, check, table: str, name: str):
+    """Run ``check`` once per distinct cell: the decoded column, a failing
+    cell None, and None or the first row holding a failing cell with that
+    cell's re-check, which raises, located at the ``row=`` it is given, what
+    ``check`` (a check of ``_CHECKS``) raised here."""
+    if check is _ID and "" not in column.values:  # an identifier only has to be non-empty
+        return column, None
+    values, bad = [], np.zeros(len(column.values), dtype=bool)
     for code, cell in enumerate(column.values):
         try:
             values.append(check(cell, table, None, name))
         except (ParseError, ValueError, OverflowError):
             values.append(None)
-            bad.append(code)
-    return Column(column.codes, values), bad
+            bad[code] = True
+    held = bad[column.codes]  # a value that no row holds is no fault
+    if not held.any():
+        return Column(column.codes, values), None
+    row = int(np.argmax(held))
+    return Column(column.codes, values), (row, partial(check, column.at(row), table, column=name))
 
 
-def _first_row(column: Column, codes: list[int]) -> int:
-    """The first row whose code is one of ``codes``."""
-    flags = np.zeros(len(column.values), dtype=bool)
-    flags[codes] = True
-    return int(np.argmax(flags[column.codes]))
+def _raise_first(failures: list, ordinals, ragged: ParseError | None) -> None:
+    """Raise the first fault in (row, column) order, if there is one: of
+    ``failures``, (row, position, re-check) triples, the least, at its row's
+    ordinal; else ``ragged``, the ragged row after the checked rows."""
+    if failures:
+        row, _, raise_at = min(failures, key=lambda f: f[:2])
+        raise_at(row=row + 1 if ordinals is None else int(ordinals[row]))
+    if ragged is not None:
+        raise ragged
 
 
 def repeats(keys: np.ndarray) -> np.ndarray:
@@ -762,11 +775,9 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
     ):
         if check is _parse_geometry:
             column = _pairs(decoded["geo_type"], column)
-        decoded[attr], bad = _decode(column, check, kind, name)
-        if bad:
-            row = _first_row(column, bad)
-            raise_at = partial(check, column.at(row), kind, column=name)
-            failures.append((row, position, raise_at))
+        decoded[attr], fault = _decode(column, check, kind, name)
+        if fault is not None:
+            failures.append((fault[0], position, fault[1]))
     ids = columns[0]
     if kind == "ext":  # the identity is (ext_id, time)
         ids = _pairs(ids, decoded["time"])
@@ -774,11 +785,8 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
         row = int(np.argmax(repeats(ids.codes)))
         raise_at = partial(_duplicate, ids.at(row), kind, mandatory[0])
         failures.append((row, len(mandatory), raise_at))
-    if failures:
-        row, _, raise_at = min(failures, key=lambda f: f[:2])
-        raise_at(row=row + 1 if ordinals is None else int(ordinals[row]))
-    if ragged is not None:
-        raise ragged
+    _raise_first(failures, ordinals, ragged and RaggedRow(
+        f"row has {ragged[1]} cells, header has {width}", table=kind, row=ragged[0]))
 
     if kind == "dyna":
         location = columns[4] if has_location else Column(np.zeros(n, np.intp), [""])

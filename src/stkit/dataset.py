@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
+from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -22,20 +24,16 @@ from .atomic import (
     MANDATORY_COLUMNS,
     REL_TYPES,
     Column,
-    DynaRecord,
-    GeoUnit,
-    Scalar,
     Table,
-    UserUnit,
     format_timestamp,
     repeats,
-    parse_timestamp,
     read_table,
     write_table,
 )
 from .atomic import _check_coord_ranges, _shape_fault  # shared geometry rules
-from .atomic import _coerce_scalar, _csv_rows, _pairs, _read_text  # shared cell rules
-from .atomic import _parse_id_cell, _property_fault  # shared header and id rules
+from .atomic import _cells, _coerce_scalar, _decode, _encode, _pairs, _raise_first, _read_text
+from .atomic import _constant, _ids  # shared column builders
+from .atomic import _parse_id_cell, _parse_time_cell, _property_fault  # shared rules
 from .config import write_json
 from .exceptions import (
     BadConfigFile,
@@ -555,101 +553,102 @@ class RawConversionSpec:
         return spec
 
 
-def _parse_raw_time(cell: str, spec: RawConversionSpec):
-    from datetime import datetime, timezone
-
-    if spec.time_format is None:
-        return parse_timestamp(cell)
-    dt = datetime.strptime(cell, spec.time_format)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+def _strptime_cell(cell: str, table, row, column, time_format: str) -> datetime:
+    """A raw time cell read by ``time_format`` as UTC, unless it reads an offset."""
+    try:
+        dt = datetime.strptime(cell, time_format)
+        return dt.replace(tzinfo=dt.tzinfo or timezone.utc).astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
+        raise BadTimestamp(str(exc), table=table, row=row, column=column) from None
 
 
-def _degrees(cell: str, limit: float) -> float:
+def _degrees(cell: str, table, row, column, limit: float) -> float:
     """A raw coordinate cell as a float within [-limit, limit]."""
-    value = float(cell)
-    if not -limit <= value <= limit:  # NaN too
-        raise ValueError(f"coordinate {value} outside [-{limit:g}, {limit:g}]")
+    try:
+        value = float(cell)
+        if not -limit <= value <= limit:  # NaN too
+            raise ValueError(f"coordinate {value} outside [-{limit:g}, {limit:g}]")
+    except ValueError as exc:
+        raise BadCoordinate(str(exc), table=table, row=row, column=column) from None
     return value
 
 
 def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> AtomicDataset:
     """Convert one flat CSV into an AtomicDataset under the given mapping.
 
-    Raises UnmappedMandatoryColumn when a mapped column is missing from the
-    raw header, and a ParseError located at the raw row and column for a
-    ragged row, a bad time cell or one outside the years 1 to 9999 in UTC,
-    an empty entity cell, a coordinate that is not a number in range or a
-    byte that is not UTF-8. Blank lines are skipped. The output passes
-    :func:`validate_dataset` with zero errors.
+    Read as :func:`~stkit.atomic.read_table` reads a table: split into cells
+    once, each distinct cell of a mapped column checked once. Raises
+    UnmappedMandatoryColumn when a mapped column is missing from the raw
+    header, and a ParseError at the raw row and column of the first (by row,
+    then time, entity, lon, lat) ragged row (a short one names its first
+    missing column), bad time cell or one outside the years 1 to 9999 in UTC,
+    empty entity cell, coordinate that is not a number in range or byte that
+    is not UTF-8. Blank lines are skipped. A state entity's point is its first
+    row's; equal trajectory points share one id and their first row's
+    coordinates. The output passes :func:`validate_dataset` with zero errors.
     """
     if spec.target not in ("state", "trajectory"):
-        raise BadConfigFile(
-            f"conversion target {spec.target!r} is not 'state' or 'trajectory'"
-        )
-    rows = _csv_rows(_read_text(source, "raw"), "raw")
-    if not rows:
+        raise BadConfigFile(f"conversion target {spec.target!r} is not 'state' or 'trajectory'")
+    text = _read_text(source, "raw")
+    if not text:
         raise UnmappedMandatoryColumn("raw CSV has no header row")
-    header = rows[0]
+    header, cells, ordinals, ragged = _cells(text, "raw")
     col_index = {name: i for i, name in enumerate(header)}
-    needed = [spec.time_column, spec.entity_column]
+    needed = [spec.time_column, spec.entity_column, *spec.property_columns]
     if spec.target == "trajectory":
-        needed += [spec.lat_column, spec.lon_column]
-    needed += list(spec.property_columns)
+        needed[2:2] = [spec.lat_column, spec.lon_column]
     for name in needed:
         if name is None:
-            raise UnmappedMandatoryColumn(
-                "trajectory conversion requires lat_column and lon_column"
-            )
+            raise UnmappedMandatoryColumn("trajectory conversion requires lat_column and lon_column")
         if name not in col_index:
             raise UnmappedMandatoryColumn(f"raw CSV has no column {name!r}")
 
-    def cell(n: int, row: list[str], column: str, parse, error):
-        """``parse`` of data row ``n``'s cell in ``column``; its ValueError
-        or OverflowError becomes ``error`` located at that cell."""
-        try:
-            return parse(row[col_index[column]])
-        except (ValueError, OverflowError) as exc:
-            raise error(str(exc), table="raw", row=n, column=column) from None
+    width, failures = len(header), []
+    n = len(cells) // width - 1
 
-    def point(n: int, row: list[str]) -> tuple[float, float]:
-        return (
-            cell(n, row, spec.lon_column, lambda c: _degrees(c, 180.0), BadCoordinate),
-            cell(n, row, spec.lat_column, lambda c: _degrees(c, 90.0), BadCoordinate),
-        )
+    def decode(position: int, name: str, check, state: bool = False) -> Column:
+        """Column ``name`` decoded by ``check``; ``state``: only entities' first cells."""
+        column = _encode(cells[width + col_index[name] :: width])
+        if state:
+            column = Column(column.codes[first][entities.codes], column.values)
+        column, fault = _decode(column, check, "raw", name)
+        if fault is not None:
+            failures.append((fault[0], position, fault[1]))
+        return column
 
-    has_point = all(c and c in col_index for c in (spec.lat_column, spec.lon_column))
-    dyna: list[DynaRecord] = []
-    entity_coord: dict[str, tuple[float, float] | None] = {}  # state target
-    point_ids: dict[tuple[float, float], str] = {}  # trajectory target
-    for n, row in enumerate(rows[1:], start=1):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise RaggedRow(
-                f"row has {len(row)} cells, header has {len(header)}", table="raw",
-                row=n, column=header[len(row)] if len(row) < len(header) else None,
-            )
-        time = cell(
-            n, row, spec.time_column, lambda c: _parse_raw_time(c, spec), BadTimestamp
-        )
-        entity = _parse_id_cell(row[col_index[spec.entity_column]], "raw", n, spec.entity_column)
-        location = None
-        if spec.target == "trajectory":
-            location = point_ids.setdefault(point(n, row), f"p{len(point_ids)}")
-        elif entity not in entity_coord:
-            entity_coord[entity] = point(n, row) if has_point else None
-        props: dict[str, Scalar] = {
-            c: _coerce_scalar(row[col_index[c]]) for c in spec.property_columns
-        }
-        dyna.append(DynaRecord(f"d{len(dyna)}", spec.target, time, entity, location, props))
+    times = decode(0, spec.time_column, _parse_time_cell if spec.time_format is None
+                   else partial(_strptime_cell, time_format=spec.time_format))
+    entities = decode(1, spec.entity_column, _parse_id_cell)
+    first = np.unique(entities.codes, return_index=True)[1]  # each entity's first row
+    lons = lats = _constant(0.0, n)
+    if spec.target == "trajectory" or all(
+            c and c in col_index for c in (spec.lat_column, spec.lon_column)):
+        state = spec.target == "state"
+        lons = decode(2, spec.lon_column, partial(_degrees, limit=180.0), state)
+        lats = decode(3, spec.lat_column, partial(_degrees, limit=90.0), state)
+    if ragged is not None:
+        row, count = ragged
+        ragged = RaggedRow(f"row has {count} cells, header has {width}", table="raw", row=row,
+                           column=header[count] if count < width else None)
+    _raise_first(failures, ordinals, ragged)
+
     if spec.target == "state":
-        geo = [GeoUnit(e, "Point", (c or (0.0, 0.0),), {}) for e, c in entity_coord.items()]
-        usr = []
+        ids, location, usr = entities.values, _constant(None, n), ()
     else:
-        geo = [GeoUnit(pid, "Point", (c,), {}) for c, pid in point_ids.items()]
-        usr = [UserUnit(u, {}) for u in dict.fromkeys(d.entity_id for d in dyna)]
+        points = _pairs(lons, lats)  # pairs that compare equal share a code
+        first = np.unique(points.codes, return_index=True)[1]
+        order = np.argsort(first)  # the points in order of their first row
+        ids, first = _ids("p", len(order)), first[order]
+        location = Column(np.argsort(order)[points.codes], ids)
+        usr = Table("usr", {"usr_id": entities.values})
+    geo = Table("geo", dict(geo_id=ids, geo_type=_constant("Point", len(ids)), coordinates=[
+        ((lons.at(r), lats.at(r)),) for r in first.tolist()]))
+    props = (_encode(cells[width + col_index[name] :: width]) for name in spec.property_columns)
+    dyna = Table("dyna", dict(
+        dyna_id=_ids("d", n), dyna_type=_constant(spec.target, n), time=times,
+        entity_id=entities, location=location,
+    ), {name: Column(c.codes, list(map(_coerce_scalar, c.values)))
+        for name, c in zip(spec.property_columns, props)})
     manifest = Manifest(name=spec.name, features=tuple(spec.property_columns))
     return AtomicDataset(manifest, geo=geo, usr=usr, dyna=dyna)
 

@@ -27,7 +27,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .atomic import Column, Table
+from .atomic import Column, Table, _constant, _ids
 from .config import write_json
 from .dataset import AtomicDataset, Manifest, save_dataset
 from .mapmatch import EARTH_RADIUS_M
@@ -74,14 +74,6 @@ def generate_synthetic(
     if kind == "trajectories":
         return _trajectories(params, seed)
     raise ValueError(f"unknown synthetic kind {kind!r}")
-
-
-def _constant(value, n: int) -> Column:
-    return Column(np.zeros(n, dtype=np.intp), [value])
-
-
-def _ids(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}{k}" for k in range(n)]
 
 
 def _state_rows(rng, values: np.ndarray, missing_rate: float, interval: int):

@@ -5,8 +5,9 @@ candidate search that the matcher tests use as their oracle, the per-point
 trajectory objects that the trajectory tests use as theirs, the per-value
 number rules that ``Table.numbers`` is held to, the per-origin heap
 Dijkstra that the route table is held to, the csv.writer table writer
-that ``write_table`` is held to, and the record-built synthetic generators
-that the column-built ones are held to.
+that ``write_table`` is held to, the record-built synthetic generators
+that the column-built ones are held to, and the per-row raw CSV converter
+that ``convert_raw_csv`` is held to.
 
 The random generators only emit canonical property values (values that the
 CSV typing rules can represent), so parse(write(x)) == x is a fair check.
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -40,14 +41,27 @@ from stkit.atomic import (
     GridRecord,
     ODRecord,
     RelationRecord,
+    Scalar,
     Table,
     UserUnit,
+    _coerce_scalar,
+    _csv_rows,
     _format_coordinates,
+    _parse_id_cell,
+    _read_text,
     _scalar_to_cell,
     as_table,
     format_timestamp,
+    parse_timestamp,
 )
-from stkit.dataset import AtomicDataset, Manifest
+from stkit.dataset import AtomicDataset, Manifest, RawConversionSpec
+from stkit.exceptions import (
+    BadConfigFile,
+    BadCoordinate,
+    BadTimestamp,
+    RaggedRow,
+    UnmappedMandatoryColumn,
+)
 from stkit.mapmatch import Candidate, RoadNetwork, _RouteTable, haversine_m
 from stkit.pipeline import SplitSpec, TrajWindowSpec, _split_ranges
 from stkit.synthetic import SyntheticResult
@@ -1190,3 +1204,110 @@ def _trajectories(params: Mapping, seed: int) -> SyntheticResult:
         dyna=dyna,
     )
     return SyntheticResult(ds, truth_routes=truth)
+
+
+# -- the per-row raw CSV converter ----------------------------------------------------
+#
+# stkit.dataset.convert_raw_csv as it once was: csv.reader's rows, each checked
+# in a Python loop and built into one DynaRecord, then GeoUnits and UserUnits.
+# Kept verbatim as the oracle of the column-built converter; the one deliberate
+# difference is the number rule of coordinate cells (ASCII digits only there).
+
+
+def _parse_raw_time(cell: str, spec: RawConversionSpec):
+    from datetime import datetime, timezone
+
+    if spec.time_format is None:
+        return parse_timestamp(cell)
+    dt = datetime.strptime(cell, spec.time_format)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc)
+
+
+def _degrees(cell: str, limit: float) -> float:
+    """A raw coordinate cell as a float within [-limit, limit]."""
+    value = float(cell)
+    if not -limit <= value <= limit:  # NaN too
+        raise ValueError(f"coordinate {value} outside [-{limit:g}, {limit:g}]")
+    return value
+
+
+def record_convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> AtomicDataset:
+    """Convert one flat CSV into an AtomicDataset under the given mapping.
+
+    Raises UnmappedMandatoryColumn when a mapped column is missing from the
+    raw header, and a ParseError located at the raw row and column for a
+    ragged row, a bad time cell or one outside the years 1 to 9999 in UTC,
+    an empty entity cell, a coordinate that is not a number in range or a
+    byte that is not UTF-8. Blank lines are skipped. The output passes
+    :func:`validate_dataset` with zero errors.
+    """
+    if spec.target not in ("state", "trajectory"):
+        raise BadConfigFile(
+            f"conversion target {spec.target!r} is not 'state' or 'trajectory'"
+        )
+    rows = _csv_rows(_read_text(source, "raw"), "raw")
+    if not rows:
+        raise UnmappedMandatoryColumn("raw CSV has no header row")
+    header = rows[0]
+    col_index = {name: i for i, name in enumerate(header)}
+    needed = [spec.time_column, spec.entity_column]
+    if spec.target == "trajectory":
+        needed += [spec.lat_column, spec.lon_column]
+    needed += list(spec.property_columns)
+    for name in needed:
+        if name is None:
+            raise UnmappedMandatoryColumn(
+                "trajectory conversion requires lat_column and lon_column"
+            )
+        if name not in col_index:
+            raise UnmappedMandatoryColumn(f"raw CSV has no column {name!r}")
+
+    def cell(n: int, row: list[str], column: str, parse, error):
+        """``parse`` of data row ``n``'s cell in ``column``; its ValueError
+        or OverflowError becomes ``error`` located at that cell."""
+        try:
+            return parse(row[col_index[column]])
+        except (ValueError, OverflowError) as exc:
+            raise error(str(exc), table="raw", row=n, column=column) from None
+
+    def point(n: int, row: list[str]) -> tuple[float, float]:
+        return (
+            cell(n, row, spec.lon_column, lambda c: _degrees(c, 180.0), BadCoordinate),
+            cell(n, row, spec.lat_column, lambda c: _degrees(c, 90.0), BadCoordinate),
+        )
+
+    has_point = all(c and c in col_index for c in (spec.lat_column, spec.lon_column))
+    dyna: list[DynaRecord] = []
+    entity_coord: dict[str, tuple[float, float] | None] = {}  # state target
+    point_ids: dict[tuple[float, float], str] = {}  # trajectory target
+    for n, row in enumerate(rows[1:], start=1):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise RaggedRow(
+                f"row has {len(row)} cells, header has {len(header)}", table="raw",
+                row=n, column=header[len(row)] if len(row) < len(header) else None,
+            )
+        time = cell(
+            n, row, spec.time_column, lambda c: _parse_raw_time(c, spec), BadTimestamp
+        )
+        entity = _parse_id_cell(row[col_index[spec.entity_column]], "raw", n, spec.entity_column)
+        location = None
+        if spec.target == "trajectory":
+            location = point_ids.setdefault(point(n, row), f"p{len(point_ids)}")
+        elif entity not in entity_coord:
+            entity_coord[entity] = point(n, row) if has_point else None
+        props: dict[str, Scalar] = {
+            c: _coerce_scalar(row[col_index[c]]) for c in spec.property_columns
+        }
+        dyna.append(DynaRecord(f"d{len(dyna)}", spec.target, time, entity, location, props))
+    if spec.target == "state":
+        geo = [GeoUnit(e, "Point", (c or (0.0, 0.0),), {}) for e, c in entity_coord.items()]
+        usr = []
+    else:
+        geo = [GeoUnit(pid, "Point", (c,), {}) for c, pid in point_ids.items()]
+        usr = [UserUnit(u, {}) for u in dict.fromkeys(d.entity_id for d in dyna)]
+    manifest = Manifest(name=spec.name, features=tuple(spec.property_columns))
+    return AtomicDataset(manifest, geo=geo, usr=usr, dyna=dyna)
