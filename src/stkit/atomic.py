@@ -463,18 +463,21 @@ def _parse_geometry(cell, table, row, column):
 
 
 _ID, _TIME, _INDEX = _parse_id_cell, _parse_time_cell, _parse_index_cell
-_STATE = partial(_parse_enum_cell, domain=("state",))
+# Per kind with a type column: the types it may hold.
+_TYPES = {"geo": GEO_TYPES, "rel": REL_TYPES, "dyna": DYNA_TYPES,
+          "grid": ("state",), "od": ("state",), "gridod": ("state",)}
+_TYPE = {kind: partial(_parse_enum_cell, domain=domain) for kind, domain in _TYPES.items()}
 
 # Per kind: the check of each mandatory cell, in header order. A check takes
 # (cell, table, row, column) and returns the decoded value or raises.
 _CHECKS = {
-    "geo": (_ID, partial(_parse_enum_cell, domain=GEO_TYPES), _parse_geometry),
+    "geo": (_ID, _TYPE["geo"], _parse_geometry),
     "usr": (_ID,),
-    "rel": (_ID, partial(_parse_enum_cell, domain=REL_TYPES), _ID, _ID),
-    "dyna": (_ID, partial(_parse_enum_cell, domain=DYNA_TYPES), _TIME, _ID),
-    "grid": (_ID, _STATE, _TIME, _INDEX, _INDEX),
-    "od": (_ID, _STATE, _TIME, _ID, _ID),
-    "gridod": (_ID, _STATE, _TIME, _INDEX, _INDEX, _INDEX, _INDEX),
+    "rel": (_ID, _TYPE["rel"], _ID, _ID),
+    "dyna": (_ID, _TYPE["dyna"], _TIME, _ID),
+    "grid": (_ID, _TYPE["grid"], _TIME, _INDEX, _INDEX),
+    "od": (_ID, _TYPE["od"], _TIME, _ID, _ID),
+    "gridod": (_ID, _TYPE["gridod"], _TIME, _INDEX, _INDEX, _INDEX, _INDEX),
     "ext": (_ID, _TIME),
 }
 
@@ -740,9 +743,11 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
     A byte that is not UTF-8 raises :class:`~stkit.exceptions.BadEncoding` at
     its row. Otherwise a located ``ParseError`` subclass is raised on the
     first malformed row in file order: missing or misordered mandatory
-    columns, ragged rows, bad timestamps or coordinates, out-of-domain enum
-    values, negative grid indices, or repeated primary identifiers. Within a
-    row, columns are checked in header order and the identifier repeat last.
+    columns, a reserved or repeated property (the first one, named as
+    :func:`write_table` names it), ragged rows, bad timestamps or coordinates,
+    out-of-domain enum values, negative grid indices, or repeated primary
+    identifiers. Within a row, columns are checked in header order and the
+    identifier repeat last.
     Rows count from 1 and include skipped blank lines.
     """
     if kind not in MANDATORY_COLUMNS:
@@ -757,11 +762,8 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
     has_location = kind == "dyna" and header[len(mandatory) :][:1] == [_LOCATION_COLUMN]
     n_fixed = len(mandatory) + has_location
     prop_names = header[n_fixed:]
-    if _property_fault(kind, prop_names) is not None:
-        raise MissingColumn(
-            f"property columns must be unique and distinct from mandatory ones: {prop_names}",
-            table=kind,
-        )
+    if (fault := _property_fault(kind, prop_names)) is not None:
+        raise MissingColumn(fault, table=kind)
 
     width = len(header)
     n = len(cells) // width - 1

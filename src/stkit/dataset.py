@@ -19,10 +19,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .atomic import (
-    DYNA_TYPES,
-    GEO_TYPES,
     MANDATORY_COLUMNS,
-    REL_TYPES,
     Column,
     Table,
     format_timestamp,
@@ -31,6 +28,7 @@ from .atomic import (
     write_table,
 )
 from .atomic import _check_coord_ranges, _shape_fault  # shared geometry rules
+from .atomic import _ATTRS, _FLOAT_RE, _TYPES  # shared type and number rules
 from .atomic import _cells, _coerce_scalar, _decode, _encode, _pairs, _raise_first, _read_text
 from .atomic import _constant, _ids  # shared column builders
 from .atomic import _parse_id_cell, _parse_time_cell, _property_fault  # shared rules
@@ -342,8 +340,8 @@ def _check_dyna(ds: AtomicDataset, table: Table, ok, found: list):
         last_time[entity] = time
     return (
         (
-            ok & types.flags(lambda v: v == "state"), entities, "geo", 0,
-            "entity_id {!r} not in .geo",
+            ok & types.flags(lambda v: v == "state"), entities, "order", 0,
+            "entity_id {!r} not in " + _ordering(ds),
             "state rows present but .geo table absent; entities unresolvable",
         ),
         (
@@ -391,24 +389,29 @@ def _check_grid(ds: AtomicDataset, table: Table, ok, found: list):
 def _check_od(ds: AtomicDataset, table: Table, ok, found: list):
     return [
         (
-            ok, table.field(side), "geo", rank, side + " {!r} not in .geo",
+            ok, table.field(side), "order", rank, side + " {!r} not in " + _ordering(ds),
             ".geo table absent; origin/destination unresolvable",
         )
         for rank, side in enumerate(("origin_id", "des_id"))
     ]
 
 
-# Per kind: the column that identifies a row (for ext, the pair of columns);
-# its type column with the domain and the name findings give it, or None;
+def _ordering(ds: AtomicDataset) -> str:
+    """The name findings give the geo ordering that state and od rows index."""
+    return ".geo" if ds.manifest.geo_order is None else "the manifest geo_order"
+
+
+# Per kind: the column that identifies a row (for ext, the pair of columns),
+# the name findings give its type (its domain is the reader's, atomic._TYPES),
 # and its check.
 _RULES = {
-    "geo": ("geo_id", ("geo_type", GEO_TYPES, "geo type"), _check_geo),
+    "geo": ("geo_id", "geo type", _check_geo),
     "usr": ("usr_id", None, _check_ids_only),
-    "rel": ("rel_id", ("rel_type", REL_TYPES, "relation type"), _check_rel),
-    "dyna": ("dyna_id", ("dyna_type", DYNA_TYPES, "dyna type"), _check_dyna),
-    "grid": ("dyna_id", None, _check_grid),
-    "od": ("dyna_id", None, _check_od),
-    "gridod": ("dyna_id", None, _check_grid),
+    "rel": ("rel_id", "relation type", _check_rel),
+    "dyna": ("dyna_id", "dyna type", _check_dyna),
+    "grid": ("dyna_id", "grid type", _check_grid),
+    "od": ("dyna_id", "od type", _check_od),
+    "gridod": ("dyna_id", "gridod type", _check_grid),
     "ext": (("ext_id", "time"), None, _check_ids_only),
 }
 
@@ -416,9 +419,11 @@ _RULES = {
 def validate_dataset(ds: AtomicDataset) -> ValidationReport:
     """Cross-check referential and domain invariants over in-memory tables.
 
-    Errors: duplicate identifiers, out-of-domain enum values, malformed
-    geometry, dangling references into present tables, grid indices outside
-    the manifest bounds, manifest ``geo_order`` ids absent from ``.geo``.
+    Errors: duplicate identifiers, out-of-domain enum values (each kind's
+    types are the reader's), malformed geometry, dangling references into
+    present tables, grid indices outside the manifest bounds, manifest
+    ``geo_order`` ids absent from ``.geo``, and state and od rows naming a geo
+    id outside :meth:`AtomicDataset.geo_order`, the ordering their tensors use.
     Warnings: references into absent tables and non-monotone trajectory
     timestamps (tensorization sorts, so these are survivable). Findings come
     out in table order, the manifest first, then row order; a table's
@@ -427,6 +432,7 @@ def validate_dataset(ds: AtomicDataset) -> ValidationReport:
     pools = {
         "geo": set(ds.geo.field("geo_id").tolist()) if ds.geo else None,
         "usr": set(ds.usr.field("usr_id").tolist()) if ds.usr else None,
+        "order": set(ds.geo_order()) if ds.geo else None,  # what state and od rows index
     }
     unknown = [g for g in ds.manifest.geo_order or () if g not in (pools["geo"] or ())]
     out = [Finding("error", "manifest", None, f"geo_order names {g!r}, which is not in .geo")
@@ -439,16 +445,15 @@ def validate_dataset(ds: AtomicDataset) -> ValidationReport:
             message = "manifest lacks grid_rows/grid_cols but grid-indexed rows exist"
             out.append(Finding("error", kind, None, message))  # its rows go unchecked
             continue
-        ids, typed, check = _RULES[kind]
+        ids, label, check = _RULES[kind]
         key = table.field(ids) if isinstance(ids, str) else _pairs(*map(table.field, ids))
         found: list = []
         repeat = _repeats(key)
         _found(found, kind, repeat, 0, "error", lambda i: _duplicate(ids, key.at(i)))
         ok = ~repeat
-        if typed is not None:
-            name, domain, label = typed
-            types = table.field(name)
-            bad = ok & ~types.flags(lambda v: v in domain)
+        if label is not None:
+            types = table.field(_ATTRS[kind][1])
+            bad = ok & ~types.flags(lambda v: v in _TYPES[kind])
             _found(found, kind, bad, 0, "error", f"unknown {label} {{!r}}", types)
             ok &= ~bad
         _references(found, kind, check(ds, table, ok, found), pools)
@@ -563,14 +568,15 @@ def _strptime_cell(cell: str, table, row, column, time_format: str) -> datetime:
 
 
 def _degrees(cell: str, table, row, column, limit: float) -> float:
-    """A raw coordinate cell as a float within [-limit, limit]."""
-    try:
-        value = float(cell)
-        if not -limit <= value <= limit:  # NaN too
-            raise ValueError(f"coordinate {value} outside [-{limit:g}, {limit:g}]")
-    except ValueError as exc:
-        raise BadCoordinate(str(exc), table=table, row=row, column=column) from None
-    return value
+    """A raw coordinate cell as a float within [-limit, limit]: a number as
+    the reader types one (ASCII digits; no ``_``, space, ``inf`` or ``nan``)."""
+    if not _FLOAT_RE.fullmatch(cell):
+        fault = f"could not convert string to float: {cell!r}"
+    elif not -limit <= (value := float(cell)) <= limit:
+        fault = f"coordinate {value} outside [-{limit:g}, {limit:g}]"
+    else:
+        return value
+    raise BadCoordinate(fault, table=table, row=row, column=column)
 
 
 def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> AtomicDataset:
@@ -579,13 +585,14 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
     Read as :func:`~stkit.atomic.read_table` reads a table: split into cells
     once, each distinct cell of a mapped column checked once. Raises
     UnmappedMandatoryColumn when a mapped column is missing from the raw
-    header, and a ParseError at the raw row and column of the first (by row,
-    then time, entity, lon, lat) ragged row (a short one names its first
-    missing column), bad time cell or one outside the years 1 to 9999 in UTC,
-    empty entity cell, coordinate that is not a number in range or byte that
-    is not UTF-8. Blank lines are skipped. A state entity's point is its first
-    row's; equal trajectory points share one id and their first row's
-    coordinates. The output passes :func:`validate_dataset` with zero errors.
+    header, and a ParseError located at the raw row and column of the first
+    fault by row, then by time, entity, lon and lat: a ragged row (a short
+    one names its first missing column), a bad time cell or one outside the
+    years 1 to 9999 in UTC, an empty entity cell, a coordinate that is not a
+    number in range, or a byte that is not UTF-8. Blank lines are skipped. A
+    state entity's point is its first row's; equal trajectory points share
+    one id and their first row's coordinates. The output passes
+    :func:`validate_dataset` with zero errors.
     """
     if spec.target not in ("state", "trajectory"):
         raise BadConfigFile(f"conversion target {spec.target!r} is not 'state' or 'trajectory'")

@@ -392,6 +392,20 @@ def test_reserved_property_names_are_refused_both_ways(kind, name):
         read_table(kind, ",".join([*MANDATORY_COLUMNS[kind], "p", name]) + "\n")
 
 
+@pytest.mark.parametrize("kind, header, fault", [
+    ("usr", "usr_id,p,location", "property 'location' is a reserved usr column"),
+    ("usr", "usr_id,a,b,a,usr_id", "property 'a' is repeated"),
+    ("dyna", "dyna_id,type,time,entity_id,location,p,time",
+     "property 'time' is a reserved dyna column"),
+], ids=["reserved", "repeated", "reserved-after-location"])
+def test_reader_names_the_first_property_at_fault(kind, header, fault):
+    """The reader refuses a property header with the writer's message, which
+    names the first property, in header order, that is reserved or repeated."""
+    with pytest.raises(MissingColumn) as err:
+        read_table(kind, header + "\n")
+    assert str(err.value) == f"{fault} (table={kind})"
+
+
 def test_mixed_property_keys_rejected_on_write():
     records = [UserUnit("u1", {"a": 1}), UserUnit("u2", {"b": 2})]
     with pytest.raises(ValueError):

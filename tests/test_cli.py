@@ -971,6 +971,24 @@ def geo_order_case(order):
     return build
 
 
+def left_out_case(command):
+    """``stkit validate`` or ``run`` on flow_p4 whose manifest geo_order leaves
+    out g1, a .geo id that state rows name."""
+
+    def build(root, tmp):
+        data = copy_of(root / "flow_p4", tmp / "flow_p4")
+        manifest = json.loads((data / "manifest.json").read_text("utf-8"))
+        manifest["geo_order"] = ["g2", "g0"]
+        (data / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        argv = [command, "--dataset", str(data)]
+        if command == "run":
+            argv += ["--task", "traffic_state_pred", "--model", "HA",
+                     "--output_dir", str(tmp / "out")]
+        return argv, 2, r"^\[error\] dyna:\d+: entity_id 'g1' not in the manifest geo_order$"
+
+    return build
+
+
 def non_utf8_case(command):
     """``stkit validate`` or ``run`` on flow_p4 whose dyna table holds byte
     0xe9 in data row 3."""
@@ -1168,6 +1186,19 @@ FAILURE_MATRIX = [
         r"^error: could not convert string to float: 'north' "
         r"\(table=raw, row=2, column=lat\)$",
     ), id="convert-lat-not-a-number"),
+    # A coordinate is a number as the reader types one: ASCII digits only, and
+    # no "_", surrounding space, inf or nan, which float() would take.
+    *(pytest.param(convert_case(
+        RAW_VISITS + f"u1,2024-01-01T00:05:00Z,{lon},{lat}\n", VISITS, 3,
+        rf"^error: could not convert string to float: {re.escape(repr(cell))} "
+        rf"\(table=raw, row=2, column={column}\)$",
+    ), id=f"convert-{column}-{name}") for name, column, cell, lon, lat in [
+        ("underscore", "lon", "1_0", "1_0", "39.9"),
+        ("spaces", "lat", " 12 ", "116.5", " 12 "),
+        ("arabic-indic-digits", "lat", "\u0661\u0662", "116.5", "\u0661\u0662"),
+        ("inf", "lon", "inf", "inf", "39.9"),
+        ("nan", "lat", "nan", "116.5", "nan"),
+    ]),
     pytest.param(convert_case(
         RAW_VISITS + "u1,2024-01-01T00:05:00Z,116.5,95\n", VISITS, 3,
         r"^error: coordinate 95.0 outside \[-90, 90\] \(table=raw, row=2, column=lat\)$",
@@ -1180,6 +1211,8 @@ FAILURE_MATRIX = [
     pytest.param(non_utf8_case("validate"), id="validate-not-utf8"),
     pytest.param(geo_order_case(["g0", "g1", "g2", "gX"]), id="manifest-geo-order-unknown-id"),
     pytest.param(non_utf8_case("run"), id="run-not-utf8"),
+    *(pytest.param(left_out_case(command), id=f"{command}-geo-order-leaves-out-a-state-entity")
+      for command in ("validate", "run")),
     pytest.param(convert_case(
         RAW_STATES, {**STATES, "target": "grid"}, 3,
         r"^error: conversion target 'grid' is not 'state' or 'trajectory'$",

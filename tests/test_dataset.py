@@ -22,6 +22,7 @@ from stkit.atomic import (
     DynaRecord,
     ExtRecord,
     GeoUnit,
+    GridODRecord,
     GridRecord,
     ODRecord,
     RelationRecord,
@@ -43,6 +44,7 @@ from stkit.dataset import (
 )
 from stkit.exceptions import (
     BadCoordinate,
+    BadFieldValue,
     MissingManifest,
     UnmappedMandatoryColumn,
     ValidationFailed,
@@ -192,6 +194,40 @@ def test_manifest_json_round_trip():
     assert Manifest.from_json(json.loads(json.dumps(m.to_json()))) == m
     sparse = Manifest(name="y")
     assert Manifest.from_json(sparse.to_json()) == sparse
+
+
+@pytest.mark.parametrize("kind, record", [
+    ("grid", GridRecord("q0", "trajectory", ts(0), 0, 0, {})),
+    ("od", ODRecord("o0", "trajectory", ts(0), "g0", "g0", {})),
+    ("gridod", GridODRecord("go0", "trajectory", ts(0), 0, 0, 1, 1, {})),
+], ids=["grid", "od", "gridod"])
+def test_grid_od_and_gridod_rows_are_state_rows(kind, record, tmp_path):
+    """Validation refuses the types the reader refuses: a grid, od or gridod
+    row typed ``trajectory`` is one error on its table and row."""
+    ds = AtomicDataset(Manifest(name="t", grid_rows=2, grid_cols=2),
+                       geo=[GeoUnit("g0", "Point", ((116.0, 39.9),), {})], **{kind: [record]})
+    assert validate_dataset(ds).findings == [
+        Finding("error", kind, 1, f"unknown {kind} type 'trajectory'")
+    ]
+    with pytest.raises(BadFieldValue, match=rf"table={kind}, row=1, column=type"):
+        load_dataset(save_dataset(ds, tmp_path / "ds"))
+
+
+def test_state_and_od_rows_name_ids_of_the_geo_ordering():
+    """State and od rows index the manifest's geo_order when it sets one: a
+    .geo id it leaves out is an error at each row naming it, and a subset
+    ordering that holds every such id is legal."""
+    ds = clean_dataset()  # state rows name g0, g1 and g4; od rows too
+
+    def findings(order):
+        return validate_dataset(replace(ds, manifest=replace(ds.manifest, geo_order=order)))
+
+    assert findings(("g4", "g1", "g0")).findings == []
+    assert [str(f) for f in findings(("g4", "g0")).findings] == [
+        "[error] dyna:3: entity_id 'g1' not in the manifest geo_order",
+        "[error] od:1: des_id 'g1' not in the manifest geo_order",
+        "[error] od:2: origin_id 'g1' not in the manifest geo_order",
+    ]
 
 
 RAW_STATE_CSV = (

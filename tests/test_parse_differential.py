@@ -126,13 +126,11 @@ def reference_parse_table(kind, source) -> list:
         has_location = True
         n_fixed += 1
     prop_names = header[n_fixed:]
-    if len(set(prop_names)) != len(prop_names) or any(
-        p in mandatory or p == _LOCATION_COLUMN for p in prop_names
-    ):
-        raise MissingColumn(
-            f"property columns must be unique and distinct from mandatory ones: {prop_names}",
-            table=kind,
-        )
+    for i, name in enumerate(prop_names):  # the first property at fault is named
+        if name in mandatory or name == _LOCATION_COLUMN:
+            raise MissingColumn(f"property {name!r} is a reserved {kind} column", table=kind)
+        if name in prop_names[:i]:
+            raise MissingColumn(f"property {name!r} is repeated", table=kind)
 
     records = []
     seen_ids: set = set()
