@@ -688,10 +688,10 @@ def _pairs(a: Column, b: Column) -> Column:
 
 
 def _decode(column: Column, check, table: str, name: str):
-    """Run ``check`` once per distinct cell: the decoded column, a failing
-    cell None, and None or the first row holding a failing cell with that
-    cell's re-check, which raises, located at the ``row=`` it is given, what
-    ``check`` (a check of ``_CHECKS``) raised here."""
+    """Run ``check`` (a check of ``_CHECKS``) once per distinct cell: the
+    decoded column, None for a failing cell, and None or the first row that
+    holds a failing cell with that cell's re-check, which raises what
+    ``check`` raised here, located at the ``row=`` it is given."""
     if check is _ID and "" not in column.values:  # an identifier only has to be non-empty
         return column, None
     values, bad = [], np.zeros(len(column.values), dtype=bool)

@@ -606,7 +606,9 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
         needed[2:2] = [spec.lat_column, spec.lon_column]
     for name in needed:
         if name is None:
-            raise UnmappedMandatoryColumn("trajectory conversion requires lat_column and lon_column")
+            raise UnmappedMandatoryColumn(
+                "trajectory conversion requires lat_column and lon_column"
+            )
         if name not in col_index:
             raise UnmappedMandatoryColumn(f"raw CSV has no column {name!r}")
 
