@@ -33,8 +33,8 @@ that do not themselves look numeric).
 :func:`read_table` reads a table as dictionary-encoded columns into a
 :class:`Table`, which keeps only those columns and builds a record each time
 one is asked for; :func:`parse_table` returns the records as a list. A table
-with no quoted cell is split with ``str.split``; a quoted one, such as every
-``.geo`` table, goes through ``csv.reader``.
+with no quoted cell is split with ``str.split`` and encoded chunk by chunk; a
+quoted one, such as every ``.geo`` table, goes through ``csv.reader``.
 :func:`write_table` writes a table from its columns; it takes a ``Table``
 or a record list, which :meth:`Table.from_records` puts behind the same
 columns.
@@ -52,7 +52,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
-from itertools import chain, repeat
+from itertools import count, filterfalse, repeat
 from typing import IO, Iterable, NamedTuple, Union
 
 import numpy as np
@@ -130,6 +130,9 @@ _INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 _NEEDS_QUOTES = re.compile(r'[,"\n\r]')
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":")).encode  # tuples encode as arrays
+# Characters of a plain table split and encoded at a time, so that a read
+# holds one chunk's cells at once, not the whole table's.
+_CHUNK = 1 << 17
 
 
 def _property_fault(kind: str, names) -> str | None:
@@ -431,16 +434,42 @@ def _csv_rows(text: str, table: str) -> list[list[str]]:
     return rows
 
 
-def _cells(text: str, table: str):
-    """(header, flat cells of the header and kept rows, the kept rows' ordinals
-    or None if all are kept, the ragged row's (ordinal, cells) or None): see read_table."""
-    lines = text.removesuffix("\n").split("\n")  # the newline ending the last row
-    commas = set(map(str.count, lines, repeat(",")))
-    plain = len(commas) == 1 and "" not in lines and not any(map(text.__contains__, '"\r\0'))
-    del lines
-    if plain:
-        cells = text.removesuffix("\n").replace("\n", ",").split(",")
-        return cells[: commas.pop() + 1], cells, None, None
+def _plain_columns(text: str):
+    """(header, columns) of a text with no quote, ``\\r`` or NUL, encoded
+    ``_CHUNK`` characters at a time, so that only one chunk's cells are held
+    at once; None if a line is blank or its comma count is not the header's."""
+    stop = len(text) - text.endswith("\n")  # the newline ending the last row
+    start = text.find("\n", 0, stop) + 1 or stop + 1
+    header = text[: start - 1].split(",")
+    if header == [""]:
+        return None
+    width, parts = len(header), [[] for _ in header]
+    index = [{} for _ in header]  # per column: cell -> code, in order of first appearance
+    while start <= stop:
+        end = text.find("\n", start + _CHUNK, stop)
+        chunk = text[start : stop if end < 0 else end]
+        start += len(chunk) + 1
+        lines = chunk.split("\n")
+        if "" in lines or set(map(str.count, lines, repeat(","))) != {width - 1}:
+            return None
+        del lines
+        cells = chunk.replace("\n", ",").split(",")
+        for j in range(width):
+            parts[j].append(_codes(cells[j::width], index[j]))
+    n, columns = sum(map(len, parts[0])), []
+    for seen, part in zip(index, parts):
+        codes = np.arange(n) if len(seen) == n else np.concatenate(part)
+        columns.append(Column(codes, list(seen)))
+        seen.clear()  # each index goes before the next column is built
+    return header, columns
+
+
+def _columns(text: str, table: str):
+    """(header, the kept rows' dictionary-encoded columns, their ordinals or
+    None if all rows are kept, the ragged row's (ordinal, cells) or None): see
+    read_table."""
+    if not any(map(text.__contains__, '"\r\0')) and (plain := _plain_columns(text)):
+        return (*plain, None, None)
     rows = _csv_rows(text, table)
     if not rows:
         raise MissingColumn("table has no header row", table=table)
@@ -452,7 +481,8 @@ def _cells(text: str, table: str):
             ragged, lengths = (int(at[0]), int(lengths[at[0]])), lengths[: at[0]]
         ordinals = np.flatnonzero(lengths[1:]) + 1
         rows = [rows[0], *map(rows.__getitem__, ordinals)]
-    return rows[0], list(chain.from_iterable(rows)), ordinals, ragged
+    columns = [_encode(list(cells)) for cells in zip(*rows[1:])]
+    return rows[0], columns or [_encode([])] * width, ordinals, ragged
 
 
 def _parse_geometry(cell, table, row, column):
@@ -669,14 +699,20 @@ def _ids(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{k}" for k in range(n)]
 
 
+def _codes(cells: list, index: dict) -> np.ndarray:
+    """The codes of ``cells`` in ``index`` (cell -> code), which gains each
+    cell it lacks with the next code: codes follow order of first appearance."""
+    start = len(index)
+    index.update(zip(filterfalse(index.__contains__, cells), count(start)))
+    if len(index) - start == len(cells):  # every cell new
+        return np.arange(start, len(index))
+    return np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+
+
 def _encode(cells: list) -> Column:
     """Dictionary-encode cell strings; codes follow order of first appearance."""
-    index = dict.fromkeys(cells)
-    if len(index) == len(cells):
-        return Column(np.arange(len(cells)), cells)
-    index = dict(zip(index, range(len(index))))
-    codes = np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
-    return Column(codes, list(index))
+    index: dict = {}
+    return Column(_codes(cells, index), list(index))
 
 
 def _pairs(a: Column, b: Column) -> Column:
@@ -733,12 +769,12 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
 
     A text with no quote, ``\\r``, NUL (which ``csv.reader`` refuses before
     Python 3.11) or blank line, and the header's comma count on every line, is
-    split with one ``str.split``: the dyna, grid, rel, usr and ext tables stkit
-    writes, unless a property needs quotes. Any other, such as a ``.geo`` with
-    quoted coordinates, goes through ``csv.reader``. Column ``j`` is the slice
-    ``[width + j :: width]`` of the flat cell list either gives. Each distinct
-    cell is checked and decoded once: a mandatory cell by its column's rule, a
-    property cell typed as None, int, float or str.
+    split with ``str.split`` and dictionary-encoded about 128 KiB at a time:
+    the dyna, grid, rel, usr and ext tables stkit writes, unless a property
+    needs quotes. Any other, such as a ``.geo`` with quoted coordinates, goes
+    through ``csv.reader`` whole. Each distinct cell is checked and decoded
+    once: a mandatory cell by its column's rule, a property cell typed as
+    None, int, float or str.
 
     A byte that is not UTF-8 raises :class:`~stkit.exceptions.BadEncoding` at
     its row. Otherwise a located ``ParseError`` subclass is raised on the
@@ -752,7 +788,7 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
     """
     if kind not in MANDATORY_COLUMNS:
         raise ValueError(f"unknown table kind {kind!r}")
-    header, cells, ordinals, ragged = _cells(_read_text(source, kind), kind)
+    header, columns, ordinals, ragged = _columns(_read_text(source, kind), kind)
     mandatory = MANDATORY_COLUMNS[kind]
     if tuple(header[: len(mandatory)]) != mandatory:
         raise MissingColumn(
@@ -765,10 +801,7 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
     if (fault := _property_fault(kind, prop_names)) is not None:
         raise MissingColumn(fault, table=kind)
 
-    width = len(header)
-    n = len(cells) // width - 1
-    columns = [_encode(cells[width + j :: width]) for j in range(width)]
-    del cells
+    n = len(columns[0].codes)
 
     decoded: dict[str, Column] = {}
     failures = []  # (row, position, raise_at(row=ordinal)), one per failing check
@@ -788,7 +821,7 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
         raise_at = partial(_duplicate, ids.at(row), kind, mandatory[0])
         failures.append((row, len(mandatory), raise_at))
     _raise_first(failures, ordinals, ragged and RaggedRow(
-        f"row has {ragged[1]} cells, header has {width}", table=kind, row=ragged[0]))
+        f"row has {ragged[1]} cells, header has {len(header)}", table=kind, row=ragged[0]))
 
     if kind == "dyna":
         location = columns[4] if has_location else Column(np.zeros(n, np.intp), [""])

@@ -29,7 +29,7 @@ from .atomic import (
 )
 from .atomic import _check_coord_ranges, _shape_fault  # shared geometry rules
 from .atomic import _ATTRS, _FLOAT_RE, _TYPES  # shared type and number rules
-from .atomic import _cells, _coerce_scalar, _decode, _encode, _pairs, _raise_first, _read_text
+from .atomic import _coerce_scalar, _columns, _decode, _pairs, _raise_first, _read_text
 from .atomic import _constant, _ids  # shared column builders
 from .atomic import _parse_id_cell, _parse_time_cell, _property_fault  # shared rules
 from .config import write_json
@@ -38,6 +38,7 @@ from .exceptions import (
     BadCoordinate,
     BadManifest,
     BadTimestamp,
+    MissingColumn,
     MissingManifest,
     RaggedRow,
     UnmappedMandatoryColumn,
@@ -479,11 +480,12 @@ def load_dataset(path: Union[str, Path], validate: bool = True) -> AtomicDataset
         raise BadManifest(f"manifest.json is not JSON: {exc}", table="manifest") from None
     manifest = Manifest.from_json(payload)
     paths = {kind: root / f"{manifest.name}.{kind}" for kind in MANDATORY_COLUMNS}
-    ds = AtomicDataset(manifest, **{
-        kind: read_table(kind, path.read_bytes())
-        for kind, path in paths.items()
-        if path.is_file()
-    })
+    tables = {}
+    for kind, path in paths.items():
+        if path.is_file():
+            with path.open("rb") as f:  # the bytes go once the text is decoded
+                tables[kind] = read_table(kind, f)
+    ds = AtomicDataset(manifest, **tables)
     if validate:
         report = validate_dataset(ds)
         if not report.ok:
@@ -582,16 +584,18 @@ def _degrees(cell: str, table, row, column, limit: float) -> float:
 def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> AtomicDataset:
     """Convert one flat CSV into an AtomicDataset under the given mapping.
 
-    Read as :func:`~stkit.atomic.read_table` reads a table: split into cells
-    once, each distinct cell of a mapped column checked once. Raises
-    UnmappedMandatoryColumn when a mapped column is missing from the raw
-    header, and a ParseError located at the raw row and column of the first
-    fault by row, then by time, entity, lon and lat: a ragged row (a short
-    one names its first missing column), a bad time cell or one outside the
-    years 1 to 9999 in UTC, an empty entity cell, a coordinate that is not a
-    number in range, or a byte that is not UTF-8. Blank lines are skipped. A
-    state entity's point is its first row's; equal trajectory points share
-    one id and their first row's coordinates. The output passes
+    Read as :func:`~stkit.atomic.read_table` reads a table: encoded into
+    columns, each distinct cell of a mapped column checked once. Lon and lat
+    are mapped for a trajectory, and for a state target that sets both (else
+    its points are [0, 0]). Raises UnmappedMandatoryColumn when a mapped
+    column is missing from the raw header, MissingColumn when the header
+    repeats one, and a ParseError located at the raw row and column of the
+    first fault by row, then by time, entity, lon and lat: a ragged row (a
+    short one names its first missing column), a bad time cell or one
+    outside the years 1 to 9999 in UTC, an empty entity cell, a coordinate
+    that is not a number in range, or a byte that is not UTF-8. Blank lines
+    are skipped. A state entity's point is its first row's; equal trajectory
+    points share one id and their first row's coordinates. The output passes
     :func:`validate_dataset` with zero errors.
     """
     if spec.target not in ("state", "trajectory"):
@@ -599,25 +603,28 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
     text = _read_text(source, "raw")
     if not text:
         raise UnmappedMandatoryColumn("raw CSV has no header row")
-    header, cells, ordinals, ragged = _cells(text, "raw")
-    col_index = {name: i for i, name in enumerate(header)}
+    header, columns, ordinals, ragged = _columns(text, "raw")
+    mapped = dict(zip(header, columns))
+    points = spec.target == "trajectory" or None not in (spec.lat_column, spec.lon_column)
     needed = [spec.time_column, spec.entity_column, *spec.property_columns]
-    if spec.target == "trajectory":
+    if points:
         needed[2:2] = [spec.lat_column, spec.lon_column]
     for name in needed:
         if name is None:
             raise UnmappedMandatoryColumn(
                 "trajectory conversion requires lat_column and lon_column"
             )
-        if name not in col_index:
+        if name not in mapped:
             raise UnmappedMandatoryColumn(f"raw CSV has no column {name!r}")
+        if header.count(name) > 1:
+            raise MissingColumn(f"column {name!r} is repeated", table="raw", column=name)
 
     width, failures = len(header), []
-    n = len(cells) // width - 1
+    n = len(columns[0].codes)
 
     def decode(position: int, name: str, check, state: bool = False) -> Column:
         """Column ``name`` decoded by ``check``; ``state``: only entities' first cells."""
-        column = _encode(cells[width + col_index[name] :: width])
+        column = mapped[name]
         if state:
             column = Column(column.codes[first][entities.codes], column.values)
         column, fault = _decode(column, check, "raw", name)
@@ -630,8 +637,7 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
     entities = decode(1, spec.entity_column, _parse_id_cell)
     first = np.unique(entities.codes, return_index=True)[1]  # each entity's first row
     lons = lats = _constant(0.0, n)
-    if spec.target == "trajectory" or all(
-            c and c in col_index for c in (spec.lat_column, spec.lon_column)):
+    if points:
         state = spec.target == "state"
         lons = decode(2, spec.lon_column, partial(_degrees, limit=180.0), state)
         lats = decode(3, spec.lat_column, partial(_degrees, limit=90.0), state)
@@ -652,12 +658,11 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
         usr = Table("usr", {"usr_id": entities.values})
     geo = Table("geo", dict(geo_id=ids, geo_type=_constant("Point", len(ids)), coordinates=[
         ((lons.at(r), lats.at(r)),) for r in first.tolist()]))
-    props = (_encode(cells[width + col_index[name] :: width]) for name in spec.property_columns)
     dyna = Table("dyna", dict(
         dyna_id=_ids("d", n), dyna_type=_constant(spec.target, n), time=times,
         entity_id=entities, location=location,
-    ), {name: Column(c.codes, list(map(_coerce_scalar, c.values)))
-        for name, c in zip(spec.property_columns, props)})
+    ), {name: Column(mapped[name].codes, list(map(_coerce_scalar, mapped[name].values)))
+        for name in spec.property_columns})
     manifest = Manifest(name=spec.name, features=tuple(spec.property_columns))
     return AtomicDataset(manifest, geo=geo, usr=usr, dyna=dyna)
 

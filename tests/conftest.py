@@ -59,6 +59,7 @@ from stkit.exceptions import (
     BadConfigFile,
     BadCoordinate,
     BadTimestamp,
+    MissingColumn,
     RaggedRow,
     UnmappedMandatoryColumn,
 )
@@ -1210,8 +1211,10 @@ def _trajectories(params: Mapping, seed: int) -> SyntheticResult:
 #
 # stkit.dataset.convert_raw_csv as it once was: csv.reader's rows, each checked
 # in a Python loop and built into one DynaRecord, then GeoUnits and UserUnits.
-# Kept verbatim as the oracle of the column-built converter; the one deliberate
-# difference is the number rule of coordinate cells (ASCII digits only there).
+# Kept as the oracle of the column-built converter. Deliberate differences: the
+# number rule of coordinate cells (ASCII digits only there); and two header
+# rules added to both, that a mapped column the raw header repeats is refused,
+# and that a state target setting both lat_column and lon_column maps them.
 
 
 def _parse_raw_time(cell: str, spec: RawConversionSpec):
@@ -1237,7 +1240,8 @@ def record_convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -
     """Convert one flat CSV into an AtomicDataset under the given mapping.
 
     Raises UnmappedMandatoryColumn when a mapped column is missing from the
-    raw header, and a ParseError located at the raw row and column for a
+    raw header, MissingColumn when the raw header repeats one, and a
+    ParseError located at the raw row and column for a
     ragged row, a bad time cell or one outside the years 1 to 9999 in UTC,
     an empty entity cell, a coordinate that is not a number in range or a
     byte that is not UTF-8. Blank lines are skipped. The output passes
@@ -1252,8 +1256,9 @@ def record_convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -
         raise UnmappedMandatoryColumn("raw CSV has no header row")
     header = rows[0]
     col_index = {name: i for i, name in enumerate(header)}
+    has_point = spec.lat_column is not None and spec.lon_column is not None
     needed = [spec.time_column, spec.entity_column]
-    if spec.target == "trajectory":
+    if spec.target == "trajectory" or has_point:
         needed += [spec.lat_column, spec.lon_column]
     needed += list(spec.property_columns)
     for name in needed:
@@ -1263,6 +1268,8 @@ def record_convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -
             )
         if name not in col_index:
             raise UnmappedMandatoryColumn(f"raw CSV has no column {name!r}")
+        if header.count(name) > 1:
+            raise MissingColumn(f"column {name!r} is repeated", table="raw", column=name)
 
     def cell(n: int, row: list[str], column: str, parse, error):
         """``parse`` of data row ``n``'s cell in ``column``; its ValueError
@@ -1278,7 +1285,6 @@ def record_convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -
             cell(n, row, spec.lat_column, lambda c: _degrees(c, 90.0), BadCoordinate),
         )
 
-    has_point = all(c and c in col_index for c in (spec.lat_column, spec.lon_column))
     dyna: list[DynaRecord] = []
     entity_coord: dict[str, tuple[float, float] | None] = {}  # state target
     point_ids: dict[tuple[float, float], str] = {}  # trajectory target

@@ -1172,6 +1172,24 @@ FAILURE_MATRIX = [
         RAW_STATES, {**STATES, "property_columns": ["speed", "speed"]}, 3,
         r"^error: config key conversion\.property_columns: property 'speed' is repeated$",
     ), id="convert-property-repeated"),
+    # A mapped column the raw header repeats is refused, not read from its last copy.
+    *(pytest.param(convert_case(
+        raw, conversion, 3,
+        rf"^error: column '{column}' is repeated \(table=raw, column={column}\)$",
+    ), id=f"convert-repeated-{column}") for raw, conversion, column in [
+        ("s,ts,lon,lat,lat\ns1,2024-01-01T00:00:00Z,116.4,39.9,95\n",
+         {**STATES, "entity_column": "s", "property_columns": [],
+          "lon_column": "lon", "lat_column": "lat"}, "lat"),
+        ("user,ts,lon,lat,user\nu1,2024-01-01T00:00:00Z,116.4,39.9,u2\n", VISITS, "user"),
+        ("sensor,ts,speed,speed\ns1,2024-01-01T00:00:00Z,60.0,61.0\n", STATES, "speed"),
+    ]),
+    # A state target that sets both coordinate columns needs both, as a trajectory does.
+    *(pytest.param(convert_case(
+        f"sensor,ts,speed,{present}\ns1,2024-01-01T00:00:00Z,60.0,1.0\n",
+        {**STATES, "lon_column": "lon", "lat_column": "lat"}, 3,
+        rf"^error: raw CSV has no column '{absent}'$",
+    ), id=f"convert-state-without-{absent}") for present, absent in [("lon", "lat"),
+                                                                     ("lat", "lon")]),
     pytest.param(convert_case(
         "sensor,ts,speed\ns1,0001-01-01 00:00:00+0500,60.0\n",
         {**STATES, "time_format": "%Y-%m-%d %H:%M:%S%z"}, 3,

@@ -46,7 +46,7 @@ def random_conversion(rng: random.Random):
         header += ["lon", "lat"]
     if rng.random() < 0.05:  # a mapped column the header lacks
         header.remove(rng.choice(header[:2] + header[-2:] if with_coords else header[:2]))
-    if rng.random() < 0.05:  # a repeated header name: the last one is mapped
+    if rng.random() < 0.05:  # a repeated header name: refused if it is mapped
         header.append(rng.choice(header))
     rng.shuffle(header)
     spec = RawConversionSpec(
