@@ -589,10 +589,13 @@ class Table(Sequence):
     checks and decodes every column once per distinct cell;
     :meth:`from_records` puts a record list behind the same columns. A record
     is built from the columns each time one is asked for and is not kept, so
-    changing it leaves the table as it was.
+    changing it leaves the table as it was. ``checked`` is true only on a
+    table :func:`read_table` returned, whose identifiers, types and geometry
+    it proved, so validation skips them; a table from :meth:`select` or
+    :meth:`take`, which can repeat rows or replace fields, is unchecked.
     """
 
-    def __init__(self, kind, fields, props=None, ordinals=None):
+    def __init__(self, kind, fields, props=None, ordinals=None, checked=False):
         def column(c):
             return c if isinstance(c, Column) else Column(np.arange(len(c)), c)
 
@@ -602,6 +605,7 @@ class Table(Sequence):
         self.prop_names = tuple(self._props)
         self._n = len(next(iter(self._fields.values())).codes)
         self._ordinals = ordinals
+        self.checked = checked
 
     @classmethod
     def from_records(cls, kind: str, records) -> "Table":
@@ -784,7 +788,7 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
     out-of-domain enum values, negative grid indices, or repeated primary
     identifiers. Within a row, columns are checked in header order and the
     identifier repeat last.
-    Rows count from 1 and include skipped blank lines.
+    Rows count from 1 and include skipped blank lines. The table is ``checked``.
     """
     if kind not in MANDATORY_COLUMNS:
         raise ValueError(f"unknown table kind {kind!r}")
@@ -814,8 +818,8 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
         if fault is not None:
             failures.append((fault[0], position, fault[1]))
     ids = columns[0]
-    if kind == "ext":  # the identity is (ext_id, time)
-        ids = _pairs(ids, decoded["time"])
+    if kind == "ext":  # the identity is (ext_id, time); equal times have equal cells
+        ids = _pairs(ids, columns[1])
     if len(ids.values) < n:  # a repeated identifier
         row = int(np.argmax(repeats(ids.codes)))
         raise_at = partial(_duplicate, ids.at(row), kind, mandatory[0])
@@ -828,7 +832,7 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
         locations = [cell or None for cell in location.values]
         decoded["location"] = Column(location.codes, locations)
     typed = (Column(c.codes, list(map(_coerce_scalar, c.values))) for c in columns[n_fixed:])
-    return Table(kind, decoded, dict(zip(prop_names, typed)), ordinals)
+    return Table(kind, decoded, dict(zip(prop_names, typed)), ordinals, checked=True)
 
 
 def _duplicate(key, table, column, row):

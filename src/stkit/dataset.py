@@ -242,15 +242,6 @@ def _found(found: list, table, rows, rank: int, severity, message, column=None):
         found.append(((i, rank), Finding(severity, table, i + 1, text)))
 
 
-def _duplicate(ids, key) -> str:
-    """The finding of a row whose identifier ``key``, in the column ``ids``
-    (for ext, the column pair), an earlier row holds."""
-    if isinstance(ids, str):
-        return f"duplicate {ids} {key!r}"
-    ext_id, time = key
-    return f"duplicate (ext_id, time) pair {ext_id!r} @ {time.isoformat()}"
-
-
 def _references(found: list, table: str, references, pools: dict) -> None:
     """Check each reference (rows, column, kind, rank, error, warning).
 
@@ -283,22 +274,36 @@ def _geometry_fault(geo_type, coordinates) -> str | None:
     return "; ".join(problems) or None
 
 
+def _own_rules(table: Table, found: list) -> np.ndarray:
+    """Check a table that is not ``checked`` by the reader's own rules:
+    identifiers, types and geometry. Adds their findings to ``found`` and
+    returns the rows that pass the identifier and type rules."""
+    kind, attrs = table.kind, _ATTRS[table.kind]
+    # A row's identifier; for ext, the (ext_id, time) pair, its only attributes.
+    ids = _pairs(*map(table.field, attrs)) if kind == "ext" else table.field(attrs[0])
+    ok = ~_repeats(ids)
+    if kind == "ext":
+        _found(found, kind, ~ok, 0, "error", lambda i: "duplicate (ext_id, time) pair "
+               "{!r} @ {}".format(ids.at(i)[0], format_timestamp(ids.at(i)[1])))
+    else:
+        _found(found, kind, ~ok, 0, "error", f"duplicate {attrs[0]} {{!r}}", ids)
+    if kind in _TYPES:
+        types, label = table.field(attrs[1]), "relation" if kind == "rel" else kind
+        bad = ok & ~types.flags(lambda v: v in _TYPES[kind])
+        _found(found, kind, bad, 0, "error", f"unknown {label} type {{!r}}", types)
+        ok &= ~bad
+    if kind == "geo":
+        shapes = _pairs(table.field("geo_type"), table.field("coordinates"))
+        faults = Column(shapes.codes, [_geometry_fault(*shape) for shape in shapes.values])
+        bad = ok & faults.flags(lambda v: v is not None)
+        _found(found, kind, bad, 0, "error", "{}", faults)
+    return ok
+
+
 # Each check below takes (dataset, table, ok, found): ``ok`` flags the rows
 # that pass the identifier and type rules. It adds the findings of its own
 # rules to ``found`` and returns the table's references, which
 # ``_references`` checks.
-
-
-def _check_geo(ds: AtomicDataset, table: Table, ok, found: list):
-    shapes = _pairs(table.field("geo_type"), table.field("coordinates"))
-    faults = Column(shapes.codes, [_geometry_fault(*shape) for shape in shapes.values])
-    _found(found, "geo", ok & faults.flags(lambda v: v is not None), 0, "error", "{}", faults)
-    return ()
-
-
-def _check_ids_only(ds: AtomicDataset, table: Table, ok, found: list):
-    """usr and ext: the identifier rule is their only rule."""
-    return ()
 
 
 # Per end of a relation: its column and, per relation type, the table it names.
@@ -402,29 +407,21 @@ def _ordering(ds: AtomicDataset) -> str:
     return ".geo" if ds.manifest.geo_order is None else "the manifest geo_order"
 
 
-# Per kind: the column that identifies a row (for ext, the pair of columns),
-# the name findings give its type (its domain is the reader's, atomic._TYPES),
-# and its check.
-_RULES = {
-    "geo": ("geo_id", "geo type", _check_geo),
-    "usr": ("usr_id", None, _check_ids_only),
-    "rel": ("rel_id", "relation type", _check_rel),
-    "dyna": ("dyna_id", "dyna type", _check_dyna),
-    "grid": ("dyna_id", "grid type", _check_grid),
-    "od": ("dyna_id", "od type", _check_od),
-    "gridod": ("dyna_id", "gridod type", _check_grid),
-    "ext": (("ext_id", "time"), None, _check_ids_only),
-}
+# Per kind with rules across tables: its check.
+_CROSS_CHECKS = dict(rel=_check_rel, dyna=_check_dyna, grid=_check_grid, od=_check_od,
+                     gridod=_check_grid)
 
 
 def validate_dataset(ds: AtomicDataset) -> ValidationReport:
     """Cross-check referential and domain invariants over in-memory tables.
 
     Errors: duplicate identifiers, out-of-domain enum values (each kind's
-    types are the reader's), malformed geometry, dangling references into
-    present tables, grid indices outside the manifest bounds, manifest
-    ``geo_order`` ids absent from ``.geo``, and state and od rows naming a geo
-    id outside :meth:`AtomicDataset.geo_order`, the ordering their tensors use.
+    types are the reader's) and malformed geometry, all three in a table that
+    is not :attr:`~stkit.atomic.Table.checked` (the reader refused them in
+    one that is); in every table, dangling references into present tables,
+    grid indices outside the manifest bounds, manifest ``geo_order`` ids
+    absent from ``.geo``, and state and od rows naming a geo id outside
+    :meth:`AtomicDataset.geo_order`, the ordering their tensors use.
     Warnings: references into absent tables and non-monotone trajectory
     timestamps (tensorization sorts, so these are survivable). Findings come
     out in table order, the manifest first, then row order; a table's
@@ -446,18 +443,10 @@ def validate_dataset(ds: AtomicDataset) -> ValidationReport:
             message = "manifest lacks grid_rows/grid_cols but grid-indexed rows exist"
             out.append(Finding("error", kind, None, message))  # its rows go unchecked
             continue
-        ids, label, check = _RULES[kind]
-        key = table.field(ids) if isinstance(ids, str) else _pairs(*map(table.field, ids))
         found: list = []
-        repeat = _repeats(key)
-        _found(found, kind, repeat, 0, "error", lambda i: _duplicate(ids, key.at(i)))
-        ok = ~repeat
-        if label is not None:
-            types = table.field(_ATTRS[kind][1])
-            bad = ok & ~types.flags(lambda v: v in _TYPES[kind])
-            _found(found, kind, bad, 0, "error", f"unknown {label} {{!r}}", types)
-            ok &= ~bad
-        _references(found, kind, check(ds, table, ok, found), pools)
+        ok = np.ones(len(table), dtype=bool) if table.checked else _own_rules(table, found)
+        if kind in _CROSS_CHECKS:
+            _references(found, kind, _CROSS_CHECKS[kind](ds, table, ok, found), pools)
         found.sort(key=lambda f: f[0])
         out.extend(finding for _, finding in found)
     return ValidationReport(out)

@@ -282,8 +282,10 @@ def test_ext_identity_is_id_and_time():
     records = parse_table("ext", text)
     assert len(records) == 2
     dup = text + "w1,2020-01-01T00:00:00Z,22\n"
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DuplicateId) as err:
         parse_table("ext", dup)
+    # The time is spelled as the file spells it.
+    assert str(err.value).startswith("identifier ('w1', '2020-01-01T00:00:00Z') already used")
 
 
 def test_rel_type_domain_enforced():

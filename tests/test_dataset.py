@@ -4,6 +4,7 @@ import json
 import random
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -30,7 +31,9 @@ from stkit.atomic import (
     UserUnit,
     _check_coord_ranges,
     _shape_fault,
+    format_timestamp,
 )
+from stkit import dataset
 from stkit.dataset import (
     AtomicDataset,
     Finding,
@@ -49,6 +52,7 @@ from stkit.exceptions import (
     UnmappedMandatoryColumn,
     ValidationFailed,
 )
+from stkit.synthetic import generate_synthetic, save_synthetic
 
 
 def test_clean_dataset_has_zero_findings():
@@ -417,7 +421,7 @@ def reference_check_ext(ds: AtomicDataset, out: list[Finding]):
                     "error",
                     "ext",
                     i,
-                    f"duplicate (ext_id, time) pair {key[0]!r} @ {key[1].isoformat()}",
+                    f"duplicate (ext_id, time) pair {key[0]!r} @ {format_timestamp(key[1])}",
                 )
             )
         seen.add(key)
@@ -737,3 +741,73 @@ def test_each_geo_row_gets_its_first_fault_only():
         "duplicate geo_id 'g0'",
         "Polygon ring needs at least four points; latitude 95.0 outside [-90, 90]",
     ]
+
+
+# -- which tables get the reader's own rules ----------------------------------------
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("graph_flow", {"n_nodes": 6, "n_slots": 48}),
+    ("grid_flow", {"rows": 3, "cols": 4, "n_slots": 48}),
+    ("trajectories", {"n": 4, "n_trajectories": 3, "route_segments": 4}),
+])
+def test_loaded_tables_skip_the_readers_own_rules(kind, params, tmp_path, monkeypatch):
+    """read_table refused repeated ids, unknown types and bad geometry, so
+    validating what it read runs only the rules across tables."""
+    path = save_synthetic(generate_synthetic(kind, params, seed=3), tmp_path / kind)
+    loaded = load_dataset(path, validate=False)
+    assert all(table.checked for table in loaded.tables().values())
+
+    def proven_already(*args):
+        raise AssertionError("a read table's own rules ran again")
+
+    monkeypatch.setattr(dataset, "_repeats", proven_already)
+    monkeypatch.setattr(dataset, "_geometry_fault", proven_already)
+    assert validate_dataset(loaded).findings == []
+
+
+def _planted(geo, fault):
+    """``geo`` with one fault the reader refuses: its first row repeated at
+    the end, or an unknown type or an open polygon in its first row."""
+    rows = np.arange(len(geo))
+    if fault == "repeat":
+        return geo.take(np.append(rows, 0))
+    types, coordinates = geo.field("geo_type").tolist(), geo.field("coordinates").tolist()
+    if fault == "type":
+        types[0] = "Blob"
+    else:
+        types[0], coordinates[0] = "Polygon", ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+    return geo.take(rows, geo_type=types, coordinates=coordinates)
+
+
+def _source(name, tmp_path):
+    if name == "records":
+        return clean_dataset()
+    if name == "synthetic":
+        return generate_synthetic("trajectories", {"n": 3, "n_trajectories": 2}, seed=1).dataset
+    if name == "converted":
+        spec = RawConversionSpec(target="trajectory", time_column="ts", entity_column="user",
+                                 lat_column="lat", lon_column="lon")
+        return convert_raw_csv(spec, RAW_TRAJ_CSV)
+    return load_dataset(save_dataset(clean_dataset(), tmp_path / "read"))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("repeat", "duplicate geo_id {!r}"),
+    ("type", "unknown geo type 'Blob'"),
+    ("open", "Polygon ring must close (first == last)"),
+], ids=["repeat", "type", "open"])
+@pytest.mark.parametrize("source", ["records", "synthetic", "converted", "read"])
+def test_other_tables_keep_every_rule(source, fault, message, tmp_path):
+    """Record-built, constructed, converted and selected or taken tables are
+    not checked, so validation still finds what the reader would refuse."""
+    ds = _source(source, tmp_path)
+    assert ds.geo.checked == (source == "read")
+    assert not ds.geo.select(np.ones(len(ds.geo), dtype=bool)).checked
+    geo = _planted(ds.geo, fault)
+    assert not geo.checked
+    if source == "records":
+        geo = list(geo)  # put behind from_records by the dataset
+    row = len(ds.geo) + 1 if fault == "repeat" else 1
+    expected = Finding("error", "geo", row, message.format(ds.geo[0].geo_id))
+    assert validate_dataset(replace(ds, geo=geo)).errors == [expected]

@@ -38,6 +38,7 @@ from stkit.atomic import (
     UserUnit,
     _coerce_scalar,
     _parse_coordinates,
+    format_timestamp,
     parse_table,
     parse_timestamp,
     read_table,
@@ -165,7 +166,7 @@ def reference_parse_table(kind, source) -> list:
 def _identity_key(kind: str, record):
     # .ext identity is (ext_id, time): one row per context source per stamp.
     if kind == "ext":
-        return (record.ext_id, record.time)
+        return (record.ext_id, format_timestamp(record.time))
     return getattr(record, f"{kind}_id" if kind in ("geo", "usr", "rel") else "dyna_id")
 
 
