@@ -133,6 +133,9 @@ _COMPACT_JSON = json.JSONEncoder(separators=(",", ":")).encode  # tuples encode 
 # Characters of a plain table split and encoded at a time, so that a read
 # holds one chunk's cells at once, not the whole table's.
 _CHUNK = 1 << 17
+# Rows that write_table gathers, joins and encodes at a time, so that it holds
+# one part's cells at once beside the bytes written so far.
+_WRITE_ROWS = 8192
 
 
 def _property_fault(kind: str, names) -> str | None:
@@ -443,8 +446,7 @@ def _plain_columns(text: str):
     header = text[: start - 1].split(",")
     if header == [""]:
         return None
-    width, parts = len(header), [[] for _ in header]
-    index = [{} for _ in header]  # per column: cell -> code, in order of first appearance
+    width, encoders = len(header), [_Encoder() for _ in header]
     while start <= stop:
         end = text.find("\n", start + _CHUNK, stop)
         chunk = text[start : stop if end < 0 else end]
@@ -454,14 +456,9 @@ def _plain_columns(text: str):
             return None
         del lines
         cells = chunk.replace("\n", ",").split(",")
-        for j in range(width):
-            parts[j].append(_codes(cells[j::width], index[j]))
-    n, columns = sum(map(len, parts[0])), []
-    for seen, part in zip(index, parts):
-        codes = np.arange(n) if len(seen) == n else np.concatenate(part)
-        columns.append(Column(codes, list(seen)))
-        seen.clear()  # each index goes before the next column is built
-    return header, columns
+        for j, encoder in enumerate(encoders):
+            encoder.feed(cells[j::width])
+    return header, [encoder.column() for encoder in encoders]
 
 
 def _columns(text: str, table: str):
@@ -555,8 +552,10 @@ class Column(NamedTuple):
     """One column as codes into values: row ``i`` holds ``values[codes[i]]``.
 
     Read from a file, ``values`` holds one decoded value per distinct cell
-    string. Over a record list every row has its own code, so typed values
-    that compare equal (1 and 1.0, -0.0 and 0.0) are never merged.
+    string, and ``codes`` are as narrow as ``_code_type`` allows: widen them
+    before arithmetic that can pass the dtype's range. Over a record list
+    every row has its own code, so typed values that compare equal (1 and
+    1.0, -0.0 and 0.0) are never merged.
     """
 
     codes: np.ndarray
@@ -623,7 +622,7 @@ class Table(Sequence):
     def prop(self, name: str) -> Column:
         """A property column of typed values; ``_MISSING`` where a row lacks it."""
         column = self._props.get(name)
-        return Column(np.zeros(self._n, dtype=np.intp), [_MISSING]) if column is None else column
+        return _constant(_MISSING, self._n) if column is None else column
 
     def numbers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """The property ``name`` per row as float64, 0.0 where it is not a
@@ -696,33 +695,72 @@ def as_table(kind: str, rows) -> Table:
 
 
 def _constant(value, n: int) -> Column:
-    return Column(np.zeros(n, dtype=np.intp), [value])
+    return Column(np.zeros(n, dtype=np.uint8), [value])
 
 
 def _ids(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{k}" for k in range(n)]
 
 
-def _codes(cells: list, index: dict) -> np.ndarray:
-    """The codes of ``cells`` in ``index`` (cell -> code), which gains each
-    cell it lacks with the next code: codes follow order of first appearance."""
-    start = len(index)
-    index.update(zip(filterfalse(index.__contains__, cells), count(start)))
-    if len(index) - start == len(cells):  # every cell new
-        return np.arange(start, len(index))
-    return np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+def _code_type(n: int) -> np.dtype:
+    """The codes' dtype for ``n`` values: uint8, uint16 or uint32, the
+    narrowest that holds ``n``."""
+    return np.min_scalar_type(n)
+
+
+class _Encoder:
+    """Dictionary-encodes one column fed a chunk of cells at a time; codes
+    follow order of first appearance and take ``_code_type`` of the column's
+    value count. While every cell is new it holds a set beside the cells in
+    order, and builds the cell -> code dict only at the first repeat, so an
+    all-distinct column (every ``dyna_id``) never holds one."""
+
+    def __init__(self):
+        self.cells, self.seen, self.index, self.parts = [], set(), None, []
+
+    def feed(self, cells: list) -> None:
+        index = self.index
+        if index is None:
+            self.seen.update(cells)
+            if len(self.seen) == len(self.cells) + len(cells):
+                self.cells.extend(cells)
+                return
+            n = len(self.cells)  # a repeat: the cells so far become the index
+            index = self.index = dict(zip(self.cells, range(n)))
+            self.parts.append(np.arange(n, dtype=_code_type(n)))
+            self.cells = self.seen = None
+        start = len(index)
+        index.update(zip(filterfalse(index.__contains__, cells), count(start)))
+        dtype = _code_type(len(index))
+        if len(index) - start == len(cells):  # every cell new
+            self.parts.append(np.arange(start, len(index), dtype=dtype))
+        else:
+            self.parts.append(np.fromiter(map(index.__getitem__, cells), dtype, len(cells)))
+
+    def column(self) -> Column:
+        """The encoded column; the encoder lets go of its index."""
+        if self.index is None:
+            values = self.cells
+            codes = np.arange(len(values), dtype=_code_type(len(values)))
+        else:
+            values = list(self.index)
+            codes = np.concatenate(self.parts, dtype=_code_type(len(values)))
+        self.cells = self.seen = self.index = self.parts = None
+        return Column(codes, values)
 
 
 def _encode(cells: list) -> Column:
     """Dictionary-encode cell strings; codes follow order of first appearance."""
-    index: dict = {}
-    return Column(_codes(cells, index), list(index))
+    encoder = _Encoder()
+    encoder.feed(cells)
+    return encoder.column()
 
 
 def _pairs(a: Column, b: Column) -> Column:
     """The column of (a, b) value pairs; equal pairs share one code."""
     width = len(b.values)
-    distinct, codes = np.unique(a.codes * width + b.codes, return_inverse=True)
+    keys = a.codes.astype(np.int64) * width + b.codes  # narrow codes would wrap
+    distinct, codes = np.unique(keys, return_inverse=True)
     pairs = _encode([(a.values[k // width], b.values[k % width]) for k in distinct.tolist()])
     return Column(pairs.codes[codes.reshape(-1)], pairs.values)
 
@@ -828,7 +866,7 @@ def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:
         f"row has {ragged[1]} cells, header has {len(header)}", table=kind, row=ragged[0]))
 
     if kind == "dyna":
-        location = columns[4] if has_location else Column(np.zeros(n, np.intp), [""])
+        location = columns[4] if has_location else _constant("", n)
         locations = [cell or None for cell in location.values]
         decoded["location"] = Column(location.codes, locations)
     typed = (Column(c.codes, list(map(_coerce_scalar, c.values))) for c in columns[n_fixed:])
@@ -875,7 +913,8 @@ def write_table(kind: str, records: Iterable) -> bytes:
     property, and a property name the reader's header rule refuses raises
     ValueError. Trajectory tables gain a ``location`` column only when at
     least one row has a location. Each column's distinct cells are formatted
-    and quoted once and gathered by the codes; rows end with ``\\n``.
+    and quoted once; then ``_WRITE_ROWS`` rows at a time are gathered by the
+    codes, joined and encoded. Rows end with ``\\n``.
     ``parse_table(kind, write_table(kind, records))`` reproduces the records.
     """
     if kind not in MANDATORY_COLUMNS:
@@ -911,6 +950,9 @@ def write_table(kind: str, records: Iterable) -> bytes:
         columns.append(Column(column.codes, list(map(_scalar_to_cell, column.values))))
 
     lone = len(header) == 1
-    cells = [Column(c.codes, _csv_fields(c.values, lone)).tolist() for c in columns]
-    lines = [",".join(_csv_fields(header, lone)), *map(",".join, zip(*cells)), ""]
-    return "\n".join(lines).encode("utf-8")
+    columns = [Column(c.codes, _csv_fields(c.values, lone)) for c in columns]
+    parts = [(",".join(_csv_fields(header, lone)) + "\n").encode("utf-8")]
+    for lo in range(0, len(table), _WRITE_ROWS):
+        cells = [Column(c.codes[lo : lo + _WRITE_ROWS], c.values).tolist() for c in columns]
+        parts.append(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
+    return b"".join(parts)

@@ -252,13 +252,16 @@ def _references(found: list, table: str, references, pools: dict) -> None:
     absent: dict[str, tuple] = {}
     for rows, column, kind, rank, error, warning in references:
         pool = pools[kind]
+        if not rows.any():
+            continue
         if pool is None:
-            if rows.any():
-                first = (-1, int(np.argmax(rows)), rank)
-                absent[warning] = min(absent.get(warning, first), first)
-        else:
-            dangling = rows & ~column.flags(lambda v: v in pool)
-            _found(found, table, dangling, rank, "error", error, column)
+            first = (-1, int(np.argmax(rows)), rank)
+            absent[warning] = min(absent.get(warning, first), first)
+        else:  # only the values that flagged rows hold are looked up
+            held = np.flatnonzero(np.bincount(column.codes[rows], minlength=len(column.values)))
+            known = np.ones(len(column.values), dtype=bool)
+            known[held] = list(map(pool.__contains__, map(column.values.__getitem__, held.tolist())))
+            _found(found, table, rows & ~known[column.codes], rank, "error", error, column)
     found.extend((first, Finding("warning", table, None, w)) for w, first in absent.items())
 
 

@@ -65,16 +65,21 @@ class Scaler:
             return np.log1p(x)
         raise ValueError(f"unknown scaler kind {self.kind!r}")
 
-    def inverse(self, x: np.ndarray) -> np.ndarray:
+    def inverse(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The values ``x`` maps back to; into ``out``, a float64 array that
+        may be ``x`` itself, if given."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "none":
-            return x.copy()
+            if out is None:
+                return x.copy()
+            np.copyto(out, x)
+            return out
         if self.kind == "zscore":
-            return x * self.std + self.mean
+            return np.add(np.multiply(x, self.std, out=out), self.mean, out=out)
         if self.kind == "minmax":
-            return x * (self.max - self.min) + self.min
+            return np.add(np.multiply(x, self.max - self.min, out=out), self.min, out=out)
         if self.kind == "log1p":
-            return np.expm1(x)
+            return np.expm1(x, out=out)
         raise ValueError(f"unknown scaler kind {self.kind!r}")
 
 
@@ -188,6 +193,13 @@ class Windows:
 
     def __len__(self) -> int:
         return self.values.shape[0] - self.spec.t_in - self.spec.t_out + 1
+
+    def part(self, lo: int, hi: int) -> "Windows":
+        """Windows ``lo`` to ``hi - 1`` (``hi`` past the end stops there), over
+        views of this segment."""
+        rows = slice(lo, min(hi, len(self)) + self.spec.t_in + self.spec.t_out - 1)
+        return Windows(self.values[rows], self.mask[rows], self.spec, self.start_slot + lo,
+                       self.time[rows])
 
 
 def make_windows(

@@ -56,8 +56,10 @@ from .exceptions import (
 )
 from .mapmatch import MatchParams, build_road_network, viterbi_match
 from .pipeline import (
+    Scaler,
     SplitSpec,
     TrajWindowSpec,
+    Windows,
     WindowSpec,
     cut_trajectories,
     filter_trajectories,
@@ -182,14 +184,21 @@ def _check_model_task(model: str, task: str):
         )
 
 
-def _forecast_arrays(model, batches):
-    """Predict a split's batches; returns (pred, truth, mask) stacked."""
-    preds, ys, masks = [], [], []
-    for batch in batches:
-        preds.append(model.predict(batch))
-        ys.append(batch["y"])
-        masks.append(batch["y_mask"])
-    return np.concatenate(preds), np.concatenate(ys), np.concatenate(masks)
+def _forecast_arrays(model, windows: Windows, batch_size, scaler: Scaler):
+    """Predict a split's windows one batch at a time: (pred, truth, mask),
+    each allocated once for the split, pred and truth inverse-scaled in place."""
+    _keyed("batch_size", make_batches, windows.part(0, 0), batch_size)  # checks; gathers nothing
+    n, arrays = len(windows), None
+    for lo in range(0, n, batch_size):
+        (batch,) = make_batches(windows.part(lo, lo + batch_size), batch_size)
+        parts = (model.predict(batch), batch["y"], batch["y_mask"])
+        if arrays is None:  # float64, as inverse scaling makes pred and truth
+            dtypes = (np.float64, np.float64, bool)
+            arrays = [np.empty((n, *p.shape[1:]), t) for p, t in zip(parts, dtypes)]
+        for whole, part in zip(arrays, parts):
+            whole[lo : lo + len(part)] = part
+    pred, truth, mask = arrays
+    return scaler.inverse(pred, out=pred), scaler.inverse(truth, out=truth), mask
 
 
 def _default_horizons(t_out: int) -> list[int]:
@@ -368,10 +377,7 @@ def _run_traffic_state(
     extras: dict = {}
     batch_size = cfg["batch_size"]
     for split in ("val", "test"):
-        batches = _keyed("batch_size", make_batches, splits[split], batch_size)
-        pred, truth, m = _forecast_arrays(model, batches)
-        pred = scaler.inverse(pred)
-        truth = scaler.inverse(truth)
+        pred, truth, m = _forecast_arrays(model, splits[split], batch_size, scaler)
         report = _keyed(
             "horizons", evaluate_forecast,
             np.moveaxis(pred, 1, 0),

@@ -5,7 +5,8 @@ candidate search that the matcher tests use as their oracle, the per-point
 trajectory objects that the trajectory tests use as theirs, the per-value
 number rules that ``Table.numbers`` is held to, the per-origin heap
 Dijkstra that the route table is held to, the csv.writer table writer
-that ``write_table`` is held to, the record-built synthetic generators
+that ``write_table`` is held to, the whole-split forecast that the runner's
+batch-at-a-time one is held to, the record-built synthetic generators
 that the column-built ones are held to, and the per-row raw CSV converter
 that ``convert_raw_csv`` is held to.
 
@@ -934,6 +935,17 @@ def csv_writer_table(kind: str, records) -> bytes:
         writer.writerow(row)
         lines.append(buffer.getvalue().removesuffix("\r\n"))
     return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def whole_split_forecast(model, batches):
+    """How the runner once forecast a split: every batch gathered first, then
+    the predictions, truths and masks each stacked by one concatenation."""
+    preds, ys, masks = [], [], []
+    for batch in batches:
+        preds.append(model.predict(batch))
+        ys.append(batch["y"])
+        masks.append(batch["y_mask"])
+    return np.concatenate(preds), np.concatenate(ys), np.concatenate(masks)
 
 
 # -- the record-built synthetic generators ------------------------------------------

@@ -20,6 +20,7 @@ from stkit.atomic import (
     GEO_TYPES,
     REL_TYPES,
     TABLE_KINDS,
+    Column,
     DynaRecord,
     ExtRecord,
     GeoUnit,
@@ -723,6 +724,32 @@ def test_absent_table_warnings_follow_their_first_relation_ends():
     got = validate_dataset(ds).findings
     assert got == reference_findings(ds)
     assert [f.message.split()[1] for f in got] == [".usr", ".geo"]
+
+
+def test_references_look_up_only_the_values_of_flagged_rows():
+    """A reference checks its pool once per value that a flagged row holds;
+    one with no flagged row looks nothing up, and neither gives a finding."""
+    asked = []
+
+    class Pool:
+        def __contains__(self, value):
+            asked.append(value)
+            return value != "b"
+
+    column = Column(np.array([0, 1, 2, 1, 3], dtype=np.uint8), ["a", "b", "c", "d"])
+    flagged = np.array([False, True, False, True, True])
+    none = np.zeros(5, dtype=bool)
+    found = []
+    dataset._references(found, "rel", [
+        (flagged, column, "geo", 0, "origin_id {!r} not found in .geo", "geo absent"),
+        (none, column, "usr", 1, "des_id {!r} not found in .usr", "usr absent"),
+        (none, column, "order", 0, "never", "never"),
+    ], {"geo": Pool(), "usr": Pool(), "order": None})
+    assert sorted(asked) == ["b", "d"]
+    assert [f for _, f in found] == [
+        Finding("error", "rel", 2, "origin_id 'b' not found in .geo"),
+        Finding("error", "rel", 4, "origin_id 'b' not found in .geo"),
+    ]
 
 
 def test_each_geo_row_gets_its_first_fault_only():
