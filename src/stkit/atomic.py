@@ -48,7 +48,7 @@ import io
 import json
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
@@ -411,16 +411,18 @@ def _parse_id_cell(cell, table, row, column) -> str:
 
 
 def _read_text(source: Union[bytes, str, IO], table: str) -> str:
-    """The text of ``source``; a byte that is not UTF-8 raises
+    """The text of ``source`` without one leading byte-order mark, as
+    pandas' ``read_csv`` drops it; a byte that is not UTF-8 raises
     :class:`BadEncoding` at its row."""
     if not isinstance(source, (bytes, str)):
         source = source.read()
     try:
-        return source if isinstance(source, str) else source.decode("utf-8")
+        text = source if isinstance(source, str) else source.decode("utf-8")
     except UnicodeDecodeError as exc:  # "?" stands in the bad byte's row
         rows = _csv_rows(source[: exc.start].decode("utf-8") + "?", table)
         message = f"byte {source[exc.start]:#04x} at offset {exc.start} is not UTF-8"
         raise BadEncoding(message, table=table, row=len(rows) - 1 or None) from None
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _csv_rows(text: str, table: str) -> list[list[str]]:
@@ -567,6 +569,11 @@ class Column(NamedTuple):
     def tolist(self) -> list:
         values = self.values
         return [values[k] for k in self.codes.tolist()]
+
+    def positions(self, index: Mapping) -> np.ndarray:
+        """Per row, ``index[value]`` as an intp; -1 where the value is not in
+        ``index``. Each distinct value is looked up once."""
+        return np.array([index.get(v, -1) for v in self.values], dtype=np.intp)[self.codes]
 
     def flags(self, test) -> np.ndarray:
         """Per row, ``test`` of its value as a bool; evaluated once per code."""

@@ -46,20 +46,17 @@ class HAModel(ForecastModel):
     """Historical average keyed by slot position within a fixed period.
 
     ``table[b]`` is the mean of all observed training cells whose absolute
-    slot satisfies slot % period == b; cells never observed in training fall
-    back to the per-feature global mean.
+    slot satisfies slot % period == b; a cell never observed in training
+    holds ``fallback``, the per-feature global mean.
     """
 
     period: int
     table: np.ndarray  # [period, *spatial, D]
-    observed: np.ndarray  # bool, same shape
     fallback: np.ndarray  # [D]
 
     def predict_slots(self, slots: np.ndarray) -> np.ndarray:
         """Forecast for absolute slot indices, shaped [*slots.shape, *spatial, D]."""
-        rows = self.table[np.asarray(slots) % self.period]
-        seen = self.observed[np.asarray(slots) % self.period]
-        return np.where(seen, rows, self.fallback)
+        return self.table[np.asarray(slots) % self.period]
 
     def predict(self, batch: dict) -> np.ndarray:
         return self.predict_slots(batch["y_slots"])
@@ -84,7 +81,6 @@ def ha_fit(values: np.ndarray, mask: np.ndarray, period: int, start_slot: int = 
     buckets = (np.arange(values.shape[0]) + start_slot) % period
     np.add.at(sums, buckets, np.where(mask, values, 0.0))
     np.add.at(counts, buckets, mask.astype(np.int64))
-    observed = counts > 0
     table = np.divide(sums, np.maximum(counts, 1), dtype=np.float64)
     # Per-feature global mean over all observed cells, for empty buckets.
     flat_axes = tuple(range(values.ndim - 1))
@@ -97,7 +93,8 @@ def ha_fit(values: np.ndarray, mask: np.ndarray, period: int, start_slot: int = 
     )
     global_mean = np.where(mask, values, 0.0).sum() / mask.sum()
     fallback = np.where(counts_f > 0, fallback, global_mean)
-    return HAModel(period=period, table=table, observed=observed, fallback=fallback)
+    np.copyto(table, fallback, where=counts == 0)
+    return HAModel(period=period, table=table, fallback=fallback)
 
 
 @dataclass

@@ -217,9 +217,13 @@ def match_metrics(
         raise EmptyTrueRoute("ground-truth route has no segments")
 
     def total(ids):
-        # Sorted order: equal sets must sum to the identical float, and set
-        # iteration order is not stable across processes.
-        return float(sum(segment_lengths[s] for s in sorted(ids)))
+        # A left fold from 0.0 in sorted order, so equal sets sum to the same
+        # float in every process and on every Python (the builtin sum() of
+        # floats is compensated from 3.12 on).
+        out = 0.0
+        for s in sorted(ids):
+            out += segment_lengths[s]
+        return float(out)
 
     d_true = total(true_set)
     if d_true <= 0:

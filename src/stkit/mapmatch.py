@@ -76,11 +76,17 @@ def haversine_m(lon1, lat1, lon2, lat2):
 
 
 class _Row(NamedTuple):
-    """One origin's settled segments, sorted, each with its distance."""
+    """One origin's settled segments, sorted and ended by a sentinel, each
+    with its finite distance."""
 
     segment: np.ndarray
     dist: np.ndarray
     complete: bool
+
+    def at(self, segments) -> np.ndarray:
+        """The distance of each of ``segments``; inf where the row lacks it."""
+        pos = self.segment.searchsorted(segments)
+        return np.where(self.segment[pos] == segments, self.dist[pos], math.inf)
 
 
 def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -207,10 +213,9 @@ class _RouteTable:
         out, stale = np.empty(len(origin)), []
         for k, (o, lo, hi) in enumerate(zip(origin[cuts].tolist(), cuts.tolist(), stops.tolist())):
             if (row := self.rows.get(o)) is not None:
-                pos = row.segment.searchsorted(target[lo:hi])
-                found = row.segment[pos] == target[lo:hi]
-                if row.complete or found.all():
-                    out[lo:hi] = np.where(found, row.dist[pos], math.inf)
+                dist = row.at(target[lo:hi])
+                if row.complete or np.isfinite(dist).all():
+                    out[lo:hi] = dist
                     continue
             stale.append(k)
         if stale:
@@ -224,11 +229,10 @@ class _RouteTable:
         """Segment codes from the first hop out of ``origin`` through
         ``target``, which the origin's row must hold."""
         row, first = self.rows[origin], self._out(origin)
-        out, d = [target], row.dist[row.segment.searchsorted(target)]
+        out, d = [target], row.at(target)
         while (w := out[-1]) not in first:
             v = self.in_from[self.in_ptr[w] : self.in_ptr[w + 1]]
-            pos = row.segment.searchsorted(v)
-            dv = np.where(row.segment[pos] == v, row.dist[pos], math.inf)
+            dv = row.at(v)
             tie = dv + self.lengths[v] == d
             k = int(np.argmax(tie))
             if (tie & (dv == d)).any():
@@ -244,8 +248,7 @@ class _RouteTable:
         level = row.segment[:-1][row.dist[:-1] == d]
         count = self.in_ptr[level + 1] - self.in_ptr[level]
         v = self.in_from[_spans(self.in_ptr[level], count)]
-        pos = row.segment.searchsorted(v)
-        dv = np.where(row.segment[pos] == v, row.dist[pos], math.inf)
+        dv = row.at(v)
         onto = (dv < d) & (dv + self.lengths[v] == d)
         heap = [(w, -1) for w in self._out(origin)] if d == 0.0 else []
         heap += zip(np.repeat(level, count)[onto].tolist(), v[onto].tolist())
@@ -328,12 +331,12 @@ def build_road_network(geos, rels) -> RoadNetwork:
     boxes = [f.reduceat(v, ends - sizes) for f, v in
              ((np.minimum, x), (np.minimum, y), (np.maximum, x), (np.maximum, y))]
 
-    kinds, heads, tails = (rel.field(a).tolist() for a in ("rel_type", "origin_id", "des_id"))
-    try:
-        edges = [(code[o], code[d]) for t, o, d in zip(kinds, heads, tails) if t == "geo"]
-    except KeyError as missing:
-        raise UnknownEntity(f"relation endpoint {missing.args[0]!r} is not a segment") from None
-    origin, dest = np.array(edges, np.intp).reshape(-1, 2).T
+    sides = [rel.field(a) for a in ("origin_id", "des_id")]
+    rows = np.flatnonzero(rel.field("rel_type").flags(lambda t: t == "geo"))
+    origin, dest = edges = np.stack([side.positions(code)[rows] for side in sides])
+    if (edges < 0).any():  # the first unknown in file order, origin first
+        k, side = divmod(int(np.argmax(edges.T < 0)), 2)
+        raise UnknownEntity(f"relation endpoint {sides[side].at(rows[k])!r} is not a segment")
     degree = np.bincount(origin, minlength=len(names))
     out_to = dest[np.argsort(origin, kind="stable")]
     by_dest = np.argsort(out_to, kind="stable")

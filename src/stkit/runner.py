@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .atomic import HUGE, NUMBER, TEXT, Table, format_timestamp, write_table
+from .atomic import HUGE, NUMBER, TEXT, Table, _ids, format_timestamp, write_table
 from .baselines import HAModel, PersistenceModel, VARModel, ha_fit, var_fit
 from .config import Config, check_keys, read_json_object, write_json
 from .dataset import (
@@ -626,9 +626,7 @@ def _run_map_matching(cfg: Config, inputs) -> tuple[dict, dict]:
             **pooled,
         }
     # The trajectory rows in trajectory order, renumbered, at their matches.
-    matched = trajs.table.take(
-        trajs.rows, dyna_id=[f"m{k}" for k in range(len(locations))], location=locations
-    )
+    matched = trajs.table.take(trajs.rows, dyna_id=_ids("m", len(locations)), location=locations)
     return metrics, {"matched": matched, "dataset": ds}
 
 

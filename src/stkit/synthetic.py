@@ -19,7 +19,6 @@ columns (see :class:`~stkit.atomic.Column`), with no per-row record object.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -30,13 +29,12 @@ import numpy as np
 from .atomic import Column, Table, _constant, _ids
 from .config import write_json
 from .dataset import AtomicDataset, Manifest, save_dataset
-from .mapmatch import EARTH_RADIUS_M
+from .mapmatch import _M_PER_DEG_LAT, _m_per_deg_lon
 
 __all__ = ["SyntheticResult", "generate_synthetic", "save_synthetic", "TRUTH_ROUTES_FILE"]
 
 TRUTH_ROUTES_FILE = "truth_routes.json"
 
-_M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 _T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 
@@ -188,7 +186,7 @@ def _road_network(params: Mapping):
     if n < 2:
         raise ValueError("need at least a 2x2 node grid")
     dlat = block_m / _M_PER_DEG_LAT
-    dlon = block_m / (_M_PER_DEG_LAT * math.cos(math.radians(lat0)))
+    dlon = block_m / _m_per_deg_lon(lat0)
     # Node k is grid node (k // n, k % n). No underscore inside node names:
     # segment ids split on it.
     names = [f"n{i}x{j}" for i in range(n) for j in range(n)]
@@ -240,7 +238,7 @@ def _trajectories(params: Mapping, seed: int) -> SyntheticResult:
          "lat0": params.get("lat0", 39.9), "name": name}
     )
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
-    m_lon = _M_PER_DEG_LAT * math.cos(math.radians(ends[by_id[0], 1]))
+    m_lon = _m_per_deg_lon(ends[by_id[0], 1])
 
     # Per point its segment, user and step from the user's first point; per
     # user the first point's second and the points' noise.

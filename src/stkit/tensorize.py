@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -118,7 +118,7 @@ def build_time_axis(stamps: Iterable[datetime], interval: int) -> TimeAxis:
 
 @dataclass
 class STTensor:
-    """Dense spatio-temporal tensor plus the metadata to read it back.
+    """Dense spatio-temporal tensor on its time axis.
 
     ``layout`` is one of ``graph`` ([T, N, D]), ``grid`` ([T, I, J, D]) or
     ``od`` ([T, N, N, D]).
@@ -127,9 +127,6 @@ class STTensor:
     layout: str
     values: np.ndarray
     time_axis: TimeAxis
-    feature_names: tuple[str, ...]
-    geo_order: tuple[str, ...] | None = None
-    grid_shape: tuple[int, int] | None = None
 
     @property
     def shape(self):
@@ -170,12 +167,6 @@ def _features(table: Table, features):
         failed = (reasons != NUMBER) & (reasons != EMPTY)
         checks.append((failed, partial(_bad_feature, table, name, reasons)))
     return values, observed, checks
-
-
-def _positions(column: Column, index: Mapping) -> np.ndarray:
-    """Per row, ``index[value]``; -1 where the value is not in ``index``."""
-    found = [index.get(v, -1) for v in column.values]
-    return np.array(found, dtype=np.intp)[column.codes]
 
 
 def _indices(column: Column, bound: int) -> np.ndarray:
@@ -241,7 +232,7 @@ def _scatter(table: Table, axis, shape, spatial, checks, features, describe):
     return lin, values, observed
 
 
-def _dense(layout, table, axis, shape, spatial, checks, features, describe, **meta):
+def _dense(layout, table, axis, shape, spatial, checks, features, describe):
     """Scatter a table into an STTensor of [T, *shape, D] and its mask."""
     lin, cell_values, cell_observed = _scatter(
         table, axis, shape, spatial, checks, features, describe
@@ -251,8 +242,7 @@ def _dense(layout, table, axis, shape, spatial, checks, features, describe, **me
     mask = np.zeros(shape, dtype=bool)
     values.reshape(-1, len(features))[lin] = cell_values
     mask.reshape(-1, len(features))[lin] = cell_observed
-    tensor = STTensor(layout, values, axis, tuple(features), **meta)
-    return tensor, MaskTensor(mask)
+    return STTensor(layout, values, axis), MaskTensor(mask)
 
 
 def dyna_to_graph_tensor(
@@ -267,7 +257,7 @@ def dyna_to_graph_tensor(
         raise EmptyTable("no state records to tensorize")
     types, entities, times = map(table.field, ("dyna_type", "entity_id", "time"))
     index = {gid: i for i, gid in enumerate(geo_order)}
-    position = _positions(entities, index)
+    position = entities.positions(index)
 
     def not_state(row):
         raise ValueError(f"expected state rows, got {types.at(row)!r}")
@@ -279,11 +269,7 @@ def dyna_to_graph_tensor(
         (types.flags(lambda v: v != "state"), not_state),
         (position < 0, partial(_unknown_entity, entities)),
     ]
-    order = tuple(geo_order)
-    return _dense(
-        "graph", table, axis, (len(order),), [position], checks, features, describe,
-        geo_order=order,
-    )
+    return _dense("graph", table, axis, (len(geo_order),), [position], checks, features, describe)
 
 
 def grid_to_tensor(
@@ -310,10 +296,7 @@ def grid_to_tensor(
         return f"{cell(row)} at {format_timestamp(times.at(row))}"
 
     checks = [((rows < 0) | (cols < 0), outside)]
-    return _dense(
-        "grid", table, axis, (I, J), [rows, cols], checks, features, describe,
-        grid_shape=(I, J),
-    )
+    return _dense("grid", table, axis, (I, J), [rows, cols], checks, features, describe)
 
 
 def od_to_tensor(
@@ -328,7 +311,7 @@ def od_to_tensor(
         raise EmptyTable("no od records to tensorize")
     origins, dests, times = map(table.field, ("origin_id", "des_id", "time"))
     index = {gid: i for i, gid in enumerate(geo_order)}
-    o, d = _positions(origins, index), _positions(dests, index)
+    o, d = origins.positions(index), dests.positions(index)
 
     def describe(row):
         at = format_timestamp(times.at(row))
@@ -338,11 +321,8 @@ def od_to_tensor(
         (o < 0, partial(_unknown_entity, origins)),
         (d < 0, partial(_unknown_entity, dests)),
     ]
-    order = tuple(geo_order)
-    N = len(order)
-    return _dense(
-        "od", table, axis, (N, N), [o, d], checks, features, describe, geo_order=order
-    )
+    N = len(geo_order)
+    return _dense("od", table, axis, (N, N), [o, d], checks, features, describe)
 
 
 def build_adjacency(
@@ -446,11 +426,9 @@ def build_trajectories(records: Table | Sequence[DynaRecord]) -> Trajectories:
         raise ValueError(f"expected trajectory rows, got {types.at(int(np.argmax(bad)))!r}")
     entities, times = table.field("entity_id"), table.field("time")
     users = tuple(dict.fromkeys(entities.present()))
-    index = {user: i for i, user in enumerate(users)}
-    user = np.array([index.get(v, -1) for v in entities.values], dtype=np.intp)[entities.codes]
+    user = entities.positions({u: i for i, u in enumerate(users)})
     # Equal instants rank alike, whichever codes hold them.
-    order = {t: k for k, t in enumerate(sorted(set(times.values)))}
-    time = np.array([order[t] for t in times.values], dtype=np.intp)[times.codes]
+    time = times.positions({t: k for k, t in enumerate(sorted(set(times.values)))})
     rows = np.lexsort((time, user))
     ptr = np.concatenate([[0], np.bincount(user, minlength=len(users)).cumsum()])
     return Trajectories(table, rows, ptr, users)

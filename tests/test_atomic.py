@@ -456,6 +456,45 @@ def test_a_byte_that_is_not_utf8_is_located(data, row):
     assert str(err.value).startswith(f"byte 0xe9 at offset {offset} is not UTF-8 (")
 
 
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes it
+
+
+@pytest.mark.parametrize(
+    "kind, data",
+    [
+        ("usr", b"usr_id,note\nu0,a\nu1,b\n"),
+        ("usr", b'usr_id,note\nu0,"a,b"\nu1,b\n'),  # the csv.reader path
+        ("dyna", b"dyna_id,type,time,entity_id,flow\nd0,state,2024-01-01T00:00:00Z,g0,1\n"),
+    ],
+)
+def test_a_leading_byte_order_mark_is_dropped(kind, data):
+    plain = read_table(kind, data)
+    for source in (BOM + data, (BOM + data).decode("utf-8"), io.BytesIO(BOM + data)):
+        table = read_table(kind, source)
+        assert table == plain
+        assert table.prop_names == plain.prop_names
+
+
+def test_a_byte_order_mark_past_the_first_is_data():
+    assert parse_table("usr", "usr_id,note\nu0,\ufeffa\n") == [UserUnit("u0", {"note": "\ufeffa"})]
+    with pytest.raises(MissingColumn):
+        read_table("usr", BOM + BOM + b"usr_id\nu0\n")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"usr_id,note\nu0,a\nu1,caf\xe9\n", b"usr_id,not\xe9\nu0,a\n", b"usr_id,note\nu0,a\n\xe9,b\n"],
+)
+def test_a_bad_byte_after_a_byte_order_mark_is_located_as_without_one(data):
+    errors = []
+    for source in (data, BOM + data):
+        with pytest.raises(BadEncoding) as err:
+            read_table("usr", source)
+        errors.append(err.value)
+    assert errors[1].row == errors[0].row
+    assert str(errors[1]).startswith(f"byte 0xe9 at offset {data.index(0xE9) + 3} is not UTF-8 (")
+
+
 def test_csv_errors_become_located_bad_encoding(monkeypatch):
     """A ``csv.Error`` (Python 3.10 raises one for NUL) is located at its row,
     and the field limit lifted for the read is restored."""

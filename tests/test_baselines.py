@@ -56,7 +56,7 @@ def test_ha_unseen_bucket_falls_back_to_feature_mean():
     values = np.array([[10.0, 100.0], [20.0, 200.0]])  # slots 0, 1 of period 4
     mask = np.ones_like(values, dtype=bool)
     model = ha_fit(values, mask, period=4)
-    assert not model.observed[2].any()
+    assert np.array_equal(model.table[2], model.fallback)
     pred = model.predict_slots(np.array([2, 3]))
     assert pred.tolist() == [[15.0, 150.0], [15.0, 150.0]]
 

@@ -444,6 +444,36 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert main(["validate", "--dataset", str(tmp_path / "converted" / "speeds")]) == 0
 
 
+def test_run_and_convert_read_files_that_start_with_a_byte_order_mark(cli_root, tmp_path, capsys):
+    """Excel's "CSV UTF-8" export starts a file with a byte-order mark: a
+    dataset whose tables start with one runs to the same metrics, and a raw
+    CSV converts to the same tables."""
+    marked = tmp_path / "flow_p4"
+    marked.mkdir()
+    for p in (cli_root / "flow_p4").iterdir():
+        data = p.read_bytes()
+        (marked / p.name).write_bytes(data if p.suffix == ".json" else b"\xef\xbb\xbf" + data)
+    metrics = []
+    for data, out in ((cli_root / "flow_p4", tmp_path / "plain"), (marked, tmp_path / "marked")):
+        flags = run_flags(cli_root, out)
+        flags[flags.index("--dataset") + 1] = str(data)
+        assert main(["run", *flags]) == 0
+        (path,) = out.glob("*/metrics.json")
+        metrics.append(path.read_bytes())
+    assert metrics[0] == metrics[1]
+
+    raw = b"sensor,ts,speed\ns1,2024-01-01T00:00:00Z,60.0\ns2,2024-01-01T00:00:00Z,55.0\n"
+    conv = write_conversion(tmp_path / "conv.json", target="state", time_column="ts",
+                            entity_column="sensor", property_columns=["speed"], name="speeds")
+    tables = []
+    for name, data in (("plain", raw), ("marked", b"\xef\xbb\xbf" + raw)):
+        (tmp_path / f"{name}.csv").write_bytes(data)
+        assert main(["convert", "--dataset", str(tmp_path / f"{name}.csv"), "--config_file",
+                     str(conv), "--output_dir", str(tmp_path / name)]) == 0
+        tables.append([p.read_bytes() for p in sorted((tmp_path / name / "speeds").iterdir())])
+    assert tables[0] == tables[1]
+
+
 def write_conversion(path, **conversion):
     path.write_text(json.dumps({"conversion": conversion}), "utf-8")
     return path

@@ -288,6 +288,17 @@ def test_convert_raw_trajectory_csv():
     assert ds.dyna[0].location == ds.dyna[2].location
 
 
+def test_convert_drops_a_leading_byte_order_mark():
+    spec = RawConversionSpec(
+        target="state", time_column="ts", entity_column="sensor",
+        property_columns=("speed",), name="speeds",
+    )
+    plain = convert_raw_csv(spec, RAW_STATE_CSV)
+    for raw in ("\ufeff" + RAW_STATE_CSV, b"\xef\xbb\xbf" + RAW_STATE_CSV.encode("utf-8")):
+        ds = convert_raw_csv(spec, raw)
+        assert (ds.geo, ds.dyna) == (plain.geo, plain.dyna)
+
+
 def test_convert_missing_time_column_rejected():
     spec = RawConversionSpec(
         target="state", time_column="when", entity_column="sensor"

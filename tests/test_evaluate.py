@@ -258,6 +258,16 @@ def test_match_empty_or_zero_truth():
         match_metrics(["z"], ["z"], {"z": 0.0})
 
 
+def test_match_lengths_total_by_a_left_fold():
+    # Ten 0.1 m segments: a left fold from 0.0 gives 0.9999999999999999 on
+    # every Python; the builtin sum() of floats gives 1.0 from 3.12 on.
+    ids = [f"s{k}" for k in range(10)]
+    m = match_metrics(ids, ids[:5], dict.fromkeys(ids, 0.1))
+    assert m["d_true"] == 0.9999999999999999
+    assert m["d_subtracted"] == 0.1 + 0.1 + 0.1 + 0.1 + 0.1
+    assert m["al"] == m["d_correct"] / 0.9999999999999999
+
+
 # -- serialization helpers ---------------------------------------------------
 
 

@@ -707,6 +707,46 @@ def test_matching_run_zero_noise(data_root, tmp_path):
     assert records[0].location in truth[records[0].entity_id]
 
 
+def test_matching_aggregate_pools_trajectory_scores_in_order(tmp_path):
+    """Each pooled length is the left-to-right sum of the per-trajectory
+    values in trajectory order, bit for bit, and RMF, AN and AL follow from
+    the pooled sums. On this seed the pooled ``d_true`` differs when summed
+    in reverse, and matching is imperfect (RMF > 0, AN < 1)."""
+    save_synthetic(
+        generate_synthetic(
+            "trajectories",
+            {"n": 5, "n_trajectories": 12, "route_segments": 6,
+             "noise_sigma_m": 60.0, "name": "noisy12"},
+            seed=4,
+        ),
+        tmp_path / "noisy12",
+    )
+    cfg = load_config(
+        cli_args={"task": "map_matching", "model": "HMM",
+                  "dataset": str(tmp_path / "noisy12"), "output_dir": str(tmp_path / "out")},
+        file_values={"match_sigma": 5.0},
+    )
+    m = cmd_run(cfg).metrics
+    scores = [entry["metrics"] for entry in m["per_trajectory"].values()]
+    assert len(scores) == 12
+    pooled = {}
+    for key in ("d_true", "d_subtracted", "d_added", "d_correct", "n_correct", "n_true"):
+        pooled[key] = 0.0 if key.startswith("d_") else 0
+        for s in scores:
+            pooled[key] += s[key]
+    agg = m["aggregate"]
+    for key in ("d_true", "d_subtracted", "d_added", "d_correct"):
+        assert agg[key] == pooled[key], key
+    assert agg["rmf"] == (pooled["d_subtracted"] + pooled["d_added"]) / pooled["d_true"]
+    assert agg["an"] == pooled["n_correct"] / pooled["n_true"]
+    assert agg["al"] == pooled["d_correct"] / pooled["d_true"]
+    assert agg["rmf"] > 0.0 and agg["an"] < 1.0
+    reverse = 0.0
+    for s in scores[::-1]:
+        reverse += s["d_true"]
+    assert reverse != agg["d_true"]
+
+
 def test_matching_run_without_truth(data_root, tmp_path):
     bare = tmp_path / "bare"
     bare.mkdir()
