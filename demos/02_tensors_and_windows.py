@@ -33,16 +33,15 @@ scaler = fit_scaler("zscore", tensor.values[:train_end], mask.values[:train_end]
 scaled = np.where(mask.values, scaler.apply(tensor.values), 0.0)
 print(f"train mean/std: {scaler.mean:.2f} / {scaler.std:.2f}")
 
-splits = split_windows(
-    scaled, mask.values, WindowSpec(t_in=12, t_out=6), SplitSpec(0.7, 0.1, 0.2), axis=axis
-)
+splits = split_windows(scaled, mask.values, WindowSpec(t_in=12, t_out=6), SplitSpec(0.7, 0.1, 0.2))
 # Each split's windows are index ranges over its segment, gathered per batch.
 for name, windows in splits.items():
     print(f"{name}: {len(windows)} windows")
 
-batches = make_batches(splits["train"], batch_size=16, shuffle_seed=0)
+batches = make_batches(splits["train"], batch_size=16)
 batch = batches[0]
 print("first batch x:", batch["x"].shape, "y:", batch["y"].shape)
 print("absolute slots of the first target window:", batch["y_slots"][0])
+print("their time of day (fraction of 24 h):", axis.fraction_of_day(batch["y_slots"][0]))
 print("round trip through the scaler is lossless:",
       np.allclose(scaler.inverse(scaler.apply(tensor.values)), tensor.values))

@@ -29,8 +29,7 @@ models = {
 }
 
 windows = make_windows(
-    values[train_end:], observed[train_end:], WindowSpec(12, 12),
-    axis=axis, start_slot=train_end,
+    values[train_end:], observed[train_end:], WindowSpec(12, 12), start_slot=train_end
 )
 batch = make_batches(windows, batch_size=len(windows))[0]
 

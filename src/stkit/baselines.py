@@ -2,8 +2,7 @@
 
 All models share one batch interface: ``predict(batch)`` maps a batch dict
 (as produced by the pipeline's batcher) to predictions shaped like
-``batch["y"]``, and ``calculate_loss(batch)`` is the masked MAE between that
-prediction and the target, shared bit-for-bit with the metric suite.
+``batch["y"]``.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import masked_mae
 from .exceptions import (
     BadModelParams,
     EmptyTrainingData,
@@ -21,7 +19,6 @@ from .exceptions import (
 )
 
 __all__ = [
-    "ForecastModel",
     "HAModel",
     "ha_fit",
     "VARModel",
@@ -30,19 +27,8 @@ __all__ = [
 ]
 
 
-class ForecastModel:
-    """Interface shared by every baseline."""
-
-    def predict(self, batch: dict) -> np.ndarray:
-        raise NotImplementedError
-
-    def calculate_loss(self, batch: dict) -> float:
-        """Masked MAE of predict(batch) against batch["y"]."""
-        return masked_mae(batch["y"], self.predict(batch), batch["y_mask"])
-
-
 @dataclass
-class HAModel(ForecastModel):
+class HAModel:
     """Historical average keyed by slot position within a fixed period.
 
     ``table[b]`` is the mean of all observed training cells whose absolute
@@ -98,7 +84,7 @@ def ha_fit(values: np.ndarray, mask: np.ndarray, period: int, start_slot: int = 
 
 
 @dataclass
-class VARModel(ForecastModel):
+class VARModel:
     """Vector autoregression x_t = c + sum_i A_i x_{t-i} on flattened cells.
 
     ``coefs[i]`` is A_{i+1} with [target, source] orientation. Forecasts roll
@@ -242,7 +228,7 @@ def var_fit(
 
 
 @dataclass
-class PersistenceModel(ForecastModel):
+class PersistenceModel:
     """Repeat the last observed input slot across the whole horizon."""
 
     def predict(self, batch: dict) -> np.ndarray:

@@ -28,7 +28,7 @@ from .atomic import (
     write_table,
 )
 from .atomic import _check_coord_ranges, _shape_fault  # shared geometry rules
-from .atomic import _ATTRS, _FLOAT_RE, _TYPES  # shared type and number rules
+from .atomic import _ATTRS, _CHECKS, _FLOAT_RE, _TYPES  # shared type and number rules
 from .atomic import _coerce_scalar, _columns, _decode, _pairs, _raise_first, _read_text
 from .atomic import _constant, _ids  # shared column builders
 from .atomic import _parse_id_cell, _parse_time_cell, _property_fault  # shared rules
@@ -282,14 +282,22 @@ def _own_rules(table: Table, found: list) -> np.ndarray:
     identifiers, types and geometry. Adds their findings to ``found`` and
     returns the rows that pass the identifier and type rules."""
     kind, attrs = table.kind, _ATTRS[table.kind]
+    ok = np.ones(len(table), dtype=bool)
+    for name, check in zip(attrs, _CHECKS[kind]):  # the reader refuses an empty identifier
+        if check is _parse_id_cell:
+            column = table.field(name)
+            bad = ok & column.flags(lambda v: v == "" or v is None)
+            _found(found, kind, bad, 0, "error", f"empty {name} {{!r}}", column)
+            ok &= ~bad
     # A row's identifier; for ext, the (ext_id, time) pair, its only attributes.
     ids = _pairs(*map(table.field, attrs)) if kind == "ext" else table.field(attrs[0])
-    ok = ~_repeats(ids)
+    bad = ok & _repeats(ids)
     if kind == "ext":
-        _found(found, kind, ~ok, 0, "error", lambda i: "duplicate (ext_id, time) pair "
+        _found(found, kind, bad, 0, "error", lambda i: "duplicate (ext_id, time) pair "
                "{!r} @ {}".format(ids.at(i)[0], format_timestamp(ids.at(i)[1])))
     else:
-        _found(found, kind, ~ok, 0, "error", f"duplicate {attrs[0]} {{!r}}", ids)
+        _found(found, kind, bad, 0, "error", f"duplicate {attrs[0]} {{!r}}", ids)
+    ok &= ~bad
     if kind in _TYPES:
         types, label = table.field(attrs[1]), "relation" if kind == "rel" else kind
         bad = ok & ~types.flags(lambda v: v in _TYPES[kind])

@@ -24,7 +24,6 @@ from .exceptions import (
 )
 
 __all__ = [
-    "masked_mae",
     "regression_metrics",
     "RegressionReport",
     "check_horizons",
@@ -50,12 +49,6 @@ def _prepare(y, yhat, mask):
     if not m.any():
         raise AllMasked("no observed cells to evaluate")
     return y[m], yhat[m]
-
-
-def masked_mae(y, yhat, mask=None) -> float:
-    """Mean absolute error over observed cells: (1/n) sum |yhat - y|."""
-    yv, pv = _prepare(y, yhat, mask)
-    return float(np.abs(pv - yv).mean())
 
 
 def regression_metrics(y, yhat, mask=None, mape_floor: float = 0.0) -> dict:

@@ -465,10 +465,11 @@ def _search(
     best = best[np.lexsort((code[pair[best]], dist[best], point[pair[best]]))]
     counts = np.bincount(point[pair[best]], minlength=len(lon))
     rank = np.arange(len(best)) - np.repeat(counts.cumsum() - counts, counts)
-    best = best[rank < params.max_candidates]
+    cap = min(params.max_candidates, network.boxes.shape[1])  # a larger cap caps nothing
+    best = best[rank < cap]
     pt = point[pair[best]]
     return _Candidates(
-        np.concatenate([[0], np.minimum(counts, params.max_candidates).cumsum()]),
+        np.concatenate([[0], np.minimum(counts, cap).cumsum()]),
         code[pair[best]],
         lon[pt] + px[best] / m_lon[pt],
         lat[pt] + py[best] / _M_PER_DEG_LAT,

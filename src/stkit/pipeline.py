@@ -3,8 +3,8 @@
 The leakage rule lives here: splits are chronological, scalers fit on
 training cells only, and sliding windows are built inside each split segment
 so no window straddles a boundary. A segment's windows are one ``Windows``
-(the segment plus its start slot and time fractions); ``make_batches``
-gathers each batch from it by row index.
+(the segment plus its start slot); ``make_batches`` gathers each batch from
+it by row index.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .exceptions import (
     NegativeInputForLog,
     WindowTooLong,
 )
-from .tensorize import TimeAxis, Trajectories
+from .tensorize import Trajectories
 
 __all__ = [
     "Scaler",
@@ -180,16 +180,15 @@ class WindowSpec:
 class Windows:
     """Every (t_in, t_out) window of one segment, kept as the segment itself.
 
-    Window k is rows k .. k + t_in + t_out - 1. ``time`` is each row's
-    time-of-day fraction in [0, 1), and ``start_slot`` the absolute slot of
-    row 0, so batches carry slot ids for leakage audits and periodic lookups.
+    Window k is rows k .. k + t_in + t_out - 1. ``start_slot`` is the
+    absolute slot of row 0, so batches carry slot ids for leakage audits and
+    periodic lookups.
     """
 
     values: np.ndarray
     mask: np.ndarray
     spec: WindowSpec
     start_slot: int
-    time: np.ndarray
 
     def __len__(self) -> int:
         return self.values.shape[0] - self.spec.t_in - self.spec.t_out + 1
@@ -198,15 +197,13 @@ class Windows:
         """Windows ``lo`` to ``hi - 1`` (``hi`` past the end stops there), over
         views of this segment."""
         rows = slice(lo, min(hi, len(self)) + self.spec.t_in + self.spec.t_out - 1)
-        return Windows(self.values[rows], self.mask[rows], self.spec, self.start_slot + lo,
-                       self.time[rows])
+        return Windows(self.values[rows], self.mask[rows], self.spec, self.start_slot + lo)
 
 
 def make_windows(
     values: np.ndarray,
     mask: np.ndarray,
     spec: WindowSpec,
-    axis: TimeAxis | None = None,
     start_slot: int = 0,
 ) -> Windows:
     """Slide (t_in, t_out) windows over axis 0 of a [T, ...] tensor.
@@ -225,9 +222,7 @@ def make_windows(
             f"slots {start_slot}..{start_slot + T - 1} hold {T}, but input_window + output_window"
             f" = {spec.t_in} + {spec.t_out} = {spec.t_in + spec.t_out}"
         )
-    slots = np.arange(start_slot, start_slot + T, dtype=np.int64)
-    time = np.zeros(T) if axis is None else axis.fraction_of_day(slots)
-    return Windows(values, mask, spec, start_slot, time)
+    return Windows(values, mask, spec, start_slot)
 
 
 def split_windows(
@@ -235,7 +230,6 @@ def split_windows(
     mask: np.ndarray,
     wspec: WindowSpec,
     sspec: SplitSpec,
-    axis: TimeAxis | None = None,
 ) -> dict[str, Windows]:
     """Split slots chronologically, then window inside each segment.
 
@@ -248,38 +242,31 @@ def split_windows(
     for name, seg in (("train", train), ("val", val), ("test", test)):
         try:
             out[name] = make_windows(
-                values[seg.start : seg.stop], mask[seg.start : seg.stop], wspec, axis, seg.start
+                values[seg.start : seg.stop], mask[seg.start : seg.stop], wspec, seg.start
             )
         except WindowTooLong as e:
             raise WindowTooLong(f"split {name}: {e}") from None
     return out
 
 
-def make_batches(
-    samples: Windows,
-    batch_size: int,
-    shuffle_seed: int | None = None,
-) -> list[dict[str, np.ndarray]]:
-    """Gather the windows into dict batches; the last batch may be short.
+def make_batches(samples: Windows, batch_size: int) -> list[dict[str, np.ndarray]]:
+    """Gather the windows, in order, into dict batches; the last may be short.
 
-    With ``shuffle_seed`` set, window order is permuted reproducibly first.
-    Batch keys: x, y, x_mask, y_mask, x_time, y_time, x_slots, y_slots; each
-    batch is one gather of segment rows, so every array is a fresh copy.
+    Batch keys: x, y, y_mask, x_slots, y_slots; each batch is one gather of
+    segment rows, so every array is a fresh copy. A slot's time of day is
+    ``TimeAxis.fraction_of_day(slots)``, and the input mask is
+    ``samples.mask[x_slots - samples.start_slot]``.
     """
     if not _positive_whole(batch_size):
         raise BadPipelineParams(f"batch_size must be a positive integer, got {batch_size!r}")
     w, n, t_in = samples, len(samples), samples.spec.t_in
-    order = np.arange(n)
-    if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(n)
     offsets = np.arange(t_in + w.spec.t_out)
     batches = []
     for lo in range(0, n, batch_size):
-        rows = order[lo : lo + batch_size, None] + offsets
+        rows = np.arange(lo, min(lo + batch_size, n))[:, None] + offsets
         x, y = rows[:, :t_in], rows[:, t_in:]
         batches.append(dict(
-            x=w.values[x], y=w.values[y], x_mask=w.mask[x], y_mask=w.mask[y],
-            x_time=w.time[x], y_time=w.time[y],
+            x=w.values[x], y=w.values[y], y_mask=w.mask[y],
             x_slots=w.start_slot + x, y_slots=w.start_slot + y,
         ))
     return batches

@@ -335,7 +335,7 @@ def _run_traffic_state(
         "scaler", fit_scaler, cfg["scaler"], tensor.values[:n_train], mask.values[:n_train]
     )
     values = np.where(mask.values, scaler.apply(tensor.values), 0.0)
-    splits = split_windows(values, mask.values, wspec, sspec, axis=axis)
+    splits = split_windows(values, mask.values, wspec, sspec)
 
     model_name = cfg["model"]
     if model_name == "HA":

@@ -273,6 +273,37 @@ def random_table(generator_kind, rng):
     raise ValueError(generator_kind)
 
 
+def ranking_dataset():
+    """Check-in data with a known popularity order: g0 > g1 > ... > g5."""
+    t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    geo = [
+        GeoUnit(f"g{i}", "Point", ((116.0 + 0.01 * i, 39.9),), {}) for i in range(6)
+    ]
+    usr = [UserUnit(f"u{i}", {}) for i in range(3)]
+    dyna = []
+    n = 0
+    for u in range(3):
+        for burst in range(5):  # five bursts, > 72h apart, so the cutter splits
+            start = t0 + timedelta(days=4 * burst, hours=u)
+            for p in range(4):  # exactly min_checkins points per piece
+                # Bias visits toward low location ids, deterministically.
+                loc = f"g{(u + burst + p) % (2 + p % 4)}"
+                dyna.append(
+                    DynaRecord(
+                        f"d{n}",
+                        "trajectory",
+                        start + timedelta(minutes=10 * p),
+                        f"u{u}",
+                        loc,
+                        {},
+                    )
+                )
+                n += 1
+    return AtomicDataset(
+        manifest=Manifest(name="checkins"), geo=geo, usr=usr, dyna=dyna
+    )
+
+
 def clean_dataset():
     """A small internally consistent dataset touching all eight tables.
 
@@ -908,28 +939,27 @@ def dijkstra_settle(table, origin: int, targets: np.ndarray):
 
 
 def csv_writer_table(kind: str, records) -> bytes:
-    """write_table's bytes, one record at a time through csv.writer."""
+    """write_table's bytes, one row at a time through csv.writer."""
     table = as_table(kind, records)
-    records = list(table)
     header, attrs = list(MANDATORY_COLUMNS[kind]), _ATTRS[kind]
+    columns = [table.field(a).tolist() for a in attrs]
     if kind == "dyna":
-        if any(r.location is not None for r in records):
+        if any(v is not None for v in columns[-1]):
             header.append("location")
         else:
-            attrs = attrs[:-1]
+            columns.pop()
     header.extend(table.prop_names)
+    if "time" in attrs:
+        stamp = functools.cache(format_timestamp)
+        at = attrs.index("time")
+        columns[at] = list(map(stamp, columns[at]))
+    if kind == "geo":
+        columns[2] = list(map(_format_coordinates, columns[1], columns[2]))
+    columns += [list(map(_scalar_to_cell, table.prop(p).tolist())) for p in table.prop_names]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     lines = []
-    stamp = functools.cache(format_timestamp)
-    for row in [header, *records]:
-        if not isinstance(row, list):
-            cells = [getattr(row, a) for a in attrs]
-            if "time" in attrs:
-                cells[attrs.index("time")] = stamp(row.time)
-            if kind == "geo":
-                cells[2] = _format_coordinates(row.geo_type, row.coordinates)
-            row = cells + [_scalar_to_cell(row.properties[p]) for p in table.prop_names]
+    for row in [header, *zip(*columns)]:
         buffer.seek(0)
         buffer.truncate()
         writer.writerow(row)

@@ -10,7 +10,6 @@ from stkit.baselines import (
     ha_fit,
     var_fit,
 )
-from stkit.evaluate import masked_mae
 from stkit.exceptions import (
     BadModelParams,
     EmptyTrainingData,
@@ -37,7 +36,6 @@ def test_ha_exact_on_periodic_signal():
     model = ha_fit(values, mask, period=4)
     assert model.table[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
     batch = windows_to_batch(values, 4, 4)
-    assert model.calculate_loss(batch) == 0.0
     pred = model.predict(batch)
     assert np.array_equal(pred, batch["y"])
 
@@ -431,13 +429,3 @@ def test_persistence_empty_horizon():
     batch["y_slots"] = batch["y_slots"][:, :0]
     pred = PersistenceModel().predict(batch)
     assert pred.shape[1] == 0
-
-
-def test_calculate_loss_is_masked_mae():
-    values = np.random.default_rng(4).normal(size=(12, 3))
-    batch = windows_to_batch(values, 3, 2)
-    batch["y_mask"][:, :, 0] = False
-    model = PersistenceModel()
-    assert model.calculate_loss(batch) == masked_mae(
-        batch["y"], model.predict(batch), batch["y_mask"]
-    )

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FAULTS, PARSEABLE_FAULTS, clean_dataset, inject_faults
+from conftest import FAULTS, PARSEABLE_FAULTS, clean_dataset, inject_faults, ranking_dataset
 from stkit import exceptions, runner
 from stkit.cli import main
-from stkit.dataset import save_dataset
+from stkit.config import KINDS, Config
+from stkit.dataset import load_dataset, save_dataset
 from stkit.exceptions import NoResults
 from stkit.leaderboard import build_leaderboard, load_runs
 from stkit.synthetic import generate_synthetic, save_synthetic
@@ -184,6 +185,25 @@ def test_run_matching_tiny_radius_finishes(cli_root, tmp_path, capsys):
     assert time.perf_counter() - started < 30.0
     assert "Traceback" not in capsys.readouterr().err
     assert code == 0
+
+
+def test_run_matching_caps_candidates_at_the_segment_count(cli_root, tmp_path):
+    """A candidate cap above the network's segment count caps nothing: a run
+    at 10**20, past any C long, writes the metrics of a run capped at the
+    segment count."""
+    n_segments = len(load_dataset(cli_root / "traces").geo)
+    written = []
+    for cap in (10**20, n_segments):
+        cfg = tmp_path / f"cap_{cap}.json"
+        cfg.write_text(json.dumps({"match_max_candidates": cap}), "utf-8")
+        out = tmp_path / f"runs_{cap}"
+        code = main(["run", "--task", "map_matching", "--model", "HMM",
+                     "--dataset", str(cli_root / "traces"), "--output_dir", str(out),
+                     "--config_file", str(cfg)])
+        assert code == 0
+        (metrics,) = out.glob("*/metrics.json")
+        written.append(metrics.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize(
@@ -696,6 +716,64 @@ def test_tune_is_named_by_the_models_its_space_chooses(cli_root, tmp_path):
     assert re.fullmatch(
         r"tune_traffic_state_pred_Persistence\+HA_flow_p4_s0_[0-9a-f]{10}", tune_dir.name
     ), tune_dir.name
+
+
+# -- extreme numeric config values -------------------------------------------------
+
+# Per model: the task, the dataset, and a config that runs to exit 0 on it.
+SWEPT_RUNS = {
+    "HA": ("traffic_state_pred", "flow_p4", {"input_window": 4, "output_window": 2,
+                                             "ha_period": 4}),
+    "VAR": ("traffic_state_pred", "flow_p4", {"input_window": 4, "output_window": 2}),
+    "HMM": ("map_matching", "traces", {}),
+    "Popularity": ("eval_ranking", "checkins", {}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SWEPT_RUNS))
+def test_no_numeric_config_value_ends_in_a_traceback(
+    model, cli_root, tmp_path, capsys, monkeypatch
+):
+    """Each number a run reads, at -1, 0 and a huge value (2**63 for a whole
+    number, 1e308 otherwise), exits 0, 3 or 4; a failure prints one error
+    line and writes no run directory."""
+    task, name, base = SWEPT_RUNS[model]
+    data = cli_root / name
+    if name == "checkins":
+        data = save_dataset(ranking_dataset(), tmp_path / name)
+
+    def run(values, out):
+        (tmp_path / "cfg.json").write_text(json.dumps({**base, **values}), "utf-8")
+        return main(["run", "--task", task, "--model", model, "--dataset", str(data),
+                     "--output_dir", str(out), "--config_file", str(tmp_path / "cfg.json")])
+
+    read = {}
+
+    def reading(method):
+        def spy(self, key, *default):
+            read.setdefault(key)
+            return method(self, key, *default)
+        return spy
+
+    with monkeypatch.context() as m:
+        m.setattr(Config, "__getitem__", reading(Config.__getitem__))
+        m.setattr(Config, "get", reading(Config.get))
+        assert run({}, tmp_path / "base") == 0
+    numeric = [key for key in read if KINDS.get(key) in (int, float)]
+    assert numeric
+    failed = []
+    for key in numeric:
+        for value in (-1, 0, 2**63 if KINDS[key] is int else 1e308):
+            capsys.readouterr()
+            out = tmp_path / f"{key}_{value}"
+            code = run({key: value}, out)
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            if code not in (0, 3, 4) or code and (
+                len(errors) != 1 or "Traceback" in err or out.exists()
+            ):
+                failed.append((key, value, code, err))
+    assert not failed
 
 
 # -- failure matrix: every failure exits with its code and a located message ---------

@@ -218,6 +218,37 @@ def test_grid_od_and_gridod_rows_are_state_rows(kind, record, tmp_path):
         load_dataset(save_dataset(ds, tmp_path / "ds"))
 
 
+EMPTY_ID_CASES = [
+    ("geo", "geo_id", lambda e: GeoUnit(e, "Point", ((116.0, 39.9),), {})),
+    ("usr", "usr_id", lambda e: UserUnit(e, {})),
+    ("rel", "rel_id", lambda e: RelationRecord(e, "geo", "g0", "g0", {})),
+    ("dyna", "entity_id", lambda e: DynaRecord("d0", "state", ts(0), e, None, {})),
+    ("grid", "dyna_id", lambda e: GridRecord(e, "state", ts(0), 0, 0, {})),
+    ("od", "dyna_id", lambda e: ODRecord(e, "state", ts(0), "g0", "g0", {})),
+    ("gridod", "dyna_id", lambda e: GridODRecord(e, "state", ts(0), 0, 0, 1, 1, {})),
+    ("ext", "ext_id", lambda e: ExtRecord(e, ts(0), {})),
+]
+
+
+@pytest.mark.parametrize("empty", ["", None], ids=["blank", "none"])
+@pytest.mark.parametrize(
+    "kind, column, record", EMPTY_ID_CASES, ids=[kind for kind, *_ in EMPTY_ID_CASES]
+)
+def test_empty_identifiers_fail_validation_as_the_reader_refuses_them(
+    kind, column, record, empty, tmp_path
+):
+    """An identifier cell the reader refuses, written from "" or None, is one
+    error naming its column."""
+    tables = {"geo": [GeoUnit("g0", "Point", ((116.0, 39.9),), {})], kind: [record(empty)]}
+    ds = AtomicDataset(Manifest(name="t", grid_rows=2, grid_cols=2), **tables)
+    assert validate_dataset(ds).findings == [
+        Finding("error", kind, 1, f"empty {column} {empty!r}")
+    ]
+    where = rf"identifier cell is empty \(table={kind}, row=1, column={column}\)"
+    with pytest.raises(BadFieldValue, match=where):
+        load_dataset(save_dataset(ds, tmp_path / "ds"), validate=False)
+
+
 def test_state_and_od_rows_name_ids_of_the_geo_ordering():
     """State and od rows index the manifest's geo_order when it sets one: a
     .geo id it leaves out is an error at each row naming it, and a subset

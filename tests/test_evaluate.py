@@ -9,7 +9,6 @@ from stkit.evaluate import (
     evaluate_forecast,
     format_metric_table,
     jsonify_metrics,
-    masked_mae,
     match_metrics,
     ranking_metrics,
     regression_metrics,
@@ -116,14 +115,6 @@ def test_shape_mismatch_rejected():
         regression_metrics(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         regression_metrics(np.ones(3), np.ones(3), np.ones(2, dtype=bool))
-
-
-def test_masked_mae_matches_metrics():
-    rng = np.random.default_rng(0)
-    y = rng.normal(size=(4, 5))
-    yhat = rng.normal(size=(4, 5))
-    mask = rng.random((4, 5)) < 0.6
-    assert masked_mae(y, yhat, mask) == regression_metrics(y, yhat, mask)["mae"]
 
 
 # -- forecast reports --------------------------------------------------------

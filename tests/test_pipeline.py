@@ -30,7 +30,7 @@ from stkit.pipeline import (
     split_windows,
 )
 from stkit.atomic import DynaRecord, as_table
-from stkit.tensorize import TimeAxis, Trajectories, build_time_axis
+from stkit.tensorize import TimeAxis, Trajectories
 
 
 def hours(h):
@@ -211,7 +211,7 @@ def test_window_contents_and_slots():
     b = one_batch(windows)
     assert b["x"][1, :, 0].tolist() == [1.0, 2.0, 3.0]
     assert b["y"][1, :, 0].tolist() == [4.0, 5.0]
-    assert b["x_mask"][1, :, 0].tolist() == [False, True, False]
+    assert b["y_mask"][1, :, 0].tolist() == [True, False]
     assert b["x_slots"][1].tolist() == [51, 52, 53]
     assert b["y_slots"][1].tolist() == [54, 55]
 
@@ -226,18 +226,6 @@ def test_window_exact_fit_yields_one_sample():
         make_windows(values, mask, WindowSpec(3, 1))
 
 
-def test_window_time_fractions_follow_axis():
-    axis = build_time_axis([hours(0), hours(5)], 3600)
-    values = np.zeros((6, 1))
-    mask = np.ones_like(values, dtype=bool)
-    b = one_batch(make_windows(values, mask, WindowSpec(2, 1), axis=axis))
-    assert b["x_time"][0].tolist() == [0.0, 1.0 / 24.0]
-    assert b["y_time"][0].tolist() == [2.0 / 24.0]
-    # Without an axis the fractions are zero placeholders.
-    plain = one_batch(make_windows(values, mask, WindowSpec(2, 1)))
-    assert plain["x_time"][0].tolist() == [0.0, 0.0]
-
-
 @pytest.mark.parametrize(
     "start, interval",
     [
@@ -250,12 +238,10 @@ def test_window_time_fractions_equal_per_slot_fraction_of_day(start, interval):
     axis = TimeAxis(start, interval, 5000)
     values = np.zeros((axis.length, 1))
     mask = np.ones_like(values, dtype=bool)
-    b = one_batch(make_windows(values, mask, WindowSpec(3, 2), axis=axis))
+    b = one_batch(make_windows(values, mask, WindowSpec(3, 2)))
+    x_time, y_time = axis.fraction_of_day(b["x_slots"]), axis.fraction_of_day(b["y_slots"])
     for k in range(0, len(b["x"]), 97):
-        for slots, fractions in (
-            (b["x_slots"][k], b["x_time"][k]),
-            (b["y_slots"][k], b["y_time"][k]),
-        ):
+        for slots, fractions in ((b["x_slots"][k], x_time[k]), (b["y_slots"][k], y_time[k])):
             expected = [axis.fraction_of_day(int(j)) for j in slots]
             assert fractions.tolist() == expected  # bit-identical, not approximate
 
@@ -323,25 +309,10 @@ def test_batch_sizes_and_keys():
     windows = sample_batch_inputs(10)
     batches = make_batches(windows, 4)
     assert [b["x"].shape[0] for b in batches] == [4, 4, 2]
-    assert set(batches[0]) == {
-        "x", "y", "x_mask", "y_mask", "x_time", "y_time", "x_slots", "y_slots",
-    }
+    assert set(batches[0]) == {"x", "y", "y_mask", "x_slots", "y_slots"}
     assert batches[0]["x"].shape == (4, 3, 1)
-    # Unshuffled batches keep window order.
+    # Batches keep window order.
     assert batches[0]["y_slots"][:, 0].tolist() == [3, 4, 5, 6]
-
-
-def test_batch_shuffle_deterministic():
-    windows = sample_batch_inputs(10)
-    a = make_batches(windows, 4, shuffle_seed=11)
-    b = make_batches(windows, 4, shuffle_seed=11)
-    c = make_batches(windows, 4, shuffle_seed=12)
-    key = lambda bs: [bs_i["x_slots"].tolist() for bs_i in bs]
-    assert key(a) == key(b)
-    assert key(a) != key(c)
-    # Shuffling permutes, never drops: same multiset of first slots.
-    flat = sorted(int(s[0]) for b_ in a for s in b_["x_slots"])
-    assert flat == list(range(10))
 
 
 def test_batch_size_validation():
@@ -363,24 +334,12 @@ def test_batch_size_rejects_a_fraction():
 class Sample:
     x: np.ndarray
     y: np.ndarray
-    x_mask: np.ndarray
     y_mask: np.ndarray
-    x_time: np.ndarray
-    y_time: np.ndarray
     x_slots: np.ndarray
     y_slots: np.ndarray
 
 
-def reference_time_fractions(slots, axis):
-    if axis is None:
-        return np.zeros(len(slots), dtype=np.float64)
-    start = axis.start
-    first = start.hour * 3600 + start.minute * 60 + start.second
-    slots = np.asarray(slots, dtype=np.int64)
-    return (first + slots * axis.interval) % 86400 / 86400.0
-
-
-def reference_make_windows(values, mask, spec, axis=None, start_slot=0):
+def reference_make_windows(values, mask, spec, start_slot=0):
     values = np.asarray(values)
     mask = np.asarray(mask, dtype=bool)
     T = values.shape[0]
@@ -397,10 +356,7 @@ def reference_make_windows(values, mask, spec, axis=None, start_slot=0):
             Sample(
                 x=values[k : k + spec.t_in],
                 y=values[k + spec.t_in : k + width],
-                x_mask=mask[k : k + spec.t_in],
                 y_mask=mask[k + spec.t_in : k + width],
-                x_time=reference_time_fractions(x_slots, axis),
-                y_time=reference_time_fractions(y_slots, axis),
                 x_slots=x_slots,
                 y_slots=y_slots,
             )
@@ -408,16 +364,13 @@ def reference_make_windows(values, mask, spec, axis=None, start_slot=0):
     return samples
 
 
-def reference_make_batches(samples: Sequence[Sample], batch_size, shuffle_seed=None):
+def reference_make_batches(samples: Sequence[Sample], batch_size):
     if batch_size <= 0:
         raise BadPipelineParams("batch_size must be positive")
-    order = np.arange(len(samples))
-    if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(len(samples))
-    fields = ("x", "y", "x_mask", "y_mask", "x_time", "y_time", "x_slots", "y_slots")
+    fields = ("x", "y", "y_mask", "x_slots", "y_slots")
     batches = []
     for lo in range(0, len(samples), batch_size):
-        chunk = [samples[i] for i in order[lo : lo + batch_size]]
+        chunk = samples[lo : lo + batch_size]
         batches.append(
             {f: np.stack([getattr(s, f) for s in chunk]) for f in fields}
         )
@@ -430,21 +383,16 @@ TENSOR_SHAPES = {"1d": (40,), "graph": (40, 3, 2), "grid": (40, 2, 3, 2)}
 @pytest.mark.parametrize("layout", sorted(TENSOR_SHAPES))
 @pytest.mark.parametrize("t_in, t_out", [(12, 12), (3, 1), (1, 5)])
 @pytest.mark.parametrize("start_slot", [0, 17])
-@pytest.mark.parametrize("with_axis", [False, True])
-@pytest.mark.parametrize("shuffle_seed", [None, 3])
 @pytest.mark.parametrize("batch_size", [1, 4, 1000])
-def test_batches_equal_the_per_window_reference(
-    layout, t_in, t_out, start_slot, with_axis, shuffle_seed, batch_size
-):
+def test_batches_equal_the_per_window_reference(layout, t_in, t_out, start_slot, batch_size):
     rng = np.random.default_rng(0)
     values = rng.normal(size=TENSOR_SHAPES[layout])
     mask = rng.random(values.shape) < 0.8
-    axis = TimeAxis(hours(5) + timedelta(seconds=7 * 13), 7, 1000) if with_axis else None
     spec = WindowSpec(t_in, t_out)
-    windows = make_windows(values, mask, spec, axis=axis, start_slot=start_slot)
-    samples = reference_make_windows(values, mask, spec, axis=axis, start_slot=start_slot)
-    got = make_batches(windows, batch_size, shuffle_seed)
-    want = reference_make_batches(samples, batch_size, shuffle_seed)
+    windows = make_windows(values, mask, spec, start_slot=start_slot)
+    samples = reference_make_windows(values, mask, spec, start_slot=start_slot)
+    got = make_batches(windows, batch_size)
+    want = reference_make_batches(samples, batch_size)
     assert len(windows) == len(samples)
     assert len(got) == len(want)
     for g, w in zip(got, want):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import ranking_dataset
 from stkit import runner
 from stkit.atomic import (
     DynaRecord,
@@ -29,7 +30,7 @@ from stkit.atomic import (
     parse_table,
 )
 from stkit.config import load_config
-from stkit.dataset import AtomicDataset, Manifest, save_dataset
+from stkit.dataset import save_dataset
 from stkit.exceptions import (
     BadConfigFile,
     BadModelParams,
@@ -103,37 +104,6 @@ def data_root(tmp_path_factory):
     )
     save_dataset(ranking_dataset(), root / "checkins")
     return root
-
-
-def ranking_dataset():
-    """Check-in data with a known popularity order: g0 > g1 > ... > g5."""
-    t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
-    geo = [
-        GeoUnit(f"g{i}", "Point", ((116.0 + 0.01 * i, 39.9),), {}) for i in range(6)
-    ]
-    usr = [UserUnit(f"u{i}", {}) for i in range(3)]
-    dyna = []
-    n = 0
-    for u in range(3):
-        for burst in range(5):  # five bursts, > 72h apart, so the cutter splits
-            start = t0 + timedelta(days=4 * burst, hours=u)
-            for p in range(4):  # exactly min_checkins points per piece
-                # Bias visits toward low location ids, deterministically.
-                loc = f"g{(u + burst + p) % (2 + p % 4)}"
-                dyna.append(
-                    DynaRecord(
-                        f"d{n}",
-                        "trajectory",
-                        start + timedelta(minutes=10 * p),
-                        f"u{u}",
-                        loc,
-                        {},
-                    )
-                )
-                n += 1
-    return AtomicDataset(
-        manifest=Manifest(name="checkins"), geo=geo, usr=usr, dyna=dyna
-    )
 
 
 def flow_config(data_root, out, **overrides):
