@@ -117,6 +117,16 @@ def test_shape_mismatch_rejected():
         regression_metrics(np.ones(3), np.ones(3), np.ones(2, dtype=bool))
 
 
+def test_masked_mae_matches_metrics():
+    """A masked MAE is regression_metrics' mae: (1/n) sum |yhat - y| over
+    the observed cells."""
+    rng = np.random.default_rng(0)
+    y = rng.normal(size=(4, 5))
+    yhat = rng.normal(size=(4, 5))
+    mask = rng.random((4, 5)) < 0.6
+    assert regression_metrics(y, yhat, mask)["mae"] == float(np.abs(yhat[mask] - y[mask]).mean())
+
+
 # -- forecast reports --------------------------------------------------------
 
 

@@ -30,7 +30,7 @@ from stkit.pipeline import (
     split_windows,
 )
 from stkit.atomic import DynaRecord, as_table
-from stkit.tensorize import TimeAxis, Trajectories
+from stkit.tensorize import TimeAxis, Trajectories, build_time_axis
 
 
 def hours(h):
@@ -226,6 +226,16 @@ def test_window_exact_fit_yields_one_sample():
         make_windows(values, mask, WindowSpec(3, 1))
 
 
+def test_window_time_fractions_follow_axis():
+    """A batch's time of day is its axis' fraction_of_day of its slots."""
+    axis = build_time_axis([hours(0), hours(5)], 3600)
+    values = np.zeros((6, 1))
+    mask = np.ones_like(values, dtype=bool)
+    b = one_batch(make_windows(values, mask, WindowSpec(2, 1)))
+    assert axis.fraction_of_day(b["x_slots"][0]).tolist() == [0.0, 1.0 / 24.0]
+    assert axis.fraction_of_day(b["y_slots"][0]).tolist() == [2.0 / 24.0]
+
+
 @pytest.mark.parametrize(
     "start, interval",
     [
@@ -337,9 +347,23 @@ class Sample:
     y_mask: np.ndarray
     x_slots: np.ndarray
     y_slots: np.ndarray
+    # Not batch keys: a batch reaches these through windows.mask and
+    # TimeAxis.fraction_of_day by slot. The times are None without an axis.
+    x_mask: np.ndarray
+    x_time: np.ndarray | None
+    y_time: np.ndarray | None
 
 
-def reference_make_windows(values, mask, spec, start_slot=0):
+def reference_time_fractions(slots, axis):
+    if axis is None:
+        return None
+    start = axis.start
+    first = start.hour * 3600 + start.minute * 60 + start.second
+    slots = np.asarray(slots, dtype=np.int64)
+    return (first + slots * axis.interval) % 86400 / 86400.0
+
+
+def reference_make_windows(values, mask, spec, axis=None, start_slot=0):
     values = np.asarray(values)
     mask = np.asarray(mask, dtype=bool)
     T = values.shape[0]
@@ -359,15 +383,20 @@ def reference_make_windows(values, mask, spec, start_slot=0):
                 y_mask=mask[k + spec.t_in : k + width],
                 x_slots=x_slots,
                 y_slots=y_slots,
+                x_mask=mask[k : k + spec.t_in],
+                x_time=reference_time_fractions(x_slots, axis),
+                y_time=reference_time_fractions(y_slots, axis),
             )
         )
     return samples
 
 
-def reference_make_batches(samples: Sequence[Sample], batch_size):
+BATCH_KEYS = ("x", "y", "y_mask", "x_slots", "y_slots")
+
+
+def reference_make_batches(samples: Sequence[Sample], batch_size, fields=BATCH_KEYS):
     if batch_size <= 0:
         raise BadPipelineParams("batch_size must be positive")
-    fields = ("x", "y", "y_mask", "x_slots", "y_slots")
     batches = []
     for lo in range(0, len(samples), batch_size):
         chunk = samples[lo : lo + batch_size]
@@ -380,20 +409,7 @@ def reference_make_batches(samples: Sequence[Sample], batch_size):
 TENSOR_SHAPES = {"1d": (40,), "graph": (40, 3, 2), "grid": (40, 2, 3, 2)}
 
 
-@pytest.mark.parametrize("layout", sorted(TENSOR_SHAPES))
-@pytest.mark.parametrize("t_in, t_out", [(12, 12), (3, 1), (1, 5)])
-@pytest.mark.parametrize("start_slot", [0, 17])
-@pytest.mark.parametrize("batch_size", [1, 4, 1000])
-def test_batches_equal_the_per_window_reference(layout, t_in, t_out, start_slot, batch_size):
-    rng = np.random.default_rng(0)
-    values = rng.normal(size=TENSOR_SHAPES[layout])
-    mask = rng.random(values.shape) < 0.8
-    spec = WindowSpec(t_in, t_out)
-    windows = make_windows(values, mask, spec, start_slot=start_slot)
-    samples = reference_make_windows(values, mask, spec, start_slot=start_slot)
-    got = make_batches(windows, batch_size)
-    want = reference_make_batches(samples, batch_size)
-    assert len(windows) == len(samples)
+def assert_batches_equal(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert list(g) == list(w)
@@ -402,6 +418,42 @@ def test_batches_equal_the_per_window_reference(layout, t_in, t_out, start_slot,
             assert g[key].shape == w[key].shape, key
             assert g[key].flags.c_contiguous == w[key].flags.c_contiguous, key
             assert np.array_equal(g[key], w[key]), key
+
+
+@pytest.mark.parametrize("layout", sorted(TENSOR_SHAPES))
+@pytest.mark.parametrize("t_in, t_out", [(12, 12), (3, 1), (1, 5)])
+@pytest.mark.parametrize("start_slot", [0, 17])
+@pytest.mark.parametrize("with_axis", [False, True])
+@pytest.mark.parametrize("mask_seed", [None, 3])
+@pytest.mark.parametrize("batch_size", [1, 4, 1000])
+def test_batches_equal_the_per_window_reference(
+    layout, t_in, t_out, start_slot, with_axis, mask_seed, batch_size
+):
+    """Batches equal the per-window reference key for key. The input mask,
+    and on a time axis the time of day, that a batch does not carry equal the
+    reference's through windows.mask and axis.fraction_of_day by slot. The
+    mask is drawn after the values, or from its own seed."""
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=TENSOR_SHAPES[layout])
+    mask_rng = rng if mask_seed is None else np.random.default_rng(mask_seed)
+    mask = mask_rng.random(values.shape) < 0.8
+    axis = TimeAxis(hours(5) + timedelta(seconds=7 * 13), 7, 1000) if with_axis else None
+    spec = WindowSpec(t_in, t_out)
+    windows = make_windows(values, mask, spec, start_slot=start_slot)
+    samples = reference_make_windows(values, mask, spec, axis=axis, start_slot=start_slot)
+    got = make_batches(windows, batch_size)
+    assert len(windows) == len(samples)
+    assert_batches_equal(got, reference_make_batches(samples, batch_size))
+
+    def unbatched(b):
+        rules = {"x_mask": windows.mask[b["x_slots"] - windows.start_slot]}
+        if axis is not None:
+            rules["x_time"] = axis.fraction_of_day(b["x_slots"])
+            rules["y_time"] = axis.fraction_of_day(b["y_slots"])
+        return rules
+
+    derived = [unbatched(b) for b in got]
+    assert_batches_equal(derived, reference_make_batches(samples, batch_size, list(derived[0])))
 
 
 # -- trajectory filtering ----------------------------------------------------
