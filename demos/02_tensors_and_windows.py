@@ -20,14 +20,14 @@ ds = generate_synthetic(
 axis = build_time_axis(ds.dyna.field("time").present(), ds.manifest.interval_seconds)
 geo_order = [g.geo_id for g in ds.geo]
 tensor, mask = dyna_to_graph_tensor(ds.dyna, geo_order, axis, features=("flow",))
-print("tensor layout:", tensor.layout, "shape:", tensor.shape)  # [T, N, F]
+print("tensor layout:", tensor.layout, "shape:", tensor.values.shape)  # [T, N, F]
 print("axis:", axis.length, "slots of", axis.interval, "s from", axis.start)
 
 adj = build_adjacency(ds.rel, geo_order, symmetrize=True)
 print("adjacency row sums:", adj.sum(axis=1))
 
 # Scaler statistics come from training slots only; masked cells are ignored.
-T = tensor.shape[0]
+T = tensor.values.shape[0]
 train_end = T - int(T * 0.1) - int(T * 0.2)
 scaler = fit_scaler("zscore", tensor.values[:train_end], mask.values[:train_end])
 scaled = np.where(mask.values, scaler.apply(tensor.values), 0.0)

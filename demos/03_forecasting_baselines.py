@@ -18,7 +18,7 @@ axis = build_time_axis(ds.dyna.field("time").present(), ds.manifest.interval_sec
 geo_order = [g.geo_id for g in ds.geo]
 tensor, mask = dyna_to_graph_tensor(ds.dyna, geo_order, axis, features=("flow",))
 
-T = tensor.shape[0]
+T = tensor.values.shape[0]
 train_end = int(T * 0.8)
 values, observed = tensor.values, mask.values
 
@@ -42,9 +42,9 @@ for name, model in models.items():
         np.moveaxis(batch["y_mask"], 1, 0),
         horizons=(3, 6, 12),
     )
-    row = {"model": name, "mae": report.aggregate["mae"], "rmse": report.aggregate["rmse"]}
+    row = {"model": name, "mae": report["aggregate"]["mae"], "rmse": report["aggregate"]["rmse"]}
     for h in (3, 6, 12):
-        row[f"mae@{h}"] = report.horizons[h]["mae"]
+        row[f"mae@{h}"] = report["horizons"][str(h)]["mae"]
     rows.append(row)
 
 print(f"{len(windows)} test windows, horizons 3/6/12")

@@ -579,6 +579,15 @@ class Column(NamedTuple):
         """Per row, ``test`` of its value as a bool; evaluated once per code."""
         return np.array([bool(test(v)) for v in self.values], dtype=bool)[self.codes]
 
+    def repeats(self) -> np.ndarray:
+        """Per row, whether an earlier row holds an equal value."""
+        values, keys = self.values, self.codes
+        if len(set(values)) < len(values):  # equal values under different codes
+            canon: dict = {}
+            first = [canon.setdefault(v, k) for k, v in enumerate(values)]
+            keys = np.array(first, dtype=np.intp)[keys]
+        return repeats(keys)
+
     def present(self) -> list:
         """The value of each code some row holds, in order of its first row."""
         _, first = np.unique(self.codes, return_index=True)
@@ -811,6 +820,11 @@ def repeats(keys: np.ndarray) -> np.ndarray:
     repeat = np.ones(len(keys), dtype=bool)
     repeat[np.unique(keys, return_index=True)[1]] = False
     return repeat
+
+
+def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The indices ``first[i]`` to ``first[i] + count[i]``, concatenated."""
+    return np.arange(count.sum()) + np.repeat(first - count.cumsum() + count, count)
 
 
 def read_table(kind: str, source: Union[bytes, str, IO]) -> Table:

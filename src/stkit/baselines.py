@@ -33,12 +33,11 @@ class HAModel:
 
     ``table[b]`` is the mean of all observed training cells whose absolute
     slot satisfies slot % period == b; a cell never observed in training
-    holds ``fallback``, the per-feature global mean.
+    holds its feature's global mean.
     """
 
     period: int
     table: np.ndarray  # [period, *spatial, D]
-    fallback: np.ndarray  # [D]
 
     def predict_slots(self, slots: np.ndarray) -> np.ndarray:
         """Forecast for absolute slot indices, shaped [*slots.shape, *spatial, D]."""
@@ -65,22 +64,17 @@ def ha_fit(values: np.ndarray, mask: np.ndarray, period: int, start_slot: int = 
     sums = np.zeros(shape, dtype=np.float64)
     counts = np.zeros(shape, dtype=np.int64)
     buckets = (np.arange(values.shape[0]) + start_slot) % period
-    np.add.at(sums, buckets, np.where(mask, values, 0.0))
+    observed = np.where(mask, values, 0.0)
+    np.add.at(sums, buckets, observed)
     np.add.at(counts, buckets, mask.astype(np.int64))
     table = np.divide(sums, np.maximum(counts, 1), dtype=np.float64)
     # Per-feature global mean over all observed cells, for empty buckets.
     flat_axes = tuple(range(values.ndim - 1))
     counts_f = mask.sum(axis=flat_axes)
-    sums_f = np.where(mask, values, 0.0).sum(axis=flat_axes)
-    fallback = np.divide(
-        sums_f,
-        np.maximum(counts_f, 1),
-        dtype=np.float64,
-    )
-    global_mean = np.where(mask, values, 0.0).sum() / mask.sum()
-    fallback = np.where(counts_f > 0, fallback, global_mean)
-    np.copyto(table, fallback, where=counts == 0)
-    return HAModel(period=period, table=table, fallback=fallback)
+    fallback = np.divide(observed.sum(axis=flat_axes), np.maximum(counts_f, 1), dtype=np.float64)
+    global_mean = observed.sum() / mask.sum()
+    np.copyto(table, np.where(counts_f > 0, fallback, global_mean), where=counts == 0)
+    return HAModel(period=period, table=table)
 
 
 @dataclass

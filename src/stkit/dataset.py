@@ -23,7 +23,6 @@ from .atomic import (
     Column,
     Table,
     format_timestamp,
-    repeats,
     read_table,
     write_table,
 )
@@ -31,7 +30,7 @@ from .atomic import _check_coord_ranges, _shape_fault  # shared geometry rules
 from .atomic import _ATTRS, _CHECKS, _FLOAT_RE, _TYPES  # shared type and number rules
 from .atomic import _coerce_scalar, _columns, _decode, _pairs, _raise_first, _read_text
 from .atomic import _constant, _ids  # shared column builders
-from .atomic import _parse_id_cell, _parse_time_cell, _property_fault  # shared rules
+from .atomic import _ID, _INDEX, _TIME, _property_fault  # shared rules
 from .config import write_json
 from .exceptions import (
     BadConfigFile,
@@ -81,9 +80,10 @@ class Manifest:
     def from_json(cls, payload: Mapping) -> "Manifest":
         """The manifest of a JSON object; :class:`BadManifest` names the bad key.
 
-        ``name`` must be a plain file name; ``interval_seconds`` (0 or null:
-        infer it), ``grid_rows`` and ``grid_cols`` ints or null; ``features``
-        and ``geo_order`` lists of strings or null, ``geo_order`` without a repeat.
+        ``name`` must be a string and a plain file name; ``interval_seconds``
+        (0 or null: infer it) an int or null; ``grid_rows`` and ``grid_cols``
+        ints of at least 1 or null; ``features`` and ``geo_order`` lists of
+        strings or null, ``geo_order`` without a repeat.
         """
         if not isinstance(payload, Mapping):
             raise BadManifest("manifest must be a JSON object", table="manifest")
@@ -93,7 +93,9 @@ class Manifest:
 
         if "name" not in payload:
             raise bad("name", "manifest lacks the dataset name")
-        name = str(payload["name"])
+        name = payload["name"]
+        if not isinstance(name, str):
+            raise bad("name", f"name must be a string, got {name!r}")
         if fault := _name_fault(name):
             raise bad("name", fault)
         for key in ("interval_seconds", "grid_rows", "grid_cols"):
@@ -102,6 +104,9 @@ class Manifest:
                 raise bad(key, f"{key} must be an integer or null, got {value!r}")
         if (payload.get("interval_seconds") or 0) < 0:
             raise bad("interval_seconds", "interval_seconds must not be negative")
+        for key in ("grid_rows", "grid_cols"):
+            if (value := payload.get(key)) is not None and value < 1:
+                raise bad(key, f"{key} must be at least 1 or null, got {value!r}")
         for key in ("features", "geo_order"):
             value = payload.get(key)
             if value is not None and not (
@@ -221,16 +226,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _repeats(column: Column) -> np.ndarray:
-    """Per row, whether an earlier row holds an equal value."""
-    values, keys = column.values, column.codes
-    if len(set(values)) < len(values):  # equal values under different codes
-        canon: dict = {}
-        first = [canon.setdefault(v, k) for k, v in enumerate(values)]
-        keys = np.array(first, dtype=np.intp)[keys]
-    return repeats(keys)
-
-
 def _found(found: list, table, rows, rank: int, severity, message, column=None):
     """Add a finding at each flagged row; ``rank`` orders findings within a row.
 
@@ -277,21 +272,36 @@ def _geometry_fault(geo_type, coordinates) -> str | None:
     return "; ".join(problems) or None
 
 
+def _whole(value) -> bool:
+    """Whether ``value`` is an integer, not a bool, as an index cell must be."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# Per reader check of a cell that a record's value can fail: the test of a
+# failing value, and the message of its finding for column ``{}``.
+_REFUSED = {
+    _ID: (lambda v: v == "" or v is None, "empty {} {{!r}}"),
+    _TIME: (lambda v: not isinstance(v, datetime) or v.tzinfo is None,
+            "{} {{!r}} is not a datetime with a time zone"),
+    _INDEX: (lambda v: not _whole(v), "{} {{!r}} is not an integer"),
+}
+
+
 def _own_rules(table: Table, found: list) -> np.ndarray:
     """Check a table that is not ``checked`` by the reader's own rules:
-    identifiers, types and geometry. Adds their findings to ``found`` and
-    returns the rows that pass the identifier and type rules."""
+    identifiers, times, indices, types and geometry. Adds their findings to
+    ``found`` and returns the rows that pass all but the geometry rules."""
     kind, attrs = table.kind, _ATTRS[table.kind]
     ok = np.ones(len(table), dtype=bool)
-    for name, check in zip(attrs, _CHECKS[kind]):  # the reader refuses an empty identifier
-        if check is _parse_id_cell:
-            column = table.field(name)
-            bad = ok & column.flags(lambda v: v == "" or v is None)
-            _found(found, kind, bad, 0, "error", f"empty {name} {{!r}}", column)
+    for name, check in zip(attrs, _CHECKS[kind]):
+        if check in _REFUSED:
+            column, (test, message) = table.field(name), _REFUSED[check]
+            bad = ok & column.flags(test)
+            _found(found, kind, bad, 0, "error", message.format(name), column)
             ok &= ~bad
     # A row's identifier; for ext, the (ext_id, time) pair, its only attributes.
     ids = _pairs(*map(table.field, attrs)) if kind == "ext" else table.field(attrs[0])
-    bad = ok & _repeats(ids)
+    bad = ok & ids.repeats()
     if kind == "ext":
         _found(found, kind, bad, 0, "error", lambda i: "duplicate (ext_id, time) pair "
                "{!r} @ {}".format(ids.at(i)[0], format_timestamp(ids.at(i)[1])))
@@ -390,7 +400,7 @@ def _check_grid(ds: AtomicDataset, table: Table, ok, found: list):
     ]
     outside = np.zeros(len(table), dtype=bool)
     for _, column, bound in bounds:
-        outside |= column.flags(lambda v: not 0 <= v < bound)
+        outside |= column.flags(lambda v: _whole(v) and not 0 <= v < bound)
 
     def message(i):
         return "; ".join(
@@ -632,9 +642,9 @@ def convert_raw_csv(spec: RawConversionSpec, source: Union[bytes, str]) -> Atomi
             failures.append((fault[0], position, fault[1]))
         return column
 
-    times = decode(0, spec.time_column, _parse_time_cell if spec.time_format is None
+    times = decode(0, spec.time_column, _TIME if spec.time_format is None
                    else partial(_strptime_cell, time_format=spec.time_format))
-    entities = decode(1, spec.entity_column, _parse_id_cell)
+    entities = decode(1, spec.entity_column, _ID)
     first = np.unique(entities.codes, return_index=True)[1]  # each entity's first row
     lons = lats = _constant(0.0, n)
     if points:

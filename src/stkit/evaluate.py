@@ -9,7 +9,6 @@ percentage error).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ from .exceptions import (
 
 __all__ = [
     "regression_metrics",
-    "RegressionReport",
     "check_horizons",
     "evaluate_forecast",
     "ranking_metrics",
@@ -93,20 +91,6 @@ def regression_metrics(y, yhat, mask=None, mape_floor: float = 0.0) -> dict:
     }
 
 
-@dataclass
-class RegressionReport:
-    """Aggregate metrics plus per-horizon breakdowns (1-indexed horizons)."""
-
-    aggregate: dict
-    horizons: dict[int, dict] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "aggregate": jsonify_metrics(self.aggregate),
-            "horizons": {str(h): jsonify_metrics(m) for h, m in self.horizons.items()},
-        }
-
-
 def check_horizons(horizons: Sequence[int], t_out: int) -> None:
     """Raise HorizonOutOfRange unless every horizon falls in [1, t_out]."""
     for h in horizons:
@@ -120,26 +104,26 @@ def evaluate_forecast(
     mask: np.ndarray | None,
     horizons: Sequence[int] = (),
     mape_floor: float = 0.0,
-) -> RegressionReport:
+) -> dict:
     """Score a multi-horizon forecast; axis 0 of every array is the horizon.
 
     ``horizons`` are 1-indexed prediction slots (horizon 3 = pred[2]); each
     must fall inside the prediction window or HorizonOutOfRange is raised.
-    The aggregate pools every horizon's cells.
+    Returns ``{"aggregate": metrics, "horizons": {str(h): metrics}}``, each
+    ``metrics`` a :func:`regression_metrics` dict; the aggregate pools every
+    horizon's cells.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    t_out = pred.shape[0]
-    report = RegressionReport(
-        aggregate=regression_metrics(truth, pred, mask, mape_floor=mape_floor)
-    )
-    check_horizons(horizons, t_out)
+    aggregate = regression_metrics(truth, pred, mask, mape_floor=mape_floor)
+    check_horizons(horizons, pred.shape[0])
+    per_horizon = {}
     for h in horizons:
         m_h = None if mask is None else mask[h - 1]
-        report.horizons[int(h)] = regression_metrics(
+        per_horizon[str(int(h))] = regression_metrics(
             truth[h - 1], pred[h - 1], m_h, mape_floor=mape_floor
         )
-    return report
+    return {"aggregate": aggregate, "horizons": per_horizon}
 
 
 def ranking_metrics(cases: Sequence[tuple], k: int) -> dict:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import _duplicate, as_table
+from .atomic import _duplicate, _spans, as_table
 from .exceptions import (
     BadMatchParams,
     NoCandidatesAnywhere,
@@ -52,12 +52,10 @@ EARTH_RADIUS_M = 6371000.0
 _M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 _MIN_SCALE_M = 1e-3  # floor of MatchParams.sigma_m and beta_m
 
-# Cells of one block of work, each bounding that block's memory: point x
-# segment box tests of a candidate search, candidate pairs of a max-sum step
-# or route-query chunk, and origin x segment labels of a route settle.
-_BOX_CELLS = 1 << 15
-_STEP_CELLS = 1 << 14
-_ROUTE_CELLS = 1 << 15
+# Cells of one block of work, bounding that block's memory: point x segment
+# box tests of a candidate search, candidate pairs of a max-sum step or
+# route-query chunk, or origin x segment labels of a route settle.
+_CELLS = 1 << 15
 
 
 def _m_per_deg_lon(lat: float) -> float:
@@ -89,11 +87,6 @@ class _Row(NamedTuple):
         return np.where(self.segment[pos] == segments, self.dist[pos], math.inf)
 
 
-def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The indices ``first[i]`` to ``first[i] + count[i]``, concatenated."""
-    return np.arange(count.sum()) + np.repeat(first - count.cumsum() + count, count)
-
-
 @dataclass(eq=False, repr=False)
 class _RouteTable:
     """Exact on-road routes between segments, filled per origin on demand.
@@ -110,7 +103,7 @@ class _RouteTable:
     are the network's graph; the table's own state is ``rows``.
 
     :meth:`settle` fills the rows of many origins at once, in blocks of
-    ``_ROUTE_CELLS // n_segments`` origins whose labels are one flat float64
+    ``_CELLS // n_segments`` origins whose labels are one flat float64
     array. First hops out of an origin start at 0.0; each pass extends last
     pass's improved (origin, segment) labels along their out-edges by the
     segment's length and keeps a candidate below the current label and at
@@ -157,7 +150,7 @@ class _RouteTable:
         until its targets ``targets[tptr[k]:tptr[k + 1]]`` (at least one) are
         settled; returns the targets' distances, inf when unreachable."""
         n = len(self.ids)
-        block = max(1, _ROUTE_CELLS // n)
+        block = max(1, _CELLS // n)
         out = np.empty(len(targets))
         for lo in range(0, len(origins), block):
             hi = min(lo + block, len(origins))
@@ -309,8 +302,7 @@ def build_road_network(geos, rels) -> RoadNetwork:
     order = sorted(range(len(names)), key=names.__getitem__)
     code = {names[i]: c for c, i in enumerate(order)}
     if len(code) < len(names):
-        seen: set[str] = set()
-        row = next(r for r, gid in enumerate(names) if gid in seen or seen.add(gid))
+        row = int(np.argmax(ids.repeats()))
         _duplicate(names[row], "geo", "geo_id", geo.ordinal(row))
     # Every vertex in code order; each but a polyline's last starts a leg.
     lines = [polylines[i] for i in order]
@@ -425,7 +417,7 @@ def _search(
     nearest leg gives its distance and offset. Ties in distance break on
     segment id, so the result is deterministic. Points go in blocks.
     """
-    block = max(1, _BOX_CELLS // max(network.boxes.shape[1], 1))
+    block = max(1, _CELLS // max(network.boxes.shape[1], 1))
     if len(lon) > block:
         parts = [_search(network, lon[s : s + block], lat[s : s + block], params)
                  for s in range(0, len(lon), block)]
@@ -503,10 +495,7 @@ def transition_logprob(route_m, greatcircle_m, beta_m: float):
 
 
 def _route_distances(network: RoadNetwork, origin: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Cost from the end of each origin segment to the start of its target,
-    for distinct code pairs grouped by origin; inf when unreachable. Every
-    origin the table cannot yet answer is settled in one pass, so no origin's
-    search runs twice in one call."""
+    """:meth:`_RouteTable.start_distances` of the network's route table."""
     return network.routes.start_distances(origin, target)
 
 
@@ -675,7 +664,7 @@ def viterbi_match(
     emissions = np.append(emission_logprob(cands.distance_m, params.sigma_m), -np.inf)
     greatcircle = np.append(0.0, haversine_m(lon[:-1], lat[:-1], lon[1:], lat[1:]))  # i - 1 to i
     width = int(count.max())
-    block = max(1, _STEP_CELLS // (width * width))
+    block = max(1, _CELLS // (width * width))
 
     def pairs(p):
         """Candidate pairs of the steps into points p: step, rows and ranks."""

@@ -378,7 +378,7 @@ def _run_traffic_state(
     batch_size = cfg["batch_size"]
     for split in ("val", "test"):
         pred, truth, m = _forecast_arrays(model, splits[split], batch_size, scaler)
-        report = _keyed(
+        metrics[split] = _keyed(
             "horizons", evaluate_forecast,
             np.moveaxis(pred, 1, 0),
             np.moveaxis(truth, 1, 0),
@@ -386,7 +386,6 @@ def _run_traffic_state(
             horizons=horizons,
             mape_floor=mape_floor,
         )
-        metrics[split] = report.to_json()
         metrics["n_samples"][split] = len(splits[split])
         if split == "test":
             extras["predictions"] = (pred, truth, m)

@@ -26,7 +26,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .atomic import Column, Table, _constant, _ids
+from .atomic import Column, Table, _constant, _ids, _spans
 from .config import write_json
 from .dataset import AtomicDataset, Manifest, save_dataset
 from .mapmatch import _M_PER_DEG_LAT, _m_per_deg_lon
@@ -208,7 +208,7 @@ def _road_network(params: Mapping):
     ptr = np.concatenate([[0], np.bincount(start, minlength=n * n).cumsum()])
     count = ptr[end + 1] - ptr[end]
     origin = np.repeat(np.arange(len(ids)), count)
-    des = leaving[np.arange(count.sum()) + np.repeat(ptr[end] - count.cumsum() + count, count)]
+    des = leaving[_spans(ptr[end], count)]
     if not allow_uturn:
         keep = end[des] != start[origin]
         origin, des = origin[keep], des[keep]

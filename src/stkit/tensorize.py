@@ -31,6 +31,7 @@ from .atomic import (
     GridRecord,
     ODRecord,
     Table,
+    _spans,
     as_table,
     format_timestamp,
     repeats,
@@ -128,20 +129,12 @@ class STTensor:
     values: np.ndarray
     time_axis: TimeAxis
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 @dataclass
 class MaskTensor:
     """Boolean observation mask, same shape as its value tensor."""
 
     values: np.ndarray
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 def _bad_feature(table: Table, name: str, reasons: np.ndarray, row: int):
@@ -405,8 +398,7 @@ class Trajectories:
         counts = np.diff(self.ptr)[indices]
         owner = np.repeat(np.arange(len(indices)), counts)
         # Picked trajectory j's k-th point sits at ptr[indices[j]] + k in rows.
-        shift = self.ptr[indices] - (counts.cumsum() - counts)
-        position = np.arange(len(owner)) + np.repeat(shift, counts)
+        position = _spans(self.ptr[indices], counts)
         if keep is not None:
             owner, position = owner[keep[position]], position[keep[position]]
         ptr = np.concatenate([[0], np.bincount(owner, minlength=len(indices)).cumsum()])

@@ -146,8 +146,8 @@ def test_criterion_02_regression_metrics_match_naive_loops():
         report = evaluate_forecast(pred, truth, mask, horizons=range(1, H + 1))
         for h in range(1, H + 1):
             direct = regression_metrics(truth[h - 1], pred[h - 1], mask[h - 1])
-            assert report.horizons[h] == direct
-        assert report.aggregate == regression_metrics(truth, pred, mask)
+            assert report["horizons"][str(h)] == direct
+        assert report["aggregate"] == regression_metrics(truth, pred, mask)
 
 
 def test_criterion_03_ranking_metric_pins_and_ordering():
@@ -298,9 +298,9 @@ def test_criterion_07_historical_average_exact_on_periodic_data():
         np.moveaxis(batch["y_mask"], 1, 0),
         horizons=(3, 6, 12),
     )
-    assert report.aggregate["mae"] == 0.0
+    assert report["aggregate"]["mae"] == 0.0
     for h in (3, 6, 12):
-        assert report.horizons[h]["mae"] == 0.0
+        assert report["horizons"][str(h)]["mae"] == 0.0
 
 
 def _enumerate_best(emissions, transitions):

@@ -1612,11 +1612,18 @@ def files_under(root: Path) -> dict[str, bytes]:
         ({"name": ".."}, "name '..' is not a plain file name", "name"),
         ({"name": "a/b"}, "name 'a/b' is not a plain file name", "name"),
         ({"name": "a\0b"}, "name 'a\\x00b' is not a plain file name", "name"),
+        ({"name": 12}, "name must be a string, got 12", "name"),
+        ({"name": ["a"]}, "name must be a string, got ['a']", "name"),
+        ({"grid_rows": 0}, "grid_rows must be at least 1 or null, got 0", "grid_rows"),
+        ({"grid_rows": -2}, "grid_rows must be at least 1 or null, got -2", "grid_rows"),
+        ({"grid_cols": 0}, "grid_cols must be at least 1 or null, got 0", "grid_cols"),
+        ({"grid_cols": -2}, "grid_cols must be at least 1 or null, got -2", "grid_cols"),
     ],
     ids=["not_json", "not_an_object", "no_name", "interval_text", "interval_fraction",
          "interval_negative", "grid_rows_float", "grid_cols_bool", "features_string",
          "geo_order_int", "geo_order_repeat", "name_empty", "name_parent", "name_separator",
-         "name_nul"],
+         "name_nul", "name_int", "name_list", "grid_rows_zero", "grid_rows_negative",
+         "grid_cols_zero", "grid_cols_negative"],
 )
 def test_run_bad_manifest_exits_with_a_located_error(
     cli_root, tmp_path, capsys, edit, message, column
@@ -1635,6 +1642,20 @@ def test_run_bad_manifest_exits_with_a_located_error(
     flags[flags.index("--dataset") + 1] = str(data)
     where = "table=manifest" if column is None else f"table=manifest, column={column}"
     assert_located_exit_3(["run", *flags], tmp_path / "out", capsys, message, where)
+
+
+def test_run_manifest_name_null_exits_with_a_located_error(cli_root, tmp_path, capsys):
+    # A null name once became the string "None": the run looked for None.*
+    # tables and exited 4 with no table to forecast.
+    data = copy_of(cli_root / "flow_p4", tmp_path / "flow_p4")
+    path = data / "manifest.json"
+    manifest = json.loads(path.read_text("utf-8"))
+    path.write_text(json.dumps({**manifest, "name": None}), "utf-8")
+    assert '"name": null' in path.read_text("utf-8")
+    flags = run_flags(cli_root, tmp_path / "out")
+    flags[flags.index("--dataset") + 1] = str(data)
+    assert_located_exit_3(["run", *flags], tmp_path / "out", capsys,
+                          "name must be a string, got None", "table=manifest, column=name")
 
 
 def test_manifest_name_cannot_reach_outside_the_dataset(cli_root, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import json
 import random
 from dataclasses import FrozenInstanceError, replace
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -247,6 +248,48 @@ def test_empty_identifiers_fail_validation_as_the_reader_refuses_them(
     where = rf"identifier cell is empty \(table={kind}, row=1, column={column}\)"
     with pytest.raises(BadFieldValue, match=where):
         load_dataset(save_dataset(ds, tmp_path / "ds"), validate=False)
+
+
+BAD_CELL_CASES = [
+    ("grid", "row_id", 1.5, "is not an integer"),
+    ("grid", "row_id", True, "is not an integer"),
+    ("grid", "row_id", "1", "is not an integer"),
+    ("dyna", "time", "2024-01-01T00:00:00Z", "is not a datetime with a time zone"),
+    ("dyna", "time", None, "is not a datetime with a time zone"),
+    ("dyna", "time", 5, "is not a datetime with a time zone"),
+    ("dyna", "time", datetime(2024, 1, 1), "is not a datetime with a time zone"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, column, value, fault", BAD_CELL_CASES,
+    ids=["index_float", "index_bool", "index_str", "time_str", "time_none", "time_int",
+         "time_naive"],
+)
+def test_record_times_and_indices_fail_validation_as_the_reader_refuses_them(
+    kind, column, value, fault
+):
+    """A grid index that is no int, or a time that is no zoned datetime, in
+    the second of two rows is one error naming its column; the row is not
+    compared with the first (a str, None or naive time would raise there)."""
+    if kind == "grid":
+        rows = [GridRecord(f"q{i}", "state", ts(0), v, i, {}) for i, v in enumerate((0, value))]
+    else:
+        rows = [DynaRecord(f"d{i}", "trajectory", t, "u0", None, {})
+                for i, t in enumerate((ts(0), value))]
+    ds = AtomicDataset(Manifest(name="t", grid_rows=2, grid_cols=2),
+                       usr=[UserUnit("u0", {})], **{kind: rows})
+    assert validate_dataset(ds).findings == [
+        Finding("error", kind, 2, f"{column} {value!r} {fault}")
+    ]
+
+
+def test_a_negative_grid_index_is_outside_the_grid():
+    rows = [GridRecord("q0", "state", ts(0), -2, 0, {})]
+    ds = AtomicDataset(Manifest(name="t", grid_rows=2, grid_cols=2), grid=rows)
+    assert validate_dataset(ds).findings == [
+        Finding("error", "grid", 1, "row_id=-2 outside [0, 2)")
+    ]
 
 
 def test_state_and_od_rows_name_ids_of_the_geo_ordering():
@@ -830,7 +873,7 @@ def test_loaded_tables_skip_the_readers_own_rules(kind, params, tmp_path, monkey
     def proven_already(*args):
         raise AssertionError("a read table's own rules ran again")
 
-    monkeypatch.setattr(dataset, "_repeats", proven_already)
+    monkeypatch.setattr(Column, "repeats", proven_already)
     monkeypatch.setattr(dataset, "_geometry_fault", proven_already)
     assert validate_dataset(loaded).findings == []
 

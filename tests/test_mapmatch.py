@@ -333,7 +333,7 @@ def test_trajectory_search_equals_the_scalar_search_bit_for_bit(monkeypatch):
             ]
             for cap in (1, 2, 3, 5, 10**9):
                 params = MatchParams(radius_m=radius, max_candidates=cap)
-                monkeypatch.setattr(mapmatch, "_BOX_CELLS", int(rng.choice([1, 7, 1 << 18])))
+                monkeypatch.setattr(mapmatch, "_CELLS", int(rng.choice([1, 7, 1 << 18])))
                 found = mapmatch._search(network, lon, lat, params)
                 for i, w in enumerate(want):
                     got = found.pick(network, slice(found.ptr[i], found.ptr[i + 1]))
@@ -1148,7 +1148,7 @@ def test_route_table_equals_the_heap_dijkstra_bit_for_bit(kind):
 
 
 def test_blocks_of_few_origins_route_as_one_block(monkeypatch):
-    """With ``_ROUTE_CELLS`` below the segment count a settle block holds one
+    """With ``_CELLS`` below the segment count a settle block holds one
     origin, and with three times the count three; a run matches as with one
     block, and the table it filled answers shortest_route as a fresh one."""
     rng = np.random.default_rng(83)
@@ -1162,7 +1162,7 @@ def test_blocks_of_few_origins_route_as_one_block(monkeypatch):
         routes = [shortest_route(fresh_table(network), a, b) for a in cands for b in cands]
         n = len(network.routes.ids)
         for per_block, cells in ((1, n - 1), (3, 3 * n)):
-            monkeypatch.setattr(mapmatch, "_ROUTE_CELLS", cells)
+            monkeypatch.setattr(mapmatch, "_CELLS", cells)
             blocks = []
             real = mapmatch._RouteTable._settle_block
 

@@ -32,7 +32,7 @@ def test_graph_flow_shape_and_validity():
     assert len(ds.dyna) == 30
     assert validate_dataset(ds).errors == []
     tensor, mask = tensorize_graph(ds)
-    assert tensor.shape == (10, 3, 1)
+    assert tensor.values.shape == (10, 3, 1)
     assert mask.values.all()
 
 

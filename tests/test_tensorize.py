@@ -145,7 +145,7 @@ def graph_records():
 def test_graph_tensor_values_and_mask():
     axis = build_time_axis([r.time for r in graph_records()], 300)
     tensor, mask = dyna_to_graph_tensor(graph_records(), GEOS, axis, FEATS)
-    assert tensor.shape == (3, 2, 2)
+    assert tensor.values.shape == (3, 2, 2)
     assert tensor.values[0, 0, 0] == 10.0
     assert tensor.values[0, 0, 1] == 55.0
     assert tensor.values[0, 1, 0] == 7.0
@@ -207,7 +207,7 @@ def test_grid_tensor_shape_and_bounds():
     ]
     axis = build_time_axis([r.time for r in recs], 300)
     tensor, mask = grid_to_tensor(recs, (3, 2), axis, ("inflow",))
-    assert tensor.shape == (2, 3, 2, 1)
+    assert tensor.values.shape == (2, 3, 2, 1)
     assert tensor.values[1, 2, 1, 0] == 6.0
     assert mask.values.sum() == 2
     bad = [GridRecord("q9", "state", ts(0), 3, 0, {"inflow": 1.0})]
@@ -235,7 +235,7 @@ def test_od_tensor_cells():
     ]
     axis = build_time_axis([r.time for r in recs], 300)
     tensor, mask = od_to_tensor(recs, GEOS, axis, ("demand",))
-    assert tensor.shape == (1, 2, 2, 1)
+    assert tensor.values.shape == (1, 2, 2, 1)
     assert tensor.values[0, 0, 1, 0] == 3.0
     assert tensor.values[0, 1, 0, 0] == 2.0
     assert not mask.values[0, 0, 0, 0]
